@@ -2,7 +2,7 @@
 
 Run from the repo root:
 
-    PYTHONPATH=src python benchmarks/perf/run_all.py --output benchmarks/perf/results.json
+    PYTHONPATH=src python benchmarks/perf/run_all.py --output perf-results.json
 
 Three groups of measurements, all on the §5.7 workload (4096 distinct
 /28 sources, 8 ingresses, monotone timestamps):
@@ -28,13 +28,6 @@ Three groups of measurements, all on the §5.7 workload (4096 distinct
   (leaves/s) through ``CheckpointStore``, and the wire-format density
   (bytes per leaf on disk).  Recorded, not gated — it bounds the sweep
   budget a checkpoint barrier consumes.
-* ``transport`` — the mp data plane: FlowBatch wire-codec density
-  (bytes/flow, steady-state vs first frame, vs pickle) and speed
-  (encode/decode ns per flow vs pickle dumps/loads), plus end-to-end
-  sharded ``ingest_batch()`` through the mp executor on both
-  transports.  Recorded, not gated: the end-to-end ratio depends on
-  the core count (zero-copy pays off when the router and the workers
-  actually overlap; on one core it measures protocol overhead only).
 * ``query``    — the serving plane: CompiledLPM compile cost and blob
   size, bulk and per-call lookup throughput through an installed
   epoch, p50/p99 per-call latency, and the epoch hot-swap pause (the
@@ -387,118 +380,6 @@ def bench_checkpoint(flow_count: int, repeats: int) -> dict:
     return result
 
 
-def bench_transport(flow_count: int, repeats: int,
-                    shards: int = 8) -> dict:
-    import os
-    import pickle
-
-    from repro.netflow.wirecodec import FlowBatchDecoder, FlowBatchEncoder
-    from repro.runtime import ShardedIPD
-
-    cores = os.cpu_count() or 1
-    workers = min(4, cores)
-    flows = build_spread_flows(flow_count)
-    batches = list(iter_flow_batches(flows, batch_size=8192))
-    rows = sum(len(batch.timestamps) for batch in batches)
-
-    # density: first pass interns the ingress table, the second is the
-    # steady state every frame after connection warm-up sees
-    density_encoder = FlowBatchEncoder()
-    first_bytes = sum(len(density_encoder.encode(b)) for b in batches)
-    steady_bytes = sum(len(density_encoder.encode(b)) for b in batches)
-    pickle_blobs = [
-        pickle.dumps(b, protocol=pickle.HIGHEST_PROTOCOL) for b in batches
-    ]
-    pickle_bytes = sum(len(blob) for blob in pickle_blobs)
-
-    def encode_all():
-        encoder = FlowBatchEncoder()
-        for batch in batches:
-            encoder.encode(batch)
-
-    encode_seconds = best_of(encode_all, repeats)
-
-    frames = []
-    frame_encoder = FlowBatchEncoder()
-    for batch in batches:
-        frames.append(frame_encoder.encode(batch))
-
-    def decode_all():
-        decoder = FlowBatchDecoder()
-        for frame in frames:
-            decoder.decode_from(frame)
-
-    decode_seconds = best_of(decode_all, repeats)
-
-    def pickle_all():
-        for batch in batches:
-            pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-
-    pickle_seconds = best_of(pickle_all, repeats)
-
-    def unpickle_all():
-        for blob in pickle_blobs:
-            pickle.loads(blob)
-
-    unpickle_seconds = best_of(unpickle_all, repeats)
-
-    # end-to-end: the sharded_mp workload on both data planes
-    params = IPDParams(n_cidr_factor_v4=1e-5, n_cidr_factor_v6=1e-5)
-    sweep_at = flows[-1].timestamp + 0.001
-    rates = {}
-    for transport in ("pickle", "shm"):
-        engine = ShardedIPD(
-            params, shards=shards, executor="mp", workers=workers,
-            transport=transport,
-        )
-        for batch in batches:  # warm: delegate the split, grow leaves
-            engine.ingest_batch(batch)
-        for step in range(6):
-            engine.sweep(sweep_at + step * 0.01)
-        engine.state_size()  # barrier: workers fully drained
-
-        def run_mp():
-            for batch in batches:
-                engine.ingest_batch(batch)
-            engine.state_size()
-
-        rates[transport] = len(flows) / best_of(run_mp, repeats)
-        engine.close()
-
-    ratio = (
-        rates["shm"] / rates["pickle"] if rates["pickle"] else 0.0
-    )
-    result = {
-        "cores": cores,
-        "workers": workers,
-        "shards": shards,
-        "rows": rows,
-        "wire_bytes_per_flow_first": round(first_bytes / rows, 2),
-        "wire_bytes_per_flow_steady": round(steady_bytes / rows, 2),
-        "pickle_bytes_per_flow": round(pickle_bytes / rows, 2),
-        "encode_ns_per_flow": round(encode_seconds / rows * 1e9, 1),
-        "decode_ns_per_flow": round(decode_seconds / rows * 1e9, 1),
-        "pickle_ns_per_flow": round(pickle_seconds / rows * 1e9, 1),
-        "unpickle_ns_per_flow": round(unpickle_seconds / rows * 1e9, 1),
-        "mp_pickle_flows_per_second": round(rates["pickle"]),
-        "mp_shm_flows_per_second": round(rates["shm"]),
-        "shm_vs_pickle_ratio": round(ratio, 2),
-        "target": "shm >= pickle end-to-end ingest_batch on >= 2 cores",
-        "target_applicable": cores >= 2,
-        "target_met": cores >= 2 and ratio >= 1.0,
-        "note": "recorded, not gated: the end-to-end ratio is "
-                "core-count dependent",
-    }
-    print(f"  transport wire={result['wire_bytes_per_flow_steady']} B/flow "
-          f"(pickle {result['pickle_bytes_per_flow']} B/flow) "
-          f"enc={result['encode_ns_per_flow']} ns dec="
-          f"{result['decode_ns_per_flow']} ns")
-    print(f"  transport mp pickle={rates['pickle']:,.0f} "
-          f"shm={rates['shm']:,.0f} flows/s ({ratio:.2f}x; "
-          f"target applies on >= 2 cores)")
-    return result
-
-
 def bench_query(flow_count: int, repeats: int,
                 ranges: int = 4096) -> dict:
     """The serving plane: compiled-LPM lookups and epoch hot-swap.
@@ -731,7 +612,7 @@ def bench_admission(flow_count: int, repeats: int) -> dict:
 
 
 def bench_adversarial(repeats: int) -> dict:
-    """The adversarial scenario pack (EXPERIMENTS.md rows, DESIGN.md §15).
+    """The adversarial scenario pack (EXPERIMENTS.md rows, DESIGN.md §14).
 
     One downsized scenario per family, each with its pass criterion:
 
@@ -913,7 +794,6 @@ GROUPS = (
     "sweep",
     "sharded_mp",
     "checkpoint",
-    "transport",
     "query",
     "admission",
     "adversarial",
@@ -956,8 +836,6 @@ def run_benchmarks(flow_count: int, repeats: int,
         results["sharded_mp"] = bench_sharded_mp(flow_count, repeats)
     if "checkpoint" in selected:
         results["checkpoint"] = bench_checkpoint(flow_count, repeats)
-    if "transport" in selected:
-        results["transport"] = bench_transport(flow_count, repeats)
     if "query" in selected:
         results["query"] = bench_query(flow_count, repeats)
     if "admission" in selected:

@@ -9,8 +9,8 @@ mappings agree.
 """
 
 from repro.analysis.counters import counter_overflow_study, flow_byte_correlation
-from repro.core.driver import OfflineDriver
 from repro.reporting.tables import render_table
+from repro.runtime import Pipeline
 
 from conftest import write_result
 
@@ -28,8 +28,8 @@ def test_sec31_flow_vs_byte_counters(benchmark, headline):
     # run the engine in byte mode on a slice and compare mappings
     byte_params = scenario.params.with_overrides(count_bytes=True)
     slice_flows = [f for f in flows if f.timestamp < 14.0 * 3600.0]
-    flow_run = OfflineDriver(scenario.params).run(slice_flows)
-    byte_run = OfflineDriver(byte_params).run(slice_flows)
+    flow_run = Pipeline(scenario.params).run(slice_flows)
+    byte_run = Pipeline(byte_params).run(slice_flows)
     flow_map = {
         str(r.range): r.ingress for r in flow_run.final_snapshot()
     }

@@ -8,9 +8,8 @@ sweeps, at interactive speed:
 
   per-router streams -> PacketSampler -> StatisticalTime -> LivePipeline
 
-(``LivePipeline`` replaced the old ``ThreadedIPD``, which remains as a
-deprecated alias; the live runtime can also shard the address space with
-``shards=N, executor="threaded"|"mp"``.)
+(The live runtime can also shard the address space with
+``shards=N, executor="mp"``.)
 
 Run:  python examples/live_pipeline.py
 """

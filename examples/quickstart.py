@@ -9,7 +9,7 @@ end-to-end loop a new user should see first.
 Run:  python examples/quickstart.py
 """
 
-from repro import IPDParams, OfflineDriver, build_lpm_from_records
+from repro import IPDParams, Pipeline, build_lpm_from_records
 from repro.core.iputil import format_ip, parse_ip
 from repro.netflow.records import FlowRecord
 from repro.topology.elements import IngressPoint, LinkType
@@ -65,10 +65,10 @@ def main() -> None:
     # n_cidr_factor is scaled to this toy volume (see DESIGN.md §5);
     # everything else is the paper's Table-1 default.
     params = IPDParams(n_cidr_factor_v4=0.02, n_cidr_factor_v6=0.02)
-    driver = OfflineDriver(params, snapshot_seconds=300.0)
+    pipeline = Pipeline(params, snapshot_seconds=300.0)
 
     print("Replaying one hour of flows through IPD ...")
-    result = driver.run(synthesize_flows(topo))
+    result = pipeline.run(synthesize_flows(topo))
     print(f"  processed {result.flows_processed:,} flows, "
           f"{len(result.sweeps)} sweeps, {len(result.snapshots)} snapshots\n")
 

@@ -17,11 +17,8 @@ from .core import (
     IPDParams,
     IPDRecord,
     LPMTable,
-    OfflineDriver,
     Prefix,
-    RunResult,
     Snapshot,
-    ThreadedIPD,
     build_lpm_from_records,
     compile_lpm_from_records,
 )
@@ -31,6 +28,7 @@ from .runtime import (
     CheckpointStore,
     LivePipeline,
     Pipeline,
+    RunResult,
     ShardedIPD,
     WorkerCrashError,
     restore_engine,
@@ -53,7 +51,6 @@ __all__ = [
     "LPMTable",
     "LinkType",
     "LivePipeline",
-    "OfflineDriver",
     "PacketSampler",
     "Pipeline",
     "Prefix",
@@ -64,7 +61,6 @@ __all__ = [
     "SteeringPlan",
     "SteeringPolicy",
     "StatisticalTime",
-    "ThreadedIPD",
     "TopologySpec",
     "FlowRecord",
     "WorkerCrashError",

@@ -1,4 +1,4 @@
-"""Evaluators for the adversarial scenario pack (DESIGN.md §15).
+"""Evaluators for the adversarial scenario pack (DESIGN.md §14).
 
 Each evaluator consumes a :class:`~repro.runtime.result.RunResult` plus
 the generator-side :class:`~repro.workloads.adversarial.AdversarialGroundTruth`

@@ -19,11 +19,7 @@ many snapshots distinguished by their ``timestamp`` column), so a
 partition can also be inspected with ordinary command-line tools.
 
 Partition keys are UTC dates of the snapshot timestamp (treated as
-seconds since the Unix epoch).  Archives written by earlier versions
-used opaque ``day-NNNNNN`` keys (days since epoch); those partitions
-keep their original key — the index, not the filename scheme, is
-authoritative — so both generations coexist in one archive and reads
-remain time-ordered across them.
+seconds since the Unix epoch), so key order is time order.
 """
 
 from __future__ import annotations
@@ -44,18 +40,11 @@ from .core.snapshot import Snapshot
 
 __all__ = ["SnapshotArchive", "ArchiveStats"]
 
-_DAY = 86_400.0
-
 
 def _day_key(timestamp: float) -> str:
     """Partition key: the snapshot's UTC date (``YYYY-MM-DD``)."""
     when = datetime.datetime.fromtimestamp(timestamp, datetime.timezone.utc)
     return when.strftime("%Y-%m-%d")
-
-
-def _legacy_day_key(timestamp: float) -> str:
-    """Pre-date-key partition key: days since epoch, rendered sortably."""
-    return f"day-{int(timestamp // _DAY):06d}"
 
 
 @dataclass(frozen=True)
@@ -81,15 +70,6 @@ class SnapshotArchive:
 
     # ------------------------------------------------------------------ write
 
-    def _partition_key(self, timestamp: float) -> str:
-        """Date key for new partitions; an existing legacy (``day-NNNNNN``)
-        partition for the same day keeps receiving appends under its old
-        key so a day is never split across two files."""
-        legacy = _legacy_day_key(timestamp)
-        if legacy in self._index:
-            return legacy
-        return _day_key(timestamp)
-
     def append(
         self,
         timestamp: float,
@@ -104,7 +84,7 @@ class SnapshotArchive:
         the CSV, and indexed so :meth:`compiled_at` can load it without
         re-parsing (or re-compiling) the records.
         """
-        key = self._partition_key(timestamp)
+        key = _day_key(timestamp)
         newest = self.newest_timestamp()
         if newest is not None and timestamp <= newest:
             raise ValueError(
@@ -181,13 +161,8 @@ class SnapshotArchive:
         without decompressing irrelevant columns into objects you then
         throw away.
         """
-        # Order partitions by time, not key text: date keys and legacy
-        # day-NNNNNN keys interleave arbitrarily under lexicographic sort.
-        entries = sorted(
-            self._index.values(),
-            key=lambda entry: entry["snapshots"][0] if entry["snapshots"] else 0.0,
-        )
-        for entry in entries:
+        for key in sorted(self._index):
+            entry = self._index[key]
             times = [
                 t for t in entry["snapshots"]
                 if (start is None or t >= start) and (end is None or t < end)
@@ -234,9 +209,7 @@ class SnapshotArchive:
     ) -> Optional[tuple[float, list[IPDRecord]]]:
         """The newest snapshot at or before *timestamp* (point-in-time).
 
-        Binary-searches :meth:`snapshot_times` (legacy ``day-NNNNNN``
-        and UTC-date partitions interleave correctly — the sorted time
-        list, not the key text, drives the search) and decompresses only
+        Binary-searches :meth:`snapshot_times` and decompresses only
         the one partition holding the hit.  Returns ``(snapshot time,
         records)``, or ``None`` when the archive holds nothing that old.
         """

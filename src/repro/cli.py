@@ -40,7 +40,6 @@ from .netflow.records import (
 )
 from .runtime import (
     EXECUTOR_KINDS,
-    TRANSPORT_KINDS,
     CheckpointStore,
     Pipeline,
 )
@@ -258,7 +257,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     shards=args.shards,
                     executor=args.executor,
                     workers=args.workers,
-                    transport=args.transport,
                     admission=admission,
                     snapshot_seconds=args.snapshot_seconds,
                     checkpoint_every=args.checkpoint_every,
@@ -291,7 +289,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             shards=args.shards,
             executor=args.executor,
             workers=args.workers,
-            transport=args.transport,
             snapshot_seconds=args.snapshot_seconds,
             checkpoint_store=store,
             checkpoint_every=args.checkpoint_every,
@@ -304,7 +301,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         count = write_records_csv(records, stream)
     engine = (
         f"{args.shards} shard(s), {args.executor} executor"
-        + (f", {args.transport} transport" if args.executor == "mp" else "")
         if args.shards > 1 or args.executor != "serial"
         else "single engine"
     )
@@ -506,10 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="address-space shards (power of two); output is "
                           "identical to --shards 1, only throughput changes")
     run.add_argument("--workers", type=int, default=None,
-                     help="worker threads/processes for threaded/mp executors")
-    run.add_argument("--transport", choices=TRANSPORT_KINDS, default="pickle",
-                     help="mp executor data plane: pickle-over-pipe or "
-                          "zero-copy shared-memory rings")
+                     help="worker processes for the mp executor")
     run.add_argument("--checkpoint-dir", default=None,
                      help="directory for periodic engine checkpoints "
                           "(enables crash recovery and --resume)")

@@ -12,7 +12,6 @@ from .admission import (
 )
 from .algorithm import IPD, SweepReport
 from .bundles import bundle_candidates, dominant_ingress, make_bundle
-from .driver import OfflineDriver, RunResult, ThreadedIPD
 from .lbdetect import LBDetectorLike, LBVerdict, LoadBalanceDetector
 from .iputil import IPV4, IPV6, Prefix, format_ip, mask_ip, parse_ip, parse_prefix
 from .lpm import (
@@ -59,15 +58,12 @@ __all__ = [
     "LBVerdict",
     "LoadBalanceDetector",
     "LPMTable",
-    "OfflineDriver",
     "Prefix",
     "RangeNode",
     "RangeTree",
-    "RunResult",
     "Snapshot",
     "StateCodecError",
     "SweepReport",
-    "ThreadedIPD",
     "ClassifiedState",
     "UnclassifiedState",
     "build_lpm_from_records",

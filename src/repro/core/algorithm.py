@@ -27,9 +27,9 @@ sweep falls back to the full walk.
 
 The deployment runs the stages in two threads; behaviourally the
 algorithm is defined by "all ingest before each sweep tick", which the
-event-driven :mod:`repro.core.driver` reproduces deterministically.  A
-thread-backed runner with the deployment layout lives in the same
-driver module.
+event-driven :class:`~repro.runtime.pipeline.Pipeline` reproduces
+deterministically.  A thread-backed runner with the deployment layout is
+:class:`~repro.runtime.live.LivePipeline`.
 """
 
 from __future__ import annotations

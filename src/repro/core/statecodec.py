@@ -482,7 +482,7 @@ class _Reader:
         end = self.offset + length
         if end > len(self.data):
             raise StateCodecError("truncated blob")
-        # bytes() also covers memoryview input (slices of a shm ring)
+        # bytes() also covers memoryview input (slices of a larger blob)
         text = bytes(self.data[self.offset:end]).decode("utf-8")
         self.offset = end
         return text

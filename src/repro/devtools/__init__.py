@@ -12,7 +12,7 @@ IPD003   exception-taxonomy  runtime failure paths stay typed, never swallow
 IPD004   codec-guard         codec layout changes require a CODEC_VERSION bump
 IPD005   hot-path-hygiene    ``@hot_path`` loops stay allocation-clean
 IPD006   fault-seam          every ``fault_hook`` parameter defaults to None
-IPD007   no-pickle-hot-path  no object serialization on hot paths / shm plane
+IPD007   no-pickle-hot-path  no object serialization inside ``@hot_path`` functions
 IPD008   lookup-alloc-free   ``@hot_path`` ``lookup*`` never allocates containers
 IPD009   codec-symmetry      encode/decode twins mirror each other's wire ops
 IPD010   iteration-order-taint  unordered iteration never feeds serialized output

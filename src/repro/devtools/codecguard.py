@@ -18,11 +18,9 @@ a SHA-256 over the dataclass layouts and wire constants extracted from
 the module's AST — and rule IPD004 pins that fingerprint to the
 ``CODEC_VERSION`` it was recorded at (``codec_fingerprints.json``).
 Pins are keyed ``<module stem>:<version>`` (``statecodec:1``,
-``lpm:1``); bare-integer keys written by earlier versions keep working
-as a fallback for ``statecodec.py``.  Changing a layout without bumping
-its version fails the lint; bumping the version requires recording the
-new fingerprint, which makes the compatibility decision explicit in the
-diff.
+``lpm:1``).  Changing a layout without bumping its version fails the
+lint; bumping the version requires recording the new fingerprint, which
+makes the compatibility decision explicit in the diff.
 
 Regenerate the pins after an *intentional* format change with::
 
@@ -126,8 +124,7 @@ def structural_fingerprint(tree: ast.Module) -> str:
 def load_pins(path: "Path | str" = DEFAULT_PIN_PATH) -> dict[str, str]:
     """The committed ``key -> fingerprint`` map, keys as stored.
 
-    Keys are ``<module stem>:<version>`` (and, for archives written by
-    earlier versions, bare ``<version>`` strings); resolve one with
+    Keys are ``<module stem>:<version>``; resolve one with
     :func:`pin_for` rather than indexing directly.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -135,17 +132,8 @@ def load_pins(path: "Path | str" = DEFAULT_PIN_PATH) -> dict[str, str]:
 
 
 def pin_for(pins: dict[str, str], stem: str, version: int) -> Optional[str]:
-    """The recorded fingerprint for codec module *stem* at *version*.
-
-    Prefers the stem-qualified key; falls back to the legacy bare
-    version key, which only ever referred to ``statecodec``.
-    """
-    fingerprint = pins.get(f"{stem}:{version}")
-    if fingerprint is not None:
-        return fingerprint
-    if stem == "statecodec":
-        return pins.get(str(version))
-    return None
+    """The recorded fingerprint for codec module *stem* at *version*."""
+    return pins.get(f"{stem}:{version}")
 
 
 def record_pin(
@@ -155,10 +143,8 @@ def record_pin(
     """Record the current fingerprint of *source_path* under its version.
 
     The pin is written under the stem-qualified key
-    (``<stem>:<version>``); a legacy bare key for the same statecodec
-    version is refreshed too so both spellings stay consistent.
-    Returns ``(version, fingerprint)``.  Fails if the module carries no
-    ``CODEC_VERSION`` literal.
+    (``<stem>:<version>``).  Returns ``(version, fingerprint)``.  Fails
+    if the module carries no ``CODEC_VERSION`` literal.
     """
     source = Path(source_path)
     tree = ast.parse(source.read_text(encoding="utf-8"))
@@ -171,8 +157,6 @@ def record_pin(
     if pin_file.exists():
         pins = json.loads(pin_file.read_text(encoding="utf-8"))
     pins[f"{source.stem}:{version}"] = fingerprint
-    if source.stem == "statecodec" and str(version) in pins:
-        pins[str(version)] = fingerprint
     pin_file.write_text(
         json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

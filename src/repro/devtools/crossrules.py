@@ -5,8 +5,8 @@ rather than one file at a time, because the invariants they enforce
 live *between* definitions:
 
 * **IPD009 codec-symmetry** — every write-side codec function in
-  ``statecodec.py`` / ``lpm.py`` / ``wirecodec.py`` has a decode twin
-  whose primitive read sequence mirrors the write sequence in order,
+  ``statecodec.py`` / ``lpm.py`` has a decode twin whose primitive
+  read sequence mirrors the write sequence in order,
   field and struct width.  This is the static twin of the IPD004
   fingerprint pin: the pin catches a drifted wire layout after the
   fact, this rule points at the exact write/read pair that diverged.
@@ -22,7 +22,7 @@ live *between* definitions:
   process/thread boundary only via the op/FIFO protocol (``handle``).
 * **IPD012 lifecycle-typestate** — ``close()`` is exactly-once and no
   use may follow it for the runtime resource classes (``Sink``,
-  ``ShmRing``, ``CheckpointStore``, ``Pipeline``, ``LivePipeline``);
+  ``CheckpointStore``, ``Pipeline``, ``LivePipeline``);
   ``LivePipeline.start()`` is once as well.  Checked path-sensitively
   over the per-function CFG with a *must* analysis, so a close in one
   branch of a diamond does not flag a use after the join unless every
@@ -627,7 +627,7 @@ class CodecSymmetryRule(ProjectRule):
         "twin of the IPD004 fingerprint pin)"
     )
     #: module stems the pairing applies to (the wire-format modules)
-    codec_module_stems: "tuple[str, ...]" = ("statecodec", "lpm", "wirecodec")
+    codec_module_stems: "tuple[str, ...]" = ("statecodec", "lpm")
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
         primitives = _discover_primitives(graph)
@@ -1223,21 +1223,6 @@ _LIFECYCLE_PROTOCOLS: "dict[str, _Lifecycle]" = {
         use=frozenset({"emit"}),
         closers=frozenset({"close"}),
     ),
-    "ShmRing": _Lifecycle(
-        once=frozenset({"close", "unlink"}),
-        use=frozenset(
-            {
-                "reserve",
-                "commit",
-                "abort",
-                "send",
-                "recv",
-                "try_recv",
-                "force_stall",
-            }
-        ),
-        closers=frozenset({"close"}),
-    ),
     "CheckpointStore": _Lifecycle(
         once=frozenset({"close"}),
         use=frozenset(
@@ -1390,7 +1375,7 @@ class LifecycleTypestateRule(ProjectRule):
     code = "IPD012"
     name = "lifecycle-typestate"
     invariant = (
-        "runtime resources (Sink, ShmRing, CheckpointStore, Pipeline, "
+        "runtime resources (Sink, CheckpointStore, Pipeline, "
         "LivePipeline) are closed exactly once and never used after "
         "close on any path; LivePipeline.start() runs at most once"
     )

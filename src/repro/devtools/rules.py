@@ -481,53 +481,27 @@ class FaultSeamRule(VisitorRule):
 
 
 # ---------------------------------------------------------------------------
-# IPD007 — no pickle on hot paths or in the shard transport
+# IPD007 — no pickle on hot paths
 # ---------------------------------------------------------------------------
 
 #: object-serialization modules whose use the rule bans in scope;
-#: per-record Python object (de)serialization is exactly the cost the
-#: binary wire codec exists to remove
+#: per-record Python object (de)serialization has no place in a
+#: per-flow loop
 _SERIALIZER_MODULES = {"pickle", "marshal"}
 
 
 class _NoPickleVisitor(ContextVisitor):
-    """Flags pickle/marshal imports and calls inside the scoped regions.
-
-    Two regions are in scope: the body of any ``@hot_path`` function
-    (in any file), and — in the executor module — everything outside
-    functions whose name mentions ``pickle``, which is the sanctioned
-    legacy-transport branch.
-    """
-
-    def _in_executor_module(self) -> bool:
-        return Path(self.source.rel).name == "executors.py"
-
-    def _active(self) -> bool:
-        if self.hot_depth > 0:
-            return True
-        if not self._in_executor_module():
-            return False
-        return not any(
-            "pickle" in getattr(fn, "name", "")
-            for fn in self.function_stack
-        )
+    """Flags pickle/marshal imports and calls inside ``@hot_path`` bodies."""
 
     def _flag(self, node: ast.AST, what: str) -> None:
-        if self.hot_depth > 0:
-            self.report(
-                node,
-                f"{what} inside a @hot_path function; hot paths move data "
-                "through the binary wire codec, never object serialization",
-            )
-        else:
-            self.report(
-                node,
-                f"{what} in the shard transport outside its legacy pickle "
-                "branch; the shm data plane must stay pickle-free",
-            )
+        self.report(
+            node,
+            f"{what} inside a @hot_path function; hot paths move columns "
+            "and scalars, never serialized objects",
+        )
 
     def visit_Import(self, node: ast.Import) -> None:
-        if self._active():
+        if self.hot_depth > 0:
             for alias in node.names:
                 root = alias.name.split(".")[0]
                 if root in _SERIALIZER_MODULES:
@@ -535,7 +509,7 @@ class _NoPickleVisitor(ContextVisitor):
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if self._active() and node.module is not None:
+        if self.hot_depth > 0 and node.module is not None:
             root = node.module.split(".")[0]
             if root in _SERIALIZER_MODULES:
                 self._flag(node, f"import from {root}")
@@ -544,7 +518,7 @@ class _NoPickleVisitor(ContextVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if (
-            self._active()
+            self.hot_depth > 0
             and isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
             and func.value.id in _SERIALIZER_MODULES
@@ -558,10 +532,8 @@ class NoPickleHotPathRule(VisitorRule):
     code = "IPD007"
     name = "no-pickle-hot-path"
     invariant = (
-        "Object serialization (pickle/marshal) never runs on a hot path "
-        "or in the mp executor outside its legacy pickle-transport "
-        "branch: the shm data plane moves flows through the binary wire "
-        "codec only."
+        "Object serialization (pickle/marshal) never runs inside a "
+        "@hot_path function."
     )
     visitor_class = _NoPickleVisitor
 

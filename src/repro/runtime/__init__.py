@@ -9,13 +9,8 @@ One execution surface for every way of running IPD:
 * :class:`~repro.runtime.sharding.ShardedIPD` — the shard coordinator
   itself, usable directly wherever an :class:`~repro.core.algorithm.IPD`
   is expected.
-* executors (``serial`` / ``threaded`` / ``mp``) — interchangeable
-  backends driving the shard engines.  The mp executor's data plane is
-  selectable: ``transport="pickle"`` (pipes) or ``transport="shm"``
-  (zero-copy shared-memory rings, :mod:`repro.runtime.shmring`).
-
-``repro.core.driver``'s ``OfflineDriver`` and ``ThreadedIPD`` are thin
-façades over this package, kept for compatibility.
+* executors (``serial`` / ``mp``) — interchangeable backends driving
+  the shard engines.
 """
 
 from .checkpoint import (
@@ -27,10 +22,8 @@ from .checkpoint import (
 )
 from .executors import (
     EXECUTOR_KINDS,
-    TRANSPORT_KINDS,
     MultiprocessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     WorkerCrashError,
     make_executor,
 )
@@ -41,7 +34,6 @@ from .pipeline import Pipeline
 from .result import RunResult
 from .sharding import ShardedIPD
 from .shards import ShardEngine
-from .shmring import ShmFrameError, ShmRing, ShmRingError
 from .sinks import CallbackSink, CSVSink, MemorySink, ServiceSink, Sink
 
 __all__ = [
@@ -64,13 +56,8 @@ __all__ = [
     "CSVSink",
     "ServiceSink",
     "SerialExecutor",
-    "ThreadedExecutor",
     "MultiprocessExecutor",
     "WorkerCrashError",
     "make_executor",
     "EXECUTOR_KINDS",
-    "TRANSPORT_KINDS",
-    "ShmRing",
-    "ShmRingError",
-    "ShmFrameError",
 ]

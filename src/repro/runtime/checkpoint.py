@@ -282,7 +282,6 @@ class CheckpointStore:
         shards: int = 1,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         admission: Optional[AdmissionConfig] = None,
     ) -> "Union[IPD, ShardedIPD]":
         """Rebuild an engine from *checkpoint* (see :func:`restore_engine`).
@@ -299,7 +298,6 @@ class CheckpointStore:
                 shards=shards,
                 executor=executor,
                 workers=workers,
-                transport=transport,
                 admission=admission,
             )
         except IncompatibleStateError:
@@ -316,7 +314,6 @@ def restore_engine(
     shards: int = 1,
     executor: str = "serial",
     workers: Optional[int] = None,
-    transport: str = "pickle",
     admission: Optional[AdmissionConfig] = None,
 ) -> "Union[IPD, ShardedIPD]":
     """Rebuild an engine of the requested topology from an engine blob.
@@ -337,6 +334,5 @@ def restore_engine(
         shards=shards,
         executor=executor,
         workers=workers,
-        transport=transport,
         admission=admission,
     )

@@ -3,24 +3,14 @@
 The coordinator (:class:`~repro.runtime.sharding.ShardedIPD`) speaks one
 small protocol — ``feed`` batches to a shard, ``tick`` all shards,
 ``apply`` seed/reset ops, ``snapshot``, ``metrics``, ``close`` — and the
-three executors implement it with different parallelism:
+two executors implement it with different parallelism:
 
 * :class:`SerialExecutor` — everything in the calling thread, fully
   deterministic; the reference implementation the equivalence suite
-  pins the others against.
-* :class:`ThreadedExecutor` — one worker thread per slot, command
-  queues in, reply queues out.  Threads share the interpreter (GIL), so
-  this buys overlap with I/O and with the aggregator's own sweep, not
-  raw ingest parallelism; it supersedes the old ``ThreadedIPD`` layout.
-* :class:`MultiprocessExecutor` — one worker process per slot.  The
-  control plane (tick/snapshot/metrics/export and their replies) is a
-  duplex pipe; the data plane is selected by ``transport``:
-  ``"pickle"`` ships :class:`~repro.netflow.records.FlowBatch` columns
-  and shard ops pickled over the same pipe (the legacy transport),
-  ``"shm"`` encodes them with the binary wire codec
-  (:mod:`repro.netflow.wirecodec`) straight into a per-slot
-  shared-memory ring (:mod:`repro.runtime.shmring`) — written once by
-  the router, read once by the worker, no pickling in between.  This
+  pins the other against.
+* :class:`MultiprocessExecutor` — one worker process per slot.
+  Commands, :class:`~repro.netflow.records.FlowBatch` columns, shard ops
+  and replies all travel pickled over one duplex pipe per worker.  This
   is the executor that actually multiplies single-core ingest
   throughput.
 
@@ -28,29 +18,21 @@ Every executor carries a ``fault_hook`` attribute (default ``None``)
 — the testkit's chaos seam.  When set to a
 :class:`~repro.testkit.faults.FaultPlan`, the hook is consulted at
 named injection sites: ``feed`` (a batch may be dropped or delivered
-twice), ``tick_begin`` (a worker crash may be injected), and — shm
-transport only — ``shm_feed`` (a forced backpressure stall or a
-corrupted frame).  Unset, each site costs a single identity check on
-paths that are already dominated by queue/pipe traffic, so production
-behaviour is unchanged.
+twice) and ``tick_begin`` (a worker crash may be injected).  Unset, each
+site costs a single identity check on paths that are already dominated
+by pipe traffic, so production behaviour is unchanged.
 
 Shard *index* → worker *slot* is a fixed ``index % workers`` mapping,
-and each worker handles its commands strictly in order (FIFO per pipe /
-queue), so no acknowledgement round-trips are needed for ``feed`` and
-``apply``: a later ``tick``/``snapshot``/``metrics`` reply implies every
-earlier command was applied.  Tick replies are a barrier; state
-evolution is therefore identical across executors — only wall-clock
-interleaving differs.  The shm transport keeps the same contract: feeds
-and shard ops travel the ring in commit order, and every control-plane
-command carries the ring's committed-frame watermark, which the worker
-drains up to before executing the command.
+and each worker handles its commands strictly in order (FIFO per pipe),
+so no acknowledgement round-trips are needed for ``feed`` and ``apply``:
+a later ``tick``/``snapshot``/``metrics`` reply implies every earlier
+command was applied.  Tick replies are a barrier; state evolution is
+therefore identical across executors — only wall-clock interleaving
+differs.
 """
 
 from __future__ import annotations
 
-import queue
-import struct
-import threading
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 if TYPE_CHECKING:
@@ -60,46 +42,18 @@ from ..core.admission import AdmissionConfig, AdmissionImage
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
 from ..netflow.records import FlowBatch
-from ..netflow.wirecodec import FlowBatchDecoder, FlowBatchEncoder, WireCodecError
 from .faulthook import FaultHookLike
 from .shards import ShardEngine, ShardMetrics, ShardTickResult
-from .shmring import FRAME_FEED, FRAME_OPS, ShmRing, ShmRingError
 
 __all__ = [
     "SerialExecutor",
-    "ThreadedExecutor",
     "MultiprocessExecutor",
     "WorkerCrashError",
     "make_executor",
     "EXECUTOR_KINDS",
-    "TRANSPORT_KINDS",
 ]
 
-EXECUTOR_KINDS = ("serial", "threaded", "mp")
-TRANSPORT_KINDS = ("pickle", "shm")
-
-#: ring bytes per worker slot; a single frame (one encoded batch or one
-#: shard-handoff blob) must fit — router batches top out around 0.5 MiB
-#: at the 8192-row flush threshold, so 4 MiB leaves generous headroom
-_RING_CAPACITY = 1 << 22
-
-#: forced-full probes injected by a chaos ``shm_ring_full`` fault
-_FAULT_STALL_CHECKS = 5
-
-#: producer stall iterations between worker liveness checks (~10 ms)
-_LIVENESS_EVERY = 50
-
-#: seconds the shm worker waits on the pipe before re-polling the ring
-_SHM_IDLE_POLL_SECONDS = 0.001
-
-_U32 = struct.Struct("<I")
-#: shm op-frame prefix: op tag, shard index, address-family version
-#: (version is 0 for admission ops, which are family-agnostic)
-_OP_HEADER = struct.Struct("<BIB")
-_OP_SEED = 1
-_OP_RESET = 2
-_OP_ADMISSION = 3
-_OP_SATURATE = 4
+EXECUTOR_KINDS = ("serial", "mp")
 
 
 class WorkerCrashError(RuntimeError):
@@ -115,9 +69,9 @@ class WorkerCrashError(RuntimeError):
 class ShardWorker:
     """The engines owned by one worker slot, plus the command dispatcher.
 
-    Shared verbatim by all three executors: the serial executor calls
-    :meth:`handle` inline, the threaded executor from a worker thread,
-    the multiprocessing executor inside a worker process.
+    Shared verbatim by both executors: the serial executor calls
+    :meth:`handle` inline, the multiprocessing executor inside a worker
+    process.
     """
 
     def __init__(
@@ -232,135 +186,13 @@ class SerialExecutor:
         pass
 
 
-class ThreadedExecutor:
-    """One worker thread per slot; queues in, reply queues out."""
-
-    kind = "threaded"
-
-    def __init__(
-        self,
-        params: IPDParams,
-        depth: int,
-        workers: int = 2,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> None:
-        self.workers = max(1, workers)
-        self._commands: list[queue.SimpleQueue] = []
-        self._replies: list[queue.SimpleQueue] = []
-        self._threads: list[threading.Thread] = []
-        for slot in range(self.workers):
-            commands: queue.SimpleQueue = queue.SimpleQueue()
-            replies: queue.SimpleQueue = queue.SimpleQueue()
-            thread = threading.Thread(
-                target=_thread_worker_loop,
-                args=(params, depth, admission, commands, replies),
-                name=f"ipd-shard-{slot}",
-                daemon=True,
-            )
-            thread.start()
-            self._commands.append(commands)
-            self._replies.append(replies)
-            self._threads.append(thread)
-        self._closed = False
-        self.fault_hook: Optional[FaultHookLike] = None
-
-    def _slot(self, index: int) -> int:
-        return index % self.workers
-
-    def feed(self, index: int, batch: FlowBatch) -> None:
-        if self.fault_hook is not None:
-            action = self.fault_hook.on_feed(index, batch)
-            if action == "drop":
-                return
-            if action == "duplicate":
-                self._commands[self._slot(index)].put(("feed", index, batch))
-        self._commands[self._slot(index)].put(("feed", index, batch))
-
-    def apply(self, ops: Iterable[tuple]) -> None:
-        by_slot: dict[int, list[tuple]] = {}
-        for op in ops:
-            by_slot.setdefault(self._slot(op[1]), []).append(op)
-        for slot, slot_ops in by_slot.items():
-            self._commands[slot].put(("ops", slot_ops))
-
-    def tick_begin(self, now: float) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook.before_tick(self, now)
-        for commands in self._commands:
-            commands.put(("tick", now))
-
-    def tick_collect(self) -> dict[int, ShardTickResult]:
-        results: dict[int, ShardTickResult] = {}
-        for replies in self._replies:
-            results.update(replies.get())
-        return results
-
-    def snapshot(self, now: float, include_unclassified: bool) -> list[IPDRecord]:
-        for commands in self._commands:
-            commands.put(("snapshot", now, include_unclassified))
-        records: list[IPDRecord] = []
-        for replies in self._replies:
-            records.extend(replies.get())
-        return records
-
-    def metrics(self) -> ShardMetrics:
-        for commands in self._commands:
-            commands.put(("metrics",))
-        metrics = ShardMetrics()
-        for replies in self._replies:
-            metrics.add(replies.get())
-        return metrics
-
-    def export(self) -> dict[int, dict[int, bytes]]:
-        for commands in self._commands:
-            commands.put(("export",))
-        exports: dict[int, dict[int, bytes]] = {}
-        for replies in self._replies:
-            exports.update(replies.get())
-        return exports
-
-    def admission_export(self) -> dict[int, Optional[AdmissionImage]]:
-        for commands in self._commands:
-            commands.put(("admission_export",))
-        images: dict[int, Optional[AdmissionImage]] = {}
-        for replies in self._replies:
-            images.update(replies.get())
-        return images
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for commands in self._commands:
-            commands.put(("stop",))
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-
-
-def _thread_worker_loop(
-    params: IPDParams,
-    depth: int,
-    admission: Optional[AdmissionConfig],
-    commands: queue.SimpleQueue,
-    replies: queue.SimpleQueue,
-) -> None:
-    worker = ShardWorker(params, depth, admission=admission)
-    while True:
-        cmd = commands.get()
-        if cmd[0] == "stop":
-            return
-        reply = worker.handle(cmd)
-        if reply is not None:
-            replies.put(reply)
-
-
 def _mp_worker_main(
     conn: "Connection",
     params: IPDParams,
     depth: int,
     admission: Optional[AdmissionConfig] = None,
 ) -> None:
-    """Pickle-transport worker entry (module-level: must be picklable)."""
+    """Worker process entry (module-level: must be picklable)."""
     worker = ShardWorker(params, depth, admission=admission)
     while True:
         try:
@@ -375,95 +207,8 @@ def _mp_worker_main(
             conn.send(reply)
 
 
-def _apply_shm_frame(
-    worker: ShardWorker,
-    decoder: FlowBatchDecoder,
-    kind: int,
-    payload: memoryview,
-) -> None:
-    """Decode one ring frame and apply it — straight off shared memory."""
-    if kind == FRAME_FEED:
-        (index,) = _U32.unpack_from(payload, 0)
-        worker.handle(("feed", index, decoder.decode_from(payload[4:])))
-    elif kind == FRAME_OPS:
-        tag, index, version = _OP_HEADER.unpack_from(payload, 0)
-        if tag == _OP_SEED:
-            (length,) = _U32.unpack_from(payload, _OP_HEADER.size)
-            start = _OP_HEADER.size + 4
-            blob = payload[start:start + length]
-            worker.handle(("ops", [("seed", index, version, blob)]))
-        elif tag == _OP_RESET:
-            worker.handle(("ops", [("reset", index, version)]))
-        elif tag == _OP_ADMISSION:
-            (length,) = _U32.unpack_from(payload, _OP_HEADER.size)
-            start = _OP_HEADER.size + 4
-            blob = payload[start:start + length]
-            worker.handle(("ops", [("admission", index, 0, blob)]))
-        elif tag == _OP_SATURATE:
-            worker.handle(("ops", [("saturate", index, 0)]))
-        else:
-            raise ShmRingError(f"unknown shard-op tag {tag}")
-    else:
-        raise ShmRingError(f"unexpected frame kind {kind}")
-
-
-def _mp_worker_shm_main(
-    conn: "Connection",
-    ring_name: str,
-    params: IPDParams,
-    depth: int,
-    admission: Optional[AdmissionConfig] = None,
-) -> None:
-    """Shm-transport worker entry: drain the ring, obey pipe barriers.
-
-    Ring frames (feeds and shard ops) are applied as they arrive; a
-    pipe command carries the producer's committed-frame watermark and
-    executes only once the ring has been drained that far, which is
-    what preserves the feed-before-barrier ordering contract.  Any
-    transport damage — a CRC failure, an undecodable frame — exits the
-    process, so the parent's next barrier raises
-    :class:`WorkerCrashError` and checkpoint recovery takes over.
-    """
-    ring = ShmRing(name=ring_name)
-    worker = ShardWorker(params, depth, admission=admission)
-    decoder = FlowBatchDecoder()
-    consumed = 0
-    try:
-        while True:
-            frame = ring.try_recv()
-            if frame is not None:
-                seq, kind, payload = frame
-                _apply_shm_frame(worker, decoder, kind, payload)
-                consumed = seq
-                continue
-            if not conn.poll(_SHM_IDLE_POLL_SECONDS):
-                continue
-            try:
-                cmd = conn.recv()
-            except EOFError:
-                return
-            watermark = cmd[-1]
-            while consumed < watermark:
-                seq, kind, payload = ring.recv()
-                _apply_shm_frame(worker, decoder, kind, payload)
-                consumed = seq
-            if cmd[0] == "stop":
-                conn.close()
-                return
-            reply = worker.handle(cmd[:-1])
-            if reply is not None:
-                conn.send(reply)
-    except (ShmRingError, WireCodecError):
-        # transport damage: die quietly — the parent's next barrier
-        # turns the closed pipe into a WorkerCrashError and recovery
-        # rebuilds this worker from the last checkpoint
-        return
-    finally:
-        ring.close()
-
-
 class MultiprocessExecutor:
-    """One worker process per slot; pipe control plane, selectable data plane."""
+    """One worker process per slot, driven over a duplex pipe."""
 
     kind = "mp"
 
@@ -472,45 +217,25 @@ class MultiprocessExecutor:
         params: IPDParams,
         depth: int,
         workers: int = 2,
-        transport: str = "pickle",
         admission: Optional[AdmissionConfig] = None,
     ) -> None:
         import multiprocessing
 
-        if transport not in TRANSPORT_KINDS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{TRANSPORT_KINDS}"
-            )
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = multiprocessing.get_context()
         self.workers = max(1, workers)
-        self.transport = transport
         self._conns = []
         self._processes = []
-        self._rings: list[ShmRing] = []
-        self._encoders: list[FlowBatchEncoder] = []
         for slot in range(self.workers):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
-            if transport == "shm":
-                ring = ShmRing(capacity=_RING_CAPACITY)
-                self._rings.append(ring)
-                self._encoders.append(FlowBatchEncoder())
-                process = ctx.Process(
-                    target=_mp_worker_shm_main,
-                    args=(child_conn, ring.name, params, depth, admission),
-                    name=f"ipd-shard-{slot}",
-                    daemon=True,
-                )
-            else:
-                process = ctx.Process(
-                    target=_mp_worker_main,
-                    args=(child_conn, params, depth, admission),
-                    name=f"ipd-shard-{slot}",
-                    daemon=True,
-                )
+            process = ctx.Process(
+                target=_mp_worker_main,
+                args=(child_conn, params, depth, admission),
+                name=f"ipd-shard-{slot}",
+                daemon=True,
+            )
             process.start()
             child_conn.close()
             self._conns.append(parent_conn)
@@ -537,113 +262,28 @@ class MultiprocessExecutor:
                 f"shard worker {slot} died before replying ({exc!r})"
             ) from exc
 
-    def _barrier_send(self, slot: int, cmd: tuple) -> None:
-        """Send a control-plane command, stamped with the ring watermark."""
-        if self.transport == "shm":
-            cmd = cmd + (self._rings[slot].sequence,)
-        self._send(slot, cmd)
-
-    def _reserve(self, slot: int, kind: int, size: int) -> memoryview:
-        """Ring reservation that notices a dead worker during backpressure."""
-        process = self._processes[slot]
-
-        def on_stall(spins: int) -> None:
-            if spins % _LIVENESS_EVERY == 0 and not process.is_alive():
-                raise WorkerCrashError(
-                    f"shard worker {slot} died while its ring was full"
-                )
-
-        return self._rings[slot].reserve(kind, size, on_stall=on_stall)
-
     def feed(self, index: int, batch: FlowBatch) -> None:
+        cmd = ("feed", index, batch)
         if self.fault_hook is not None:
             action = self.fault_hook.on_feed(index, batch)
             if action == "drop":
                 return
             if action == "duplicate":
-                self._feed_once(index, batch)
-        self._feed_once(index, batch)
-
-    def _feed_once(self, index: int, batch: FlowBatch) -> None:
-        if self.transport != "shm":
-            self._send(self._slot(index), ("feed", index, batch))
-            return
-        slot = self._slot(index)
-        corrupt = False
-        if self.fault_hook is not None:
-            action = self.fault_hook.on_shm_feed(slot)
-            if action == "stall":
-                self._rings[slot].force_stall(_FAULT_STALL_CHECKS)
-            elif action == "corrupt":
-                corrupt = True
-        encoder = self._encoders[slot]
-        view = self._reserve(slot, FRAME_FEED, 4 + encoder.measure(batch))
-        try:
-            _U32.pack_into(view, 0, index)
-            encoder.encode_into(batch, view[4:])
-        except Exception:
-            self._rings[slot].abort(view)
-            raise
-        self._rings[slot].commit(view, corrupt=corrupt)
+                self._send(self._slot(index), cmd)
+        self._send(self._slot(index), cmd)
 
     def apply(self, ops: Iterable[tuple]) -> None:
-        if self.transport == "shm":
-            for op in ops:
-                self._apply_shm_op(op)
-            return
         by_slot: dict[int, list[tuple]] = {}
         for op in ops:
             by_slot.setdefault(self._slot(op[1]), []).append(op)
         for slot, slot_ops in by_slot.items():
             self._send(slot, ("ops", slot_ops))
 
-    def _apply_shm_op(self, op: tuple) -> None:
-        slot = self._slot(op[1])
-        if op[0] == "seed":
-            payload = op[3]
-            size = _OP_HEADER.size + 4 + len(payload)
-            view = self._reserve(slot, FRAME_OPS, size)
-            try:
-                _OP_HEADER.pack_into(view, 0, _OP_SEED, op[1], op[2])
-                _U32.pack_into(view, _OP_HEADER.size, len(payload))
-                view[_OP_HEADER.size + 4:] = payload
-            except Exception:
-                self._rings[slot].abort(view)
-                raise
-        elif op[0] == "reset":
-            view = self._reserve(slot, FRAME_OPS, _OP_HEADER.size)
-            try:
-                _OP_HEADER.pack_into(view, 0, _OP_RESET, op[1], op[2])
-            except Exception:
-                self._rings[slot].abort(view)
-                raise
-        elif op[0] == "admission":
-            payload = op[3]
-            size = _OP_HEADER.size + 4 + len(payload)
-            view = self._reserve(slot, FRAME_OPS, size)
-            try:
-                _OP_HEADER.pack_into(view, 0, _OP_ADMISSION, op[1], 0)
-                _U32.pack_into(view, _OP_HEADER.size, len(payload))
-                view[_OP_HEADER.size + 4:] = payload
-            except Exception:
-                self._rings[slot].abort(view)
-                raise
-        elif op[0] == "saturate":
-            view = self._reserve(slot, FRAME_OPS, _OP_HEADER.size)
-            try:
-                _OP_HEADER.pack_into(view, 0, _OP_SATURATE, op[1], 0)
-            except Exception:
-                self._rings[slot].abort(view)
-                raise
-        else:
-            raise ValueError(f"unknown shard op: {op[0]!r}")
-        self._rings[slot].commit(view)
-
     def tick_begin(self, now: float) -> None:
         if self.fault_hook is not None:
             self.fault_hook.before_tick(self, now)
         for slot in range(self.workers):
-            self._barrier_send(slot, ("tick", now))
+            self._send(slot, ("tick", now))
 
     def tick_collect(self) -> dict[int, ShardTickResult]:
         results: dict[int, ShardTickResult] = {}
@@ -653,7 +293,7 @@ class MultiprocessExecutor:
 
     def snapshot(self, now: float, include_unclassified: bool) -> list[IPDRecord]:
         for slot in range(self.workers):
-            self._barrier_send(slot, ("snapshot", now, include_unclassified))
+            self._send(slot, ("snapshot", now, include_unclassified))
         records: list[IPDRecord] = []
         for slot in range(self.workers):
             records.extend(self._recv(slot))
@@ -661,7 +301,7 @@ class MultiprocessExecutor:
 
     def metrics(self) -> ShardMetrics:
         for slot in range(self.workers):
-            self._barrier_send(slot, ("metrics",))
+            self._send(slot, ("metrics",))
         metrics = ShardMetrics()
         for slot in range(self.workers):
             metrics.add(self._recv(slot))
@@ -669,7 +309,7 @@ class MultiprocessExecutor:
 
     def export(self) -> dict[int, dict[int, bytes]]:
         for slot in range(self.workers):
-            self._barrier_send(slot, ("export",))
+            self._send(slot, ("export",))
         exports: dict[int, dict[int, bytes]] = {}
         for slot in range(self.workers):
             exports.update(self._recv(slot))
@@ -677,7 +317,7 @@ class MultiprocessExecutor:
 
     def admission_export(self) -> dict[int, Optional[AdmissionImage]]:
         for slot in range(self.workers):
-            self._barrier_send(slot, ("admission_export",))
+            self._send(slot, ("admission_export",))
         images: dict[int, Optional[AdmissionImage]] = {}
         for slot in range(self.workers):
             images.update(self._recv(slot))
@@ -687,12 +327,9 @@ class MultiprocessExecutor:
         if self._closed:
             return
         self._closed = True
-        for slot, conn in enumerate(self._conns):
-            cmd: tuple = ("stop",)
-            if self.transport == "shm":
-                cmd = ("stop", self._rings[slot].sequence)
+        for conn in self._conns:
             try:
-                conn.send(cmd)
+                conn.send(("stop",))
             except (BrokenPipeError, OSError):  # worker already gone
                 pass
         for process in self._processes:
@@ -701,9 +338,6 @@ class MultiprocessExecutor:
                 process.terminate()
         for conn in self._conns:
             conn.close()
-        for ring in self._rings:
-            ring.close()
-            ring.unlink()
 
 
 def make_executor(
@@ -711,31 +345,17 @@ def make_executor(
     params: IPDParams,
     depth: int,
     workers: Optional[int] = None,
-    transport: str = "pickle",
     admission: Optional[AdmissionConfig] = None,
-) -> "Union[SerialExecutor, ThreadedExecutor, MultiprocessExecutor]":
-    """Build an executor by name (``serial`` / ``threaded`` / ``mp``)."""
-    if transport not in TRANSPORT_KINDS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected one of "
-            f"{TRANSPORT_KINDS}"
-        )
-    if kind != "mp" and transport != "pickle":
-        raise ValueError(
-            f"transport {transport!r} applies only to the mp executor"
-        )
+) -> "Union[SerialExecutor, MultiprocessExecutor]":
+    """Build an executor by name (``serial`` / ``mp``)."""
     if kind == "serial":
         return SerialExecutor(params, depth, admission=admission)
-    if kind == "threaded":
-        return ThreadedExecutor(params, depth, workers or 2, admission=admission)
     if kind == "mp":
         if workers is None:
             import os
 
             workers = min(4, os.cpu_count() or 1)
-        return MultiprocessExecutor(
-            params, depth, workers, transport, admission=admission
-        )
+        return MultiprocessExecutor(params, depth, workers, admission=admission)
     raise ValueError(
         f"unknown executor {kind!r}; expected one of {EXECUTOR_KINDS}"
     )

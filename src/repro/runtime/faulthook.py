@@ -24,9 +24,6 @@ class FaultHookLike(Protocol):
     def on_feed(self, index: int, batch: FlowBatch) -> Optional[str]:
         """Executor feed site: return a fault action name or ``None``."""
 
-    def on_shm_feed(self, slot: int) -> Optional[str]:
-        """Shm-transport feed site: ``"stall"``, ``"corrupt"`` or ``None``."""
-
     def before_tick(self, executor: object, now: float) -> None:
         """Sweep-tick site (``executor`` is ``None`` for a plain engine)."""
 

@@ -1,8 +1,7 @@
 """Wall-clock runtime: the deployment's two-thread layout, any engine.
 
-:class:`LivePipeline` generalizes the old ``ThreadedIPD`` (now a thin
-subclass kept for compatibility): Stage 1 runs in a consumer thread fed
-through :meth:`submit` / :meth:`submit_batch`, Stage 2 in a timer thread
+:class:`LivePipeline` runs Stage 1 in a consumer thread fed through
+:meth:`submit` / :meth:`submit_batch` and Stage 2 in a timer thread
 every ``sweep_interval`` wall-clock seconds (§3.2, §5.7).  A single lock
 serializes engine access — the deployment similarly runs Stage 2
 single-threaded.  The engine may be a plain
@@ -58,7 +57,6 @@ class LivePipeline:
         shards: int = 1,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         engine: "IPD | ShardedIPD | None" = None,
         checkpoint_store: "CheckpointStore | str | Path | None" = None,
         checkpoint_every: Optional[float] = None,
@@ -77,7 +75,6 @@ class LivePipeline:
                 shards=shards,
                 executor=executor,
                 workers=workers,
-                transport=transport,
             )
         self.sweep_interval = sweep_interval
         if checkpoint_store is not None and not isinstance(
@@ -110,7 +107,6 @@ class LivePipeline:
         shards: int = 1,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         **kwargs: object,
     ) -> "LivePipeline":
         """Restore the latest checkpoint into a fresh live runtime.
@@ -132,14 +128,8 @@ class LivePipeline:
             shards=shards,
             executor=executor,
             workers=workers,
-            transport=transport,
         )
         return cls(engine=engine, checkpoint_store=checkpoint_store, **kwargs)
-
-    @property
-    def ipd(self) -> "IPD | ShardedIPD":
-        """The underlying engine (compatibility alias)."""
-        return self.engine
 
     # ------------------------------------------------------------------ lifecycle
 

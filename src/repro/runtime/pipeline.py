@@ -1,15 +1,14 @@
 """The unified replay pipeline: Source → Router → engines → Merger → Sinks.
 
 :class:`Pipeline` is the one offline entry point for running IPD over a
-flow stream.  It generalizes the old ``OfflineDriver`` replay loop (which
-is now a thin façade over it) across engine shapes:
+flow stream, across engine shapes:
 
 * ``shards=1, executor="serial"`` — a single plain
   :class:`~repro.core.algorithm.IPD`; zero coordination overhead, the
   exact seed behaviour.
 * anything else — a :class:`~repro.runtime.sharding.ShardedIPD`
   coordinator routing flows over ``shards`` address-space shards driven
-  by the chosen executor (``serial`` / ``threaded`` / ``mp``).  Merged
+  by the chosen executor (``serial`` / ``mp``).  Merged
   snapshots are byte-identical to the single-engine ones by design (the
   equivalence suite in ``tests/runtime`` pins this).
 
@@ -73,7 +72,6 @@ class Pipeline:
         shards: int = 1,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         snapshot_seconds: float = 300.0,
         include_unclassified: bool = False,
         on_sweep: Optional[Callable[[SweepReport, Engine], None]] = None,
@@ -95,23 +93,22 @@ class Pipeline:
             #: topology to rebuild after a worker crash; None means the
             #: engine is caller-owned and recovery must re-raise
             self._rebuild: Optional[
-                tuple[int, str, Optional[int], str, Optional[AdmissionConfig]]
+                tuple[int, str, Optional[int], Optional[AdmissionConfig]]
             ] = None
         elif shards == 1 and executor == "serial":
             # The degenerate topology needs no router or merger: run the
             # plain engine and the pipeline adds zero per-flow overhead.
             self.engine = IPD(params, admission=admission)
-            self._rebuild = (1, "serial", None, "pickle", admission)
+            self._rebuild = (1, "serial", None, admission)
         else:
             self.engine = ShardedIPD(
                 params,
                 shards=shards,
                 executor=executor,
                 workers=workers,
-                transport=transport,
                 admission=admission,
             )
-            self._rebuild = (shards, executor, workers, transport, admission)
+            self._rebuild = (shards, executor, workers, admission)
         self.snapshot_seconds = snapshot_seconds
         self.include_unclassified = include_unclassified
         self.on_sweep = on_sweep
@@ -166,7 +163,6 @@ class Pipeline:
         shards: int = 1,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         admission: Optional[AdmissionConfig] = None,
         **kwargs: object,
     ) -> "Pipeline":
@@ -198,13 +194,12 @@ class Pipeline:
             shards=shards,
             executor=executor,
             workers=workers,
-            transport=transport,
             admission=admission,
         )
         pipeline = cls(
             engine=engine, checkpoint_store=checkpoint_store, **kwargs
         )
-        pipeline._rebuild = (shards, executor, workers, transport, admission)
+        pipeline._rebuild = (shards, executor, workers, admission)
         pipeline._resume = _ResumeState(
             flows_processed=checkpoint.flows_processed,
             next_sweep=checkpoint.next_sweep,
@@ -272,7 +267,7 @@ class Pipeline:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        shards, executor, workers, transport, admission = self._rebuild
+        shards, executor, workers, admission = self._rebuild
         # latest_valid: a corrupt newest checkpoint only costs extra
         # replay (recovery falls back to an older intact image, or to a
         # from-scratch replay), never a failed or wrong run
@@ -289,7 +284,6 @@ class Pipeline:
                     shards=shards,
                     executor=executor,
                     workers=workers,
-                    transport=transport,
                     admission=admission,
                 )
             self._attach_fault_hook()
@@ -304,7 +298,6 @@ class Pipeline:
             shards=shards,
             executor=executor,
             workers=workers,
-            transport=transport,
             admission=admission,
         )
         self._attach_fault_hook()

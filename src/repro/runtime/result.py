@@ -1,9 +1,4 @@
-"""Replay results.
-
-:class:`RunResult` used to live in :mod:`repro.core.driver`; it moved
-here when the replay loop became the runtime :class:`~repro.runtime.pipeline.Pipeline`.
-``repro.core.driver`` re-exports it, so existing imports keep working.
-"""
+"""Replay results: what :meth:`~repro.runtime.pipeline.Pipeline.run` returns."""
 
 from __future__ import annotations
 

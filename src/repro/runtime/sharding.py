@@ -88,7 +88,6 @@ class ShardedIPD:
         shards: int = 4,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         admission: Optional[AdmissionConfig] = None,
     ) -> None:
         params = params or DEFAULT_PARAMS
@@ -105,7 +104,6 @@ class ShardedIPD:
         self.shards = shards
         self.split_depth = depth
         self.executor_kind = executor
-        self.transport = transport
         # the *config* (not a controller) is what crosses process
         # boundaries: each engine builds its own controller from it, and
         # identical seeds/geometry keep the shard sketches mergeable
@@ -113,7 +111,7 @@ class ShardedIPD:
         #: ranges coarser than /k live here, in a plain single engine
         self.aggregator = IPD(params, admission=admission)
         self._executor = make_executor(
-            executor, params, depth, workers, transport, admission=admission
+            executor, params, depth, workers, admission=admission
         )
         #: family version -> shard indices currently delegated down
         self._delegated: dict[int, set[int]] = {IPV4: set(), IPV6: set()}
@@ -531,7 +529,6 @@ class ShardedIPD:
         shards: int = 4,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         admission: Optional[AdmissionConfig] = None,
     ) -> "ShardedIPD":
         """Rebuild a sharded deployment from a merged engine image.
@@ -550,7 +547,6 @@ class ShardedIPD:
             shards=shards,
             executor=executor,
             workers=workers,
-            transport=transport,
             admission=admission,
         )
         depth = engine.split_depth
@@ -612,7 +608,6 @@ class ShardedIPD:
         shards: int = 4,
         executor: str = "serial",
         workers: Optional[int] = None,
-        transport: str = "pickle",
         admission: Optional[AdmissionConfig] = None,
     ) -> "ShardedIPD":
         """Rebuild a sharded deployment from a :meth:`to_bytes` blob.
@@ -633,7 +628,6 @@ class ShardedIPD:
             shards=shards,
             executor=executor,
             workers=workers,
-            transport=transport,
             admission=admission,
         )
         if admission_image is not None:

@@ -12,10 +12,6 @@ site                  hook location
                       plain single-engine pipeline, ``Pipeline._tick``
 ``feed_drop`` /       executor ``feed`` (all kinds) — the batch is
 ``feed_duplicate``    swallowed or delivered twice
-``shm_ring_full`` /   mp executor with ``transport="shm"`` only — the
-``shm_frame_corrupt`` ring reports full so the real backpressure wait
-                      loop runs, or the committed frame is corrupted
-                      after its CRC so the worker's decode fails typed
 ``checkpoint_...``    ``CheckpointStore.save`` — the serialized bytes
                       are truncated (``checkpoint_truncate``) or
                       bit-flipped (``checkpoint_bitflip``) before disk
@@ -57,8 +53,6 @@ FAULT_SITES = (
     "worker_crash",
     "feed_drop",
     "feed_duplicate",
-    "shm_ring_full",
-    "shm_frame_corrupt",
     "checkpoint_truncate",
     "checkpoint_bitflip",
     "sink_error",
@@ -143,7 +137,7 @@ class FaultPlan:
             site = rng.choice(FAULT_SITES)
             if site == "worker_crash":
                 at = rng.randint(1, max(1, ticks - 1))
-            elif site.startswith(("feed_", "shm_")):
+            elif site.startswith("feed_"):
                 at = rng.randrange(_MAX_FEED_INDEX)
             else:
                 at = rng.randrange(max(1, ticks))
@@ -229,26 +223,6 @@ class FaultPlan:
         if duplicate is not None:
             self._crash_armed = True
             return "duplicate"
-        return None
-
-    def on_shm_feed(self, slot: int) -> Optional[str]:
-        """``shm_ring_full`` / ``shm_frame_corrupt`` site: consulted by
-        the mp executor's shm feed path per encoded frame.
-
-        A stall drives the ring's real backpressure wait loop and is
-        otherwise harmless — the run must still converge bit-exactly.
-        A corrupt frame kills the worker (its decode raises the typed
-        :class:`~repro.runtime.shmring.ShmFrameError`), which surfaces
-        as a ``WorkerCrashError`` at the next barrier and exercises the
-        same checkpoint-recovery path as ``worker_crash``; no explicit
-        crash arming is needed.
-        """
-        corrupt = self._take("shm_frame_corrupt")
-        stall = self._take("shm_ring_full")
-        if corrupt is not None:
-            return "corrupt"
-        if stall is not None:
-            return "stall"
         return None
 
     def on_checkpoint_save(self, when: float, data: bytes) -> bytes:

@@ -1,7 +1,7 @@
 """Adversarial scenario pack: hostile workloads with generator-side truth.
 
 Three attack/pathology families stress the claims the benign scenarios
-never test (DESIGN.md §15):
+never test (DESIGN.md §14):
 
 * **Spoofed-source floods** — uniform-random or subnet-concentrated
   source spraying layered over a benign baseline with a linear ramp.

@@ -59,7 +59,7 @@ def sweep_decisions(result):
 
 
 def run_disturbed(trace_fn, params, shards, executor, plan, tmp_path,
-                  workers=None, transport="pickle"):
+                  workers=None):
     """One chaos run: checkpointing pipeline + plan over a callable source."""
     store = CheckpointStore(tmp_path / "ckpt", fault_hook=plan)
     pipeline = Pipeline(
@@ -67,7 +67,6 @@ def run_disturbed(trace_fn, params, shards, executor, plan, tmp_path,
         shards=shards,
         executor=executor,
         workers=workers,
-        transport=transport,
         snapshot_seconds=SNAPSHOT_SECONDS,
         include_unclassified=True,
         checkpoint_store=store,
@@ -274,33 +273,6 @@ class TestTargetedFaults:
         assert ("worker_crash", 4) in plan.fired
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
-    def test_shm_ring_backpressure_is_invisible(self, tmp_path):
-        """Forced ring-full stalls delay the producer but may not change
-        a single output byte — backpressure is flow control, not loss."""
-        plan = FaultPlan([
-            Fault("shm_ring_full", at=2),
-            Fault("shm_ring_full", at=9),
-        ])
-        result, final = run_disturbed(
-            fig05_trace, FIG05_PARAMS, 4, "mp", plan, tmp_path, workers=2,
-            transport="shm",
-        )
-        assert ("shm_ring_full", 2) in plan.fired
-        assert ("shm_ring_full", 9) in plan.fired
-        assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
-
-    def test_shm_frame_corruption_kills_worker_and_recovers(self, tmp_path):
-        """A corrupted frame fails its CRC in the worker, the worker dies,
-        the parent surfaces WorkerCrashError at the next barrier, and
-        checkpoint recovery replays to an identical result."""
-        plan = FaultPlan([Fault("shm_frame_corrupt", at=6)])
-        result, final = run_disturbed(
-            fig05_trace, FIG05_PARAMS, 4, "mp", plan, tmp_path, workers=2,
-            transport="shm",
-        )
-        assert ("shm_frame_corrupt", 6) in plan.fired
-        assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
-
 
 class TestNoOpHooks:
     """An attached-but-empty plan and no plan at all behave identically."""
@@ -406,7 +378,7 @@ class TestSketchSaturate:
 
 
 class TestFloodSaturation:
-    """``sketch_saturate`` during a live spoofed flood (DESIGN.md §15).
+    """``sketch_saturate`` during a live spoofed flood (DESIGN.md §14).
 
     The nastiest timing for the fault: the gate is mid-flood, holding
     back a six-figure spoofed herd, when the sketch saturates.  The

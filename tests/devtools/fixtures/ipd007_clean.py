@@ -7,9 +7,9 @@ from repro.devtools.markers import hot_path
 class Engine:
     @hot_path
     def ingest(self, batch, codec):
-        # the binary wire codec, not object serialization: clean
+        # a caller-supplied binary codec, not object serialization: clean
         return codec.encode(batch)
 
     def snapshot(self, state):
-        # pickle outside hot paths and outside the executor module: fine
+        # pickle outside hot paths: fine
         return pickle.dumps(state)

@@ -27,20 +27,20 @@ def _fingerprint(path: Path) -> str:
 
 
 def test_matching_pin_is_clean(tmp_path):
-    pins = _pin_file(tmp_path, {"1": _fingerprint(VERSIONED)})
+    pins = _pin_file(tmp_path, {"statecodec:1": _fingerprint(VERSIONED)})
     report = run_lint([str(VERSIONED)], select=["IPD004"], codec_pins=pins)
     assert report.clean, [f.format() for f in report.findings]
 
 
 def test_layout_change_without_bump_fires(tmp_path):
-    pins = _pin_file(tmp_path, {"1": "0" * 64})
+    pins = _pin_file(tmp_path, {"statecodec:1": "0" * 64})
     report = run_lint([str(VERSIONED)], select=["IPD004"], codec_pins=pins)
     assert len(report.findings) == 1
     assert "CODEC_VERSION is still 1" in report.findings[0].message
 
 
 def test_unrecorded_version_fires(tmp_path):
-    pins = _pin_file(tmp_path, {"2": _fingerprint(VERSIONED)})
+    pins = _pin_file(tmp_path, {"statecodec:2": _fingerprint(VERSIONED)})
     report = run_lint([str(VERSIONED)], select=["IPD004"], codec_pins=pins)
     assert len(report.findings) == 1
     assert "no recorded fingerprint" in report.findings[0].message
@@ -70,18 +70,15 @@ def test_rule_only_applies_to_codec_modules(tmp_path):
     assert report.clean
 
 
-def test_stem_qualified_pin_preferred_over_legacy(tmp_path):
-    # a stale legacy bare key must not shadow the stem-qualified pin
-    pins = _pin_file(
-        tmp_path, {"1": "0" * 64, "statecodec:1": _fingerprint(VERSIONED)}
-    )
+def test_bare_version_key_is_not_a_pin(tmp_path):
+    # only stem-qualified keys are consulted, for statecodec too
+    pins = _pin_file(tmp_path, {"1": _fingerprint(VERSIONED)})
     report = run_lint([str(VERSIONED)], select=["IPD004"], codec_pins=pins)
-    assert report.clean, [f.format() for f in report.findings]
+    assert len(report.findings) == 1
+    assert "no recorded fingerprint" in report.findings[0].message
 
 
-def test_lpm_pin_does_not_fall_back_to_bare_key(tmp_path):
-    # the legacy bare-version key only ever meant statecodec; lpm.py
-    # needs its own stem-qualified entry
+def test_lpm_needs_its_own_stem_qualified_pin(tmp_path):
     import repro
 
     lpm = Path(repro.__file__).parent / "core" / "lpm.py"

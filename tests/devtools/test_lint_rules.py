@@ -85,16 +85,6 @@ def test_ipd006_names_the_seam_contract():
     assert all("fault_hook" in f.message for f in report.findings)
 
 
-def test_ipd007_fires_in_executor_module_outside_legacy_branch():
-    # lint the directory so the file scans as runtime/executors.py
-    report = run_lint([str(FIXTURES / "ipd007")], select=["IPD007"])
-    assert len(report.findings) == 2
-    assert all(f.rule == "IPD007" for f in report.findings)
-    # the module-level import and the shm feed are flagged; nothing in
-    # the *_pickle legacy branch is
-    assert all(f.line < 10 for f in report.findings)
-
-
 def test_ipd009_fires_on_asymmetric_codec():
     # lint the directory so the file scans with the statecodec stem
     report = run_lint([str(FIXTURES / "ipd009" / "fires")], select=["IPD009"])

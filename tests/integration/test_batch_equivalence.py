@@ -12,9 +12,9 @@ through splits, classifications, joins, expiry and drops.
 import random
 
 from repro.core.algorithm import IPD
-from repro.core.driver import OfflineDriver
 from repro.core.params import IPDParams
 from repro.netflow.records import FlowRecord, iter_flow_batches
+from repro.runtime import Pipeline
 from repro.testkit.traces import dualstack_trace, fig05_trace
 
 
@@ -80,12 +80,12 @@ class TestBatchEquivalence:
         )
         run_equivalence(dualstack_trace(), params, seed=5)
 
-    def test_offline_driver_batch_stream_matches_per_flow(self):
-        """The driver cuts batches at sweep boundaries exactly."""
+    def test_pipeline_batch_stream_matches_per_flow(self):
+        """The pipeline cuts batches at sweep boundaries exactly."""
         flows = fig05_trace()
         params = IPDParams(n_cidr_factor_v4=0.005, n_cidr_factor_v6=0.005)
-        per_flow = OfflineDriver(params, snapshot_seconds=120.0).run(flows)
-        batched = OfflineDriver(params, snapshot_seconds=120.0).run(
+        per_flow = Pipeline(params, snapshot_seconds=120.0).run(flows)
+        batched = Pipeline(params, snapshot_seconds=120.0).run(
             iter_flow_batches(flows, batch_size=97)
         )
         assert per_flow.flows_processed == batched.flows_processed

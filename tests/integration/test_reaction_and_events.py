@@ -4,10 +4,10 @@ import pytest
 
 from repro.analysis.accuracy import evaluate_accuracy
 from repro.core.algorithm import IPD
-from repro.core.driver import OfflineDriver
 from repro.core.iputil import IPV4, parse_ip
 from repro.core.params import IPDParams
 from repro.netflow.records import FlowRecord
+from repro.runtime import Pipeline
 from repro.topology.elements import IngressPoint
 from repro.topology.network import MissKind
 
@@ -36,11 +36,11 @@ class TestReactionToChange:
 
     @pytest.fixture(scope="class")
     def result(self):
-        driver = OfflineDriver(
+        pipeline = Pipeline(
             IPDParams(n_cidr_factor_v4=0.01, n_cidr_factor_v6=0.01),
             snapshot_seconds=300.0,
         )
-        return driver.run(stream_with_switch(switch_at=3600.0, end=7200.0))
+        return pipeline.run(stream_with_switch(switch_at=3600.0, end=7200.0))
 
     def test_classified_to_a_before_switch(self, result):
         before = result.snapshots[3600.0 - 600.0]
@@ -92,10 +92,10 @@ class TestMaintenanceMissSignature:
                     version=IPV4,
                     ingress=fallback if diverted else A,
                 ))
-        driver = OfflineDriver(
+        pipeline = Pipeline(
             IPDParams(n_cidr_factor_v4=0.01, n_cidr_factor_v6=0.01)
         )
-        result = driver.run(flows)
+        result = pipeline.run(flows)
         report = evaluate_accuracy(flows, result.snapshots, small_topology)
         window_misses = [
             m for m in report.misses

@@ -5,7 +5,7 @@ The acceptance bar for the sketch-gated admission front-end: with
 held back in the sketch buffer, elephants fast-pathed past the trie
 lookup — produces snapshots that are *byte-identical* (serialized CSV)
 to running with no admission at all, at every shard count, on every
-executor and transport, at every sweep tick, and across
+executor, at every sweep tick, and across
 checkpoint/resume including a resume that changes the shard count.
 Lossy mode is exercised for liveness and its bounded-loss accuracy
 contract lives in the Fig. 6 experiment (EXPERIMENTS.md).
@@ -49,7 +49,6 @@ def admission_run(
     shards=1,
     executor="serial",
     workers=None,
-    transport="pickle",
     **kwargs,
 ):
     with Pipeline(
@@ -57,7 +56,6 @@ def admission_run(
         shards=shards,
         executor=executor,
         workers=workers,
-        transport=transport,
         snapshot_seconds=120.0,
         include_unclassified=True,
         admission=admission,
@@ -85,14 +83,12 @@ class TestExactEqualsOff:
             admission_run(flows, DUALSTACK_PARAMS, EXACT, shards=shards),
         )
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_fig05_mp_both_transports(self, transport):
+    def test_fig05_mp(self):
         flows = fig05_trace()
         assert_equivalent(
             reference_run(flows, FIG05_PARAMS),
             admission_run(
-                flows, FIG05_PARAMS, EXACT,
-                shards=4, executor="mp", workers=2, transport=transport,
+                flows, FIG05_PARAMS, EXACT, shards=4, executor="mp", workers=2
             ),
         )
 

@@ -1,13 +1,13 @@
-"""Tests for the offline (event-driven) and threaded drivers."""
+"""The replay grid of Pipeline and the stop/drain contract of LivePipeline."""
 
 import time
 
 import pytest
 
-from repro.core.driver import OfflineDriver, ThreadedIPD
 from repro.core.iputil import IPV4, parse_ip
 from repro.core.params import IPDParams
 from repro.netflow.records import FlowRecord
+from repro.runtime import LivePipeline, Pipeline
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -32,108 +32,73 @@ def stream(n_buckets: int, per_bucket: int = 50, start: float = 0.0):
             )
 
 
-class TestOfflineDriver:
+class TestPipelineReplay:
     def test_sweeps_fire_per_bucket(self):
-        driver = OfflineDriver(params(), snapshot_seconds=300.0)
-        result = driver.run(stream(10))
+        pipeline = Pipeline(params(), snapshot_seconds=300.0)
+        result = pipeline.run(stream(10))
         # one sweep per 60s bucket boundary crossed, plus the closing one
         assert len(result.sweeps) == 10
         assert result.flows_processed == 500
 
     def test_snapshots_every_five_minutes(self):
-        driver = OfflineDriver(params(), snapshot_seconds=300.0)
-        result = driver.run(stream(11))
+        pipeline = Pipeline(params(), snapshot_seconds=300.0)
+        result = pipeline.run(stream(11))
         times = result.snapshot_times()
         assert 300.0 in times
         assert 600.0 in times
 
     def test_final_snapshot_closes_run(self):
-        driver = OfflineDriver(params(), snapshot_seconds=300.0)
-        result = driver.run(stream(3))
+        pipeline = Pipeline(params(), snapshot_seconds=300.0)
+        result = pipeline.run(stream(3))
         assert result.snapshot_times()[-1] == pytest.approx(180.0)
         assert result.final_snapshot()  # classified by then
 
     def test_records_are_classified(self):
-        driver = OfflineDriver(params())
-        result = driver.run(stream(5))
+        pipeline = Pipeline(params())
+        result = pipeline.run(stream(5))
         final = result.final_snapshot()
         assert len(final) == 1
         assert final[0].ingress == A
 
     def test_unordered_stream_rejected(self):
-        driver = OfflineDriver(params())
+        pipeline = Pipeline(params())
         flows = [
             FlowRecord(timestamp=100.0, src_ip=1, version=IPV4, ingress=A),
             FlowRecord(timestamp=10.0, src_ip=2, version=IPV4, ingress=A),
         ]
         with pytest.raises(ValueError):
-            driver.run(flows)
+            pipeline.run(flows)
 
     def test_empty_stream(self):
-        driver = OfflineDriver(params())
-        result = driver.run([])
+        pipeline = Pipeline(params())
+        result = pipeline.run([])
         assert result.flows_processed == 0
         assert result.snapshots == {}
 
     def test_on_sweep_callback(self):
         seen = []
-        driver = OfflineDriver(
+        pipeline = Pipeline(
             params(), on_sweep=lambda report, ipd: seen.append(report.timestamp)
         )
-        driver.run(stream(4))
+        pipeline.run(stream(4))
         assert len(seen) == 4
 
     def test_incremental_yields_snapshots(self):
-        driver = OfflineDriver(params(), snapshot_seconds=300.0)
-        emitted = list(driver.run_incremental(stream(11)))
+        pipeline = Pipeline(params(), snapshot_seconds=300.0)
+        emitted = list(pipeline.run_incremental(stream(11)))
         assert emitted[0][0] == pytest.approx(300.0)
         assert all(isinstance(records, list) for __, records in emitted)
 
     def test_grid_aligned_to_trace_start(self):
         """A trace starting at noon sweeps at noon+60s, not at epoch."""
-        driver = OfflineDriver(params())
-        result = driver.run(stream(3, start=43_200.0))
+        pipeline = Pipeline(params())
+        result = pipeline.run(stream(3, start=43_200.0))
         assert result.sweeps[0].timestamp == pytest.approx(43_260.0)
 
-    def test_invalid_snapshot_interval(self):
-        with pytest.raises(ValueError):
-            OfflineDriver(params(), snapshot_seconds=0.0)
 
-
-class TestThreadedIPDDeprecation:
-    def test_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="ThreadedIPD is deprecated"):
-            ThreadedIPD(params(), sweep_interval=10.0)
-
-    def test_live_pipeline_does_not_warn(self, recwarn):
-        from repro.runtime import LivePipeline
-
-        LivePipeline(params(), sweep_interval=10.0)
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_deprecated_alias_keeps_drain_semantics(self):
-        """The alias must stay behavior-identical while it warns: stop()
-        still drains every queued submission into the final sweep."""
-        with pytest.warns(DeprecationWarning):
-            runner = ThreadedIPD(params(), sweep_interval=100.0,
-                                 clock=lambda: 10.0)
-        base = parse_ip("10.0.0.0")[0]
-        for index in range(100):
-            runner.submit(
-                FlowRecord(timestamp=0.0, src_ip=base + index * 16,
-                           version=IPV4, ingress=A)
-            )
-        runner.stop()
-        assert runner.ipd.flows_ingested == 100
-        assert runner.sweep_reports
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestThreadedIPD:
+class TestLivePipeline:
     def test_live_pipeline_classifies(self):
-        runner = ThreadedIPD(params(), sweep_interval=0.05)
+        runner = LivePipeline(params(), sweep_interval=0.05)
         runner.start()
         base = parse_ip("10.0.0.0")[0]
         for index in range(200):
@@ -149,7 +114,7 @@ class TestThreadedIPD:
         assert runner.sweep_reports
 
     def test_double_start_rejected(self):
-        runner = ThreadedIPD(params(), sweep_interval=10.0)
+        runner = LivePipeline(params(), sweep_interval=10.0)
         runner.start()
         with pytest.raises(RuntimeError):
             runner.start()
@@ -163,7 +128,7 @@ class TestThreadedIPD:
         flows are enqueued after the stop sentinel.  All of them must be
         ingested before the final sweep.
         """
-        runner = ThreadedIPD(params(), sweep_interval=100.0,
+        runner = LivePipeline(params(), sweep_interval=100.0,
                              clock=lambda: 10.0)
         base = parse_ip("10.0.0.0")[0]
         for index in range(500):
@@ -172,12 +137,12 @@ class TestThreadedIPD:
                            version=IPV4, ingress=A)
             )
         runner.stop()
-        assert runner.ipd.flows_ingested == 500
+        assert runner.engine.flows_ingested == 500
         assert runner.sweep_reports  # the final sweep saw them
 
     def test_stop_drains_running_queue(self):
         """With live threads, stop() still accounts for every submission."""
-        runner = ThreadedIPD(params(), sweep_interval=50.0)
+        runner = LivePipeline(params(), sweep_interval=50.0)
         runner.start()
         base = parse_ip("10.0.0.0")[0]
         for index in range(2000):
@@ -186,17 +151,17 @@ class TestThreadedIPD:
                            version=IPV4, ingress=A)
             )
         runner.stop()
-        assert runner.ipd.flows_ingested == 2000
+        assert runner.engine.flows_ingested == 2000
 
     def test_restamping_uses_live_clock(self):
         clock_value = [1000.0]
-        runner = ThreadedIPD(
+        runner = LivePipeline(
             params(), sweep_interval=100.0, clock=lambda: clock_value[0]
         )
         flow = FlowRecord(timestamp=5.0, src_ip=1, version=IPV4, ingress=A)
         runner.start()
         runner.submit(flow)
         runner.stop()
-        state = runner.ipd.trees[IPV4].root.state
+        state = runner.engine.trees[IPV4].root.state
         # the ingested sample carries the live clock, not the trace time
         assert state.newest_timestamp == pytest.approx(1000.0)

@@ -11,7 +11,6 @@ import io
 
 import pytest
 
-from repro.core.driver import OfflineDriver
 from repro.core.output import write_records_csv
 from repro.core.params import IPDParams
 from repro.netflow.records import iter_flow_batches
@@ -34,20 +33,17 @@ def run_csv(result) -> bytes:
 
 
 def reference_run(flows, params):
-    return OfflineDriver(
+    return Pipeline(
         params, snapshot_seconds=120.0, include_unclassified=True
     ).run(flows)
 
 
-def sharded_run(
-    flows, params, shards, executor="serial", workers=None, transport="pickle"
-):
+def sharded_run(flows, params, shards, executor="serial", workers=None):
     with Pipeline(
         params,
         shards=shards,
         executor=executor,
         workers=workers,
-        transport=transport,
         snapshot_seconds=120.0,
         include_unclassified=True,
     ) as pipeline:
@@ -73,7 +69,7 @@ def assert_equivalent(reference, sharded):
 
 
 class TestSerialShardEquivalence:
-    """Pipeline(shards=N, executor=serial) vs OfflineDriver, N in {1,4,16}."""
+    """Pipeline(shards=N, executor=serial) vs the single engine, N in {1,4,16}."""
 
     @pytest.mark.parametrize("shards", [1, 4, 16])
     def test_fig05_trace(self, shards):
@@ -130,51 +126,25 @@ class TestSerialShardEquivalence:
         assert_equivalent(reference_run(flows, FIG05_PARAMS), result)
 
 
-class TestExecutorEquivalence:
-    """The threaded and mp executors replay the serial executor exactly."""
+class TestMpEquivalence:
+    """Acceptance pin: mp snapshots are byte-identical to the single
+    engine for N in {1, 4, 16}."""
 
-    def test_threaded_executor(self):
-        flows = dualstack_trace()
-        assert_equivalent(
-            reference_run(flows, DUALSTACK_PARAMS),
-            sharded_run(flows, DUALSTACK_PARAMS, 4, executor="threaded",
-                        workers=2),
-        )
-
-    def test_mp_executor(self):
+    @pytest.mark.parametrize("shards", [1, 4, 16])
+    def test_fig05_trace(self, shards):
         flows = fig05_trace()
         assert_equivalent(
             reference_run(flows, FIG05_PARAMS),
-            sharded_run(flows, FIG05_PARAMS, 4, executor="mp", workers=2),
+            sharded_run(flows, FIG05_PARAMS, shards, executor="mp", workers=2),
         )
 
-
-class TestTransportEquivalence:
-    """Acceptance pin: mp snapshots are byte-identical to the serial
-    reference for N in {1, 4, 16} on both data planes — the legacy
-    pickle pipe and the zero-copy shm rings."""
-
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
     @pytest.mark.parametrize("shards", [1, 4, 16])
-    def test_fig05_trace(self, shards, transport):
-        flows = fig05_trace()
-        assert_equivalent(
-            reference_run(flows, FIG05_PARAMS),
-            sharded_run(
-                flows, FIG05_PARAMS, shards, executor="mp", workers=2,
-                transport=transport,
-            ),
-        )
-
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    @pytest.mark.parametrize("shards", [1, 4, 16])
-    def test_dualstack_trace(self, shards, transport):
+    def test_dualstack_trace(self, shards):
         flows = dualstack_trace()
         assert_equivalent(
             reference_run(flows, DUALSTACK_PARAMS),
             sharded_run(
-                flows, DUALSTACK_PARAMS, shards, executor="mp", workers=2,
-                transport=transport,
+                flows, DUALSTACK_PARAMS, shards, executor="mp", workers=2
             ),
         )
 
@@ -197,17 +167,7 @@ class TestShardedValidation:
         with pytest.raises(ValueError):
             ShardedIPD(FIG05_PARAMS, shards=4, executor="gpu")
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedIPD(FIG05_PARAMS, shards=4, executor="mp", transport="rdma")
-
-    def test_transport_requires_mp_executor(self):
-        with pytest.raises(ValueError, match="mp executor"):
-            ShardedIPD(
-                FIG05_PARAMS, shards=4, executor="serial", transport="shm"
-            )
-
     def test_close_is_idempotent(self):
-        engine = ShardedIPD(FIG05_PARAMS, shards=4, executor="threaded")
+        engine = ShardedIPD(FIG05_PARAMS, shards=4, executor="mp", workers=2)
         engine.close()
         engine.close()

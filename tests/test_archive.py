@@ -55,6 +55,8 @@ class TestAppendAndLoad:
             p.name for p in (tmp_path / "arch").glob("*.csv.gz")
         )
         assert partitions == ["1970-01-01.csv.gz", "1970-01-02.csv.gz"]
+        # iteration is time-ordered across day partitions
+        assert [t for t, __ in archive.snapshots()] == [300.0, 90_000.0]
 
     def test_out_of_order_append_rejected(self, tmp_path):
         archive = SnapshotArchive(tmp_path / "arch")
@@ -134,67 +136,16 @@ class TestPersistence:
         assert len(lines) == 3  # header + 2 records
 
 
-class TestLegacyPartitions:
-    """Archives written with the old ``day-NNNNNN`` keys stay readable
-    and appendable; new days get date-named partitions alongside."""
-
-    @pytest.fixture
-    def legacy_root(self, tmp_path):
-        import json
-
-        root = tmp_path / "arch"
-        archive = SnapshotArchive(root)
-        archive.append(300.0, [record("10.0.0.0/24")])
-        # Rewrite the partition + index the way the old code laid them out.
-        (root / "1970-01-01.csv.gz").rename(root / "day-000000.csv.gz")
-        index = json.loads((root / "index.json").read_text())
-        entry = index.pop("1970-01-01")
-        entry["file"] = "day-000000.csv.gz"
-        index["day-000000"] = entry
-        (root / "index.json").write_text(json.dumps(index))
-        return root
-
-    def test_reads_legacy_archive(self, legacy_root):
-        archive = SnapshotArchive(legacy_root)
-        loaded = archive.load()
-        assert list(loaded) == [300.0]
-        assert str(loaded[300.0][0].range) == "10.0.0.0/24"
-
-    def test_same_day_append_goes_to_legacy_partition(self, legacy_root):
-        archive = SnapshotArchive(legacy_root)
-        archive.append(600.0, [record("10.0.1.0/24")])
-        assert not (legacy_root / "1970-01-01.csv.gz").exists()
-        loaded = archive.load()
-        assert sorted(loaded) == [300.0, 600.0]
-
-    def test_next_day_append_gets_date_partition(self, legacy_root):
-        archive = SnapshotArchive(legacy_root)
-        archive.append(90_000.0, [record("10.0.1.0/24")])
-        assert (legacy_root / "1970-01-02.csv.gz").exists()
-        # time-ordered iteration across mixed key generations
-        times = [t for t, __ in archive.snapshots()]
-        assert times == [300.0, 90_000.0]
-
-
 class TestPointInTime:
     """``load_at`` / ``latest``: the serving plane's history reads."""
 
     @pytest.fixture
-    def mixed_root(self, tmp_path):
-        """Legacy ``day-NNNNNN`` day 0 followed by UTC-date days 1 and 2."""
-        import json
-
+    def three_day_root(self, tmp_path):
+        """Two snapshots on day 0, one each on days 1 and 2."""
         root = tmp_path / "arch"
         archive = SnapshotArchive(root)
         archive.append(300.0, [record("10.0.0.0/24")])
         archive.append(600.0, [record("10.0.1.0/24", B)])
-        (root / "1970-01-01.csv.gz").rename(root / "day-000000.csv.gz")
-        index = json.loads((root / "index.json").read_text())
-        entry = index.pop("1970-01-01")
-        entry["file"] = "day-000000.csv.gz"
-        index["day-000000"] = entry
-        (root / "index.json").write_text(json.dumps(index))
-        archive = SnapshotArchive(root)
         archive.append(90_000.0, [record("10.1.0.0/24")])
         archive.append(180_000.0, [record("10.2.0.0/24", B)])
         return root
@@ -204,27 +155,27 @@ class TestPointInTime:
         assert archive.load_at(1e9) is None
         assert archive.latest() is None
 
-    def test_before_first_snapshot(self, mixed_root):
-        assert SnapshotArchive(mixed_root).load_at(299.9) is None
+    def test_before_first_snapshot(self, three_day_root):
+        assert SnapshotArchive(three_day_root).load_at(299.9) is None
 
-    def test_exact_hit(self, mixed_root):
-        found, records = SnapshotArchive(mixed_root).load_at(600.0)
+    def test_exact_hit(self, three_day_root):
+        found, records = SnapshotArchive(three_day_root).load_at(600.0)
         assert found == 600.0
         assert [str(r.range) for r in records] == ["10.0.1.0/24"]
 
-    def test_between_snapshots_rounds_down(self, mixed_root):
-        archive = SnapshotArchive(mixed_root)
-        # inside the legacy partition
+    def test_between_snapshots_rounds_down(self, three_day_root):
+        archive = SnapshotArchive(three_day_root)
+        # inside one day partition
         found, records = archive.load_at(599.0)
         assert found == 300.0
         assert [str(r.range) for r in records] == ["10.0.0.0/24"]
-        # straddling the legacy -> date-key boundary
+        # straddling a day boundary
         found, records = archive.load_at(89_999.0)
         assert found == 600.0
         assert records[0].ingress == B
 
-    def test_after_newest_clamps_to_latest(self, mixed_root):
-        archive = SnapshotArchive(mixed_root)
+    def test_after_newest_clamps_to_latest(self, three_day_root):
+        archive = SnapshotArchive(three_day_root)
         found, records = archive.load_at(1e12)
         assert found == 180_000.0
         assert (found, [str(r.range) for r in records]) == (
@@ -232,15 +183,15 @@ class TestPointInTime:
             [str(r.range) for r in archive.latest()[1]],
         )
 
-    def test_latest_reads_only_the_newest(self, mixed_root):
-        found, records = SnapshotArchive(mixed_root).latest()
+    def test_latest_reads_only_the_newest(self, three_day_root):
+        found, records = SnapshotArchive(three_day_root).latest()
         assert found == 180_000.0
         assert [str(r.range) for r in records] == ["10.2.0.0/24"]
         assert records[0].timestamp == 180_000.0
 
-    def test_load_at_reopened_archive(self, mixed_root):
+    def test_load_at_reopened_archive(self, three_day_root):
         """The bisect path works from a cold index (no appends made)."""
-        archive = SnapshotArchive(mixed_root)
+        archive = SnapshotArchive(three_day_root)
         times = archive.snapshot_times()
         assert times == [300.0, 600.0, 90_000.0, 180_000.0]
         for probe, want in [(300.0, 300.0), (100_000.0, 90_000.0)]:
@@ -252,7 +203,7 @@ class TestEndToEnd:
     def test_run_archive_analyze(self, tmp_path):
         """IPD run -> archive -> reload -> stability analysis."""
         from repro.analysis.stability import stability_durations
-        from repro.core.driver import OfflineDriver
+        from repro import Pipeline
         from repro.core.iputil import parse_ip
         from repro.core.params import IPDParams
         from repro.netflow.records import FlowRecord
@@ -263,7 +214,7 @@ class TestEndToEnd:
                        version=4, ingress=A)
             for bucket in range(20) for i in range(40)
         ]
-        result = OfflineDriver(
+        result = Pipeline(
             IPDParams(n_cidr_factor_v4=0.001, n_cidr_factor_v6=0.001)
         ).run(flows)
         archive = SnapshotArchive(tmp_path / "arch")

@@ -21,7 +21,7 @@ class TestTopLevelExports:
         assert repro.__version__
 
     @pytest.mark.parametrize("name", [
-        "IPD", "IPDParams", "IPDRecord", "OfflineDriver", "ThreadedIPD",
+        "IPD", "IPDParams", "IPDRecord", "RunResult",
         "LPMTable", "Prefix", "FlowRecord", "IngressPoint", "ISPTopology",
         "SnapshotArchive", "SteeringPolicy",
         "Pipeline", "LivePipeline", "ShardedIPD",
@@ -203,7 +203,7 @@ class TestServingSurface:
 class TestMinimalUserJourney:
     def test_readme_quickstart_shape(self):
         """The exact shape the README advertises must run."""
-        from repro import IPDParams, OfflineDriver, build_lpm_from_records
+        from repro import IPDParams, Pipeline, build_lpm_from_records
         from repro.netflow.records import FlowRecord
         from repro.topology.elements import IngressPoint
 
@@ -213,7 +213,7 @@ class TestMinimalUserJourney:
                        version=4, ingress=IngressPoint("fra-r1", "et0"))
             for t in range(400)
         ]
-        result = OfflineDriver(params, snapshot_seconds=300.0).run(flows)
+        result = Pipeline(params, snapshot_seconds=300.0).run(flows)
         final = result.final_snapshot()
         assert final
         lpm = build_lpm_from_records(final)

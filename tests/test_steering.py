@@ -125,10 +125,10 @@ class TestClosedLoop:
     def test_steering_relieves_overload_end_to_end(self, small_topology):
         """IPD detects the imbalance, the plan is applied (CDN remaps),
         the next IPD epoch shows the load balanced — the full §5.8 loop."""
-        from repro.core.driver import OfflineDriver
         from repro.core.iputil import parse_ip
         from repro.core.params import IPDParams
         from repro.netflow.records import FlowRecord
+        from repro.runtime import Pipeline
         from repro.workloads.events import EventSchedule
 
         import random
@@ -152,8 +152,7 @@ class TestClosedLoop:
             return out
 
         # epoch 1: everything enters via L1 -> overloaded
-        driver = OfflineDriver(params)
-        result = driver.run(flows(EventSchedule(), 0.0, 30))
+        result = Pipeline(params).run(flows(EventSchedule(), 0.0, 30))
         snapshot = result.final_snapshot()
         policy = SteeringPolicy(
             small_topology, capacities,
@@ -166,8 +165,7 @@ class TestClosedLoop:
         schedule = EventSchedule()
         for event in apply_plan(plan, start=0.0, end=1e9):
             schedule.add(event)
-        driver2 = OfflineDriver(params)
-        result2 = driver2.run(flows(schedule, 0.0, 30))
+        result2 = Pipeline(params).run(flows(schedule, 0.0, 30))
         loads = link_loads(
             result2.final_snapshot(), small_topology, capacities
         )

@@ -1,6 +1,6 @@
 """Differential testing on adversarial traces: hostile shapes, same math.
 
-The adversarial scenario pack (DESIGN.md §15) stresses the engine with
+The adversarial scenario pack (DESIGN.md §14) stresses the engine with
 spoofed floods, policing clips and route-flap storms.  None of those
 shapes is allowed to change a single decision relative to the
 paper-literal :class:`~repro.testkit.oracle.ReferenceIPD`: this suite

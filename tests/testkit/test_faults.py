@@ -45,8 +45,8 @@ class TestGenerate:
                     # never at tick 0: there is nothing to recover *to*
                     # and nothing lost either — a vacuous plan
                     assert 1 <= fault.at <= 9
-                elif not fault.site.startswith(("feed_", "shm_")):
-                    # feed/shm sites schedule on the per-feed occurrence
+                elif not fault.site.startswith("feed_"):
+                    # feed sites schedule on the per-feed occurrence
                     # scale, which outruns the tick count
                     assert 0 <= fault.at < 10
 
