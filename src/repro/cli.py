@@ -61,6 +61,13 @@ def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
                         help="expiry seconds")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _params_from(args: argparse.Namespace) -> IPDParams:
     return IPDParams(
         q=args.q,
@@ -214,10 +221,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # A fresh file handle per (re)start: checkpoint resume and
         # worker-crash recovery both re-open the CSV and replay forward.
         with open(args.flows) as stream:
-            if args.batch_size > 0:
-                yield from read_flows_csv_batched(stream, args.batch_size)
-            else:
-                yield from read_flows_csv(stream)
+            yield from read_flows_csv_batched(stream, args.batch_size)
 
     resumed = False
     if args.resume:
@@ -493,9 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario-peak", type=int, default=800,
                      help="scenario peak benign flows per bucket")
     run.add_argument("--snapshot-seconds", type=float, default=300.0)
-    run.add_argument("--batch-size", type=int, default=8192,
-                     help="flows per columnar ingest batch "
-                          "(0 = per-flow ingest)")
+    run.add_argument("--batch-size", type=_positive_int, default=8192,
+                     help="flows per columnar ingest batch (>= 1)")
     run.add_argument("--executor", choices=EXECUTOR_KINDS, default="serial",
                      help="runtime executor driving the engine shards")
     run.add_argument("--shards", type=int, default=1,

@@ -10,8 +10,7 @@ batch decode and trie ingest:
   every masked source cheaply and off-trie;
 * sources whose sketch estimate crosses the **promotion threshold**
   (Jurkiewicz's mice/elephant boundary) are promoted to the *elephant
-  set* and admitted directly — with a cached leaf handle that bypasses
-  the trie lookup entirely on subsequent batches;
+  set* and admitted directly from then on;
 * sub-threshold "mice" are **held back**: in ``exact`` mode they are
   buffered and replayed before every sweep (byte-identical output to
   running without admission); in ``lossy`` mode they are dropped and
@@ -44,20 +43,13 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
+
+import numpy as _np
 
 from ..devtools.markers import hot_path
 from ..topology.elements import IngressPoint
 from .statecodec import StateCodecError, _Reader, _Writer
-
-try:  # the vectorized lossy gate; the per-group path covers absence
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None  # type: ignore[assignment]
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..netflow.records import FlowBatch
-    from .rangetree import RangeNode
 
 __all__ = [
     "ADMISSION_MODES",
@@ -286,18 +278,10 @@ class CountMinSketch:
 
     def halve(self) -> None:
         """Age every cell by half; cells below one count reset to zero."""
-        cells = self.cells
-        fill = 0
-        for index, value in enumerate(cells):
-            if value == 0.0:
-                continue
-            value *= 0.5
-            if value < 0.5:
-                value = 0.0
-            else:
-                fill += 1
-            cells[index] = value
-        self.fill = fill
+        cells = _np.frombuffer(self.cells, dtype=_np.float64)
+        cells *= 0.5
+        cells[cells < 0.5] = 0.0
+        self.fill = int(_np.count_nonzero(cells))
 
     def clear(self) -> None:
         """Drop all counts (used when aging skips many intervals)."""
@@ -343,15 +327,9 @@ class CountMinSketch:
             raise StateCodecError(
                 "cannot merge sketches with different geometry or seed"
             )
-        cells = self.cells
-        fill = 0
-        for index, value in enumerate(other.cells):
-            if value == 0.0:
-                continue
-            if cells[index] == 0.0:
-                fill += 1
-            cells[index] += value
-        self.fill += fill
+        cells = _np.frombuffer(self.cells, dtype=_np.float64)
+        cells += _np.frombuffer(other.cells, dtype=_np.float64)
+        self.fill = int(_np.count_nonzero(cells))
 
 
 @dataclass
@@ -408,7 +386,6 @@ class AdmissionController:
         self._sketches: dict[int, CountMinSketch] = {}
         self._elephants: dict[int, set[int]] = {}
         self._held: dict[int, dict[int, list]] = {}
-        self._handles: dict[int, dict[int, "RangeNode"]] = {}
         # lazily rebuilt sorted-ndarray mirror of each elephant set,
         # keyed by version, cached as (herd size, array) — promotions
         # only ever grow the herd, so a size match means it is current
@@ -439,14 +416,6 @@ class AdmissionController:
             herd = set()
             self._elephants[version] = herd
         return herd
-
-    def handles(self, version: int) -> "dict[int, RangeNode]":
-        """Cached elephant leaf handles (the lookup-bypass fast path)."""
-        handles = self._handles.get(version)
-        if handles is None:
-            handles = {}
-            self._handles[version] = handles
-        return handles
 
     def held(self, version: int) -> dict[int, list]:
         """The per-family holdback buffer (exact mode)."""
@@ -499,9 +468,8 @@ class AdmissionController:
         masked, sketch-counted and thresholded as ndarray operations,
         and only the surviving row indices are returned for grouping.
         Returns ``None`` to admit every row — exact mode (the holdback
-        buffer needs the groups), saturation, numpy unavailable, or a
-        mask shift ≥ 64 bits (v6 keys exceed uint64; those batches take
-        the per-group path).
+        buffer needs the groups), saturation, or a mask shift ≥ 64 bits
+        (v6 keys exceed uint64; those batches take the per-group path).
 
         Decision semantics match :meth:`filter_groups` on the same
         batch: weights fold into the same seeded cells (integer-valued,
@@ -509,9 +477,9 @@ class AdmissionController:
         source's estimate is read after the whole batch's weight is in,
         exactly like the per-group path's one summed add per source.
         Promoted sources join the shared elephant set, so the group
-        path's herd fast-path and cached leaf handles pick them up.
+        path's herd fast-path picks them up.
         """
-        if _np is None or self.exact or shift >= 64 or self.saturated:
+        if self.exact or shift >= 64 or self.saturated:
             return None
         try:
             raw = _np.array(sources, dtype=_np.uint64)
@@ -714,47 +682,6 @@ class AdmissionController:
         self.dropped = 0
         self.promoted = 0
         return counters
-
-    # ------------------------------------------------------------------ batch split
-
-    def partition_batch(
-        self, batch: "FlowBatch", cidr_max: int
-    ) -> "tuple[FlowBatch, FlowBatch]":
-        """Split a columnar batch into (admitted, held) row views.
-
-        The pre-trie form of :meth:`filter_groups` for callers that gate
-        whole batches (benchmarks, external pre-filters): rows whose
-        masked source is — or becomes — an elephant land in the admitted
-        batch, the rest in the held batch.  Row order is preserved and
-        the split reuses the batch columns without copying row payloads
-        (:meth:`FlowBatch.select`).  Unlike :meth:`filter_groups` this
-        does not buffer holdback state; the held view is returned to the
-        caller instead.
-        """
-        version = batch.version
-        shift = (128 if version == 6 else 32) - cidr_max
-        herd = self.elephants(version)
-        sketch = self.sketch(version)
-        threshold = self.config.promote_weight
-        saturated = self.saturated
-        admitted_rows: list[int] = []
-        held_rows: list[int] = []
-        admitted_append = admitted_rows.append
-        held_append = held_rows.append
-        for row, src in enumerate(batch.src_ips):
-            masked = (src >> shift) << shift
-            if saturated or masked in herd:
-                admitted_append(row)
-                continue
-            if sketch.add(masked, 1.0) >= threshold:
-                herd.add(masked)
-                self.promoted += 1
-                admitted_append(row)
-            else:
-                held_append(row)
-        self.admitted += len(admitted_rows)
-        self.held_back += len(held_rows)
-        return batch.select(admitted_rows), batch.select(held_rows)
 
     # ------------------------------------------------------------------ state io
 

@@ -2,12 +2,13 @@
 
 Two stages, mirrored here as two methods:
 
-* :meth:`IPD.ingest` / :meth:`IPD.ingest_batch` — Stage 1.  Masks a
-  flow's source address to ``cidr_max`` and adds (timestamp, masked
-  source, ingress link) to the covering range of the per-family binary
-  trie.  The batch entry point amortizes the per-flow costs: one pass
-  masks the whole batch, flows are grouped by masked source, and each
-  distinct source resolves its leaf once.
+* :meth:`IPD.ingest_batch` — Stage 1.  Masks each flow's source address
+  to ``cidr_max`` and adds (timestamp, masked source, ingress link) to
+  the covering range of the per-family binary trie.  Every flow takes
+  this path: one pass masks the whole batch, flows are grouped by
+  masked source, and each distinct source resolves its leaf once.
+  :meth:`IPD.ingest` and :meth:`IPD.ingest_many` are API-edge wrappers
+  (a one-row batch, a chunked record stream).
 * :meth:`IPD.sweep` — Stage 2.  Every ``t`` seconds: expires stale
   observations, classifies ranges with a prevalent ingress
   (``s_ingress >= q`` once ``s_ipcount >= n_cidr``), splits ranges with
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..devtools.markers import hot_path
-from ..netflow.records import FlowBatch, FlowRecord
+from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from ..topology.elements import IngressPoint
 from .admission import (
     AdmissionConfig,
@@ -48,7 +49,7 @@ from .admission import (
     encode_admission,
 )
 from .bundles import dominant_ingress
-from .iputil import IPV4, IPV6, Prefix, mask_ip
+from .iputil import IPV4, IPV6, Prefix
 from .lbdetect import LBDetectorLike
 from .output import IPDRecord
 from .params import DEFAULT_PARAMS, IPDParams
@@ -64,11 +65,6 @@ from .statecodec import (
 )
 
 __all__ = ["IPD", "SweepReport"]
-
-#: flows accumulated per internal batch by :meth:`IPD.ingest_many`;
-#: large enough that grouping amortizes leaf resolution even when the
-#: stream cycles through tens of thousands of distinct sources
-_INGEST_CHUNK = 65536
 
 
 @dataclass
@@ -235,48 +231,38 @@ class IPD:
 
     # ------------------------------------------------------------------ stage 1
 
-    @hot_path
     def ingest(self, flow: FlowRecord) -> None:
-        """Add one flow observation (Algorithm 1, lines 1-4)."""
-        params = self.params
-        tree = self.trees[flow.version]
-        masked = mask_ip(flow.src_ip, params.cidr_max(flow.version), flow.version)
-        weight = float(flow.bytes) if params.count_bytes else 1.0
-        if self.admission is not None:
-            # route through the staged admit path as a one-group batch
-            self._apply_groups(
-                tree, {masked: [{flow.ingress: weight}, flow.timestamp, flow.timestamp]}
-            )
-            self.flows_ingested += 1
-            self.bytes_ingested += flow.bytes
-            if self.lb_detector is not None:
-                self.lb_detector.observe(flow)
-            return
-        leaf = tree.lookup_leaf(masked)
-        state = leaf._state
-        if isinstance(state, UnclassifiedState):
-            state.add(masked, flow.ingress, flow.timestamp, weight)
-            tree.dirty.add(leaf)
-            if state.heap_bound != state.oldest_seen:
-                tree.schedule_expiry(leaf)
-        else:
-            assert isinstance(state, ClassifiedState)
-            state.add(flow.ingress, flow.timestamp, weight)
-        self.flows_ingested += 1
-        self.bytes_ingested += flow.bytes
-        if self.lb_detector is not None:
-            self.lb_detector.observe(flow)
+        """Add one flow observation (Algorithm 1, lines 1-4).
+
+        API edge: a one-row :meth:`ingest_batch`.  Anything rate-bound
+        feeds batches (the runtime never calls this).
+        """
+        self.ingest_batch(FlowBatch.from_flows((flow,)))
+
+    def ingest_many(self, flows: "Iterable[FlowRecord] | FlowBatch") -> int:
+        """Ingest an iterable of flows; returns how many were consumed.
+
+        API edge: a chunked :meth:`ingest_batch` — records are cut into
+        same-family :class:`FlowBatch` runs by :func:`iter_flow_batches`.
+        """
+        if isinstance(flows, FlowBatch):
+            return self.ingest_batch(flows)
+        count = 0
+        for batch in iter_flow_batches(flows):
+            count += self.ingest_batch(batch)
+        return count
 
     @hot_path
     def ingest_batch(self, batch: FlowBatch) -> int:
         """Add a columnar batch of flows; returns how many were consumed.
 
-        Equivalent to ingesting the batch's flows one by one (weights are
-        integer-valued, so the regrouped float sums are exact), but the
-        per-flow costs are amortized: a single pass masks every source
-        and accumulates per-(masked source, ingress) weights, then each
-        *distinct* masked source resolves its leaf once and folds its
-        whole group in one state update.
+        The one way a flow reaches a trie.  Equivalent to the paper's
+        flow-by-flow Stage 1 (weights are integer-valued, so the
+        regrouped float sums are exact), but the per-flow costs are
+        amortized: a single pass masks every source and accumulates
+        per-(masked source, ingress) weights, then each *distinct*
+        masked source resolves its leaf once and folds its whole group
+        in one state update.
         """
         count = len(batch.timestamps)
         if count == 0:
@@ -323,9 +309,11 @@ class IPD:
                 elif ts < group[2]:
                     group[2] = ts
 
-        # pass 2: one leaf resolution + one state fold per distinct source
-        if groups:
-            self._apply_groups(tree, groups)
+        # pass 2: the admission gate (admit -> promote -> count), then one
+        # leaf resolution + one state fold per distinct admitted source
+        if admission is not None:
+            groups = admission.filter_groups(batch.version, groups)
+        self._apply_groups(tree, groups)
 
         self.flows_ingested += count
         self.bytes_ingested += sum(original.byte_counts)
@@ -335,25 +323,9 @@ class IPD:
                 observe(flow)
         return count
 
-    def _apply_groups(self, tree: RangeTree, groups: dict[int, list]) -> None:
-        """Fold accumulated per-source groups into their covering leaves.
-
-        This is the admission seam: with a controller attached the
-        groups first pass its admit → promote → count gate and only the
-        admitted subset reaches the trie; without one this is a direct
-        alias for the classic fold.
-        """
-        admission = self.admission
-        if admission is None:
-            self._apply_groups_direct(tree, groups)
-            return
-        admitted = admission.filter_groups(tree.version, groups)
-        if admitted:
-            self._apply_admitted(tree, admitted, admission)
-
     @hot_path
-    def _apply_groups_direct(self, tree: RangeTree, groups: dict[int, list]) -> None:
-        """The classic per-source fold, bypassing admission entirely."""
+    def _apply_groups(self, tree: RangeTree, groups: dict[int, list]) -> None:
+        """Fold per-source groups into their covering leaves (the one fold)."""
         lookup = tree.lookup_leaf
         dirty_add = tree.dirty.add
         for masked, (by_ingress, newest, oldest) in groups.items():
@@ -367,109 +339,6 @@ class IPD:
             else:
                 assert isinstance(state, ClassifiedState)
                 state.add_batch(by_ingress, newest)
-
-    @hot_path
-    def _apply_admitted(
-        self,
-        tree: RangeTree,
-        groups: dict[int, list],
-        admission: AdmissionController,
-    ) -> None:
-        """Fold admitted groups, with the known-elephant leaf fast path.
-
-        Elephants keep a cached handle to their covering leaf, so the
-        steady-state hot loop skips the trie lookup (and its LRU cache)
-        entirely.  A handle is revalidated the same way the lookup cache
-        is: a split or join kills the node, falling back to one lookup.
-        """
-        version = tree.version
-        handles = admission.handles(version)
-        herd = admission.elephants(version)
-        lookup = tree.lookup_leaf
-        dirty_add = tree.dirty.add
-        handles_get = handles.get
-        herd_contains = herd.__contains__
-        for masked, (by_ingress, newest, oldest) in groups.items():
-            leaf = handles_get(masked)
-            if leaf is None or leaf.dead or leaf.left is not None:
-                leaf = lookup(masked)
-                if herd_contains(masked):
-                    handles[masked] = leaf
-            state = leaf._state
-            if isinstance(state, UnclassifiedState):
-                state.add_batch(masked, by_ingress, newest, oldest)
-                dirty_add(leaf)
-                if state.heap_bound != state.oldest_seen:
-                    tree.schedule_expiry(leaf)
-            else:
-                assert isinstance(state, ClassifiedState)
-                state.add_batch(by_ingress, newest)
-
-    @hot_path
-    def ingest_many(self, flows: Iterable[FlowRecord]) -> int:
-        """Ingest an iterable of flows; returns how many were consumed.
-
-        Flows are chunked into columnar :class:`FlowBatch` runs per
-        address family and fed through :meth:`ingest_batch`, so bulk
-        callers get the amortized hot path without building batches
-        themselves.
-        """
-        if isinstance(flows, FlowBatch):
-            return self.ingest_batch(flows)
-        params = self.params
-        trees = self.trees
-        count_bytes = params.count_bytes
-        lb_detector = self.lb_detector
-        shifts = {
-            version: tree.root.prefix.bits - params.cidr_max(version)
-            for version, tree in trees.items()
-        }
-        groups_by_version: dict[int, dict[int, list]] = {
-            version: {} for version in trees
-        }
-        count = 0
-        pending = 0
-        total_bytes = 0
-        for flow in flows:
-            version = flow.version
-            shift = shifts[version]
-            masked = (flow.src_ip >> shift) << shift
-            timestamp = flow.timestamp
-            weight = float(flow.bytes) if count_bytes else 1.0
-            groups = groups_by_version[version]
-            group = groups.get(masked)
-            if group is None:
-                groups[masked] = [{flow.ingress: weight}, timestamp, timestamp]
-            else:
-                by_ingress = group[0]
-                ingress = flow.ingress
-                previous = by_ingress.get(ingress)
-                by_ingress[ingress] = (
-                    weight if previous is None else previous + weight
-                )
-                if timestamp > group[1]:
-                    group[1] = timestamp
-                elif timestamp < group[2]:
-                    group[2] = timestamp
-            total_bytes += flow.bytes
-            count += 1
-            pending += 1
-            if lb_detector is not None:
-                lb_detector.observe(flow)
-            if pending >= _INGEST_CHUNK:
-                for version, groups in groups_by_version.items():
-                    if groups:
-                        self._apply_groups(trees[version], groups)
-                # amortized: rebuilt once per _INGEST_CHUNK flows, and the
-                # consumed group dicts must not be reused across chunks
-                groups_by_version = {version: {} for version in trees}  # ipd-lint: disable=IPD005
-                pending = 0
-        for version, groups in groups_by_version.items():
-            if groups:
-                self._apply_groups(trees[version], groups)
-        self.flows_ingested += count
-        self.bytes_ingested += total_bytes
-        return count
 
     # ------------------------------------------------------------------ stage 2
 
@@ -489,7 +358,7 @@ class IPD:
         for tree in self.trees.values():
             held = admission.drain_held(tree.version)
             if held:
-                self._apply_groups_direct(tree, held)
+                self._apply_groups(tree, held)
 
     def saturate_admission(self) -> None:
         """Force the admission sketch to its ceiling (fault injection).

@@ -60,32 +60,6 @@ class UnclassifiedState:
     #: (scheduler-private; ``inf`` means "not currently scheduled")
     heap_bound: float = field(default=_INF, repr=False, compare=False)
 
-    def add(
-        self,
-        masked_ip: int,
-        ingress: IngressPoint,
-        timestamp: float,
-        weight: float = 1.0,
-    ) -> None:
-        """Record one sample."""
-        by_ingress = self.per_ip.get(masked_ip)
-        if by_ingress is None:
-            self.per_ip[masked_ip] = {ingress: weight}
-            self.last_seen[masked_ip] = timestamp
-            self.entries += 1
-        else:
-            previous_weight = by_ingress.get(ingress)
-            if previous_weight is None:
-                by_ingress[ingress] = weight
-                self.entries += 1
-            else:
-                by_ingress[ingress] = previous_weight + weight
-            if timestamp > self.last_seen[masked_ip]:
-                self.last_seen[masked_ip] = timestamp
-        self.total += weight
-        if timestamp < self.oldest_seen:
-            self.oldest_seen = timestamp
-
     def add_batch(
         self,
         masked_ip: int,
@@ -98,9 +72,9 @@ class UnclassifiedState:
         *by_ingress* carries the summed weight per ingress for the group
         (ownership is taken when the source is new — callers must pass a
         fresh dict); *newest*/*oldest* are the extreme timestamps of the
-        group.  Equivalent to calling :meth:`add` per sample whenever the
-        weights are exactly representable (flow counts and byte counts
-        are integers, so in practice always).
+        group.  Equivalent to recording the samples one by one whenever
+        the weights are exactly representable (flow counts and byte
+        counts are integers, so in practice always).
         """
         existing = self.per_ip.get(masked_ip)
         if existing is None:
@@ -194,12 +168,6 @@ class ClassifiedState:
     last_seen: float
     #: timestamp at which the range was first classified
     classified_at: float
-
-    def add(self, ingress: IngressPoint, timestamp: float, weight: float = 1.0) -> None:
-        """Record one sample against its raw ingress interface."""
-        self.counters[ingress] = self.counters.get(ingress, 0.0) + weight
-        if timestamp > self.last_seen:
-            self.last_seen = timestamp
 
     def add_batch(
         self, by_ingress: Mapping[IngressPoint, float], newest: float

@@ -68,11 +68,9 @@ __all__ = [
     "plant_image",
     "restore_tree",
     "encode_engine",
-    "encode_engine_into",
     "decode_engine",
     "decode_engine_span",
     "encode_subtree",
-    "encode_subtree_into",
     "decode_subtree",
 ]
 
@@ -356,12 +354,7 @@ def restore_tree(tree: RangeTree, image: TreeImage) -> None:
 
 
 class _Writer:
-    """Byte-stream writer with per-blob ingress interning.
-
-    All output funnels through the :meth:`raw` / :meth:`byte` sinks so
-    :class:`_ViewWriter` can redirect the same encode bodies into a
-    caller-provided memoryview without re-implementing the format.
-    """
+    """Byte-stream writer with per-blob ingress interning."""
 
     def __init__(self) -> None:
         self.buffer = bytearray()
@@ -407,40 +400,6 @@ class _Writer:
         self.byte(prefix.version)
         self.uvarint(prefix.masklen)
         self.uvarint(prefix.value)
-
-
-class _ViewWriter(_Writer):
-    """A :class:`_Writer` that encodes into a caller-provided memoryview.
-
-    Zero-copy sibling of the bytearray writer: checkpoint images and
-    shard-handoff blobs can be serialized straight into a shared-memory
-    ring reservation (or any preallocated buffer).  Overflowing the view
-    raises :class:`StateCodecError` before any out-of-bounds write.
-    """
-
-    def __init__(self, view: memoryview) -> None:
-        super().__init__()
-        self.view = view
-        self.offset = 0
-
-    def _overflow(self, needed: int) -> StateCodecError:
-        return StateCodecError(
-            f"encode buffer too small: need {self.offset + needed} bytes, "
-            f"have {len(self.view)}"
-        )
-
-    def raw(self, data: "bytes | bytearray") -> None:
-        end = self.offset + len(data)
-        if end > len(self.view):
-            raise self._overflow(len(data))
-        self.view[self.offset:end] = data
-        self.offset = end
-
-    def byte(self, value: int) -> None:
-        if self.offset >= len(self.view):
-            raise self._overflow(1)
-        self.view[self.offset] = value
-        self.offset += 1
 
 
 class _Reader:
@@ -689,7 +648,9 @@ def _read_params(reader: _Reader, override: Optional[IPDParams]) -> IPDParams:
 # ---------------------------------------------------------------------------
 
 
-def _encode_engine_with(writer: _Writer, image: EngineImage) -> None:
+def encode_engine(image: EngineImage) -> bytes:
+    """Serialize a whole-engine image to one versioned blob."""
+    writer = _Writer()
     _write_header(writer, _KIND_ENGINE)
     _write_params(writer, image.params)
     writer.uvarint(image.flows_ingested)
@@ -711,26 +672,7 @@ def _encode_engine_with(writer: _Writer, image: EngineImage) -> None:
         writer.uvarint(tree.split_count)
         writer.uvarint(tree.join_count)
         _write_node(writer, tree.root)
-
-
-def encode_engine(image: EngineImage) -> bytes:
-    """Serialize a whole-engine image to one versioned blob."""
-    writer = _Writer()
-    _encode_engine_with(writer, image)
     return bytes(writer.buffer)
-
-
-def encode_engine_into(image: EngineImage, buf: memoryview) -> int:
-    """Serialize a whole-engine image into *buf*; returns bytes written.
-
-    The zero-copy sibling of :func:`encode_engine` — the blob lands
-    directly in a caller-provided buffer (e.g. a shared-memory ring
-    reservation).  Raises :class:`StateCodecError` if *buf* is too
-    small; nothing past the returned length is touched.
-    """
-    writer = _ViewWriter(buf)
-    _encode_engine_with(writer, image)
-    return writer.offset
 
 
 def decode_engine(
@@ -801,22 +743,6 @@ def decode_engine_span(
 # ---------------------------------------------------------------------------
 
 
-def _encode_subtree_with(
-    writer: _Writer,
-    prefix: Prefix,
-    version: int,
-    root: NodeImage,
-    split_count: int,
-    join_count: int,
-) -> None:
-    _write_header(writer, _KIND_SUBTREE)
-    writer.byte(version)
-    writer.prefix(prefix)
-    writer.uvarint(split_count)
-    writer.uvarint(join_count)
-    _write_node(writer, root)
-
-
 def encode_subtree(
     prefix: Prefix,
     version: int,
@@ -826,22 +752,13 @@ def encode_subtree(
 ) -> bytes:
     """Serialize one detached subtree (a seed payload or shard export)."""
     writer = _Writer()
-    _encode_subtree_with(writer, prefix, version, root, split_count, join_count)
+    _write_header(writer, _KIND_SUBTREE)
+    writer.byte(version)
+    writer.prefix(prefix)
+    writer.uvarint(split_count)
+    writer.uvarint(join_count)
+    _write_node(writer, root)
     return bytes(writer.buffer)
-
-
-def encode_subtree_into(
-    prefix: Prefix,
-    version: int,
-    root: NodeImage,
-    buf: memoryview,
-    split_count: int = 0,
-    join_count: int = 0,
-) -> int:
-    """Serialize one subtree into *buf*; returns the bytes written."""
-    writer = _ViewWriter(buf)
-    _encode_subtree_with(writer, prefix, version, root, split_count, join_count)
-    return writer.offset
 
 
 def decode_subtree(data: "bytes | bytearray | memoryview") -> SubtreeImage:

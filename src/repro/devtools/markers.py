@@ -4,9 +4,10 @@
 behaviour is pinned by lint rule **IPD005** (hot-path hygiene).  The
 marker is *deliberately* the identity function — it returns the
 undecorated function object unchanged, adds no wrapper frame, and costs
-nothing at call time.  ``benchmarks/perf/run_all.py`` asserts this
-identity before every benchmark run, so the marker can never silently
-grow instrumentation that would slow ingest or sweeps.
+nothing at call time.  ``tests/devtools/test_framework.py`` pins this
+identity (and that the marked engine entry points are unwrapped), so
+the marker can never silently grow instrumentation that would slow
+ingest or sweeps under the perf ledger.
 
 The lint rules find the marker *syntactically* (a ``@hot_path``
 decorator in the AST); nothing at runtime depends on it.

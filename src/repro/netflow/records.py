@@ -213,18 +213,25 @@ class FlowBatch:
 
 
 def iter_flow_batches(
-    flows: Iterable[FlowRecord], batch_size: int = DEFAULT_BATCH_SIZE
+    flows: "Iterable[FlowRecord | FlowBatch]", batch_size: int = DEFAULT_BATCH_SIZE
 ) -> Iterator[FlowBatch]:
     """Chunk a record stream into columnar batches.
 
     Batches are cut at *batch_size* rows and at address-family changes,
     so each batch is homogeneous and concatenating the batches in order
-    reproduces the original stream exactly.
+    reproduces the original stream exactly.  A :class:`FlowBatch` item
+    in the stream passes through as is, after the records before it.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     batch: Optional[FlowBatch] = None
     for flow in flows:
+        if isinstance(flow, FlowBatch):
+            if batch is not None:
+                yield batch
+                batch = None
+            yield flow
+            continue
         if batch is not None and (
             flow.version != batch.version or len(batch.timestamps) >= batch_size
         ):

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Union
 from ..core.algorithm import IPD, SweepReport
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
-from ..netflow.records import FlowBatch, FlowRecord
+from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .checkpoint import Checkpoint, CheckpointStore, restore_engine
 from .executors import EXECUTOR_KINDS
 from .sharding import ShardedIPD
@@ -159,15 +159,11 @@ class LivePipeline:
         self._stop.set()
         if self._sweep_thread is not None:
             self._sweep_thread.join()
+        # a pass that ends at a stop sentinel (ours or a repeated
+        # stop's) may have left items behind it: go again until empty
+        while not self._drain(block=False):
+            pass
         with self._lock:
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is None:
-                    continue  # stop sentinel (ours or a repeated stop's)
-                self._ingest(item)
             now = self._clock()
             self.sweep_reports.append(self.engine.sweep(now))
             if self.checkpoint_store is not None:
@@ -196,9 +192,8 @@ class LivePipeline:
     def submit_batch(self, batch: FlowBatch, restamp: bool = True) -> None:
         """Enqueue a columnar batch for Stage-1 ingestion.
 
-        One queue item per batch: the consumer drains it through the
-        amortized ``ingest_batch`` path under a single lock acquisition,
-        which is where the deployment layout gains its throughput.
+        One queue item per batch: the consumer hands it to
+        ``ingest_batch`` as is, in submit order with any records around it.
         """
         if restamp:
             now = self._clock()
@@ -213,11 +208,28 @@ class LivePipeline:
             )
         self._queue.put(batch)
 
-    def _ingest(self, item: "FlowRecord | FlowBatch") -> None:
-        if isinstance(item, FlowBatch):
-            self.engine.ingest_batch(item)
-        else:
-            self.engine.ingest(item)
+    def _drain(self, block: bool) -> bool:
+        """Ingest everything queued right now; False at the stop sentinel.
+
+        Records that piled up since the last wake-up are coalesced into
+        batches in submit order (:func:`iter_flow_batches`; submitted
+        batches pass through in place), so the engine only ever sees
+        ``ingest_batch``; the lock is taken per batch, not per record.
+        """
+        items: "list[FlowRecord | FlowBatch]" = []
+        running = True
+        try:
+            item = self._queue.get(block)
+            while item is not None:
+                items.append(item)
+                item = self._queue.get_nowait()
+            running = False
+        except queue.Empty:
+            pass
+        for batch in iter_flow_batches(items):
+            with self._lock:
+                self.engine.ingest_batch(batch)
+        return running
 
     # ------------------------------------------------------------------ output
 
@@ -230,12 +242,8 @@ class LivePipeline:
     # ------------------------------------------------------------------ threads
 
     def _ingest_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            with self._lock:
-                self._ingest(item)
+        while self._drain(block=True):
+            pass
 
     def _sweep_loop(self) -> None:
         while not self._stop.wait(self.sweep_interval):

@@ -39,7 +39,7 @@ from ..core.algorithm import IPD, SweepReport
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
 from ..core.snapshot import Snapshot
-from ..netflow.records import FlowBatch, FlowRecord
+from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .checkpoint import Checkpoint, CheckpointStore
 from .executors import EXECUTOR_KINDS, WorkerCrashError
 from .faulthook import FaultHookLike
@@ -58,8 +58,8 @@ class _ResumeState:
     next_sweep: float
     next_snapshot: Optional[float]
 
-#: engines a Pipeline can drive (anything with ingest/ingest_batch/
-#: sweep/snapshot/state_size)
+#: engines a Pipeline can drive (anything with ingest_batch/sweep/
+#: snapshot/state_size)
 Engine = Union[IPD, ShardedIPD]
 
 
@@ -322,10 +322,12 @@ class Pipeline:
 
         The stream may mix :class:`FlowRecord` items and columnar
         :class:`FlowBatch` runs; timestamps must be non-decreasing
-        across and within items.  A batch spanning a sweep boundary is
-        cut at the boundary (binary search on its timestamp column) so
-        "all ingest before each sweep tick" holds exactly as in the
-        per-flow replay.
+        across and within items.  Records are chunked into batches
+        first (:func:`iter_flow_batches`), so engines only ever see
+        ``ingest_batch``.  A batch spanning a sweep boundary is cut at
+        the boundary (binary search on its timestamp column) so "all
+        ingest before each sweep tick" holds exactly as in a
+        flow-by-flow replay.
 
         When this pipeline was built by :meth:`resume` (or is replaying
         after crash recovery), the restored cursor takes over: the first
@@ -376,71 +378,47 @@ class Pipeline:
                 sweep_at += t
                 next_sweep = sweep_at
 
-        for item in flows:
-            if isinstance(item, FlowBatch):
-                timestamps = item.timestamps
-                if not timestamps:
+        for item in iter_flow_batches(flows):
+            timestamps = item.timestamps
+            if not timestamps:
+                continue
+            if skip:
+                rows = len(timestamps)
+                if rows <= skip:
+                    skip -= rows
                     continue
-                if skip:
-                    rows = len(timestamps)
-                    if rows <= skip:
-                        skip -= rows
-                        continue
-                    item = item.slice(skip, rows)
-                    timestamps = item.timestamps
-                    skip = 0
-                first_time = timestamps[0]
-                if last_time is not None and first_time < last_time - 1e-9:
+                item = item.slice(skip, rows)
+                timestamps = item.timestamps
+                skip = 0
+            first_time = timestamps[0]
+            if last_time is None:
+                last_time = first_time
+            for timestamp in timestamps:
+                if timestamp < last_time - 1e-9:
                     raise ValueError(
                         "flow stream is not time-ordered: "
-                        f"{first_time} after {last_time}"
+                        f"{timestamp} after {last_time}"
                     )
-                if any(
-                    timestamps[i] > timestamps[i + 1]
-                    for i in range(len(timestamps) - 1)
-                ):
-                    raise ValueError("FlowBatch is not time-ordered internally")
-                last_time = timestamps[-1]
-                if next_sweep is None:
-                    next_sweep = (int(first_time // t) + 1) * t
-                    next_snapshot = (
-                        int(first_time // self.snapshot_seconds) + 1
-                    ) * self.snapshot_seconds
-                    if store is not None:
-                        next_checkpoint = (int(first_time // every) + 1) * every
-                start = 0
-                total = len(timestamps)
-                while start < total:
-                    yield from _boundary(timestamps[start])
-                    end = bisect_left(timestamps, next_sweep, start)
-                    if start == 0 and end == total:
-                        engine.ingest_batch(item)
-                    else:
-                        engine.ingest_batch(item.slice(start, end))
-                    result.flows_processed += end - start
-                    start = end
-                continue
-            flow = item
-            if skip:
-                skip -= 1
-                continue
-            if last_time is not None and flow.timestamp < last_time - 1e-9:
-                raise ValueError(
-                    "flow stream is not time-ordered: "
-                    f"{flow.timestamp} after {last_time}"
-                )
-            last_time = flow.timestamp
+                last_time = timestamp
             if next_sweep is None:
                 # Align sweep/snapshot grids to the trace start.
-                next_sweep = (int(flow.timestamp // t) + 1) * t
+                next_sweep = (int(first_time // t) + 1) * t
                 next_snapshot = (
-                    int(flow.timestamp // self.snapshot_seconds) + 1
+                    int(first_time // self.snapshot_seconds) + 1
                 ) * self.snapshot_seconds
                 if store is not None:
-                    next_checkpoint = (int(flow.timestamp // every) + 1) * every
-            yield from _boundary(flow.timestamp)
-            engine.ingest(flow)
-            result.flows_processed += 1
+                    next_checkpoint = (int(first_time // every) + 1) * every
+            start = 0
+            total = len(timestamps)
+            while start < total:
+                yield from _boundary(timestamps[start])
+                end = bisect_left(timestamps, next_sweep, start)
+                if start == 0 and end == total:
+                    engine.ingest_batch(item)
+                else:
+                    engine.ingest_batch(item.slice(start, end))
+                result.flows_processed += end - start
+                start = end
 
         if last_time is not None and next_sweep is not None:
             # Close the final bucket.

@@ -75,9 +75,6 @@ from .shards import ShardTickResult
 
 __all__ = ["ShardedIPD"]
 
-#: buffered per-flow rows are flushed to the executor at this many rows
-_PENDING_FLUSH_ROWS = 8192
-
 
 class ShardedIPD:
     """A drop-in IPD engine that fans ingest out over ``2^k`` shards."""
@@ -121,9 +118,6 @@ class ShardedIPD:
             version: Prefix.root(version).bits - depth
             for version in (IPV4, IPV6)
         }
-        #: (version, index) -> FlowBatch accumulating per-flow submissions
-        self._pending: dict[tuple[int, int], FlowBatch] = {}
-        self._pending_rows = 0
         self.flows_ingested = 0
         self.bytes_ingested = 0
         self.last_sweep_at: float | None = None
@@ -139,25 +133,8 @@ class ShardedIPD:
     # ------------------------------------------------------------------ stage 1
 
     def ingest(self, flow: FlowRecord) -> None:
-        """Route one flow to its owning engine (buffered for shards)."""
-        version = flow.version
-        if self.split_depth and (
-            flow.src_ip >> self._shifts[version]
-        ) not in self._delegated[version]:
-            self.aggregator.ingest(flow)
-        else:
-            index = (
-                flow.src_ip >> self._shifts[version] if self.split_depth else 0
-            )
-            pending = self._pending.get((version, index))
-            if pending is None:
-                pending = self._pending[(version, index)] = FlowBatch(version)
-            pending.append(flow)
-            self._pending_rows += 1
-            if self._pending_rows >= _PENDING_FLUSH_ROWS:
-                self._flush_pending()
-        self.flows_ingested += 1
-        self.bytes_ingested += flow.bytes
+        """Route one flow (API edge: a one-row :meth:`ingest_batch`)."""
+        self.ingest_batch(FlowBatch.from_flows((flow,)))
 
     def ingest_batch(self, batch: FlowBatch) -> int:
         """Route a columnar batch: aggregator rows inline, shard rows fed out."""
@@ -205,7 +182,7 @@ class ShardedIPD:
         return count
 
     def ingest_many(self, flows: "Iterable[FlowRecord] | FlowBatch") -> int:
-        """Batched routing for an iterable of flows."""
+        """Route an iterable of flows (API edge: chunked :meth:`ingest_batch`)."""
         if isinstance(flows, FlowBatch):
             return self.ingest_batch(flows)
         count = 0
@@ -213,20 +190,11 @@ class ShardedIPD:
             count += self.ingest_batch(batch)
         return count
 
-    def _flush_pending(self) -> None:
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, {}
-        self._pending_rows = 0
-        for (__, index), batch in pending.items():
-            self._executor.feed(index, batch)
-
     # ------------------------------------------------------------------ stage 2
 
     def sweep(self, now: float) -> SweepReport:
         """One coordinated Stage-2 tick across aggregator and shards."""
         started = time.perf_counter()
-        self._flush_pending()
         # Shards sweep concurrently with the aggregator (disjoint state).
         self._executor.tick_begin(now)
         aggregator_report = self.aggregator.sweep(now)
@@ -480,7 +448,6 @@ class ShardedIPD:
         same state would produce, which is what makes a checkpoint
         restorable at *any* legal shard count.
         """
-        self._flush_pending()
         exports = self._executor.export()
         trees = {}
         for version, tree in self.aggregator.trees.items():
@@ -640,7 +607,6 @@ class ShardedIPD:
         self, now: float, include_unclassified: bool = False
     ) -> list[IPDRecord]:
         """The merged Table-3 view — byte-identical to a single engine's."""
-        self._flush_pending()
         records = self.aggregator.snapshot(
             now, include_unclassified=include_unclassified
         )
@@ -651,11 +617,9 @@ class ShardedIPD:
     # ------------------------------------------------------------------ metrics
 
     def state_size(self) -> int:
-        self._flush_pending()
         return self.aggregator.state_size() + self._executor.metrics().state_size
 
     def leaf_count(self) -> int:
-        self._flush_pending()
         return (
             self.aggregator.leaf_count() + self._executor.metrics().leaf_count()
         )

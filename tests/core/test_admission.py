@@ -6,6 +6,9 @@ runtime topology, saturation chaos) live in
 this suite pins the controller's own semantics.
 """
 
+import random
+from array import array
+
 import pytest
 
 from repro.core.admission import (
@@ -143,6 +146,48 @@ class TestCountMinSketch:
         assert sketch.estimate(1) == 2.0
         assert sketch.estimate(2) == 0.0
         assert sketch.fill < fill_before
+
+    def test_vectorized_halve_and_merge_match_the_cell_loops(self):
+        """The numpy forms are bit-identical to the per-cell loops they
+        replaced (kept here as the reference), fill count included."""
+
+        def loop_halve(cells):
+            fill = 0
+            for index, value in enumerate(cells):
+                if value == 0.0:
+                    continue
+                value *= 0.5
+                if value < 0.5:
+                    value = 0.0
+                else:
+                    fill += 1
+                cells[index] = value
+            return fill
+
+        def loop_merge(cells, fill, other):
+            for index, value in enumerate(other):
+                if value == 0.0:
+                    continue
+                if cells[index] == 0.0:
+                    fill += 1
+                cells[index] += value
+            return fill
+
+        rng = random.Random(1905)
+        sketch = CountMinSketch(256, 4, seed=11)
+        other = CountMinSketch(256, 4, seed=11)
+        for __ in range(600):
+            sketch.add(rng.getrandbits(32), float(rng.randrange(1, 4000)))
+            other.add(rng.getrandbits(32), float(rng.randrange(1, 9)))
+        cells, fill = array("d", sketch.cells), sketch.fill
+        fill = loop_merge(cells, fill, other.cells)
+        sketch.merge(other)
+        assert (bytes(sketch.cells), sketch.fill) == (bytes(cells), fill)
+        for __ in range(24):  # until every cell has decayed to zero
+            fill = loop_halve(cells)
+            sketch.halve()
+            assert (bytes(sketch.cells), sketch.fill) == (bytes(cells), fill)
+        assert sketch.fill == 0
 
     def test_sparse_roundtrip(self):
         sketch = CountMinSketch(128, 3, seed=5)

@@ -16,6 +16,11 @@ def ip(text: str) -> int:
     return parse_ip(text)[0]
 
 
+def add(state: UnclassifiedState, address, ingress, timestamp, weight=1.0) -> None:
+    """One sample, as a single-entry ``add_batch`` (what ingest folds)."""
+    state.add_batch(address, {ingress: weight}, newest=timestamp, oldest=timestamp)
+
+
 class TestLookup:
     def test_root_covers_everything(self):
         tree = RangeTree(IPV4)
@@ -25,8 +30,8 @@ class TestLookup:
     def test_lookup_after_split(self):
         tree = RangeTree(IPV4)
         state = tree.root.state
-        state.add(ip("10.0.0.0"), A, 0.0)
-        state.add(ip("200.0.0.0"), A, 0.0)
+        add(state, ip("10.0.0.0"), A, 0.0)
+        add(state, ip("200.0.0.0"), A, 0.0)
         left, right = tree.split(tree.root)
         assert tree.lookup_leaf(ip("10.0.0.1")) is left
         assert tree.lookup_leaf(ip("200.0.0.1")) is right
@@ -36,7 +41,7 @@ class TestLookup:
         address = ip("10.0.0.0")
         first = tree.lookup_leaf(address)
         assert first is tree.root
-        tree.root.state.add(address, A, 0.0)
+        add(tree.root.state, address, A, 0.0)
         tree.split(tree.root)
         second = tree.lookup_leaf(address)
         assert second is not tree.root
@@ -55,8 +60,8 @@ class TestSplit:
     def test_split_redistributes_per_ip_state(self):
         tree = RangeTree(IPV4)
         state = tree.root.state
-        state.add(ip("10.0.0.0"), A, 1.0, weight=3.0)
-        state.add(ip("200.0.0.0"), A, 2.0, weight=5.0)
+        add(state, ip("10.0.0.0"), A, 1.0, weight=3.0)
+        add(state, ip("200.0.0.0"), A, 2.0, weight=5.0)
         left, right = tree.split(tree.root)
         assert left.state.sample_count == 3.0
         assert right.state.sample_count == 5.0
@@ -67,7 +72,7 @@ class TestSplit:
         tree = RangeTree(IPV4)
         state = tree.root.state
         for offset in range(50):
-            state.add((offset * 77_000_000) % (1 << 32), A, 0.0)
+            add(state, (offset * 77_000_000) % (1 << 32), A, 0.0)
         total = state.sample_count
         left, right = tree.split(tree.root)
         assert left.state.sample_count + right.state.sample_count == total
@@ -228,7 +233,7 @@ class TestIncrementalCounters:
         left, right = tree.split(tree.root)
         assert tree.drain_dirty() == {left, right}
         assert tree.drain_dirty() == set()
-        left.state.add(ip("1.2.3.4"), A, 0.0)
+        add(left.state, ip("1.2.3.4"), A, 0.0)
         # direct state mutation is invisible; assignment is tracked
         right.state = ClassifiedState(A, {A: 1.0}, 0.0, 0.0)
         assert right in tree.drain_dirty()
@@ -238,9 +243,9 @@ class TestExpiryHeap:
     def test_pop_due_returns_old_leaves_once(self):
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
-        left.state.add(ip("1.0.0.0"), A, 10.0)
+        add(left.state, ip("1.0.0.0"), A, 10.0)
         tree.schedule_expiry(left)
-        right.state.add(ip("200.0.0.0"), A, 500.0)
+        add(right.state, ip("200.0.0.0"), A, 500.0)
         tree.schedule_expiry(right)
         assert tree.pop_expiry_due(100.0) == [left]
         assert tree.pop_expiry_due(100.0) == []  # popped = unscheduled
@@ -249,7 +254,7 @@ class TestExpiryHeap:
     def test_stale_entries_skipped_after_split(self):
         tree = RangeTree(IPV4)
         root_state = tree.root.state
-        root_state.add(ip("10.0.0.0"), A, 1.0)
+        add(root_state, ip("10.0.0.0"), A, 1.0)
         tree.schedule_expiry(tree.root)
         left, __ = tree.split(tree.root)  # root is internal now
         due = tree.pop_expiry_due(1e9)
@@ -259,9 +264,9 @@ class TestExpiryHeap:
     def test_rearming_at_lower_bound_supersedes(self):
         tree = RangeTree(IPV4)
         state = tree.root.state
-        state.add(ip("1.0.0.0"), A, 100.0)
+        add(state, ip("1.0.0.0"), A, 100.0)
         tree.schedule_expiry(tree.root)
-        state.add(ip("2.0.0.0"), A, 20.0)  # older sample lowers the bound
+        add(state, ip("2.0.0.0"), A, 20.0)  # older sample lowers the bound
         tree.schedule_expiry(tree.root)
         assert tree.pop_expiry_due(50.0) == [tree.root]
         assert tree.pop_expiry_due(500.0) == []  # stale 100.0 entry skipped
@@ -304,7 +309,7 @@ class TestPrune:
     def test_prune_upward_stops_at_nonremovable_sibling(self):
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
-        right.state.add(ip("200.0.0.0"), A, 0.0)
+        add(right.state, ip("200.0.0.0"), A, 0.0)
         removed = tree.prune_upward(
             [left],
             lambda node: isinstance(node.state, UnclassifiedState)
@@ -316,7 +321,7 @@ class TestPrune:
     def test_prune_keeps_nonempty(self):
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
-        left.state.add(ip("1.0.0.0"), A, 0.0)
+        add(left.state, ip("1.0.0.0"), A, 0.0)
         removed = tree.prune(
             lambda node: isinstance(node.state, UnclassifiedState)
             and node.state.is_empty()
@@ -329,7 +334,7 @@ class TestIPv6:
     def test_v6_tree_lookup_and_split(self):
         tree = RangeTree(IPV6)
         value = parse_ip("2001:db8::1")[0]
-        tree.root.state.add(value, A, 0.0)
+        add(tree.root.state, value, A, 0.0)
         left, right = tree.split(tree.root)
         found = tree.lookup_leaf(value)
         assert found.prefix.masklen == 1
@@ -350,7 +355,7 @@ def test_property_lookup_always_contains(addresses, split_choices):
     the leaves always partition the full address space."""
     tree = RangeTree(IPV4)
     for address in addresses:
-        tree.root.state.add(address, A, 0.0) if tree.root.is_leaf else None
+        add(tree.root.state, address, A, 0.0) if tree.root.is_leaf else None
     for choice in split_choices:
         leaves = [
             leaf

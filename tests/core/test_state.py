@@ -17,6 +17,11 @@ INGRESSES = (A, B, C)
 INF = float("inf")
 
 
+def add(state: UnclassifiedState, ip, ingress, timestamp, weight=1.0) -> None:
+    """One sample, as a single-entry ``add_batch`` (what ingest folds)."""
+    state.add_batch(ip, {ingress: weight}, newest=timestamp, oldest=timestamp)
+
+
 def check_invariants(state: UnclassifiedState) -> None:
     """total/entries/oldest_seen must track per_ip exactly, always."""
     weights = [
@@ -36,35 +41,35 @@ def check_invariants(state: UnclassifiedState) -> None:
 class TestUnclassifiedState:
     def test_add_accumulates_total(self):
         state = UnclassifiedState()
-        state.add(10, A, timestamp=1.0)
-        state.add(10, A, timestamp=2.0)
-        state.add(20, B, timestamp=3.0)
+        add(state, 10, A, timestamp=1.0)
+        add(state, 10, A, timestamp=2.0)
+        add(state, 20, B, timestamp=3.0)
         assert state.sample_count == 3.0
 
     def test_add_with_weight(self):
         state = UnclassifiedState()
-        state.add(10, A, timestamp=1.0, weight=5.0)
+        add(state, 10, A, timestamp=1.0, weight=5.0)
         assert state.sample_count == 5.0
 
     def test_last_seen_keeps_newest(self):
         state = UnclassifiedState()
-        state.add(10, A, timestamp=5.0)
-        state.add(10, A, timestamp=3.0)  # late sample, earlier clock
+        add(state, 10, A, timestamp=5.0)
+        add(state, 10, A, timestamp=3.0)  # late sample, earlier clock
         assert state.last_seen[10] == 5.0
 
     def test_ingress_totals(self):
         state = UnclassifiedState()
-        state.add(10, A, 1.0)
-        state.add(11, A, 1.0)
-        state.add(12, B, 1.0, weight=2.0)
+        add(state, 10, A, 1.0)
+        add(state, 11, A, 1.0)
+        add(state, 12, B, 1.0, weight=2.0)
         totals = state.ingress_totals()
         assert totals[A] == 2.0
         assert totals[B] == 2.0
 
     def test_expire_removes_stale_sources(self):
         state = UnclassifiedState()
-        state.add(10, A, timestamp=0.0)
-        state.add(20, A, timestamp=100.0)
+        add(state, 10, A, timestamp=0.0)
+        add(state, 20, A, timestamp=100.0)
         removed = state.expire(cutoff=50.0)
         assert removed == 1
         assert 10 not in state.per_ip
@@ -73,21 +78,21 @@ class TestUnclassifiedState:
 
     def test_expire_everything_resets_total(self):
         state = UnclassifiedState()
-        state.add(10, A, 0.0)
+        add(state, 10, A, 0.0)
         state.expire(cutoff=1000.0)
         assert state.is_empty()
         assert state.sample_count == 0.0
 
     def test_expire_keeps_boundary(self):
         state = UnclassifiedState()
-        state.add(10, A, timestamp=50.0)
+        add(state, 10, A, timestamp=50.0)
         assert state.expire(cutoff=50.0) == 0  # strictly-before semantics
 
     def test_newest_timestamp(self):
         state = UnclassifiedState()
         assert state.newest_timestamp == float("-inf")
-        state.add(10, A, 7.0)
-        state.add(11, A, 9.0)
+        add(state, 10, A, 7.0)
+        add(state, 11, A, 9.0)
         assert state.newest_timestamp == 9.0
 
 
@@ -104,7 +109,7 @@ class TestUnclassifiedBatch:
 
     def test_add_batch_merges_existing_source(self):
         state = UnclassifiedState()
-        state.add(10, A, timestamp=4.0, weight=1.0)
+        add(state, 10, A, timestamp=4.0, weight=1.0)
         state.add_batch(10, {A: 2.0, B: 3.0}, newest=6.0, oldest=2.0)
         assert state.per_ip[10] == {A: 3.0, B: 3.0}
         assert state.total == 6.0
@@ -115,9 +120,18 @@ class TestUnclassifiedBatch:
 
     def test_add_batch_equals_per_sample_adds(self):
         samples = [(10, A, 4.0), (10, B, 2.0), (10, A, 6.0)]
+        # the literal per-sample sums the paper's Stage 1 would keep
+        literal = UnclassifiedState(
+            per_ip={10: {A: 2.0, B: 1.0}},
+            last_seen={10: 6.0},
+            total=3.0,
+            entries=2,
+            oldest_seen=2.0,
+        )
         one_by_one = UnclassifiedState()
         for ip, ingress, ts in samples:
-            one_by_one.add(ip, ingress, ts)
+            add(one_by_one, ip, ingress, ts)
+        assert one_by_one == literal
         grouped = UnclassifiedState()
         by_ingress: dict = {}
         for __, ingress, ___ in samples:
@@ -127,7 +141,7 @@ class TestUnclassifiedBatch:
             newest=max(ts for *__, ts in samples),
             oldest=min(ts for *__, ts in samples),
         )
-        assert one_by_one == grouped
+        assert grouped == literal
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,8 +169,8 @@ def test_property_total_never_drifts(operations):
         target = leaves[address % len(leaves)]
         state = target.state
         if opcode <= 2:
-            state.add(address, INGRESSES[opcode], float(timestamp),
-                      float(weight))
+            add(state, address, INGRESSES[opcode], float(timestamp),
+                float(weight))
         elif opcode == 3:
             state.expire(cutoff=float(timestamp))
         elif opcode == 4 and target.prefix.masklen < 24:
@@ -181,14 +195,14 @@ class TestClassifiedState:
 
     def test_add_updates_counters_and_last_seen(self):
         state = self.make()
-        state.add(A, timestamp=5.0, weight=10.0)
+        state.add_batch({A: 10.0}, newest=5.0)
         assert state.counters[A] == 100.0
         assert state.last_seen == 5.0
 
     def test_add_does_not_rewind_last_seen(self):
         state = self.make()
-        state.add(A, timestamp=5.0)
-        state.add(B, timestamp=2.0)
+        state.add_batch({A: 1.0}, newest=5.0)
+        state.add_batch({B: 1.0}, newest=2.0)
         assert state.last_seen == 5.0
 
     def test_total(self):

@@ -100,6 +100,13 @@ def test_hot_path_marker_is_identity():
     marked = hot_path(probe)
     assert marked is probe  # no wrapper, no overhead
     assert marked(1) == 2
+    # the ledger measures *through* the marker, so the marked engine
+    # entry points must be the plain functions, not wrappers
+    from repro.core.algorithm import IPD
+
+    for method in (IPD.ingest, IPD.ingest_batch, IPD.sweep):
+        assert method.__qualname__ == f"IPD.{method.__name__}"
+        assert not hasattr(method, "__wrapped__")
 
 
 def test_missing_path_raises():

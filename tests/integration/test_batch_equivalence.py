@@ -1,12 +1,15 @@
-"""Batched ingest must be indistinguishable from per-flow ingest.
+"""How a stream is cut into batches must not show in the result.
 
-The columnar hot path regroups flows by masked source before touching
-the trie, so these tests pin the core guarantee: for integer-valued
-weights, `ingest_batch()` over a stream chopped into arbitrary batches
-produces *byte-identical* snapshots, state sizes and trie shapes to
-feeding the same stream through `ingest()` one flow at a time — on the
-fig05-style algorithm example and on a dual-stack synthetic scenario,
-through splits, classifications, joins, expiry and drops.
+Every flow reaches the trie through `ingest_batch()`, which regroups
+flows by masked source before touching the trie, so these tests pin
+the core guarantee: for integer-valued weights, a stream chopped into
+arbitrary batches produces *byte-identical* snapshots, state sizes and
+trie shapes to the same stream fed as one-row groups — `ingest()` one
+flow at a time, the per-flow API edge — on the fig05-style algorithm
+example and on a dual-stack synthetic scenario, through splits,
+classifications, joins, expiry and drops.  (That one-row groups equal
+the paper's literal per-flow Stage 1 is the oracle suite's job,
+`tests/testkit/test_oracle_differential.py`.)
 """
 
 import random
@@ -40,7 +43,7 @@ def engine_states(ipd: IPD, now: float):
 
 
 def run_equivalence(flows, params, seed):
-    """Drive per-flow vs batched engines sweep-by-sweep, comparing state."""
+    """Drive one-row vs randomly grouped engines sweep-by-sweep, comparing state."""
     rng = random.Random(seed)
     reference = IPD(params)
     batched = IPD(params)

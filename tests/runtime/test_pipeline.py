@@ -4,21 +4,29 @@ import io
 
 import pytest
 
-from repro.core.iputil import IPV4, parse_ip
+from repro.core.iputil import IPV4, IPV6, parse_ip
 from repro.core.output import read_records_csv
 from repro.core.params import IPDParams
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from repro.runtime import (
     CallbackSink,
+    CheckpointStore,
     CSVSink,
     LivePipeline,
     MemorySink,
     Pipeline,
     ShardedIPD,
 )
+from repro.testkit.traces import DUALSTACK_PARAMS, dualstack_trace
 from repro.topology.elements import IngressPoint
+from tests.runtime.test_checkpoint_resume import assert_resumed_equivalent
+from tests.runtime.test_shard_equivalence import assert_equivalent
 
 A = IngressPoint("R1", "et0")
+
+
+def flow(timestamp: float, version: int = IPV4) -> FlowRecord:
+    return FlowRecord(timestamp=timestamp, src_ip=1, version=version, ingress=A)
 
 
 def params(**kwargs) -> IPDParams:
@@ -72,6 +80,90 @@ class TestPipeline:
             pipeline.run(stream(3))
         # a second close must be harmless
         pipeline.close()
+
+
+def mixed_stream(flows, run=61):
+    """Alternate runs of bare records and prebuilt batches, order kept."""
+    for number, start in enumerate(range(0, len(flows), run)):
+        chunk = flows[start:start + run]
+        if number % 2:
+            yield from iter_flow_batches(chunk, batch_size=23)
+        else:
+            yield from chunk
+
+
+class TestRecordNormalisation:
+    """Records are chunked into batches once, at the top of the replay:
+    how the stream is packaged must not show anywhere in the output."""
+
+    def run(self, stream, directory, **kwargs):
+        store = CheckpointStore(directory, retain=100)
+        with Pipeline(
+            DUALSTACK_PARAMS,
+            snapshot_seconds=120.0,
+            include_unclassified=True,
+            checkpoint_store=store,
+            checkpoint_every=DUALSTACK_PARAMS.t,
+            **kwargs,
+        ) as pipeline:
+            result = pipeline.run(stream)
+        return result, [store.load(path) for path in store.list()]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_records_batches_and_mixed_streams_agree(self, tmp_path, shards):
+        flows = dualstack_trace()
+        reference, reference_saves = self.run(
+            flows, tmp_path / "records", shards=shards
+        )
+        assert len(reference_saves) == len(reference.sweeps)
+        for name, stream in (
+            ("batched", iter_flow_batches(flows, batch_size=97)),
+            ("mixed", mixed_stream(flows)),
+        ):
+            result, saves = self.run(stream, tmp_path / name, shards=shards)
+            assert_equivalent(reference, result)
+            # every sweep tick's checkpoint: same cursor, same engine bytes
+            assert saves == reference_saves, name
+
+    def test_resume_cursor_mid_chunk_replays_exactly(self, tmp_path):
+        flows = dualstack_trace()
+        reference, saves = self.run(flows, tmp_path / "ckpt")
+        # the cursors fall inside the record chunks and inside the
+        # 97-row batches, so the skip has to cut both kinds of item
+        assert any(save.flows_processed % 97 for save in saves[:-1])
+        for index, checkpoint in enumerate(saves):
+            for name, stream in (
+                ("records", flows),
+                ("batched", iter_flow_batches(flows, batch_size=97)),
+                ("mixed", mixed_stream(flows)),
+            ):
+                with Pipeline.resume(
+                    CheckpointStore(tmp_path / f"{name}-{index}", retain=100),
+                    checkpoint=checkpoint,
+                    snapshot_seconds=120.0,
+                    include_unclassified=True,
+                ) as pipeline:
+                    resumed = pipeline.run(stream)
+                assert_resumed_equivalent(reference, checkpoint, resumed)
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            # inside one record chunk, across a family cut, inside a batch
+            [flow(100.0), flow(10.0)],
+            [flow(100.0), flow(100.0, version=IPV6), flow(10.0)],
+            [FlowBatch.from_flows([flow(100.0), flow(10.0)])],
+            [flow(100.0), FlowBatch.from_flows([flow(10.0)])],
+        ],
+        ids=["records", "family-cut", "batch", "record-then-batch"],
+    )
+    def test_out_of_order_stream_rejected(self, stream):
+        with pytest.raises(ValueError, match="not time-ordered"):
+            Pipeline(params()).run(stream)
+
+    def test_sub_nanosecond_jitter_still_accepted(self):
+        result = Pipeline(params()).run([flow(100.0), flow(100.0 - 5e-10)])
+        assert result.flows_processed == 2
 
 
 class TestSinks:

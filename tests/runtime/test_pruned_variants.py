@@ -1,4 +1,4 @@
-"""The threaded executor and the transport option are gone, not hidden."""
+"""Deleted variants are gone, not hidden: executors, transport, per-flow forks."""
 
 import pytest
 
@@ -17,3 +17,17 @@ def test_removed_executor_and_transport_are_rejected(capsys):
             main(["run", "flows.csv", "records.csv", *flag])
         assert exit_info.value.code == 2
     capsys.readouterr()  # argparse's usage text
+
+
+def test_per_flow_forks_are_gone(capsys):
+    """One Stage-1 path: no per-flow CLI mode, shard buffer or third gate."""
+    from repro.core.admission import AdmissionController
+    from repro.runtime import ShardedIPD
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "flows.csv", "records.csv", "--batch-size", "0"])
+    assert exit_info.value.code == 2
+    assert "--batch-size" in capsys.readouterr().err
+    with ShardedIPD(shards=4) as sharded:
+        assert not hasattr(sharded, "_pending")
+    assert not hasattr(AdmissionController, "partition_batch")

@@ -4,10 +4,10 @@ import time
 
 import pytest
 
-from repro.core.iputil import IPV4, parse_ip
+from repro.core.iputil import IPV4, IPV6, parse_ip
 from repro.core.params import IPDParams
-from repro.netflow.records import FlowRecord
-from repro.runtime import LivePipeline, Pipeline
+from repro.netflow.records import FlowBatch, FlowRecord
+from repro.runtime import LivePipeline, Pipeline, ShardedIPD
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -165,3 +165,75 @@ class TestLivePipeline:
         state = runner.engine.trees[IPV4].root.state
         # the ingested sample carries the live clock, not the trace time
         assert state.newest_timestamp == pytest.approx(1000.0)
+
+
+class RecordingEngine:
+    """Stands in for an engine: keeps what ``ingest_batch`` was handed."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.batches: list[FlowBatch] = []
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def ingest_batch(self, batch):
+        self.batches.append(batch)
+        return self.engine.ingest_batch(batch)
+
+
+def numbered(index: int, version: int = IPV4) -> FlowRecord:
+    return FlowRecord(timestamp=0.0, src_ip=index, version=version, ingress=A)
+
+
+class TestLiveCoalescing:
+    """The consumer turns whatever is queued into batches, in submit order."""
+
+    def submit_mixed(self, runner) -> list[int]:
+        """Records, a family change, a prebuilt batch, more records."""
+        for index in range(40):
+            runner.submit(numbered(index))
+        for index in range(40, 50):
+            runner.submit(numbered(index, IPV6))
+        runner.submit_batch(
+            FlowBatch.from_flows([numbered(index) for index in range(50, 70)])
+        )
+        for index in range(70, 100):
+            runner.submit(numbered(index))
+        return list(range(100))
+
+    def test_coalescing_preserves_submit_order(self):
+        from repro.core.algorithm import IPD
+
+        engine = RecordingEngine(IPD(params()))
+        runner = LivePipeline(engine=engine, sweep_interval=100.0,
+                              clock=lambda: 10.0)
+        expected = self.submit_mixed(runner)
+        runner.stop()
+        assert [src for batch in engine.batches for src in batch.src_ips] == expected
+        # one batch per same-family run, not one per record
+        assert [(b.version, len(b)) for b in engine.batches] == [
+            (IPV4, 40), (IPV6, 10), (IPV4, 20), (IPV4, 30)
+        ]
+        assert engine.flows_ingested == 100
+
+    def test_items_behind_the_stop_sentinel_are_ingested(self):
+        runner = LivePipeline(params(), sweep_interval=100.0, clock=lambda: 10.0)
+        runner.submit(numbered(1))
+        runner._queue.put(None)  # an earlier stop's sentinel, mid-queue
+        runner.submit(numbered(2))
+        runner.submit_batch(FlowBatch.from_flows([numbered(3), numbered(4)]))
+        runner.stop()
+        assert runner.engine.flows_ingested == 4
+
+    def test_sharded_live_engine_receives_batches(self):
+        with ShardedIPD(params(), shards=4) as sharded:
+            engine = RecordingEngine(sharded)
+            runner = LivePipeline(engine=engine, sweep_interval=50.0)
+            runner.start()
+            for index in range(300):
+                runner.submit(numbered((index % 256) << 24))
+            runner.stop()
+            assert sum(len(batch) for batch in engine.batches) == 300
+            assert sharded.flows_ingested == 300
+            assert sharded.leaf_count() >= 1

@@ -59,20 +59,34 @@ def tick(engine: IPD, oracle: ReferenceIPD, now: float) -> None:
     assert_engines_equivalent(engine, oracle, now)
 
 
-def run_lockstep(flows, params, engine=None, oracle=None, trailing=6):
-    """Per-flow ingest with a sweep + full compare at every t boundary."""
+def run_lockstep(flows, params, engine=None, oracle=None, trailing=6,
+                 entry="ingest"):
+    """Ingest with a sweep + full compare at every t boundary.
+
+    The oracle always takes flows one by one (the paper's Stage 1).  The
+    engine takes them through *entry*: ``"ingest"``, flow by flow through
+    the per-flow API edge (a one-row ``ingest_batch``, the default), or
+    each sweep bucket at once through ``"ingest_many"``.
+    """
     engine = IPD(params) if engine is None else engine
     oracle = ReferenceIPD(params) if oracle is None else oracle
     t = params.t
     next_sweep = None
+    bucket = []
     for flow in flows:
         if next_sweep is None:
             next_sweep = (int(flow.timestamp // t) + 1) * t
         while flow.timestamp >= next_sweep:
+            engine.ingest_many(bucket)
+            bucket = []
             tick(engine, oracle, next_sweep)
             next_sweep += t
-        engine.ingest(flow)
+        if entry == "ingest":
+            engine.ingest(flow)
+        else:
+            bucket.append(flow)
         oracle.ingest(flow)
+    engine.ingest_many(bucket)
     if next_sweep is None:
         next_sweep = t
     # trailing idle sweeps: expiry, decay, drops, prunes on both sides
@@ -92,6 +106,9 @@ class TestFixtureTraces:
     def test_dualstack_flow_weighted_lockstep(self):
         params = IPDParams(n_cidr_factor_v4=0.002, n_cidr_factor_v6=0.002)
         run_lockstep(dualstack_trace(seed=29), params)
+
+    def test_bucket_at_once_entry_matches_the_oracle_too(self):
+        run_lockstep(dualstack_trace(), DUALSTACK_PARAMS, entry="ingest_many")
 
     def test_replay_reference_matches_lockstep_oracle(self):
         """The pipeline-shaped replay helper agrees with manual driving."""
