@@ -112,9 +112,9 @@ def _print_admission_counters(args: argparse.Namespace, result) -> None:
     dropped = sum(s.admission_dropped for s in result.sweeps)
     promoted = sum(s.admission_promoted for s in result.sweeps)
     saturated = any(s.admission_saturated for s in result.sweeps)
-    print(f"admission ({args.admission}): admitted {admitted:,}  "
-          f"held {held:,}  dropped {dropped:,}  promoted {promoted:,}"
-          + ("  [saturated]" if saturated else ""))
+    print(f"admission ({args.admission}): flows admitted {admitted:,}  "
+          f"held {held:,}  dropped {dropped:,}; sources promoted "
+          f"{promoted:,}" + ("  [saturated]" if saturated else ""))
 
 
 def _cmd_run_scenario(args: argparse.Namespace) -> int:
@@ -268,7 +268,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             except IncompatibleStateError as exc:
                 print(
                     f"cannot resume: engine state in {args.checkpoint_dir} "
-                    f"needs a newer build ({exc})",
+                    f"was written by an incompatible build ({exc})",
                     file=sys.stderr,
                 )
                 return 2
@@ -520,10 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "skipping already-processed rows)")
     run.add_argument("--admission", choices=["off", "exact", "lossy"],
                      default="off",
-                     help="sketch-gated admission front-end: 'exact' holds "
-                          "mice back but replays them before each sweep "
-                          "(output identical to off), 'lossy' drops sources "
-                          "that never reach the promotion threshold")
+                     help="sketch-gated admission front-end: 'lossy' drops "
+                          "the flows of sources below the promotion "
+                          "threshold, 'exact' only counts them (same gate, "
+                          "every flow kept: output identical to off)")
     run.add_argument("--admission-promote-weight", type=float, default=4.0,
                      help="sketch estimate at which a source is promoted "
                           "to the elephant fast path")

@@ -2,20 +2,22 @@
 
 At deployment scale most source prefixes are one-shot "mice" that never
 accumulate to ``n_cidr``, yet every flow pays a full trie insert.  This
-module inserts a staged *admit → promote → count* pipeline between
-batch decode and trie ingest:
+module is the one gate in front of the trie — a row mask computed inside
+:meth:`IPD.ingest_batch`, so the ingest pipeline reads
+``decode → gate rows → mask+group → fold``:
 
 * a seeded **count-min sketch** (Azzana et al.'s Bloom-filter large-flow
   identification, generalized to weighted counts) tracks the volume of
   every masked source cheaply and off-trie;
 * sources whose sketch estimate crosses the **promotion threshold**
   (Jurkiewicz's mice/elephant boundary) are promoted to the *elephant
-  set* and admitted directly from then on;
-* sub-threshold "mice" are **held back**: in ``exact`` mode they are
-  buffered and replayed before every sweep (byte-identical output to
-  running without admission); in ``lossy`` mode they are dropped and
-  only their sketch counts survive (bounded accuracy loss, measured on
-  the Fig. 6 benchmark).
+  set* and skip the sketch from then on;
+* rows of sub-threshold "mice" are **dropped** in ``lossy`` mode (only
+  their sketch counts survive; bounded accuracy loss, measured on the
+  Fig. 6 benchmark).  ``exact`` mode runs the very same function but
+  keeps every row: it observes — sketch, herd and counters move as in
+  ``lossy`` — and the trie sees exactly what admission-off would feed
+  it, at every instant.  Nothing is buffered in either mode.
 
 Aging is wired to trace time (IPD001): the sketch halves on fixed
 ``age_seconds`` boundaries of the replayed clock, so a long-idle mouse
@@ -28,11 +30,11 @@ Saturation safety: a sketch can only ever *over*-estimate, so admission
 errors always fall toward admitting more.  When the sketch saturates —
 its fill ratio crosses ``max_fill``, or the ``sketch_saturate`` fault
 forces it — the controller degrades to admit-everything.  An elephant,
-once promoted, is never held or dropped again.
+once promoted, is never dropped again.
 
-The controller's state (sketch cells, elephant set, held groups, aging
+The controller's state (config, sketch cells, elephant set, aging
 cursor) round-trips through a versioned wire section (``CODEC_VERSION``
-below, IPD004-pinned as ``admission:1``) appended to engine blobs by
+below, IPD004-pinned as ``admission:2``) appended to engine blobs by
 :meth:`IPD.to_bytes`, so checkpoint/resume and reshard-on-restore carry
 admission state with the trie.
 """
@@ -41,15 +43,20 @@ from __future__ import annotations
 
 import math
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as _np
 
 from ..devtools.markers import hot_path
-from ..topology.elements import IngressPoint
-from .statecodec import StateCodecError, _Reader, _Writer
+from .iputil import IPV6
+from .statecodec import (
+    IncompatibleStateError,
+    StateCodecError,
+    _damage_reported,
+    _Reader,
+    _Writer,
+)
 
 __all__ = [
     "ADMISSION_MODES",
@@ -58,14 +65,15 @@ __all__ = [
     "AdmissionImage",
     "CODEC_VERSION",
     "CountMinSketch",
+    "MAX_SKETCH_CELLS",
     "auto_sketch_width",
     "decode_admission",
     "encode_admission",
     "merge_admission_images",
 ]
 
-#: bump when the admission wire section changes; pinned as ``admission:1``
-CODEC_VERSION = 1
+#: bump when the admission wire section changes; pinned as ``admission:2``
+CODEC_VERSION = 2
 
 _MAGIC = b"IPDA"
 _KIND_ADMISSION = 0x41  # 'A'
@@ -78,10 +86,10 @@ _MASK64 = (1 << 64) - 1
 #: the admission modes the runtime accepts (``off`` maps to no controller)
 ADMISSION_MODES = ("exact", "lossy")
 
-#: group slots, mirroring the ingest-path group layout
-_BY_INGRESS = 0
-_NEWEST = 1
-_OLDEST = 2
+#: most ``width × depth`` cells a config may ask for (128 MiB of float64
+#: per family; rows round up to a power of two, so at most twice that is
+#: ever allocated) — the bound a damaged wire section is refused at
+MAX_SKETCH_CELLS = 1 << 24
 
 
 def _splitmix64(value: int) -> int:
@@ -96,8 +104,8 @@ def _splitmix64_array(values: "object") -> "object":
     """:func:`_splitmix64` over a uint64 ndarray (wrapping arithmetic).
 
     Bit-for-bit identical to the scalar form: numpy uint64 ops wrap mod
-    2^64 exactly as the masked Python-int version does, so both gate
-    paths hash a key to the same sketch cells.
+    2^64 exactly as the masked Python-int version does, so the gate and
+    the scalar sketch API hash a key to the same sketch cells.
     """
     values = values + _np.uint64(0x9E3779B97F4A7C15)
     values = (values ^ (values >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
@@ -109,11 +117,11 @@ def _splitmix64_array(values: "object") -> "object":
 class AdmissionConfig:
     """Tuning knobs for the admission front-end.
 
-    ``mode`` selects the holdback semantics: ``"exact"`` buffers mice
-    and replays them before each sweep (byte-identical to no admission);
-    ``"lossy"`` drops them below the threshold.  ``promote_weight`` is
-    the sketch-estimate (flow count, or bytes with ``count_bytes``
-    params) at which a source is promoted to the elephant set.
+    ``mode`` selects what the gate does with sub-threshold rows:
+    ``"lossy"`` drops them, ``"exact"`` only counts them (observe-only,
+    byte-identical to no admission).  ``promote_weight`` is the
+    sketch-estimate (flow count, or bytes with ``count_bytes`` params)
+    at which a source is promoted to the elephant set.
     """
 
     mode: str = "exact"
@@ -139,6 +147,11 @@ class AdmissionConfig:
             )
         if self.width < 1 or self.depth < 1:
             raise ValueError("sketch width and depth must be >= 1")
+        if self.width * self.depth > MAX_SKETCH_CELLS:
+            raise ValueError(
+                f"sketch of {self.width} x {self.depth} cells exceeds the "
+                f"cap of {MAX_SKETCH_CELLS}"
+            )
         if self.promote_weight <= 0.0:
             raise ValueError("promote_weight must be positive")
         if self.age_seconds <= 0.0:
@@ -334,50 +347,25 @@ class CountMinSketch:
 
 @dataclass
 class AdmissionImage:
-    """Codec-neutral snapshot of a controller's state.
+    """Codec-neutral snapshot of a controller: its config plus state."""
 
-    ``sketches`` holds the sparse nonzero cells per address family;
-    ``held`` keeps the exact-mode holdback groups in their chronological
-    insertion order (the replay order byte-identity depends on).
-    """
-
-    mode: str
-    promote_weight: float
-    width: int
-    depth: int
-    seed: int
-    age_seconds: float
-    max_fill: float
+    config: AdmissionConfig
     #: aging cursor: the last trace-time boundary applied (None = unset)
     age_boundary: Optional[int] = None
     saturated: bool = False
-    #: version -> [(cell index, value), ...]
+    #: version -> [(cell index, value), ...] (the nonzero cells)
     sketches: dict[int, list] = field(default_factory=dict)
-    #: version -> [masked ip, ...]
+    #: version -> [gate key, ...] (see :meth:`AdmissionController.elephants`)
     elephants: dict[int, list] = field(default_factory=dict)
-    #: version -> {masked: [{ingress: weight}, newest, oldest]}
-    held: dict[int, dict[int, list]] = field(default_factory=dict)
-
-    def config(self) -> AdmissionConfig:
-        """The :class:`AdmissionConfig` this state was produced under."""
-        return AdmissionConfig(
-            mode=self.mode,
-            promote_weight=self.promote_weight,
-            width=self.width,
-            depth=self.depth,
-            seed=self.seed,
-            age_seconds=self.age_seconds,
-            max_fill=self.max_fill,
-        )
 
 
 class AdmissionController:
-    """Per-engine admission state: sketch, elephant set, holdback buffer.
+    """Per-engine admission state: sketch, elephant set, counters.
 
-    One controller fronts one engine's ingest path.  The engine calls
-    :meth:`filter_groups` on every pre-grouped batch; held groups are
-    drained and replayed by the engine before each sweep (and before
-    snapshots), which is what keeps ``exact`` mode byte-identical.
+    One controller fronts one engine's ingest path: the engine calls
+    :meth:`prefilter_rows` once per batch and feeds the trie the rows it
+    returns.  ``admitted`` / ``held_back`` / ``dropped`` count flows
+    (rows), ``promoted`` counts sources.
     """
 
     def __init__(self, config: AdmissionConfig) -> None:
@@ -385,7 +373,6 @@ class AdmissionController:
         self.exact = config.mode == "exact"
         self._sketches: dict[int, CountMinSketch] = {}
         self._elephants: dict[int, set[int]] = {}
-        self._held: dict[int, dict[int, list]] = {}
         # lazily rebuilt sorted-ndarray mirror of each elephant set,
         # keyed by version, cached as (herd size, array) — promotions
         # only ever grow the herd, so a size match means it is current
@@ -410,20 +397,16 @@ class AdmissionController:
         return sketch
 
     def elephants(self, version: int) -> set[int]:
-        """The per-family promoted-source set."""
+        """The per-family promoted set, as gate keys.
+
+        A gate key is the masked source for IPv4 and the masked *high
+        word* for IPv6 (see :meth:`prefilter_rows`).
+        """
         herd = self._elephants.get(version)
         if herd is None:
             herd = set()
             self._elephants[version] = herd
         return herd
-
-    def held(self, version: int) -> dict[int, list]:
-        """The per-family holdback buffer (exact mode)."""
-        held = self._held.get(version)
-        if held is None:
-            held = {}
-            self._held[version] = held
-        return held
 
     @property
     def saturated(self) -> bool:
@@ -461,46 +444,52 @@ class AdmissionController:
         sources: "list[int]",
         weights: "Optional[list[int]]" = None,
     ) -> "Optional[list[int]]":
-        """Vectorized lossy gate over raw batch columns.
+        """The admission gate: one columnar pass over a raw batch.
 
         Runs *before* the per-flow grouping pass, so a dropped mouse
         never pays any Python-level per-flow work: the whole batch is
-        masked, sketch-counted and thresholded as ndarray operations,
-        and only the surviving row indices are returned for grouping.
-        Returns ``None`` to admit every row — exact mode (the holdback
-        buffer needs the groups), saturation, or a mask shift ≥ 64 bits
-        (v6 keys exceed uint64; those batches take the per-group path).
+        masked, herd-checked, sketch-counted and thresholded as ndarray
+        operations, decisions are counted, and the surviving row indices
+        are returned for grouping.  ``None`` means every row: always in
+        ``exact`` mode (which observes but keeps all), under saturation,
+        and when no row fell below the threshold.
 
-        Decision semantics match :meth:`filter_groups` on the same
-        batch: weights fold into the same seeded cells (integer-valued,
-        so the float sums are exact regardless of add order) and every
-        source's estimate is read after the whole batch's weight is in,
-        exactly like the per-group path's one summed add per source.
-        Promoted sources join the shared elephant set, so the group
-        path's herd fast-path picks them up.
+        Weights fold into the seeded cells as integer-valued floats (so
+        the sums are exact regardless of add order) and every source's
+        estimate is read after the whole batch's weight is in — the
+        decisions a per-source loop over :meth:`CountMinSketch.add`
+        makes with one summed add per distinct source.  Elephants never
+        touch the sketch.
+
+        IPv6 keys on the high word, masked to ``min(cidr_max, 64)``
+        bits: up to /64 that *is* the masked prefix (its low word is
+        zero), beyond it the sources of one /64 share a decision, which
+        can only over-admit.
         """
-        if self.exact or shift >= 64 or self.saturated:
+        total = len(sources)
+        if self.saturated:
+            self.admitted += total
             return None
-        try:
-            raw = _np.array(sources, dtype=_np.uint64)
-        except (OverflowError, TypeError):  # stray >64-bit key: group path
-            return None
+        if version == IPV6:
+            sources = [source >> 64 for source in sources]
+            shift = max(shift - 64, 0)
         shift_bits = _np.uint64(shift)
-        masked = (raw >> shift_bits) << shift_bits
+        masked = (
+            _np.array(sources, dtype=_np.uint64) >> shift_bits
+        ) << shift_bits
         folded = (
             None
             if weights is None
             else _np.array(weights, dtype=_np.float64)
         )
 
-        # elephants never touch the sketch (same as the group path's
-        # herd fast path); only the mice rows feed it below
         herd_mirror = self._herd_array(version)
         if herd_mirror.size:  # type: ignore[attr-defined]
             elephant = _np.isin(masked, herd_mirror)
             mice_rows = _np.nonzero(~elephant)[0]
             if mice_rows.size == 0:
-                return None  # the whole batch is promoted traffic
+                self.admitted += total  # all promoted traffic
+                return None
             mice_keys = masked[mice_rows]
             mice_weights = None if folded is None else folded[mice_rows]
         else:
@@ -531,124 +520,29 @@ class AdmissionController:
             )
         sketch.fill = int(_np.count_nonzero(cells))
         if sketch.fill_ratio > self.config.max_fill:
-            return None  # saturated: degrade to admit-everything
+            self.admitted += total  # saturated: degrade to admit-everything
+            return None
 
         promoted = estimate >= self.config.promote_weight
         if promoted.any():
-            herd = self.elephants(version)
             new_keys = _np.unique(mice_keys[promoted]).tolist()
-            herd.update(new_keys)
+            self.elephants(version).update(new_keys)
             self.promoted += len(new_keys)
-        total = len(raw)
         if elephant is None:
             keep = promoted
         else:
             keep = elephant
             keep[mice_rows[promoted]] = True
         kept = int(_np.count_nonzero(keep))
-        if kept == total:
+        self.admitted += kept
+        if self.exact:
+            self.held_back += total - kept
             return None
         self.dropped += total - kept
+        if kept == total:
+            return None
         rows: "list[int]" = _np.nonzero(keep)[0].tolist()
         return rows
-
-    @hot_path
-    def filter_groups(
-        self, version: int, groups: "dict[int, list]"
-    ) -> "dict[int, list]":
-        """Gate pre-grouped samples; returns the admitted subset.
-
-        Each group is ``masked -> [by_ingress, newest, oldest]`` exactly
-        as built by the engine's batch grouping pass.  Elephants pass
-        straight through; unknown sources update the sketch and are
-        promoted, held (exact) or dropped (lossy).  On promotion any
-        held history for the source is folded into the admitted group so
-        no sample is lost.
-        """
-        if self.saturated:
-            return self._admit_everything(version, groups)
-        config = self.config
-        threshold = config.promote_weight
-        exact = self.exact
-        herd = self.elephants(version)
-        held = self.held(version)
-        sketch = self.sketch(version)
-        sketch_add = sketch.add
-        held_get = held.get
-        admitted: dict[int, list] = {}
-        n_admitted = 0
-        n_held = 0
-        n_dropped = 0
-        n_promoted = 0
-        for masked, group in groups.items():
-            if masked in herd:
-                admitted[masked] = group
-                n_admitted += 1
-                continue
-            by_ingress = group[_BY_INGRESS]
-            weight = 0.0
-            for value in by_ingress.values():
-                weight += value
-            estimate = sketch_add(masked, weight)
-            if estimate >= threshold:
-                herd.add(masked)
-                n_promoted += 1
-                pending = held_get(masked)
-                if pending is not None:
-                    del held[masked]
-                    _merge_group_into(pending, group)
-                    group = pending
-                admitted[masked] = group
-                n_admitted += 1
-            elif exact:
-                pending = held_get(masked)
-                if pending is None:
-                    held[masked] = group
-                else:
-                    _merge_group_into(pending, group)
-                n_held += 1
-            else:
-                n_dropped += 1
-        self.admitted += n_admitted
-        self.held_back += n_held
-        self.dropped += n_dropped
-        self.promoted += n_promoted
-        return admitted
-
-    def _admit_everything(
-        self, version: int, groups: "dict[int, list]"
-    ) -> "dict[int, list]":
-        """Saturation fallback: admit all groups, folding in held history.
-
-        The degraded mode must never *lose* relative to admission-off:
-        every group passes through, and a held mouse's buffered samples
-        ride along with its next appearance.
-        """
-        held = self.held(version)
-        if held:
-            for masked, group in groups.items():
-                pending = held.get(masked)
-                if pending is not None:
-                    del held[masked]
-                    _merge_group_into(pending, group)
-                    groups[masked] = pending
-        self.admitted += len(groups)
-        return groups
-
-    def drain_held(self, version: int) -> dict[int, list]:
-        """Detach and return the holdback buffer for replay."""
-        held = self._held.get(version)
-        if not held:
-            return {}
-        self._held[version] = {}
-        return held
-
-    def has_held(self) -> bool:
-        """True when any family has buffered holdback groups."""
-        for held in self._held.values():
-            if held:
-                return True
-        return False
 
     # ------------------------------------------------------------------ aging
 
@@ -675,7 +569,12 @@ class AdmissionController:
         return steps
 
     def take_counters(self) -> tuple[int, int, int, int]:
-        """Drain the (admitted, held, dropped, promoted) decision counters."""
+        """Drain the (admitted, held, dropped, promoted) decision counters.
+
+        The first three count flows: kept by the gate, below the
+        threshold but kept anyway (``exact``), below it and dropped
+        (``lossy``).  ``promoted`` counts sources.
+        """
         counters = (self.admitted, self.held_back, self.dropped, self.promoted)
         self.admitted = 0
         self.held_back = 0
@@ -687,15 +586,8 @@ class AdmissionController:
 
     def to_image(self) -> AdmissionImage:
         """Snapshot the controller state as a codec-neutral image."""
-        config = self.config
         return AdmissionImage(
-            mode=config.mode,
-            promote_weight=config.promote_weight,
-            width=config.width,
-            depth=config.depth,
-            seed=config.seed,
-            age_seconds=config.age_seconds,
-            max_fill=config.max_fill,
+            config=self.config,
             age_boundary=self._age_boundary,
             saturated=self._saturated,
             sketches={
@@ -708,30 +600,18 @@ class AdmissionController:
                 for version, herd in self._elephants.items()
                 if herd
             },
-            held={
-                version: {
-                    masked: [dict(group[_BY_INGRESS]), group[_NEWEST], group[_OLDEST]]
-                    for masked, group in held.items()
-                }
-                for version, held in self._held.items()
-                if held
-            },
         )
 
     @classmethod
     def from_image(cls, image: AdmissionImage) -> "AdmissionController":
         """Rebuild a controller from an image (checkpoint restore)."""
-        controller = cls(image.config())
+        controller = cls(image.config)
         controller._age_boundary = image.age_boundary
         controller._saturated = image.saturated
         for version, pairs in image.sketches.items():
             controller.sketch(version).load_sparse(pairs)
         for version, herd in image.elephants.items():
             controller.elephants(version).update(herd)
-        for version, held in image.held.items():
-            buffer = controller.held(version)
-            for masked, group in held.items():
-                buffer[masked] = [dict(group[_BY_INGRESS]), group[_NEWEST], group[_OLDEST]]
         return controller
 
     def to_bytes(self) -> bytes:
@@ -739,31 +619,14 @@ class AdmissionController:
         return encode_admission(self.to_image())
 
 
-def _merge_group_into(target: list, extra: list) -> None:
-    """Fold *extra*'s per-ingress weights and time bounds into *target*.
-
-    *target* is the chronologically older group, so insertion order of
-    newly seen ingresses matches the order a single unheld stream would
-    have produced — the property exact-mode byte-identity rides on.
-    """
-    by_ingress = target[_BY_INGRESS]
-    get = by_ingress.get
-    for ingress, weight in extra[_BY_INGRESS].items():
-        previous = get(ingress)
-        by_ingress[ingress] = weight if previous is None else previous + weight
-    if extra[_NEWEST] > target[_NEWEST]:
-        target[_NEWEST] = extra[_NEWEST]
-    if extra[_OLDEST] < target[_OLDEST]:
-        target[_OLDEST] = extra[_OLDEST]
-
-
 # ---------------------------------------------------------------------------
-# wire section (appended to engine blobs; pinned as admission:1)
+# wire section (appended to engine blobs; pinned as admission:2)
 # ---------------------------------------------------------------------------
 
 
 def encode_admission(image: AdmissionImage) -> bytes:
     """Serialize an admission image as one versioned trailing section."""
+    config = image.config
     writer = _Writer()
     writer.raw(_MAGIC)
     writer.byte(_KIND_ADMISSION)
@@ -771,15 +634,15 @@ def encode_admission(image: AdmissionImage) -> bytes:
     flags = 0
     if image.saturated:
         flags |= _FLAG_SATURATED
-    if image.mode == "lossy":
+    if config.mode == "lossy":
         flags |= _FLAG_LOSSY
     writer.byte(flags)
-    writer.float(image.promote_weight)
-    writer.uvarint(image.width)
-    writer.uvarint(image.depth)
-    writer.uvarint(image.seed)
-    writer.float(image.age_seconds)
-    writer.float(image.max_fill)
+    writer.float(config.promote_weight)
+    writer.uvarint(config.width)
+    writer.uvarint(config.depth)
+    writer.uvarint(config.seed)
+    writer.float(config.age_seconds)
+    writer.float(config.max_fill)
     if image.age_boundary is None:
         writer.byte(0)
     else:
@@ -798,29 +661,21 @@ def encode_admission(image: AdmissionImage) -> bytes:
         herd = image.elephants[version]
         writer.byte(version)
         writer.uvarint(len(herd))
-        for masked in herd:
-            writer.uvarint(masked)
-    writer.uvarint(len(image.held))
-    for version in sorted(image.held):
-        held = image.held[version]
-        writer.byte(version)
-        writer.uvarint(len(held))
-        for masked, group in held.items():
-            writer.uvarint(masked)
-            writer.float(group[_NEWEST])
-            writer.float(group[_OLDEST])
-            by_ingress = group[_BY_INGRESS]
-            writer.uvarint(len(by_ingress))
-            for ingress, weight in by_ingress.items():
-                writer.ingress(ingress)
-                writer.float(weight)
+        for key in herd:
+            writer.uvarint(key)
     return bytes(writer.buffer)
 
 
 def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
-    """Parse an admission section back into an :class:`AdmissionImage`."""
+    """Parse an admission section back into an :class:`AdmissionImage`.
+
+    Damage surfaces as a :class:`StateCodecError` carrying the offset —
+    a config the section declares but :class:`AdmissionConfig` refuses
+    (an over-cap geometry, say) included; any version but this build's
+    is an :class:`IncompatibleStateError`.
+    """
     reader = _Reader(data)
-    with _admission_damage_reported(reader):
+    with _damage_reported(reader):
         if len(data) < 5 or bytes(data[:4]) != _MAGIC:
             raise StateCodecError("not an admission section (bad magic)")
         reader.offset = 4
@@ -830,10 +685,11 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
                 f"unexpected admission section kind {kind:#x}"
             )
         version = reader.byte()
-        if version > CODEC_VERSION:
-            raise StateCodecError(
+        if version != CODEC_VERSION:
+            raise IncompatibleStateError(
                 f"admission section uses codec version {version}; this "
-                f"build reads up to {CODEC_VERSION}"
+                f"build reads only version {CODEC_VERSION}",
+                offset=reader.offset,
             )
         flags = reader.byte()
         promote_weight = reader.float()
@@ -842,6 +698,15 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
         seed = reader.uvarint()
         age_seconds = reader.float()
         max_fill = reader.float()
+        config = AdmissionConfig(
+            mode="lossy" if flags & _FLAG_LOSSY else "exact",
+            promote_weight=promote_weight,
+            width=width,
+            depth=depth,
+            seed=seed,
+            age_seconds=age_seconds,
+            max_fill=max_fill,
+        )
         age_boundary = reader.uvarint() if reader.byte() else None
         sketches: dict[int, list[tuple[int, float]]] = {}
         for __ in range(reader.uvarint()):
@@ -856,33 +721,12 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
             elephants[family] = [
                 reader.uvarint() for __ in range(reader.uvarint())
             ]
-        held: dict[int, dict[int, list]] = {}
-        for __ in range(reader.uvarint()):
-            family = reader.byte()
-            groups: dict[int, list] = {}
-            for __ in range(reader.uvarint()):
-                masked = reader.uvarint()
-                newest = reader.float()
-                oldest = reader.float()
-                by_ingress: dict[IngressPoint, float] = {}
-                for __ in range(reader.uvarint()):
-                    ingress = reader.ingress()
-                    by_ingress[ingress] = reader.float()
-                groups[masked] = [by_ingress, newest, oldest]
-            held[family] = groups
         return AdmissionImage(
-            mode="lossy" if flags & _FLAG_LOSSY else "exact",
-            promote_weight=promote_weight,
-            width=width,
-            depth=depth,
-            seed=seed,
-            age_seconds=age_seconds,
-            max_fill=max_fill,
+            config=config,
             age_boundary=age_boundary,
             saturated=bool(flags & _FLAG_SATURATED),
             sketches=sketches,
             elephants=elephants,
-            held=held,
         )
 
 
@@ -891,28 +735,21 @@ def merge_admission_images(
 ) -> Optional[AdmissionImage]:
     """Merge per-shard admission images into one engine-wide image.
 
-    Sketches add cellwise (identical geometry/seed required — shards are
-    always built from one config), elephant sets union, held groups
-    union (address-space sharding makes their key sets disjoint), and
-    saturation is sticky across the fleet.  Over-counting from the merge
-    only ever admits *more*, which is the safe direction.
+    Sketches add cellwise (one config required — shards are always
+    built from one), elephant sets union, and saturation is sticky
+    across the fleet.  Over-counting from the merge only ever admits
+    *more*, which is the safe direction.
     """
     images = [image for image in images if image is not None]
     if not images:
         return None
-    first = images[0]
+    config = images[0].config
     merged_sketches: dict[int, CountMinSketch] = {}
     merged_elephants: dict[int, set[int]] = {}
-    merged_held: dict[int, dict[int, list]] = {}
     saturated = False
     age_boundary: Optional[int] = None
     for image in images:
-        if (
-            image.width != first.width
-            or image.depth != first.depth
-            or image.seed != first.seed
-            or image.mode != first.mode
-        ):
+        if image.config != config:
             raise StateCodecError(
                 "cannot merge admission images with different configs"
             )
@@ -926,31 +763,15 @@ def merge_admission_images(
         for version, pairs in image.sketches.items():
             sketch = merged_sketches.get(version)
             if sketch is None:
-                sketch = CountMinSketch(first.width, first.depth, first.seed)
+                sketch = CountMinSketch(config.width, config.depth, config.seed)
                 merged_sketches[version] = sketch
-            incoming = CountMinSketch(first.width, first.depth, first.seed)
+            incoming = CountMinSketch(config.width, config.depth, config.seed)
             incoming.load_sparse(pairs)
             sketch.merge(incoming)
         for version, herd in image.elephants.items():
             merged_elephants.setdefault(version, set()).update(herd)
-        for version, held in image.held.items():
-            target = merged_held.setdefault(version, {})
-            for masked, group in held.items():
-                pending = target.get(masked)
-                if pending is None:
-                    target[masked] = [
-                        dict(group[_BY_INGRESS]), group[_NEWEST], group[_OLDEST]
-                    ]
-                else:
-                    _merge_group_into(pending, group)
     return AdmissionImage(
-        mode=first.mode,
-        promote_weight=first.promote_weight,
-        width=first.width,
-        depth=first.depth,
-        seed=first.seed,
-        age_seconds=first.age_seconds,
-        max_fill=first.max_fill,
+        config=config,
         age_boundary=age_boundary,
         saturated=saturated,
         sketches={
@@ -961,21 +782,4 @@ def merge_admission_images(
             version: sorted(herd)
             for version, herd in merged_elephants.items()
         },
-        held=merged_held,
     )
-
-
-@contextmanager
-def _admission_damage_reported(reader: _Reader) -> Iterator[None]:
-    """Normalize admission-section decode failures into codec errors."""
-    try:
-        yield
-    except StateCodecError as exc:
-        if exc.offset is None:
-            exc.offset = reader.offset
-        raise
-    except (ValueError, KeyError, IndexError, OverflowError) as exc:
-        raise StateCodecError(
-            f"damaged admission section at offset {reader.offset}: {exc!r}",
-            offset=reader.offset,
-        ) from exc

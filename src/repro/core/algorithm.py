@@ -5,8 +5,9 @@ Two stages, mirrored here as two methods:
 * :meth:`IPD.ingest_batch` — Stage 1.  Masks each flow's source address
   to ``cidr_max`` and adds (timestamp, masked source, ingress link) to
   the covering range of the per-family binary trie.  Every flow takes
-  this path: one pass masks the whole batch, flows are grouped by
-  masked source, and each distinct source resolves its leaf once.
+  this path: an attached admission gate picks the rows to keep, one
+  pass masks them, flows are grouped by masked source, and each
+  distinct source resolves its leaf once.
   :meth:`IPD.ingest` and :meth:`IPD.ingest_many` are API-edge wrappers
   (a one-row batch, a chunked record stream).
 * :meth:`IPD.sweep` — Stage 2.  Every ``t`` seconds: expires stale
@@ -42,12 +43,7 @@ from typing import Iterable
 from ..devtools.markers import hot_path
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from ..topology.elements import IngressPoint
-from .admission import (
-    AdmissionConfig,
-    AdmissionController,
-    decode_admission,
-    encode_admission,
-)
+from .admission import AdmissionConfig, AdmissionController, decode_admission
 from .bundles import dominant_ingress
 from .iputil import IPV4, IPV6, Prefix
 from .lbdetect import LBDetectorLike
@@ -90,8 +86,10 @@ class SweepReport:
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
-    #: admission front-end decisions since the previous sweep (all zero
-    #: when no admission controller is attached)
+    #: admission gate decisions since the previous sweep (all zero with
+    #: no controller attached).  admitted / held / dropped count flows:
+    #: kept, below the threshold but kept anyway (``exact``), below it
+    #: and dropped (``lossy``); promoted counts sources
     admission_admitted: int = 0
     admission_held: int = 0
     admission_dropped: int = 0
@@ -158,14 +156,14 @@ class IPD:
         bookkeeping — the restored engine's next sweep visits the same
         leaves and produces the same report this engine's would have.
 
-        With an admission front-end attached, its state (sketch cells,
-        elephant set, held groups) is appended as a self-delimiting
+        With an admission front-end attached, its state (config,
+        sketch cells, elephant set) is appended as a self-delimiting
         trailing section; admission-off blobs are byte-identical to
         what this method always produced.
         """
         blob = encode_engine(self.to_image())
         if self.admission is not None:
-            blob += encode_admission(self.admission.to_image())
+            blob += self.admission.to_bytes()
         return blob
 
     @classmethod
@@ -272,9 +270,9 @@ class IPD:
         shift = tree.root.prefix.bits - params.cidr_max(batch.version)
         count_bytes = params.count_bytes
 
-        # pass 0 (lossy admission only): the vectorized pre-gate drops
-        # never-promoted mice on the raw columns, before any per-flow
-        # Python work; accounting below still covers the full batch
+        # pass 0: the admission gate picks rows on the raw columns, before
+        # any per-flow Python work (None = all of them; always so in
+        # exact mode); accounting below still covers the full batch
         original = batch
         admission = self.admission
         if admission is not None:
@@ -309,10 +307,7 @@ class IPD:
                 elif ts < group[2]:
                     group[2] = ts
 
-        # pass 2: the admission gate (admit -> promote -> count), then one
-        # leaf resolution + one state fold per distinct admitted source
-        if admission is not None:
-            groups = admission.filter_groups(batch.version, groups)
+        # pass 2: one leaf resolution + one state fold per distinct source
         self._apply_groups(tree, groups)
 
         self.flows_ingested += count
@@ -342,24 +337,6 @@ class IPD:
 
     # ------------------------------------------------------------------ stage 2
 
-    def flush_held(self) -> None:
-        """Replay all held-back groups into the trie (exact mode).
-
-        Called before every sweep and snapshot so that whenever state
-        becomes observable, the trie has seen exactly the samples an
-        admission-off engine would have — the byte-identity contract of
-        ``exact`` mode.  Replayed groups bypass the admission gate (they
-        were already decided) but mark dirty/expiry exactly as a direct
-        ingest would have.
-        """
-        admission = self.admission
-        if admission is None or not admission.has_held():
-            return
-        for tree in self.trees.values():
-            held = admission.drain_held(tree.version)
-            if held:
-                self._apply_groups(tree, held)
-
     def saturate_admission(self) -> None:
         """Force the admission sketch to its ceiling (fault injection).
 
@@ -374,12 +351,10 @@ class IPD:
     def sweep(self, now: float) -> SweepReport:
         """Run one Stage-2 pass over the active ranges (Algorithm 1, lines 5-19)."""
         started = time.perf_counter()
+        report = SweepReport(timestamp=now)
         admission = self.admission
         if admission is not None:
             admission.age_to(now)
-            self.flush_held()
-        report = SweepReport(timestamp=now)
-        if admission is not None:
             (
                 report.admission_admitted,
                 report.admission_held,
@@ -598,7 +573,6 @@ class IPD:
         self, now: float, include_unclassified: bool = False
     ) -> list[IPDRecord]:
         """Emit the current mapping in the Table-3 raw output format."""
-        self.flush_held()
         params = self.params
         records: list[IPDRecord] = []
         for tree in self.trees.values():

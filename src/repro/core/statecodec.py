@@ -112,7 +112,7 @@ class StateCodecError(ValueError):
 
 
 class IncompatibleStateError(StateCodecError):
-    """The blob was written by a newer codec than this build understands."""
+    """The blob was written by a codec version this build does not read."""
 
 
 # ---------------------------------------------------------------------------

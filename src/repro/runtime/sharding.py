@@ -41,7 +41,6 @@ supported in sharded mode — attach it to a plain :class:`IPD`.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Iterable, Optional
 
 from ..core.admission import (
@@ -373,8 +372,8 @@ class ShardedIPD:
     def saturate_admission(self) -> None:
         """Force every engine's sketch to the saturation ceiling.
 
-        The ``sketch_saturate`` chaos site: from the next filtered group
-        on, aggregator and shards alike degrade to admit-everything.
+        The ``sketch_saturate`` chaos site: from the next batch on,
+        aggregator and shards alike degrade to admit-everything.
         No-op when admission is off.
         """
         if self.admission_config is None:
@@ -395,44 +394,17 @@ class ShardedIPD:
         return merge_admission_images(images)
 
     def _restore_admission(self, image: AdmissionImage) -> None:
-        """Distribute a checkpointed admission image across the engines.
+        """Broadcast a checkpointed admission image to every engine.
 
         Sketch counts, the elephant herd, the age boundary and the
-        saturation flag are broadcast whole — a shard seeing the full
-        deployment's counts can only over-admit, which is always safe.
-        Held groups (exact mode) are routed like flows: a masked source
-        whose top-``k`` bits are delegated goes to that shard, anything
-        else to the aggregator, so each engine replays exactly the
-        groups it would have been holding.
+        saturation flag go to aggregator and shards whole — an engine
+        seeing the full deployment's counts can only over-admit, which
+        is always safe.
         """
-        aggregator_held: dict[int, dict[int, list]] = {}
-        shard_held: dict[int, dict[int, dict[int, list]]] = {}
-        for version, groups in image.held.items():
-            shift = self._shifts[version]
-            delegated = self._delegated[version]
-            for masked, group in groups.items():
-                index = masked >> shift
-                if index in delegated:
-                    shard_held.setdefault(index, {}).setdefault(
-                        version, {}
-                    )[masked] = group
-                else:
-                    aggregator_held.setdefault(version, {})[masked] = group
-        self.aggregator.admission = AdmissionController.from_image(
-            replace(image, held=aggregator_held)
-        )
+        self.aggregator.admission = AdmissionController.from_image(image)
+        payload = encode_admission(image)
         self._executor.apply(
-            [
-                (
-                    "admission",
-                    index,
-                    0,
-                    encode_admission(
-                        replace(image, held=shard_held.get(index, {}))
-                    ),
-                )
-                for index in range(self.shards)
-            ]
+            [("admission", index, 0, payload) for index in range(self.shards)]
         )
 
     # ------------------------------------------------------------------ state io
@@ -479,7 +451,7 @@ class ShardedIPD:
         """Serialize the merged deployment state to one engine blob.
 
         With admission on, the merged admission section (cellwise-summed
-        sketches, elephant union, all held groups) is appended after the
+        sketches, elephant union) is appended after the
         engine section, exactly as :meth:`IPD.to_bytes` appends its own
         controller's — so the blob restores on any topology.
         """
@@ -589,7 +561,7 @@ class ShardedIPD:
         admission_image: Optional[AdmissionImage] = None
         if consumed < len(data):
             admission_image = decode_admission(memoryview(data)[consumed:])
-            admission = admission_image.config()
+            admission = admission_image.config
         engine = cls.from_image(
             image,
             shards=shards,

@@ -12,6 +12,8 @@ from array import array
 import pytest
 
 from repro.core.admission import (
+    CODEC_VERSION,
+    MAX_SKETCH_CELLS,
     AdmissionConfig,
     AdmissionController,
     CountMinSketch,
@@ -20,16 +22,12 @@ from repro.core.admission import (
     encode_admission,
     merge_admission_images,
 )
-from repro.core.iputil import IPV4
-from repro.core.statecodec import StateCodecError
-from repro.topology.elements import IngressPoint
-
-A = IngressPoint("R1", "et0")
-B = IngressPoint("R2", "et1")
-
-
-def group(weight=1.0, ingress=A, newest=10.0, oldest=10.0):
-    return [{ingress: weight}, newest, oldest]
+from repro.core.iputil import IPV4, IPV6
+from repro.core.statecodec import (
+    IncompatibleStateError,
+    StateCodecError,
+    _Writer,
+)
 
 
 class TestConfigValidation:
@@ -45,6 +43,8 @@ class TestConfigValidation:
         {"age_seconds": 0.0},
         {"max_fill": 0.0},
         {"max_fill": 1.5},
+        {"width": 1 << 44},
+        {"width": 1 << 23, "depth": 4},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
@@ -221,54 +221,56 @@ class TestCountMinSketch:
             left.merge(CountMinSketch(64, 2, seed=10))
 
 
+def reference_gate(config, shift, sources):
+    """The gate's decisions, spelled as a per-source loop over the scalar
+    sketch API: one summed add per distinct masked source, estimates read
+    once the whole batch's weight is in.  Returns (sketch, promoted)."""
+    sketch = CountMinSketch(config.width, config.depth, config.seed)
+    weights: dict[int, float] = {}
+    for src in sources:
+        masked = (src >> shift) << shift
+        weights[masked] = weights.get(masked, 0.0) + 1.0
+    for masked, weight in weights.items():
+        sketch.add(masked, weight)
+    promoted = {
+        masked
+        for masked in weights
+        if sketch.estimate(masked) >= config.promote_weight
+    }
+    return sketch, promoted
+
+
 class TestFilterGroups:
+    """Gate semantics, ported from the per-group gate onto
+    ``prefilter_rows`` (the class keeps its name for test-id stability)."""
+
     def config(self, mode="exact", **kwargs):
         kwargs.setdefault("promote_weight", 4.0)
         return AdmissionConfig(mode=mode, **kwargs)
 
-    def test_exact_holds_mice_until_promoted(self):
-        controller = AdmissionController(self.config())
-        for _ in range(3):
-            admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
-            assert admitted == {}
-        # fourth observation crosses promote_weight=4.0
-        admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
-        assert 1600 in admitted
-        # the held history was folded into the admitted group
-        assert admitted[1600][0][A] == 4.0
-        assert not controller.has_held()
-
     def test_lossy_drops_mice_but_keeps_counts(self):
         controller = AdmissionController(self.config(mode="lossy"))
         for _ in range(3):
-            assert controller.filter_groups(IPV4, {1600: group(1.0)}) == {}
-        assert not controller.has_held()
-        admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
-        assert 1600 in admitted
-        # dropped history is gone: only the promoting observation lands
-        assert admitted[1600][0][A] == 1.0
+            assert controller.prefilter_rows(IPV4, 4, [1600]) == []
+        # dropped rows are gone, their sketch counts are not: the fourth
+        # observation crosses promote_weight=4.0 and is kept
+        assert controller.prefilter_rows(IPV4, 4, [1600]) is None
+        assert controller.sketch(IPV4).estimate(1600) == 4.0
+        assert controller.take_counters() == (1, 0, 3, 1)
 
     def test_elephant_passes_without_sketch_update(self):
         controller = AdmissionController(self.config())
-        controller.filter_groups(IPV4, {1600: group(10.0)})  # promotes
+        controller.prefilter_rows(IPV4, 4, [1600], weights=[10])  # promotes
         estimate_before = controller.sketch(IPV4).estimate(1600)
-        admitted = controller.filter_groups(IPV4, {1600: group(2.0)})
-        assert 1600 in admitted
+        assert controller.prefilter_rows(IPV4, 4, [1600], weights=[2]) is None
         assert controller.sketch(IPV4).estimate(1600) == estimate_before
 
     def test_counters_drain(self):
+        # admitted / held / dropped count flows, promoted counts sources
         controller = AdmissionController(self.config())
-        controller.filter_groups(IPV4, {16: group(1.0), 32: group(9.0)})
-        assert controller.take_counters() == (1, 1, 0, 1)
+        controller.prefilter_rows(IPV4, 4, [16] + [32] * 9)
+        assert controller.take_counters() == (9, 1, 0, 1)
         assert controller.take_counters() == (0, 0, 0, 0)
-
-    def test_saturation_admits_everything_with_held_history(self):
-        controller = AdmissionController(self.config())
-        controller.filter_groups(IPV4, {1600: group(1.0)})  # held
-        controller.saturate()
-        admitted = controller.filter_groups(IPV4, {1600: group(1.0)})
-        assert admitted[1600][0][A] == 2.0  # held sample folded back in
-        assert not controller.has_held()
 
     def test_fill_ratio_saturation_degrades(self):
         config = AdmissionConfig(
@@ -276,76 +278,109 @@ class TestFilterGroups:
         )
         controller = AdmissionController(config)
         for key in range(64):
-            controller.filter_groups(IPV4, {key * 16: group(1.0)})
+            controller.prefilter_rows(IPV4, 4, [key * 16])
         assert controller.saturated
-        admitted = controller.filter_groups(IPV4, {999_952: group(1.0)})
-        assert 999_952 in admitted  # degraded to admit-everything
+        controller.take_counters()
+        # degraded to admit-everything: the row is kept and counted so
+        assert controller.prefilter_rows(IPV4, 4, [999_952]) is None
+        assert controller.take_counters() == (1, 0, 0, 0)
 
     def test_families_are_independent(self):
         controller = AdmissionController(self.config())
-        controller.filter_groups(IPV4, {1600: group(10.0)})
+        controller.prefilter_rows(IPV4, 4, [1600] * 10)
         assert 1600 in controller.elephants(IPV4)
-        assert 1600 not in controller.elephants(6)
+        assert 1600 not in controller.elephants(IPV6)
+        assert controller.sketch(IPV6).fill == 0
 
 
 class TestPrefilterRows:
-    """The vectorized lossy gate must agree with the per-group path."""
+    """The one gate, against a per-source reference loop."""
 
     def config(self, **kwargs):
         kwargs.setdefault("mode", "lossy")
         kwargs.setdefault("promote_weight", 4.0)
         return AdmissionConfig(**kwargs)
 
-    def test_exact_mode_declines(self):
-        controller = AdmissionController(self.config(mode="exact"))
-        assert controller.prefilter_rows(IPV4, 4, [16, 32]) is None
-
-    def test_wide_shift_declines(self):
-        controller = AdmissionController(self.config())
-        assert controller.prefilter_rows(6, 80, [16, 32]) is None
+    def test_exact_keeps_every_row_and_moves_the_sketch(self):
+        """Exact mode observes: same sketch, herd and promotions as lossy
+        on the same rows, but no row is ever left out."""
+        sources = [1600] * 5 + [3200]
+        exact = AdmissionController(self.config(mode="exact"))
+        lossy = AdmissionController(self.config())
+        assert exact.prefilter_rows(IPV4, 4, sources) is None
+        assert lossy.prefilter_rows(IPV4, 4, sources) == [0, 1, 2, 3, 4]
+        assert exact.sketch(IPV4).estimate(3200) == 1.0
+        assert list(exact.sketch(IPV4).cells) == list(lossy.sketch(IPV4).cells)
+        assert exact.elephants(IPV4) == lossy.elephants(IPV4) == {1600}
+        assert exact.take_counters() == (5, 1, 0, 1)
+        assert lossy.take_counters() == (5, 0, 1, 1)
 
     def test_saturated_declines(self):
         controller = AdmissionController(self.config())
         controller.saturate()
         assert controller.prefilter_rows(IPV4, 4, [16, 32]) is None
-
-    def test_oversized_key_falls_back(self):
-        controller = AdmissionController(self.config())
-        assert controller.prefilter_rows(IPV4, 4, [16, 1 << 80]) is None
+        assert controller.sketch(IPV4).fill == 0
+        assert controller.take_counters() == (2, 0, 0, 0)
 
     def test_matches_group_path_decisions_and_sketch(self):
-        sources = [((i * 2654435761) % 4096) * 16 + (i % 16) for i in range(3000)]
-        shift = 4
+        """Same admitted sources, promotions and sketch cells as the
+        per-source reference loop — IPv4, and IPv6 at cidr_max /48."""
+        v4 = [((i * 2654435761) % 1024) * 16 + (i % 16) for i in range(3000)]
+        v6 = [
+            (0x2001_0DB8 << 96) | (((i * 2654435761) % 1024) << 80) | (i * 7919)
+            for i in range(3000)
+        ]
+        for version, shift, sources in ((IPV4, 4, v4), (IPV6, 80, v6)):
+            config = self.config(promote_weight=3.0)  # 952 of 1024 reach it
+            controller = AdmissionController(config)
+            kept = controller.prefilter_rows(version, shift, sources)
+            assert kept is not None
+            sketch, promoted = reference_gate(config, shift, sources)
+            assert 0 < len(promoted) < len({s >> shift for s in sources})
 
-        vectorized = AdmissionController(self.config())
-        kept = vectorized.prefilter_rows(IPV4, shift, sources)
+            assert list(controller.sketch(version).cells) == list(sketch.cells)
+            assert controller.sketch(version).fill == sketch.fill
+            # the herd holds gate keys: the masked source, or its high word
+            key_shift = 64 if version == IPV6 else 0
+            assert controller.elephants(version) == {
+                masked >> key_shift for masked in promoted
+            }
+            # exactly the rows of promoted sources are kept
+            assert kept == [
+                row
+                for row, src in enumerate(sources)
+                if (src >> shift) << shift in promoted
+            ]
+            admitted, held, dropped, n_promoted = controller.take_counters()
+            assert (admitted, held, dropped) == (
+                len(kept), 0, len(sources) - len(kept)
+            )
+            assert n_promoted == len(promoted)
+
+    def test_v6_beyond_64_bits_only_over_admits(self):
+        """cidr_max_v6 = 72: the gate keys on the /64, so the sources of
+        one /64 share a decision — never stricter than per-/72 gating."""
+        shift = 128 - 72
+        net = 0x2001_0DB8_0000_0001 << 64
+
+        def src(slash72, host):
+            return net | (slash72 << shift) | host
+
+        heavy = [src(1, host) for host in range(6)]      # /72 #1: weight 6
+        split = [src(2, 1), src(2, 2), src(3, 1), src(3, 2)]  # two /72 mice
+        lone = [(0x2001_0DB8_0000_0002 << 64) | 5]       # another /64: weight 1
+        sources = heavy + split + lone
+        controller = AdmissionController(self.config())
+        kept = controller.prefilter_rows(IPV6, shift, sources)
         assert kept is not None
-
-        scalar = AdmissionController(self.config())
-        groups: dict[int, list] = {}
-        for src in sources:
-            masked = (src >> shift) << shift
-            entry = groups.get(masked)
-            if entry is None:
-                groups[masked] = group(1.0)
-            else:
-                entry[0][A] += 1.0
-        scalar.filter_groups(IPV4, groups)
-
-        assert vectorized.elephants(IPV4) == scalar.elephants(IPV4)
-        assert (
-            list(vectorized.sketch(IPV4).cells)
-            == list(scalar.sketch(IPV4).cells)
-        )
-        assert vectorized.sketch(IPV4).fill == scalar.sketch(IPV4).fill
-        # every kept row's masked source is promoted; none were dropped
-        herd = vectorized.elephants(IPV4)
-        for row in kept:
-            assert ((sources[row] >> shift) << shift) in herd
+        # every source a per-/72 gate admits (true weight >= 4) is admitted
+        assert set(range(len(heavy))) <= set(kept)
+        # ...and the two weight-2 mice ride along: their /64 carries 10
+        assert kept == list(range(len(heavy) + len(split)))
+        assert controller.elephants(IPV6) == {net >> 64}
 
     def test_elephants_skip_the_sketch(self):
         controller = AdmissionController(self.config())
-        assert controller.prefilter_rows(IPV4, 4, [1600] * 10) is None or True
         controller.elephants(IPV4).add(1600)
         cells_before = list(controller.sketch(IPV4).cells)
         result = controller.prefilter_rows(IPV4, 4, [1600, 1601, 1602])
@@ -398,34 +433,57 @@ class TestAging:
         assert controller.sketch(IPV4).estimate(16) == 0.0
 
 
+def raw_section(version=CODEC_VERSION, width=1 << 14, tail=b""):
+    """A hand-written admission section: header, config, no state."""
+    writer = _Writer()
+    writer.raw(b"IPDA")
+    writer.byte(0x41)
+    writer.byte(version)
+    writer.byte(0)  # flags: exact, not saturated
+    writer.float(4.0)
+    writer.uvarint(width)
+    writer.uvarint(4)
+    writer.uvarint(0x1905)
+    writer.float(120.0)
+    writer.float(0.9)
+    writer.byte(0)  # no age boundary
+    writer.uvarint(0)  # sketches
+    writer.uvarint(0)  # elephants
+    return bytes(writer.buffer) + tail
+
+
 class TestCodec:
     def build_controller(self):
         controller = AdmissionController(
             AdmissionConfig(mode="exact", promote_weight=4.0, seed=99)
         )
-        controller.filter_groups(IPV4, {1600: group(10.0)})  # elephant
-        controller.filter_groups(IPV4, {3200: group(1.0, B, 20.0, 15.0)})
-        controller.filter_groups(6, {64: group(2.0)})
+        controller.prefilter_rows(IPV4, 4, [1600] * 10)  # elephant
+        controller.prefilter_rows(IPV4, 4, [3200])  # mouse: sketch only
+        controller.prefilter_rows(IPV6, 80, [7 << 80] * 5 + [9 << 80])
         controller.age_to(100.0)
         return controller
 
     def test_image_roundtrip(self):
         controller = self.build_controller()
         image = controller.to_image()
-        restored = AdmissionController.from_image(
-            decode_admission(encode_admission(image))
-        )
+        decoded = decode_admission(encode_admission(image))
+        assert decoded == image
+        restored = AdmissionController.from_image(decoded)
         assert restored.config == controller.config
-        assert restored.elephants(IPV4) == controller.elephants(IPV4)
-        assert (
-            list(restored.sketch(IPV4).cells)
-            == list(controller.sketch(IPV4).cells)
-        )
-        held = restored.held(IPV4)
-        assert held[3200][0][B] == 1.0
-        assert held[3200][1] == 20.0
-        assert held[3200][2] == 15.0
+        for version in (IPV4, IPV6):
+            assert restored.elephants(version) == controller.elephants(version)
+            assert (
+                list(restored.sketch(version).cells)
+                == list(controller.sketch(version).cells)
+            )
+            assert restored.sketch(version).fill == controller.sketch(version).fill
+        assert restored.elephants(IPV6) == {7 << 16}
         assert restored._age_boundary == controller._age_boundary
+
+    def test_handwritten_section_decodes(self):
+        image = decode_admission(raw_section())
+        assert image.config == AdmissionConfig(mode="exact")
+        assert (image.sketches, image.elephants) == ({}, {})
 
     def test_saturated_flag_survives(self):
         controller = self.build_controller()
@@ -443,10 +501,33 @@ class TestCodec:
         with pytest.raises(StateCodecError):
             decode_admission(bytes(blob))
 
+    def test_other_versions_are_refused_by_name(self):
+        # a version-1 section ended in a held-groups block; no read path
+        for version in (1, CODEC_VERSION + 1):
+            with pytest.raises(IncompatibleStateError) as refusal:
+                decode_admission(raw_section(version=version, tail=b"\x00"))
+            message = str(refusal.value)
+            assert f"version {version}" in message
+            assert f"version {CODEC_VERSION}" in message
+            assert refusal.value.offset == 6
+
     def test_truncation_fails_loudly(self):
         blob = encode_admission(self.build_controller().to_image())
-        with pytest.raises(StateCodecError):
-            decode_admission(blob[: len(blob) - 3])
+        for cut in (3, len(blob) // 2, len(blob) - 3):
+            with pytest.raises(StateCodecError) as damage:
+                decode_admission(blob[:cut])
+            assert damage.value.offset is not None
+
+    def test_oversized_geometry_is_damage_not_memory_error(self):
+        """A ~50-byte section declaring 2^44 columns: a typed error with
+        an offset, before any cell is allocated."""
+        blob = raw_section(width=1 << 44)
+        assert len(blob) < 90
+        with pytest.raises(StateCodecError, match="exceeds the cap") as damage:
+            decode_admission(blob)
+        assert not isinstance(damage.value, IncompatibleStateError)
+        assert damage.value.offset is not None
+        assert MAX_SKETCH_CELLS == 1 << 24
 
     def test_bad_magic_rejected(self):
         with pytest.raises(StateCodecError):
@@ -455,16 +536,22 @@ class TestCodec:
     def test_merge_images_cellwise(self):
         shard_a = AdmissionController(AdmissionConfig(mode="exact"))
         shard_b = AdmissionController(AdmissionConfig(mode="exact"))
-        shard_a.filter_groups(IPV4, {1600: group(10.0)})
-        shard_b.filter_groups(IPV4, {3200: group(1.0)})
+        shard_a.prefilter_rows(IPV4, 4, [1600] * 10)
+        shard_b.prefilter_rows(IPV4, 4, [3200])
         merged = merge_admission_images(
             [shard_a.to_image(), None, shard_b.to_image()]
         )
         assert merged is not None
         restored = AdmissionController.from_image(merged)
         assert restored.elephants(IPV4) == {1600}
+        assert restored.sketch(IPV4).estimate(1600) >= 10.0
         assert restored.sketch(IPV4).estimate(3200) >= 1.0
-        assert 3200 in restored.held(IPV4)
+
+    def test_merge_rejects_mixed_configs(self):
+        exact = AdmissionController(AdmissionConfig(mode="exact")).to_image()
+        lossy = AdmissionController(AdmissionConfig(mode="lossy")).to_image()
+        with pytest.raises(StateCodecError, match="different configs"):
+            merge_admission_images([exact, lossy])
 
     def test_merge_of_nothing_is_none(self):
         assert merge_admission_images([None, None]) is None

@@ -1,11 +1,10 @@
 """Exact-mode admission must be invisible in the output.
 
 The acceptance bar for the sketch-gated admission front-end: with
-``mode="exact"`` the staged admit → promote → count pipeline — mice
-held back in the sketch buffer, elephants fast-pathed past the trie
-lookup — produces snapshots that are *byte-identical* (serialized CSV)
+``mode="exact"`` the gate observes (sketch, herd and counters move) but
+keeps every row, so snapshots are *byte-identical* (serialized CSV)
 to running with no admission at all, at every shard count, on every
-executor, at every sweep tick, and across
+executor, at every sweep tick and between them, and across
 checkpoint/resume including a resume that changes the shard count.
 Lossy mode is exercised for liveness and its bounded-loss accuracy
 contract lives in the Fig. 6 experiment (EXPERIMENTS.md).
@@ -115,6 +114,64 @@ class TestExactEqualsOff:
         result = admission_run(flows, FIG05_PARAMS, LOSSY)
         assert result.flows_processed == len(flows)
         assert sum(s.admission_held for s in result.sweeps) == 0
+
+
+class TestOneGate:
+    """Exact observes with the function lossy decides with."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_exact_equals_off_between_sweeps(self, shards):
+        """Not only at sweep ticks: after every ``ingest_batch`` the trie
+        behind the exact gate is the trie admission-off built."""
+
+        def engine(admission):
+            if shards == 1:
+                return IPD(FIG05_PARAMS, admission=admission)
+            return ShardedIPD(FIG05_PARAMS, shards=shards, admission=admission)
+
+        plain, gated = engine(None), engine(EXACT)
+        next_sweep = FIG05_PARAMS.t
+        try:
+            for batch in iter_flow_batches(fig05_trace(), batch_size=211):
+                while batch.timestamps[0] >= next_sweep:
+                    plain.sweep(next_sweep)
+                    gated.sweep(next_sweep)
+                    next_sweep += FIG05_PARAMS.t
+                plain.ingest_batch(batch)
+                gated.ingest_batch(batch)
+                assert gated.state_size() == plain.state_size()
+                assert gated.leaf_count() == plain.leaf_count()
+                assert gated.to_image().trees == plain.to_image().trees
+            assert next_sweep > 3 * FIG05_PARAMS.t  # the trie was swept and split
+        finally:
+            if shards > 1:
+                plain.close()
+                gated.close()
+
+    @pytest.mark.parametrize(
+        "trace, params",
+        [(fig05_trace, FIG05_PARAMS), (dualstack_trace, DUALSTACK_PARAMS)],
+    )
+    def test_counters_share_one_unit(self, trace, params):
+        """admitted / held / dropped count flows, promoted counts sources:
+        what exact reports held is what lossy drops on the same stream."""
+        flows = trace()
+        exact = admission_run(flows, params, EXACT).sweeps
+        lossy = admission_run(flows, params, LOSSY).sweeps
+
+        def total(sweeps, name):
+            return sum(getattr(report, name) for report in sweeps)
+
+        assert total(exact, "admission_held") == total(lossy, "admission_dropped")
+        # byte-weighted flows (dualstack) all clear the threshold at once
+        assert (total(lossy, "admission_dropped") > 0) != params.count_bytes
+        assert total(exact, "admission_promoted") == total(lossy, "admission_promoted") > 0
+        assert total(exact, "admission_admitted") == total(lossy, "admission_admitted")
+        for sweeps in (exact, lossy):
+            assert len(flows) == sum(
+                total(sweeps, "admission_" + name)
+                for name in ("admitted", "held", "dropped")
+            )
 
 
 class TestExactEqualsOffProperty:

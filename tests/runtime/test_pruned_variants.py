@@ -31,3 +31,28 @@ def test_per_flow_forks_are_gone(capsys):
     with ShardedIPD(shards=4) as sharded:
         assert not hasattr(sharded, "_pending")
     assert not hasattr(AdmissionController, "partition_batch")
+
+
+def test_admission_forks_are_gone():
+    """One admission gate: no per-group gate, held buffer or v1 wire read."""
+    import dataclasses
+
+    from repro.core.admission import (
+        AdmissionConfig,
+        AdmissionController,
+        AdmissionImage,
+        decode_admission,
+        encode_admission,
+    )
+    from repro.core.algorithm import IPD
+    from repro.core.statecodec import IncompatibleStateError
+
+    for name in ("filter_groups", "drain_held", "has_held", "held"):
+        assert not hasattr(AdmissionController, name)
+    assert not hasattr(IPD, "flush_held")
+    fields = {field.name for field in dataclasses.fields(AdmissionImage)}
+    assert "held" not in fields and len(fields) < 12
+    section = bytearray(encode_admission(AdmissionImage(AdmissionConfig())))
+    section[5] = 1  # the version byte
+    with pytest.raises(IncompatibleStateError, match="version 1.*version 2"):
+        decode_admission(bytes(section) + b"\x00")  # v1's empty held block
