@@ -33,11 +33,7 @@ from .core.lpm import build_lpm_from_records
 from .core.output import read_records_csv, write_records_csv
 from .core.params import IPDParams
 from .core.statecodec import IncompatibleStateError, StateCodecError
-from .netflow.records import (
-    read_flows_csv,
-    read_flows_csv_batched,
-    write_flows_csv,
-)
+from .netflow.records import read_flows_csv_batched, write_flows_csv
 from .runtime import (
     EXECUTOR_KINDS,
     CheckpointStore,
@@ -406,20 +402,22 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     lpm_by_version: dict[int, object] = {}
     total = correct = unmapped = 0
     with open(args.flows) as stream:
-        for flow in read_flows_csv(stream):
-            lpm = lpm_by_version.get(flow.version)
+        for batch in read_flows_csv_batched(stream):
+            lpm = lpm_by_version.get(batch.version)
             if lpm is None:
-                lpm = build_lpm_from_records(records, flow.version)
-                lpm_by_version[flow.version] = lpm
-            predicted = lpm.lookup(flow.src_ip)
-            total += 1
-            if predicted is None:
-                unmapped += 1
-            elif predicted == flow.ingress or (
-                predicted.router == flow.ingress.router
-                and flow.ingress.interface in predicted.interfaces()
+                lpm = build_lpm_from_records(records, batch.version)
+                lpm_by_version[batch.version] = lpm
+            total += len(batch)
+            for predicted, ingress in zip(
+                map(lpm.lookup, batch.src_ips), batch.ingresses
             ):
-                correct += 1
+                if predicted is None:
+                    unmapped += 1
+                elif predicted == ingress or (
+                    predicted.router == ingress.router
+                    and ingress.interface in predicted.interfaces()
+                ):
+                    correct += 1
     if total == 0:
         print("no flows to evaluate")
         return 1

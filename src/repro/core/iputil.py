@@ -62,19 +62,20 @@ def parse_ip(text: str) -> tuple[int, int]:
     return _parse_ipv4(text), IPV4
 
 
+#: the only octet spellings accepted: canonical ASCII decimals, so no
+#: leading zeros, signs, spaces or non-ASCII digits (``int()`` takes all four)
+_OCTETS = {str(octet): octet for octet in range(256)}
+
+
 def _parse_ipv4(text: str) -> int:
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"invalid IPv4 address: {text!r}")
-    value = 0
-    for part in parts:
-        if not part.isdigit() or (len(part) > 1 and part[0] == "0"):
-            raise ValueError(f"invalid IPv4 address: {text!r}")
-        octet = int(part)
-        if octet > 255:
-            raise ValueError(f"invalid IPv4 address: {text!r}")
-        value = (value << 8) | octet
-    return value
+    try:
+        a, b, c, d = text.split(".")
+        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+    except (ValueError, KeyError):
+        raise ValueError(f"invalid IPv4 address: {text!r}") from None
+
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def _parse_ipv6(text: str) -> int:
@@ -98,13 +99,10 @@ def _parse_ipv6(text: str) -> int:
 
     value = 0
     for group in groups:
-        if not group or len(group) > 4:
+        # ASCII hex only: int() would also take "+1", "0x1", "1_0", "١"
+        if not 0 < len(group) <= 4 or not _HEX_DIGITS.issuperset(group):
             raise ValueError(f"invalid IPv6 address: {text!r}")
-        try:
-            word = int(group, 16)
-        except ValueError:
-            raise ValueError(f"invalid IPv6 address: {text!r}") from None
-        value = (value << 16) | word
+        value = (value << 16) | int(group, 16)
     return value
 
 

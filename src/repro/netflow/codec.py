@@ -17,9 +17,10 @@ IPFIX or the CSV format.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..core.iputil import IPV4
 from ..topology.elements import IngressPoint
@@ -90,6 +91,21 @@ class InterfaceIndexMap:
             return self._reverse[router][index]
         except KeyError:
             raise KeyError(f"unknown ifIndex {index} on {router!r}") from None
+
+
+def _ingress_lookup(
+    router: str, index_map: InterfaceIndexMap
+) -> Callable[[int], IngressPoint]:
+    """``ifIndex -> IngressPoint``, one object per interface; unknown is bad data."""
+
+    @functools.lru_cache(maxsize=None)
+    def ingress_of(index: int) -> IngressPoint:
+        try:
+            return IngressPoint(router, index_map.interface_of(router, index))
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
+
+    return ingress_of
 
 
 class NetflowV5Exporter:
@@ -180,6 +196,7 @@ class NetflowV5Reader:
         self.records_read = 0
         self.sequence_gaps = 0
         self._expected_sequence: Optional[int] = None
+        self._ingress_of = _ingress_lookup(router, index_map)
 
     def parse(self, packet: bytes) -> list[FlowRecord]:
         """Decode one export packet; raises ``ValueError`` on bad data."""
@@ -194,33 +211,21 @@ class NetflowV5Reader:
             raise ValueError(
                 f"truncated packet: {len(packet)} bytes for {count} records"
             )
-        if self._expected_sequence is not None and (
-            sequence != self._expected_sequence
-        ):
+        # the exporter stamps `first` with epoch milliseconds; the field
+        # wraps every ~49.7 days, as real uptime counters do — the
+        # statistical-time stage absorbs that in deployment
+        flows = [
+            FlowRecord(
+                first_ms / 1000.0, srcaddr, IPV4, self._ingress_of(input_index),
+                packets, octets, dstaddr or None,
+            )
+            for srcaddr, dstaddr, __, input_index, __, packets, octets, first_ms, *__
+            in _RECORD.iter_unpack(packet[_HEADER.size:expected_len])
+        ]
+        # counters move only once the whole packet has decoded
+        if self._expected_sequence not in (None, sequence):
             self.sequence_gaps += 1
         self._expected_sequence = (sequence + count) & 0xFFFFFFFF
-
-        flows = []
-        offset = _HEADER.size
-        for __ in range(count):
-            (srcaddr, dstaddr, __, input_index, __, packets, octets,
-             first_ms, __, __, __, __, __, __, __, __, __, __, __, __
-             ) = _RECORD.unpack_from(packet, offset)
-            offset += _RECORD.size
-            interface = self.index_map.interface_of(self.router, input_index)
-            # the exporter stamps `first` with epoch milliseconds; the
-            # field wraps every ~49.7 days, as real uptime counters do —
-            # the statistical-time stage absorbs that in deployment
-            timestamp = first_ms / 1000.0
-            flows.append(FlowRecord(
-                timestamp=timestamp,
-                src_ip=srcaddr,
-                version=IPV4,
-                ingress=IngressPoint(self.router, interface),
-                packets=packets,
-                bytes=octets,
-                dst_ip=dstaddr or None,
-            ))
         self.packets_read += 1
         self.records_read += count
         return flows

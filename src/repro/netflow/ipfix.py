@@ -27,12 +27,10 @@ seen.  Interfaces are carried as SNMP ifIndex values via the same
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..core.iputil import IPV4, IPV6
-from ..topology.elements import IngressPoint
-from .codec import InterfaceIndexMap
+from .codec import InterfaceIndexMap, _ingress_lookup
 from .records import FlowRecord
 
 __all__ = ["IPFIXExporter", "IPFIXCollector", "TEMPLATE_V4", "TEMPLATE_V6"]
@@ -53,6 +51,8 @@ _V6_FIELDS = ((27, 16), (28, 16), (10, 4), (2, 8), (1, 8), (152, 8))
 
 _V4_RECORD = struct.Struct("!IIIQQQ")
 _V6_RECORD = struct.Struct("!16s16sIQQQ")
+
+_Templates = dict[int, tuple[tuple[int, int], ...]]  # id -> (element id, length)s
 
 
 def _encode_template(template_id: int, fields: "tuple[tuple[int, int], ...]") -> bytes:
@@ -162,11 +162,11 @@ class IPFIXCollector:
     def __init__(self, router: str, index_map: InterfaceIndexMap) -> None:
         self.router = router
         self.index_map = index_map
-        #: template id -> tuple of (element id, length)
-        self.templates: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.templates: _Templates = {}
         self.messages_read = 0
         self.records_read = 0
         self.unknown_template_sets = 0
+        self._ingress_of = _ingress_lookup(router, index_map)
 
     def parse(self, message: bytes) -> list[FlowRecord]:
         """Decode one IPFIX message; raises ``ValueError`` on bad data."""
@@ -180,7 +180,10 @@ class IPFIXCollector:
                 f"message length {length} != actual {len(message)}"
             )
 
+        # reader state moves only once the whole message has decoded
         flows: list[FlowRecord] = []
+        templates = dict(self.templates)
+        unknown = 0
         offset = _MESSAGE_HEADER.size
         while offset + _SET_HEADER.size <= len(message):
             set_id, set_length = _SET_HEADER.unpack_from(message, offset)
@@ -188,63 +191,57 @@ class IPFIXCollector:
                 raise ValueError(f"invalid set length: {set_length}")
             body = message[offset + _SET_HEADER.size: offset + set_length]
             if set_id == TEMPLATE_SET_ID:
-                self._learn_templates(body)
+                self._learn_templates(body, templates)
+            elif set_id >= 256 and set_id not in templates:
+                # RFC 7011: a collector must drop data it has no template for
+                unknown += 1
             elif set_id >= 256:
-                flows.extend(self._decode_data(set_id, body))
+                flows.extend(self._decode_data(set_id, body, templates))
             offset += set_length
+        self.templates = templates
+        self.unknown_template_sets += unknown
         self.messages_read += 1
+        self.records_read += len(flows)
         return flows
 
     def parse_stream(self, messages: Iterable[bytes]) -> Iterator[FlowRecord]:
         for message in messages:
             yield from self.parse(message)
 
-    def _learn_templates(self, body: bytes) -> None:
+    @staticmethod
+    def _learn_templates(body: bytes, templates: _Templates) -> None:
         offset = 0
         while offset + _TEMPLATE_HEADER.size <= len(body):
             template_id, field_count = _TEMPLATE_HEADER.unpack_from(
                 body, offset
             )
             offset += _TEMPLATE_HEADER.size
-            fields = []
-            for __ in range(field_count):
-                element_id, length = _FIELD_SPEC.unpack_from(body, offset)
-                fields.append((element_id, length))
-                offset += _FIELD_SPEC.size
-            self.templates[template_id] = tuple(fields)
+            end = offset + field_count * _FIELD_SPEC.size
+            if end > len(body):
+                raise ValueError(f"truncated template {template_id}")
+            templates[template_id] = tuple(_FIELD_SPEC.iter_unpack(body[offset:end]))
+            offset = end
 
-    def _decode_data(self, template_id: int, body: bytes) -> list[FlowRecord]:
-        template = self.templates.get(template_id)
-        if template is None:
-            # RFC 7011: a collector must drop data it has no template for
-            self.unknown_template_sets += 1
-            return []
-        if template == _V4_FIELDS:
-            return self._decode_fixed(body, _V4_RECORD, IPV4)
-        if template == _V6_FIELDS:
-            return self._decode_fixed(body, _V6_RECORD, IPV6)
-        raise ValueError(f"unsupported template layout: {template_id}")
-
-    def _decode_fixed(
-        self, body: bytes, record_struct: struct.Struct, version: int
+    def _decode_data(
+        self, set_id: int, body: bytes, templates: _Templates
     ) -> list[FlowRecord]:
-        flows = []
-        count = len(body) // record_struct.size
-        for index in range(count):
-            fields = record_struct.unpack_from(body, index * record_struct.size)
-            src, dst, ifindex, packets, octets, start_ms = fields
-            if version == IPV6:
-                src = int.from_bytes(src, "big")
-                dst = int.from_bytes(dst, "big")
-            interface = self.index_map.interface_of(self.router, ifindex)
-            flows.append(FlowRecord(
-                timestamp=start_ms / 1000.0,
-                src_ip=src,
-                version=version,
-                ingress=IngressPoint(self.router, interface),
-                packets=packets,
-                bytes=octets,
-                dst_ip=dst or None,
-            ))
-            self.records_read += 1
-        return flows
+        if templates[set_id] == _V4_FIELDS:
+            record, version = _V4_RECORD, IPV4
+        elif templates[set_id] == _V6_FIELDS:
+            record, version = _V6_RECORD, IPV6
+        else:
+            raise ValueError(f"unsupported template layout: {set_id}")
+        # whole records only: a set may end in padding (RFC 7011 §3.3.1)
+        rows = record.iter_unpack(body[:len(body) - len(body) % record.size])
+        if version == IPV6:
+            rows = (
+                (int.from_bytes(src, "big"), int.from_bytes(dst, "big"), *rest)
+                for src, dst, *rest in rows
+            )
+        return [
+            FlowRecord(
+                start_ms / 1000.0, src, version, self._ingress_of(ifindex),
+                packets, octets, dst or None,
+            )
+            for src, dst, ifindex, packets, octets, start_ms in rows
+        ]

@@ -14,8 +14,10 @@ the engine per simulated run, so they must be cheap to allocate and hash.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import operator
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import IO, Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from ..core.iputil import IPV4, format_ip, parse_ip
 from ..topology.elements import IngressPoint
@@ -279,38 +281,113 @@ def write_flows_csv(flows: Iterable[FlowRecord], stream: IO[str]) -> int:
     return count
 
 
-def read_flows_csv(stream: IO[str]) -> Iterator[FlowRecord]:
-    """Parse flows written by :func:`write_flows_csv`."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is not None and tuple(header) != _CSV_FIELDS:
-        raise ValueError(f"unexpected flow CSV header: {header!r}")
-    for row in reader:
-        if not row:
+#: entries a per-file decode memo (hits stay in C, equal texts share one value)
+#: holds before its least recently used goes: a scan re-parses, never grows
+_MEMO_LIMIT = 1 << 16
+_WIDTH = len(_CSV_FIELDS)
+
+
+def _row_error(line: int, reason: object, row: Sequence[str]) -> ValueError:
+    return ValueError(f"flow CSV line {line}: {reason}: {row!r}")
+
+
+def _tokenise(
+    stream: Iterable[str], batch_size: int
+) -> Iterator[tuple[list[str], Sequence[int]]]:
+    """Yield ``(fields, numbers)`` per chunk of lines, the header line
+    first: the rows' fields in one flat list, and each row's file line.
+    A chunk of six-comma lines with no quote or carriage return splits as
+    plain text; any other goes through :mod:`csv` (which may pull the rest
+    of a quoted field off *stream*), so both accept the same language."""
+    rest, line, size = iter(stream), 1, 1
+    while lines := list(itertools.islice(rest, size)):
+        size, text = batch_size, "".join(lines)
+        if '"' not in text and "\r" not in text and set(
+            map(str.count, lines, itertools.repeat(","))
+        ) == {_WIDTH - 1}:
+            flat = (text if text.endswith("\n") else text + "\n").replace("\n", ",")
+            yield flat.split(",")[:-1], range(line, line + len(lines))
+            line += len(lines)
             continue
-        timestamp, src_text, router, interface, packets, byte_count, dst_text = row
-        src_value, version = parse_ip(src_text)
-        dst_value: Optional[int] = None
-        if dst_text:
-            dst_value, dst_version = parse_ip(dst_text)
-            if dst_version != version:
-                raise ValueError(f"mixed address families in row: {row!r}")
-        yield FlowRecord(
-            timestamp=float(timestamp),
-            src_ip=src_value,
-            version=version,
-            ingress=IngressPoint(router, interface),
-            packets=int(packets),
-            bytes=int(byte_count),
-            dst_ip=dst_value,
-        )
+        fields: list[str] = []
+        numbers: list[int] = []
+        reader = csv.reader(itertools.chain(lines, rest))
+        for row in filter(None, itertools.islice(reader, len(lines))):
+            fields += row
+            numbers.append(line + reader.line_num - 1)
+            if len(row) != _WIDTH:
+                raise _row_error(numbers[-1], f"expected {_WIDTH} fields", row)
+        yield fields, numbers
+        line += reader.line_num
+
+
+def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatch]:
+    """One chunk's flat field list to batches, a column at a time."""
+    value, family = operator.itemgetter(0), operator.itemgetter(1)
+    sources = list(map(address, fields[1::_WIDTH]))
+    versions = list(map(family, sources))
+    dst_texts = fields[6::_WIDTH]
+    dst_ips: list[Optional[int]] = [None] * len(dst_texts)
+    if any(dst_texts):
+        # an absent dst takes its row's family, so one comparison finds a mix
+        dsts = [
+            address(text) if text else (None, version)
+            for text, version in zip(dst_texts, versions)
+        ]
+        if list(map(family, dsts)) != versions:
+            raise ValueError("mixed address families in row")
+        dst_ips = list(map(value, dsts))
+    columns: list[list[Any]] = [
+        list(map(float, fields[0::_WIDTH])),
+        list(map(value, sources)),
+        list(map(ingress, fields[2::_WIDTH], fields[3::_WIDTH])),
+        list(map(int, fields[4::_WIDTH])),
+        list(map(int, fields[5::_WIDTH])),
+        dst_ips,
+    ]
+    start = 0
+    for version, run in itertools.groupby(versions):
+        end = start + len(list(run))
+        yield FlowBatch(version, *(column[start:end] for column in columns))
+        start = end
 
 
 def read_flows_csv_batched(
     stream: IO[str], batch_size: int = DEFAULT_BATCH_SIZE
 ) -> Iterator[FlowBatch]:
-    """Parse a flow CSV directly into columnar batches."""
-    return iter_flow_batches(read_flows_csv(stream), batch_size)
+    """Parse a flow CSV into columnar batches — the one CSV decoder.
+
+    Text goes to columns *batch_size* lines at a time with no per-row
+    object; batches are cut at chunk ends and address-family changes.  A
+    bad row of any kind raises ``ValueError`` naming its 1-based line.
+    """
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    address = functools.lru_cache(_MEMO_LIMIT)(parse_ip)
+    ingress = functools.lru_cache(_MEMO_LIMIT)(IngressPoint)
+    chunks = _tokenise(stream, batch_size)
+    for header, __ in itertools.islice(chunks, 1):
+        if tuple(header) != _CSV_FIELDS:
+            raise _row_error(1, "unexpected header", header)
+    for fields, numbers in chunks:
+        try:
+            batches = list(_columns(fields, address, ingress))
+        except ValueError:
+            # redo the chunk a row at a time to name the first bad line
+            for index, line in enumerate(numbers):
+                row = fields[index * _WIDTH:(index + 1) * _WIDTH]
+                try:
+                    list(_columns(row, address, ingress))
+                except ValueError as error:
+                    raise _row_error(line, error, row) from None
+            raise
+        yield from batches
+
+
+def read_flows_csv(stream: IO[str]) -> Iterator[FlowRecord]:
+    """Row-wise edge of :func:`read_flows_csv_batched`: the same rows as records."""
+    for batch in read_flows_csv_batched(stream):
+        yield from batch.iter_flows()
 
 
 def anonymize_flow(flow: FlowRecord, masklen: int = 28) -> FlowRecord:

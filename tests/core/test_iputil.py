@@ -32,6 +32,24 @@ class TestParseIPv4:
         with pytest.raises(ValueError):
             parse_ip(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["١.٢.٣.٤", "1.2.3.４", "+1.2.3.4", " 1.2.3.4", "1_0.2.3.4", "::ffff:1.2.3.４"]
+    )
+    def test_rejects_octets_int_would_accept(self, bad):
+        """``int()``/``isdigit()`` take any Unicode digit, signs, spaces and
+        underscores; an address on the CSV edge or the lookup socket may not."""
+        with pytest.raises(ValueError, match="invalid IPv4 address"):
+            parse_ip(bad)
+
+    def test_every_canonical_octet_parses_in_every_position(self):
+        for octet in range(256):
+            for position in range(4):
+                parts = ["7"] * 4
+                parts[position] = str(octet)
+                expected = 0x07070707 & ~(0xFF << (24 - 8 * position))
+                expected |= octet << (24 - 8 * position)
+                assert parse_ip(".".join(parts)) == (expected, IPV4)
+
 
 class TestParseIPv6:
     def test_loopback(self):
@@ -60,6 +78,14 @@ class TestParseIPv6:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_ip(bad)
+
+    @pytest.mark.parametrize("bad", ["::١", "::0x1", "::+1", "::1_0", ":: 1", "::-1"])
+    def test_rejects_groups_int_would_accept(self, bad):
+        with pytest.raises(ValueError, match="invalid IPv6 address"):
+            parse_ip(bad)
+
+    def test_hex_groups_of_either_case(self):
+        assert parse_ip("FE80::abCD") == ((0xFE80 << 112) | 0xABCD, IPV6)
 
 
 class TestFormatIP:

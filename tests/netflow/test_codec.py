@@ -138,6 +138,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             NetflowV5Reader("R1", index_map).parse(packet[:-10])
 
+    def test_unknown_ifindex_is_bad_data_and_leaves_the_reader_untouched(
+        self, index_map
+    ):
+        """``parse`` promises ``ValueError``, and a rejected packet must not
+        count: no read counters, no sequence expectation, no phantom gap."""
+        exporter = NetflowV5Exporter("R1", index_map)
+        good, bad, after = (
+            next(exporter.export([flow("10.0.0.1"), flow("10.0.0.2", "et1")]))
+            for __ in range(3)
+        )
+        # input ifIndex of the second record: 24-byte header, 48-byte
+        # records, `input` at record offset 12
+        offset = 24 + 48 + 12
+        bad = bad[:offset] + struct.pack("!H", 99) + bad[offset + 2:]
+        reader = NetflowV5Reader("R1", index_map)
+        reader.parse(good)
+        before = dict(vars(reader))
+        with pytest.raises(ValueError, match="unknown ifIndex 99"):
+            reader.parse(bad)
+        assert vars(reader) == before
+        # the rejected packet's records are a genuine gap for the next one
+        assert len(reader.parse(after)) == 2
+        assert (reader.packets_read, reader.records_read) == (2, 4)
+        assert reader.sequence_gaps == 1
+
+    def test_ingress_points_are_shared_per_interface(self, index_map):
+        packet = next(NetflowV5Exporter("R1", index_map).export(
+            [flow("10.0.0.1"), flow("10.0.0.2"), flow("10.0.0.3", "et1")]
+        ))
+        first, second, third = NetflowV5Reader("R1", index_map).parse(packet)
+        assert first.ingress is second.ingress
+        assert third.ingress == IngressPoint("R1", "et1")
+
 
 class TestPipelineIntegration:
     def test_export_ingest_classify(self, index_map):

@@ -1,0 +1,219 @@
+"""Differential decode: the columnar CSV reader against a row-wise reference.
+
+``read_flows_csv_batched`` is the only flow-CSV decoder in the package, so
+the language it accepts is pinned here against the reader it replaced: a
+``csv.reader`` + ``parse_ip`` + ``FlowRecord``-per-row loop kept only in
+this file.  Generated files cover what the fast tokeniser must not get
+wrong — quoting, a comma or a line break inside a router name, CRLF line
+ends, blank lines, a missing final newline, family changes inside a chunk,
+``dst_ip`` on some, all or no rows — at chunk sizes around and far above
+the file length; every malformed row must raise ``ValueError`` on both.
+"""
+
+import csv
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.iputil import format_ip, parse_ip
+from repro.netflow import records
+from repro.netflow.records import (
+    FlowRecord,
+    read_flows_csv,
+    read_flows_csv_batched,
+)
+from repro.topology.elements import IngressPoint
+
+HEADER = ["timestamp", "src_ip", "router", "interface", "packets", "bytes", "dst_ip"]
+BATCH_SIZES = [1, 2, 7, 8192]
+
+
+def reference_read(stream):
+    """The replaced per-row reader, verbatim in behaviour."""
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is not None and header != HEADER:
+        raise ValueError(f"unexpected flow CSV header: {header!r}")
+    for row in reader:
+        if not row:
+            continue
+        timestamp, src_text, router, interface, packets, byte_count, dst_text = row
+        src_value, version = parse_ip(src_text)
+        dst_value = None
+        if dst_text:
+            dst_value, dst_version = parse_ip(dst_text)
+            if dst_version != version:
+                raise ValueError(f"mixed address families in row: {row!r}")
+        yield FlowRecord(
+            float(timestamp), src_value, version, IngressPoint(router, interface),
+            int(packets), int(byte_count), dst_value,
+        )
+
+
+def render(rows, quote_all=False, eol="\n", blanks=(), final_eol=True):
+    """CSV text for *rows* (lists of field texts), one row per line.
+
+    *blanks* holds row indexes that get an empty line in front of them.
+    """
+
+    def field(text):
+        if quote_all or any(char in text for char in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = []
+    for index, row in enumerate([HEADER, *rows]):
+        if index in blanks:
+            lines.append("")
+        lines.append(",".join(map(field, row)))
+    return eol.join(lines) + (eol if final_eol else "")
+
+
+def streams(text):
+    """The two stream kinds a caller can hand in for one text."""
+    return io.StringIO(text), io.StringIO(text, newline="")
+
+
+def decode(text, batch_size):
+    """Rows of the batched reader per stream kind (a row's family is its
+    batch's, so equality with the reference also checks the family cuts)."""
+    for stream in streams(text):
+        flows = []
+        for batch in read_flows_csv_batched(stream, batch_size):
+            assert 0 < len(batch) <= batch_size
+            flows.extend(batch.iter_flows())
+        yield flows
+
+
+V4 = ["10.0.0.1", "10.0.0.2", "198.51.100.7", "255.255.255.255", "0.0.0.0"]
+V6 = ["2001:db8::9", "::1", "::ffff:1.2.3.4", "FE80::ABCD", format_ip(1 << 127, 6)]
+ROUTERS = ["R1", "C3-R5", "R,1", 'R"q"', "R\n9", " R 2 ", ""]
+
+
+@st.composite
+def row_strategy(draw, dst=st.booleans()):
+    family = draw(st.sampled_from([V4, V4, V6]))
+    return [
+        draw(st.sampled_from(["0.000", "43200.051", "7", "1e3", " 12.5"])),
+        draw(st.sampled_from(family)),
+        draw(st.sampled_from(ROUTERS)),
+        draw(st.sampled_from(["et0", "hu6", "xe0+xe1"])),
+        str(draw(st.integers(min_value=0, max_value=10**6))),
+        str(draw(st.integers(min_value=0, max_value=10**12))),
+        draw(st.sampled_from(family)) if draw(dst) else "",
+    ]
+
+
+file_strategy = st.builds(
+    render,
+    rows=st.one_of(
+        st.lists(row_strategy(), max_size=30),
+        st.lists(row_strategy(dst=st.just(True)), max_size=10),
+        st.lists(row_strategy(dst=st.just(False)), max_size=10),
+    ),
+    quote_all=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    blanks=st.frozensets(st.integers(min_value=1, max_value=30), max_size=4),
+    final_eol=st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(file_strategy, st.sampled_from(BATCH_SIZES))
+def test_batched_reader_yields_the_reference_row_stream(text, batch_size):
+    expected = list(reference_read(io.StringIO(text)))
+    for flows in decode(text, batch_size):
+        assert flows == expected
+    for stream in streams(text):
+        assert list(read_flows_csv(stream)) == expected
+
+
+def test_plain_file_takes_the_fast_tokeniser_and_quoted_file_the_csv_one():
+    rows = [["1.000", "10.0.0.1", "R1", "et0", "1", "64", ""]] * 5
+    plain, quoted = render(rows), render(rows, quote_all=True)
+    assert '"' not in plain and "\r" not in plain
+    for batch_size in BATCH_SIZES:
+        (a, __), (b, __) = decode(plain, batch_size), decode(quoted, batch_size)
+        assert a == b == list(reference_read(io.StringIO(plain)))
+
+
+GOOD = ["1.000", "10.0.0.1", "R1", "et0", "1", "64", "10.0.0.2"]
+MALFORMED = {
+    "short row": GOOD[:4],
+    "long row": GOOD + ["extra"],
+    "one field": ["x"],
+    "bad timestamp": ["noon", *GOOD[1:]],
+    "bad packets": [*GOOD[:4], "1.5", *GOOD[5:]],
+    "bad bytes": [*GOOD[:5], "", GOOD[6]],
+    "bad src": [GOOD[0], "999.0.0.1", *GOOD[2:]],
+    "empty src": [GOOD[0], "", *GOOD[2:]],
+    "non-ascii src": [GOOD[0], "1.2.3.４", *GOOD[2:]],
+    "bad dst": [*GOOD[:6], "10.0.0"],
+    "family mix": [*GOOD[:6], "::1"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("quote_all", [False, True])
+def test_malformed_row_raises_value_error_naming_its_line(kind, batch_size, quote_all):
+    rows = [GOOD, GOOD, GOOD, MALFORMED[kind], GOOD]
+    text = render(rows, quote_all=quote_all, blanks={2})
+    with pytest.raises(ValueError):
+        list(reference_read(io.StringIO(text)))
+    for stream in streams(text):
+        # header is line 1, a blank line sits before row index 2, so the
+        # fourth data row is file line 6
+        with pytest.raises(ValueError, match=r"^flow CSV line 6: .*: \["):
+            list(read_flows_csv_batched(stream, batch_size))
+
+
+@pytest.mark.parametrize(
+    "text", ["x,y\n1,2\n", "\n" + render([GOOD]), render([GOOD]).replace("bytes", "octets")]
+)
+def test_bad_header_raises_on_both(text):
+    with pytest.raises(ValueError):
+        list(reference_read(io.StringIO(text)))
+    with pytest.raises(ValueError, match="^flow CSV line 1: "):
+        list(read_flows_csv_batched(io.StringIO(text)))
+
+
+def test_empty_and_header_only_files_yield_nothing():
+    for text in ["", render([]), render([], final_eol=False)]:
+        assert list(read_flows_csv_batched(io.StringIO(text))) == []
+
+
+def test_nonpositive_batch_size_rejected():
+    with pytest.raises(ValueError):
+        list(read_flows_csv_batched(io.StringIO(render([GOOD])), 0))
+
+
+def test_address_memo_is_used_and_bounded(monkeypatch):
+    """Each distinct text is parsed once while it fits the memo, and a file
+    with more distinct sources than the bound evicts instead of growing."""
+    distinct = [format_ip(0x0A000000 + index, 4) for index in range(20)]
+    rows = [[GOOD[0], src, *GOOD[2:6], ""] for src in distinct * 3]
+    text = render(rows)
+    expected = list(reference_read(io.StringIO(text)))
+    calls = []
+
+    def counting_parse(address):
+        calls.append(address)
+        return parse_ip(address)
+
+    monkeypatch.setattr(records, "parse_ip", counting_parse)
+    assert list(read_flows_csv(io.StringIO(text))) == expected
+    assert sorted(calls) == sorted(distinct)
+    del calls[:]
+    # cyclic access over a memo of 8 < 20 entries: every row is a miss
+    monkeypatch.setattr(records, "_MEMO_LIMIT", 8)
+    assert list(read_flows_csv(io.StringIO(text))) == expected
+    assert len(calls) == len(rows)
+
+
+def test_ingresses_are_interned_per_file():
+    rows = [GOOD] * 4 + [[*GOOD[:2], "R2", *GOOD[3:]]] * 2
+    (batch,) = read_flows_csv_batched(io.StringIO(render(rows)))
+    assert len({id(ingress) for ingress in batch.ingresses}) == 2

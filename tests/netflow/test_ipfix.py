@@ -137,6 +137,35 @@ class TestValidation:
         with pytest.raises(ValueError):
             IPFIXExporter("R1", index_map, max_records_per_message=0)
 
+    def test_unknown_ifindex_is_bad_data_and_leaves_the_collector_untouched(
+        self, index_map
+    ):
+        """A message whose *second* data set names an unknown ifIndex is
+        rejected whole: no counters, and not the templates it carried."""
+        message = next(IPFIXExporter("R1", index_map).export(
+            [v4_flow("10.0.0.1"), v6_flow("2001:db8::1")]
+        ))
+        # the v6 data set is last; its record ends ...ifIndex(4) + 3 x 8 bytes
+        offset = len(message) - 24 - 4
+        bad = message[:offset] + struct.pack("!I", 99) + message[offset + 4:]
+        collector = IPFIXCollector("R1", index_map)
+        with pytest.raises(ValueError, match="unknown ifIndex 99"):
+            collector.parse(bad)
+        assert collector.records_read == collector.messages_read == 0
+        assert collector.templates == {}
+        assert len(collector.parse(message)) == 2
+        assert (collector.messages_read, collector.records_read) == (1, 2)
+
+    def test_truncated_template_set_is_a_value_error(self, index_map):
+        # a template set announcing six fields but carrying one
+        body = struct.pack("!HH", TEMPLATE_V4, 6) + struct.pack("!HH", 8, 4)
+        sets = struct.pack("!HH", 2, 4 + len(body)) + body
+        message = struct.pack("!HHIII", 10, 16 + len(sets), 0, 0, 1) + sets
+        collector = IPFIXCollector("R1", index_map)
+        with pytest.raises(ValueError, match="truncated template"):
+            collector.parse(message)
+        assert collector.templates == {}
+
 
 class TestPipelineIntegration:
     def test_dualstack_bytes_to_classification(self, index_map):

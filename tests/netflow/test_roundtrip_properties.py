@@ -19,7 +19,12 @@ from repro.netflow.codec import (
     NetflowV5Reader,
 )
 from repro.netflow.ipfix import IPFIXCollector, IPFIXExporter
-from repro.netflow.records import FlowRecord, read_flows_csv, write_flows_csv
+from repro.netflow.records import (
+    FlowRecord,
+    read_flows_csv,
+    read_flows_csv_batched,
+    write_flows_csv,
+)
 from repro.topology.elements import IngressPoint
 
 INTERFACES = ["et0", "et1", "xe5"]
@@ -67,6 +72,10 @@ def test_flow_csv_roundtrip(flows):
     buffer.seek(0)
     decoded = list(read_flows_csv(buffer))
     assert len(decoded) == len(flows)
+    for batch_size in (1, 7, 8192):
+        buffer.seek(0)
+        batches = list(read_flows_csv_batched(buffer, batch_size))
+        assert [flow for batch in batches for flow in batch.iter_flows()] == decoded
     for original, parsed in zip(flows, decoded):
         assert parsed.src_ip == original.src_ip
         assert parsed.version == original.version
