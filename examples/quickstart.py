@@ -82,12 +82,11 @@ def main() -> None:
     print("\nOperational lookups:")
     for probe in ("203.0.0.77", "198.51.0.5", "192.0.2.200", "8.8.8.8"):
         value, __ = parse_ip(probe)
-        found = lpm.lookup_with_prefix(value)
+        found = lpm.lookup_entry(value)
         if found is None:
             print(f"  {probe:14s} -> (not mapped: too little traffic)")
         else:
-            prefix, ingress = found
-            print(f"  {probe:14s} -> {ingress}  (via {prefix})")
+            print(f"  {probe:14s} -> {found.ingress}  (via {found.prefix})")
 
     # the FRA LAG is detected as one logical bundle
     bundles = [r for r in final if r.ingress.is_bundle]

@@ -20,7 +20,6 @@ from .core import (
     Prefix,
     Snapshot,
     build_lpm_from_records,
-    compile_lpm_from_records,
 )
 from .netflow import FlowRecord, PacketSampler, StatisticalTime
 from .runtime import (
@@ -66,7 +65,6 @@ __all__ = [
     "WorkerCrashError",
     "apply_plan",
     "build_lpm_from_records",
-    "compile_lpm_from_records",
     "generate_topology",
     "link_loads",
     "restore_engine",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 from ..core.iputil import Prefix
-from ..core.lpm import LPMTable, build_lpm_from_records
+from ..core.lpm import CompiledLPM, LPMTable, build_lpm_from_records
 from ..core.output import IPDRecord
 from ..netflow.records import FlowRecord
 from ..topology.elements import IngressPoint
@@ -154,7 +154,7 @@ def evaluate_accuracy(
     snapshot_times = sorted(snapshots)
     if not snapshot_times:
         raise ValueError("no snapshots to validate against")
-    lpm_cache: dict[tuple[float, int], LPMTable[IngressPoint]] = {}
+    lpm_cache: dict[tuple[float, int], CompiledLPM] = {}
     bins: dict[float, BinAccuracy] = {}
 
     for flow in flows:
@@ -183,12 +183,12 @@ def evaluate_accuracy(
             bin_stats = BinAccuracy(start=bin_start)
             bins[bin_start] = bin_stats
 
-        found = lpm.lookup_with_prefix(flow.src_ip)
+        found = lpm.lookup_entry(flow.src_ip)
         if found is None:
             predicted, matched_range = None, None
             kind = UNMAPPED
         else:
-            matched_range, predicted = found
+            matched_range, predicted = found.prefix, found.ingress
             kind = topology.classify_miss(predicted, flow.ingress)
 
         correct = kind == MissKind.CORRECT

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .core.admission import AdmissionConfig
 from .core.iputil import parse_ip
-from .core.lpm import build_lpm_from_records
+from .core.lpm import CompiledLPM, build_lpm_from_records
 from .core.output import read_records_csv, write_records_csv
 from .core.params import IPDParams
 from .core.statecodec import IncompatibleStateError, StateCodecError
@@ -312,20 +312,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _family_lpm(
+    cache: dict[int, CompiledLPM], records: list, version: int
+) -> CompiledLPM:
+    """The records' table for *version*, compiled on first use."""
+    lpm = cache.get(version)
+    if lpm is None:
+        lpm = cache[version] = build_lpm_from_records(records, version)
+    return lpm
+
+
 def _cmd_lookup(args: argparse.Namespace) -> int:
     with open(args.records) as stream:
         records = list(read_records_csv(stream))
+    lpm_by_version: dict[int, CompiledLPM] = {}
     status = 0
     for address in args.address:
         value, version = parse_ip(address)
-        lpm = build_lpm_from_records(records, version)
-        found = lpm.lookup_with_prefix(value)
+        found = _family_lpm(lpm_by_version, records, version).lookup_entry(value)
         if found is None:
             print(f"{address}: not mapped")
             status = 1
         else:
-            prefix, ingress = found
-            print(f"{address}: {ingress} (via {prefix})")
+            print(f"{address}: {found.ingress} (via {found.prefix})")
     return status
 
 
@@ -399,14 +408,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     with open(args.records) as stream:
         records = list(read_records_csv(stream))
-    lpm_by_version: dict[int, object] = {}
+    lpm_by_version: dict[int, CompiledLPM] = {}
     total = correct = unmapped = 0
     with open(args.flows) as stream:
         for batch in read_flows_csv_batched(stream):
-            lpm = lpm_by_version.get(batch.version)
-            if lpm is None:
-                lpm = build_lpm_from_records(records, batch.version)
-                lpm_by_version[batch.version] = lpm
+            lpm = _family_lpm(lpm_by_version, records, batch.version)
             total += len(batch)
             for predicted, ingress in zip(
                 map(lpm.lookup, batch.src_ips), batch.ingresses

@@ -19,7 +19,6 @@ from .lpm import (
     CompiledLPM,
     LPMTable,
     build_lpm_from_records,
-    compile_lpm_from_records,
 )
 from .output import IPDRecord, read_records_csv, write_records_csv
 from .params import DEFAULT_PARAMS, IPDParams, default_decay
@@ -68,7 +67,6 @@ __all__ = [
     "UnclassifiedState",
     "build_lpm_from_records",
     "bundle_candidates",
-    "compile_lpm_from_records",
     "decode_admission",
     "decode_engine",
     "decode_subtree",

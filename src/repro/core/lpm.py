@@ -6,25 +6,28 @@ to compare predicted with actual ingress points.  The same structure
 serves operational queries ("which ingress serves 198.51.100.17 right
 now?") and the longitudinal matching/stability analyses of §5.3.
 
-Two implementations share that contract:
+Two structures, two jobs:
 
-* :class:`LPMTable` — a mutable pointer trie, built incrementally; the
-  general-purpose structure (arbitrary payloads, exact-prefix ops).
-* :class:`CompiledLPM` — an immutable, array-packed compilation of one
-  snapshot's classified ranges: sorted prefix-key columns per masklen
-  (binary-searched), interned ingress ids, confidence and range-age
-  columns.  It is the serving plane's unit of deployment — cheap to
-  share between threads, allocation-free to query, and serializable as
-  a versioned blob (``to_bytes``/``from_bytes``, statecodec
-  conventions: magic + u16 version, typed decode errors, IPD004
-  fingerprint-pinned).
+* :class:`CompiledLPM` — the only table ever built from IPD output
+  (:func:`build_lpm_from_records` is its ``from_records``): an
+  immutable compilation of one snapshot's classified ranges into flat
+  row columns (prefix, interned ingress id, confidence, timestamp) plus
+  a flattened interval index, so a lookup is one ``bisect`` whatever
+  the number of prefix lengths.  Cheap to share between threads,
+  allocation-free to query, and serializable as a versioned blob
+  (``to_bytes``/``from_bytes``, statecodec conventions: magic + u16
+  version, typed decode errors, IPD004 fingerprint-pinned).
+* :class:`LPMTable` — a mutable pointer trie for payloads that are not
+  ingress points over prefixes that genuinely overlap (BGP routes,
+  origin ASNs), and the independent reference the compiled form is
+  property-tested against.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from typing import Generic, Iterable, Iterator, NamedTuple, Optional, TypeVar, cast
 
 from ..devtools.markers import hot_path
@@ -45,7 +48,6 @@ __all__ = [
     "CompiledLPM",
     "LPMTable",
     "build_lpm_from_records",
-    "compile_lpm_from_records",
 ]
 
 V = TypeVar("V")
@@ -56,8 +58,6 @@ CODEC_VERSION = 1
 
 _MAGIC = b"IPDL"
 _KIND_COMPILED = 0x43  # 'C'
-
-_MASK64 = (1 << 64) - 1
 
 
 class _LPMNode(Generic[V]):
@@ -72,8 +72,8 @@ class _LPMNode(Generic[V]):
 class LPMTable(Generic[V]):
     """A longest-prefix-match dictionary keyed by :class:`Prefix`.
 
-    Values are arbitrary; IPD uses :class:`IngressPoint` payloads, the
-    BGP substrate reuses the same structure for route lookup.
+    Values are arbitrary (BGP routes, origin ASNs) and prefixes may
+    overlap; IPD output itself is looked up through :class:`CompiledLPM`.
     """
 
     def __init__(self, version: int) -> None:
@@ -165,22 +165,6 @@ class LPMTable(Generic[V]):
         return self.lookup_prefix(prefix) is not None
 
 
-def build_lpm_from_records(
-    records: Iterable[IPDRecord],
-    version: int = IPV4,
-    classified_only: bool = True,
-) -> LPMTable[IngressPoint]:
-    """Build the §5.1 validation LPM table from one output snapshot."""
-    table: LPMTable[IngressPoint] = LPMTable(version)
-    for record in records:
-        if record.version != version:
-            continue
-        if classified_only and not record.classified:
-            continue
-        table.insert(record.range, record.ingress)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # compiled (array-packed, immutable) LPM
 # ---------------------------------------------------------------------------
@@ -199,16 +183,18 @@ class CompiledEntry(NamedTuple):
 
 
 class CompiledLPM:
-    """An immutable, array-packed longest-prefix-match structure.
+    """An immutable longest-prefix-match table over one snapshot.
 
     Rows are stored sorted by ``(masklen, prefix value)`` in flat
-    columns: prefix keys (one ``array('Q')`` for IPv4, a hi/lo pair for
-    IPv6), per-row masklens, interned ingress ids, confidence and the
-    source snapshot timestamp.  Each masklen owns a contiguous slice of
-    the key column; :meth:`lookup_row` walks masklens most-specific
-    first and binary-searches the slice, so a lookup is
-    ``O(#masklens · log n)`` with zero allocation — the shape the
-    serving hot path needs (rules IPD005/IPD008 pin it).
+    columns: prefix values, masklens, interned ingress ids, confidence
+    and the source snapshot timestamp — the order and content of the
+    wire format.  Beside them sits the lookup index: the prefixes,
+    nested or not, flattened into disjoint address segments, where
+    ``_starts[i]`` opens a segment answered by row ``_seg_rows[i]``
+    (-1: no prefix covers it).  :meth:`lookup_row` is therefore one
+    ``bisect`` and one index for any prefix set and either family
+    (Python ints compare natively at 128 bits), with zero allocation —
+    the shape the serving hot path needs (rules IPD005/IPD008 pin it).
 
     Instances are deeply read-only by convention (nothing mutates after
     construction), which is what makes epoch hot-swap in
@@ -217,11 +203,9 @@ class CompiledLPM:
 
     __slots__ = (
         "version",
-        "_bits",
-        "_buckets",
-        "_keys",
-        "_keys_hi",
-        "_keys_lo",
+        "_starts",
+        "_seg_rows",
+        "_values",
         "_masklens",
         "_ingress_ids",
         "_confidence",
@@ -241,7 +225,6 @@ class CompiledLPM:
             raise ValueError(f"unknown IP version: {version!r}")
         self.version = version
         bits = 32 if version == IPV4 else 128
-        self._bits = bits
         dedup: dict[tuple[int, int], tuple[IngressPoint, float, float]] = {}
         for masklen, value, ingress, confidence, timestamp in rows:
             if not 0 <= masklen <= bits:
@@ -255,25 +238,13 @@ class CompiledLPM:
         intern: dict[IngressPoint, int] = {}
         ingresses: list[IngressPoint] = []
         masklens = array("B")
-        keys = array("Q")
-        keys_hi = array("Q")
-        keys_lo = array("Q")
+        values: list[int] = []
         ingress_ids = array("L")
         confidences = array("d")
         timestamps = array("d")
-        buckets: list[tuple[int, int, int]] = []  # (shift, start, end)
-        previous_masklen = -1
-        for index, (masklen, value) in enumerate(sorted(dedup)):
-            if masklen != previous_masklen:
-                buckets.append((bits - masklen, index, index))
-                previous_masklen = masklen
-            buckets[-1] = (buckets[-1][0], buckets[-1][1], index + 1)
+        for masklen, value in sorted(dedup):
             masklens.append(masklen)
-            if version == IPV4:
-                keys.append(value)
-            else:
-                keys_hi.append(value >> 64)
-                keys_lo.append(value & _MASK64)
+            values.append(value)
             ingress, confidence, timestamp = dedup[(masklen, value)]
             ingress_id = intern.get(ingress)
             if ingress_id is None:
@@ -283,20 +254,41 @@ class CompiledLPM:
             ingress_ids.append(ingress_id)
             confidences.append(confidence)
             timestamps.append(timestamp)
-        # lookups probe most-specific (largest masklen == smallest shift)
-        # first so the first hit is the longest match
-        buckets.sort(key=lambda bucket: bucket[0])
-        self._buckets: tuple[tuple[int, int, int], ...] = tuple(buckets)
-        self._keys = keys
-        self._keys_hi = keys_hi
-        self._keys_lo = keys_lo
+
+        # Flatten into segments: sweep the prefixes in (value, masklen)
+        # order — a parent sorts before its children — with the open ones
+        # on a stack.  A segment opens where a prefix starts and, answered
+        # by whatever encloses it, where one ends; ends come off the stack
+        # in ascending order, so the dict fills in address order and a
+        # later writer of the same start (a child on its parent's first
+        # address, a sibling on its neighbour's end) replaces the earlier.
+        limit = 1 << bits
+        segments = {0: -1}
+        # the bottom entry is the unmatched whole space and never closes
+        enclosing: list[tuple[int, int]] = [(limit + 1, -1)]
+
+        def close_until(address: int) -> None:
+            while enclosing[-1][0] <= address:
+                end = enclosing.pop()[0]
+                segments[end] = enclosing[-1][1]
+
+        for value, masklen, row in sorted(
+            zip(values, masklens, range(len(values)))
+        ):
+            close_until(value)
+            segments[value] = row
+            enclosing.append((value + (1 << (bits - masklen)), row))
+        # the last close leaves a final -1 segment (at or past the top of
+        # the space), so an out-of-range probe of either sign is a miss
+        close_until(limit)
+        self._starts: tuple[int, ...] = tuple(segments)
+        self._seg_rows: tuple[int, ...] = tuple(segments.values())
+        self._values: tuple[int, ...] = tuple(values)
         self._masklens = masklens
         self._ingress_ids = ingress_ids
         self._confidence = confidences
         self._timestamps = timestamps
         self._ingresses: tuple[IngressPoint, ...] = tuple(ingresses)
-
-    # ------------------------------------------------------------------ build
 
     @classmethod
     def from_records(
@@ -305,8 +297,9 @@ class CompiledLPM:
         version: int = IPV4,
         classified_only: bool = True,
     ) -> "CompiledLPM":
-        """Compile one snapshot's records (the :func:`build_lpm_from_records`
-        filter semantics, flattened into columns)."""
+        """Compile the §5.1 validation LPM table from one output snapshot:
+        the *version* family's records, classified ones unless told
+        otherwise."""
         return cls(
             version,
             (
@@ -323,53 +316,12 @@ class CompiledLPM:
             ),
         )
 
-    @classmethod
-    def from_table(
-        cls,
-        table: "LPMTable[IngressPoint]",
-        confidence: float = 1.0,
-        timestamp: float = 0.0,
-    ) -> "CompiledLPM":
-        """Flatten a pointer-trie :class:`LPMTable` into compiled form."""
-        return cls(
-            table.version,
-            (
-                (prefix.masklen, prefix.value, ingress, confidence, timestamp)
-                for prefix, ingress in table.items()
-            ),
-        )
-
     # ------------------------------------------------------------------ query
 
     @hot_path
     def lookup_row(self, ip_value: int) -> int:
         """Row index of the most specific entry covering *ip_value*, or -1."""
-        if self.version == IPV4:
-            keys = self._keys
-            for shift, start, end in self._buckets:
-                masked = (ip_value >> shift) << shift
-                index = bisect_left(keys, masked, start, end)
-                if index < end and keys[index] == masked:
-                    return index
-            return -1
-        keys_hi = self._keys_hi
-        keys_lo = self._keys_lo
-        for shift, start, end in self._buckets:
-            masked = (ip_value >> shift) << shift
-            hi = masked >> 64
-            lo = masked & _MASK64
-            low = start
-            high = end
-            while low < high:
-                mid = (low + high) >> 1
-                mid_hi = keys_hi[mid]
-                if mid_hi < hi or (mid_hi == hi and keys_lo[mid] < lo):
-                    low = mid + 1
-                else:
-                    high = mid
-            if low < end and keys_hi[low] == hi and keys_lo[low] == lo:
-                return low
-        return -1
+        return self._seg_rows[bisect_right(self._starts, ip_value) - 1]
 
     @hot_path
     def lookup(self, ip_value: int) -> Optional[IngressPoint]:
@@ -405,12 +357,8 @@ class CompiledLPM:
         """Materialize compiled row *row* (0 ≤ row < ``len(self)``)."""
         if not 0 <= row < len(self._masklens):
             raise IndexError(f"row {row} out of range")
-        if self.version == IPV4:
-            value = self._keys[row]
-        else:
-            value = (self._keys_hi[row] << 64) | self._keys_lo[row]
         return CompiledEntry(
-            prefix=Prefix(value, self._masklens[row], self.version),
+            prefix=Prefix(self._values[row], self._masklens[row], self.version),
             ingress=self._ingresses[self._ingress_ids[row]],
             confidence=self._confidence[row],
             timestamp=self._timestamps[row],
@@ -423,21 +371,6 @@ class CompiledLPM:
 
     def __len__(self) -> int:
         return len(self._masklens)
-
-    def nbytes(self) -> int:
-        """Approximate packed size of the column storage, in bytes."""
-        total = 0
-        for column in (
-            self._keys,
-            self._keys_hi,
-            self._keys_lo,
-            self._masklens,
-            self._ingress_ids,
-            self._confidence,
-            self._timestamps,
-        ):
-            total += column.buffer_info()[1] * column.itemsize
-        return total
 
     # ------------------------------------------------------------------ codec
 
@@ -462,12 +395,7 @@ class CompiledLPM:
         writer.uvarint(count)
         for row in range(count):
             writer.byte(self._masklens[row])
-            if self.version == IPV4:
-                writer.uvarint(self._keys[row])
-            else:
-                writer.uvarint(
-                    (self._keys_hi[row] << 64) | self._keys_lo[row]
-                )
+            writer.uvarint(self._values[row])
             writer.ingress(self._ingresses[self._ingress_ids[row]])
             writer.float(self._confidence[row])
             writer.float(self._timestamps[row])
@@ -540,12 +468,6 @@ class CompiledLPM:
         return cls(family, rows)
 
 
-def compile_lpm_from_records(
-    records: Iterable[IPDRecord],
-    version: int = IPV4,
-    classified_only: bool = True,
-) -> CompiledLPM:
-    """Compiled sibling of :func:`build_lpm_from_records`."""
-    return CompiledLPM.from_records(
-        records, version=version, classified_only=classified_only
-    )
+#: the §5.1 validation table of one output snapshot (``records``,
+#: ``version=IPV4``, ``classified_only=True``)
+build_lpm_from_records = CompiledLPM.from_records

@@ -18,6 +18,11 @@ request                        response
 =============================  =============================================
 
 Malformed input answers ``ERR <reason>`` and keeps the connection open.
+The one exception is a request line longer than :data:`MAX_LINE_BYTES`:
+it answers ``ERR line too long`` and closes the connection, since the
+rest of the stream can no longer be framed.  That cap is the only input
+limit, so it is also what bounds ``MGET`` arity (about 4 000 IPv4 or
+1 600 IPv6 addresses a request); larger batches go in several requests.
 The server holds no per-request state beyond the line being processed;
 epoch installs on the service are visible to the next request
 immediately, with in-flight bulk requests pinned to the epoch they
@@ -38,7 +43,11 @@ from .service import (
     ServingError,
 )
 
-__all__ = ["LookupServer"]
+__all__ = ["MAX_LINE_BYTES", "LookupServer"]
+
+#: longest request line accepted, its newline not counted; memory per
+#: connection is bounded by a small multiple of it
+MAX_LINE_BYTES = 64 * 1024
 
 
 def _format_hit(result: Optional[LookupResult], epoch: int) -> str:
@@ -74,7 +83,10 @@ class LookupServer:
         the actual one.
         """
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection,
+            self.host,
+            self.port,
+            limit=MAX_LINE_BYTES,
         )
         sockets = self._server.sockets or []
         if sockets:
@@ -105,7 +117,12 @@ class LookupServer:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # readline's name for a limit overrun
+                    writer.write(b"ERR line too long\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 request = line.decode("utf-8", errors="replace").strip()

@@ -78,6 +78,23 @@ class LookupResult(NamedTuple):
     watermark: float
 
 
+def _result(
+    table: CompiledLPM, row: int, epoch: int, watermark: float
+) -> Optional[LookupResult]:
+    """Row *row* of *table* (-1: no match) as an answer of *epoch*."""
+    if row < 0:
+        return None
+    entry = table.entry(row)
+    return LookupResult(
+        ingress=entry.ingress,
+        confidence=entry.confidence,
+        prefix=entry.prefix,
+        age=watermark - entry.timestamp,
+        epoch=epoch,
+        watermark=watermark,
+    )
+
+
 class ServingEpoch:
     """One immutable generation of the lookup service.
 
@@ -273,17 +290,8 @@ class IngressLookupService:
         table = current._tables.get(version)
         if table is None:
             return None
-        row = table.lookup_row(ip_value)
-        if row < 0:
-            return None
-        entry = table.entry(row)
-        return LookupResult(
-            ingress=entry.ingress,
-            confidence=entry.confidence,
-            prefix=entry.prefix,
-            age=current.watermark - entry.timestamp,
-            epoch=current.epoch,
-            watermark=current.watermark,
+        return _result(
+            table, table.lookup_row(ip_value), current.epoch, current.watermark
         )
 
     def lookup_many(
@@ -307,20 +315,10 @@ class IngressLookupService:
         for value in ip_values:
             count += 1
             record(value, version)
-            row = table.lookup_row(value) if table is not None else -1
-            if row < 0:
-                append(None)
-                continue
-            entry = table.entry(row)  # type: ignore[union-attr]
             append(
-                LookupResult(
-                    ingress=entry.ingress,
-                    confidence=entry.confidence,
-                    prefix=entry.prefix,
-                    age=watermark - entry.timestamp,
-                    epoch=epoch,
-                    watermark=watermark,
-                )
+                _result(table, table.lookup_row(value), epoch, watermark)
+                if table is not None
+                else None
             )
         self.queries += count
         return epoch, results
@@ -341,18 +339,7 @@ class IngressLookupService:
         if resolved is None:
             return None
         found, table = resolved
-        row = table.lookup_row(ip_value)
-        if row < 0:
-            return None
-        entry = table.entry(row)
-        return LookupResult(
-            ingress=entry.ingress,
-            confidence=entry.confidence,
-            prefix=entry.prefix,
-            age=found - entry.timestamp,
-            epoch=-1,
-            watermark=found,
-        )
+        return _result(table, table.lookup_row(ip_value), -1, found)
 
     def _historical_table(
         self, timestamp: float, version: int

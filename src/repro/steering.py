@@ -118,10 +118,10 @@ def subdivide_by_flows(
     for flow in flows:
         if flow.version != version:
             continue
-        found = lpm.lookup_with_prefix(flow.src_ip)
+        found = lpm.lookup_entry(flow.src_ip)
         if found is None:
             continue
-        covering, __ = found
+        covering = found.prefix
         if covering.masklen >= masklen:
             continue
         sub = mask_ip(flow.src_ip, masklen, version)

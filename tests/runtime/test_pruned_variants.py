@@ -56,3 +56,19 @@ def test_admission_forks_are_gone():
     section[5] = 1  # the version byte
     with pytest.raises(IncompatibleStateError, match="version 1.*version 2"):
         decode_admission(bytes(section) + b"\x00")  # v1's empty held block
+
+
+def test_lpm_forks_are_gone():
+    """One LPM for IPD output: no per-masklen buckets, hi/lo key columns
+    or second ``build_*`` path; the public builder compiles."""
+    import repro
+    import repro.core
+    from repro.core.lpm import CompiledLPM, build_lpm_from_records
+
+    table = build_lpm_from_records([])
+    assert isinstance(table, CompiledLPM)
+    for name in ("_buckets", "_keys_hi", "_keys_lo", "from_table", "nbytes"):
+        assert not hasattr(table, name)
+    for module in (repro, repro.core, repro.core.lpm):
+        assert not hasattr(module, "compile_lpm_from_records")
+        assert "compile_lpm_from_records" not in module.__all__

@@ -13,6 +13,7 @@ from repro.core.iputil import Prefix
 from repro.core.output import IPDRecord
 from repro.core.snapshot import Snapshot
 from repro.serving import IngressLookupService, LookupServer
+from repro.serving.server import MAX_LINE_BYTES
 from repro.topology.elements import IngressPoint
 
 R1 = IngressPoint("R1", "et0")
@@ -155,6 +156,62 @@ class TestProtocol:
             client.writer.write(b"QUIT\n")
             await client.writer.drain()
             assert await client.reader.readline() == b""
+
+        asyncio.run(run_session(service_with(), talk))
+
+
+class TestInputLimits:
+    def test_oversized_line_is_refused_and_the_connection_closed(self):
+        """A line that outruns the cap: one typed answer, then EOF — and
+        nobody else notices (no unhandled exception, others keep talking)."""
+        unhandled = []
+
+        async def talk(client, service):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            address = client.writer.get_extra_info("peername")[:2]
+            bystander = Client(*await asyncio.open_connection(*address))
+            try:
+                assert (await bystander.ask("GET 10.1.2.3")).startswith("HIT")
+                # unterminated, so the server has read every byte when it
+                # gives up and the close is a clean FIN, not a reset
+                client.writer.write(b"GET " + b"1" * (MAX_LINE_BYTES - 3))
+                await client.writer.drain()
+                assert await client.reader.readline() == b"ERR line too long\n"
+                assert await client.reader.read() == b""
+                assert (await bystander.ask("GET 10.1.2.3")).startswith("HIT")
+                newcomer = Client(*await asyncio.open_connection(*address))
+                assert await newcomer.ask("GET 99.0.0.1") == "MISS 1"
+                newcomer.writer.close()
+            finally:
+                bystander.writer.close()
+
+        asyncio.run(run_session(service_with(), talk))
+        assert unhandled == []
+
+    def test_mget_up_to_the_cap_is_answered(self):
+        """The cap is the only bound on MGET arity: a request line of
+        exactly MAX_LINE_BYTES is a normal request."""
+        count = (MAX_LINE_BYTES - len("MGET")) // len(" 10.1.2.3")
+        request = ("MGET" + " 10.1.2.3" * count).ljust(MAX_LINE_BYTES)
+        assert len(request) == MAX_LINE_BYTES
+
+        async def talk(client, service):
+            lines = await client.lines(request, count + 1)
+            assert lines[-1] == "END 1"
+            assert set(lines[:-1]) == {"HIT R1 et0 10.0.0.0/8 0.9 0 1"}
+            assert (await client.ask("GET 10.1.2.3")).startswith("HIT")
+
+        asyncio.run(run_session(service_with(), talk))
+
+    def test_invalid_utf8_is_a_protocol_error(self):
+        async def talk(client, service):
+            client.writer.write(b"GET \xff\xfe10.1.2.3\n\xc3\x28 1\n")
+            await client.writer.drain()
+            for _ in range(2):
+                assert (await client.reader.readline()).startswith(b"ERR ")
+            assert (await client.ask("GET 10.1.2.3")).startswith("HIT")
 
         asyncio.run(run_session(service_with(), talk))
 

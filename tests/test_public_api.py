@@ -177,7 +177,7 @@ class TestServingSurface:
         assert hasattr(repro.serving, name)
 
     @pytest.mark.parametrize("name", [
-        "CompiledLPM", "compile_lpm_from_records",
+        "CompiledLPM", "build_lpm_from_records",
     ])
     def test_compiled_lpm_exported_from_core_and_top_level(self, name):
         import repro.core
