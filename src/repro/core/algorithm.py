@@ -81,11 +81,6 @@ class SweepReport:
     #: leaves actually visited by this sweep (dirty + expiry-due +
     #: classified); the gap to ``leaves`` is the idle set skipped
     visited: int = 0
-    #: lookup-cache totals across families (cumulative since start)
-    cache_size: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
     #: admission gate decisions since the previous sweep (all zero with
     #: no controller attached).  admitted / held / dropped count flows:
     #: kept, below the threshold but kept anyway (``exact``), below it
@@ -100,8 +95,8 @@ class SweepReport:
 
     @property
     def cache_hit_rate(self) -> float:
-        probes = self.cache_hits + self.cache_misses
-        return self.cache_hits / probes if probes else 0.0
+        # the leaf cache is gone; the frozen ledger still reads this name
+        return 0.0
 
 
 class IPD:
@@ -365,10 +360,6 @@ class IPD:
         for tree in self.trees.values():
             self._sweep_tree(tree, now, report)
             report.leaves_by_version[tree.version] = tree.leaf_count()
-            report.cache_size += tree.cache_size()
-            report.cache_hits += tree.cache_hits
-            report.cache_misses += tree.cache_misses
-            report.cache_evictions += tree.cache_evictions
         report.leaves = sum(report.leaves_by_version.values())
         report.classified = sum(
             tree.classified_count() for tree in self.trees.values()
@@ -448,8 +439,9 @@ class IPD:
         masklen = leaf.prefix.masklen
         if state.sample_count < params.n_cidr(masklen, tree.version):
             return  # line 8: not enough samples yet
+        totals = state.ingress_totals()
         found = dominant_ingress(
-            state.ingress_totals(),
+            totals,
             enable_bundles=params.enable_bundles,
             min_share=params.bundle_min_share,
         )
@@ -461,7 +453,7 @@ class IPD:
             # discarded ("all state is removed for efficiency reasons").
             leaf.state = ClassifiedState(
                 ingress=ingress,
-                counters=state.ingress_totals(),
+                counters=totals,
                 last_seen=state.newest_timestamp,
                 classified_at=now,
             )

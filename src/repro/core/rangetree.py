@@ -5,20 +5,18 @@ each node representing a CIDR range" (§3.1).  The trie starts as a single
 /0 leaf and is refined by splits and coarsened by joins as traffic
 dictates.  Leaves carry range state; internal nodes only route lookups.
 
-A bounded masked-IP → leaf LRU cache accelerates ingest: source prefixes
-repeat heavily in real traffic, and a cache hit replaces the 28-step bit
-walk with one dictionary probe.  Cache entries self-invalidate — a split
-turns the cached node into an internal node, and joins mark detached
-nodes dead — so the cache survives across sweeps and only sheds entries
-by LRU eviction once ``cache_capacity`` is reached (an unbounded cache
-is a memory blow-up under address-scan workloads: one entry per distinct
-masked source).
+Leaves are pairwise disjoint and tile the root range, so the tree keeps
+them in a sorted leaf index — ``_leaf_starts`` (first address of each
+leaf) and ``_leaf_nodes`` (the leaves), both in address order — and a
+lookup is one ``bisect_right``.  The index is exact by construction: the
+only four methods that change the trie's shape (``split``, ``sprout``,
+``join``, ``_collapse``) replace one entry by two or two by one.
 
 The tree also keeps the incremental bookkeeping the sweep machinery
 needs to avoid full-trie walks:
 
-* ``leaf_count()`` / ``classified_count()`` are O(1) counters maintained
-  by split/join/prune and by state assignment.
+* ``leaf_count()`` / ``classified_count()`` are O(1): the index length
+  and a set maintained by split/join/prune and by state assignment.
 * ``dirty`` is the set of leaves whose state changed since the last
   :meth:`drain_dirty` — the sweep visits those instead of every leaf.
 * an expiry min-heap orders unclassified leaves by ``oldest_seen`` so a
@@ -36,20 +34,16 @@ dirty set can never go stale.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..devtools.markers import hot_path
 from .iputil import Prefix
 from .state import ClassifiedState, DelegatedState, UnclassifiedState
 
-__all__ = ["RangeNode", "RangeTree", "DEFAULT_CACHE_CAPACITY"]
+__all__ = ["RangeNode", "RangeTree"]
 
 RangeState = Union[UnclassifiedState, ClassifiedState, DelegatedState]
-
-#: default bound on the masked-IP → leaf cache (entries, not bytes);
-#: at ~100 B/entry this caps the cache near 25 MB per family
-DEFAULT_CACHE_CAPACITY = 1 << 18
 
 _INF = float("inf")
 
@@ -115,7 +109,6 @@ class RangeTree:
     def __init__(
         self,
         version: int,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         root_prefix: Optional[Prefix] = None,
     ) -> None:
         if root_prefix is not None and root_prefix.version != version:
@@ -123,7 +116,6 @@ class RangeTree:
                 f"root prefix {root_prefix} does not match IPv{version}"
             )
         self.version = version
-        self._leaf_count = 0
         #: leaves currently owned by another engine (DelegatedState)
         self._delegated_count = 0
         self._classified: set[RangeNode] = set()
@@ -135,13 +127,10 @@ class RangeTree:
             root_prefix if root_prefix is not None else Prefix.root(version),
             tree=self,
         )
-        self._leaf_count = 1
-        self._bits = self.root.prefix.bits
-        self.cache_capacity = cache_capacity
-        self._cache: OrderedDict[int, RangeNode] = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
+        #: the sorted leaf index: first address of every leaf, and the
+        #: leaves themselves, in address order (delegated leaves included)
+        self._leaf_starts: list[int] = [self.root.prefix.value]
+        self._leaf_nodes: list[RangeNode] = [self.root]
         #: number of splits/joins performed (resource-metric bookkeeping)
         self.split_count = 0
         self.join_count = 0
@@ -150,31 +139,27 @@ class RangeTree:
 
     @hot_path
     def lookup_leaf(self, ip_value: int) -> RangeNode:
-        """Return the unique leaf whose range contains *ip_value*."""
-        cache = self._cache
-        cached = cache.get(ip_value)
-        if cached is not None:
-            if cached.left is None and not cached.dead:
-                self.cache_hits += 1
-                cache.move_to_end(ip_value)
-                return cached
-            del cache[ip_value]
-        self.cache_misses += 1
-        node = self.root
-        bits = self._bits
-        while node.left is not None:
-            bit_index = bits - node.prefix.masklen - 1
-            if (ip_value >> bit_index) & 1:
-                # internal nodes always have both children; a per-step
-                # assert would tax the hottest loop in the engine
-                node = node.right  # type: ignore[assignment]
-            else:
-                node = node.left
-        cache[ip_value] = node
-        if len(cache) > self.cache_capacity:
-            cache.popitem(last=False)
-            self.cache_evictions += 1
-        return node
+        """Return the unique leaf whose range contains *ip_value*.
+
+        *ip_value* must lie inside the root prefix.  A rooted (shard)
+        tree asked for a foreign address answers with an arbitrary leaf;
+        the sharded router guarantees that never happens.
+        """
+        return self._leaf_nodes[bisect_right(self._leaf_starts, ip_value) - 1]
+
+    def _index_halve(self, left: RangeNode, right: RangeNode) -> None:
+        """Replace a leaf's index entry by its two new children."""
+        i = bisect_left(self._leaf_starts, left.prefix.value)
+        self._leaf_nodes[i] = left
+        self._leaf_starts.insert(i + 1, right.prefix.value)
+        self._leaf_nodes.insert(i + 1, right)
+
+    def _index_merge(self, parent: RangeNode) -> None:
+        """Replace two sibling leaves' index entries by their parent."""
+        i = bisect_left(self._leaf_starts, parent.prefix.value)
+        self._leaf_nodes[i] = parent
+        del self._leaf_starts[i + 1]
+        del self._leaf_nodes[i + 1]
 
     # -- incremental bookkeeping ------------------------------------------------
 
@@ -301,13 +286,13 @@ class RangeTree:
         node.left = left
         node.right = right
         node.state = None
+        self._index_halve(left, right)
         for child in (left, right):
             child_state = child._state
             assert isinstance(child_state, UnclassifiedState)
             self.dirty.add(child)
             if child_state.oldest_seen != _INF:
                 self.schedule_expiry(child)
-        self._leaf_count += 1
         self.split_count += 1
         return left, right
 
@@ -316,7 +301,7 @@ class RangeTree:
 
         The caller supplies the merged *state* (the classifier decides
         how counters combine).  The detached children are marked dead so
-        stale cache entries cannot resurrect them.
+        stale dirty-set and heap entries cannot resurrect them.
         """
         if parent.is_leaf:
             raise ValueError(f"cannot join leaf {parent.prefix}")
@@ -329,7 +314,7 @@ class RangeTree:
         parent.left = None
         parent.right = None
         parent.state = state
-        self._leaf_count -= 1
+        self._index_merge(parent)
         self.join_count += 1
         return parent
 
@@ -349,7 +334,7 @@ class RangeTree:
         node.left = left
         node.right = right
         node.state = None
-        self._leaf_count += 1
+        self._index_halve(left, right)
         return left, right
 
     def delegate(self, node: RangeNode) -> UnclassifiedState:
@@ -388,18 +373,12 @@ class RangeTree:
     # -- iteration -------------------------------------------------------------
 
     def leaves(self) -> Iterator[RangeNode]:
-        """Yield all leaves in address order (iterative DFS)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            left, right = node.left, node.right
-            if left is None:
-                yield node
-            else:
-                assert right is not None  # internal nodes have both children
-                # push right first so left pops first (address order)
-                stack.append(right)
-                stack.append(left)
+        """Yield all leaves in address order.
+
+        Iterates a snapshot of the leaf index, so a caller may
+        restructure the tree while iterating.
+        """
+        return iter(tuple(self._leaf_nodes))
 
     def internal_nodes_postorder(self) -> Iterator[RangeNode]:
         """Yield internal nodes children-first (for bottom-up joins)."""
@@ -418,13 +397,13 @@ class RangeTree:
                 stack.append((left, False))
 
     def leaf_count(self) -> int:
-        """Number of *visible* leaves — O(1), maintained incrementally.
+        """Number of *visible* leaves — O(1), the index length less delegations.
 
         Delegated leaves (ranges owned by another engine) are excluded,
         so the visible leaves of a sharded deployment's aggregator plus
         its shard trees sum to exactly the single-engine count.
         """
-        return self._leaf_count - self._delegated_count
+        return len(self._leaf_nodes) - self._delegated_count
 
     def delegated_count(self) -> int:
         """Number of leaves currently delegated to another engine — O(1)."""
@@ -513,11 +492,4 @@ class RangeTree:
         parent.left = None
         parent.right = None
         parent.state = UnclassifiedState()
-        self._leaf_count -= 1
-
-    def clear_cache(self) -> None:
-        """Drop the masked-IP lookup cache (e.g. between time buckets)."""
-        self._cache.clear()
-
-    def cache_size(self) -> int:
-        return len(self._cache)
+        self._index_merge(parent)

@@ -341,10 +341,6 @@ class ShardedIPD:
             report.expired_sources += part.expired_sources
             report.decayed_ranges += part.decayed_ranges
             report.visited += part.visited
-            report.cache_size += part.cache_size
-            report.cache_hits += part.cache_hits
-            report.cache_misses += part.cache_misses
-            report.cache_evictions += part.cache_evictions
             report.admission_admitted += part.admission_admitted
             report.admission_held += part.admission_held
             report.admission_dropped += part.admission_dropped

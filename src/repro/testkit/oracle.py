@@ -2,7 +2,7 @@
 
 :class:`ReferenceIPD` re-implements Algorithm 1 exactly as §3.2 of the
 paper states it, with none of the production engine's machinery: no
-dirty sets, no expiry heap, no lookup cache, no incrementally maintained
+dirty sets, no expiry heap, no leaf index, no incrementally maintained
 counters, no columnar batching.  Every sweep walks every leaf; every
 total is recomputed from the raw per-source dicts on demand.  It is
 deliberately slow and deliberately simple — the point is that a reader
@@ -20,8 +20,8 @@ independent, and the one non-integer path — decayed classified counters
 that order, decay preserves it).
 
 Only the ``ORACLE_REPORT_FIELDS`` of a sweep report are comparable: the
-oracle has no cache and visits every leaf, so ``visited``, ``cache_*``
-and ``duration_seconds`` legitimately differ from a dirty-sweep engine.
+oracle visits every leaf, so ``visited`` and ``duration_seconds``
+legitimately differ from a dirty-sweep engine.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 #: SweepReport fields that are algorithmically meaningful and therefore
-#: must agree between the engine and the oracle.  ``visited`` and the
-#: ``cache_*`` counters are implementation detail of the dirty-sweep
-#: machinery; ``duration_seconds`` is wall clock.
+#: must agree between the engine and the oracle.  ``visited`` is an
+#: implementation detail of the dirty-sweep machinery;
+#: ``duration_seconds`` is wall clock.
 ORACLE_REPORT_FIELDS = (
     "timestamp", "leaves", "leaves_by_version", "classified",
     "classifications", "splits", "joins", "drops", "prunes",

@@ -366,23 +366,6 @@ class TestSweepVisiting:
         assert third.visited >= 1
         assert ipd.state_size() == 0
 
-    def test_sweep_reports_cache_counters(self):
-        ipd = IPD(params())
-        feed(ipd, "10.0.0.0", A, 100, ts=0.0, stride=0)  # same /28: 99 hits
-        report = ipd.sweep(60.0)
-        assert report.cache_hits == 99
-        assert report.cache_misses == 1
-        assert report.cache_size == 1
-        assert report.cache_hit_rate == pytest.approx(0.99)
-
-    def test_cache_survives_sweeps(self):
-        ipd = IPD(params(n_cidr_factor_v4=100.0))
-        feed(ipd, "10.0.0.0", A, 1, ts=0.0)
-        ipd.sweep(60.0)
-        assert ipd.trees[IPV4].cache_size() == 1  # no wholesale clear
-        feed(ipd, "10.0.0.0", A, 1, ts=61.0)
-        assert ipd.trees[IPV4].cache_hits >= 1
-
 
 class TestMetrics:
     def test_state_size_counts_entries(self):

@@ -47,14 +47,6 @@ class TestLookup:
         assert second is not tree.root
         assert second.prefix.contains_ip(address)
 
-    def test_cache_hit_returns_same_leaf(self):
-        tree = RangeTree(IPV4)
-        address = ip("10.0.0.0")
-        assert tree.lookup_leaf(address) is tree.lookup_leaf(address)
-        assert tree.cache_size() == 1
-        tree.clear_cache()
-        assert tree.cache_size() == 0
-
 
 class TestSplit:
     def test_split_redistributes_per_ip_state(self):
@@ -162,39 +154,6 @@ class TestIteration:
         left.state = ClassifiedState(A, {A: 1.0}, 0.0, 0.0)
         classified = list(tree.classified_leaves())
         assert classified == [left]
-
-
-class TestCacheBound:
-    def test_lru_eviction_caps_size(self):
-        tree = RangeTree(IPV4, cache_capacity=4)
-        for offset in range(10):
-            tree.lookup_leaf(offset)
-        assert tree.cache_size() == 4
-        assert tree.cache_evictions == 6
-        # oldest entries (0..5) were evicted, newest (6..9) survive
-        hits_before = tree.cache_hits
-        tree.lookup_leaf(9)
-        assert tree.cache_hits == hits_before + 1
-        misses_before = tree.cache_misses
-        tree.lookup_leaf(0)
-        assert tree.cache_misses == misses_before + 1
-
-    def test_lru_recency_updated_on_hit(self):
-        tree = RangeTree(IPV4, cache_capacity=2)
-        tree.lookup_leaf(1)
-        tree.lookup_leaf(2)
-        tree.lookup_leaf(1)  # refresh 1 → 2 becomes the LRU victim
-        tree.lookup_leaf(3)
-        assert 1 in tree._cache and 3 in tree._cache
-        assert 2 not in tree._cache
-
-    def test_hit_and_miss_counters(self):
-        tree = RangeTree(IPV4)
-        tree.lookup_leaf(7)
-        tree.lookup_leaf(7)
-        tree.lookup_leaf(8)
-        assert tree.cache_hits == 1
-        assert tree.cache_misses == 2
 
 
 class TestIncrementalCounters:

@@ -72,3 +72,26 @@ def test_lpm_forks_are_gone():
     for module in (repro, repro.core, repro.core.lpm):
         assert not hasattr(module, "compile_lpm_from_records")
         assert "compile_lpm_from_records" not in module.__all__
+
+
+def test_leaf_cache_is_gone():
+    """One bisect on the write path: no LRU in front of the leaf index,
+    no knob for it, no counters about it."""
+    import dataclasses
+
+    import repro.core.rangetree as rangetree
+    from repro.core.algorithm import SweepReport
+    from repro.core.iputil import IPV4
+    from repro.core.rangetree import RangeTree
+
+    tree = RangeTree(IPV4)
+    for name in ("_cache", "cache_capacity", "clear_cache", "cache_size",
+                 "cache_hits", "cache_misses", "cache_evictions"):
+        assert not hasattr(tree, name)
+    fields = {field.name for field in dataclasses.fields(SweepReport)}
+    assert not fields & {"cache_hits", "cache_misses", "cache_size",
+                         "cache_evictions"}
+    assert not hasattr(rangetree, "DEFAULT_CACHE_CAPACITY")
+    assert "DEFAULT_CACHE_CAPACITY" not in rangetree.__all__
+    with pytest.raises(TypeError, match="cache_capacity"):
+        RangeTree(IPV4, cache_capacity=4)

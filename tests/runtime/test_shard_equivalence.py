@@ -15,6 +15,7 @@ from repro.core.output import write_records_csv
 from repro.core.params import IPDParams
 from repro.netflow.records import iter_flow_batches
 from repro.runtime import Pipeline, ShardedIPD
+from repro.runtime.shards import ShardEngine
 
 from repro.testkit.traces import (
     DUALSTACK_PARAMS,
@@ -66,6 +67,28 @@ def assert_equivalent(reference, sharded):
         assert ours.prunes == theirs.prunes
         assert ours.expired_sources == theirs.expired_sources
         assert ours.decayed_ranges == theirs.decayed_ranges
+
+
+@pytest.mark.parametrize("shards", [2, 4, 16])
+def test_router_never_feeds_a_shard_a_foreign_source(shards, monkeypatch):
+    """``RangeTree.lookup_leaf`` has no contract outside its root prefix
+    (a shard tree would answer with an arbitrary leaf), so the router
+    must only ever hand a shard sources from the shard's own range."""
+    fed = {4: 0, 6: 0}
+    real = ShardEngine.ingest_batch
+
+    def checked(engine, batch):
+        root = engine.ipd.trees[batch.version].root.prefix
+        assert all(root.contains_ip(source) for source in batch.src_ips)
+        fed[batch.version] += len(batch.src_ips)
+        return real(engine, batch)
+
+    monkeypatch.setattr(ShardEngine, "ingest_batch", checked)
+    # the stock v6 threshold never splits /0 on this volume; lower it so
+    # the v6 cascade reaches the shard depth too
+    params = DUALSTACK_PARAMS.with_overrides(n_cidr_factor_v6=1e-9)
+    sharded_run(dualstack_trace(), params, shards)
+    assert fed[4] and fed[6]  # both families did reach shard engines
 
 
 class TestSerialShardEquivalence:
