@@ -239,7 +239,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except IncompatibleStateError as exc:
             print(
                 f"cannot resume: checkpoint in {args.checkpoint_dir} was "
-                f"written by a newer build ({exc})",
+                f"written by an older or newer build ({exc})",
                 file=sys.stderr,
             )
             return 2

@@ -49,14 +49,9 @@ from typing import Optional
 import numpy as _np
 
 from ..devtools.markers import hot_path
+from .framing import Reader, StateCodecError, Writer
+from .framing import damage_reported, read_header, write_header
 from .iputil import IPV6
-from .statecodec import (
-    IncompatibleStateError,
-    StateCodecError,
-    _damage_reported,
-    _Reader,
-    _Writer,
-)
 
 __all__ = [
     "ADMISSION_MODES",
@@ -627,10 +622,8 @@ class AdmissionController:
 def encode_admission(image: AdmissionImage) -> bytes:
     """Serialize an admission image as one versioned trailing section."""
     config = image.config
-    writer = _Writer()
-    writer.raw(_MAGIC)
-    writer.byte(_KIND_ADMISSION)
-    writer.byte(CODEC_VERSION)
+    writer = Writer()
+    write_header(writer, _MAGIC, CODEC_VERSION, _KIND_ADMISSION, version_width=1)
     flags = 0
     if image.saturated:
         flags |= _FLAG_SATURATED
@@ -672,25 +665,14 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
     Damage surfaces as a :class:`StateCodecError` carrying the offset —
     a config the section declares but :class:`AdmissionConfig` refuses
     (an over-cap geometry, say) included; any version but this build's
-    is an :class:`IncompatibleStateError`.
+    is an :class:`~repro.core.framing.IncompatibleStateError`.
     """
-    reader = _Reader(data)
-    with _damage_reported(reader):
-        if len(data) < 5 or bytes(data[:4]) != _MAGIC:
-            raise StateCodecError("not an admission section (bad magic)")
-        reader.offset = 4
-        kind = reader.byte()
-        if kind != _KIND_ADMISSION:
-            raise StateCodecError(
-                f"unexpected admission section kind {kind:#x}"
-            )
-        version = reader.byte()
-        if version != CODEC_VERSION:
-            raise IncompatibleStateError(
-                f"admission section uses codec version {version}; this "
-                f"build reads only version {CODEC_VERSION}",
-                offset=reader.offset,
-            )
+    reader = Reader(data)
+    with damage_reported(reader):
+        read_header(
+            reader, _MAGIC, CODEC_VERSION, _KIND_ADMISSION,
+            version_width=1, what="admission section",
+        )
         flags = reader.byte()
         promote_weight = reader.float()
         width = reader.uvarint()

@@ -15,8 +15,8 @@ Two structures, two jobs:
   a flattened interval index, so a lookup is one ``bisect`` whatever
   the number of prefix lengths.  Cheap to share between threads,
   allocation-free to query, and serializable as a versioned blob
-  (``to_bytes``/``from_bytes``, statecodec conventions: magic + u16
-  version, typed decode errors, IPD004 fingerprint-pinned).
+  (``to_bytes``/``from_bytes`` over :mod:`repro.core.framing`: magic +
+  u16 version, typed decode errors, IPD004 fingerprint-pinned).
 * :class:`LPMTable` — a mutable pointer trie for payloads that are not
   ingress points over prefixes that genuinely overlap (BGP routes,
   origin ASNs), and the independent reference the compiled form is
@@ -25,22 +25,16 @@ Two structures, two jobs:
 
 from __future__ import annotations
 
-import struct
 from array import array
 from bisect import bisect_right
 from typing import Generic, Iterable, Iterator, NamedTuple, Optional, TypeVar, cast
 
 from ..devtools.markers import hot_path
 from ..topology.elements import IngressPoint
+from .framing import Reader, StateCodecError, Writer
+from .framing import damage_reported, read_header, write_header
 from .iputil import IPV4, IPV6, Prefix
 from .output import IPDRecord
-from .statecodec import (
-    IncompatibleStateError,
-    StateCodecError,
-    _damage_reported,
-    _Reader,
-    _Writer,
-)
 
 __all__ = [
     "CODEC_VERSION",
@@ -52,8 +46,8 @@ __all__ = [
 
 V = TypeVar("V")
 
-#: bump when the compiled-blob wire format changes; decoders reject
-#: newer versions (IPD004 pins the layout fingerprint to this number)
+#: bump when the compiled-blob wire format changes; decoders read this
+#: version only (IPD004 pins the layout fingerprint to this number)
 CODEC_VERSION = 1
 
 _MAGIC = b"IPDL"
@@ -377,8 +371,8 @@ class CompiledLPM:
     def to_bytes(self) -> bytes:
         """Serialize as a versioned compiled-snapshot blob.
 
-        Layout (statecodec conventions: LEB128 varints, big-endian f64,
-        per-blob ingress interning)::
+        Layout (:mod:`~repro.core.framing` primitives: LEB128 varints,
+        big-endian f64, per-blob ingress interning)::
 
             magic "IPDL" | u8 kind 'C' | u16 codec version
             | u8 family | uvarint row count
@@ -386,10 +380,8 @@ class CompiledLPM:
                 u8 masklen | uvarint prefix value | interned ingress
                 | f64 confidence | f64 timestamp
         """
-        writer = _Writer()
-        writer.raw(_MAGIC)
-        writer.byte(_KIND_COMPILED)
-        writer.raw(struct.pack(">H", CODEC_VERSION))
+        writer = Writer()
+        write_header(writer, _MAGIC, CODEC_VERSION, _KIND_COMPILED)
         writer.byte(self.version)
         count = len(self._masklens)
         writer.uvarint(count)
@@ -405,32 +397,18 @@ class CompiledLPM:
     def from_bytes(cls, data: "bytes | bytearray | memoryview") -> "CompiledLPM":
         """Decode a :meth:`to_bytes` blob.
 
-        Raises :class:`~repro.core.statecodec.StateCodecError` (with the
+        Raises :class:`~repro.core.framing.StateCodecError` (with the
         failing byte offset) on any structural damage — truncation, bad
         magic, non-canonical or out-of-order rows, trailing garbage —
-        and :class:`~repro.core.statecodec.IncompatibleStateError` when
-        the blob was written by a newer codec.
+        and :class:`~repro.core.framing.IncompatibleStateError` when
+        the blob was written by any other codec version.
         """
-        reader = _Reader(data)
-        with _damage_reported(reader):
-            if len(reader.data) < 4 or bytes(reader.data[:4]) != _MAGIC:
-                raise StateCodecError("not a compiled LPM blob (bad magic)")
-            reader.offset = 4
-            kind = reader.byte()
-            if kind != _KIND_COMPILED:
-                raise StateCodecError(
-                    f"unexpected blob kind {chr(kind)!r}; expected "
-                    f"{chr(_KIND_COMPILED)!r}"
-                )
-            if reader.offset + 2 > len(reader.data):
-                raise StateCodecError("truncated blob")
-            (version,) = struct.unpack_from(">H", reader.data, reader.offset)
-            reader.offset += 2
-            if version > CODEC_VERSION:
-                raise IncompatibleStateError(
-                    f"blob uses compiled-LPM codec version {version}; this "
-                    f"build reads up to {CODEC_VERSION}"
-                )
+        reader = Reader(data)
+        with damage_reported(reader):
+            read_header(
+                reader, _MAGIC, CODEC_VERSION, _KIND_COMPILED,
+                what="IPD compiled-LPM blob",
+            )
             family = reader.byte()
             if family not in (IPV4, IPV6):
                 raise StateCodecError(f"unknown IP version in blob: {family}")

@@ -17,22 +17,16 @@ round-trips through this module.  The same encoding serves three jobs:
 Format
 ------
 
-Compact binary, explicitly versioned::
+Compact binary on :mod:`repro.core.framing` (header, primitives, the
+one version rule, the error taxonomy)::
 
     magic "IPDS" | u8 blob kind (E=engine, T=subtree) | u16 codec version
     ... kind-specific payload ...
 
-Integers are unsigned LEB128 varints; floats are 8-byte IEEE-754
-(big-endian) so every timestamp and counter round-trips bit-exactly —
-the engine's float sums are insertion-order dependent, and the codec
-preserves both the bits and the dict insertion order.  Ingress points
-are interned per blob (a string table built on first use).  Trie nodes
-are encoded preorder with a tag byte carrying the node kind and the
-leaf's dirty flag.
-
-Decoding a blob whose codec version is newer than this module raises
-:class:`IncompatibleStateError`; any structural damage raises
-:class:`StateCodecError`.
+Floats travel as their 8 bytes and dicts in insertion order — the
+engine's float sums are insertion-order dependent, and the codec
+preserves both.  Trie nodes are encoded preorder with a tag byte
+carrying the node kind and the leaf's dirty flag.
 
 Layering: this module deliberately does not import the engine.  It
 converts between trees and neutral *images* (:class:`NodeImage` /
@@ -42,12 +36,12 @@ lives in :mod:`repro.core.algorithm` on top of it.
 
 from __future__ import annotations
 
-import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..topology.elements import IngressPoint
+from .framing import IncompatibleStateError, Reader, StateCodecError, Writer
+from .framing import damage_reported, read_header, write_header
 from .iputil import Prefix
 from .params import IPDParams, default_decay
 from .rangetree import RangeNode, RangeTree
@@ -74,7 +68,7 @@ __all__ = [
     "decode_subtree",
 ]
 
-#: bump when the wire format changes; decoders reject newer versions
+#: bump when the wire format changes; decoders read this version only
 CODEC_VERSION = 1
 
 _MAGIC = b"IPDS"
@@ -92,27 +86,6 @@ _FLAG_ENABLE_BUNDLES = 2
 _FLAG_DEFAULT_DECAY = 4
 
 _INF = float("inf")
-
-_pack_float = struct.Struct(">d").pack
-_unpack_float = struct.Struct(">d").unpack_from
-
-
-class StateCodecError(ValueError):
-    """A blob could not be encoded or decoded.
-
-    ``offset`` carries the byte position the decoder had reached when
-    the damage was detected (``None`` when unknown or not applicable),
-    so callers like :class:`~repro.runtime.checkpoint.CheckpointStore`
-    can report *where* a blob is corrupt, not just that it is.
-    """
-
-    def __init__(self, message: str, offset: "int | None" = None) -> None:
-        super().__init__(message)
-        self.offset = offset
-
-
-class IncompatibleStateError(StateCodecError):
-    """The blob was written by a codec version this build does not read."""
 
 
 # ---------------------------------------------------------------------------
@@ -349,152 +322,6 @@ def restore_tree(tree: RangeTree, image: TreeImage) -> None:
 
 
 # ---------------------------------------------------------------------------
-# low-level wire helpers
-# ---------------------------------------------------------------------------
-
-
-class _Writer:
-    """Byte-stream writer with per-blob ingress interning."""
-
-    def __init__(self) -> None:
-        self.buffer = bytearray()
-        self._ingress_table: dict[IngressPoint, int] = {}
-
-    def raw(self, data: "bytes | bytearray") -> None:
-        self.buffer += data
-
-    def byte(self, value: int) -> None:
-        self.buffer.append(value)
-
-    def uvarint(self, value: int) -> None:
-        if value < 0:
-            raise StateCodecError(f"cannot encode negative varint: {value}")
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                self.byte(byte | 0x80)
-            else:
-                self.byte(byte)
-                return
-
-    def float(self, value: float) -> None:
-        self.raw(_pack_float(value))
-
-    def string(self, text: str) -> None:
-        raw = text.encode("utf-8")
-        self.uvarint(len(raw))
-        self.raw(raw)
-
-    def ingress(self, ingress: IngressPoint) -> None:
-        index = self._ingress_table.get(ingress)
-        if index is not None:
-            self.uvarint(index + 1)
-            return
-        self.uvarint(0)
-        self.string(ingress.router)
-        self.string(ingress.interface)
-        self._ingress_table[ingress] = len(self._ingress_table)
-
-    def prefix(self, prefix: Prefix) -> None:
-        self.byte(prefix.version)
-        self.uvarint(prefix.masklen)
-        self.uvarint(prefix.value)
-
-
-class _Reader:
-    """Mirror of :class:`_Writer`; raises on truncated or damaged input."""
-
-    def __init__(self, data: "bytes | bytearray | memoryview") -> None:
-        self.data = data
-        self.offset = 0
-        self._ingress_table: list[IngressPoint] = []
-
-    def byte(self) -> int:
-        if self.offset >= len(self.data):
-            raise StateCodecError("truncated blob")
-        value = self.data[self.offset]
-        self.offset += 1
-        return value
-
-    def uvarint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            byte = self.byte()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 140:
-                raise StateCodecError("varint too long")
-
-    def float(self) -> float:
-        if self.offset + 8 > len(self.data):
-            raise StateCodecError("truncated blob")
-        (value,) = _unpack_float(self.data, self.offset)
-        self.offset += 8
-        return value
-
-    def string(self) -> str:
-        length = self.uvarint()
-        end = self.offset + length
-        if end > len(self.data):
-            raise StateCodecError("truncated blob")
-        # bytes() also covers memoryview input (slices of a larger blob)
-        text = bytes(self.data[self.offset:end]).decode("utf-8")
-        self.offset = end
-        return text
-
-    def ingress(self) -> IngressPoint:
-        ref = self.uvarint()
-        if ref == 0:
-            ingress = IngressPoint(self.string(), self.string())
-            self._ingress_table.append(ingress)
-            return ingress
-        index = ref - 1
-        if index >= len(self._ingress_table):
-            raise StateCodecError(f"dangling ingress reference {index}")
-        return self._ingress_table[index]
-
-    def prefix(self) -> Prefix:
-        version = self.byte()
-        masklen = self.uvarint()
-        value = self.uvarint()
-        try:
-            return Prefix(value, masklen, version)
-        except ValueError as exc:  # pragma: no cover - defensive
-            raise StateCodecError(f"invalid prefix in blob: {exc}") from exc
-
-
-def _write_header(writer: _Writer, kind: int) -> None:
-    writer.raw(_MAGIC)
-    writer.byte(kind)
-    writer.raw(struct.pack(">H", CODEC_VERSION))
-
-
-def _read_header(reader: _Reader, expected_kind: int) -> None:
-    if len(reader.data) < 4 or reader.data[:4] != _MAGIC:
-        raise StateCodecError("not an IPD state blob (bad magic)")
-    reader.offset = 4
-    kind = reader.byte()
-    if reader.offset + 2 > len(reader.data):
-        raise StateCodecError("truncated blob")
-    (version,) = struct.unpack_from(">H", reader.data, reader.offset)
-    reader.offset += 2
-    if version > CODEC_VERSION:
-        raise IncompatibleStateError(
-            f"blob uses codec version {version}; this build reads "
-            f"up to {CODEC_VERSION}"
-        )
-    if kind != expected_kind:
-        raise StateCodecError(
-            f"unexpected blob kind {chr(kind)!r}; "
-            f"expected {chr(expected_kind)!r}"
-        )
-
-
-# ---------------------------------------------------------------------------
 # node stream
 # ---------------------------------------------------------------------------
 
@@ -507,7 +334,7 @@ _KIND_TO_TAG = {
 _TAG_TO_KIND = {tag: kind for kind, tag in _KIND_TO_TAG.items()}
 
 
-def _write_node(writer: _Writer, image: NodeImage) -> None:
+def _write_node(writer: Writer, image: NodeImage) -> None:
     tag = _KIND_TO_TAG.get(image.kind)
     if tag is None:
         raise StateCodecError(f"unknown node kind {image.kind!r}")
@@ -537,7 +364,7 @@ def _write_node(writer: _Writer, image: NodeImage) -> None:
     # delegated: tag only
 
 
-def _read_node(reader: _Reader) -> NodeImage:
+def _read_node(reader: Reader) -> NodeImage:
     tag = reader.byte()
     dirty = bool(tag & _TAG_DIRTY)
     kind = _TAG_TO_KIND.get(tag & 0x0F)
@@ -590,7 +417,7 @@ def _read_node(reader: _Reader) -> NodeImage:
 # ---------------------------------------------------------------------------
 
 
-def _write_params(writer: _Writer, params: IPDParams) -> None:
+def _write_params(writer: Writer, params: IPDParams) -> None:
     writer.uvarint(params.cidr_max_v4)
     writer.uvarint(params.cidr_max_v6)
     writer.float(params.n_cidr_factor_v4)
@@ -610,7 +437,7 @@ def _write_params(writer: _Writer, params: IPDParams) -> None:
     writer.byte(flags)
 
 
-def _read_params(reader: _Reader, override: Optional[IPDParams]) -> IPDParams:
+def _read_params(reader: Reader, override: Optional[IPDParams]) -> IPDParams:
     cidr_max_v4 = reader.uvarint()
     cidr_max_v6 = reader.uvarint()
     n_cidr_factor_v4 = reader.float()
@@ -650,8 +477,8 @@ def _read_params(reader: _Reader, override: Optional[IPDParams]) -> IPDParams:
 
 def encode_engine(image: EngineImage) -> bytes:
     """Serialize a whole-engine image to one versioned blob."""
-    writer = _Writer()
-    _write_header(writer, _KIND_ENGINE)
+    writer = Writer()
+    write_header(writer, _MAGIC, CODEC_VERSION, _KIND_ENGINE)
     _write_params(writer, image.params)
     writer.uvarint(image.flows_ingested)
     writer.uvarint(image.bytes_ingested)
@@ -703,9 +530,11 @@ def decode_engine_span(
     The second element is the offset one past the engine section, so a
     caller can locate trailing sections appended after the engine blob.
     """
-    reader = _Reader(data)
-    with _damage_reported(reader):
-        _read_header(reader, _KIND_ENGINE)
+    reader = Reader(data)
+    with damage_reported(reader):
+        read_header(
+            reader, _MAGIC, CODEC_VERSION, _KIND_ENGINE, what="IPD state blob"
+        )
         decoded_params = _read_params(reader, params)
         flows_ingested = reader.uvarint()
         bytes_ingested = reader.uvarint()
@@ -751,8 +580,8 @@ def encode_subtree(
     join_count: int = 0,
 ) -> bytes:
     """Serialize one detached subtree (a seed payload or shard export)."""
-    writer = _Writer()
-    _write_header(writer, _KIND_SUBTREE)
+    writer = Writer()
+    write_header(writer, _MAGIC, CODEC_VERSION, _KIND_SUBTREE)
     writer.byte(version)
     writer.prefix(prefix)
     writer.uvarint(split_count)
@@ -763,9 +592,11 @@ def encode_subtree(
 
 def decode_subtree(data: "bytes | bytearray | memoryview") -> SubtreeImage:
     """Parse a subtree blob back into a :class:`SubtreeImage`."""
-    reader = _Reader(data)
-    with _damage_reported(reader):
-        _read_header(reader, _KIND_SUBTREE)
+    reader = Reader(data)
+    with damage_reported(reader):
+        read_header(
+            reader, _MAGIC, CODEC_VERSION, _KIND_SUBTREE, what="IPD state blob"
+        )
         version = reader.byte()
         prefix = reader.prefix()
         split_count = reader.uvarint()
@@ -777,31 +608,3 @@ def decode_subtree(data: "bytes | bytearray | memoryview") -> SubtreeImage:
             join_count=join_count,
             root=_read_node(reader),
         )
-
-
-@contextmanager
-def _damage_reported(reader: "_Reader") -> Iterator[None]:
-    """Normalize decoder failures into offset-carrying codec errors.
-
-    Structural damage surfaces in many shapes — truncation (already a
-    :class:`StateCodecError`), a corrupted varint blowing up a ``range``,
-    invalid UTF-8 in an interned ingress name, out-of-range prefix
-    fields rejected by :class:`~repro.core.iputil.Prefix`, parameter
-    values rejected by ``IPDParams.__post_init__``.  All of them exit
-    here as a :class:`StateCodecError` whose ``offset`` pins where in
-    the blob the decoder gave up; only version incompatibility keeps its
-    dedicated type.
-    """
-    try:
-        yield
-    except IncompatibleStateError:
-        raise
-    except StateCodecError as exc:
-        if exc.offset is None:
-            exc.offset = reader.offset
-        raise
-    except (ValueError, KeyError, IndexError, OverflowError, struct.error) as exc:
-        raise StateCodecError(
-            f"damaged blob at offset {reader.offset}: {exc!r}",
-            offset=reader.offset,
-        ) from exc

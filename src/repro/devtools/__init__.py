@@ -14,17 +14,13 @@ IPD005   hot-path-hygiene    ``@hot_path`` loops stay allocation-clean
 IPD006   fault-seam          every ``fault_hook`` parameter defaults to None
 IPD007   no-pickle-hot-path  no object serialization inside ``@hot_path`` functions
 IPD008   lookup-alloc-free   ``@hot_path`` ``lookup*`` never allocates containers
-IPD009   codec-symmetry      encode/decode twins mirror each other's wire ops
-IPD010   iteration-order-taint  unordered iteration never feeds serialized output
-IPD011   executor-state-discipline  worker state crosses only the op protocol
-IPD012   lifecycle-typestate close-exactly-once, no use after close
 =======  ==================  ====================================================
 
-IPD001–IPD008 are single-file visitor rules; IPD009–IPD012 are
-cross-module dataflow rules built on the project symbol graph
-(``project.py``) and the per-function CFG/fixpoint framework
-(``dataflow.py``), with results cached by file content hash
-(``--cache-dir``).
+All eight are single-file AST visitors over things a runtime test
+cannot see.  Invariants a test *can* see — encode/decode symmetry,
+serialization order, close-once lifecycles, the executor boundary —
+are pinned at runtime instead (DESIGN.md §10, "invariant → what pins
+it").
 
 Run it with ``python -m repro.devtools.lint src/repro``; suppress one
 finding with a trailing ``# ipd-lint: disable=<rule>`` comment.  The

@@ -22,12 +22,6 @@ Architecture
   context most rules need: the enclosing function stack, whether that
   function is marked ``@hot_path``, and the ``for``/``while`` loop
   nesting depth.
-* :class:`ProjectRule` — a rule that needs the whole scanned file set
-  at once (cross-module analysis over the
-  :class:`~repro.devtools.project.ProjectGraph`) instead of one file
-  at a time.  Project rules run once per lint invocation, after the
-  per-file rules, and their findings are cached by the content hashes
-  of every scanned file (see :mod:`repro.devtools.project`).
 * registry — rules register themselves with :func:`register`; the
   runner (:func:`lint_paths`) instantiates the registered set (or a
   ``--select`` subset), applies scopes and suppressions, and returns a
@@ -52,17 +46,13 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Type
-
-if TYPE_CHECKING:  # runtime import would cycle (project imports framework)
-    from .project import ProjectGraph
+from typing import Iterable, Iterator, Optional, Sequence, Type
 
 __all__ = [
     "Finding",
     "SourceFile",
     "Rule",
     "ContextVisitor",
-    "ProjectRule",
     "LintReport",
     "collect_import_aliases",
     "register",
@@ -353,23 +343,6 @@ class VisitorRule(Rule):
         yield from visitor.findings
 
 
-class ProjectRule(Rule):
-    """A rule over the whole scanned file set (cross-module analysis).
-
-    Project rules do not run per file; :func:`lint_paths` builds one
-    :class:`~repro.devtools.project.ProjectGraph` over every parsed
-    source and calls :meth:`check_project` once.  Their findings are
-    cacheable by the content hashes of the scanned files.
-    """
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, graph: "ProjectGraph") -> Iterator[Finding]:
-        """Yield findings over a :class:`ProjectGraph`."""
-        raise NotImplementedError
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -402,9 +375,8 @@ def build_rules(
     declares them (e.g. ``codec_pins=...`` for IPD004), so tests can
     point a rule at fixture configuration without a parallel registry.
     """
-    # rules register on import of the rules modules; import lazily to
+    # rules register on import of the rules module; import lazily to
     # avoid a cycle (rules import framework)
-    from . import crossrules as _crossrules  # noqa: F401
     from . import rules as _rules  # noqa: F401  (import registers rules)
 
     if select is not None:
@@ -440,8 +412,6 @@ class LintReport:
     files_scanned: int = 0
     suppressed: int = 0
     rules: list[Rule] = field(default_factory=list)
-    #: True when the cross-module findings came from the content-hash cache
-    cache_hit: bool = False
 
     @property
     def clean(self) -> bool:
@@ -460,7 +430,6 @@ class LintReport:
             "suppressed": self.suppressed,
             "counts": self.by_rule(),
             "clean": self.clean,
-            "cache_hit": self.cache_hit,
         }
 
 
@@ -484,20 +453,11 @@ def iter_source_files(paths: Iterable[Path]) -> Iterator[tuple[Path, Path]]:
 def lint_paths(
     paths: "Sequence[Path | str]",
     select: Optional[Sequence[str]] = None,
-    cache_dir: "Path | str | None" = None,
     **config: object,
 ) -> LintReport:
-    """Run the registered rules over *paths* and return the report.
-
-    ``cache_dir`` enables the cross-module findings cache: project-rule
-    results are keyed by the content hashes of every scanned file, so
-    an unchanged tree skips the whole-project analysis on re-run.
-    """
+    """Run the registered rules over *paths* and return the report."""
     rules = build_rules(select, **config)
-    file_rules = [rule for rule in rules if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     report = LintReport(rules=rules)
-    sources: list[SourceFile] = []
     for root, file in iter_source_files(Path(p) for p in paths):
         source = SourceFile(file, root)
         report.files_scanned += 1
@@ -513,8 +473,7 @@ def lint_paths(
                 )
             )
             continue
-        sources.append(source)
-        for rule in file_rules:
+        for rule in rules:
             if not rule.applies_to(source):
                 continue
             for finding in rule.check(source):
@@ -522,54 +481,5 @@ def lint_paths(
                     report.suppressed += 1
                 else:
                     report.findings.append(finding)
-    if project_rules and sources:
-        _run_project_rules(report, project_rules, sources, cache_dir)
     report.findings.sort(key=Finding.sort_key)
     return report
-
-
-def _run_project_rules(
-    report: LintReport,
-    project_rules: "list[Rule]",
-    sources: "list[SourceFile]",
-    cache_dir: "Path | str | None",
-) -> None:
-    """Run the cross-module rules once, through the findings cache."""
-    # imported lazily: project imports this module for SourceFile
-    from .project import FindingsCache, ProjectGraph, project_cache_key
-
-    cache = FindingsCache(cache_dir) if cache_dir is not None else None
-    key = None
-    if cache is not None:
-        key = project_cache_key(sources, project_rules)
-        cached = cache.load(key)
-        if cached is not None:
-            report.findings.extend(
-                Finding(**entry) for entry in cached["findings"]
-            )
-            report.suppressed += cached["suppressed"]
-            report.cache_hit = True
-            return
-    graph = ProjectGraph(sources)
-    by_path = {source.display_path: source for source in sources}
-    findings: list[Finding] = []
-    suppressed = 0
-    for rule in project_rules:
-        for finding in rule.check_project(graph):
-            origin = by_path.get(finding.path)
-            if origin is not None and origin.suppressed(
-                finding.rule, finding.line
-            ):
-                suppressed += 1
-            else:
-                findings.append(finding)
-    report.findings.extend(findings)
-    report.suppressed += suppressed
-    if cache is not None and key is not None:
-        cache.store(
-            key,
-            {
-                "findings": [finding.to_dict() for finding in findings],
-                "suppressed": suppressed,
-            },
-        )

@@ -4,7 +4,6 @@ Usage::
 
     python -m repro.devtools.lint src/repro                # human output
     python -m repro.devtools.lint src/repro --format json  # machine output
-    python -m repro.devtools.lint src/repro --changed-only # git-scoped run
     python -m repro.devtools.lint --list-rules             # what's enforced
     python -m repro.devtools.lint --record-codec-pin       # after a codec bump
 
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -38,55 +36,10 @@ def run_lint(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
     codec_pins: "Path | str | None" = None,
-    cache_dir: "Path | str | None" = None,
 ) -> LintReport:
     """Programmatic form of the CLI (used by the test suite)."""
     config = {} if codec_pins is None else {"codec_pins": codec_pins}
-    return lint_paths(paths, select=select, cache_dir=cache_dir, **config)
-
-
-def _git_lines(args: "list[str]", cwd: "Path | None" = None) -> list[str]:
-    out = subprocess.run(
-        ["git", *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=30,
-    )
-    return [line.strip() for line in out.stdout.splitlines() if line.strip()]
-
-
-def changed_files(paths: Sequence[str]) -> "Optional[list[str]]":
-    """The ``.py`` files under *paths* that git says were touched.
-
-    Touched = modified/added vs ``HEAD`` plus untracked (non-ignored)
-    files.  Returns ``None`` when git is unavailable or the working
-    directory is not a checkout — callers fall back to a full run.
-    """
-    try:
-        top = _git_lines(["rev-parse", "--show-toplevel"])
-        if not top:
-            return None
-        root = Path(top[0])
-        names = set(_git_lines(["diff", "--name-only", "HEAD"], cwd=root))
-        names.update(
-            _git_lines(["ls-files", "--others", "--exclude-standard"], cwd=root)
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    scopes = [Path(p).resolve() for p in paths]
-    selected: list[str] = []
-    for name in sorted(names):
-        candidate = (root / name).resolve()
-        if candidate.suffix != ".py" or not candidate.is_file():
-            continue
-        if any(
-            candidate == scope or scope in candidate.parents
-            for scope in scopes
-        ):
-            selected.append(str(candidate))
-    return selected
+    return lint_paths(paths, select=select, **config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -113,25 +66,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="PATH",
         default=None,
         help=f"codec fingerprint pin file (default: {DEFAULT_PIN_PATH})",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only git-touched .py files under the given paths "
-        "(falls back to a full run outside a git checkout)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON report to PATH (e.g. a CI artifact)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache cross-module analysis results by file content hash "
-        "in DIR so unchanged trees re-lint fast",
     )
     parser.add_argument(
         "--list-rules",
@@ -186,38 +120,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.select
         else None
     )
-    lint_targets: Sequence[str] = args.paths
-    if args.changed_only:
-        changed = changed_files(args.paths)
-        if changed is None:
-            print(
-                "note: --changed-only needs a git checkout; "
-                "running the full lint",
-                file=sys.stderr,
-            )
-        else:
-            lint_targets = changed
     try:
-        if lint_targets:
-            report = run_lint(
-                lint_targets,
-                select=select,
-                codec_pins=args.codec_pins,
-                cache_dir=args.cache_dir,
-            )
-        else:  # --changed-only with no touched files in scope
-            report = LintReport()
+        report = run_lint(args.paths, select=select, codec_pins=args.codec_pins)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.output:
-        out_path = Path(args.output)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:

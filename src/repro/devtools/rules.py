@@ -278,7 +278,8 @@ class ExceptionTaxonomyRule(VisitorRule):
         parts = Path(source.rel).parts
         return (
             "runtime" in parts
-            or Path(source.rel).name in ("statecodec.py", "checkpoint.py")
+            or Path(source.rel).name
+            in ("framing.py", "statecodec.py", "checkpoint.py")
         )
 
 

@@ -21,8 +21,9 @@ A checkpoint file is::
     | u32 CRC-32 of payload | metadata (JSON: replay cursor)
     | engine blob (statecodec)
 
-The CRC (container version 2; version-1 files without it still load)
-makes *any* at-rest corruption — truncation, bit rot, partial writes on
+The first two fields are :mod:`repro.core.framing`'s header (any
+container version but this build's is refused).  The CRC makes *any*
+at-rest corruption — truncation, bit rot, partial writes on
 exotic filesystems — fail loudly as :class:`CheckpointCorruptError`
 instead of depending on the damage happening to break the codec's
 structure.  :class:`CheckpointStore` writes atomically (temp file +
@@ -42,8 +43,9 @@ from typing import Optional, Union
 
 from ..core.admission import AdmissionConfig
 from ..core.algorithm import IPD
+from ..core.framing import IncompatibleStateError, Reader, StateCodecError
+from ..core.framing import Writer, read_header, write_header
 from ..core.params import IPDParams
-from ..core.statecodec import IncompatibleStateError, StateCodecError
 from .faulthook import FaultHookLike
 from .sharding import ShardedIPD
 
@@ -55,13 +57,12 @@ __all__ = [
     "restore_engine",
 ]
 
-#: bump when the checkpoint container layout changes; version 2 added
-#: the payload CRC (version-1 files remain readable)
+#: bump when the checkpoint container layout changes (2 added the CRC)
 CHECKPOINT_VERSION = 2
 
 _MAGIC = b"IPDC"
-_HEADER = struct.Struct(">HI")
-_CRC = struct.Struct(">I")
+#: after the framing header: u32 metadata length, u32 payload CRC-32
+_LENGTH_CRC = struct.Struct(">II")
 
 
 class CheckpointCorruptError(StateCodecError):
@@ -71,8 +72,8 @@ class CheckpointCorruptError(StateCodecError):
     far enough to know, the byte ``offset`` within the *engine blob*
     where parsing gave up — enough for an operator to tell a torn write
     (offset near the end) from wholesale corruption.  Distinct from
-    :class:`~repro.core.statecodec.IncompatibleStateError`, which marks
-    a *healthy* file this build is too old to read.
+    :class:`~repro.core.framing.IncompatibleStateError`, which marks
+    a *healthy* file written by another container version.
     """
 
     def __init__(
@@ -126,45 +127,31 @@ class Checkpoint:
             },
             sort_keys=True,
         ).encode("utf-8")
-        crc = zlib.crc32(meta + self.engine_blob) & 0xFFFFFFFF
-        return (
-            _MAGIC
-            + _HEADER.pack(CHECKPOINT_VERSION, len(meta))
-            + _CRC.pack(crc)
-            + meta
-            + self.engine_blob
-        )
+        crc = zlib.crc32(self.engine_blob, zlib.crc32(meta)) & 0xFFFFFFFF
+        writer = Writer()
+        write_header(writer, _MAGIC, CHECKPOINT_VERSION)
+        writer.raw(_LENGTH_CRC.pack(len(meta), crc))
+        writer.raw(meta)
+        writer.raw(self.engine_blob)
+        return bytes(writer.buffer)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
-        if data[:4] != _MAGIC:
-            raise StateCodecError("not an IPD checkpoint (bad magic)")
-        if len(data) < 4 + _HEADER.size:
+        reader = Reader(data)
+        read_header(reader, _MAGIC, CHECKPOINT_VERSION, what="IPD checkpoint")
+        meta_start = reader.offset + _LENGTH_CRC.size
+        if len(data) < meta_start:
             raise StateCodecError("truncated checkpoint header")
-        version, meta_len = _HEADER.unpack_from(data, 4)
-        if version > CHECKPOINT_VERSION:
-            raise IncompatibleStateError(
-                f"checkpoint container version {version}; this build reads "
-                f"up to {CHECKPOINT_VERSION}"
-            )
-        meta_start = 4 + _HEADER.size
-        expected_crc: Optional[int] = None
-        if version >= 2:
-            if len(data) < meta_start + _CRC.size:
-                raise StateCodecError("truncated checkpoint header")
-            (expected_crc,) = _CRC.unpack_from(data, meta_start)
-            meta_start += _CRC.size
+        meta_len, expected_crc = _LENGTH_CRC.unpack_from(data, reader.offset)
         meta_end = meta_start + meta_len
         if len(data) < meta_end:
             raise StateCodecError("truncated checkpoint metadata")
-        payload = data[meta_start:]
-        if expected_crc is not None:
-            actual_crc = zlib.crc32(payload) & 0xFFFFFFFF
-            if actual_crc != expected_crc:
-                raise StateCodecError(
-                    f"checkpoint payload CRC mismatch "
-                    f"(stored {expected_crc:#010x}, computed {actual_crc:#010x})"
-                )
+        actual_crc = zlib.crc32(data[meta_start:]) & 0xFFFFFFFF
+        if actual_crc != expected_crc:
+            raise StateCodecError(
+                f"checkpoint payload CRC mismatch "
+                f"(stored {expected_crc:#010x}, computed {actual_crc:#010x})"
+            )
         try:
             meta = json.loads(data[meta_start:meta_end])
         except ValueError as exc:
@@ -235,8 +222,8 @@ class CheckpointStore:
 
         Damage of any kind — bad magic, torn header, CRC mismatch,
         garbled metadata — raises :class:`CheckpointCorruptError` with
-        the file's path; a healthy-but-newer container still raises
-        :class:`~repro.core.statecodec.IncompatibleStateError`.
+        the file's path; a healthy container of another version still
+        raises :class:`~repro.core.framing.IncompatibleStateError`.
         """
         path = Path(path)
         try:
@@ -244,9 +231,8 @@ class CheckpointStore:
         except IncompatibleStateError:
             raise
         except StateCodecError as exc:
-            raise CheckpointCorruptError(
-                str(exc), path=path, offset=exc.offset
-            ) from exc
+            # no offset: that field locates damage inside the engine blob
+            raise CheckpointCorruptError(str(exc), path=path) from exc
         return replace(checkpoint, path=path)
 
     def latest(self) -> Optional[Checkpoint]:

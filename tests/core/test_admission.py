@@ -22,12 +22,9 @@ from repro.core.admission import (
     encode_admission,
     merge_admission_images,
 )
+from repro.core.framing import Writer
 from repro.core.iputil import IPV4, IPV6
-from repro.core.statecodec import (
-    IncompatibleStateError,
-    StateCodecError,
-    _Writer,
-)
+from repro.core.statecodec import IncompatibleStateError, StateCodecError
 
 
 class TestConfigValidation:
@@ -435,7 +432,7 @@ class TestAging:
 
 def raw_section(version=CODEC_VERSION, width=1 << 14, tail=b""):
     """A hand-written admission section: header, config, no state."""
-    writer = _Writer()
+    writer = Writer()
     writer.raw(b"IPDA")
     writer.byte(0x41)
     writer.byte(version)
@@ -555,3 +552,37 @@ class TestCodec:
 
     def test_merge_of_nothing_is_none(self):
         assert merge_admission_images([None, None]) is None
+
+
+class TestSectionBytesIgnoreSetHistory:
+    """Section bytes are a function of the state, not of the order the
+    elephant sets were filled in (the runtime pin for ``sorted(herd)`` in
+    ``to_image`` and ``merge_admission_images``)."""
+
+    #: gate keys at shift 4 are multiples of 16, so they all collide in
+    #: a small hash table and a set's iteration order follows insertion
+    KEYS = [k << 4 for k in range(1, 40)]
+
+    def promoted(self, keys):
+        controller = AdmissionController(AdmissionConfig(mode="exact", seed=3))
+        for key in keys:
+            controller.prefilter_rows(IPV4, 4, [key] * 10)
+        assert controller.elephants(IPV4) == set(keys)
+        return controller
+
+    def test_promotion_order_does_not_reach_the_wire(self):
+        forward = self.promoted(self.KEYS)
+        backward = self.promoted(self.KEYS[::-1])
+        # the precondition that makes this test bite: same set, two orders
+        assert list(forward.elephants(IPV4)) != list(backward.elephants(IPV4))
+        assert forward.to_bytes() == backward.to_bytes()
+
+    def test_merge_argument_order_does_not_reach_the_wire(self):
+        low = self.promoted(self.KEYS[:20]).to_image()
+        high = self.promoted(self.KEYS[20:]).to_image()
+        assert list(set(low.elephants[IPV4]) | set(high.elephants[IPV4])) != list(
+            set(high.elephants[IPV4]) | set(low.elephants[IPV4])
+        )
+        one = merge_admission_images([low, high])
+        other = merge_admission_images([high, low])
+        assert encode_admission(one) == encode_admission(other)

@@ -155,6 +155,19 @@ class TestIteration:
         classified = list(tree.classified_leaves())
         assert classified == [left]
 
+    def test_classified_leaves_ascend_whatever_the_classification_order(self):
+        """``_classified`` is a set; the accessor, not set history,
+        decides the order snapshots are emitted in."""
+        tree = RangeTree(IPV4)
+        frontier = [tree.root]
+        for __ in range(5):  # 32 leaves at /5
+            frontier = [child for node in frontier for child in tree.split(node)]
+        for index in sorted(range(32), key=lambda i: (i * 13) % 32):
+            frontier[index].state = ClassifiedState(A, {A: 1.0}, 0.0, 0.0)
+        values = [leaf.prefix.value for leaf in tree.classified_leaves()]
+        assert len(values) == 32
+        assert all(low < high for low, high in zip(values, values[1:]))
+
 
 class TestIncrementalCounters:
     def walked_leaf_count(self, tree: RangeTree) -> int:

@@ -20,7 +20,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 ALL_CODES = [
     "IPD001", "IPD002", "IPD003", "IPD004", "IPD005", "IPD006", "IPD007",
-    "IPD008", "IPD009", "IPD010", "IPD011", "IPD012",
+    "IPD008",
 ]
 
 

@@ -374,9 +374,14 @@ class TestCorruptCheckpoints:
         path.write_bytes(b"not a checkpoint at all")
         assert store.latest_valid() is None
 
-    def test_version1_container_without_crc_still_loads(self):
+    def test_version1_container_is_refused(self):
+        """No writer of the CRC-less v1 layout exists: it is another
+        build's format, refused by the one version rule — and a header
+        damaged 2 -> 1 can no longer skip the CRC check."""
         import json
         import struct
+
+        from repro.core.statecodec import IncompatibleStateError
 
         checkpoint = Checkpoint(
             when=360.0, flows_processed=1234, next_sweep=420.0,
@@ -393,4 +398,9 @@ class TestCorruptCheckpoints:
             sort_keys=True,
         ).encode()
         v1 = b"IPDC" + struct.pack(">HI", 1, len(meta)) + meta + checkpoint.engine_blob
-        assert Checkpoint.from_bytes(v1) == checkpoint
+        with pytest.raises(IncompatibleStateError, match="version 1.*version 2"):
+            Checkpoint.from_bytes(v1)
+        damaged = bytearray(checkpoint.to_bytes())
+        damaged[4:6] = struct.pack(">H", 1)
+        with pytest.raises(IncompatibleStateError, match="version 1.*version 2"):
+            Checkpoint.from_bytes(bytes(damaged))

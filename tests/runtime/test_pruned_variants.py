@@ -95,3 +95,37 @@ def test_leaf_cache_is_gone():
     assert "DEFAULT_CACHE_CAPACITY" not in rangetree.__all__
     with pytest.raises(TypeError, match="cache_capacity"):
         RangeTree(IPV4, cache_capacity=4)
+
+
+def test_cross_module_lint_and_private_framing_are_gone(capsys):
+    """Eight per-file rules, no symbol-graph engine, no findings cache;
+    one public framing, no private copy of it in statecodec."""
+    import importlib
+
+    import repro.core.statecodec as statecodec
+    from repro.devtools.framework import LintReport
+    from repro.devtools.lint import main as lint_main
+    from repro.devtools.lint import run_lint
+
+    for module in ("crossrules", "dataflow", "project"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.devtools.{module}")
+    assert lint_main(["--list-rules"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("IPD")]
+    assert listed == [f"IPD00{n}" for n in range(1, 9)]
+    assert not hasattr(LintReport(), "cache_hit")
+    with pytest.raises(TypeError, match="cache_dir"):
+        run_lint([], cache_dir="d")
+    for flag in (["--cache-dir", "d"], ["--changed-only"], ["--output", "f"]):
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["src/repro", *flag])
+        assert exit_info.value.code == 2
+    capsys.readouterr()  # argparse's usage text
+    for name in ("_Reader", "_Writer", "_damage_reported", "_read_header",
+                 "_write_header"):
+        assert not hasattr(statecodec, name)
+    from repro.core import framing
+
+    assert statecodec.StateCodecError is framing.StateCodecError
+    assert statecodec.IncompatibleStateError is framing.IncompatibleStateError

@@ -11,13 +11,17 @@ import io
 
 import pytest
 
+from repro.core.iputil import IPV4, Prefix
 from repro.core.output import write_records_csv
 from repro.core.params import IPDParams
-from repro.netflow.records import iter_flow_batches
+from repro.core.statecodec import NodeImage, encode_subtree
+from repro.netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from repro.runtime import Pipeline, ShardedIPD
+from repro.runtime.executors import make_executor
 from repro.runtime.shards import ShardEngine
 
 from repro.testkit.traces import (
+    CORNERS,
     DUALSTACK_PARAMS,
     FIG05_PARAMS,
     dualstack_trace,
@@ -170,6 +174,44 @@ class TestMpEquivalence:
                 flows, DUALSTACK_PARAMS, shards, executor="mp", workers=2
             ),
         )
+
+
+def test_serial_and_mp_executors_answer_the_protocol_identically():
+    """The worker boundary, pinned where it can be observed: everything
+    a coordinator may ask, asked of both executors in the same order,
+    with shards brought up out of index order — so nothing in the serial
+    executor may reply in engine-creation order, or in any other way a
+    worker process behind a pipe would not."""
+    empty = NodeImage(kind="unclassified", sources=[])
+    seeds = [
+        ("seed", index, IPV4,
+         encode_subtree(Prefix(index << 30, 2, IPV4), IPV4, empty))
+        for index in (3, 2, 0)
+    ]
+    replies = {}
+    for kind in ("serial", "mp"):
+        executor = make_executor(kind, FIG05_PARAMS, depth=2, workers=1)
+        try:
+            executor.apply(seeds[:2])
+            executor.apply(seeds[2:])
+            for index in (2, 3, 0):
+                executor.feed(index, FlowBatch.from_flows(
+                    FlowRecord(timestamp=1.0 + n, src_ip=(index << 30) + 16 * n,
+                               version=IPV4, ingress=CORNERS[index])
+                    for n in range(8)
+                ))
+            executor.tick_begin(60.0)
+            replies[kind] = (
+                [(index, tick.report.visited, tick.roots[IPV4].kind)
+                 for index, tick in executor.tick_collect().items()],
+                executor.snapshot(60.0, True),
+                executor.export(),
+                executor.metrics(),
+            )
+        finally:
+            executor.close()
+    assert len(replies["serial"][1]) == 3
+    assert replies["serial"] == replies["mp"]
 
 
 class TestShardedValidation:
