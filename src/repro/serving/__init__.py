@@ -12,8 +12,8 @@ this package turns them into a queryable deployment surface:
 * :class:`~repro.serving.server.LookupServer` — the asyncio
   line-protocol front end (``GET``/``MGET``/``AT``/``STATS``).
 
-``cli serve`` wires both to an archive/CSV on disk; the ``query``
-benchmark group measures lookups/s, tail latency and swap pause.
+``cli serve`` wires both to an archive/CSV on disk; the ledger's
+``serve_lookup`` workload measures lookups/s, latency and install cost.
 """
 
 from .server import LookupServer

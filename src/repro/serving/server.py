@@ -23,10 +23,9 @@ it answers ``ERR line too long`` and closes the connection, since the
 rest of the stream can no longer be framed.  That cap is the only input
 limit, so it is also what bounds ``MGET`` arity (about 4 000 IPv4 or
 1 600 IPv6 addresses a request); larger batches go in several requests.
-The server holds no per-request state beyond the line being processed;
-epoch installs on the service are visible to the next request
-immediately, with in-flight bulk requests pinned to the epoch they
-started on.
+The server holds no per-request state beyond the line being processed.
+``GET`` is an ``MGET`` of one without ``END``; every reply answers from
+the epoch current when its request was read, and leaves in one ``write``.
 """
 
 from __future__ import annotations
@@ -36,28 +35,14 @@ import json
 from typing import Optional
 
 from ..core.iputil import parse_ip
-from .service import (
-    IngressLookupService,
-    LookupResult,
-    NoEpochError,
-    ServingError,
-)
+from .service import IngressLookupService, NoEpochError, ServingError
+from .service import answer_line
 
 __all__ = ["MAX_LINE_BYTES", "LookupServer"]
 
 #: longest request line accepted, its newline not counted; memory per
 #: connection is bounded by a small multiple of it
 MAX_LINE_BYTES = 64 * 1024
-
-
-def _format_hit(result: Optional[LookupResult], epoch: int) -> str:
-    if result is None:
-        return f"MISS {epoch}"
-    ingress = result.ingress
-    return (
-        f"HIT {ingress.router} {ingress.interface} {result.prefix} "
-        f"{result.confidence:.6g} {result.age:.6g} {result.epoch}"
-    )
 
 
 class LookupServer:
@@ -130,8 +115,7 @@ class LookupServer:
                     continue
                 if request.upper() == "QUIT":
                     break
-                for response in self._respond(request):
-                    writer.write(response.encode("utf-8") + b"\n")
+                writer.write(self._respond(request))
                 await writer.drain()
         except asyncio.CancelledError:
             # event-loop teardown cancels in-flight handlers; drop the
@@ -144,56 +128,32 @@ class LookupServer:
             except (ConnectionError, OSError):
                 pass  # peer vanished mid-close; nothing left to release
 
-    def _respond(self, request: str) -> list[str]:
-        """All response lines for one request line."""
+    def _respond(self, request: str) -> bytes:
+        """The whole reply to one request line, newline-terminated."""
         parts = request.split()
         command = parts[0].upper()
         try:
-            if command == "GET" and len(parts) == 2:
-                return [self._get(parts[1])]
-            if command == "MGET" and len(parts) >= 2:
-                return self._mget(parts[1:])
+            if (command == "GET" and len(parts) == 2) or (
+                command == "MGET" and len(parts) >= 2
+            ):
+                # parse all first: a bad address counts no query
+                epoch, lines = self.service.answer_lines(
+                    [parse_ip(text) for text in parts[1:]]
+                )
+                if command == "MGET":
+                    lines.append(f"END {epoch}\n".encode())
+                return b"".join(lines)
             if command == "AT" and len(parts) == 3:
-                return [self._at(parts[1], parts[2])]
+                timestamp = float(parts[1])
+                value, version = parse_ip(parts[2])
+                result = self.service.lookup_at(timestamp, value, version)
+                return answer_line(result, -1)
             if command == "STATS" and len(parts) == 1:
-                return [json.dumps(self.service.stats(), sort_keys=True)]
-            return [f"ERR unknown or malformed command: {command}"]
+                reply = json.dumps(self.service.stats(), sort_keys=True)
+            else:
+                reply = f"ERR unknown or malformed command: {command}"
         except NoEpochError:
-            return ["ERR no epoch installed"]
-        except ServingError as exc:
-            return [f"ERR {exc}"]
-        except ValueError as exc:
-            return [f"ERR {exc}"]
-
-    def _get(self, text: str) -> str:
-        value, version = parse_ip(text)
-        result = self.service.lookup(value, version)
-        current = self.service.current
-        epoch = current.epoch if current is not None else -1
-        return _format_hit(result, epoch)
-
-    def _mget(self, texts: list[str]) -> list[str]:
-        # all addresses of one family resolve against one pinned epoch;
-        # mixed-family batches keep per-family pinning via lookup_many
-        parsed = [parse_ip(text) for text in texts]
-        by_version: dict[int, list[int]] = {}
-        for value, version in parsed:
-            by_version.setdefault(version, []).append(value)
-        answers: dict[tuple[int, int], Optional[LookupResult]] = {}
-        epoch = -1
-        for version, values in by_version.items():
-            epoch, results = self.service.lookup_many(values, version)
-            for value, result in zip(values, results):
-                answers[(value, version)] = result
-        lines = [
-            _format_hit(answers[(value, version)], epoch)
-            for value, version in parsed
-        ]
-        lines.append(f"END {epoch}")
-        return lines
-
-    def _at(self, timestamp_text: str, ip_text: str) -> str:
-        timestamp = float(timestamp_text)
-        value, version = parse_ip(ip_text)
-        result = self.service.lookup_at(timestamp, value, version)
-        return _format_hit(result, -1)
+            reply = "ERR no epoch installed"
+        except (ServingError, ValueError) as exc:
+            reply = f"ERR {exc}"
+        return f"{reply}\n".encode()

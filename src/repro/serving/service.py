@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
-from ..core.iputil import IPV4, IPV6, Prefix
+from ..core.iputil import IPV4, Prefix
 from ..core.lpm import CompiledLPM
 from ..core.snapshot import Snapshot
 from ..devtools.markers import hot_path
@@ -95,16 +95,30 @@ def _result(
     )
 
 
+def answer_line(result: Optional[LookupResult], epoch: int) -> bytes:
+    """The line protocol's answer to one address: ``HIT <router> <if>
+    <prefix> <conf> <age> <epoch>`` or, for ``None``, ``MISS <epoch>``."""
+    if result is None:
+        return f"MISS {epoch}\n".encode()
+    ingress = result.ingress
+    return (
+        f"HIT {ingress.router} {ingress.interface} {result.prefix} "
+        f"{result.confidence:.6g} {result.age:.6g} {result.epoch}\n"
+    ).encode()
+
+
 class ServingEpoch:
     """One immutable generation of the lookup service.
 
     Holds the compiled table per address family plus the identity a
-    reader needs to label its answers.  Instances never mutate after
-    construction — that invariant is what makes installing one a plain
-    reference assignment.
+    reader needs to label its answers.  Tables and identity never change
+    after construction — that invariant is what makes installing one a
+    plain reference assignment.  Only the answer-line memo fills later,
+    on a row's first query: a line is a pure function of row, epoch id
+    and watermark, so two readers filling one slot write equal bytes.
     """
 
-    __slots__ = ("epoch", "watermark", "source", "_tables")
+    __slots__ = ("epoch", "watermark", "source", "_tables", "_lines", "_miss")
 
     def __init__(
         self,
@@ -117,6 +131,13 @@ class ServingEpoch:
         self.watermark = watermark
         self.source = source
         self._tables: dict[int, CompiledLPM] = dict(tables)
+        self._miss = answer_line(None, epoch)
+        # a slot per row plus the MISS line last, where lookup_row's -1
+        # lands: building the epoch formats nothing else
+        self._lines: dict[int, list[Optional[bytes]]] = {
+            version: [None] * len(table) + [self._miss]
+            for version, table in self._tables.items()
+        }
 
     @classmethod
     def from_snapshot(cls, snapshot: Snapshot) -> "ServingEpoch":
@@ -129,15 +150,24 @@ class ServingEpoch:
             version: snapshot.compiled(version)
             for version in snapshot.families()
         }
-        return cls(
-            epoch=snapshot.epoch,
-            watermark=snapshot.when,
-            tables=tables,
-            source=snapshot.source,
-        )
+        return cls(snapshot.epoch, snapshot.when, tables, snapshot.source)
 
     def table(self, version: int = IPV4) -> Optional[CompiledLPM]:
         return self._tables.get(version)
+
+    @hot_path
+    def answer(self, ip_value: int, version: int = IPV4) -> bytes:
+        """This epoch's :func:`answer_line` for *ip_value*, memoised."""
+        table = self._tables.get(version)
+        if table is None:
+            return self._miss
+        lines = self._lines[version]
+        row = table.lookup_row(ip_value)
+        line = lines[row]
+        if line is None:
+            result = _result(table, row, self.epoch, self.watermark)
+            line = lines[row] = answer_line(result, self.epoch)
+        return line
 
     def families(self) -> tuple[int, ...]:
         return tuple(sorted(self._tables))
@@ -185,10 +215,7 @@ class ShardLoadCounters:
         self.counts[ip_value >> shift] += 1
 
     def total(self) -> int:
-        total = 0
-        for count in self.counts:
-            total += count
-        return total
+        return sum(self.counts)
 
     def skew(self) -> float:
         """Peak-to-mean load ratio (1.0 = perfectly balanced)."""
@@ -277,11 +304,7 @@ class IngressLookupService:
     def lookup(
         self, ip_value: int, version: int = IPV4
     ) -> Optional[LookupResult]:
-        """The current epoch's answer for *ip_value*, or ``None``.
-
-        Reads the epoch pointer once; a concurrent :meth:`install`
-        affects only queries that start after the swap.
-        """
+        """The current epoch's answer for *ip_value*, or ``None``."""
         current = self._current
         if current is None:
             raise NoEpochError("no serving epoch installed yet")
@@ -306,22 +329,37 @@ class IngressLookupService:
         if current is None:
             raise NoEpochError("no serving epoch installed yet")
         table = current._tables.get(version)
-        watermark = current.watermark
-        epoch = current.epoch
+        epoch, watermark = current.epoch, current.watermark
         record = self.load.record
         results: list[Optional[LookupResult]] = []
-        append = results.append
-        count = 0
         for value in ip_values:
-            count += 1
             record(value, version)
-            append(
+            results.append(
                 _result(table, table.lookup_row(value), epoch, watermark)
                 if table is not None
                 else None
             )
-        self.queries += count
+        self.queries += len(results)
         return epoch, results
+
+    @hot_path
+    def answer_lines(
+        self, addresses: list[tuple[int, int]]
+    ) -> tuple[int, list[bytes]]:
+        """``(epoch id, wire lines)`` for parsed ``(value, version)``
+        *addresses*: counted like :meth:`lookup`, one epoch for all."""
+        current = self._current
+        if current is None:
+            raise NoEpochError("no serving epoch installed yet")
+        record = self.load.record
+        answer = current.answer
+        lines: list[bytes] = []
+        append = lines.append
+        for value, version in addresses:
+            record(value, version)
+            append(answer(value, version))
+        self.queries += len(addresses)
+        return current.epoch, lines
 
     def lookup_at(
         self, timestamp: float, ip_value: int, version: int = IPV4

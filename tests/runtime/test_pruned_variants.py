@@ -97,6 +97,59 @@ def test_leaf_cache_is_gone():
         RangeTree(IPV4, cache_capacity=4)
 
 
+def test_per_verb_reply_paths_are_gone():
+    """One reply path: no per-verb helpers or second line renderer, and a
+    64-address MGET reaches the transport in one write."""
+    import asyncio
+
+    import repro.serving.server as server
+    from repro.core.iputil import Prefix
+    from repro.core.output import IPDRecord
+    from repro.core.snapshot import Snapshot
+    from repro.serving import IngressLookupService, LookupServer
+    from repro.topology.elements import IngressPoint
+
+    assert not hasattr(server, "_format_hit")
+    for name in ("_get", "_mget", "_at"):
+        assert not hasattr(LookupServer, name)
+
+    service = IngressLookupService()
+    service.install_snapshot(Snapshot(1.0, [IPDRecord(
+        timestamp=1.0, range=Prefix.from_string("10.0.0.0/8"),
+        ingress=IngressPoint("R1", "et0"), s_ingress=0.9, s_ipcount=32,
+        n_cidr=4, candidates=(), classified=True,
+    )], epoch=1))
+
+    class StubWriter:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+        async def drain(self):
+            pass
+
+        def close(self):
+            pass
+
+        async def wait_closed(self):
+            pass
+
+    async def serve(request):
+        reader = asyncio.StreamReader()
+        reader.feed_data(request)
+        reader.feed_eof()
+        writer = StubWriter()
+        await LookupServer(service)._handle_connection(reader, writer)
+        return writer.writes
+
+    writes = asyncio.run(serve(b"MGET" + b" 10.1.2.3 99.0.0.1" * 32 + b"\n"))
+    assert len(writes) == 1
+    assert writes[0].count(b"\n") == 65
+    assert writes[0].endswith(b"MISS 1\nEND 1\n")
+
+
 def test_cross_module_lint_and_private_framing_are_gone(capsys):
     """Eight per-file rules, no symbol-graph engine, no findings cache;
     one public framing, no private copy of it in statecodec."""

@@ -9,10 +9,10 @@ an install lands mid-request.
 import asyncio
 import json
 
-from repro.core.iputil import Prefix
+from repro.core.iputil import IPV4, Prefix
 from repro.core.output import IPDRecord
 from repro.core.snapshot import Snapshot
-from repro.serving import IngressLookupService, LookupServer
+from repro.serving import IngressLookupService, LookupServer, ServingEpoch
 from repro.serving.server import MAX_LINE_BYTES
 from repro.topology.elements import IngressPoint
 
@@ -242,8 +242,6 @@ class TestSwapDuringQueries:
             service.current,
             None,  # built inside the loop to reuse compile work
         ]
-        from repro.serving import ServingEpoch
-
         epochs[1] = ServingEpoch.from_snapshot(
             Snapshot(400.0, [record("10.0.0.0/8", R2, timestamp=400.0)],
                      epoch=2, source="test")
@@ -281,3 +279,47 @@ class TestSwapDuringQueries:
 
         asyncio.run(run_session(service, talk))
         assert service.installs > 2
+
+    def test_an_install_inside_a_reply_does_not_reach_it(self, monkeypatch):
+        """One epoch per reply, deterministically: the first epoch's IPv4
+        table installs the second from inside its own lookup, so the rest
+        of a mixed-family MGET, its END and a GET's MISS label all run
+        after the swap — and must still name the first epoch."""
+        service = service_with()
+        first = service.current
+        second = ServingEpoch.from_snapshot(
+            Snapshot(400.0, [record("10.0.0.0/8", R2, timestamp=400.0),
+                             record("2001:db8::/32", R2, timestamp=400.0)],
+                     epoch=2)
+        )
+
+        class SwapOnLookup:
+            def __init__(self, table):
+                self.table = table
+
+            def lookup_row(self, value):
+                service.install(second)
+                return self.table.lookup_row(value)
+
+            def __getattr__(self, name):
+                return getattr(self.table, name)
+
+        monkeypatch.setitem(
+            first._tables, IPV4, SwapOnLookup(first.table(IPV4))
+        )
+
+        async def talk(client, service):
+            service.install(first)
+            mixed = await client.lines("MGET 10.1.2.3 2001:db8::42 99.0.0.1", 4)
+            service.install(first)
+            return mixed, await client.ask("GET 99.0.0.1")
+
+        mixed, miss = asyncio.run(run_session(service, talk))
+        assert mixed == [
+            "HIT R1 et0 10.0.0.0/8 0.9 0 1",
+            "HIT R1 et0 2001:db8::/32 0.9 0 1",
+            "MISS 1",
+            "END 1",
+        ]
+        assert miss == "MISS 1"
+        assert service.current is second  # the swaps did land

@@ -7,6 +7,7 @@ epoch pointer exactly once per query (a plain attribute load, atomic
 under the GIL), and these tests hammer that from real threads.
 """
 
+import sys
 import threading
 
 import pytest
@@ -143,8 +144,10 @@ class TestEpochPinning:
 
         Epoch 1 serves R1@200, epoch 2 serves R2@300; any (ingress,
         epoch, watermark) combination outside those two triples is a
-        torn read.  An installer thread flips epochs thousands of times
-        while reader threads query continuously.
+        torn read, and so is a wire line other than the one its epoch
+        renders (the answer-line memo is filled by whichever reader gets
+        there first).  An installer thread flips epochs thousands of
+        times while reader threads query continuously.
         """
         service = IngressLookupService(shards=1)
         snapshots = [snapshot_for(R1, 200.0, 1), snapshot_for(R2, 300.0, 2)]
@@ -153,6 +156,10 @@ class TestEpochPinning:
         expected = {
             1: (R1, 200.0),
             2: (R2, 300.0),
+        }
+        lines = {
+            1: [b"HIT R1 et0 10.0.0.0/8 0.95 0 1\n"],
+            2: [b"HIT R2 et0 10.0.0.0/8 0.95 0 2\n"],
         }
         violations = []
         stop = threading.Event()
@@ -164,6 +171,10 @@ class TestEpochPinning:
                 if want is None or (result.ingress, result.watermark) != want:
                     violations.append(result)
                     return
+                epoch, answered = service.answer_lines([(PROBE, IPV4)])
+                if answered != lines[epoch]:
+                    violations.append((epoch, answered))
+                    return
 
         def installer():
             for index in range(4000):
@@ -172,13 +183,20 @@ class TestEpochPinning:
 
         readers = [threading.Thread(target=reader) for _ in range(4)]
         swapper = threading.Thread(target=installer)
-        for thread in readers:
-            thread.start()
-        swapper.start()
-        swapper.join(timeout=30)
-        stop.set()
-        for thread in readers:
-            thread.join(timeout=30)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-answer often
+        try:
+            for thread in readers:
+                thread.start()
+            swapper.start()
+            swapper.join(timeout=30)
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [swapper, *readers])
         assert not violations, violations[:3]
         assert service.installs >= 4000
 
