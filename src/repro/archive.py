@@ -10,16 +10,17 @@ Layout::
     <root>/
       index.json                       # day -> {file, snapshots, records}
       2021-03-04.csv.gz                # all snapshots of that (UTC) day
-      2021-03-04.00000.v4.lpm          # compiled-LPM blob per snapshot
-      2021-03-05.csv.gz                #   and family (optional, next to
-      ...                              #   the day's CSV partition)
+      2021-03-05.csv.gz
+      ...
 
 Each partition holds the standard record CSV (one header, records of
 many snapshots distinguished by their ``timestamp`` column), so a
 partition can also be inspected with ordinary command-line tools.
 
 Partition keys are UTC dates of the snapshot timestamp (treated as
-seconds since the Unix epoch), so key order is time order.
+seconds since the Unix epoch), so key order is time order.  The archive
+stores and returns records only; an index entry's other keys (older
+builds wrote a ``compiled`` map of ``.lpm`` files) are ignored.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ import json
 import pathlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .core.iputil import IPV4, Prefix
-from .core.lpm import CompiledLPM
+from .core.iputil import Prefix
 from .core.output import IPDRecord, read_records_csv, write_records_csv
-from .core.snapshot import Snapshot
 
 __all__ = ["SnapshotArchive", "ArchiveStats"]
 
@@ -70,20 +69,8 @@ class SnapshotArchive:
 
     # ------------------------------------------------------------------ write
 
-    def append(
-        self,
-        timestamp: float,
-        records: Sequence[IPDRecord],
-        compiled: Optional[Mapping[int, bytes]] = None,
-    ) -> None:
-        """Append one snapshot; snapshots must arrive in time order.
-
-        *compiled* optionally maps address family → compiled-LPM blob
-        (:meth:`repro.core.lpm.CompiledLPM.to_bytes`); each blob is
-        stored as its own file in the snapshot's day partition, next to
-        the CSV, and indexed so :meth:`compiled_at` can load it without
-        re-parsing (or re-compiling) the records.
-        """
+    def append(self, timestamp: float, records: Sequence[IPDRecord]) -> None:
+        """Append one snapshot; snapshots must arrive in time order."""
         key = _day_key(timestamp)
         newest = self.newest_timestamp()
         if newest is not None and timestamp <= newest:
@@ -111,32 +98,9 @@ class SnapshotArchive:
             body = payload.split("\n", 1)[1]
             with gzip.open(path, "at") as stream:
                 stream.write(body)
-        if compiled:
-            sequence = len(entry["snapshots"])
-            blobs: dict[str, str] = {}
-            for version in sorted(compiled):
-                blob_name = f"{key}.{sequence:05d}.v{version}.lpm"
-                (self.root / blob_name).write_bytes(compiled[version])
-                blobs[str(version)] = blob_name
-            entry.setdefault("compiled", {})[_time_key(timestamp)] = blobs
         entry["snapshots"].append(timestamp)
         entry["records"] += len(stamped)
         self._save_index()
-
-    def append_snapshot(
-        self, snapshot: Snapshot, compiled: bool = True
-    ) -> None:
-        """Append one pipeline :class:`Snapshot`, blobs included.
-
-        With ``compiled=True`` (default) the snapshot's compiled LPM for
-        every present family is serialized alongside the CSV — the
-        artifact the serving plane's historical queries load directly.
-        """
-        self.append(
-            snapshot.when,
-            snapshot.records,
-            compiled=snapshot.compiled_blobs() if compiled else None,
-        )
 
     def append_run(self, snapshots: dict[float, Sequence[IPDRecord]]) -> int:
         """Append a whole run's snapshots (sorted); returns count."""
@@ -227,30 +191,6 @@ class SnapshotArchive:
             return None
         return newest, self._load_one(newest)
 
-    def compiled_at(
-        self, timestamp: float, version: int = IPV4
-    ) -> Optional[tuple[float, CompiledLPM]]:
-        """Point-in-time compiled LPM: the serving plane's history read.
-
-        Like :meth:`load_at`, but returns the stored compiled blob for
-        the chosen family when one was archived (no CSV parse, no
-        recompilation) and falls back to compiling the CSV records
-        otherwise.
-        """
-        times = self.snapshot_times()
-        position = bisect_right(times, timestamp)
-        if position == 0:
-            return None
-        found = times[position - 1]
-        blob_name = self._compiled_blob_name(found, version)
-        if blob_name is not None:
-            blob_path = self.root / blob_name
-            if blob_path.exists():
-                return found, CompiledLPM.from_bytes(blob_path.read_bytes())
-        return found, CompiledLPM.from_records(
-            self._load_one(found), version=version
-        )
-
     def _entry_for_time(self, timestamp: float) -> Optional[dict]:
         for entry in self._index.values():
             if timestamp in entry["snapshots"]:
@@ -269,17 +209,6 @@ class SnapshotArchive:
                 if record.timestamp == timestamp:
                     records.append(record)
         return records
-
-    def _compiled_blob_name(
-        self, timestamp: float, version: int
-    ) -> Optional[str]:
-        entry = self._entry_for_time(timestamp)
-        if entry is None:
-            return None
-        blobs = entry.get("compiled", {}).get(_time_key(timestamp))
-        if not blobs:
-            return None
-        return blobs.get(str(version))
 
     def stats(self) -> ArchiveStats:
         compressed = sum(
@@ -302,8 +231,3 @@ def _restamp(record: IPDRecord, timestamp: float) -> IPDRecord:
     from dataclasses import replace
 
     return replace(record, timestamp=timestamp)
-
-
-def _time_key(timestamp: float) -> str:
-    """JSON-safe snapshot-time key; ``repr`` round-trips floats exactly."""
-    return repr(timestamp)

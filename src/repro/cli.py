@@ -458,7 +458,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     snapshot = Snapshot(when, records, epoch=1, source="cli")
-    service = IngressLookupService(archive=archive, shards=args.shards)
+    service = IngressLookupService(archive=archive)
     epoch = service.install_snapshot(snapshot)
     server = LookupServer(service, host=args.host, port=args.port)
 
@@ -590,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 = ephemeral, printed at startup)")
-    serve.add_argument("--shards", type=int, default=4,
-                       help="query-load counter grid (power of two)")
     serve.set_defaults(handler=_cmd_serve)
     return parser
 

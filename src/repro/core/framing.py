@@ -1,9 +1,8 @@
 """One framing under every blob this build writes.
 
-Engine state (``IPDS``, :mod:`~repro.core.statecodec`), compiled LPM
-tables (``IPDL``, :mod:`~repro.core.lpm`), the admission section
-(``IPDA``, :mod:`~repro.core.admission`) and the checkpoint container
-(``IPDC``, :mod:`repro.runtime.checkpoint`) all open with::
+Engine state (``IPDS``, :mod:`~repro.core.statecodec`), the admission
+section (``IPDA``, :mod:`~repro.core.admission`) and the checkpoint
+container (``IPDC``, :mod:`repro.runtime.checkpoint`) all open with::
 
     magic (4 bytes) | [u8 kind] | version (u8 or u16, big-endian)
 

@@ -13,10 +13,9 @@ Two structures, two jobs:
   immutable compilation of one snapshot's classified ranges into flat
   row columns (prefix, interned ingress id, confidence, timestamp) plus
   a flattened interval index, so a lookup is one ``bisect`` whatever
-  the number of prefix lengths.  Cheap to share between threads,
-  allocation-free to query, and serializable as a versioned blob
-  (``to_bytes``/``from_bytes`` over :mod:`repro.core.framing`: magic +
-  u16 version, typed decode errors, IPD004 fingerprint-pinned).
+  the number of prefix lengths.  Cheap to share between threads and
+  allocation-free to query; it is never persisted, since compiling a
+  snapshot's records is all a reader needs.
 * :class:`LPMTable` — a mutable pointer trie for payloads that are not
   ingress points over prefixes that genuinely overlap (BGP routes,
   origin ASNs), and the independent reference the compiled form is
@@ -31,13 +30,10 @@ from typing import Generic, Iterable, Iterator, NamedTuple, Optional, TypeVar, c
 
 from ..devtools.markers import hot_path
 from ..topology.elements import IngressPoint
-from .framing import Reader, StateCodecError, Writer
-from .framing import damage_reported, read_header, write_header
 from .iputil import IPV4, IPV6, Prefix
 from .output import IPDRecord
 
 __all__ = [
-    "CODEC_VERSION",
     "CompiledEntry",
     "CompiledLPM",
     "LPMTable",
@@ -45,13 +41,6 @@ __all__ = [
 ]
 
 V = TypeVar("V")
-
-#: bump when the compiled-blob wire format changes; decoders read this
-#: version only (IPD004 pins the layout fingerprint to this number)
-CODEC_VERSION = 1
-
-_MAGIC = b"IPDL"
-_KIND_COMPILED = 0x43  # 'C'
 
 
 class _LPMNode(Generic[V]):
@@ -181,14 +170,14 @@ class CompiledLPM:
 
     Rows are stored sorted by ``(masklen, prefix value)`` in flat
     columns: prefix values, masklens, interned ingress ids, confidence
-    and the source snapshot timestamp — the order and content of the
-    wire format.  Beside them sits the lookup index: the prefixes,
-    nested or not, flattened into disjoint address segments, where
-    ``_starts[i]`` opens a segment answered by row ``_seg_rows[i]``
-    (-1: no prefix covers it).  :meth:`lookup_row` is therefore one
-    ``bisect`` and one index for any prefix set and either family
-    (Python ints compare natively at 128 bits), with zero allocation —
-    the shape the serving hot path needs (rules IPD005/IPD008 pin it).
+    and the source snapshot timestamp.  Beside them sits the lookup
+    index: the prefixes, nested or not, flattened into disjoint address
+    segments, where ``_starts[i]`` opens a segment answered by row
+    ``_seg_rows[i]`` (-1: no prefix covers it).  :meth:`lookup_row` is
+    therefore one ``bisect`` and one index for any prefix set and either
+    family (Python ints compare natively at 128 bits), with zero
+    allocation — the shape the serving hot path needs (rules
+    IPD005/IPD008 pin it).
 
     Instances are deeply read-only by convention (nothing mutates after
     construction), which is what makes epoch hot-swap in
@@ -365,85 +354,6 @@ class CompiledLPM:
 
     def __len__(self) -> int:
         return len(self._masklens)
-
-    # ------------------------------------------------------------------ codec
-
-    def to_bytes(self) -> bytes:
-        """Serialize as a versioned compiled-snapshot blob.
-
-        Layout (:mod:`~repro.core.framing` primitives: LEB128 varints,
-        big-endian f64, per-blob ingress interning)::
-
-            magic "IPDL" | u8 kind 'C' | u16 codec version
-            | u8 family | uvarint row count
-            | rows, (masklen, value) ascending:
-                u8 masklen | uvarint prefix value | interned ingress
-                | f64 confidence | f64 timestamp
-        """
-        writer = Writer()
-        write_header(writer, _MAGIC, CODEC_VERSION, _KIND_COMPILED)
-        writer.byte(self.version)
-        count = len(self._masklens)
-        writer.uvarint(count)
-        for row in range(count):
-            writer.byte(self._masklens[row])
-            writer.uvarint(self._values[row])
-            writer.ingress(self._ingresses[self._ingress_ids[row]])
-            writer.float(self._confidence[row])
-            writer.float(self._timestamps[row])
-        return bytes(writer.buffer)
-
-    @classmethod
-    def from_bytes(cls, data: "bytes | bytearray | memoryview") -> "CompiledLPM":
-        """Decode a :meth:`to_bytes` blob.
-
-        Raises :class:`~repro.core.framing.StateCodecError` (with the
-        failing byte offset) on any structural damage — truncation, bad
-        magic, non-canonical or out-of-order rows, trailing garbage —
-        and :class:`~repro.core.framing.IncompatibleStateError` when
-        the blob was written by any other codec version.
-        """
-        reader = Reader(data)
-        with damage_reported(reader):
-            read_header(
-                reader, _MAGIC, CODEC_VERSION, _KIND_COMPILED,
-                what="IPD compiled-LPM blob",
-            )
-            family = reader.byte()
-            if family not in (IPV4, IPV6):
-                raise StateCodecError(f"unknown IP version in blob: {family}")
-            bits = 32 if family == IPV4 else 128
-            count = reader.uvarint()
-            rows: list[tuple[int, int, IngressPoint, float, float]] = []
-            previous: Optional[tuple[int, int]] = None
-            for _ in range(count):
-                masklen = reader.byte()
-                if masklen > bits:
-                    raise StateCodecError(
-                        f"masklen {masklen} out of range for v{family}"
-                    )
-                value = reader.uvarint()
-                if value >> bits:
-                    raise StateCodecError("prefix value out of range")
-                shift = bits - masklen
-                if shift and value & ((1 << shift) - 1):
-                    raise StateCodecError(
-                        f"non-canonical prefix value {value:#x}/{masklen}"
-                    )
-                key = (masklen, value)
-                if previous is not None and key <= previous:
-                    raise StateCodecError("rows out of (masklen, value) order")
-                previous = key
-                ingress = reader.ingress()
-                confidence = reader.float()
-                timestamp = reader.float()
-                rows.append((masklen, value, ingress, confidence, timestamp))
-            if reader.offset != len(reader.data):
-                raise StateCodecError(
-                    f"{len(reader.data) - reader.offset} trailing bytes "
-                    "after compiled LPM blob"
-                )
-        return cls(family, rows)
 
 
 #: the §5.1 validation table of one output snapshot (``records``,

@@ -7,12 +7,10 @@ timestamp ≤ ``when`` can change it anymore), a monotonically increasing
 per-run ``epoch`` number, and a lazily compiled, cached
 :class:`~repro.core.lpm.CompiledLPM` per address family.
 
-Sinks receive Snapshot objects (:mod:`repro.runtime.sinks`), the
-archive stores their compiled blobs next to the CSV partitions
-(:mod:`repro.archive`), and the serving plane installs them as query
-epochs (:mod:`repro.serving`).  Compilation happens at most once per
-family per snapshot, on first use, and the result is shared by every
-consumer.
+Sinks receive Snapshot objects (:mod:`repro.runtime.sinks`) and the
+serving plane installs them as query epochs (:mod:`repro.serving`).
+Compilation happens at most once per family per snapshot, on first
+use, and the result is shared by every consumer.
 """
 
 from __future__ import annotations
@@ -64,13 +62,6 @@ class Snapshot:
             table = CompiledLPM.from_records(self.records, version=version)
             self._compiled[version] = table
         return table
-
-    def compiled_blobs(self) -> dict[int, bytes]:
-        """Versioned compiled blobs, one per present family."""
-        return {
-            version: self.compiled(version).to_bytes()
-            for version in self.families()
-        }
 
     def __len__(self) -> int:
         return len(self.records)

@@ -1,10 +1,10 @@
 """Structural fingerprinting of the wire codecs (rule IPD004).
 
 Two modules define versioned wire formats: the engine state codec
-(:mod:`repro.core.statecodec`) and the compiled-LPM blob codec
-(:mod:`repro.core.lpm`).  Every persisted checkpoint and compiled
-snapshot artifact depends on decoders agreeing with the version stamped
-in the blob.  The encoded layout is defined by things that live in
+(:mod:`repro.core.statecodec`) and the admission section
+(:mod:`repro.core.admission`).  Every persisted engine blob and
+checkpoint depends on decoders agreeing with the version stamped in
+the blob.  The encoded layout is defined by things that live in
 plain Python and are therefore easy to change *silently*:
 
 * the field lists of the image dataclasses (``NodeImage``,
@@ -18,7 +18,7 @@ a SHA-256 over the dataclass layouts and wire constants extracted from
 the module's AST — and rule IPD004 pins that fingerprint to the
 ``CODEC_VERSION`` it was recorded at (``codec_fingerprints.json``).
 Pins are keyed ``<module stem>:<version>`` (``statecodec:1``,
-``lpm:1``).  Changing a layout without bumping its version fails the
+``admission:2``).  Changing a layout without bumping its version fails the
 lint; bumping the version requires recording the new fingerprint, which
 makes the compatibility decision explicit in the diff.
 

@@ -29,7 +29,7 @@ __all__ = ["main", "run_lint"]
 def _default_codec_modules() -> list[Path]:
     """The in-tree codec modules, resolved relative to this package."""
     core = Path(__file__).resolve().parents[1] / "core"
-    return [core / "statecodec.py", core / "lpm.py", core / "admission.py"]
+    return [core / "statecodec.py", core / "admission.py"]
 
 
 def run_lint(
@@ -79,7 +79,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         const="",
         default=None,
         help="record the current codec fingerprint(s) for their "
-        "CODEC_VERSION (default: the in-tree statecodec.py, lpm.py and "
+        "CODEC_VERSION (default: the in-tree statecodec.py and "
         "admission.py; optionally pass one explicit codec module path) "
         "and exit",
     )

@@ -294,7 +294,7 @@ class CodecGuardRule(Rule):
     name = "codec-guard"
     invariant = (
         "The structural fingerprint of each codec module's encoded "
-        "dataclass layouts and wire constants (statecodec.py, lpm.py, "
+        "dataclass layouts and wire constants (statecodec.py, "
         "admission.py) is pinned to its CODEC_VERSION: changing a layout "
         "without bumping that version fails."
     )
@@ -303,7 +303,7 @@ class CodecGuardRule(Rule):
     codec_pins: "Path | str" = DEFAULT_PIN_PATH
 
     def applies_to(self, source: SourceFile) -> bool:
-        return Path(source.rel).name in ("statecodec.py", "lpm.py", "admission.py")
+        return Path(source.rel).name in ("statecodec.py", "admission.py")
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         tree = source.tree

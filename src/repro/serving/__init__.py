@@ -5,10 +5,8 @@ this package turns them into a queryable deployment surface:
 
 * :class:`~repro.serving.service.IngressLookupService` — ip → (ingress,
   confidence, range, age) from an atomically hot-swapped
-  :class:`~repro.serving.service.ServingEpoch`; point-in-time queries
-  from the archive or checkpoints; per-shard load counters feeding a
-  :class:`~repro.serving.service.ReshardPolicy` (checkpoint-reshard
-  4 → 16 under skew).
+  :class:`~repro.serving.service.ServingEpoch`, and point-in-time
+  queries from an archive's records.
 * :class:`~repro.serving.server.LookupServer` — the asyncio
   line-protocol front end (``GET``/``MGET``/``AT``/``STATS``).
 
@@ -21,10 +19,8 @@ from .service import (
     IngressLookupService,
     LookupResult,
     NoEpochError,
-    ReshardPolicy,
     ServingEpoch,
     ServingError,
-    ShardLoadCounters,
 )
 
 __all__ = [
@@ -32,8 +28,6 @@ __all__ = [
     "LookupResult",
     "LookupServer",
     "NoEpochError",
-    "ReshardPolicy",
     "ServingEpoch",
     "ServingError",
-    "ShardLoadCounters",
 ]

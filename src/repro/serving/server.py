@@ -12,8 +12,10 @@ request                        response
                                ``END <epoch>`` — all answered from the
                                *same* epoch, even across a concurrent swap
 ``AT <timestamp> <ip>``        point-in-time ``HIT``/``MISS`` (epoch -1)
-``STATS``                      one JSON line (epoch, watermark, installs,
-                               queries, per-shard loads, skew)
+                               from the archive; the timestamp must be
+                               finite
+``STATS``                      one JSON line (epoch, watermark, families,
+                               rows, installs, queries)
 ``QUIT``                       closes the connection
 =============================  =============================================
 

@@ -7,27 +7,14 @@ family plus its epoch/watermark identity.  Epochs are swapped by a
 single attribute assignment (atomic under the GIL), so queries never
 pause for an install and never observe a torn state: every query reads
 the epoch pointer exactly once and answers entirely from that epoch,
-old or new.
-
-The service also carries the deployment's two operational loops:
-
-* **history** — :meth:`lookup_at` answers point-in-time queries from a
-  :class:`~repro.archive.SnapshotArchive` partition (stored compiled
-  blob when present) or, failing that, from the newest valid
-  checkpoint image.
-* **load skew** — :class:`ShardLoadCounters` buckets query load by the
-  address-space shard that owns each target; when a
-  :class:`ReshardPolicy` sees sustained skew it recommends widening the
-  shard grid (4 → 16 by default), and :meth:`IngressLookupService.reshard`
-  rebuilds an engine from the latest checkpoint at the new width —
-  checkpoints are topology-free, so any width is legal.
+old or new.  Point-in-time queries (:meth:`~IngressLookupService.lookup_at`)
+answer from a :class:`~repro.archive.SnapshotArchive`'s records.
 """
 
 from __future__ import annotations
 
-from array import array
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional
 
 from ..core.iputil import IPV4, Prefix
@@ -37,19 +24,14 @@ from ..devtools.markers import hot_path
 
 if TYPE_CHECKING:
     from ..archive import SnapshotArchive
-    from ..core.algorithm import IPD
-    from ..runtime.checkpoint import CheckpointStore
-    from ..runtime.sharding import ShardedIPD
     from ..topology.elements import IngressPoint
 
 __all__ = [
     "IngressLookupService",
     "LookupResult",
     "NoEpochError",
-    "ReshardPolicy",
     "ServingEpoch",
     "ServingError",
-    "ShardLoadCounters",
 ]
 
 
@@ -182,78 +164,6 @@ class ServingEpoch:
         )
 
 
-class ShardLoadCounters:
-    """Per-shard query-load counters over the address-space grid.
-
-    Shard assignment mirrors the runtime's address-space sharding: the
-    top ``log2(shards)`` bits of the address select the shard, so the
-    counters directly answer "which engine shard would this query's
-    traffic have hit?".  Counters are a flat ``array('Q')`` — bumping
-    one is an index increment on the query path, nothing more.
-    """
-
-    __slots__ = ("counts", "_shift4", "_shift6")
-
-    def __init__(self, shards: int) -> None:
-        if shards < 1 or shards & (shards - 1):
-            raise ValueError(f"shards must be a power of two, got {shards}")
-        bits = shards.bit_length() - 1
-        self.counts = array("Q", bytes(8 * shards))
-        self._shift4 = 32 - bits
-        self._shift6 = 128 - bits
-
-    @property
-    def shards(self) -> int:
-        return len(self.counts)
-
-    def shard_of(self, ip_value: int, version: int = IPV4) -> int:
-        shift = self._shift4 if version == IPV4 else self._shift6
-        return ip_value >> shift
-
-    def record(self, ip_value: int, version: int = IPV4) -> None:
-        shift = self._shift4 if version == IPV4 else self._shift6
-        self.counts[ip_value >> shift] += 1
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def skew(self) -> float:
-        """Peak-to-mean load ratio (1.0 = perfectly balanced)."""
-        total = self.total()
-        if total == 0:
-            return 1.0
-        return max(self.counts) * self.shards / total
-
-    def reset(self) -> None:
-        for index in range(len(self.counts)):
-            self.counts[index] = 0
-
-
-@dataclass(frozen=True)
-class ReshardPolicy:
-    """When sustained query skew justifies widening the shard grid.
-
-    ``recommend`` returns the new shard count, or ``None`` while the
-    observed load stays acceptable: fewer than ``min_queries`` samples
-    (skew over a handful of queries is noise), peak-to-mean skew under
-    ``skew_threshold``, or the grid already at ``max_shards``.
-    """
-
-    skew_threshold: float = 2.0
-    min_queries: int = 1000
-    growth_factor: int = 4
-    max_shards: int = 16
-
-    def recommend(self, load: ShardLoadCounters) -> Optional[int]:
-        if load.shards >= self.max_shards:
-            return None
-        if load.total() < self.min_queries:
-            return None
-        if load.skew() < self.skew_threshold:
-            return None
-        return min(load.shards * self.growth_factor, self.max_shards)
-
-
 class IngressLookupService:
     """Epoch-hot-swapping ip → ingress lookups over compiled snapshots.
 
@@ -265,21 +175,12 @@ class IngressLookupService:
     ``tests/serving/test_service.py``).
     """
 
-    def __init__(
-        self,
-        archive: "Optional[SnapshotArchive]" = None,
-        checkpoints: "Optional[CheckpointStore]" = None,
-        shards: int = 4,
-        policy: Optional[ReshardPolicy] = None,
-    ) -> None:
+    def __init__(self, archive: "Optional[SnapshotArchive]" = None) -> None:
         self.archive = archive
-        self.checkpoints = checkpoints
-        self.policy = policy if policy is not None else ReshardPolicy()
-        self.load = ShardLoadCounters(shards)
         self.installs = 0
         self.queries = 0
         self._current: Optional[ServingEpoch] = None
-        #: point-in-time answers resolved once, shared across queries
+        #: point-in-time tables compiled once, shared across queries
         self._history: dict[tuple[float, int], CompiledLPM] = {}
 
     # ------------------------------------------------------------- install
@@ -309,7 +210,6 @@ class IngressLookupService:
         if current is None:
             raise NoEpochError("no serving epoch installed yet")
         self.queries += 1
-        self.load.record(ip_value, version)
         table = current._tables.get(version)
         if table is None:
             return None
@@ -317,137 +217,52 @@ class IngressLookupService:
             table, table.lookup_row(ip_value), current.epoch, current.watermark
         )
 
-    def lookup_many(
-        self, ip_values: Iterable[int], version: int = IPV4
-    ) -> tuple[int, list[Optional[LookupResult]]]:
-        """Bulk lookup pinned to one epoch.
-
-        Returns ``(epoch id, results)``; every result comes from the
-        same epoch even if an install lands mid-iteration.
-        """
-        current = self._current
-        if current is None:
-            raise NoEpochError("no serving epoch installed yet")
-        table = current._tables.get(version)
-        epoch, watermark = current.epoch, current.watermark
-        record = self.load.record
-        results: list[Optional[LookupResult]] = []
-        for value in ip_values:
-            record(value, version)
-            results.append(
-                _result(table, table.lookup_row(value), epoch, watermark)
-                if table is not None
-                else None
-            )
-        self.queries += len(results)
-        return epoch, results
-
     @hot_path
     def answer_lines(
-        self, addresses: list[tuple[int, int]]
+        self, addresses: Iterable[tuple[int, int]]
     ) -> tuple[int, list[bytes]]:
         """``(epoch id, wire lines)`` for parsed ``(value, version)``
-        *addresses*: counted like :meth:`lookup`, one epoch for all."""
+        *addresses*: counted like :meth:`lookup`, one epoch for all, even
+        if an install lands mid-iteration."""
         current = self._current
         if current is None:
             raise NoEpochError("no serving epoch installed yet")
-        record = self.load.record
         answer = current.answer
         lines: list[bytes] = []
         append = lines.append
         for value, version in addresses:
-            record(value, version)
             append(answer(value, version))
-        self.queries += len(addresses)
+        self.queries += len(lines)
         return current.epoch, lines
 
     def lookup_at(
         self, timestamp: float, ip_value: int, version: int = IPV4
     ) -> Optional[LookupResult]:
-        """Point-in-time answer: the table as of *timestamp*.
+        """Point-in-time answer from the archive's newest snapshot at or
+        before *timestamp*, with epoch -1.
 
-        Resolution order: the archive's newest snapshot at or before
-        *timestamp* (stored compiled blob when one was archived), else
-        the newest valid checkpoint image.  Resolved tables are cached,
-        so repeated historical queries pay the load once.  Returns
-        ``None`` when no history covers *timestamp*; raises
-        :class:`ServingError` when no history source is configured.
+        Each snapshot's records are compiled once per family and cached.
+        Returns ``None`` when the archive holds nothing that old; raises
+        :class:`ServingError` without an archive and ``ValueError`` for
+        a non-finite *timestamp* (``nan`` would pass every bisect).
         """
-        resolved = self._historical_table(timestamp, version)
-        if resolved is None:
+        if not math.isfinite(timestamp):
+            raise ValueError("timestamp must be finite")
+        if self.archive is None:
+            raise ServingError("historical lookup needs an archive")
+        # the cheap bisect first, so a cached table skips the partition
+        times = self.archive.snapshot_times()
+        position = bisect_right(times, timestamp)
+        if position == 0:
             return None
-        found, table = resolved
-        return _result(table, table.lookup_row(ip_value), -1, found)
-
-    def _historical_table(
-        self, timestamp: float, version: int
-    ) -> Optional[tuple[float, CompiledLPM]]:
-        if self.archive is None and self.checkpoints is None:
-            raise ServingError(
-                "historical lookup needs an archive or a checkpoint store"
-            )
-        if self.archive is not None:
-            # resolve the covering snapshot time first (cheap bisect) so
-            # cached tables short-circuit the partition/blob load
-            times = self.archive.snapshot_times()
-            position = bisect_right(times, timestamp)
-            if position > 0:
-                found = times[position - 1]
-                key = (found, version)
-                table = self._history.get(key)
-                if table is None:
-                    hit = self.archive.compiled_at(found, version)
-                    assert hit is not None  # `found` is an archived time
-                    table = hit[1]
-                    self._history[key] = table
-                return found, table
-        return self._checkpoint_table(timestamp, version)
-
-    def _checkpoint_table(
-        self, timestamp: float, version: int
-    ) -> Optional[tuple[float, CompiledLPM]]:
-        if self.checkpoints is None:
-            return None
-        checkpoint = self.checkpoints.latest_valid()
-        if checkpoint is None or checkpoint.when > timestamp:
-            return None
-        key = (checkpoint.when, version)
-        table = self._history.get(key)
+        found = times[position - 1]
+        table = self._history.get((found, version))
         if table is None:
-            engine = self.checkpoints.restore_engine(checkpoint)
-            records = engine.snapshot(checkpoint.when)
-            table = CompiledLPM.from_records(records, version=version)
-            self._history[key] = table
-        return checkpoint.when, table
-
-    # ------------------------------------------------------------- reshard
-
-    def maybe_reshard(self) -> "Optional[IPD | ShardedIPD]":
-        """Widen the engine shard grid when query skew demands it.
-
-        Consults :attr:`policy` over the live load counters; when a
-        wider grid is recommended and a checkpoint store is attached,
-        rebuilds an engine from the newest valid checkpoint at the new
-        width, resets the counters to the new grid, and returns the
-        engine (``None`` when nothing to do).
-        """
-        recommended = self.policy.recommend(self.load)
-        if recommended is None or self.checkpoints is None:
-            return None
-        return self.reshard(recommended)
-
-    def reshard(self, shards: int) -> "Optional[IPD | ShardedIPD]":
-        """Rebuild the engine from the newest checkpoint at *shards*."""
-        if self.checkpoints is None:
-            raise ServingError("reshard needs a checkpoint store")
-        checkpoint = self.checkpoints.latest_valid()
-        if checkpoint is None:
-            return None
-        engine = self.checkpoints.restore_engine(
-            checkpoint, shards=shards, executor="serial"
-        )
-        self.load = ShardLoadCounters(shards)
-        return engine
+            loaded = self.archive.load_at(found)
+            assert loaded is not None  # `found` is an archived time
+            table = CompiledLPM.from_records(loaded[1], version=version)
+            self._history[(found, version)] = table
+        return _result(table, table.lookup_row(ip_value), -1, found)
 
     # ------------------------------------------------------------- stats
 
@@ -460,7 +275,4 @@ class IngressLookupService:
             "rows": len(current) if current is not None else 0,
             "installs": self.installs,
             "queries": self.queries,
-            "shards": self.load.shards,
-            "shard_loads": list(self.load.counts),
-            "skew": self.load.skew(),
         }

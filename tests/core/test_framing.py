@@ -1,4 +1,4 @@
-"""The one framing under the four blob formats (repro.core.framing).
+"""The one framing under the three blob formats (repro.core.framing).
 
 Three things are pinned here, once, for every format:
 
@@ -40,8 +40,6 @@ from repro.core.framing import (
     write_header,
 )
 from repro.core.iputil import IPV4, IPV6, Prefix
-from repro.core.lpm import CODEC_VERSION as LPM_VERSION
-from repro.core.lpm import CompiledLPM
 from repro.core.statecodec import (
     CODEC_VERSION as STATE_VERSION,
     NodeImage,
@@ -71,12 +69,6 @@ def subtree_blob() -> bytes:
     return encode_subtree(Prefix.from_string("10.0.0.0/8"), IPV4, root)
 
 
-def lpm_blob() -> bytes:
-    return CompiledLPM(
-        IPV4, [(8, 10 << 24, A, 0.9, 60.0), (16, (10 << 24) | (1 << 16), B, 1.0, 60.0)]
-    ).to_bytes()
-
-
 def admission_blob() -> bytes:
     return encode_admission(
         AdmissionImage(
@@ -99,7 +91,6 @@ def checkpoint_blob() -> bytes:
 #:          version width, kind offset or None)
 FORMATS = {
     "IPDS": (subtree_blob, decode_subtree, STATE_VERSION, 5, 2, 4),
-    "IPDL": (lpm_blob, CompiledLPM.from_bytes, LPM_VERSION, 5, 2, 4),
     "IPDA": (admission_blob, decode_admission, ADMISSION_VERSION, 5, 1, 4),
     "IPDC": (checkpoint_blob, Checkpoint.from_bytes, CHECKPOINT_VERSION, 4, 2, None),
 }
@@ -130,9 +121,6 @@ def _damage_rows():
             yield name, "wrong-kind", decode, bytes(foreign), "kind"
     head = header_of("IPDS")
     yield "IPDS", "varint-over-140-bits", decode_subtree, head + b"\x04" + runaway, "varint"
-    yield "IPDL", "varint-over-140-bits", CompiledLPM.from_bytes, (
-        header_of("IPDL") + b"\x04" + runaway
-    ), "varint"
     yield "IPDA", "varint-over-140-bits", decode_admission, (
         header_of("IPDA") + b"\x00" + struct.pack(">d", 4.0) + runaway
     ), "varint"
@@ -147,15 +135,6 @@ def _damage_rows():
     dangling.byte(2)
     dangling.uvarint(4)
     yield "IPDS", "dangling-ingress-ref", decode_subtree, bytes(dangling.buffer), "dangling"
-    rows = Writer()
-    rows.raw(header_of("IPDL"))
-    rows.byte(IPV4)
-    rows.uvarint(1)
-    rows.byte(8)
-    rows.uvarint(10 << 24)
-    rows.uvarint(4)
-    yield "IPDL", "dangling-ingress-ref", CompiledLPM.from_bytes, bytes(rows.buffer), "dangling"
-    yield "IPDL", "trailing-bytes", CompiledLPM.from_bytes, lpm_blob() + b"\x00", "trailing"
     yield "IPDC", "trailing-bytes", Checkpoint.from_bytes, checkpoint_blob() + b"\x00", "CRC mismatch"
 
 
@@ -308,7 +287,6 @@ PARENT_BLOBS = {
 _RECODE = {
     "engine_fig05_first_sweep": lambda blob: encode_engine(decode_engine(blob)),
     "engine_dualstack_lossy": lambda blob: IPD.from_bytes(blob).to_bytes(),
-    "lpm_fig05_snapshot": lambda blob: CompiledLPM.from_bytes(blob).to_bytes(),
     "admission_section": lambda blob: encode_admission(decode_admission(blob)),
     "checkpoint_fig05_last": lambda blob: Checkpoint.from_bytes(blob).to_bytes(),
 }
@@ -321,10 +299,8 @@ def test_parent_blob_decodes_and_reencodes_to_the_same_digest(name):
 
 
 def test_this_build_writes_the_parents_fig05_bytes():
-    """Engine blob after the first fig05 sweep and the LPM blob of the
-    final fig05 snapshot, encoded here, equal the parent's files."""
-    from repro.runtime.pipeline import Pipeline
-
+    """The engine blob after the first fig05 sweep, encoded here, equals
+    the parent's file."""
     engine = IPD(FIG05_PARAMS)
     flows = fig05_trace()
     first_sweep = FIG05_PARAMS.t
@@ -335,9 +311,3 @@ def test_this_build_writes_the_parents_fig05_bytes():
     engine.sweep(first_sweep)
     assert engine.to_bytes() == PARENT_BLOBS["engine_fig05_first_sweep"]
     assert len(PARENT_BLOBS["engine_fig05_first_sweep"]) == 1614
-
-    with Pipeline(FIG05_PARAMS, snapshot_seconds=120.0) as pipeline:
-        result = pipeline.run(flows)
-    table = CompiledLPM.from_records(result.final_snapshot())
-    assert table.to_bytes() == PARENT_BLOBS["lpm_fig05_snapshot"]
-    assert len(PARENT_BLOBS["lpm_fig05_snapshot"]) == 95

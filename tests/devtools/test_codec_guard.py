@@ -78,19 +78,6 @@ def test_bare_version_key_is_not_a_pin(tmp_path):
     assert "no recorded fingerprint" in report.findings[0].message
 
 
-def test_lpm_needs_its_own_stem_qualified_pin(tmp_path):
-    import repro
-
-    lpm = Path(repro.__file__).parent / "core" / "lpm.py"
-    pins = _pin_file(tmp_path, {"1": _fingerprint(lpm)})
-    report = run_lint([str(lpm)], select=["IPD004"], codec_pins=pins)
-    assert len(report.findings) == 1
-    assert "no recorded fingerprint" in report.findings[0].message
-    pins = _pin_file(tmp_path, {"lpm:1": _fingerprint(lpm)})
-    report = run_lint([str(lpm)], select=["IPD004"], codec_pins=pins)
-    assert report.clean, [f.format() for f in report.findings]
-
-
 def test_fingerprint_tracks_layout_not_formatting(tmp_path):
     base = VERSIONED.read_text(encoding="utf-8")
     reformatted = base.replace(
@@ -134,11 +121,3 @@ def test_in_tree_pin_matches_current_statecodec():
     report = run_lint([str(statecodec)], select=["IPD004"])
     assert report.clean, [f.format() for f in report.findings]
 
-
-def test_in_tree_pin_matches_current_lpm():
-    """The compiled-LPM blob codec must match its committed pin too."""
-    import repro
-
-    lpm = Path(repro.__file__).parent / "core" / "lpm.py"
-    report = run_lint([str(lpm)], select=["IPD004"])
-    assert report.clean, [f.format() for f in report.findings]

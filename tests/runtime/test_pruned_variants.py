@@ -1,4 +1,5 @@
-"""Deleted variants are gone, not hidden: executors, transport, per-flow forks."""
+"""Deleted variants are gone, not hidden: executors, transport, per-flow
+forks, the serving shard grid and the compiled-LPM blob."""
 
 import pytest
 
@@ -182,3 +183,54 @@ def test_cross_module_lint_and_private_framing_are_gone(capsys):
 
     assert statecodec.StateCodecError is framing.StateCodecError
     assert statecodec.IncompatibleStateError is framing.IncompatibleStateError
+
+
+def test_serving_shard_grid_and_lpm_blob_are_gone(tmp_path, capsys):
+    """The serving plane serves snapshots: no query-load shard grid or
+    reshard loop, no checkpoint history source, no second bulk lookup,
+    and no compiled-LPM blob for the archive to store."""
+    import inspect
+    import json
+
+    import repro.core.lpm as lpm
+    import repro.serving as serving
+    import repro.serving.service as service
+    from repro.archive import SnapshotArchive
+    from repro.core.snapshot import Snapshot
+    from repro.devtools.codecguard import DEFAULT_PIN_PATH
+    from repro.devtools.lint import run_lint
+
+    for module in (serving, service):
+        for name in ("ShardLoadCounters", "ReshardPolicy"):
+            assert not hasattr(module, name)
+            assert name not in module.__all__
+    for name in ("maybe_reshard", "reshard", "lookup_many", "_checkpoint_table"):
+        assert not hasattr(service.IngressLookupService, name)
+    assert list(
+        inspect.signature(service.IngressLookupService).parameters
+    ) == ["archive"]
+    stats = service.IngressLookupService().stats()
+    assert not {"shards", "shard_loads", "skew"} & set(stats)
+
+    for name in ("CODEC_VERSION", "_MAGIC", "_KIND_COMPILED"):
+        assert not hasattr(lpm, name)
+    for name in ("to_bytes", "from_bytes"):
+        assert not hasattr(lpm.CompiledLPM, name)
+    assert hasattr(lpm.CompiledLPM, "lookup_many")
+    assert not hasattr(Snapshot, "compiled_blobs")
+    for name in ("append_snapshot", "compiled_at", "_compiled_blob_name"):
+        assert not hasattr(SnapshotArchive, name)
+    with pytest.raises(TypeError, match="compiled"):
+        SnapshotArchive(tmp_path / "arch").append(1.0, [], compiled={})
+    assert sorted(json.loads(DEFAULT_PIN_PATH.read_text())) == [
+        "admission:2", "statecodec:1",
+    ]
+    # IPD004 would report the missing pin file if lpm.py were in scope
+    assert run_lint(
+        [lpm.__file__], select=["IPD004"], codec_pins=tmp_path / "absent.json"
+    ).clean
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--records", "records.csv", "--shards", "4"])
+    assert exit_info.value.code == 2
+    assert "--shards" in capsys.readouterr().err

@@ -116,9 +116,7 @@ class TestProtocol:
         from repro.archive import SnapshotArchive
 
         archive = SnapshotArchive(tmp_path / "arch")
-        archive.append_snapshot(
-            Snapshot(100.0, [record("10.0.0.0/8", R2, timestamp=100.0)])
-        )
+        archive.append(100.0, [record("10.0.0.0/8", R2, timestamp=100.0)])
         service = IngressLookupService(archive=archive)
         service.install_snapshot(
             Snapshot(300.0, [record("10.0.0.0/8", R1, timestamp=300.0)],

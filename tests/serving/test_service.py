@@ -1,4 +1,4 @@
-"""IngressLookupService: hot swap, epoch pinning, history, resharding.
+"""IngressLookupService: hot swap, epoch pinning, archive history.
 
 The load-bearing pin here is **no torn results**: a query that runs
 concurrently with an epoch install answers entirely from the old epoch
@@ -16,14 +16,11 @@ from repro.archive import SnapshotArchive
 from repro.core.iputil import IPV4, IPV6, Prefix, parse_ip
 from repro.core.output import IPDRecord
 from repro.core.snapshot import Snapshot
-from repro.runtime import CheckpointStore, Pipeline
 from repro.serving import (
     IngressLookupService,
     NoEpochError,
-    ReshardPolicy,
     ServingEpoch,
     ServingError,
-    ShardLoadCounters,
 )
 from repro.topology.elements import IngressPoint
 
@@ -62,7 +59,7 @@ class TestInstallAndLookup:
         with pytest.raises(NoEpochError):
             service.lookup(PROBE)
         with pytest.raises(NoEpochError):
-            service.lookup_many([PROBE])
+            service.answer_lines([(PROBE, IPV4)])
 
     def test_basic_hit_and_miss(self):
         service = IngressLookupService()
@@ -116,26 +113,27 @@ class TestInstallAndLookup:
         assert stats["watermark"] == 200.0
         assert stats["queries"] == 1
         assert stats["installs"] == 1
-        assert stats["shards"] == 4
-        assert sum(stats["shard_loads"]) == 1
+        assert set(stats) == {
+            "epoch", "watermark", "families", "rows", "installs", "queries",
+        }
 
 
 class TestEpochPinning:
-    def test_lookup_many_pins_one_epoch_across_mid_swap(self):
+    def test_answer_lines_pins_one_epoch_across_mid_swap(self):
         """An install landing mid-bulk-query must not leak into it."""
         service = IngressLookupService()
         service.install_snapshot(snapshot_for(R1, 200.0, 1))
 
-        def values():
-            yield PROBE
-            # swap epochs while the bulk lookup is mid-iteration
+        def addresses():
+            yield PROBE, IPV4
+            # swap epochs while the bulk answer is mid-iteration
             service.install_snapshot(snapshot_for(R2, 300.0, 2))
-            yield PROBE
+            yield PROBE, IPV4
 
-        epoch, results = service.lookup_many(values())
+        epoch, lines = service.answer_lines(addresses())
         assert epoch == 1
-        assert [r.ingress for r in results] == [R1, R1]
-        assert {r.epoch for r in results} == {1}
+        assert lines == [b"HIT R1 et0 10.0.0.0/8 0.95 0 1\n"] * 2
+        assert service.queries == 2
         # the swap is visible to the *next* query
         assert service.lookup(PROBE).ingress == R2
 
@@ -149,7 +147,7 @@ class TestEpochPinning:
         there first).  An installer thread flips epochs thousands of
         times while reader threads query continuously.
         """
-        service = IngressLookupService(shards=1)
+        service = IngressLookupService()
         snapshots = [snapshot_for(R1, 200.0, 1), snapshot_for(R2, 300.0, 2)]
         epochs = [ServingEpoch.from_snapshot(s) for s in snapshots]
         service.install(epochs[0])
@@ -201,70 +199,6 @@ class TestEpochPinning:
         assert service.installs >= 4000
 
 
-class TestShardLoad:
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            ShardLoadCounters(3)
-        with pytest.raises(ValueError):
-            ShardLoadCounters(0)
-
-    def test_top_bits_select_the_shard(self):
-        load = ShardLoadCounters(4)
-        assert load.shard_of(parse_ip("10.0.0.1")[0]) == 0
-        assert load.shard_of(parse_ip("80.0.0.1")[0]) == 1
-        assert load.shard_of(parse_ip("150.0.0.1")[0]) == 2
-        assert load.shard_of(parse_ip("225.0.0.1")[0]) == 3
-        assert load.shard_of(parse_ip("8000::1")[0], IPV6) == 2
-
-    def test_record_and_skew(self):
-        load = ShardLoadCounters(4)
-        assert load.skew() == 1.0  # empty grid reads as balanced
-        for _ in range(30):
-            load.record(parse_ip("10.0.0.1")[0])
-        for _ in range(10):
-            load.record(parse_ip("150.0.0.1")[0])
-        assert load.total() == 40
-        assert load.skew() == pytest.approx(3.0)
-        load.reset()
-        assert load.total() == 0
-
-    def test_single_shard_grid(self):
-        load = ShardLoadCounters(1)
-        load.record(parse_ip("255.255.255.255")[0])
-        assert load.counts[0] == 1
-        assert load.skew() == 1.0
-
-
-class TestReshardPolicy:
-    def test_quiet_grid_recommends_nothing(self):
-        policy = ReshardPolicy(min_queries=100)
-        load = ShardLoadCounters(4)
-        for _ in range(50):
-            load.record(parse_ip("10.0.0.1")[0])
-        assert policy.recommend(load) is None  # below min_queries
-
-    def test_balanced_grid_recommends_nothing(self):
-        policy = ReshardPolicy(min_queries=4)
-        load = ShardLoadCounters(4)
-        for text in ("10.0.0.1", "80.0.0.1", "150.0.0.1", "225.0.0.1"):
-            load.record(parse_ip(text)[0])
-        assert policy.recommend(load) is None
-
-    def test_skew_recommends_growth_to_cap(self):
-        policy = ReshardPolicy(min_queries=10, max_shards=16)
-        load = ShardLoadCounters(4)
-        for _ in range(1000):
-            load.record(parse_ip("10.0.0.1")[0])
-        assert policy.recommend(load) == 16
-
-    def test_at_cap_recommends_nothing(self):
-        policy = ReshardPolicy(min_queries=1, max_shards=16)
-        load = ShardLoadCounters(16)
-        for _ in range(1000):
-            load.record(parse_ip("10.0.0.1")[0])
-        assert policy.recommend(load) is None
-
-
 class TestHistory:
     def test_lookup_at_needs_a_source(self):
         service = IngressLookupService()
@@ -273,12 +207,8 @@ class TestHistory:
 
     def test_archive_point_in_time(self, tmp_path):
         archive = SnapshotArchive(tmp_path / "arch")
-        archive.append_snapshot(
-            Snapshot(100.0, [record("10.0.0.0/8", R1, timestamp=100.0)])
-        )
-        archive.append_snapshot(
-            Snapshot(200.0, [record("10.0.0.0/8", R2, timestamp=200.0)])
-        )
+        archive.append(100.0, [record("10.0.0.0/8", R1, timestamp=100.0)])
+        archive.append(200.0, [record("10.0.0.0/8", R2, timestamp=200.0)])
         service = IngressLookupService(archive=archive)
         # between the snapshots: the older one answers
         result = service.lookup_at(150.0, PROBE)
@@ -293,102 +223,10 @@ class TestHistory:
 
     def test_archive_history_is_cached(self, tmp_path):
         archive = SnapshotArchive(tmp_path / "arch")
-        archive.append_snapshot(
-            Snapshot(100.0, [record("10.0.0.0/8", R1, timestamp=100.0)])
-        )
+        archive.append(100.0, [record("10.0.0.0/8", R1, timestamp=100.0)])
         service = IngressLookupService(archive=archive)
         first = service.lookup_at(150.0, PROBE)
         table = service._history[(100.0, IPV4)]
         second = service.lookup_at(175.0, PROBE)
         assert service._history[(100.0, IPV4)] is table
         assert first.ingress == second.ingress == R1
-
-    def test_checkpoint_fallback(self, tmp_path):
-        from repro.testkit.traces import fig05_trace
-
-        store = CheckpointStore(tmp_path / "ckpt", retain=100)
-        from tests.runtime.test_shard_equivalence import FIG05_PARAMS
-
-        with Pipeline(
-            FIG05_PARAMS,
-            snapshot_seconds=120.0,
-            checkpoint_store=store,
-            checkpoint_every=FIG05_PARAMS.t,
-        ) as pipeline:
-            pipeline.run(fig05_trace())
-        checkpoint = store.latest_valid()
-        assert checkpoint is not None
-
-        service = IngressLookupService(checkpoints=store)
-        result = service.lookup_at(checkpoint.when + 1.0, parse_ip("10.0.0.7")[0])
-        assert result is not None
-        assert result.watermark == checkpoint.when
-        assert result.epoch == -1
-        # too early for the newest checkpoint: no history
-        assert service.lookup_at(0.0, PROBE) is None
-
-
-class TestReshard:
-    def _populated_store(self, tmp_path):
-        from repro.testkit.traces import fig05_trace
-        from tests.runtime.test_shard_equivalence import FIG05_PARAMS
-
-        store = CheckpointStore(tmp_path / "ckpt", retain=100)
-        with Pipeline(
-            FIG05_PARAMS,
-            snapshot_seconds=120.0,
-            checkpoint_store=store,
-            checkpoint_every=FIG05_PARAMS.t,
-        ) as pipeline:
-            reference = pipeline.run(fig05_trace())
-        return store, reference
-
-    def test_skew_triggers_4_to_16_reshard(self, tmp_path):
-        store, reference = self._populated_store(tmp_path)
-        service = IngressLookupService(
-            checkpoints=store,
-            shards=4,
-            policy=ReshardPolicy(min_queries=100, max_shards=16),
-        )
-        service.install_snapshot(
-            Snapshot(1000.0, reference.final_snapshot(), epoch=1)
-        )
-        # hammer one corner of the address space: all load on shard 0
-        for _ in range(500):
-            service.lookup(PROBE)
-        assert service.load.skew() == pytest.approx(4.0)
-        engine = service.maybe_reshard()
-        assert engine is not None
-        assert engine.shards == 16
-        # counters restart on the new grid
-        assert service.load.shards == 16
-        assert service.load.total() == 0
-        # the resharded engine carries the checkpointed state: its
-        # snapshot classifies the same ranges the reference run did
-        records = engine.snapshot(store.latest_valid().when)
-        assert {r.range for r in records if r.classified} == {
-            r.range for r in reference.final_snapshot() if r.classified
-        }
-        engine.close()
-
-    def test_balanced_load_does_not_reshard(self, tmp_path):
-        store, reference = self._populated_store(tmp_path)
-        service = IngressLookupService(
-            checkpoints=store,
-            shards=4,
-            policy=ReshardPolicy(min_queries=100, max_shards=16),
-        )
-        service.install_snapshot(
-            Snapshot(1000.0, reference.final_snapshot(), epoch=1)
-        )
-        for text in ("10.0.0.1", "80.0.0.1", "150.0.0.1", "225.0.0.1"):
-            value = parse_ip(text)[0]
-            for _ in range(200):
-                service.lookup(value)
-        assert service.maybe_reshard() is None
-        assert service.load.shards == 4
-
-    def test_reshard_without_store_raises(self):
-        service = IngressLookupService()
-        with pytest.raises(ServingError):
-            service.reshard(16)

@@ -9,7 +9,10 @@ byte, that renderer applied to the in-process API's answer
 of both families, the confidence shapes ``.6g`` renders differently,
 zero and non-zero ages, and every row's edges.  Two epochs that share
 their compiled tables are transcribed one after the other, so a line
-memoised for one epoch and served in another fails here too.
+memoised for one epoch and served in another fails here too.  The
+request language is pinned as well: a non-finite ``AT`` timestamp is an
+``ERR``, and an archive index left with ``compiled`` blob entries by an
+older build answers ``AT`` exactly like a plain one.
 """
 
 import asyncio
@@ -121,7 +124,7 @@ def converse(service, conversation):
 
 def test_every_verb_replies_the_old_renderers_bytes(tmp_path):
     archive = SnapshotArchive(tmp_path / "arch")
-    archive.append_snapshot(Snapshot(WHEN, records()))
+    archive.append(WHEN, records())
     service = IngressLookupService(archive=archive)
     first = service.install_snapshot(Snapshot(WHEN, records(), epoch=3))
     # same compiled tables, another id and watermark
@@ -188,11 +191,11 @@ def test_memo_is_scoped_to_its_epoch():
 
 
 def test_stats_counts_a_fixed_session_like_before(tmp_path):
-    """Queries and shard loads after GET + MGET + AT + errors, as the
-    server counted them before the reply path was merged: every GET or
-    MGET address once, AT and malformed requests never."""
+    """Queries after GET + MGET + AT + errors, as the server counted them
+    before the reply path was merged: every GET or MGET address once, AT
+    and malformed requests never."""
     archive = SnapshotArchive(tmp_path / "arch")
-    archive.append_snapshot(Snapshot(WHEN, records()))
+    archive.append(WHEN, records())
     service = IngressLookupService(archive=archive)
     service.install_snapshot(Snapshot(WHEN, records(), epoch=1))
     session = [
@@ -213,4 +216,77 @@ def test_stats_counts_a_fixed_session_like_before(tmp_path):
 
     stats = converse(service, talk)
     assert stats["queries"] == 8
-    assert stats["shard_loads"] == [4, 1, 2, 1]
+    assert sorted(stats) == [
+        "epoch", "families", "installs", "queries", "rows", "watermark",
+    ]
+
+
+def test_non_finite_at_timestamp_is_an_error(tmp_path):
+    """``nan`` fails every comparison in the snapshot bisect, so it used
+    to answer from the newest snapshot; ``inf`` did too.  All three are
+    refused, the connection stays open and no query is counted."""
+    archive = SnapshotArchive(tmp_path / "arch")
+    archive.append(100.0, records())
+    archive.append(200.0, records()[:1])
+    service = IngressLookupService(archive=archive)
+    service.install_snapshot(Snapshot(WHEN, records(), epoch=1))
+    err = b"ERR timestamp must be finite\n"
+
+    async def talk(ask):
+        return [await ask(request, 1) for request in (
+            "AT 150 10.1.2.3", "AT nan 10.1.2.3", "AT inf 10.1.2.3",
+            "AT -inf 10.1.2.3", "AT NaN 2001:db8::1", "AT 250 10.1.2.3",
+            "GET 10.1.2.3",
+        )]
+
+    assert converse(service, talk) == [
+        b"HIT R3 et1+et2 10.1.2.0/24 0 0 -1\n",  # the CSV rounds 1e-07
+        err, err, err, err,
+        b"MISS -1\n",
+        b"HIT R3 et1+et2 10.1.2.0/24 1e-07 0 1\n",
+    ]
+    assert service.queries == 1
+
+
+def test_archive_with_legacy_compiled_blobs_answers_like_a_plain_one(tmp_path):
+    """An index written by an older build carries a ``compiled`` map of
+    per-snapshot ``.lpm`` blob files next to the CSV partition.  They are
+    ignored: here each blob is a well-formed *empty* table, so an archive
+    that still read them would answer every ``AT`` with ``MISS``."""
+    plain = SnapshotArchive(tmp_path / "plain")
+    legacy = SnapshotArchive(tmp_path / "legacy")
+    for archive in (plain, legacy):
+        archive.append(WHEN, records())
+        archive.append(WHEN + 300.0, records()[1:5])
+    index_path = tmp_path / "legacy" / "index.json"
+    index = json.loads(index_path.read_text())
+    (day,) = index
+    for sequence, when in enumerate(index[day]["snapshots"]):
+        blobs = {}
+        for family in ("4", "6"):
+            name = f"{day}.{sequence:05d}.v{family}.lpm"
+            # magic, kind 'C', u16 version 1, family, zero rows
+            (tmp_path / "legacy" / name).write_bytes(
+                b"IPDLC\x00\x01" + bytes([int(family), 0])
+            )
+            blobs[family] = name
+        index[day].setdefault("compiled", {})[repr(when)] = blobs
+    index_path.write_text(json.dumps(index, sort_keys=True))
+
+    requests = [
+        f"AT {when} {text}"
+        for when in (WHEN - 1.0, WHEN, WHEN + 299.5, WHEN + 300.0)
+        for text in probe_addresses()
+    ]
+
+    def transcript(archive):
+        async def talk(ask):
+            return [await ask(request, 1) for request in requests]
+
+        return converse(IngressLookupService(archive=archive), talk)
+
+    reopened = SnapshotArchive(tmp_path / "legacy")
+    assert reopened.snapshot_times() == [WHEN, WHEN + 300.0]
+    want = transcript(plain)
+    assert sum(line.startswith(b"HIT") for line in want) > len(requests) // 3
+    assert transcript(reopened) == want

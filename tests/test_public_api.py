@@ -167,8 +167,7 @@ class TestServingSurface:
 
     @pytest.mark.parametrize("name", [
         "IngressLookupService", "LookupResult", "LookupServer",
-        "NoEpochError", "ReshardPolicy", "ServingEpoch", "ServingError",
-        "ShardLoadCounters",
+        "NoEpochError", "ServingEpoch", "ServingError",
     ])
     def test_serving_exports(self, name):
         import repro.serving
@@ -187,11 +186,13 @@ class TestServingSurface:
             assert hasattr(module, name)
 
     def test_compiled_lpm_codec_surface(self):
+        """Compiled from records, queried, never serialized."""
         from repro import CompiledLPM
 
-        for method in ("to_bytes", "from_bytes", "from_records",
-                       "lookup", "lookup_entry", "entries"):
+        for method in ("from_records", "lookup", "lookup_entry", "entries"):
             assert hasattr(CompiledLPM, method), f"CompiledLPM.{method}"
+        for method in ("to_bytes", "from_bytes"):
+            assert not hasattr(CompiledLPM, method), f"CompiledLPM.{method}"
 
     def test_snapshot_carries_compiled_tables(self):
         from repro.core.snapshot import Snapshot
