@@ -20,31 +20,44 @@ request                        response
 =============================  =============================================
 
 Malformed input answers ``ERR <reason>`` and keeps the connection open.
-The one exception is a request line longer than :data:`MAX_LINE_BYTES`:
-it answers ``ERR line too long`` and closes the connection, since the
-rest of the stream can no longer be framed.  That cap is the only input
-limit, so it is also what bounds ``MGET`` arity (about 4 000 IPv4 or
-1 600 IPv6 addresses a request); larger batches go in several requests.
-The server holds no per-request state beyond the line being processed.
-``GET`` is an ``MGET`` of one without ``END``; every reply answers from
-the epoch current when its request was read, and leaves in one ``write``.
+Three limits answer a typed ``ERR`` and close it instead: a request
+line longer than :data:`MAX_LINE_BYTES` (``ERR line too long``: the
+stream can no longer be framed; this is also the only bound on ``MGET``
+arity, about 4 000 IPv4 or 1 600 IPv6 addresses), a connection beyond
+:data:`MAX_CONNECTIONS` (``ERR too many connections``) and one that
+completes no line for :data:`IDLE_SECONDS` (``ERR idle timeout``; bytes
+that never finish a line do not count, so a slow-loris client goes too).
+
+Each connection is an :class:`asyncio.Protocol` with no task: a read is
+split into lines, each complete line is answered from the epoch current
+when it is framed (``GET`` is an ``MGET`` of one without ``END``), and
+the replies to one read leave in one ``write``.  A connection holds the
+unfinished line (≤ :data:`MAX_LINE_BYTES` plus one read) and its
+transport's write buffer.  Past the buffer's 64 KiB high-water mark the
+server stops reading from that peer until it drains, so a peer that
+never reads holds the mark plus the replies to one read (≤ 256 KiB of
+requests, ≈ 1 MB of replies).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Optional
+from typing import Optional, cast
 
 from ..core.iputil import parse_ip
 from .service import IngressLookupService, NoEpochError, ServingError
 from .service import answer_line
 
-__all__ = ["MAX_LINE_BYTES", "LookupServer"]
+__all__ = ["IDLE_SECONDS", "MAX_CONNECTIONS", "MAX_LINE_BYTES", "LookupServer"]
 
-#: longest request line accepted, its newline not counted; memory per
-#: connection is bounded by a small multiple of it
+#: longest request line accepted, its newline not counted
 MAX_LINE_BYTES = 64 * 1024
+#: open connections; one more is answered and closed
+MAX_CONNECTIONS = 256
+#: a connection completing no request line for one to two of these is
+#: closed (one sweep a period: no timer per request, no clock read)
+IDLE_SECONDS = 300.0
 
 
 class LookupServer:
@@ -60,6 +73,8 @@ class LookupServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: set[_Connection] = set()
+        self._sweep: Optional[asyncio.TimerHandle] = None
 
     # ---------------------------------------------------------- lifecycle
 
@@ -69,12 +84,11 @@ class LookupServer:
         ``port=0`` binds an ephemeral port — the return value carries
         the actual one.
         """
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.host,
-            self.port,
-            limit=MAX_LINE_BYTES,
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
+        self._sweep = loop.call_later(IDLE_SECONDS, self._sweep_idle)
         sockets = self._server.sockets or []
         if sockets:
             address = sockets[0].getsockname()
@@ -82,8 +96,16 @@ class LookupServer:
         return self.host, self.port
 
     async def stop(self) -> None:
+        """Stop accepting and drop every open connection."""
+        if self._sweep is not None:
+            self._sweep.cancel()
+            self._sweep = None
         if self._server is not None:
             self._server.close()
+            # Server.close leaves accepted connections open, and from
+            # 3.12 wait_closed waits for them to leave
+            for connection in list(self._connections):
+                connection.transport.abort()
             await self._server.wait_closed()
             self._server = None
 
@@ -91,44 +113,26 @@ class LookupServer:
         """Start (if needed) and block until cancelled."""
         if self._server is None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        try:
+            await asyncio.get_running_loop().create_future()
+        finally:
+            await self.stop()
+
+    def _sweep_idle(self) -> None:
+        for connection in list(self._connections):
+            if connection.active:
+                connection.active = False
+            elif connection.transport.is_closing():
+                # still flushing to a peer that stopped reading
+                connection.transport.abort()
+            else:
+                connection.transport.write(b"ERR idle timeout\n")
+                connection.transport.close()
+        self._sweep = asyncio.get_running_loop().call_later(
+            IDLE_SECONDS, self._sweep_idle
+        )
 
     # ---------------------------------------------------------- protocol
-
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # readline's name for a limit overrun
-                    writer.write(b"ERR line too long\n")
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                request = line.decode("utf-8", errors="replace").strip()
-                if not request:
-                    continue
-                if request.upper() == "QUIT":
-                    break
-                writer.write(self._respond(request))
-                await writer.drain()
-        except asyncio.CancelledError:
-            # event-loop teardown cancels in-flight handlers; drop the
-            # connection quietly instead of logging a cancelled task
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass  # peer vanished mid-close; nothing left to release
 
     def _respond(self, request: str) -> bytes:
         """The whole reply to one request line, newline-terminated."""
@@ -159,3 +163,61 @@ class LookupServer:
         except (ServingError, ValueError) as exc:
             reply = f"ERR {exc}"
         return f"{reply}\n".encode()
+
+
+class _Connection(asyncio.Protocol):
+    """One client: frames request lines, answers each read in one write."""
+
+    def __init__(self, server: LookupServer) -> None:
+        self.server = server
+        self.transport: asyncio.Transport
+        #: the unfinished line after the last newline read
+        self.partial = b""
+        #: a request line was framed since the last idle sweep
+        self.active = True
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        if len(self.server._connections) >= MAX_CONNECTIONS:
+            self.transport.write(b"ERR too many connections\n")
+            self.transport.close()
+        else:
+            self.server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def eof_received(self) -> None:
+        # the peer half-closed: answer an unterminated last request, as a
+        # newline would; returning None closes the transport
+        if self.partial:
+            self.data_received(b"\n")
+
+    def data_received(self, data: bytes) -> None:
+        *lines, self.partial = (self.partial + data).split(b"\n")
+        if len(self.partial) > MAX_LINE_BYTES:
+            lines.append(self.partial)  # cannot end within the cap
+        respond = self.server._respond
+        replies = []
+        hang_up = False
+        for line in lines:
+            if len(line) > MAX_LINE_BYTES:
+                replies.append(b"ERR line too long\n")
+                hang_up = True
+                break
+            request = line.decode("utf-8", errors="replace").strip()
+            if request.upper() == "QUIT":
+                hang_up = True
+                break
+            if request:
+                replies.append(respond(request))
+            self.active = True
+        self.transport.write(b"".join(replies))
+        if hang_up:
+            self.transport.close()

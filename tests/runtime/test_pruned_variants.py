@@ -1,5 +1,6 @@
 """Deleted variants are gone, not hidden: executors, transport, per-flow
-forks, the serving shard grid and the compiled-LPM blob."""
+forks, the serving shard grid, the compiled-LPM blob and the stream
+handler of the lookup socket."""
 
 import pytest
 
@@ -98,21 +99,12 @@ def test_leaf_cache_is_gone():
         RangeTree(IPV4, cache_capacity=4)
 
 
-def test_per_verb_reply_paths_are_gone():
-    """One reply path: no per-verb helpers or second line renderer, and a
-    64-address MGET reaches the transport in one write."""
-    import asyncio
-
-    import repro.serving.server as server
+def _one_range_service():
     from repro.core.iputil import Prefix
     from repro.core.output import IPDRecord
     from repro.core.snapshot import Snapshot
-    from repro.serving import IngressLookupService, LookupServer
+    from repro.serving import IngressLookupService
     from repro.topology.elements import IngressPoint
-
-    assert not hasattr(server, "_format_hit")
-    for name in ("_get", "_mget", "_at"):
-        assert not hasattr(LookupServer, name)
 
     service = IngressLookupService()
     service.install_snapshot(Snapshot(1.0, [IPDRecord(
@@ -120,35 +112,65 @@ def test_per_verb_reply_paths_are_gone():
         ingress=IngressPoint("R1", "et0"), s_ingress=0.9, s_ipcount=32,
         n_cidr=4, candidates=(), classified=True,
     )], epoch=1))
+    return service
 
-    class StubWriter:
+
+def test_per_verb_reply_paths_are_gone():
+    """One reply path: no per-verb helpers or second line renderer, and a
+    64-address MGET reaches the transport in one write."""
+    import repro.serving.server as server
+    from repro.serving import LookupServer
+
+    assert not hasattr(server, "_format_hit")
+    for name in ("_get", "_mget", "_at"):
+        assert not hasattr(LookupServer, name)
+
+    class StubTransport:
         def __init__(self):
             self.writes = []
+            self.closed = False
 
         def write(self, data):
             self.writes.append(bytes(data))
 
-        async def drain(self):
-            pass
-
         def close(self):
-            pass
+            self.closed = True
 
-        async def wait_closed(self):
-            pass
+    transport = StubTransport()
+    connection = server._Connection(LookupServer(_one_range_service()))
+    connection.connection_made(transport)
+    connection.data_received(b"MGET" + b" 10.1.2.3 99.0.0.1" * 32 + b"\n")
+    assert len(transport.writes) == 1
+    assert transport.writes[0].count(b"\n") == 65
+    assert transport.writes[0].endswith(b"MISS 1\nEND 1\n")
+    assert not transport.closed
 
-    async def serve(request):
-        reader = asyncio.StreamReader()
-        reader.feed_data(request)
-        reader.feed_eof()
-        writer = StubWriter()
-        await LookupServer(service)._handle_connection(reader, writer)
-        return writer.writes
 
-    writes = asyncio.run(serve(b"MGET" + b" 10.1.2.3 99.0.0.1" * 32 + b"\n"))
-    assert len(writes) == 1
-    assert writes[0].count(b"\n") == 65
-    assert writes[0].endswith(b"MISS 1\nEND 1\n")
+def test_stream_handler_is_gone():
+    """Connections are protocol objects: no stream handler, and serving
+    one creates no task."""
+    import asyncio
+
+    from repro.serving import LookupServer
+
+    assert not hasattr(LookupServer, "_handle_connection")
+
+    async def serve():
+        server = LookupServer(_one_range_service())
+        host, port = await server.start()
+        before = len(asyncio.all_tasks())
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            writer.write(b"GET 10.1.2.3\nMGET 99.0.0.1\n")
+            replies = [await reader.readline() for _ in range(3)]
+            return replies, len(asyncio.all_tasks()) - before
+        finally:
+            writer.close()
+            await server.stop()
+
+    replies, new_tasks = asyncio.run(serve())
+    assert replies == [b"HIT R1 et0 10.0.0.0/8 0.9 0 1\n", b"MISS 1\n", b"END 1\n"]
+    assert new_tasks == 0
 
 
 def test_cross_module_lint_and_private_framing_are_gone(capsys):

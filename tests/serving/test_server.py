@@ -3,11 +3,16 @@
 Each test spins up the asyncio server on an ephemeral port, speaks the
 protocol through an actual TCP connection, and shuts down cleanly; the
 bulk-query test pins that MGET answers from exactly one epoch even when
-an install lands mid-request.
+an install lands mid-request.  The framing, lifecycle and connection
+limit tests use hostile clients (pipelining, byte-by-byte, never
+reading, slow-loris, garbage, idle floods) beside a bystander that must
+keep being served.
 """
 
 import asyncio
 import json
+import random
+import socket
 
 from repro.core.iputil import IPV4, Prefix
 from repro.core.output import IPDRecord
@@ -210,6 +215,269 @@ class TestInputLimits:
             for _ in range(2):
                 assert (await client.reader.readline()).startswith(b"ERR ")
             assert (await client.ask("GET 10.1.2.3")).startswith("HIT")
+
+        asyncio.run(run_session(service_with(), talk))
+
+
+async def closed(reader):
+    """True once *reader* reaches the end of the stream.  A server that
+    hangs up with bytes of ours still unread closes with a reset."""
+    try:
+        return await asyncio.wait_for(reader.read(), 2.0) == b""
+    except ConnectionResetError:
+        return True
+
+
+async def connect(address):
+    return Client(*await asyncio.open_connection(*address))
+
+
+class TestFraming:
+    def test_pipelined_gets_are_answered_in_order(self):
+        texts = [f"10.0.0.{n}" if n % 3 else f"99.0.0.{n}" for n in range(100)]
+
+        async def talk(client, service):
+            client.writer.write(
+                "".join(f"GET {text}\n" for text in texts).encode()
+            )
+            return [
+                (await client.reader.readline()).decode().strip()
+                for _ in texts
+            ]
+
+        replies = asyncio.run(run_session(service_with(), talk))
+        assert replies == [
+            "HIT R1 et0 10.0.0.0/8 0.9 0 1" if n % 3 else "MISS 1"
+            for n in range(100)
+        ]
+
+    def test_a_request_in_one_byte_writes(self):
+        async def talk(client, service):
+            for byte in b"GET 10.1.2.3\n":
+                client.writer.write(bytes([byte]))
+                await client.writer.drain()
+                await asyncio.sleep(0.001)
+            return await client.reader.readline()
+
+        assert asyncio.run(run_session(service_with(), talk)) == (
+            b"HIT R1 et0 10.0.0.0/8 0.9 0 1\n"
+        )
+
+    def test_an_unterminated_last_request_is_answered_at_eof(self):
+        async def talk(client, service):
+            client.writer.write(b"GET 99.0.0.1\nGET 10.1.2.3")
+            client.writer.write_eof()
+            return await asyncio.wait_for(client.reader.read(), 2.0)
+
+        assert asyncio.run(run_session(service_with(), talk)) == (
+            b"MISS 1\nHIT R1 et0 10.0.0.0/8 0.9 0 1\n"
+        )
+
+    def test_cap_length_line_with_its_newline_in_the_next_segment(self):
+        count = (MAX_LINE_BYTES - len("MGET")) // len(" 10.1.2.3")
+        request = ("MGET" + " 10.1.2.3" * count).ljust(MAX_LINE_BYTES)
+
+        async def talk(client, service):
+            client.writer.write(request.encode())
+            await client.writer.drain()
+            await asyncio.sleep(0.05)  # the server reads all of it
+            client.writer.write(b"\n")
+            lines = [await client.reader.readline() for _ in range(count + 1)]
+            assert lines[-1] == b"END 1\n"
+            assert (await client.ask("GET 99.0.0.1")) == "MISS 1"
+
+        asyncio.run(run_session(service_with(), talk))
+
+    def test_an_overlong_line_inside_a_read_ends_the_connection(self):
+        async def talk(client, service):
+            client.writer.write(
+                b"GET 10.1.2.3\nGET 99.0.0.1\n"
+                + b"GET " + b"1" * MAX_LINE_BYTES + b"\n"
+                + b"GET 10.1.2.3\n"
+            )
+            lines = [await client.reader.readline() for _ in range(3)]
+            assert lines == [
+                b"HIT R1 et0 10.0.0.0/8 0.9 0 1\n",
+                b"MISS 1\n",
+                b"ERR line too long\n",
+            ]
+            assert await closed(client.reader)
+
+        asyncio.run(run_session(service_with(), talk))
+
+    def test_a_peer_that_never_reads_pauses_the_server(self):
+        """Pipelined MGETs, replies never read: the server stops reading
+        that peer once its write buffer is full, the buffer stays bounded
+        by the high-water mark plus one read's replies, and a bystander
+        is served meanwhile."""
+        mget = b"MGET" + b" 10.1.2.3" * 64 + b"\n"
+        sent = mget * (8 * 1024 * 1024 // len(mget))  # ≈ 28 MB of replies
+
+        async def session():
+            server = LookupServer(service_with())
+            address = await server.start()
+            sock = socket.socket()
+            # a fixed small receive buffer: the kernel cannot soak up
+            # the replies the server holds back
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            sock.connect(address)
+            sock.setblocking(False)
+            client = Client(*await asyncio.open_connection(sock=sock))
+            try:
+                client.writer.write(sent)
+                for _ in range(500):
+                    await asyncio.sleep(0.01)
+                    paused = [
+                        connection for connection in server._connections
+                        if not connection.transport.is_reading()
+                    ]
+                    if paused:
+                        break
+                (connection,) = paused
+                bystander = await connect(address)
+                for _ in range(5):
+                    assert not connection.transport.is_reading()
+                    buffered = connection.transport.get_write_buffer_size()
+                    # the high-water mark plus the replies to one read
+                    assert buffered <= 64 * 1024 + 4 * 256 * 1024
+                    assert await bystander.ask("GET 99.0.0.1") == "MISS 1"
+                    await asyncio.sleep(0.02)
+                # it frames no line while paused, so the idle sweep closes
+                # it; the close cannot flush, so the next sweep aborts it
+                for _ in range(3):
+                    assert await bystander.ask("GET 99.0.0.1") == "MISS 1"
+                    server._sweep_idle()
+                await asyncio.sleep(0.01)
+                assert connection not in server._connections
+                assert len(server._connections) == 1  # the bystander
+                bystander.writer.close()
+            finally:
+                client.writer.transport.abort()
+                await server.stop()
+
+        asyncio.run(session())
+
+
+class TestLifecycle:
+    def test_stop_hangs_up_on_open_connections(self):
+        async def session():
+            server = LookupServer(service_with())
+            client = await connect(await server.start())
+            assert (await client.ask("GET 10.1.2.3")).startswith("HIT")
+            await asyncio.wait_for(server.stop(), 2.0)
+            assert await asyncio.wait_for(client.reader.read(), 2.0) == b""
+            client.writer.close()
+
+        asyncio.run(session())
+
+    def test_cancelled_serve_forever_hangs_up_and_returns(self):
+        async def session():
+            server = LookupServer(service_with())
+            client = await connect(await server.start())
+            serving = asyncio.create_task(server.serve_forever())
+            assert (await client.ask("GET 10.1.2.3")).startswith("HIT")
+            serving.cancel()
+            await asyncio.wait_for(
+                asyncio.gather(serving, return_exceptions=True), 2.0
+            )
+            assert await asyncio.wait_for(client.reader.read(), 2.0) == b""
+            client.writer.close()
+
+        asyncio.run(session())
+
+
+class TestConnectionLimits:
+    """The connection cap and the idle sweep, over real sockets, each
+    with a bystander that keeps being served."""
+
+    def test_slow_loris_is_closed_while_a_bystander_is_served(self):
+        """Bytes keep arriving but never finish a line: the second sweep
+        closes the connection.  The sweeps are run by hand, each after a
+        bystander round trip, so every byte sent has been read by then."""
+        async def session():
+            server = LookupServer(service_with())
+            address = await server.start()
+            loris, bystander = await connect(address), await connect(address)
+            try:
+                loris.writer.write(b"GET 10.")
+                for _ in range(2):
+                    loris.writer.write(b"1")
+                    assert (await bystander.ask("GET 10.1.2.3")).startswith("HIT")
+                    server._sweep_idle()
+                assert await asyncio.wait_for(loris.reader.readline(), 2.0) == (
+                    b"ERR idle timeout\n"
+                )
+                assert await closed(loris.reader)
+                assert (await bystander.ask("GET 10.1.2.3")).startswith("HIT")
+            finally:
+                loris.writer.close()
+                bystander.writer.close()
+                await server.stop()
+
+        asyncio.run(session())
+
+    def test_garbage_is_answered_line_by_line_then_cut_at_the_cap(self):
+        rng = random.Random(7)
+        alphabet = bytes(range(0x21, 0x100))  # no whitespace, no newline
+        lines = [
+            b"\xff" + bytes(rng.choices(alphabet, k=rng.randrange(1, 200)))
+            for _ in range(50)
+        ]
+        tail = bytes(rng.choices(alphabet, k=MAX_LINE_BYTES + 1))
+
+        async def talk(client, service):
+            address = client.writer.get_extra_info("peername")
+            bystander = await connect(address)
+            client.writer.write(b"\n".join(lines) + b"\n")
+            for _ in lines:
+                assert (await client.reader.readline()).startswith(b"ERR ")
+            assert (await bystander.ask("GET 10.1.2.3")).startswith("HIT")
+            client.writer.write(tail)
+            assert await client.reader.readline() == b"ERR line too long\n"
+            assert await closed(client.reader)
+            assert (await bystander.ask("GET 10.1.2.3")).startswith("HIT")
+            bystander.writer.close()
+
+        asyncio.run(run_session(service_with(), talk))
+
+    def test_idle_flood_to_the_cap_plus_one(self, monkeypatch):
+        import repro.serving.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_CONNECTIONS", 4)
+        monkeypatch.setattr(server_module, "IDLE_SECONDS", 0.2)
+
+        async def talk(client, service):
+            address = client.writer.get_extra_info("peername")
+            bystander = await connect(address)
+            idle = [client, await connect(address), await connect(address)]
+            for other in idle:
+                assert (await other.ask("GET 99.0.0.1")) == "MISS 1"
+            # four open: the fifth is answered and closed
+            refused = await connect(address)
+            assert await refused.reader.readline() == (
+                b"ERR too many connections\n"
+            )
+            assert await closed(refused.reader)
+            refused.writer.close()
+            # the silent ones time out while the bystander keeps talking
+            last_lines = [
+                asyncio.ensure_future(other.reader.readline()) for other in idle
+            ]
+            for _ in range(200):
+                assert (await bystander.ask("GET 10.1.2.3")).startswith("HIT")
+                if all(line.done() for line in last_lines):
+                    break
+                await asyncio.sleep(0.01)
+            assert [line.result() for line in last_lines] == (
+                [b"ERR idle timeout\n"] * 3
+            )
+            for other in idle:
+                assert await closed(other.reader)
+            # the freed slots accept again
+            newcomer = await connect(address)
+            assert await newcomer.ask("GET 99.0.0.1") == "MISS 1"
+            for other in idle + [newcomer, bystander]:
+                other.writer.close()
 
         asyncio.run(run_session(service_with(), talk))
 
