@@ -38,13 +38,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
 from typing import Iterable
 
 from ..devtools.markers import hot_path
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from ..topology.elements import IngressPoint
 from .admission import AdmissionConfig, AdmissionController, decode_admission
-from .bundles import dominant_ingress
+from .bundles import dominant_ingress, router_peak
 from .iputil import IPV4, IPV6, Prefix
 from .lbdetect import LBDetectorLike
 from .output import IPDRecord
@@ -128,6 +130,15 @@ class IPD:
                 root_prefix=roots.get(version) if roots is not None else None,
             )
             for version in (IPV4, IPV6)
+        }
+        #: ``params.n_cidr`` per prefix length, one row per family, read
+        #: once here (a params subclass overriding ``n_cidr`` still rules)
+        self._n_cidr: dict[int, tuple[float, ...]] = {
+            version: tuple(
+                self.params.n_cidr(masklen, version)
+                for masklen in range(tree.root.prefix.bits + 1)
+            )
+            for version, tree in self.trees.items()
         }
         self.flows_ingested = 0
         self.bytes_ingested = 0
@@ -263,6 +274,7 @@ class IPD:
         params = self.params
         tree = self.trees[batch.version]
         shift = tree.root.prefix.bits - params.cidr_max(batch.version)
+        mask = -1 << shift
         count_bytes = params.count_bytes
 
         # pass 0: the admission gate picks rows on the raw columns, before
@@ -283,20 +295,17 @@ class IPD:
         # pass 1: mask + group.  groups: masked -> [by_ingress, newest, oldest]
         groups: dict[int, list] = {}
         get_group = groups.get
-        for src, ingress, ts, nbytes in zip(
-            batch.src_ips, batch.ingresses, batch.timestamps, batch.byte_counts
+        weights = map(float, batch.byte_counts) if count_bytes else repeat(1.0)
+        for src, ingress, ts, weight in zip(
+            batch.src_ips, batch.ingresses, batch.timestamps, weights
         ):
-            masked = (src >> shift) << shift
-            weight = float(nbytes) if count_bytes else 1.0
+            masked = src & mask
             group = get_group(masked)
             if group is None:
                 groups[masked] = [{ingress: weight}, ts, ts]
             else:
                 by_ingress = group[0]
-                previous = by_ingress.get(ingress)
-                by_ingress[ingress] = (
-                    weight if previous is None else previous + weight
-                )
+                by_ingress[ingress] = by_ingress.get(ingress, 0.0) + weight
                 if ts > group[1]:
                     group[1] = ts
                 elif ts < group[2]:
@@ -437,29 +446,34 @@ class IPD:
     ) -> None:
         params = self.params
         masklen = leaf.prefix.masklen
-        if state.sample_count < params.n_cidr(masklen, tree.version):
+        if state.sample_count < self._n_cidr[tree.version][masklen]:
             return  # line 8: not enough samples yet
         totals = state.ingress_totals()
-        found = dominant_ingress(
-            totals,
-            enable_bundles=params.enable_bundles,
-            min_share=params.bundle_min_share,
-        )
-        if found is None:
-            return
-        ingress, share, __ = found
-        if share >= params.q:
-            # line 10: assign the prevalent ingress; per-IP detail is
-            # discarded ("all state is removed for efficiency reasons").
-            leaf.state = ClassifiedState(
-                ingress=ingress,
-                counters=totals,
-                last_seen=state.newest_timestamp,
-                classified_at=now,
+        grand_total = sum(totals.values())  # == sample_count >= n_cidr > 0
+        # No candidate outweighs its router's subtotal, so when no router
+        # reaches q no candidate can: skip building them (exact, since
+        # integer-valued sums are exact and division is monotonic).
+        if router_peak(totals) / grand_total >= params.q:
+            found = dominant_ingress(
+                totals,
+                enable_bundles=params.enable_bundles,
+                min_share=params.bundle_min_share,
             )
-            report.classifications += 1
-            self._cidrmax_failures.pop(leaf.prefix, None)
-        elif masklen < cidr_max:
+            assert found is not None
+            ingress, share, __ = found
+            if share >= params.q:
+                # line 10: assign the prevalent ingress; per-IP detail is
+                # discarded ("all state is removed for efficiency reasons").
+                leaf.state = ClassifiedState(
+                    ingress=ingress,
+                    counters=totals,
+                    last_seen=state.newest_timestamp,
+                    classified_at=now,
+                )
+                report.classifications += 1
+                self._cidrmax_failures.pop(leaf.prefix, None)
+                return
+        if masklen < cidr_max:
             tree.split(leaf)  # line 13
             report.splits += 1
         else:
@@ -482,7 +496,8 @@ class IPD:
     ) -> None:
         params = self.params
         age = now - state.last_seen
-        if age > params.t:
+        decayed = age > params.t
+        if decayed:
             # No fresh traffic in the last bucket: decay toward removal.
             # Table 1's ``decay`` is the fraction REMOVED per sweep, so
             # the keep-factor is ``1 - decay = 0.9/(age/t + 1)``, which
@@ -493,12 +508,13 @@ class IPD:
             keep = max(0.0, 1.0 - params.decay(age, params.t))
             state.decay(keep)
             report.decayed_ranges += 1
-            if state.total < params.drop_threshold:
-                leaf.state = UnclassifiedState()  # line 19: drop
-                report.drops += 1
-                self._cidrmax_failures.pop(leaf.prefix, None)
-                return
-        share = state.confidence_for(_members_of(state.ingress))
+        total = state.total  # the one sum of this visit
+        if decayed and total < params.drop_threshold:
+            leaf.state = UnclassifiedState()  # line 19: drop
+            report.drops += 1
+            self._cidrmax_failures.pop(leaf.prefix, None)
+            return
+        share = state.confidence_for(_members_of(state.ingress), total)
         if share < params.q:
             leaf.state = UnclassifiedState()  # line 19: drop
             report.drops += 1
@@ -531,7 +547,7 @@ class IPD:
         an aggregator leaf and must then continue the cascade exactly as
         a single engine would).
         """
-        params = self.params
+        n_cidr = self._n_cidr[tree.version]
         joins = 0
         parent = leaf.parent
         while parent is not None:
@@ -549,8 +565,7 @@ class IPD:
             if left_state.ingress != right_state.ingress:
                 break
             combined_total = left_state.total + right_state.total
-            threshold = params.n_cidr(parent.prefix.masklen, tree.version)
-            if combined_total < threshold:
+            if combined_total < n_cidr[parent.prefix.masklen]:
                 break
             self._cidrmax_failures.pop(left.prefix, None)
             self._cidrmax_failures.pop(right.prefix, None)
@@ -568,9 +583,10 @@ class IPD:
         params = self.params
         records: list[IPDRecord] = []
         for tree in self.trees.values():
+            n_cidr_row = self._n_cidr[tree.version]
             for leaf in tree.leaves():
                 state = leaf.state
-                n_cidr = params.n_cidr(leaf.prefix.masklen, tree.version)
+                n_cidr = n_cidr_row[leaf.prefix.masklen]
                 if isinstance(state, ClassifiedState):
                     candidates = tuple(
                         sorted(
@@ -579,7 +595,7 @@ class IPD:
                         )
                     )
                     total = state.total
-                    share = state.confidence_for(_members_of(state.ingress))
+                    share = state.confidence_for(_members_of(state.ingress), total)
                     records.append(
                         IPDRecord(
                             timestamp=now,
@@ -650,6 +666,7 @@ def _coerce_admission(
     return AdmissionController(admission)
 
 
+@lru_cache(maxsize=4096)
 def _members_of(ingress: IngressPoint) -> tuple[IngressPoint, ...]:
     """Expand a (possibly bundled) logical ingress into raw interfaces."""
     return tuple(

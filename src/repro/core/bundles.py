@@ -16,7 +16,7 @@ from typing import Mapping
 
 from ..topology.elements import IngressPoint
 
-__all__ = ["bundle_candidates", "make_bundle", "dominant_ingress"]
+__all__ = ["bundle_candidates", "make_bundle", "dominant_ingress", "router_peak"]
 
 
 def make_bundle(router: str, interface_names: list[str]) -> IngressPoint:
@@ -68,6 +68,23 @@ def bundle_candidates(
         for ingress, weight in minor:
             candidates[ingress] = (weight, (ingress,))
     return candidates
+
+
+def router_peak(totals: Mapping[IngressPoint, float]) -> float:
+    """The largest per-router subtotal of *totals* (0.0 when empty).
+
+    An upper bound on the weight of any candidate :func:`dominant_ingress`
+    can pick, bundles on or off: a candidate is one interface or a bundle
+    of one router's interfaces, never more than its router's subtotal.
+    With integer-valued weights every sum is exact, so
+    ``router_peak(totals) / grand_total < q`` proves that no share
+    reaches ``q`` without building a single candidate.
+    """
+    by_router: dict[str, float] = {}
+    for ingress, weight in totals.items():
+        router = ingress.router
+        by_router[router] = by_router.get(router, 0.0) + weight
+    return max(by_router.values(), default=0.0)
 
 
 def dominant_ingress(

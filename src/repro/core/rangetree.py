@@ -38,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..devtools.markers import hot_path
+from ..topology.elements import IngressPoint
 from .iputil import Prefix
 from .state import ClassifiedState, DelegatedState, UnclassifiedState
 
@@ -269,30 +270,62 @@ class RangeTree:
         if not isinstance(state, UnclassifiedState):
             raise ValueError(f"cannot split classified range {node.prefix}")
         left_prefix, right_prefix = node.prefix.children()
-        left = RangeNode(left_prefix, tree=self, parent=node)
-        right = RangeNode(right_prefix, tree=self, parent=node)
         boundary = right_prefix.value
         last_seen = state.last_seen
+        # one pass; each child's maps and running figures live in locals
+        left_ips: dict[int, dict[IngressPoint, float]] = {}
+        left_seen: dict[int, float] = {}
+        right_ips: dict[int, dict[IngressPoint, float]] = {}
+        right_seen: dict[int, float] = {}
+        left_total = right_total = 0.0
+        left_entries = right_entries = 0
+        left_oldest = right_oldest = _INF
         for masked_ip, by_ingress in state.per_ip.items():
-            child_state = (right if masked_ip >= boundary else left)._state
-            assert isinstance(child_state, UnclassifiedState)
-            child_state.per_ip[masked_ip] = by_ingress
             seen = last_seen[masked_ip]
-            child_state.last_seen[masked_ip] = seen
-            child_state.total += sum(by_ingress.values())
-            child_state.entries += len(by_ingress)
-            if seen < child_state.oldest_seen:
-                child_state.oldest_seen = seen
+            if masked_ip >= boundary:
+                right_ips[masked_ip] = by_ingress
+                right_seen[masked_ip] = seen
+                right_total += sum(by_ingress.values())
+                right_entries += len(by_ingress)
+                if seen < right_oldest:
+                    right_oldest = seen
+            else:
+                left_ips[masked_ip] = by_ingress
+                left_seen[masked_ip] = seen
+                left_total += sum(by_ingress.values())
+                left_entries += len(by_ingress)
+                if seen < left_oldest:
+                    left_oldest = seen
+        # each child's state is stored once; creating the node marks it
+        # dirty and schedules its expiry
+        left = RangeNode(
+            left_prefix,
+            UnclassifiedState(
+                per_ip=left_ips,
+                last_seen=left_seen,
+                total=left_total,
+                entries=left_entries,
+                oldest_seen=left_oldest,
+            ),
+            tree=self,
+            parent=node,
+        )
+        right = RangeNode(
+            right_prefix,
+            UnclassifiedState(
+                per_ip=right_ips,
+                last_seen=right_seen,
+                total=right_total,
+                entries=right_entries,
+                oldest_seen=right_oldest,
+            ),
+            tree=self,
+            parent=node,
+        )
         node.left = left
         node.right = right
         node.state = None
         self._index_halve(left, right)
-        for child in (left, right):
-            child_state = child._state
-            assert isinstance(child_state, UnclassifiedState)
-            self.dirty.add(child)
-            if child_state.oldest_seen != _INF:
-                self.schedule_expiry(child)
         self.split_count += 1
         return left, right
 

@@ -25,6 +25,11 @@ incremental sweep machinery:
   ``last_seen`` timestamp in the range, used to schedule expiry visits:
   a range cannot contain anything expirable before ``oldest_seen``
   crosses the expiry cutoff.  ``expire`` re-tightens the bound exactly.
+* ``total`` (unclassified only) — kept by addition on ingest and by
+  subtraction on expiry, never re-summed.  Weights are integer-valued
+  floats below 2^53, so both are exact.  A classified range re-sums its
+  few counters instead (``total`` is a property): decay scales them by a
+  non-integer factor, where a running sum would drift.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ class UnclassifiedState:
     per_ip: dict[int, dict[IngressPoint, float]] = field(default_factory=dict)
     #: masked source IP -> timestamp of its newest sample
     last_seen: dict[int, float] = field(default_factory=dict)
-    #: running total of all weights in :attr:`per_ip`; re-derived exactly
-    #: from the map whenever :meth:`expire` removes anything, so float
-    #: drift from incremental updates never accumulates across sweeps
+    #: running total of all weights in :attr:`per_ip`, kept by addition
+    #: (:meth:`add_batch`) and subtraction (:meth:`expire`).  Exact, never
+    #: drifting: every weight is an integer-valued float (a flow or byte
+    #: count), so while sums stay below 2^53 each step is exact in any order
     total: float = 0.0
     #: number of (source, ingress) counter cells in :attr:`per_ip`
     entries: int = 0
@@ -104,27 +110,26 @@ class UnclassifiedState:
     def expire(self, cutoff: float) -> int:
         """Drop all sources last seen strictly before *cutoff*.
 
-        Returns the number of masked IPs removed.  Whenever anything is
-        removed, ``total`` is recomputed exactly from the surviving map
-        (the scan is already O(sources), so the resync is free) and
+        Returns the number of masked IPs removed.  ``total`` and
+        ``entries`` lose exactly the removed sources' weights and cells
+        (no re-sum of the survivors: integer weights subtract exactly);
         ``oldest_seen`` is re-tightened to the true minimum.
         """
-        stale = [ip for ip, seen in self.last_seen.items() if seen < cutoff]
+        last_seen = self.last_seen
+        stale = [ip for ip, seen in last_seen.items() if seen < cutoff]
         if not stale:
             return 0
         per_ip = self.per_ip
-        last_seen = self.last_seen
+        total = self.total
+        entries = self.entries
         for ip in stale:
-            removed = per_ip.pop(ip, None)
-            if removed:
-                self.entries -= len(removed)
+            removed = per_ip.pop(ip)
+            entries -= len(removed)
+            total -= sum(removed.values())
             del last_seen[ip]
         if per_ip:
-            self.total = sum(
-                weight
-                for by_ingress in per_ip.values()
-                for weight in by_ingress.values()
-            )
+            self.total = total
+            self.entries = entries
             self.oldest_seen = min(last_seen.values())
         else:
             self.total = 0.0
@@ -226,14 +231,20 @@ class ClassifiedState:
             classified_at=min(self.classified_at, other.classified_at),
         )
 
-    def confidence_for(self, member_ingresses: Iterable[IngressPoint]) -> float:
+    def confidence_for(
+        self,
+        member_ingresses: Iterable[IngressPoint],
+        total: float | None = None,
+    ) -> float:
         """Share of samples that entered via the given logical ingress.
 
         For a bundle, *member_ingresses* enumerates the bundled raw
         interfaces; for a plain ingress it is a single-element iterable.
-        This is the paper's ``s_ingress``.
+        This is the paper's ``s_ingress``.  *total* is :attr:`total`,
+        passed by a caller that has just summed it.
         """
-        total = self.total
+        if total is None:
+            total = self.total
         if total <= 0.0:
             return 0.0
         matched = sum(self.counters.get(member, 0.0) for member in member_ingresses)

@@ -1,8 +1,15 @@
 """Tests for logical-ingress bundling of same-router interfaces."""
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.bundles import bundle_candidates, dominant_ingress, make_bundle
+from repro.core.bundles import (
+    bundle_candidates,
+    dominant_ingress,
+    make_bundle,
+    router_peak,
+)
 from repro.topology.elements import IngressPoint
 
 A0 = IngressPoint("R1", "et0")
@@ -97,3 +104,42 @@ class TestDominantIngress:
         first = dominant_ingress({A0: 50.0, B0: 50.0})
         second = dominant_ingress({B0: 50.0, A0: 50.0})
         assert first == second
+
+
+class TestRouterPeak:
+    def test_sums_per_router(self):
+        assert router_peak({A0: 30.0, A1: 30.0, B0: 50.0}) == 60.0
+        assert router_peak({}) == 0.0
+
+
+@st.composite
+def _router_totals(draw):
+    """Integer-valued weights over 1-6 routers x 1-4 interfaces."""
+    totals = {}
+    for router in range(draw(st.integers(1, 6))):
+        for interface in range(draw(st.integers(1, 4))):
+            weight = draw(st.integers(0, 1 << 40))
+            totals[IngressPoint(f"R{router}", f"et{interface}")] = float(weight)
+    return totals
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    totals=_router_totals(),
+    enable_bundles=st.booleans(),
+    q=st.floats(0.5, 1.0, exclude_min=True),
+    min_share=st.floats(0.0, 1.0),
+)
+#: a 50/50 LAG: neither interface reaches q, the bundle (and the router) does
+@example(totals={A0: 1.0, A1: 1.0}, enable_bundles=True, q=0.95, min_share=0.2)
+def test_property_no_router_reaching_q_means_no_candidate_does(
+    totals, enable_bundles, q, min_share
+):
+    """The engine skips bundling when no router's subtotal reaches ``q``
+    of the grand total; that skip must never hide a share >= q."""
+    grand_total = sum(totals.values())
+    assume(grand_total > 0.0)
+    found = dominant_ingress(totals, enable_bundles=enable_bundles, min_share=min_share)
+    assert found is not None
+    if router_peak(totals) / grand_total < q:
+        assert found[1] < q

@@ -187,6 +187,52 @@ def test_property_total_never_drifts(operations):
                 check_invariants(leaf.state)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),                                   # add_batch / expire
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            st.integers(min_value=0, max_value=600),         # timestamp
+            st.lists(st.integers(0, 1 << 40), min_size=1, max_size=3),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_property_expire_subtracts_exactly(operations):
+    """``expire`` subtracts the removed sources instead of re-summing the
+    survivors; with byte-sized integer weights (up to 2^40) the result is
+    exactly what a fresh re-sum gives, and a split taken afterwards hands
+    its children totals that add up to the parent's."""
+    tree = RangeTree(IPV4)
+    state = tree.root.state
+    for is_add, source, timestamp, weights in operations:
+        if is_add:
+            state.add_batch(
+                source,
+                {INGRESSES[i]: float(weight) for i, weight in enumerate(weights)},
+                newest=float(timestamp),
+                oldest=float(max(0, timestamp - 30)),
+            )
+            continue
+        removed = state.expire(cutoff=float(timestamp))
+        cells = [
+            weight
+            for by_ingress in state.per_ip.values()
+            for weight in by_ingress.values()
+        ]
+        assert state.total == sum(cells)
+        assert state.entries == len(cells)
+        if removed:
+            assert state.oldest_seen == min(state.last_seen.values(), default=INF)
+    total = state.total
+    left, right = tree.split(tree.root)
+    assert left.state.total + right.state.total == total
+    check_invariants(left.state)
+    check_invariants(right.state)
+
+
 class TestClassifiedState:
     def make(self) -> ClassifiedState:
         return ClassifiedState(
