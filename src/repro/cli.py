@@ -284,16 +284,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.checkpoint_dir is not None
             else None
         )
-        pipeline = Pipeline(
-            params,
-            shards=args.shards,
-            executor=args.executor,
-            workers=args.workers,
-            snapshot_seconds=args.snapshot_seconds,
-            checkpoint_store=store,
-            checkpoint_every=args.checkpoint_every,
-            admission=admission,
-        )
+        try:
+            pipeline = Pipeline(
+                params,
+                shards=args.shards,
+                executor=args.executor,
+                workers=args.workers,
+                snapshot_seconds=args.snapshot_seconds,
+                checkpoint_store=store,
+                checkpoint_every=args.checkpoint_every,
+                admission=admission,
+            )
+        except ValueError as exc:
+            # e.g. --executor mp without --shards, or a shard count that
+            # is not a power of two
+            print(f"cannot run with this topology: {exc}", file=sys.stderr)
+            return 2
     with pipeline:
         result = pipeline.run(flow_source)
     records = result.final_snapshot()
@@ -301,7 +307,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         count = write_records_csv(records, stream)
     engine = (
         f"{args.shards} shard(s), {args.executor} executor"
-        if args.shards > 1 or args.executor != "serial"
+        if args.shards > 1
         else "single engine"
     )
     note = " (resumed from checkpoint)" if resumed else ""
@@ -504,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--batch-size", type=_positive_int, default=8192,
                      help="flows per columnar ingest batch (>= 1)")
     run.add_argument("--executor", choices=EXECUTOR_KINDS, default="serial",
-                     help="runtime executor driving the engine shards")
+                     help="runtime executor driving the engine shards "
+                          "('mp' needs --shards >= 2)")
     run.add_argument("--shards", type=int, default=1,
                      help="address-space shards (power of two); output is "
                           "identical to --shards 1, only throughput changes")

@@ -9,6 +9,9 @@ One execution surface for every way of running IPD:
 * :class:`~repro.runtime.sharding.ShardedIPD` — the shard coordinator
   itself, usable directly wherever an :class:`~repro.core.algorithm.IPD`
   is expected.
+* :func:`~repro.runtime.sharding.build_engine` — the one factory that
+  maps a topology (``shards``, ``executor``, optionally a checkpoint
+  blob) to a plain or sharded engine.
 * executors (``serial`` / ``mp``) — interchangeable backends driving
   the shard engines.
 """
@@ -32,7 +35,7 @@ from .live import LivePipeline, PipelineStateError
 from ..core.snapshot import Snapshot
 from .pipeline import Pipeline
 from .result import RunResult
-from .sharding import ShardedIPD
+from .sharding import ShardedIPD, build_engine
 from .shards import ShardEngine
 from .sinks import CallbackSink, CSVSink, MemorySink, ServiceSink, Sink
 
@@ -43,6 +46,7 @@ __all__ = [
     "FaultHookLike",
     "ShardedIPD",
     "ShardEngine",
+    "build_engine",
     "RunResult",
     "Checkpoint",
     "CheckpointCorruptError",

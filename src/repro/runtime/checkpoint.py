@@ -42,12 +42,11 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.admission import AdmissionConfig
-from ..core.algorithm import IPD
 from ..core.framing import IncompatibleStateError, Reader, StateCodecError
 from ..core.framing import Writer, read_header, write_header
 from ..core.params import IPDParams
 from .faulthook import FaultHookLike
-from .sharding import ShardedIPD
+from .sharding import Engine, build_engine
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -269,8 +268,8 @@ class CheckpointStore:
         executor: str = "serial",
         workers: Optional[int] = None,
         admission: Optional[AdmissionConfig] = None,
-    ) -> "Union[IPD, ShardedIPD]":
-        """Rebuild an engine from *checkpoint* (see :func:`restore_engine`).
+    ) -> Engine:
+        """Rebuild an engine from *checkpoint* (see :func:`build_engine`).
 
         A truncated or corrupt engine blob raises
         :class:`CheckpointCorruptError` carrying the checkpoint's path
@@ -278,13 +277,9 @@ class CheckpointStore:
         low-level struct/LEB128 error the codec hit.
         """
         try:
-            return restore_engine(
-                checkpoint.engine_blob,
-                params=params,
-                shards=shards,
-                executor=executor,
-                workers=workers,
-                admission=admission,
+            return build_engine(
+                params, shards, executor, workers, admission,
+                blob=checkpoint.engine_blob,
             )
         except IncompatibleStateError:
             raise
@@ -301,24 +296,11 @@ def restore_engine(
     executor: str = "serial",
     workers: Optional[int] = None,
     admission: Optional[AdmissionConfig] = None,
-) -> "Union[IPD, ShardedIPD]":
+) -> Engine:
     """Rebuild an engine of the requested topology from an engine blob.
 
-    The blob is topology-free (a merged single-engine image), so any
-    legal ``shards``/``executor`` combination works — including one that
-    differs from the checkpointing run's.  ``shards=1, executor='serial'``
-    yields a plain :class:`~repro.core.algorithm.IPD`.  When the blob
-    carries a trailing admission section, the front-end is restored from
-    it and *admission* is ignored; otherwise *admission* attaches a
-    fresh one.
+    :func:`~repro.runtime.sharding.build_engine` with the blob first:
+    any legal topology works, including one that differs from the
+    checkpointing run's.
     """
-    if shards == 1 and executor == "serial":
-        return IPD.from_bytes(blob, params=params, admission=admission)
-    return ShardedIPD.from_bytes(
-        blob,
-        params=params,
-        shards=shards,
-        executor=executor,
-        workers=workers,
-        admission=admission,
-    )
+    return build_engine(params, shards, executor, workers, admission, blob)

@@ -1,49 +1,45 @@
-"""Interchangeable executors for the sharded runtime.
+"""Executors for the sharded runtime: one pipe per worker.
 
-The coordinator (:class:`~repro.runtime.sharding.ShardedIPD`) speaks one
-small protocol — ``feed`` batches to a shard, ``tick`` all shards,
-``apply`` seed/reset ops, ``snapshot``, ``metrics``, ``close`` — and the
-two executors implement it with different parallelism:
+The coordinator (:class:`~repro.runtime.sharding.ShardedIPD`) drives its
+shard engines through four methods, and both executors implement them:
 
-* :class:`SerialExecutor` — everything in the calling thread, fully
-  deterministic; the reference implementation the equivalence suite
-  pins the other against.
+* ``send(index, cmd)`` — queue *cmd* for the worker owning shard
+  *index*; there is no reply;
+* ``broadcast(cmd)`` — queue *cmd* for every worker;
+* ``gather()`` — one reply per worker to the last broadcast, in worker
+  order;
+* ``close()``.
+
+A command is a tuple whose first item names it, and
+:meth:`ShardWorker.handle` is the one dispatch for every command
+(``feed``, the shard ops and the broadcast queries).
+
+* :class:`SerialExecutor` — one :class:`ShardWorker` in the calling
+  thread, fully deterministic; the reference implementation the
+  equivalence suite pins the other against.
 * :class:`MultiprocessExecutor` — one worker process per slot.
-  Commands, :class:`~repro.netflow.records.FlowBatch` columns, shard ops
-  and replies all travel pickled over one duplex pipe per worker.  This
-  is the executor that actually multiplies single-core ingest
-  throughput.
-
-Every executor carries a ``fault_hook`` attribute (default ``None``)
-— the testkit's chaos seam.  When set to a
-:class:`~repro.testkit.faults.FaultPlan`, the hook is consulted at
-named injection sites: ``feed`` (a batch may be dropped or delivered
-twice) and ``tick_begin`` (a worker crash may be injected).  Unset, each
-site costs a single identity check on paths that are already dominated
-by pipe traffic, so production behaviour is unchanged.
+  Commands, :class:`~repro.netflow.records.FlowBatch` columns and
+  replies all travel pickled over one duplex pipe per worker.
 
 Shard *index* → worker *slot* is a fixed ``index % workers`` mapping,
 and each worker handles its commands strictly in order (FIFO per pipe),
-so no acknowledgement round-trips are needed for ``feed`` and ``apply``:
-a later ``tick``/``snapshot``/``metrics`` reply implies every earlier
-command was applied.  Tick replies are a barrier; state evolution is
-therefore identical across executors — only wall-clock interleaving
-differs.
+so no acknowledgement round-trips are needed for ``send``: a later
+broadcast's reply implies every earlier command was applied.  Tick
+replies are a barrier; state evolution is therefore identical across
+executors — only wall-clock interleaving differs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+import os
+from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-from ..core.admission import AdmissionConfig, AdmissionImage
-from ..core.output import IPDRecord
+from ..core.admission import AdmissionConfig, AdmissionController, decode_admission
 from ..core.params import IPDParams
-from ..netflow.records import FlowBatch
-from .faulthook import FaultHookLike
-from .shards import ShardEngine, ShardMetrics, ShardTickResult
+from .shards import ShardEngine, ShardMetrics
 
 __all__ = [
     "SerialExecutor",
@@ -69,9 +65,8 @@ class WorkerCrashError(RuntimeError):
 class ShardWorker:
     """The engines owned by one worker slot, plus the command dispatcher.
 
-    Shared verbatim by both executors: the serial executor calls
-    :meth:`handle` inline, the multiprocessing executor inside a worker
-    process.
+    Shared verbatim by both executors: the serial executor is one, the
+    multiprocessing executor runs one inside each worker process.
     """
 
     def __init__(
@@ -94,93 +89,74 @@ class ShardWorker:
         return engine
 
     def handle(self, cmd: tuple) -> object:
-        """Process one command; returns the reply or ``None`` (no reply)."""
+        """Apply one command; returns a broadcast's reply, else ``None``.
+
+        Sent commands carry their shard index second:
+        ``("feed", index, batch)``; ``("seed", index, version, payload)``
+        activates a family tree by planting an encoded subtree blob;
+        ``("reset", index, version)`` deactivates it after a
+        cross-boundary join or prune; ``("admission", index, payload)``
+        restores the shard's admission controller from an encoded
+        section; ``("saturate", index)`` forces its sketch to the
+        saturation ceiling.  Broadcasts (``tick``, ``snapshot``,
+        ``metrics``, ``export``, ``admission_export``) answer for every
+        engine of the slot in shard-index order.
+        """
         kind = cmd[0]
         if kind == "feed":
             self.engine(cmd[1]).ingest_batch(cmd[2])
-            return None
-        if kind == "ops":
-            for op in cmd[1]:
-                self.engine(op[1]).apply_op(op)
-            return None
-        if kind == "tick":
-            now = cmd[1]
-            return {
-                index: engine.tick(now)
-                for index, engine in sorted(self.engines.items())
-            }
-        if kind == "snapshot":
-            records: list[IPDRecord] = []
-            for __, engine in sorted(self.engines.items()):
-                records.extend(engine.snapshot(cmd[1], cmd[2]))
-            return records
-        if kind == "metrics":
-            metrics = ShardMetrics()
-            for engine in self.engines.values():
-                metrics.add(engine.metrics())
-            return metrics
-        if kind == "export":
-            return {
-                index: engine.export()
-                for index, engine in sorted(self.engines.items())
-            }
-        if kind == "admission_export":
-            return {
-                index: engine.admission_image()
-                for index, engine in sorted(self.engines.items())
-            }
-        raise ValueError(f"unknown executor command: {kind!r}")
+        elif kind == "seed":
+            self.engine(cmd[1]).seed(cmd[2], cmd[3])
+        elif kind == "reset":
+            self.engine(cmd[1]).reset(cmd[2])
+        elif kind == "admission":
+            self.engine(cmd[1]).ipd.admission = AdmissionController.from_image(
+                decode_admission(cmd[2])
+            )
+        elif kind == "saturate":
+            self.engine(cmd[1]).ipd.saturate_admission()
+        else:
+            engines = sorted(self.engines.items())
+            if kind == "tick":
+                return {index: engine.tick(cmd[1]) for index, engine in engines}
+            if kind == "snapshot":
+                return [
+                    record
+                    for __, engine in engines
+                    for record in engine.ipd.snapshot(
+                        cmd[1], include_unclassified=cmd[2]
+                    )
+                ]
+            if kind == "metrics":
+                metrics = ShardMetrics()
+                for __, engine in engines:
+                    metrics.add(engine.metrics())
+                return metrics
+            if kind == "export":
+                return {index: engine.export() for index, engine in engines}
+            if kind == "admission_export":
+                return {
+                    index: engine.admission_image() for index, engine in engines
+                }
+            raise ValueError(f"unknown executor command: {kind!r}")
+        return None
 
 
-class SerialExecutor:
+class SerialExecutor(ShardWorker):
     """All shards in the calling thread — the deterministic reference."""
 
     kind = "serial"
+    _reply: object = None
 
-    def __init__(
-        self,
-        params: IPDParams,
-        depth: int,
-        workers: int = 1,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> None:
-        self._worker = ShardWorker(params, depth, admission=admission)
-        self._tick_results: Optional[dict[int, ShardTickResult]] = None
-        self.fault_hook: Optional[FaultHookLike] = None
+    def send(self, index: int, cmd: tuple) -> None:
+        self.handle(cmd)
 
-    def feed(self, index: int, batch: FlowBatch) -> None:
-        if self.fault_hook is not None:
-            action = self.fault_hook.on_feed(index, batch)
-            if action == "drop":
-                return
-            if action == "duplicate":
-                self._worker.handle(("feed", index, batch))
-        self._worker.handle(("feed", index, batch))
+    def broadcast(self, cmd: tuple) -> None:
+        self._reply = self.handle(cmd)
 
-    def apply(self, ops: Iterable[tuple]) -> None:
-        self._worker.handle(("ops", list(ops)))
-
-    def tick_begin(self, now: float) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook.before_tick(self, now)
-        self._tick_results = self._worker.handle(("tick", now))
-
-    def tick_collect(self) -> dict[int, ShardTickResult]:
-        results, self._tick_results = self._tick_results, None
-        assert results is not None
-        return results
-
-    def snapshot(self, now: float, include_unclassified: bool) -> list[IPDRecord]:
-        return self._worker.handle(("snapshot", now, include_unclassified))
-
-    def metrics(self) -> ShardMetrics:
-        return self._worker.handle(("metrics",))
-
-    def export(self) -> dict[int, dict[int, bytes]]:
-        return self._worker.handle(("export",))
-
-    def admission_export(self) -> dict[int, Optional[AdmissionImage]]:
-        return self._worker.handle(("admission_export",))
+    def gather(self) -> list:
+        reply, self._reply = self._reply, None
+        return [reply]
 
     def close(self) -> None:
         pass
@@ -241,10 +217,6 @@ class MultiprocessExecutor:
             self._conns.append(parent_conn)
             self._processes.append(process)
         self._closed = False
-        self.fault_hook: Optional[FaultHookLike] = None
-
-    def _slot(self, index: int) -> int:
-        return index % self.workers
 
     def _send(self, slot: int, cmd: tuple) -> None:
         try:
@@ -254,74 +226,23 @@ class MultiprocessExecutor:
                 f"shard worker {slot} is gone ({exc!r})"
             ) from exc
 
-    def _recv(self, slot: int) -> object:
-        try:
-            return self._conns[slot].recv()
-        except (EOFError, ConnectionResetError, OSError) as exc:
-            raise WorkerCrashError(
-                f"shard worker {slot} died before replying ({exc!r})"
-            ) from exc
+    def send(self, index: int, cmd: tuple) -> None:
+        self._send(index % self.workers, cmd)
 
-    def feed(self, index: int, batch: FlowBatch) -> None:
-        cmd = ("feed", index, batch)
-        if self.fault_hook is not None:
-            action = self.fault_hook.on_feed(index, batch)
-            if action == "drop":
-                return
-            if action == "duplicate":
-                self._send(self._slot(index), cmd)
-        self._send(self._slot(index), cmd)
+    def broadcast(self, cmd: tuple) -> None:
+        for slot in range(self.workers):
+            self._send(slot, cmd)
 
-    def apply(self, ops: Iterable[tuple]) -> None:
-        by_slot: dict[int, list[tuple]] = {}
-        for op in ops:
-            by_slot.setdefault(self._slot(op[1]), []).append(op)
-        for slot, slot_ops in by_slot.items():
-            self._send(slot, ("ops", slot_ops))
-
-    def tick_begin(self, now: float) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook.before_tick(self, now)
-        for slot in range(self.workers):
-            self._send(slot, ("tick", now))
-
-    def tick_collect(self) -> dict[int, ShardTickResult]:
-        results: dict[int, ShardTickResult] = {}
-        for slot in range(self.workers):
-            results.update(self._recv(slot))
-        return results
-
-    def snapshot(self, now: float, include_unclassified: bool) -> list[IPDRecord]:
-        for slot in range(self.workers):
-            self._send(slot, ("snapshot", now, include_unclassified))
-        records: list[IPDRecord] = []
-        for slot in range(self.workers):
-            records.extend(self._recv(slot))
-        return records
-
-    def metrics(self) -> ShardMetrics:
-        for slot in range(self.workers):
-            self._send(slot, ("metrics",))
-        metrics = ShardMetrics()
-        for slot in range(self.workers):
-            metrics.add(self._recv(slot))
-        return metrics
-
-    def export(self) -> dict[int, dict[int, bytes]]:
-        for slot in range(self.workers):
-            self._send(slot, ("export",))
-        exports: dict[int, dict[int, bytes]] = {}
-        for slot in range(self.workers):
-            exports.update(self._recv(slot))
-        return exports
-
-    def admission_export(self) -> dict[int, Optional[AdmissionImage]]:
-        for slot in range(self.workers):
-            self._send(slot, ("admission_export",))
-        images: dict[int, Optional[AdmissionImage]] = {}
-        for slot in range(self.workers):
-            images.update(self._recv(slot))
-        return images
+    def gather(self) -> list:
+        replies = []
+        for slot, conn in enumerate(self._conns):
+            try:
+                replies.append(conn.recv())
+            except (EOFError, ConnectionResetError, OSError) as exc:
+                raise WorkerCrashError(
+                    f"shard worker {slot} died before replying ({exc!r})"
+                ) from exc
+        return replies
 
     def close(self) -> None:
         if self._closed:
@@ -352,8 +273,6 @@ def make_executor(
         return SerialExecutor(params, depth, admission=admission)
     if kind == "mp":
         if workers is None:
-            import os
-
             workers = min(4, os.cpu_count() or 1)
         return MultiprocessExecutor(params, depth, workers, admission=admission)
     raise ValueError(

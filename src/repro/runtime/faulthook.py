@@ -1,9 +1,10 @@
 """The fault-injection seam's structural type.
 
-Every ``fault_hook`` parameter in the runtime (pipeline, executors,
-checkpoint store) accepts any object with this shape — in practice the
-testkit's :class:`~repro.testkit.faults.FaultPlan` — and defaults to
-``None`` (a no-op; lint rule IPD006 enforces the default).  The protocol
+Every ``fault_hook`` in the runtime (the pipeline's and the checkpoint
+store's parameters, the sharded engine's attribute) accepts any object
+with this shape — in practice the testkit's
+:class:`~repro.testkit.faults.FaultPlan` — and defaults to ``None`` (a
+no-op; lint rule IPD006 enforces the default).  The protocol
 lives here, dependency-free, so annotating the seam never couples the
 runtime to the testkit.
 """
@@ -22,10 +23,11 @@ class FaultHookLike(Protocol):
     """What the runtime calls on an attached fault hook."""
 
     def on_feed(self, index: int, batch: FlowBatch) -> Optional[str]:
-        """Executor feed site: return a fault action name or ``None``."""
+        """Sharded feed site: return a fault action name or ``None``."""
 
     def before_tick(self, executor: object, now: float) -> None:
-        """Sweep-tick site (``executor`` is ``None`` for a plain engine)."""
+        """Worker-crash site, before every sweep (``executor`` is ``None``
+        for a plain engine)."""
 
     def before_sweep(self, engine: object, now: float) -> None:
         """Engine-level sweep site: may saturate the admission sketch."""

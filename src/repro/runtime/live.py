@@ -29,15 +29,14 @@ import queue
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
-from ..core.algorithm import IPD, SweepReport
+from ..core.algorithm import SweepReport
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
-from .checkpoint import Checkpoint, CheckpointStore, restore_engine
-from .executors import EXECUTOR_KINDS
-from .sharding import ShardedIPD
+from .checkpoint import Checkpoint, CheckpointStore
+from .sharding import Engine, build_engine
 
 __all__ = ["LivePipeline", "PipelineStateError"]
 
@@ -57,25 +56,14 @@ class LivePipeline:
         shards: int = 1,
         executor: str = "serial",
         workers: Optional[int] = None,
-        engine: "IPD | ShardedIPD | None" = None,
+        engine: Optional[Engine] = None,
         checkpoint_store: "CheckpointStore | str | Path | None" = None,
         checkpoint_every: Optional[float] = None,
     ) -> None:
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
-            )
-        if engine is not None:
-            self.engine = engine
-        elif shards == 1 and executor == "serial":
-            self.engine = IPD(params)
-        else:
-            self.engine = ShardedIPD(
-                params,
-                shards=shards,
-                executor=executor,
-                workers=workers,
-            )
+        self.engine = (
+            engine if engine is not None
+            else build_engine(params, shards, executor, workers)
+        )
         self.sweep_interval = sweep_interval
         if checkpoint_store is not None and not isinstance(
             checkpoint_store, CheckpointStore
@@ -122,12 +110,8 @@ class LivePipeline:
             raise FileNotFoundError(
                 f"no checkpoint found in {checkpoint_store.directory}"
             )
-        engine = restore_engine(
-            checkpoint.engine_blob,
-            params=params,
-            shards=shards,
-            executor=executor,
-            workers=workers,
+        engine = checkpoint_store.restore_engine(
+            checkpoint, params, shards, executor, workers
         )
         return cls(engine=engine, checkpoint_store=checkpoint_store, **kwargs)
 

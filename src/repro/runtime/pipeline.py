@@ -3,14 +3,16 @@
 :class:`Pipeline` is the one offline entry point for running IPD over a
 flow stream, across engine shapes:
 
-* ``shards=1, executor="serial"`` — a single plain
-  :class:`~repro.core.algorithm.IPD`; zero coordination overhead, the
-  exact seed behaviour.
-* anything else — a :class:`~repro.runtime.sharding.ShardedIPD`
+* ``shards=1`` — a single plain :class:`~repro.core.algorithm.IPD`;
+  zero coordination overhead, the exact seed behaviour.
+* ``shards >= 2`` — a :class:`~repro.runtime.sharding.ShardedIPD`
   coordinator routing flows over ``shards`` address-space shards driven
   by the chosen executor (``serial`` / ``mp``).  Merged
   snapshots are byte-identical to the single-engine ones by design (the
   equivalence suite in ``tests/runtime`` pins this).
+
+:func:`~repro.runtime.sharding.build_engine` makes that choice, for a
+fresh run, a resume and a crash recovery alike.
 
 Event-driven replay semantics are unchanged: sweeps fire exactly at
 ``t``-second boundaries of the trace clock, snapshots every
@@ -35,16 +37,16 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from ..core.admission import AdmissionConfig
-from ..core.algorithm import IPD, SweepReport
+from ..core.algorithm import SweepReport
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
 from ..core.snapshot import Snapshot
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .checkpoint import Checkpoint, CheckpointStore
-from .executors import EXECUTOR_KINDS, WorkerCrashError
+from .executors import WorkerCrashError
 from .faulthook import FaultHookLike
 from .result import RunResult
-from .sharding import ShardedIPD
+from .sharding import Engine, ShardedIPD, build_engine
 from .sinks import Sink
 
 __all__ = ["Pipeline"]
@@ -58,9 +60,13 @@ class _ResumeState:
     next_sweep: float
     next_snapshot: Optional[float]
 
-#: engines a Pipeline can drive (anything with ingest_batch/sweep/
-#: snapshot/state_size)
-Engine = Union[IPD, ShardedIPD]
+    @classmethod
+    def at(cls, checkpoint: Checkpoint) -> "_ResumeState":
+        return cls(
+            checkpoint.flows_processed,
+            checkpoint.next_sweep,
+            checkpoint.next_snapshot,
+        )
 
 
 class Pipeline:
@@ -84,31 +90,16 @@ class Pipeline:
     ) -> None:
         if snapshot_seconds <= 0:
             raise ValueError("snapshot_seconds must be positive")
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTOR_KINDS}"
+        #: build_engine arguments to rebuild after a worker crash; None
+        #: means the engine is caller-owned and recovery must re-raise
+        self._rebuild: Optional[dict] = None
+        if engine is None:
+            self._rebuild = dict(
+                params=params, shards=shards, executor=executor,
+                workers=workers, admission=admission,
             )
-        if engine is not None:
-            self.engine: Engine = engine
-            #: topology to rebuild after a worker crash; None means the
-            #: engine is caller-owned and recovery must re-raise
-            self._rebuild: Optional[
-                tuple[int, str, Optional[int], Optional[AdmissionConfig]]
-            ] = None
-        elif shards == 1 and executor == "serial":
-            # The degenerate topology needs no router or merger: run the
-            # plain engine and the pipeline adds zero per-flow overhead.
-            self.engine = IPD(params, admission=admission)
-            self._rebuild = (1, "serial", None, admission)
-        else:
-            self.engine = ShardedIPD(
-                params,
-                shards=shards,
-                executor=executor,
-                workers=workers,
-                admission=admission,
-            )
-            self._rebuild = (shards, executor, workers, admission)
+            engine = build_engine(**self._rebuild)
+        self.engine: Engine = engine
         self.snapshot_seconds = snapshot_seconds
         self.include_unclassified = include_unclassified
         self.on_sweep = on_sweep
@@ -129,10 +120,10 @@ class Pipeline:
             checkpoint_every if checkpoint_every is not None else snapshot_seconds
         )
         #: testkit chaos seam (:class:`~repro.testkit.faults.FaultPlan`):
-        #: consulted before sweeps (worker-crash site) and before sink
-        #: writes (sink-error site), and propagated to the executor's
-        #: own feed/tick sites — including across crash recoveries,
-        #: which rebuild the engine.  ``None`` (the default) is a no-op.
+        #: consulted before sweeps (sketch-saturate and worker-crash
+        #: sites) and before sink writes (sink-error site), and handed to
+        #: a sharded engine for its feed sites — including across crash
+        #: recoveries, which rebuild the engine.  ``None`` is a no-op.
         self.fault_hook: Optional[FaultHookLike] = fault_hook
         self._attach_fault_hook()
         self._resume: Optional[_ResumeState] = None
@@ -142,11 +133,8 @@ class Pipeline:
         self.teardown_errors: list[Exception] = []
 
     def _attach_fault_hook(self) -> None:
-        if self.fault_hook is None:
-            return
-        executor = getattr(self.engine, "_executor", None)
-        if executor is not None:
-            executor.fault_hook = self.fault_hook
+        if self.fault_hook is not None and isinstance(self.engine, ShardedIPD):
+            self.engine.fault_hook = self.fault_hook
 
     @property
     def params(self) -> IPDParams:
@@ -188,23 +176,17 @@ class Pipeline:
             raise FileNotFoundError(
                 f"no checkpoint found in {checkpoint_store.directory}"
             )
-        engine = checkpoint_store.restore_engine(
-            checkpoint,
-            params=params,
-            shards=shards,
-            executor=executor,
-            workers=workers,
-            admission=admission,
+        rebuild = dict(
+            params=params, shards=shards, executor=executor,
+            workers=workers, admission=admission,
         )
         pipeline = cls(
-            engine=engine, checkpoint_store=checkpoint_store, **kwargs
+            engine=checkpoint_store.restore_engine(checkpoint, **rebuild),
+            checkpoint_store=checkpoint_store,
+            **kwargs,
         )
-        pipeline._rebuild = (shards, executor, workers, admission)
-        pipeline._resume = _ResumeState(
-            flows_processed=checkpoint.flows_processed,
-            next_sweep=checkpoint.next_sweep,
-            next_snapshot=checkpoint.next_snapshot,
-        )
+        pipeline._rebuild = rebuild
+        pipeline._resume = _ResumeState.at(checkpoint)
         return pipeline
 
     # ------------------------------------------------------------------ replay
@@ -251,8 +233,7 @@ class Pipeline:
 
     def _recover(self, result: RunResult) -> None:
         """Rebuild the engine from the last checkpoint after a crash."""
-        assert self._rebuild is not None
-        params = self.engine.params
+        assert self._rebuild is not None and self.checkpoint_store is not None
         close = getattr(self.engine, "close", None)
         if close is not None:
             try:
@@ -267,51 +248,29 @@ class Pipeline:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        shards, executor, workers, admission = self._rebuild
         # latest_valid: a corrupt newest checkpoint only costs extra
         # replay (recovery falls back to an older intact image, or to a
         # from-scratch replay), never a failed or wrong run
-        checkpoint = (
-            self.checkpoint_store.latest_valid() if self.checkpoint_store else None
-        )
+        checkpoint = self.checkpoint_store.latest_valid()
         if checkpoint is None:
             # crashed before the first (intact) checkpoint: restart fresh
-            if shards == 1 and executor == "serial":
-                self.engine = IPD(params, admission=admission)
-            else:
-                self.engine = ShardedIPD(
-                    params,
-                    shards=shards,
-                    executor=executor,
-                    workers=workers,
-                    admission=admission,
-                )
-            self._attach_fault_hook()
+            self.engine = build_engine(**self._rebuild)
             result.sweeps.clear()
             result.snapshots.clear()
             result.flows_processed = 0
             self._resume = None
-            return
-        self.engine = self.checkpoint_store.restore_engine(
-            checkpoint,
-            params=params,
-            shards=shards,
-            executor=executor,
-            workers=workers,
-            admission=admission,
-        )
+        else:
+            self.engine = self.checkpoint_store.restore_engine(
+                checkpoint, **self._rebuild
+            )
+            # roll the result back to the checkpoint: later sweeps and
+            # snapshots will be reproduced exactly by the replay
+            del result.sweeps[checkpoint.sweep_count:]
+            for when in [ts for ts in result.snapshots if ts > checkpoint.when]:
+                del result.snapshots[when]
+            result.flows_processed = checkpoint.flows_processed
+            self._resume = _ResumeState.at(checkpoint)
         self._attach_fault_hook()
-        # roll the result back to the checkpoint: later sweeps/snapshots
-        # will be reproduced exactly by the replay
-        del result.sweeps[checkpoint.sweep_count:]
-        for when in [ts for ts in result.snapshots if ts > checkpoint.when]:
-            del result.snapshots[when]
-        result.flows_processed = checkpoint.flows_processed
-        self._resume = _ResumeState(
-            flows_processed=checkpoint.flows_processed,
-            next_sweep=checkpoint.next_sweep,
-            next_snapshot=checkpoint.next_snapshot,
-        )
 
     def run_incremental(
         self,
@@ -439,15 +398,15 @@ class Pipeline:
 
     def _tick(self, when: float, result: RunResult) -> None:
         if self.fault_hook is not None:
-            # the sketch-saturate site is engine-level, so the pipeline
-            # fires it for every topology (the engine fans it out to its
-            # shards itself); a no-op for engines without admission
+            # both sites are consulted here for every topology: the
+            # sketch-saturate site is engine-level (a sharded engine fans
+            # it out to its shards; a no-op without admission), and the
+            # worker-crash site gets the executor whose worker it may
+            # kill (None for a plain engine: the crash is raised here)
             self.fault_hook.before_sweep(self.engine, when)
-            if getattr(self.engine, "_executor", None) is None:
-                # a sharded engine's executor consults the hook itself at
-                # tick_begin; cover the executor-less plain engine here so
-                # the worker-crash site exists for every topology
-                self.fault_hook.before_tick(None, when)
+            self.fault_hook.before_tick(
+                getattr(self.engine, "_executor", None), when
+            )
         report = self.engine.sweep(when)
         result.sweeps.append(report)
         if self.on_sweep is not None:

@@ -2,9 +2,11 @@
 
 :class:`ShardedIPD` presents the single-engine surface — ``ingest``,
 ``ingest_batch``, ``sweep``, ``snapshot``, ``state_size`` — while the
-work is split across ``2^k`` shard engines (one per depth-``k`` subtree,
-routed on the masked source's top ``k`` bits) plus a small *aggregator*
-engine that owns every range coarser than ``/k``.
+work is split across ``2^k`` shard engines (``k >= 1``; one per
+depth-``k`` subtree, routed on the masked source's top ``k`` bits) plus
+a small *aggregator* engine that owns every range coarser than ``/k``.
+:func:`build_engine` is the one place that picks between a plain
+:class:`IPD` (one shard) and this coordinator.
 
 The design invariant is **byte-identical output**: the visible leaves of
 aggregator + shards partition the address space exactly like one
@@ -41,7 +43,7 @@ supported in sharded mode — attach it to a plain :class:`IPD`.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from ..core.admission import (
     AdmissionConfig,
@@ -69,10 +71,49 @@ from ..core.statecodec import (
     unclassified_image,
 )
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
-from .executors import make_executor
-from .shards import ShardTickResult
+from .executors import EXECUTOR_KINDS, make_executor
+from .faulthook import FaultHookLike
+from .shards import ShardMetrics, ShardTickResult
 
-__all__ = ["ShardedIPD"]
+__all__ = ["ShardedIPD", "build_engine"]
+
+#: what a pipeline drives: one plain engine, or the shard coordinator
+Engine = Union[IPD, "ShardedIPD"]
+
+
+def build_engine(
+    params: Optional[IPDParams] = None,
+    shards: int = 1,
+    executor: str = "serial",
+    workers: Optional[int] = None,
+    admission: Optional[AdmissionConfig] = None,
+    blob: Optional[bytes] = None,
+) -> Engine:
+    """The engine for a runtime topology, fresh or restored from *blob*.
+
+    One shard is a plain :class:`~repro.core.algorithm.IPD` in the
+    calling process; anything else is a :class:`ShardedIPD` over the
+    named executor.  *blob* is a topology-free engine blob
+    (:meth:`IPD.to_bytes` / :meth:`ShardedIPD.to_bytes`), so it restores
+    at any legal topology; its trailing admission section, when
+    present, wins over *admission*.  ``params`` is only needed with a
+    blob when the run used a custom (non-serializable) decay function.
+    """
+    if shards != 1:
+        if blob is None:
+            return ShardedIPD(params, shards, executor, workers, admission)
+        return ShardedIPD.from_bytes(
+            blob, params, shards, executor, workers, admission
+        )
+    if executor != "serial":
+        raise ValueError(
+            f"shards=1 is one plain IPD engine in this process and takes "
+            f"executor 'serial', not {executor!r} (executors "
+            f"{EXECUTOR_KINDS}; 'mp' needs shards >= 2)"
+        )
+    if blob is None:
+        return IPD(params, admission=admission)
+    return IPD.from_bytes(blob, params=params, admission=admission)
 
 
 class ShardedIPD:
@@ -87,8 +128,11 @@ class ShardedIPD:
         admission: Optional[AdmissionConfig] = None,
     ) -> None:
         params = params or DEFAULT_PARAMS
-        if shards < 1 or shards & (shards - 1):
-            raise ValueError(f"shards must be a power of two, got {shards}")
+        if shards < 2 or shards & (shards - 1):
+            raise ValueError(
+                f"ShardedIPD needs shards >= 2 and a power of two, got {shards} "
+                "(shards=1 is one plain IPD engine: build_engine)"
+            )
         depth = shards.bit_length() - 1
         max_depth = min(params.cidr_max(IPV4), params.cidr_max(IPV6))
         if depth > max_depth:
@@ -99,7 +143,6 @@ class ShardedIPD:
         self.params = params
         self.shards = shards
         self.split_depth = depth
-        self.executor_kind = executor
         # the *config* (not a controller) is what crosses process
         # boundaries: each engine builds its own controller from it, and
         # identical seeds/geometry keep the shard sketches mergeable
@@ -121,13 +164,9 @@ class ShardedIPD:
         self.bytes_ingested = 0
         self.last_sweep_at: float | None = None
         self._closed = False
-        if depth == 0:
-            # A single shard owns the whole space; the aggregator is a
-            # permanently inert /0 placeholder per family.
-            ops: list[tuple] = []
-            for version, tree in self.aggregator.trees.items():
-                self._delegate(version, tree.root, ops)
-            self._executor.apply(ops)
+        #: testkit chaos seam (set by the pipeline): the ``feed_drop`` /
+        #: ``feed_duplicate`` sites, consulted once per fed shard batch
+        self.fault_hook: Optional[FaultHookLike] = None
 
     # ------------------------------------------------------------------ stage 1
 
@@ -143,9 +182,6 @@ class ShardedIPD:
         self.flows_ingested += count
         self.bytes_ingested += sum(batch.byte_counts)
         version = batch.version
-        if self.split_depth == 0:
-            self._executor.feed(0, batch)
-            return count
         delegated = self._delegated[version]
         if not delegated:
             self.aggregator.ingest_batch(batch)
@@ -176,8 +212,17 @@ class ShardedIPD:
                     aggregator_rows.append(row)
         if aggregator_rows:
             self.aggregator.ingest_batch(batch.select(aggregator_rows))
+        send = self._executor.send
+        hook = self.fault_hook
         for index, rows in buckets.items():
-            self._executor.feed(index, batch.select(rows))
+            cmd = ("feed", index, batch.select(rows))
+            if hook is not None:
+                action = hook.on_feed(index, cmd[2])
+                if action == "drop":
+                    continue
+                if action == "duplicate":
+                    send(index, cmd)
+            send(index, cmd)
         return count
 
     def ingest_many(self, flows: "Iterable[FlowRecord] | FlowBatch") -> int:
@@ -195,15 +240,16 @@ class ShardedIPD:
         """One coordinated Stage-2 tick across aggregator and shards."""
         started = time.perf_counter()
         # Shards sweep concurrently with the aggregator (disjoint state).
-        self._executor.tick_begin(now)
+        self._executor.broadcast(("tick", now))
         aggregator_report = self.aggregator.sweep(now)
-        results = self._executor.tick_collect()
+        results: dict[int, ShardTickResult] = {}
+        for reply in self._executor.gather():
+            results.update(reply)
 
         ops: list[tuple] = []
         boundary_joins, boundary_prunes = self._reconcile(results, ops)
         self._handoff(ops)
-        if ops:
-            self._executor.apply(ops)
+        self._send_all(ops)
 
         report = self._merge_reports(
             now, aggregator_report, results, boundary_joins, boundary_prunes
@@ -211,6 +257,22 @@ class ShardedIPD:
         report.duration_seconds = time.perf_counter() - started
         self.last_sweep_at = now
         return report
+
+    def _send_all(self, cmds: Iterable[tuple]) -> None:
+        """Send shard commands, each to the shard its second item names."""
+        for cmd in cmds:
+            self._executor.send(cmd[1], cmd)
+
+    def _ask(self, *cmd: object) -> list:
+        """Broadcast one query and gather every worker's reply."""
+        self._executor.broadcast(cmd)
+        return self._executor.gather()
+
+    def _metrics(self) -> ShardMetrics:
+        metrics = ShardMetrics()
+        for part in self._ask("metrics"):
+            metrics.add(part)
+        return metrics
 
     def _reconcile(
         self, results: dict[int, ShardTickResult], ops: list[tuple]
@@ -226,8 +288,6 @@ class ShardedIPD:
         leaf and cascades through ``prune_upward``.  Joins run before
         prunes, matching the single engine's per-sweep order.
         """
-        if self.split_depth == 0:
-            return 0, 0
         joins = 0
         prunes = 0
         params = self.params
@@ -287,8 +347,6 @@ class ShardedIPD:
         the aggregator trie only — at most ``2^(k+1)`` nodes.
         """
         depth = self.split_depth
-        if depth == 0:
-            return
         for version, tree in self.aggregator.trees.items():
             for leaf in list(tree.leaves()):
                 if leaf.prefix.masklen == depth and isinstance(
@@ -302,11 +360,7 @@ class ShardedIPD:
         tree = self.aggregator.trees[version]
         was_dirty = leaf in tree.dirty
         state = tree.delegate(leaf)
-        index = (
-            leaf.prefix.value >> self._shifts[version]
-            if self.split_depth
-            else 0
-        )
+        index = leaf.prefix.value >> self._shifts[version]
         self._delegated[version].add(index)
         self._portals[version][index] = leaf
         # Handoff is state *transfer*, not state sharing: the leaf's
@@ -352,7 +406,7 @@ class ShardedIPD:
         report.prunes += boundary_prunes
         # Leaf/classified totals reflect the post-reconcile state (the
         # single engine likewise counts after its join/prune passes).
-        metrics = self._executor.metrics()
+        metrics = self._metrics()
         for version, tree in self.aggregator.trees.items():
             report.leaves_by_version[version] = tree.leaf_count() + (
                 metrics.leaves_by_version.get(version, 0)
@@ -375,9 +429,7 @@ class ShardedIPD:
         if self.admission_config is None:
             return
         self.aggregator.saturate_admission()
-        self._executor.apply(
-            [("saturate", index, 0) for index in range(self.shards)]
-        )
+        self._send_all(("saturate", index) for index in range(self.shards))
 
     def _admission_image(self) -> Optional[AdmissionImage]:
         """The deployment-wide merged admission image (``None`` when off)."""
@@ -386,7 +438,8 @@ class ShardedIPD:
         images: list[Optional[AdmissionImage]] = [
             self.aggregator.admission.to_image()
         ]
-        images.extend(self._executor.admission_export().values())
+        for part in self._ask("admission_export"):
+            images.extend(part.values())
         return merge_admission_images(images)
 
     def _restore_admission(self, image: AdmissionImage) -> None:
@@ -399,8 +452,8 @@ class ShardedIPD:
         """
         self.aggregator.admission = AdmissionController.from_image(image)
         payload = encode_admission(image)
-        self._executor.apply(
-            [("admission", index, 0, payload) for index in range(self.shards)]
+        self._send_all(
+            ("admission", index, payload) for index in range(self.shards)
         )
 
     # ------------------------------------------------------------------ state io
@@ -408,26 +461,26 @@ class ShardedIPD:
     def to_image(self) -> EngineImage:
         """The merged single-engine-equivalent image of the whole deployment.
 
-        Shard engines export their active subtrees as encoded blobs;
-        each is grafted into the aggregator trie at its portal (the
-        delegated placeholder leaf), and shard split/join counts fold
-        into the per-family totals.  The result contains no delegated
-        nodes: it is exactly the image a plain :class:`IPD` holding the
-        same state would produce, which is what makes a checkpoint
-        restorable at *any* legal shard count.
+        Shard engines export their family trees as encoded blobs; each
+        active one is grafted into the aggregator trie at its portal (the
+        delegated placeholder leaf), and the split/join counts of every
+        shard tree, active or not, fold into the per-family totals.  The
+        result contains no delegated nodes: it is exactly the image a
+        plain :class:`IPD` holding the same state would produce, which is
+        what makes a checkpoint restorable at *any* legal shard count.
         """
-        exports = self._executor.export()
+        exports: dict[int, dict[int, bytes]] = {}
+        for part in self._ask("export"):
+            exports.update(part)
         trees = {}
         for version, tree in self.aggregator.trees.items():
             grafts: dict[Prefix, NodeImage] = {}
             shard_splits = 0
             shard_joins = 0
             for index in sorted(exports):
-                payload = exports[index].get(version)
-                if payload is None:
-                    continue
-                subtree = decode_subtree(payload)
-                grafts[subtree.prefix] = subtree.root
+                subtree = decode_subtree(exports[index][version])
+                if subtree.root.kind != "delegated":
+                    grafts[subtree.prefix] = subtree.root
                 shard_splits += subtree.split_count
                 shard_joins += subtree.join_count
             image = tree_to_image(tree, grafts)
@@ -484,33 +537,11 @@ class ShardedIPD:
             workers=workers,
             admission=admission,
         )
-        depth = engine.split_depth
-        ops: list[tuple] = []
         for version, tree_image in image.trees.items():
             tree = engine.aggregator.trees[version]
-            if depth == 0:
-                # The constructor already delegated the /0 root and
-                # seeded the single shard with an empty tree; replace
-                # that seed with the checkpointed one wholesale.
-                ops.append(("reset", 0, version))
-                ops.append(
-                    (
-                        "seed",
-                        0,
-                        version,
-                        encode_subtree(
-                            tree.root.prefix,
-                            version,
-                            tree_image.root,
-                            tree_image.split_count,
-                            tree_image.join_count,
-                        ),
-                    )
-                )
-                continue
             seeds: list[tuple[Prefix, NodeImage]] = []
             aggregator_root = _carve(
-                tree_image.root, tree.root.prefix, depth, seeds
+                tree_image.root, tree.root.prefix, engine.split_depth, seeds
             )
             plant_image(tree, tree.root, aggregator_root)
             # the aggregator's merged counters carry the whole family's
@@ -523,12 +554,11 @@ class ShardedIPD:
                 assert leaf.prefix == prefix
                 engine._delegated[version].add(index)
                 engine._portals[version][index] = leaf
-                ops.append(
+                engine._executor.send(
+                    index,
                     ("seed", index, version,
-                     encode_subtree(prefix, version, node_image))
+                     encode_subtree(prefix, version, node_image)),
                 )
-        if ops:
-            engine._executor.apply(ops)
         engine.flows_ingested = image.flows_ingested
         engine.bytes_ingested = image.bytes_ingested
         engine.last_sweep_at = image.last_sweep_at
@@ -578,19 +608,18 @@ class ShardedIPD:
         records = self.aggregator.snapshot(
             now, include_unclassified=include_unclassified
         )
-        records.extend(self._executor.snapshot(now, include_unclassified))
+        for part in self._ask("snapshot", now, include_unclassified):
+            records.extend(part)
         records.sort(key=lambda record: (record.version, record.range.value))
         return records
 
     # ------------------------------------------------------------------ metrics
 
     def state_size(self) -> int:
-        return self.aggregator.state_size() + self._executor.metrics().state_size
+        return self.aggregator.state_size() + self._metrics().state_size
 
     def leaf_count(self) -> int:
-        return (
-            self.aggregator.leaf_count() + self._executor.metrics().leaf_count()
-        )
+        return self.aggregator.leaf_count() + self._metrics().leaf_count()
 
     def close(self) -> None:
         """Shut down executor workers (idempotent)."""

@@ -9,9 +9,9 @@ The coordinator activates a shard by shipping the aggregator leaf's
 observation state down (a ``seed`` op) and deactivates it when a
 cross-boundary join or prune pulls the range back up (a ``reset`` op).
 
-Everything in this module is executor-agnostic: the serial executor
-calls it in-process and the multiprocessing executor inside worker
-processes (all types here are picklable for that reason).
+Everything in this module is executor-agnostic: the executors'
+:class:`~repro.runtime.executors.ShardWorker` calls it in-process or
+inside a worker process (all types here are picklable for that reason).
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..core.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionImage,
-    decode_admission,
-)
+from ..core.admission import AdmissionConfig, AdmissionImage
 from ..core.algorithm import IPD, SweepReport
 from ..core.iputil import IPV4, IPV6, Prefix
 from ..core.params import IPDParams
@@ -40,21 +35,9 @@ from ..netflow.records import FlowBatch
 from ..topology.elements import IngressPoint
 
 if TYPE_CHECKING:
-    from ..core.output import IPDRecord
     from ..core.rangetree import RangeTree
 
 __all__ = ["ShardEngine", "ShardTickResult", "RootSummary", "ShardMetrics"]
-
-#: shard-op tuples exchanged between coordinator and executors:
-#: ``("seed", index, version, payload)`` activates a shard's family tree
-#: by planting an encoded subtree blob (a handed-down aggregator leaf,
-#: or a whole carved subtree on checkpoint resume); ``("reset", index,
-#: version)`` deactivates it after a cross-boundary join/prune;
-#: ``("admission", index, 0, payload)`` restores the shard's admission
-#: controller from an encoded admission section (checkpoint resume);
-#: ``("saturate", index, 0)`` forces its sketch to the saturation
-#: ceiling (the ``sketch_saturate`` fault site).
-ShardOp = tuple
 
 
 @dataclass
@@ -148,21 +131,6 @@ class ShardEngine:
 
     # -- ops ----------------------------------------------------------------
 
-    def apply_op(self, op: ShardOp) -> None:
-        kind = op[0]
-        if kind == "seed":
-            self.seed(op[2], op[3])
-        elif kind == "reset":
-            self.reset(op[2])
-        elif kind == "admission":
-            self.ipd.admission = AdmissionController.from_image(
-                decode_admission(op[3])
-            )
-        elif kind == "saturate":
-            self.ipd.saturate_admission()
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown shard op: {op[0]!r}")
-
     def seed(self, version: int, payload: "bytes | memoryview") -> None:
         """Activate one family tree by planting an encoded subtree blob.
 
@@ -192,26 +160,24 @@ class ShardEngine:
         root.state = DelegatedState()
 
     def export(self) -> dict[int, bytes]:
-        """Serialize every *active* family tree as a subtree blob.
+        """Serialize every family tree as a subtree blob.
 
-        Inactive trees (root still delegated — the aggregator owns the
-        range) are omitted.  The coordinator grafts these blobs into its
-        aggregator image to form the merged single-engine-equivalent
-        checkpoint.
+        The coordinator grafts the active ones into its aggregator image
+        to form the merged single-engine-equivalent checkpoint.  An
+        inactive tree (root delegated — the aggregator owns the range)
+        encodes as a bare delegated root, exported only for the
+        split/join counts it made while it was active.
         """
-        payloads: dict[int, bytes] = {}
-        for version, tree in self.ipd.trees.items():
-            root = tree.root
-            if root.left is None and isinstance(root._state, DelegatedState):
-                continue
-            payloads[version] = encode_subtree(
-                root.prefix,
+        return {
+            version: encode_subtree(
+                tree.root.prefix,
                 version,
-                subtree_to_image(tree, root),
+                subtree_to_image(tree, tree.root),
                 tree.split_count,
                 tree.join_count,
             )
-        return payloads
+            for version, tree in self.ipd.trees.items()
+        }
 
     # -- data path ----------------------------------------------------------
 
@@ -255,11 +221,6 @@ class ShardEngine:
         if self.ipd.admission is None:
             return None
         return self.ipd.admission.to_image()
-
-    def snapshot(
-        self, now: float, include_unclassified: bool = False
-    ) -> "list[IPDRecord]":
-        return self.ipd.snapshot(now, include_unclassified=include_unclassified)
 
     def metrics(self) -> ShardMetrics:
         return ShardMetrics(

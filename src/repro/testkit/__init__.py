@@ -12,7 +12,7 @@ code paths they check:
   draws from the same distributions.
 * :mod:`repro.testkit.faults` — :class:`FaultPlan`, a deterministic
   seeded schedule of fault injections consulted by no-op hooks in the
-  runtime (executors, checkpoint store, pipeline sinks).
+  runtime (pipeline sweeps and sinks, sharded feeds, checkpoint store).
 * :mod:`repro.testkit.traces` — the canonical deterministic fixture
   workloads (fig05, dualstack) with their test-scale parameters.
 

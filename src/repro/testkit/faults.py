@@ -8,10 +8,10 @@ identity check when unset):
 ====================  ===================================================
 site                  hook location
 ====================  ===================================================
-``worker_crash``      executor ``tick_begin`` (all kinds) and, for a
-                      plain single-engine pipeline, ``Pipeline._tick``
-``feed_drop`` /       executor ``feed`` (all kinds) — the batch is
-``feed_duplicate``    swallowed or delivered twice
+``worker_crash``      ``Pipeline._tick``, before every sweep, for every
+                      topology
+``feed_drop`` /       ``ShardedIPD.ingest_batch``, once per fed shard
+``feed_duplicate``    batch — the batch is swallowed or sent twice
 ``checkpoint_...``    ``CheckpointStore.save`` — the serialized bytes
                       are truncated (``checkpoint_truncate``) or
                       bit-flipped (``checkpoint_bitflip``) before disk
@@ -164,8 +164,9 @@ class FaultPlan:
         return fault
 
     def before_tick(self, executor: object, now: float) -> None:
-        """``worker_crash`` site: called by executors at ``tick_begin``
-        (and by the pipeline itself for an executor-less plain engine).
+        """``worker_crash`` site: called by ``Pipeline._tick`` before
+        every sweep, with the engine's executor (``None`` for a plain
+        engine).
 
         Under an mp executor the selected worker process is killed — the
         crash then surfaces naturally as the executor's own
@@ -209,8 +210,9 @@ class FaultPlan:
             saturate()
 
     def on_feed(self, index: int, batch: "FlowBatch") -> Optional[str]:
-        """``feed_drop`` / ``feed_duplicate`` site: called by executors
-        per fed batch; returns ``"drop"``, ``"duplicate"`` or ``None``.
+        """``feed_drop`` / ``feed_duplicate`` site: called by the sharded
+        engine per fed shard batch; returns ``"drop"``, ``"duplicate"``
+        or ``None``.
 
         Firing either arms a worker crash at the next tick (see module
         docstring) so the corruption cannot survive to the output.

@@ -381,5 +381,5 @@ def engine_params(
 
 
 def shard_counts(max_depth: int = 8) -> st.SearchStrategy:
-    """Legal ShardedIPD shard counts: powers of two up to 2^max_depth."""
-    return st.sampled_from([1 << depth for depth in range(max_depth + 1)])
+    """Legal ShardedIPD shard counts: powers of two from 2 to 2^max_depth."""
+    return st.sampled_from([1 << depth for depth in range(1, max_depth + 1)])

@@ -1,6 +1,7 @@
 """Deleted variants are gone, not hidden: executors, transport, per-flow
-forks, the serving shard grid, the compiled-LPM blob and the stream
-handler of the lookup socket."""
+forks, the one-shard coordinator, per-verb executor methods, the serving
+shard grid, the compiled-LPM blob and the stream handler of the lookup
+socket."""
 
 import pytest
 
@@ -19,6 +20,74 @@ def test_removed_executor_and_transport_are_rejected(capsys):
             main(["run", "flows.csv", "records.csv", *flag])
         assert exit_info.value.code == 2
     capsys.readouterr()  # argparse's usage text
+
+
+def test_one_shard_is_a_plain_engine(capsys):
+    """No one-shard coordinator: shards=1 is a plain IPD, and a sharded
+    engine or the mp executor at one shard is refused by its rule."""
+    from repro.runtime import ShardedIPD
+
+    with pytest.raises(ValueError, match=r"shards >= 2.*shards=1 is one plain IPD"):
+        ShardedIPD(shards=1)
+    with pytest.raises(ValueError, match=r"shards=1 is one plain IPD.*'mp' needs shards >= 2"):
+        Pipeline(shards=1, executor="mp")
+    assert main(["run", "flows.csv", "records.csv", "--executor", "mp"]) == 2
+    assert "'mp' needs shards >= 2" in capsys.readouterr().err
+
+
+def test_executors_are_pipes():
+    """Executors speak send / broadcast / gather / close only: no
+    per-verb methods, no fault hook, no second dispatch on the engine."""
+    from repro.runtime import ShardedIPD
+    from repro.runtime.executors import MultiprocessExecutor, SerialExecutor
+    from repro.runtime.shards import ShardEngine
+    from repro.testkit.traces import FIG05_PARAMS
+
+    for cls in (SerialExecutor, MultiprocessExecutor):
+        for verb in ("send", "broadcast", "gather", "close"):
+            assert callable(getattr(cls, verb))
+        for name in ("feed", "apply", "tick_begin", "tick_collect", "snapshot",
+                     "metrics", "export", "admission_export"):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    assert not hasattr(ShardEngine, "apply_op")
+    assert not hasattr(SerialExecutor(FIG05_PARAMS, depth=1), "fault_hook")
+    with ShardedIPD(FIG05_PARAMS, shards=2, executor="mp", workers=1) as engine:
+        assert not hasattr(engine._executor, "fault_hook")
+
+
+def test_one_engine_factory(monkeypatch, tmp_path):
+    """Fresh runs, resumes and both crash-recovery branches all get their
+    engine from build_engine."""
+    import repro.runtime.checkpoint as checkpoint
+    import repro.runtime.live as live
+    import repro.runtime.pipeline as pipeline
+    from repro.runtime import CheckpointStore, LivePipeline, build_engine
+    from repro.testkit.faults import Fault, FaultPlan
+    from repro.testkit.traces import FIG05_PARAMS, fig05_trace
+
+    restored = []
+
+    def spy(params=None, shards=1, executor="serial", workers=None,
+            admission=None, blob=None):
+        restored.append(blob is not None)
+        return build_engine(params, shards, executor, workers, admission, blob)
+
+    for module in (checkpoint, live, pipeline):
+        monkeypatch.setattr(module, "build_engine", spy)
+
+    store = CheckpointStore(tmp_path / "ckpt")
+    # crash 1 precedes the first checkpoint (a fresh rebuild), crash 2
+    # follows one (a restore)
+    plan = FaultPlan([Fault("worker_crash", at=1), Fault("worker_crash", at=5)])
+    with Pipeline(FIG05_PARAMS, snapshot_seconds=120.0,
+                  checkpoint_store=store, fault_hook=plan) as replay:
+        replay.run(fig05_trace)
+    assert plan.fired == [("worker_crash", 1), ("worker_crash", 5)]
+    assert restored == [False, False, True]
+    Pipeline.resume(store).close()
+    LivePipeline(FIG05_PARAMS).close()
+    LivePipeline.resume(store).close()
+    assert restored == [False, False, True, True, False, True]
 
 
 def test_per_flow_forks_are_gone(capsys):

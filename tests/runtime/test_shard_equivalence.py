@@ -96,9 +96,12 @@ def test_router_never_feeds_a_shard_a_foreign_source(shards, monkeypatch):
 
 
 class TestSerialShardEquivalence:
-    """Pipeline(shards=N, executor=serial) vs the single engine, N in {1,4,16}."""
+    """Pipeline(shards=N, executor=serial) vs the single engine, N in {2,4,16}.
 
-    @pytest.mark.parametrize("shards", [1, 4, 16])
+    N=2 splits at /1, so every boundary join and prune lands on the root.
+    """
+
+    @pytest.mark.parametrize("shards", [2, 4, 16])
     def test_fig05_trace(self, shards):
         flows = fig05_trace()
         assert_equivalent(
@@ -106,7 +109,7 @@ class TestSerialShardEquivalence:
             sharded_run(flows, FIG05_PARAMS, shards),
         )
 
-    @pytest.mark.parametrize("shards", [1, 4, 16])
+    @pytest.mark.parametrize("shards", [2, 4, 16])
     def test_dualstack_trace(self, shards):
         flows = dualstack_trace()
         assert_equivalent(
@@ -142,22 +145,12 @@ class TestSerialShardEquivalence:
         sharded = sharded_run(flows, FIG05_PARAMS, 16)
         assert run_csv(sharded) == run_csv(reference)
 
-    def test_single_shard_coordinator(self):
-        """shards=1 through ShardedIPD itself (split depth 0)."""
-        flows = fig05_trace()
-        engine = ShardedIPD(FIG05_PARAMS, shards=1, executor="serial")
-        with Pipeline(
-            engine=engine, snapshot_seconds=120.0, include_unclassified=True
-        ) as pipeline:
-            result = pipeline.run(flows)
-        assert_equivalent(reference_run(flows, FIG05_PARAMS), result)
-
 
 class TestMpEquivalence:
     """Acceptance pin: mp snapshots are byte-identical to the single
-    engine for N in {1, 4, 16}."""
+    engine for N in {2, 4, 16}."""
 
-    @pytest.mark.parametrize("shards", [1, 4, 16])
+    @pytest.mark.parametrize("shards", [2, 4, 16])
     def test_fig05_trace(self, shards):
         flows = fig05_trace()
         assert_equivalent(
@@ -165,7 +158,7 @@ class TestMpEquivalence:
             sharded_run(flows, FIG05_PARAMS, shards, executor="mp", workers=2),
         )
 
-    @pytest.mark.parametrize("shards", [1, 4, 16])
+    @pytest.mark.parametrize("shards", [2, 4, 16])
     def test_dualstack_trace(self, shards):
         flows = dualstack_trace()
         assert_equivalent(
@@ -188,25 +181,30 @@ def test_serial_and_mp_executors_answer_the_protocol_identically():
          encode_subtree(Prefix(index << 30, 2, IPV4), IPV4, empty))
         for index in (3, 2, 0)
     ]
+
+    def ask(executor, *cmd):
+        executor.broadcast(cmd)
+        (reply,) = executor.gather()  # workers=1: one reply
+        return reply
+
     replies = {}
     for kind in ("serial", "mp"):
         executor = make_executor(kind, FIG05_PARAMS, depth=2, workers=1)
         try:
-            executor.apply(seeds[:2])
-            executor.apply(seeds[2:])
+            for seed in seeds:
+                executor.send(seed[1], seed)
             for index in (2, 3, 0):
-                executor.feed(index, FlowBatch.from_flows(
+                executor.send(index, ("feed", index, FlowBatch.from_flows(
                     FlowRecord(timestamp=1.0 + n, src_ip=(index << 30) + 16 * n,
                                version=IPV4, ingress=CORNERS[index])
                     for n in range(8)
-                ))
-            executor.tick_begin(60.0)
+                )))
             replies[kind] = (
                 [(index, tick.report.visited, tick.roots[IPV4].kind)
-                 for index, tick in executor.tick_collect().items()],
-                executor.snapshot(60.0, True),
-                executor.export(),
-                executor.metrics(),
+                 for index, tick in ask(executor, "tick", 60.0).items()],
+                ask(executor, "snapshot", 60.0, True),
+                ask(executor, "export"),
+                ask(executor, "metrics"),
             )
         finally:
             executor.close()

@@ -123,7 +123,8 @@ class TestTestkitSurface:
             assert pipeline.fault_hook is None
             executor = pipeline.engine._executor
             assert isinstance(executor, SerialExecutor)
-            assert executor.fault_hook is None
+            # the sharded feed sites live on the engine, not the executor
+            assert pipeline.engine.fault_hook is None
         finally:
             pipeline.close()
         import tempfile

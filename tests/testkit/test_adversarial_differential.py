@@ -4,9 +4,11 @@ The adversarial scenario pack (DESIGN.md §14) stresses the engine with
 spoofed floods, policing clips and route-flap storms.  None of those
 shapes is allowed to change a single decision relative to the
 paper-literal :class:`~repro.testkit.oracle.ReferenceIPD`: this suite
-drives :class:`~repro.runtime.ShardedIPD` (N ∈ {1, 4}) and the oracle in
-lockstep over hypothesis-generated adversarial traces, comparing full
-observable state after every sweep.  The scenario-level behaviours
+drives the runtime's engine for N ∈ {1, 4} shards (a plain
+:class:`~repro.core.algorithm.IPD`, then a
+:class:`~repro.runtime.ShardedIPD`) and the oracle in lockstep over
+hypothesis-generated adversarial traces, comparing full observable state
+after every sweep.  The scenario-level behaviours
 (pollution, blow-up, survival) are measured in
 ``tests/workloads/test_adversarial.py``; this file pins that the
 *mechanism* stays reference-equivalent under attack.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.runtime import ShardedIPD
+from repro.runtime import build_engine
 from repro.testkit import strategies as ipd_st
 from repro.testkit.oracle import ReferenceIPD, assert_engines_equivalent
 
@@ -27,7 +29,7 @@ T = PARAMS.t
 
 def run_lockstep(flows, shards):
     oracle = ReferenceIPD(PARAMS)
-    sharded = ShardedIPD(PARAMS, shards=shards, executor="serial")
+    engine = build_engine(PARAMS, shards=shards)
     next_sweep = None
     try:
         for flow in flows:
@@ -35,21 +37,22 @@ def run_lockstep(flows, shards):
                 next_sweep = (int(flow.timestamp // T) + 1) * T
             while flow.timestamp >= next_sweep:
                 oracle.sweep(next_sweep)
-                sharded.sweep(next_sweep)
-                assert_engines_equivalent(sharded, oracle, next_sweep)
+                engine.sweep(next_sweep)
+                assert_engines_equivalent(engine, oracle, next_sweep)
                 next_sweep += T
             oracle.ingest(flow)
-            sharded.ingest(flow)
+            engine.ingest(flow)
         if next_sweep is None:
             next_sweep = T
         # trailing idle sweeps: flood state must expire identically too
         for __ in range(4):
             oracle.sweep(next_sweep)
-            sharded.sweep(next_sweep)
-            assert_engines_equivalent(sharded, oracle, next_sweep)
+            engine.sweep(next_sweep)
+            assert_engines_equivalent(engine, oracle, next_sweep)
             next_sweep += T
     finally:
-        sharded.close()
+        if shards > 1:
+            engine.close()
 
 
 @pytest.mark.parametrize("shards", [1, 4])
