@@ -9,9 +9,9 @@ example runs that implemented extension end to end:
 1. a hypergiant balances one prefix 50/50 over two routers while normal
    traffic flows elsewhere,
 2. plain IPD leaves the balanced prefix unclassified (by design),
-3. the attached LoadBalanceDetector flags it — and distinguishes true
-   per-flow balancing from a per-destination split that a
-   destination-aware mapping could resolve.
+3. a LoadBalanceDetector watching each sweep flags it — and
+   distinguishes true per-flow balancing from a per-destination split
+   that a destination-aware mapping could resolve.
 
 Run:  python examples/load_balancing_detection.py
 """
@@ -32,12 +32,13 @@ NORMAL_INGRESS = IngressPoint("nyc-r1", "et0")
 
 
 def main() -> None:
-    detector = LoadBalanceDetector(min_pairs=16)
-    ipd = IPD(
-        IPDParams(n_cidr_factor_v4=0.01, n_cidr_factor_v6=0.01),
-        lb_detector=detector,
-        lb_patience=3,
-    )
+    detector = LoadBalanceDetector(min_pairs=16, patience=3)
+    ipd = IPD(IPDParams(n_cidr_factor_v4=0.01, n_cidr_factor_v6=0.01))
+
+    def ingest(flow: FlowRecord) -> None:
+        ipd.ingest(flow)
+        detector.observe(flow)  # reads the destination IPD ignores
+
     rng = random.Random(7)
 
     print("Feeding 60 minutes of traffic:")
@@ -49,14 +50,14 @@ def main() -> None:
     for minute in range(60):
         for index in range(80):
             ts = now + index * 0.75
-            ipd.ingest(FlowRecord(
+            ingest(FlowRecord(
                 timestamp=ts,
                 src_ip=BALANCED.value + (index % 12) * 16,
                 version=4,
                 ingress=rng.choice(ROUTERS),
                 dst_ip=parse_ip("100.64.0.0")[0] + rng.randrange(40) * 256,
             ))
-            ipd.ingest(FlowRecord(
+            ingest(FlowRecord(
                 timestamp=ts,
                 src_ip=NORMAL.value + (index % 12) * 16,
                 version=4,
@@ -64,7 +65,7 @@ def main() -> None:
                 dst_ip=parse_ip("100.64.0.0")[0] + rng.randrange(40) * 256,
             ))
         now += 60.0
-        ipd.sweep(now)
+        detector.on_sweep(ipd.sweep(now), ipd)
 
     print("Plain IPD view (classified ranges):")
     for record in ipd.snapshot(now):

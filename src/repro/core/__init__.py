@@ -12,7 +12,7 @@ from .admission import (
 )
 from .algorithm import IPD, SweepReport
 from .bundles import bundle_candidates, dominant_ingress, make_bundle
-from .lbdetect import LBDetectorLike, LBVerdict, LoadBalanceDetector
+from .lbdetect import LBVerdict, LoadBalanceDetector
 from .iputil import IPV4, IPV6, Prefix, format_ip, mask_ip, parse_ip, parse_prefix
 from .lpm import (
     CompiledEntry,
@@ -53,7 +53,6 @@ __all__ = [
     "IPV4",
     "IPV6",
     "IncompatibleStateError",
-    "LBDetectorLike",
     "LBVerdict",
     "LoadBalanceDetector",
     "LPMTable",

@@ -22,10 +22,7 @@ leaves whose expiry bound fell due (from the trie's expiry heap), and
 (c) all classified leaves (their decay depends on ``now``).  Idle
 unclassified leaves are skipped — safe because the Stage-2 decision for
 a leaf is a pure function of its state, so an unchanged leaf repeats
-last sweep's no-op.  The one exception is the §5.8 load-balance
-extension, whose per-sweep failure counting observes *every* sweep a
-leaf stays unclassified at ``cidr_max``; with a detector attached the
-sweep falls back to the full walk.
+last sweep's no-op.
 
 The deployment runs the stages in two threads; behaviourally the
 algorithm is defined by "all ingest before each sweep tick", which the
@@ -48,7 +45,6 @@ from ..topology.elements import IngressPoint
 from .admission import AdmissionConfig, AdmissionController, decode_admission
 from .bundles import dominant_ingress, router_peak
 from .iputil import IPV4, IPV6, Prefix
-from .lbdetect import LBDetectorLike
 from .output import IPDRecord
 from .params import DEFAULT_PARAMS, IPDParams
 from .rangetree import RangeNode, RangeTree
@@ -102,19 +98,11 @@ class SweepReport:
 
 
 class IPD:
-    """Online ingress point detection over a flow stream.
-
-    An optional :class:`~repro.core.lbdetect.LoadBalanceDetector` can be
-    attached (the §5.8 future-work extension): ranges that keep failing
-    classification at ``cidr_max`` are handed to it for (src, dst) pair
-    tracking, and matching flows are mirrored into it during ingest.
-    """
+    """Online ingress point detection over a flow stream."""
 
     def __init__(
         self,
         params: IPDParams | None = None,
-        lb_detector: LBDetectorLike | None = None,
-        lb_patience: int = 3,
         roots: "dict[int, Prefix] | None" = None,
         admission: "AdmissionController | AdmissionConfig | None" = None,
     ) -> None:
@@ -143,9 +131,6 @@ class IPD:
         self.flows_ingested = 0
         self.bytes_ingested = 0
         self.last_sweep_at: float | None = None
-        self.lb_detector: LBDetectorLike | None = lb_detector
-        self.lb_patience = lb_patience
-        self._cidrmax_failures: dict[Prefix, int] = {}
 
     # ------------------------------------------------------------------ state io
 
@@ -176,21 +161,13 @@ class IPD:
     def from_image(
         cls,
         image: EngineImage,
-        lb_detector: LBDetectorLike | None = None,
-        lb_patience: int = 3,
         admission: "AdmissionController | AdmissionConfig | None" = None,
     ) -> "IPD":
         """Rebuild an engine from an image produced by :meth:`to_image`."""
         roots = {
             version: tree.root_prefix for version, tree in image.trees.items()
         }
-        engine = cls(
-            params=image.params,
-            lb_detector=lb_detector,
-            lb_patience=lb_patience,
-            roots=roots,
-            admission=admission,
-        )
+        engine = cls(params=image.params, roots=roots, admission=admission)
         for version, tree_image in image.trees.items():
             tree = engine.trees.get(version)
             if tree is None:
@@ -201,7 +178,6 @@ class IPD:
         engine.flows_ingested = image.flows_ingested
         engine.bytes_ingested = image.bytes_ingested
         engine.last_sweep_at = image.last_sweep_at
-        engine._cidrmax_failures = dict(image.cidrmax_failures)
         return engine
 
     @classmethod
@@ -209,8 +185,6 @@ class IPD:
         cls,
         data: bytes,
         params: IPDParams | None = None,
-        lb_detector: LBDetectorLike | None = None,
-        lb_patience: int = 3,
         admission: "AdmissionController | AdmissionConfig | None" = None,
     ) -> "IPD":
         """Rebuild an engine from a :meth:`to_bytes` blob.
@@ -226,12 +200,7 @@ class IPD:
             admission = AdmissionController.from_image(
                 decode_admission(memoryview(data)[consumed:])
             )
-        return cls.from_image(
-            image,
-            lb_detector=lb_detector,
-            lb_patience=lb_patience,
-            admission=admission,
-        )
+        return cls.from_image(image, admission=admission)
 
     # ------------------------------------------------------------------ stage 1
 
@@ -316,10 +285,6 @@ class IPD:
 
         self.flows_ingested += count
         self.bytes_ingested += sum(original.byte_counts)
-        if self.lb_detector is not None:
-            observe = self.lb_detector.observe
-            for flow in original.iter_flows():
-                observe(flow)
         return count
 
     @hot_path
@@ -383,18 +348,10 @@ class IPD:
         version = tree.version
         cidr_max = params.cidr_max(version)
         expiry_cutoff = now - params.e
-
-        if self.lb_detector is not None:
-            # The detector's failure counter ticks every sweep a leaf
-            # sits unclassified at cidr_max — only a full walk sees that.
-            tree.drain_dirty()
-            tree.pop_expiry_due(expiry_cutoff)
-            to_visit = list(tree.leaves())
-        else:
-            candidates = tree.drain_dirty()
-            candidates.update(tree.pop_expiry_due(expiry_cutoff))
-            candidates.update(tree._classified)
-            to_visit = sorted(candidates, key=lambda node: node.prefix.value)
+        candidates = tree.drain_dirty()
+        candidates.update(tree.pop_expiry_due(expiry_cutoff))
+        candidates.update(tree._classified)
+        to_visit = sorted(candidates, key=lambda node: node.prefix.value)
 
         prune_candidates: list[RangeNode] = []
         for leaf in to_visit:
@@ -427,13 +384,7 @@ class IPD:
                     prune_candidates.append(leaf)  # just dropped to empty
 
         report.joins += self._join_pass(tree, now)
-        report.prunes += tree.prune_upward(
-            prune_candidates, _is_empty_unclassified, on_remove=self._forget_prefix
-        )
-
-    def _forget_prefix(self, node: RangeNode) -> None:
-        """Drop per-prefix side state when a leaf leaves the trie."""
-        self._cidrmax_failures.pop(node.prefix, None)
+        report.prunes += tree.prune_upward(prune_candidates)
 
     def _handle_unclassified(
         self,
@@ -471,21 +422,12 @@ class IPD:
                     classified_at=now,
                 )
                 report.classifications += 1
-                self._cidrmax_failures.pop(leaf.prefix, None)
                 return
+        # at cidr_max there is no split (line 15); the join pass below
+        # may still coarsen once siblings agree
         if masklen < cidr_max:
             tree.split(leaf)  # line 13
             report.splits += 1
-        else:
-            # cidr_max reached without dominance (line 15); the join
-            # pass below may still coarsen once siblings agree.  With a
-            # load-balance detector attached, persistent failure here
-            # is the trigger for (src, dst) pair tracking (§5.8).
-            if self.lb_detector is not None:
-                failures = self._cidrmax_failures.get(leaf.prefix, 0) + 1
-                self._cidrmax_failures[leaf.prefix] = failures
-                if failures >= self.lb_patience:
-                    self.lb_detector.watch(leaf.prefix)
 
     def _handle_classified(
         self,
@@ -512,13 +454,11 @@ class IPD:
         if decayed and total < params.drop_threshold:
             leaf.state = UnclassifiedState()  # line 19: drop
             report.drops += 1
-            self._cidrmax_failures.pop(leaf.prefix, None)
             return
         share = state.confidence_for(_members_of(state.ingress), total)
         if share < params.q:
             leaf.state = UnclassifiedState()  # line 19: drop
             report.drops += 1
-            self._cidrmax_failures.pop(leaf.prefix, None)
 
     def _join_pass(self, tree: RangeTree, now: float) -> int:
         """Merge sibling leaves classified to the same logical ingress.
@@ -567,8 +507,6 @@ class IPD:
             combined_total = left_state.total + right_state.total
             if combined_total < n_cidr[parent.prefix.masklen]:
                 break
-            self._cidrmax_failures.pop(left.prefix, None)
-            self._cidrmax_failures.pop(right.prefix, None)
             tree.join(parent, left_state.merged_with(right_state))
             joins += 1
             parent = parent.parent
@@ -672,7 +610,3 @@ def _members_of(ingress: IngressPoint) -> tuple[IngressPoint, ...]:
     return tuple(
         IngressPoint(ingress.router, name) for name in ingress.interfaces()
     )
-
-
-def _is_empty_unclassified(node: RangeNode) -> bool:
-    return isinstance(node.state, UnclassifiedState) and node.state.is_empty()

@@ -22,39 +22,29 @@ the state blow-up contained:
 Diagnosed ranges can then be classified to a *router group* — the
 multi-router analogue of an interface bundle — so operators at least
 see "balanced over R1+R2" instead of a permanently unclassified hole.
+
+The detector sits outside the engine, which stays Algorithm 1: pass
+:meth:`LoadBalanceDetector.on_sweep` as a sweep observer (the
+``on_sweep`` hook of :class:`~repro.runtime.pipeline.Pipeline`, or call
+it after each :meth:`~repro.core.algorithm.IPD.sweep`) and feed it the
+flows, destinations included, through :meth:`~LoadBalanceDetector.observe`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional
 
 from ..core.iputil import Prefix, mask_ip
 from ..netflow.records import FlowRecord
 from ..topology.elements import IngressPoint
+from .state import UnclassifiedState
 
-__all__ = ["LBDetectorLike", "LBVerdict", "LBSuspect", "LoadBalanceDetector"]
+if TYPE_CHECKING:
+    from .algorithm import IPD, SweepReport
 
-
-@runtime_checkable
-class LBDetectorLike(Protocol):
-    """What the engine requires of an attached load-balance detector.
-
-    :class:`~repro.core.algorithm.IPD` mirrors every ingested flow into
-    :meth:`observe` and calls :meth:`watch` when a range keeps failing
-    classification at ``cidr_max``.  Any object with these two methods
-    can stand in — :class:`LoadBalanceDetector` is the reference
-    implementation.
-    """
-
-    def observe(self, flow: FlowRecord) -> bool:
-        """Feed one flow; True if a watched range consumed it."""
-        ...
-
-    def watch(self, prefix: Prefix) -> None:
-        """Start (src, dst) pair tracking for a suspect range."""
-        ...
+__all__ = ["LBVerdict", "LBSuspect", "LoadBalanceDetector"]
 
 
 @dataclass(frozen=True)
@@ -96,12 +86,15 @@ class LBSuspect:
 
 
 class LoadBalanceDetector:
-    """Sidecar detector fed with flows of persistently unclassified ranges.
+    """Sweep observer fed with flows of persistently unclassified ranges.
 
-    Intended wiring: after each IPD sweep, ranges at ``cidr_max`` that
-    have met ``n_cidr`` but failed dominance for ``patience`` consecutive
-    sweeps are registered via :meth:`watch`; Stage 1 then mirrors their
-    flows (with destinations) into the detector via :meth:`observe`.
+    After each sweep, :meth:`on_sweep` counts one failure against every
+    unclassified leaf sitting at ``cidr_max`` with at least ``n_cidr``
+    samples — Algorithm 1 could neither classify nor split it.  A range
+    that reaches ``patience`` failures is registered via :meth:`watch`,
+    and from then on :meth:`observe` records the (src, dst) pairs of its
+    flows.  A count lives as long as its leaf stays an unclassified leaf:
+    classification, a prune or a join forgets it.
     """
 
     def __init__(
@@ -112,6 +105,7 @@ class LoadBalanceDetector:
         min_pairs: int = 24,
         min_router_share: float = 0.25,
         overlap_threshold: float = 0.3,
+        patience: int = 3,
     ) -> None:
         self.dst_masklen = dst_masklen
         self.src_masklen = src_masklen
@@ -119,9 +113,41 @@ class LoadBalanceDetector:
         self.min_pairs = min_pairs
         self.min_router_share = min_router_share
         self.overlap_threshold = overlap_threshold
+        self.patience = patience
         self._suspects: dict[Prefix, LBSuspect] = {}
+        #: failures per unclassified cidr_max leaf of the last sweep
+        self._failures: dict[Prefix, int] = {}
 
     # ------------------------------------------------------------------ wiring
+
+    def on_sweep(self, report: "SweepReport", engine: "IPD") -> None:
+        """Count this sweep's cidr_max failures; watch the persistent ones.
+
+        Same signature as the pipeline's ``on_sweep`` hook.  A leaf that
+        a split created during this sweep has not been through a Stage-2
+        decision yet, so it starts at zero and counts from the next sweep.
+        """
+        params = engine.params
+        previous = self._failures
+        failures: dict[Prefix, int] = {}
+        for version, tree in engine.trees.items():
+            cidr_max = params.cidr_max(version)
+            n_cidr = params.n_cidr(cidr_max, version)
+            for leaf in tree.leaves():
+                state = leaf.state
+                if leaf.prefix.masklen != cidr_max or not isinstance(
+                    state, UnclassifiedState
+                ):
+                    continue
+                count = previous.get(leaf.prefix)
+                if count is None:
+                    count = 0
+                elif state.sample_count >= n_cidr:
+                    count += 1
+                    if count >= self.patience:
+                        self.watch(leaf.prefix)
+                failures[leaf.prefix] = count
+        self._failures = failures
 
     def watch(self, prefix: Prefix) -> None:
         """Start tracking pairs for a persistently unclassifiable range."""
@@ -129,9 +155,11 @@ class LoadBalanceDetector:
             self._suspects[prefix] = LBSuspect(prefix)
 
     def unwatch(self, prefix: Prefix) -> None:
+        """Stop tracking a range and forget its pairs."""
         self._suspects.pop(prefix, None)
 
     def watched(self) -> list[Prefix]:
+        """The watched ranges, in the order they were first watched."""
         return list(self._suspects)
 
     def observe(self, flow: FlowRecord) -> bool:
@@ -140,20 +168,25 @@ class LoadBalanceDetector:
         Flows without a destination address are ignored (the §4 privacy
         aggregation strips destinations — running this extension needs
         the richer, pre-anonymization feed, which is why the deployment
-        could reasonably choose to live without it).
+        could reasonably choose to live without it).  A range tracks at
+        most ``max_pairs_per_range`` pairs; once full it still counts
+        the pairs it holds, so its state stays below pairs × routers.
         """
         if flow.dst_ip is None:
             return False
+        version = flow.version
         for suspect in self._suspects.values():
-            if not suspect.prefix.contains_ip(flow.src_ip):
+            prefix = suspect.prefix
+            if prefix.version != version or not prefix.contains_ip(flow.src_ip):
                 continue
-            if len(suspect.pairs) >= self.max_pairs_per_range:
-                return True  # bounded state: stop admitting new pairs
-            suspect.add(
-                mask_ip(flow.src_ip, self.src_masklen, flow.version),
-                mask_ip(flow.dst_ip, self.dst_masklen, flow.version),
-                flow.ingress.router,
-            )
+            src = mask_ip(flow.src_ip, self.src_masklen, version)
+            dst = mask_ip(flow.dst_ip, self.dst_masklen, version)
+            if (
+                len(suspect.pairs) >= self.max_pairs_per_range
+                and (src, dst) not in suspect.pairs
+            ):
+                return True  # bounded state: no new pairs
+            suspect.add(src, dst, flow.ingress.router)
             return True
         return False
 
@@ -200,7 +233,10 @@ class LoadBalanceDetector:
         return verdicts
 
     def state_size(self) -> int:
-        """Tracked (pair, router) entries — the cost §5.8 worries about."""
+        """Tracked (pair, router) entries — the cost §5.8 worries about.
+
+        At most ``max_pairs_per_range`` × routers per watched range.
+        """
         return sum(
             len(by_router)
             for suspect in self._suspects.values()

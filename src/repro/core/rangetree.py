@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from ..devtools.markers import hot_path
 from ..topology.elements import IngressPoint
@@ -87,10 +87,6 @@ class RangeNode:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
-
-    @property
-    def is_classified(self) -> bool:
-        return isinstance(self._state, ClassifiedState)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else "node"
@@ -387,8 +383,7 @@ class RangeTree:
         node.state = DelegatedState()
         return state
 
-    def collapse(self, parent: RangeNode,
-                 on_remove: Optional[Callable[[RangeNode], None]] = None) -> RangeNode:
+    def collapse(self, parent: RangeNode) -> RangeNode:
         """Public form of the prune collapse for cross-engine callers.
 
         Turns *parent* (whose children must both be leaves) back into a
@@ -400,7 +395,7 @@ class RangeTree:
         assert left is not None and right is not None
         if not (left.is_leaf and right.is_leaf):
             raise ValueError(f"children of {parent.prefix} are not both leaves")
-        self._collapse(parent, on_remove)
+        self._collapse(parent)
         return parent
 
     # -- iteration -------------------------------------------------------------
@@ -412,22 +407,6 @@ class RangeTree:
         restructure the tree while iterating.
         """
         return iter(tuple(self._leaf_nodes))
-
-    def internal_nodes_postorder(self) -> Iterator[RangeNode]:
-        """Yield internal nodes children-first (for bottom-up joins)."""
-        stack: list[tuple[RangeNode, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            left, right = node.left, node.right
-            if left is None:
-                continue
-            if expanded:
-                yield node
-            else:
-                assert right is not None  # internal nodes have both children
-                stack.append((node, True))
-                stack.append((right, False))
-                stack.append((left, False))
 
     def leaf_count(self) -> int:
         """Number of *visible* leaves — O(1), the index length less delegations.
@@ -452,45 +431,15 @@ class RangeTree:
 
     # -- maintenance -------------------------------------------------------------
 
-    def prune(
-        self,
-        removable: Callable[[RangeNode], bool],
-        on_remove: Optional[Callable[[RangeNode], None]] = None,
-    ) -> int:
-        """Collapse sibling leaves that are both *removable* (full walk).
+    def prune_upward(self, candidates: Iterable[RangeNode]) -> int:
+        """Collapse empty unclassified sibling pairs reachable from *candidates*.
 
-        When both children of a node are removable leaves, the node
-        reverts to a single empty unclassified leaf.  Returns the number
-        of collapses performed (cascades bottom-up in one call).
-        *on_remove* is invoked for each detached child so callers can
-        clean up per-prefix side tables.
-        """
-        collapsed = 0
-        for parent in list(self.internal_nodes_postorder()):
-            left, right = parent.left, parent.right
-            if left is None or right is None:
-                continue
-            if not (left.is_leaf and right.is_leaf):
-                continue
-            if removable(left) and removable(right):
-                self._collapse(parent, on_remove)
-                collapsed += 1
-        return collapsed
-
-    def prune_upward(
-        self,
-        candidates: Iterable[RangeNode],
-        removable: Callable[[RangeNode], bool],
-        on_remove: Optional[Callable[[RangeNode], None]] = None,
-    ) -> int:
-        """Collapse removable sibling pairs reachable from *candidates*.
-
-        The incremental counterpart of :meth:`prune`: instead of walking
-        the whole trie, start from the leaves known to have just become
-        removable and cascade upward through their ancestors.  Produces
-        the same collapses as a full walk, because a pair can only become
-        collapsible when one of its members changes — and every change
-        puts that member in the candidate set.
+        Instead of walking the whole trie, start from the leaves known to
+        have just become empty and cascade upward through their
+        ancestors.  This finds every collapse a full postorder walk would,
+        because a pair can only become collapsible when one of its
+        members changes — and every change puts that member in the
+        candidate set.
         """
         collapsed = 0
         for leaf in candidates:
@@ -503,26 +452,25 @@ class RangeTree:
                     break
                 if not (left.is_leaf and right.is_leaf):
                     break
-                if not (removable(left) and removable(right)):
+                if not (_is_empty_unclassified(left) and _is_empty_unclassified(right)):
                     break
-                self._collapse(parent, on_remove)
+                self._collapse(parent)
                 collapsed += 1
                 parent = parent.parent
         return collapsed
 
-    def _collapse(
-        self,
-        parent: RangeNode,
-        on_remove: Optional[Callable[[RangeNode], None]] = None,
-    ) -> None:
+    def _collapse(self, parent: RangeNode) -> None:
         """Turn *parent* back into a single empty unclassified leaf."""
         left, right = parent.left, parent.right
         assert left is not None and right is not None
-        for child in (left, right):
-            self._detach(child)
-            if on_remove is not None:
-                on_remove(child)
+        self._detach(left)
+        self._detach(right)
         parent.left = None
         parent.right = None
         parent.state = UnclassifiedState()
         self._index_merge(parent)
+
+
+def _is_empty_unclassified(node: RangeNode) -> bool:
+    state = node._state
+    return isinstance(state, UnclassifiedState) and state.is_empty()

@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 #: bump when the wire format changes; decoders read this version only
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 _MAGIC = b"IPDS"
 _KIND_ENGINE = 0x45  # 'E'
@@ -148,7 +148,6 @@ class EngineImage:
     flows_ingested: int
     bytes_ingested: int
     last_sweep_at: Optional[float]
-    cidrmax_failures: dict = field(default_factory=dict)
     trees: dict = field(default_factory=dict)
 
 
@@ -240,7 +239,6 @@ def engine_to_image(engine: object) -> EngineImage:
         flows_ingested=engine.flows_ingested,
         bytes_ingested=engine.bytes_ingested,
         last_sweep_at=engine.last_sweep_at,
-        cidrmax_failures=dict(engine._cidrmax_failures),
         trees={
             version: tree_to_image(tree)
             for version, tree in engine.trees.items()
@@ -487,10 +485,6 @@ def encode_engine(image: EngineImage) -> bytes:
     else:
         writer.byte(1)
         writer.float(image.last_sweep_at)
-    writer.uvarint(len(image.cidrmax_failures))
-    for prefix, failures in image.cidrmax_failures.items():
-        writer.prefix(prefix)
-        writer.uvarint(failures)
     writer.uvarint(len(image.trees))
     for version in sorted(image.trees):
         tree = image.trees[version]
@@ -539,10 +533,6 @@ def decode_engine_span(
         flows_ingested = reader.uvarint()
         bytes_ingested = reader.uvarint()
         last_sweep_at = reader.float() if reader.byte() else None
-        cidrmax_failures = {}
-        for __ in range(reader.uvarint()):
-            prefix = reader.prefix()
-            cidrmax_failures[prefix] = reader.uvarint()
         trees = {}
         for __ in range(reader.uvarint()):
             version = reader.byte()
@@ -561,7 +551,6 @@ def decode_engine_span(
             flows_ingested=flows_ingested,
             bytes_ingested=bytes_ingested,
             last_sweep_at=last_sweep_at,
-            cidrmax_failures=cidrmax_failures,
             trees=trees,
         )
         return image, reader.offset

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator
 
-from .records import DEFAULT_BATCH_SIZE, FlowBatch, FlowRecord, iter_flow_batches
+from .records import FlowRecord
 
 __all__ = ["merge_streams", "FlowCollector"]
 
@@ -62,18 +62,6 @@ class FlowCollector:
     def drain(self) -> Iterator[FlowRecord]:
         """Yield everything buffered, in timestamp order."""
         return self.drain_until(float("inf"))
-
-    def drain_batches(
-        self, batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> Iterator[FlowBatch]:
-        """Drain everything as columnar batches, in timestamp order.
-
-        The shape :class:`~repro.runtime.pipeline.Pipeline` ingests
-        fastest: batches are cut at *batch_size* rows and at address-
-        family changes, so concatenating them reproduces :meth:`drain`
-        exactly.
-        """
-        return iter_flow_batches(self.drain(), batch_size)
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -36,8 +36,8 @@ sides mark the vacated leaf with a
 :class:`~repro.core.state.DelegatedState` so exactly one engine owns any
 address at any time.
 
-The §5.8 load-balance detector needs full-trie walks and is not
-supported in sharded mode — attach it to a plain :class:`IPD`.
+The §5.8 load-balance detector walks a plain :class:`IPD`'s trees after
+each sweep; it does not observe a sharded engine.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from ..core.admission import (
     encode_admission,
     merge_admission_images,
 )
-from ..core.algorithm import IPD, SweepReport, _is_empty_unclassified
+from ..core.algorithm import IPD, SweepReport
 from ..core.iputil import IPV4, IPV6, Prefix
 from ..core.output import IPDRecord
 from ..core.params import DEFAULT_PARAMS, IPDParams
@@ -330,11 +330,7 @@ class ShardedIPD:
             for leaf in new_classified:
                 if not leaf.dead:
                     joins += self.aggregator._join_cascade(tree, leaf)
-            prunes += tree.prune_upward(
-                new_empty,
-                _is_empty_unclassified,
-                on_remove=self.aggregator._forget_prefix,
-            )
+            prunes += tree.prune_upward(new_empty)
         return joins, prunes
 
     def _handoff(self, ops: list[tuple]) -> None:
@@ -492,7 +488,6 @@ class ShardedIPD:
             flows_ingested=self.flows_ingested,
             bytes_ingested=self.bytes_ingested,
             last_sweep_at=self.last_sweep_at,
-            cidrmax_failures=dict(self.aggregator._cidrmax_failures),
             trees=trees,
         )
 
@@ -562,7 +557,6 @@ class ShardedIPD:
         engine.flows_ingested = image.flows_ingested
         engine.bytes_ingested = image.bytes_ingested
         engine.last_sweep_at = image.last_sweep_at
-        engine.aggregator._cidrmax_failures = dict(image.cidrmax_failures)
         return engine
 
     @classmethod

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 from ..core.algorithm import SweepReport
 from ..core.iputil import IPV4, IPV6, Prefix, mask_ip
-from ..core.lbdetect import LBDetectorLike
 from ..core.output import IPDRecord
 from ..core.params import DEFAULT_PARAMS, IPDParams
 from ..netflow.records import FlowBatch, FlowRecord
@@ -115,16 +114,10 @@ class ReferenceIPD:
 
     Mirrors the public surface the differential suite needs from
     :class:`~repro.core.algorithm.IPD`: ``ingest`` / ``ingest_many``,
-    ``sweep``, ``snapshot``, ``state_size``, ``leaf_count``, and the
-    §5.8 ``lb_detector`` hand-off including ``_cidrmax_failures``.
+    ``sweep``, ``snapshot``, ``state_size`` and ``leaf_count``.
     """
 
-    def __init__(
-        self,
-        params: IPDParams | None = None,
-        lb_detector: LBDetectorLike | None = None,
-        lb_patience: int = 3,
-    ) -> None:
+    def __init__(self, params: IPDParams | None = None) -> None:
         self.params = params or DEFAULT_PARAMS
         self.roots: dict[int, _Node] = {
             version: _Node(Prefix.root(version)) for version in (IPV4, IPV6)
@@ -132,9 +125,6 @@ class ReferenceIPD:
         self.flows_ingested = 0
         self.bytes_ingested = 0
         self.last_sweep_at: float | None = None
-        self.lb_detector = lb_detector
-        self.lb_patience = lb_patience
-        self._cidrmax_failures: dict[Prefix, int] = {}
 
     # ------------------------------------------------------------------ stage 1
 
@@ -159,8 +149,6 @@ class ReferenceIPD:
                 cls.last_seen = flow.timestamp
         self.flows_ingested += 1
         self.bytes_ingested += flow.bytes
-        if self.lb_detector is not None:
-            self.lb_detector.observe(flow)
 
     def ingest_many(self, flows: "Iterable[FlowRecord] | FlowBatch") -> int:
         """Ingest an iterable (or :class:`FlowBatch`) one flow at a time."""
@@ -265,17 +253,10 @@ class ReferenceIPD:
             leaf.per_ip = {}
             leaf.last_seen = {}
             report.classifications += 1
-            self._cidrmax_failures.pop(leaf.prefix, None)
         elif masklen < cidr_max:
             self._split(leaf)  # line 13
             report.splits += 1
-        elif self.lb_detector is not None:
-            # line 15: cidr_max reached without dominance; §5.8 hands
-            # persistently failing ranges to the load-balance detector.
-            failures = self._cidrmax_failures.get(leaf.prefix, 0) + 1
-            self._cidrmax_failures[leaf.prefix] = failures
-            if failures >= self.lb_patience:
-                self.lb_detector.watch(leaf.prefix)
+        # else line 15: cidr_max reached without dominance, no split
 
     def _handle_classified(
         self, leaf: _Node, now: float, report: SweepReport
@@ -303,7 +284,6 @@ class ReferenceIPD:
     def _drop(self, leaf: _Node, report: SweepReport) -> None:
         leaf.cls = None
         report.drops += 1
-        self._cidrmax_failures.pop(leaf.prefix, None)
 
     def _split(self, leaf: _Node) -> None:
         """Split a leaf, redistributing sources in insertion order."""
@@ -349,8 +329,6 @@ class ReferenceIPD:
                 )
                 if combined < params.n_cidr(parent.prefix.masklen, version):
                     break
-                self._cidrmax_failures.pop(left.prefix, None)
-                self._cidrmax_failures.pop(right.prefix, None)
                 # merge: counters add (left's insertion order first, then
                 # right's new keys — exactly ClassifiedState.merged_with)
                 counters = dict(left.cls.counters)
@@ -392,9 +370,7 @@ class ReferenceIPD:
             if not (left.is_leaf and right.is_leaf):
                 continue
             if _is_empty_unclassified(left) and _is_empty_unclassified(right):
-                for child in (left, right):
-                    child.dead = True
-                    self._cidrmax_failures.pop(child.prefix, None)
+                left.dead = right.dead = True
                 node.left = node.right = None
                 node.cls = None
                 node.per_ip = {}
@@ -588,7 +564,7 @@ def assert_engines_equivalent(
     now: float,
     include_unclassified: bool = True,
 ) -> None:
-    """Full-state equivalence: snapshots, sizes, counters, §5.8 failures.
+    """Full-state equivalence: snapshots, sizes and ingest counters.
 
     *engine* is anything with the IPD surface (:class:`~repro.core
     .algorithm.IPD` or a merged :class:`~repro.runtime.sharding
@@ -604,11 +580,6 @@ def assert_engines_equivalent(
     assert engine.state_size() == oracle.state_size(), f"state size at t={now}"
     assert engine.flows_ingested == oracle.flows_ingested
     assert engine.bytes_ingested == oracle.bytes_ingested
-    engine_failures = getattr(engine, "_cidrmax_failures", None)
-    if engine_failures is not None:
-        assert engine_failures == oracle._cidrmax_failures, (
-            f"cidr_max failure counters diverge at t={now}"
-        )
 
 
 def replay_reference(

@@ -287,71 +287,6 @@ class TestSnapshot:
         assert values == sorted(values)
 
 
-class _RecordingDetector:
-    """Minimal stand-in for the §5.8 load-balance detector."""
-
-    def __init__(self):
-        self.watched = []
-        self.observed = 0
-
-    def watch(self, prefix):
-        self.watched.append(prefix)
-
-    def observe(self, flow):
-        self.observed += 1
-
-
-class TestCidrMaxFailureCleanup:
-    """`_cidrmax_failures` entries must not outlive their leaves."""
-
-    def stuck_ipd(self):
-        """Two ingresses fighting inside one cidr_max range: the leaf can
-        never classify, so every sweep counts a failure against it."""
-        detector = _RecordingDetector()
-        ipd = IPD(params(cidr_max_v4=1), lb_detector=detector, lb_patience=100)
-        now = 0.0
-        for __ in range(3):
-            feed(ipd, "10.0.0.0", A, 50, ts=now)
-            feed(ipd, "10.0.4.0", B, 50, ts=now)  # same /1, mixed ingress
-            now += 60.0
-            ipd.sweep(now)
-        assert ipd._cidrmax_failures  # accruing while stuck
-        return ipd, now
-
-    def test_prune_clears_failures(self):
-        ipd, now = self.stuck_ipd()
-        # traffic stops: sources expire, the empty leaves get pruned away
-        for __ in range(5):
-            now += 60.0
-            ipd.sweep(now)
-        assert ipd.state_size() == 0
-        assert ipd._cidrmax_failures == {}
-
-    def test_classification_clears_failures(self):
-        ipd, now = self.stuck_ipd()
-        # B wins the range outright: classification pops the entry
-        for __ in range(3):
-            feed(ipd, "10.0.0.0", B, 1000, ts=now)
-            feed(ipd, "10.0.4.0", B, 1000, ts=now)
-            now += 60.0
-            ipd.sweep(now)
-        assert ipd._cidrmax_failures == {}
-
-    def test_drop_clears_failures(self):
-        detector = _RecordingDetector()
-        ipd = IPD(params(), lb_detector=detector)
-        feed(ipd, "10.0.0.0", A, 100, ts=0.0)
-        ipd.sweep(60.0)
-        # poison the side table as if the prefix had failed before
-        prefix = ipd.trees[IPV4].root.prefix
-        ipd._cidrmax_failures[prefix] = 3
-        now = 120.0
-        for __ in range(40):  # idle decay until the range drops
-            ipd.sweep(now)
-            now += 60.0
-        assert prefix not in ipd._cidrmax_failures
-
-
 class TestSweepVisiting:
     def test_idle_unclassified_leaves_are_skipped(self):
         ipd = IPD(params(n_cidr_factor_v4=100.0))  # never classifies

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.algorithm import IPD
-from repro.core.iputil import IPV4, Prefix, parse_ip
+from repro.core.iputil import IPV4, IPV6, Prefix, parse_ip
 from repro.core.lbdetect import LoadBalanceDetector
 from repro.core.params import IPDParams
 from repro.netflow.records import FlowRecord
@@ -111,6 +111,33 @@ class TestDetectorCore:
             ))
         assert detector.state_size() <= 50
 
+    def test_full_pair_table_still_counts_the_pairs_it_holds(self):
+        """A full table refuses new pairs only: a tracked pair seen later
+        on a second router still counts toward the overlap."""
+        detector = LoadBalanceDetector(max_pairs_per_range=8, min_pairs=8)
+        prefix = Prefix.from_string("10.0.0.0/24")
+        detector.watch(prefix)
+        for router in (R1, R2):
+            for index in range(8):
+                assert detector.observe(pair_flow(
+                    ip("10.0.0.1"), ip("1.1.0.0") + index * 256, router
+                ))
+        assert detector.observe(pair_flow(ip("10.0.0.1"), ip("2.2.0.0"), R1))
+        verdict = detector.diagnose(prefix)
+        assert verdict.pair_overlap == 1.0
+        assert detector.state_size() == 16  # 8 pairs x 2 routers
+
+    def test_other_family_never_matches(self):
+        """``::a00:5`` has the integer value of 10.0.0.5 but is IPv6."""
+        detector = LoadBalanceDetector(min_pairs=1)
+        prefix = Prefix.from_string("10.0.0.0/24")
+        detector.watch(prefix)
+        flow = FlowRecord(timestamp=0.0, src_ip=ip("::a00:5"), version=IPV6,
+                          ingress=R1, dst_ip=ip("2001:db8::1"))
+        assert flow.src_ip == ip("10.0.0.5")
+        assert not detector.observe(flow)
+        assert detector.diagnose(prefix) is None
+
     def test_unwatch(self):
         detector = LoadBalanceDetector()
         prefix = Prefix.from_string("10.0.0.0/24")
@@ -119,15 +146,21 @@ class TestDetectorCore:
         assert detector.watched() == []
 
 
+def run(ipd: IPD, detector: LoadBalanceDetector, flows, now: float) -> None:
+    """Feed one bucket to the engine and the detector, then sweep."""
+    for flow in flows:
+        ipd.ingest(flow)
+        detector.observe(flow)
+    detector.on_sweep(ipd.sweep(now), ipd)
+
+
 class TestIPDIntegration:
     def test_persistent_failure_triggers_watch_and_diagnosis(self):
         """End to end: a balanced /28 becomes a suspect and is diagnosed."""
-        detector = LoadBalanceDetector(min_pairs=8)
+        detector = LoadBalanceDetector(min_pairs=8, patience=2)
         ipd = IPD(
             IPDParams(n_cidr_factor_v4=0.005, n_cidr_factor_v6=0.005,
                       cidr_max_v4=28),
-            lb_detector=detector,
-            lb_patience=2,
         )
         rng = random.Random(4)
         base = ip("10.0.0.0")
@@ -135,35 +168,54 @@ class TestIPDIntegration:
         # the split cascade advances one level per sweep: /0 -> /28
         # plus the patience window needs ~35 sweeps, use headroom
         for __ in range(48):
-            for index in range(60):
-                ipd.ingest(FlowRecord(
+            flows = [
+                FlowRecord(
                     timestamp=now + index,
                     src_ip=base + (index % 16),  # one /28
                     version=IPV4,
                     ingress=rng.choice((R1, R2)),
                     dst_ip=ip("99.0.0.0") + rng.randrange(30) * 256,
-                ))
+                )
+                for index in range(60)
+            ]
             now += 60.0
-            ipd.sweep(now)
+            run(ipd, detector, flows, now)
 
         assert detector.watched(), "the balanced range must become a suspect"
         verdicts = detector.diagnose_all()
         assert verdicts
         assert any(v.is_router_balanced for v in verdicts)
 
+    def test_pipeline_sweep_hook_watches(self):
+        """``on_sweep`` plugs into the pipeline's hook as it is."""
+        from repro.runtime.pipeline import Pipeline
+
+        detector = LoadBalanceDetector(patience=2)
+        rng = random.Random(4)
+        flows = [
+            FlowRecord(timestamp=minute * 60.0 + index,
+                       src_ip=ip("10.0.0.0") + (index % 16), version=IPV4,
+                       ingress=rng.choice((R1, R2)))
+            for minute in range(40) for index in range(60)
+        ]
+        params = IPDParams(n_cidr_factor_v4=0.005, n_cidr_factor_v6=0.005,
+                           cidr_max_v4=28)
+        with Pipeline(params, on_sweep=detector.on_sweep) as pipeline:
+            pipeline.run(flows)
+        assert detector.watched() == [Prefix.from_string("10.0.0.0/28")]
+
     def test_classifiable_traffic_never_watched(self):
         detector = LoadBalanceDetector()
-        ipd = IPD(
-            IPDParams(n_cidr_factor_v4=0.005, n_cidr_factor_v6=0.005),
-            lb_detector=detector,
-        )
+        ipd = IPD(IPDParams(n_cidr_factor_v4=0.005, n_cidr_factor_v6=0.005))
         now = 0.0
         for __ in range(10):
-            for index in range(60):
-                ipd.ingest(FlowRecord(
+            flows = [
+                FlowRecord(
                     timestamp=now + index, src_ip=ip("10.0.0.0") + index * 16,
                     version=IPV4, ingress=R1, dst_ip=ip("99.0.0.1"),
-                ))
+                )
+                for index in range(60)
+            ]
             now += 60.0
-            ipd.sweep(now)
+            run(ipd, detector, flows, now)
         assert detector.watched() == []

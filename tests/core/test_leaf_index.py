@@ -115,10 +115,17 @@ def apply_op(tree: RangeTree, op: str, pick: int) -> None:
             else UnclassifiedState()
         )
     elif op == "prune_upward":
-        # cascades as far as the "removable" half of the leaves allows
-        tree.prune_upward(
-            leaves[pick % 3::3], lambda node: node.prefix.masklen % 4 != pick % 4
-        )
+        # empty the unclassified leaves but one depth class in four, so
+        # cascades from every third leaf stop part-way
+        for node in leaves:
+            if isinstance(node.state, UnclassifiedState):
+                if node.prefix.masklen % 4 == pick % 4:
+                    node.state.add_batch(
+                        node.prefix.value, {A: 1.0}, newest=1.0, oldest=1.0
+                    )
+                else:
+                    node.state = UnclassifiedState()
+        tree.prune_upward(leaves[pick % 3::3])
     elif op in ("join", "collapse"):
         parents = joinable(tree)
         if not parents:

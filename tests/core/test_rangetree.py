@@ -135,13 +135,6 @@ class TestIteration:
         total = sum(leaf.prefix.num_addresses for leaf in tree.leaves())
         assert total == 1 << 32
 
-    def test_postorder_children_before_parents(self):
-        tree = RangeTree(IPV4)
-        left, __ = tree.split(tree.root)
-        tree.split(left)
-        order = [node.prefix.masklen for node in tree.internal_nodes_postorder()]
-        assert order == [1, 0]  # the /1 internal node first, root last
-
     def test_leaf_count(self):
         tree = RangeTree(IPV4)
         assert tree.leaf_count() == 1
@@ -179,7 +172,7 @@ class TestIncrementalCounters:
         left, right = tree.split(tree.root)
         tree.split(left)
         assert tree.leaf_count() == self.walked_leaf_count(tree) == 3
-        tree.prune(lambda node: True)
+        tree.prune_upward(tree.leaves())
         assert tree.leaf_count() == self.walked_leaf_count(tree) == 1
         tree.split(tree.root)
         tree.join(tree.root, UnclassifiedState())
@@ -247,46 +240,25 @@ class TestExpiryHeap:
 class TestPrune:
     def test_prune_collapses_empty_siblings(self):
         tree = RangeTree(IPV4)
-        tree.split(tree.root)
-        removed = tree.prune(
-            lambda node: isinstance(node.state, UnclassifiedState)
-            and node.state.is_empty()
-        )
+        left, __ = tree.split(tree.root)
+        removed = tree.prune_upward([left])
         assert removed == 1
         assert tree.root.is_leaf
 
     def test_prune_cascades(self):
         tree = RangeTree(IPV4)
         left, __ = tree.split(tree.root)
-        tree.split(left)
-        removed = tree.prune(lambda node: True)
-        assert removed == 2
-        assert tree.root.is_leaf
-
-    def test_prune_upward_matches_full_prune(self):
-        tree = RangeTree(IPV4)
-        left, __ = tree.split(tree.root)
         leftleft, __ = tree.split(left)
-        removed_prefixes = []
-        removed = tree.prune_upward(
-            [leftleft],
-            lambda node: True,
-            on_remove=lambda node: removed_prefixes.append(node.prefix),
-        )
+        removed = tree.prune_upward([leftleft])
         assert removed == 2  # cascades: /2 pair, then /1 pair
         assert tree.root.is_leaf
         assert tree.leaf_count() == 1
-        assert len(removed_prefixes) == 4
 
     def test_prune_upward_stops_at_nonremovable_sibling(self):
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
         add(right.state, ip("200.0.0.0"), A, 0.0)
-        removed = tree.prune_upward(
-            [left],
-            lambda node: isinstance(node.state, UnclassifiedState)
-            and node.state.is_empty(),
-        )
+        removed = tree.prune_upward([left])
         assert removed == 0
         assert not tree.root.is_leaf
 
@@ -294,10 +266,7 @@ class TestPrune:
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
         add(left.state, ip("1.0.0.0"), A, 0.0)
-        removed = tree.prune(
-            lambda node: isinstance(node.state, UnclassifiedState)
-            and node.state.is_empty()
-        )
+        removed = tree.prune_upward([left, right])
         assert removed == 0
         assert not tree.root.is_leaf
 

@@ -8,6 +8,9 @@ before Stage 2 learned to skip work it can prove useless (the router
 bound, one total per classified visit, expiry by subtraction, the
 one-loop split), so any change to a decision, a counter value or the
 order a dict is written in shows up here at the sweep that made it.
+They were re-written once since, at the ``IPDS`` v2 bump, after every
+blob was checked to equal its predecessor but for the version field and
+the dropped one-byte failure count.
 
 Regenerate (only when a change to the bytes is intended)::
 

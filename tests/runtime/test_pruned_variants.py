@@ -1,7 +1,7 @@
 """Deleted variants are gone, not hidden: executors, transport, per-flow
 forks, the one-shard coordinator, per-verb executor methods, the serving
-shard grid, the compiled-LPM blob and the stream handler of the lookup
-socket."""
+shard grid, the compiled-LPM blob, the stream handler of the lookup
+socket and the engine's §5.8 load-balance plumbing."""
 
 import pytest
 
@@ -314,7 +314,7 @@ def test_serving_shard_grid_and_lpm_blob_are_gone(tmp_path, capsys):
     with pytest.raises(TypeError, match="compiled"):
         SnapshotArchive(tmp_path / "arch").append(1.0, [], compiled={})
     assert sorted(json.loads(DEFAULT_PIN_PATH.read_text())) == [
-        "admission:2", "statecodec:1",
+        "admission:2", "statecodec:2",
     ]
     # IPD004 would report the missing pin file if lpm.py were in scope
     assert run_lint(
@@ -325,3 +325,46 @@ def test_serving_shard_grid_and_lpm_blob_are_gone(tmp_path, capsys):
         main(["serve", "--records", "records.csv", "--shards", "4"])
     assert exit_info.value.code == 2
     assert "--shards" in capsys.readouterr().err
+
+
+def test_load_balance_plumbing_is_gone():
+    """The engine is Algorithm 1: no detector parameters on the engine or
+    the oracle, no failure ledger, no prune callbacks, no v1 IPDS read."""
+    import inspect
+
+    import repro.core
+    from repro.core.algorithm import IPD
+    from repro.core.lbdetect import LoadBalanceDetector
+    from repro.core.rangetree import RangeTree
+    from repro.core.statecodec import (
+        IncompatibleStateError,
+        decode_engine,
+        encode_engine,
+    )
+    from repro.testkit.oracle import ReferenceIPD
+
+    for cls in (IPD, ReferenceIPD):
+        with pytest.raises(TypeError, match="lb_detector"):
+            cls(lb_detector=LoadBalanceDetector())
+    for factory in (IPD.__init__, IPD.from_image, IPD.from_bytes):
+        assert not {"lb_detector", "lb_patience"} & set(
+            inspect.signature(factory).parameters
+        )
+    assert not hasattr(IPD(), "_cidrmax_failures")
+    assert not hasattr(ReferenceIPD(), "_cidrmax_failures")
+    assert not hasattr(IPD, "_forget_prefix")
+    assert "LBDetectorLike" not in repro.core.__all__
+    assert list(inspect.signature(RangeTree.prune_upward).parameters) == [
+        "self", "candidates",
+    ]
+    for name in ("collapse", "_collapse"):
+        assert "on_remove" not in inspect.signature(getattr(RangeTree, name)).parameters
+    for name in ("prune", "internal_nodes_postorder"):
+        assert not hasattr(RangeTree, name)
+    blob = bytearray(IPD().to_bytes())
+    blob[5:7] = (1).to_bytes(2, "big")  # the version field
+    with pytest.raises(IncompatibleStateError, match="version 1.*version 2"):
+        decode_engine(bytes(blob))
+    with pytest.raises(IncompatibleStateError):
+        IPD.from_bytes(bytes(blob))
+    assert encode_engine(decode_engine(IPD().to_bytes())) == IPD().to_bytes()

@@ -70,7 +70,7 @@ class TestStateExternalizationSurface:
 
     @pytest.mark.parametrize("name", [
         "CODEC_VERSION", "EngineImage", "StateCodecError",
-        "IncompatibleStateError", "LBDetectorLike",
+        "IncompatibleStateError",
         "encode_engine", "decode_engine", "encode_subtree", "decode_subtree",
     ])
     def test_core_codec_exports(self, name):
