@@ -421,7 +421,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             lpm = _family_lpm(lpm_by_version, records, batch.version)
             total += len(batch)
             for predicted, ingress in zip(
-                map(lpm.lookup, batch.src_ips), batch.ingresses
+                map(lpm.lookup, batch.addresses()), batch.ingresses
             ):
                 if predicted is None:
                     unmapped += 1

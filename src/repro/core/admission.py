@@ -436,9 +436,9 @@ class AdmissionController:
         self,
         version: int,
         shift: int,
-        sources: "list[int]",
-        weights: "Optional[list[int]]" = None,
-    ) -> "Optional[list[int]]":
+        sources: "_np.ndarray",
+        weights: "Optional[_np.ndarray]" = None,
+    ) -> "Optional[_np.ndarray]":
         """The admission gate: one columnar pass over a raw batch.
 
         Runs *before* the per-flow grouping pass, so a dropped mouse
@@ -456,26 +456,28 @@ class AdmissionController:
         makes with one summed add per distinct source.  Elephants never
         touch the sketch.
 
-        IPv6 keys on the high word, masked to ``min(cidr_max, 64)``
-        bits: up to /64 that *is* the masked prefix (its low word is
-        zero), beyond it the sources of one /64 share a decision, which
-        can only over-admit.
+        *sources* and *weights* are a :class:`FlowBatch`'s columns, read
+        as they are (``np.asarray``: no copy): uint64 IPv4 addresses or
+        (hi, lo) IPv6 rows, and int64 counts.  IPv6 keys on the ``hi``
+        column, masked to ``min(cidr_max, 64)`` bits: up to /64 that *is*
+        the masked prefix (its low word is zero), beyond it the sources
+        of one /64 share a decision, which can only over-admit.  Kept
+        rows come back as an index array.
         """
+        sources = _np.asarray(sources, dtype=_np.uint64)
         total = len(sources)
         if self.saturated:
             self.admitted += total
             return None
         if version == IPV6:
-            sources = [source >> 64 for source in sources]
+            sources = sources[:, 0]
             shift = max(shift - 64, 0)
         shift_bits = _np.uint64(shift)
-        masked = (
-            _np.array(sources, dtype=_np.uint64) >> shift_bits
-        ) << shift_bits
+        masked = (sources >> shift_bits) << shift_bits
         folded = (
             None
             if weights is None
-            else _np.array(weights, dtype=_np.float64)
+            else _np.asarray(weights, dtype=_np.float64)
         )
 
         herd_mirror = self._herd_array(version)
@@ -536,8 +538,7 @@ class AdmissionController:
         self.dropped += total - kept
         if kept == total:
             return None
-        rows: "list[int]" = _np.nonzero(keep)[0].tolist()
-        return rows
+        return _np.flatnonzero(keep)
 
     # ------------------------------------------------------------------ aging
 

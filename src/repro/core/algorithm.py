@@ -4,10 +4,8 @@ Two stages, mirrored here as two methods:
 
 * :meth:`IPD.ingest_batch` — Stage 1.  Masks each flow's source address
   to ``cidr_max`` and adds (timestamp, masked source, ingress link) to
-  the covering range of the per-family binary trie.  Every flow takes
-  this path: an attached admission gate picks the rows to keep, one
-  pass masks them, flows are grouped by masked source, and each
-  distinct source resolves its leaf once.
+  the covering range of the per-family binary trie, in array operations
+  with one dict operation per distinct (masked source, ingress) cell.
   :meth:`IPD.ingest` and :meth:`IPD.ingest_many` are API-edge wrappers
   (a one-row batch, a chunked record stream).
 * :meth:`IPD.sweep` — Stage 2.  Every ``t`` seconds: expires stale
@@ -34,10 +32,14 @@ deterministically.  A thread-backed runner with the deployment layout is
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
+from operator import attrgetter, lshift, or_, setitem
 from typing import Iterable
+
+import numpy as np
 
 from ..devtools.markers import hot_path
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
@@ -48,7 +50,7 @@ from .iputil import IPV4, IPV6, Prefix
 from .output import IPDRecord
 from .params import DEFAULT_PARAMS, IPDParams
 from .rangetree import RangeNode, RangeTree
-from .state import ClassifiedState, DelegatedState, UnclassifiedState
+from .state import ClassifiedState, DelegatedState, UnclassifiedState, cell_keys
 from .statecodec import (
     EngineImage,
     StateCodecError,
@@ -229,80 +231,121 @@ class IPD:
     def ingest_batch(self, batch: FlowBatch) -> int:
         """Add a columnar batch of flows; returns how many were consumed.
 
-        The one way a flow reaches a trie.  Equivalent to the paper's
-        flow-by-flow Stage 1 (weights are integer-valued, so the
-        regrouped float sums are exact), but the per-flow costs are
-        amortized: a single pass masks every source and accumulates
-        per-(masked source, ingress) weights, then each *distinct*
-        masked source resolves its leaf once and folds its whole group
-        in one state update.
+        The one way a flow reaches a trie: an attached admission gate picks
+        the rows to keep and :meth:`_fold` adds them with no per-row Python
+        work, equivalent to the paper's flow-by-flow Stage 1 (weights are
+        integer-valued, so the regrouped float sums are exact).
         """
-        count = len(batch.timestamps)
+        count = len(batch)
         if count == 0:
             return 0
         params = self.params
         tree = self.trees[batch.version]
         shift = tree.root.prefix.bits - params.cidr_max(batch.version)
-        mask = -1 << shift
-        count_bytes = params.count_bytes
-
-        # pass 0: the admission gate picks rows on the raw columns, before
-        # any per-flow Python work (None = all of them; always so in
-        # exact mode); accounting below still covers the full batch
-        original = batch
+        self.flows_ingested += count
+        self.bytes_ingested += int(batch.byte_counts.sum())
+        # the gate picks rows on the raw columns (None = all of them;
+        # always so in exact mode); the counters above cover the full batch
         admission = self.admission
         if admission is not None:
+            weights = batch.byte_counts if params.count_bytes else None
             kept_rows = admission.prefilter_rows(
-                batch.version,
-                shift,
-                batch.src_ips,
-                batch.byte_counts if count_bytes else None,
+                batch.version, shift, batch.src_ips, weights
             )
             if kept_rows is not None:
                 batch = batch.select(kept_rows)
-
-        # pass 1: mask + group.  groups: masked -> [by_ingress, newest, oldest]
-        groups: dict[int, list] = {}
-        get_group = groups.get
-        weights = map(float, batch.byte_counts) if count_bytes else repeat(1.0)
-        for src, ingress, ts, weight in zip(
-            batch.src_ips, batch.ingresses, batch.timestamps, weights
-        ):
-            masked = src & mask
-            group = get_group(masked)
-            if group is None:
-                groups[masked] = [{ingress: weight}, ts, ts]
-            else:
-                by_ingress = group[0]
-                by_ingress[ingress] = by_ingress.get(ingress, 0.0) + weight
-                if ts > group[1]:
-                    group[1] = ts
-                elif ts < group[2]:
-                    group[2] = ts
-
-        # pass 2: one leaf resolution + one state fold per distinct source
-        self._apply_groups(tree, groups)
-
-        self.flows_ingested += count
-        self.bytes_ingested += sum(original.byte_counts)
+        if len(batch):
+            self._fold(tree, shift, batch)
         return count
 
     @hot_path
-    def _apply_groups(self, tree: RangeTree, groups: dict[int, list]) -> None:
-        """Fold per-source groups into their covering leaves (the one fold)."""
-        lookup = tree.lookup_leaf
-        dirty_add = tree.dirty.add
-        for masked, (by_ingress, newest, oldest) in groups.items():
-            leaf = lookup(masked)
+    def _fold(self, tree: RangeTree, shift: int, batch: FlowBatch) -> None:
+        """Group a batch by (masked source, ingress) and fold it into the trie.
+
+        One sort makes cells and sources runs: weights sum by ``reduceat``,
+        newest / oldest are max / min, a run's first row its smallest row
+        number.  Sources find their leaves in one ``searchsorted``, each
+        touched leaf updates its running figures once, and each distinct
+        source and cell costs one dict read and write — sources and their
+        cells in first-row order, as a flow-by-flow Stage 1 meets them.
+        """
+        order, columns = _sort_rows(batch, shift)
+        ids = batch.ingress_ids[order]
+        new_source = _changes(*(column[order] for column in columns))
+        new_cell = new_source | _changes(ids)
+        starts, cell_starts = new_source.nonzero()[0], new_cell.nonzero()[0]
+        cell_source = new_source.cumsum()[cell_starts] - 1
+        counts = batch.byte_counts[order] if self.params.count_bytes else None
+        weights = np.ones(len(order)) if counts is None else counts.astype(np.float64)
+        stamps = batch.timestamps[order]
+        newest = np.maximum.reduceat(stamps, starts)
+        oldest = np.minimum.reduceat(stamps, starts)
+        keys = [column[order[starts]] for column in columns]
+        if batch.version == IPV4:
+            masked = keys[0].tolist()
+            leaf_of = tree.locate(keys[0])
+        else:  # (lo, hi) or hi alone, as Python ints
+            masked = list(map(lshift, keys[-1].tolist(), repeat(64)))
+            if len(keys) == 2:
+                masked = list(map(or_, masked, keys[0].tolist()))
+            leaf_of = tree.locate(np.array(masked, dtype=object))
+        # each touched leaf (a run of sources) updates its figures once
+        new_leaf = _changes(leaf_of)
+        leaf_starts = new_leaf.nonzero()[0]
+        states = []
+        for index, weight, first, last in zip(
+            leaf_of[leaf_starts].tolist(),
+            np.add.reduceat(weights, starts[leaf_starts]).tolist(),
+            np.minimum.reduceat(oldest, leaf_starts).tolist(),
+            np.maximum.reduceat(newest, leaf_starts).tolist(),
+        ):
+            leaf = tree._leaf_nodes[index]
             state = leaf._state
+            states.append(state)
             if isinstance(state, UnclassifiedState):
-                state.add_batch(masked, by_ingress, newest, oldest)
-                dirty_add(leaf)
+                state.total += weight
+                state.oldest_seen = min(state.oldest_seen, first)
+                tree.dirty.add(leaf)
                 if state.heap_bound != state.oldest_seen:
                     tree.schedule_expiry(leaf)
             else:
                 assert isinstance(state, ClassifiedState)
-                state.add_batch(by_ingress, newest)
+                state.last_seen = max(state.last_seen, last)
+        owner_state = np.array(states, dtype=object)[new_leaf.cumsum() - 1]
+        is_open = np.fromiter(map(isinstance, owner_state, repeat(UnclassifiedState)), bool)
+        # unclassified sources' last_seen, in first-row order
+        appear = np.minimum.reduceat(order, starts)
+        fold = appear.argsort()
+        fold = fold[is_open[fold]]
+        maps = list(map(attrgetter("last_seen"), owner_state[fold].tolist()))
+        ips = list(map(masked.__getitem__, fold.tolist()))
+        held = np.fromiter(map(dict.get, maps, ips, repeat(-_INF)), np.float64)
+        _store(maps, ips, np.maximum(held, newest[fold]).tolist())
+        # cells by (their source's first row, their own first row)
+        cell_appear = np.minimum.reduceat(order, cell_starts)
+        fold = (appear[cell_source] * len(order) + cell_appear).argsort()
+        owner, cell_ids = cell_source[fold], ids[cell_starts[fold]]
+        cell_weights = np.add.reduceat(weights, cell_starts)[fold]
+        opened = is_open[owner]
+        # an unclassified range's cells are distinct keys: read them all,
+        # add, write them all back
+        sources = (
+            keys[0][owner[opened]]
+            if batch.version == IPV4
+            else list(map(masked.__getitem__, owner[opened].tolist()))
+        )
+        cells = cell_keys(sources, batch.ingress_table, cell_ids[opened])
+        maps = list(map(attrgetter("cells"), owner_state[owner[opened]].tolist()))
+        held = np.fromiter(map(dict.get, maps, cells, repeat(0.0)), np.float64)
+        _store(maps, cells, (held + cell_weights[opened]).tolist())
+        # a classified range adds cell by cell, in order (after a decay its
+        # counters are no longer integers, so the summation order shows)
+        for counters, ingress, weight in zip(
+            map(attrgetter("counters"), owner_state[owner[~opened]].tolist()),
+            map(batch.ingress_table.__getitem__, cell_ids[~opened].tolist()),
+            cell_weights[~opened].tolist(),
+        ):
+            counters[ingress] = counters.get(ingress, 0.0) + weight
 
     # ------------------------------------------------------------------ stage 2
 
@@ -364,7 +407,7 @@ class IPD:
             if isinstance(state, UnclassifiedState):
                 if state.oldest_seen < expiry_cutoff:
                     report.expired_sources += state.expire(expiry_cutoff)
-                if state.per_ip:
+                if state.last_seen:
                     self._handle_unclassified(
                         tree, leaf, state, now, cidr_max, report
                     )
@@ -415,9 +458,15 @@ class IPD:
             if share >= params.q:
                 # line 10: assign the prevalent ingress; per-IP detail is
                 # discarded ("all state is removed for efficiency reasons").
+                # the counters keep the order a per-source walk meets them
+                counters = {
+                    ingress: totals[ingress]
+                    for __, __, cells in state.sources()
+                    for ingress, __ in cells
+                }
                 leaf.state = ClassifiedState(
                     ingress=ingress,
-                    counters=totals,
+                    counters=counters,
                     last_seen=state.newest_timestamp,
                     classified_at=now,
                 )
@@ -524,55 +573,34 @@ class IPD:
             n_cidr_row = self._n_cidr[tree.version]
             for leaf in tree.leaves():
                 state = leaf.state
-                n_cidr = n_cidr_row[leaf.prefix.masklen]
                 if isinstance(state, ClassifiedState):
-                    candidates = tuple(
-                        sorted(
-                            state.counters.items(),
-                            key=lambda item: (-item[1], str(item[0])),
-                        )
-                    )
-                    total = state.total
-                    share = state.confidence_for(_members_of(state.ingress), total)
-                    records.append(
-                        IPDRecord(
-                            timestamp=now,
-                            range=leaf.prefix,
-                            ingress=state.ingress,
-                            s_ingress=share,
-                            s_ipcount=total,
-                            n_cidr=n_cidr,
-                            candidates=candidates,
-                            classified=True,
-                        )
-                    )
+                    counts, ingress, total = state.counters, state.ingress, state.total
+                    share = state.confidence_for(_members_of(ingress), total)
                 elif include_unclassified and not state.is_empty():
-                    totals = state.ingress_totals()
+                    counts, total = state.ingress_totals(), state.sample_count
                     found = dominant_ingress(
-                        totals,
+                        counts,
                         enable_bundles=params.enable_bundles,
                         min_share=params.bundle_min_share,
                     )
                     if found is None:
                         continue
                     ingress, share, __ = found
-                    records.append(
-                        IPDRecord(
-                            timestamp=now,
-                            range=leaf.prefix,
-                            ingress=ingress,
-                            s_ingress=share,
-                            s_ipcount=state.sample_count,
-                            n_cidr=n_cidr,
-                            candidates=tuple(
-                                sorted(
-                                    totals.items(),
-                                    key=lambda item: (-item[1], str(item[0])),
-                                )
-                            ),
-                            classified=False,
-                        )
+                else:
+                    continue
+                ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
+                records.append(
+                    IPDRecord(
+                        timestamp=now,
+                        range=leaf.prefix,
+                        ingress=ingress,
+                        s_ingress=share,
+                        s_ipcount=total,
+                        n_cidr=n_cidr_row[leaf.prefix.masklen],
+                        candidates=tuple(ranked),
+                        classified=isinstance(state, ClassifiedState),
                     )
+                )
         records.sort(key=lambda record: (record.version, record.range.value))
         return records
 
@@ -602,6 +630,40 @@ def _coerce_admission(
     if admission is None or isinstance(admission, AdmissionController):
         return admission
     return AdmissionController(admission)
+
+
+_INF = float("inf")
+
+
+def _sort_rows(batch: FlowBatch, shift: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rows ordered by (masked source, ingress id), and the masked source as
+    uint64 key columns: IPv4's one; IPv6's (lo, hi), or hi if lo is masked."""
+    ids = batch.ingress_ids
+    if batch.version == IPV4:
+        bits = np.uint64(shift)
+        prefix = batch.src_ips >> bits
+        width = np.uint64(len(batch.ingress_table))
+        return (prefix * width + ids.astype(np.uint64)).argsort(), [prefix << bits]
+    high, low = batch.src_ips[:, 0], batch.src_ips[:, 1]
+    if shift >= 64:
+        bits = np.uint64(shift - 64)
+        columns = [high >> bits << bits]
+    else:
+        bits = np.uint64(shift)
+        columns = [low >> bits << bits, high]
+    return np.lexsort((ids, *columns)), columns
+
+
+def _changes(*columns: np.ndarray) -> np.ndarray:
+    """True at row 0 and where any column differs from the row before."""
+    changed = np.ones(len(columns[0]), dtype=bool)
+    changed[1:] = np.logical_or.reduce([col[1:] != col[:-1] for col in columns])
+    return changed
+
+
+def _store(maps: list[dict], keys: list, values: list) -> None:
+    """``maps[i][keys[i]] = values[i]`` for each *i*, in C-level iteration."""
+    deque(map(setitem, maps, keys, values), maxlen=0)
 
 
 @lru_cache(maxsize=4096)

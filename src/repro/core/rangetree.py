@@ -37,8 +37,9 @@ import heapq
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from ..devtools.markers import hot_path
-from ..topology.elements import IngressPoint
 from .iputil import Prefix
 from .state import ClassifiedState, DelegatedState, UnclassifiedState
 
@@ -144,6 +145,11 @@ class RangeTree:
         """
         return self._leaf_nodes[bisect_right(self._leaf_starts, ip_value) - 1]
 
+    def locate(self, addresses: np.ndarray) -> np.ndarray:
+        """Leaf-index positions of *addresses* (uint64; object for IPv6)."""
+        starts = np.array(self._leaf_starts, dtype=addresses.dtype)
+        return np.searchsorted(starts, addresses, side="right") - 1
+
     def _index_halve(self, left: RangeNode, right: RangeNode) -> None:
         """Replace a leaf's index entry by its two new children."""
         i = bisect_left(self._leaf_starts, left.prefix.value)
@@ -237,7 +243,7 @@ class RangeTree:
                 or node.left is not None
                 or not isinstance(state, UnclassifiedState)
                 or state.heap_bound != bound
-                or not state.per_ip
+                or not state.last_seen
             ):
                 continue
             state.heap_bound = _INF
@@ -266,58 +272,10 @@ class RangeTree:
         if not isinstance(state, UnclassifiedState):
             raise ValueError(f"cannot split classified range {node.prefix}")
         left_prefix, right_prefix = node.prefix.children()
-        boundary = right_prefix.value
-        last_seen = state.last_seen
-        # one pass; each child's maps and running figures live in locals
-        left_ips: dict[int, dict[IngressPoint, float]] = {}
-        left_seen: dict[int, float] = {}
-        right_ips: dict[int, dict[IngressPoint, float]] = {}
-        right_seen: dict[int, float] = {}
-        left_total = right_total = 0.0
-        left_entries = right_entries = 0
-        left_oldest = right_oldest = _INF
-        for masked_ip, by_ingress in state.per_ip.items():
-            seen = last_seen[masked_ip]
-            if masked_ip >= boundary:
-                right_ips[masked_ip] = by_ingress
-                right_seen[masked_ip] = seen
-                right_total += sum(by_ingress.values())
-                right_entries += len(by_ingress)
-                if seen < right_oldest:
-                    right_oldest = seen
-            else:
-                left_ips[masked_ip] = by_ingress
-                left_seen[masked_ip] = seen
-                left_total += sum(by_ingress.values())
-                left_entries += len(by_ingress)
-                if seen < left_oldest:
-                    left_oldest = seen
-        # each child's state is stored once; creating the node marks it
-        # dirty and schedules its expiry
-        left = RangeNode(
-            left_prefix,
-            UnclassifiedState(
-                per_ip=left_ips,
-                last_seen=left_seen,
-                total=left_total,
-                entries=left_entries,
-                oldest_seen=left_oldest,
-            ),
-            tree=self,
-            parent=node,
-        )
-        right = RangeNode(
-            right_prefix,
-            UnclassifiedState(
-                per_ip=right_ips,
-                last_seen=right_seen,
-                total=right_total,
-                entries=right_entries,
-                oldest_seen=right_oldest,
-            ),
-            tree=self,
-            parent=node,
-        )
+        left_state, right_state = state.split_at(right_prefix.value)
+        # creating each node marks it dirty and schedules its expiry
+        left = RangeNode(left_prefix, left_state, tree=self, parent=node)
+        right = RangeNode(right_prefix, right_state, tree=self, parent=node)
         node.left = left
         node.right = right
         node.state = None

@@ -15,50 +15,81 @@ prescribes asymmetric state for the two:
 Counters are floats because the decay function scales them down
 multiplicatively while a classified range is idle.
 
-Both kinds of state expose constant-time bookkeeping used by the
-incremental sweep machinery:
-
-* ``entry_count()`` — the number of (source, ingress) counter cells,
-  maintained on every mutation so the engine's ``state_size()`` costs
-  O(leaves) instead of O(entries).
-* ``oldest_seen`` (unclassified only) — a lower bound on the oldest
-  ``last_seen`` timestamp in the range, used to schedule expiry visits:
-  a range cannot contain anything expirable before ``oldest_seen``
-  crosses the expiry cutoff.  ``expire`` re-tightens the bound exactly.
-* ``total`` (unclassified only) — kept by addition on ingest and by
-  subtraction on expiry, never re-summed.  Weights are integer-valued
-  floats below 2^53, so both are exact.  A classified range re-sums its
-  few counters instead (``total`` is a property): decay scales them by a
-  non-integer factor, where a running sum would drift.
+Bookkeeping for the incremental sweeps: ``entry_count()`` is the length
+of a state's cell map; ``oldest_seen`` (unclassified) bounds the oldest
+``last_seen`` from below, so a range is visited for expiry only once it
+crosses the cutoff; ``total`` (unclassified) is kept by addition and
+subtraction, exact for integer-valued weights below 2^53.  A classified
+range re-sums its few counters (``total`` is a property): decay scales
+them by a non-integer factor, where a running sum would drift.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import repeat
+from operator import lshift, or_
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..topology.elements import IngressPoint
 
-__all__ = ["UnclassifiedState", "ClassifiedState", "DelegatedState"]
+__all__ = ["UnclassifiedState", "ClassifiedState", "DelegatedState", "cell_key", "cell_keys"]
 
 _INF = float("inf")
+
+#: a cell key packs (masked source, ingress) as ``source << CELL_SHIFT |
+#: code``, the code from one process-wide intern table (codes never leave
+#: the process: the codec writes ingress points)
+CELL_SHIFT = 32
+_CODE_MASK = (1 << CELL_SHIFT) - 1
+_CODES: dict[IngressPoint, int] = {}
+_POINTS: list[IngressPoint] = []
+_INTERN = threading.Lock()
+
+
+def ingress_code(ingress: IngressPoint) -> int:
+    """The intern code a cell key packs for *ingress*."""
+    with _INTERN:
+        code = _CODES.setdefault(ingress, len(_POINTS))
+        if code == len(_POINTS):
+            _POINTS.append(ingress)
+    return code
+
+
+def cell_key(masked_ip: int, ingress: IngressPoint) -> int:
+    """The :attr:`UnclassifiedState.cells` key of one (source, ingress)."""
+    return masked_ip << CELL_SHIFT | ingress_code(ingress)
+
+
+def cell_keys(
+    sources: "np.ndarray | list[int]", table: Sequence[IngressPoint], ids: np.ndarray
+) -> list[int]:
+    """:func:`cell_key` down parallel columns: each row's source (uint64
+    below 2^32 packs in one array op; else Python ints) and ingress id."""
+    codes = np.array(list(map(ingress_code, table)), dtype=np.uint64)[ids]
+    if isinstance(sources, np.ndarray):
+        return (sources << np.uint64(CELL_SHIFT) | codes).tolist()
+    return list(map(or_, map(lshift, sources, repeat(CELL_SHIFT)), codes.tolist()))
 
 
 @dataclass
 class UnclassifiedState:
-    """Observation state for a range without a prevalent ingress yet."""
+    """Observation state for a range without a prevalent ingress yet:
+    one flat map of (source, ingress) cells and one of per-source newest
+    timestamps, both in first-seen order — no dict per source."""
 
-    #: masked source IP -> ingress -> sample weight
-    per_ip: dict[int, dict[IngressPoint, float]] = field(default_factory=dict)
+    #: :func:`cell_key` (masked source IP, ingress) -> sample weight
+    cells: dict[int, float] = field(default_factory=dict)
     #: masked source IP -> timestamp of its newest sample
     last_seen: dict[int, float] = field(default_factory=dict)
-    #: running total of all weights in :attr:`per_ip`, kept by addition
-    #: (:meth:`add_batch`) and subtraction (:meth:`expire`).  Exact, never
-    #: drifting: every weight is an integer-valued float (a flow or byte
-    #: count), so while sums stay below 2^53 each step is exact in any order
+    #: running total of all weights in :attr:`cells`, kept by addition
+    #: (ingest) and subtraction (:meth:`expire`).  Exact, never drifting:
+    #: every weight is an integer-valued float (a flow or byte count), so
+    #: while sums stay below 2^53 each step is exact in any order
     total: float = 0.0
-    #: number of (source, ingress) counter cells in :attr:`per_ip`
-    entries: int = 0
     #: lower bound on ``min(last_seen.values())`` (``inf`` when empty);
     #: used by the expiry scheduler, re-tightened exactly by ``expire``
     oldest_seen: float = _INF
@@ -69,85 +100,86 @@ class UnclassifiedState:
     def add_batch(
         self,
         masked_ip: int,
-        by_ingress: dict[IngressPoint, float],
+        by_ingress: Mapping[IngressPoint, float],
         newest: float,
         oldest: float,
     ) -> None:
-        """Fold a pre-aggregated group of samples for one masked source.
-
-        *by_ingress* carries the summed weight per ingress for the group
-        (ownership is taken when the source is new — callers must pass a
-        fresh dict); *newest*/*oldest* are the extreme timestamps of the
-        group.  Equivalent to recording the samples one by one whenever
-        the weights are exactly representable (flow counts and byte
-        counts are integers, so in practice always).
-        """
-        existing = self.per_ip.get(masked_ip)
-        if existing is None:
-            self.per_ip[masked_ip] = by_ingress
-            self.last_seen[masked_ip] = newest
-            self.entries += len(by_ingress)
-            self.total += sum(by_ingress.values())
-        else:
-            get = existing.get
-            entries = 0
-            total = 0.0
-            for ingress, weight in by_ingress.items():
-                previous_weight = get(ingress)
-                if previous_weight is None:
-                    existing[ingress] = weight
-                    entries += 1
-                else:
-                    existing[ingress] = previous_weight + weight
-                total += weight
-            self.entries += entries
-            self.total += total
-            if newest > self.last_seen[masked_ip]:
-                self.last_seen[masked_ip] = newest
-        if oldest < self.oldest_seen:
-            self.oldest_seen = oldest
+        """Fold one masked source's samples: the summed weight per ingress
+        and the group's newest / oldest timestamps (the one-source form of
+        the engine's batch fold; exact for integer-valued weights)."""
+        for ingress, weight in by_ingress.items():
+            key = cell_key(masked_ip, ingress)
+            self.cells[key] = self.cells.get(key, 0.0) + weight
+            self.total += weight
+        self.last_seen[masked_ip] = max(self.last_seen.get(masked_ip, -_INF), newest)
+        self.oldest_seen = min(self.oldest_seen, oldest)
 
     def expire(self, cutoff: float) -> int:
-        """Drop all sources last seen strictly before *cutoff*.
-
-        Returns the number of masked IPs removed.  ``total`` and
-        ``entries`` lose exactly the removed sources' weights and cells
-        (no re-sum of the survivors: integer weights subtract exactly);
-        ``oldest_seen`` is re-tightened to the true minimum.
-        """
+        """Drop all sources last seen strictly before *cutoff*; returns how
+        many.  ``total`` loses exactly the removed cells' weights (integer
+        weights subtract exactly) and ``oldest_seen`` is re-tightened."""
         last_seen = self.last_seen
         stale = [ip for ip, seen in last_seen.items() if seen < cutoff]
         if not stale:
             return 0
-        per_ip = self.per_ip
-        total = self.total
-        entries = self.entries
+        if len(stale) == len(last_seen):
+            self.cells.clear()
+            last_seen.clear()
+            self.total, self.oldest_seen = 0.0, _INF
+            return len(stale)
+        gone = set(stale)
+        for key in [key for key in self.cells if key >> CELL_SHIFT in gone]:
+            self.total -= self.cells.pop(key)
         for ip in stale:
-            removed = per_ip.pop(ip)
-            entries -= len(removed)
-            total -= sum(removed.values())
             del last_seen[ip]
-        if per_ip:
-            self.total = total
-            self.entries = entries
-            self.oldest_seen = min(last_seen.values())
-        else:
-            self.total = 0.0
-            self.entries = 0
-            self.oldest_seen = _INF
+        self.oldest_seen = min(last_seen.values())
         return len(stale)
 
+    def split_at(
+        self, boundary: int
+    ) -> "tuple[UnclassifiedState, UnclassifiedState]":
+        """The states of the sources below and from *boundary* on: one
+        pass over each map, order kept, each side summed once."""
+        bound = boundary << CELL_SHIFT
+        cells: tuple[dict[int, float], dict[int, float]] = ({}, {})
+        seen: tuple[dict[int, float], dict[int, float]] = ({}, {})
+        for key, weight in self.cells.items():
+            cells[key >= bound][key] = weight
+        for ip, stamp in self.last_seen.items():
+            seen[ip >= boundary][ip] = stamp
+        left, right = (
+            UnclassifiedState(side, stamps, sum(side.values()), min(stamps.values(), default=_INF))
+            for side, stamps in zip(cells, seen)
+        )
+        return left, right
+
     def ingress_totals(self) -> dict[IngressPoint, float]:
-        """Aggregate weights per ingress across all sources."""
-        totals: dict[IngressPoint, float] = {}
-        for by_ingress in self.per_ip.values():
-            for ingress, weight in by_ingress.items():
-                totals[ingress] = totals.get(ingress, 0.0) + weight
-        return totals
+        """Aggregate weights per ingress across all sources, one flat pass.
+
+        Keys come in cell order: every sum is exact (integer-valued
+        weights), and classification keeps :meth:`sources` order instead.
+        """
+        by_code: dict[int, float] = {}
+        get = by_code.get
+        for key, weight in self.cells.items():
+            code = key & _CODE_MASK
+            by_code[code] = get(code, 0.0) + weight
+        return {_POINTS[code]: weight for code, weight in by_code.items()}
+
+    def sources(self) -> list[tuple[int, float, list[tuple[IngressPoint, float]]]]:
+        """``(masked_ip, last_seen, [(ingress, weight), ...])`` per source,
+        sources and each one's cells in first-seen order: the nested layout
+        the ``IPDS`` node stream encodes and classification keeps."""
+        grouped: dict[int, list[tuple[IngressPoint, float]]] = {
+            ip: [] for ip in self.last_seen
+        }
+        for key, weight in self.cells.items():
+            grouped[key >> CELL_SHIFT].append((_POINTS[key & _CODE_MASK], weight))
+        return [(ip, self.last_seen[ip], cells) for ip, cells in grouped.items()]
 
     def entry_count(self) -> int:
         """Number of (source, ingress) counter cells — O(1)."""
-        return self.entries
+        return len(self.cells)
 
     @property
     def sample_count(self) -> float:
@@ -159,7 +191,7 @@ class UnclassifiedState:
         return max(self.last_seen.values(), default=float("-inf"))
 
     def is_empty(self) -> bool:
-        return not self.per_ip
+        return not self.last_seen
 
 
 @dataclass
@@ -173,21 +205,6 @@ class ClassifiedState:
     last_seen: float
     #: timestamp at which the range was first classified
     classified_at: float
-
-    def add_batch(
-        self, by_ingress: Mapping[IngressPoint, float], newest: float
-    ) -> None:
-        """Fold pre-aggregated per-ingress weight sums into the counters."""
-        counters = self.counters
-        get = counters.get
-        for ingress, weight in by_ingress.items():
-            previous_weight = get(ingress)
-            if previous_weight is None:
-                counters[ingress] = weight
-            else:
-                counters[ingress] = previous_weight + weight
-        if newest > self.last_seen:
-            self.last_seen = newest
 
     def decay(self, factor: float, floor: float = 1e-9) -> None:
         """Scale all counters down; counters below *floor* are removed."""

@@ -45,7 +45,7 @@ from .framing import damage_reported, read_header, write_header
 from .iputil import Prefix
 from .params import IPDParams, default_decay
 from .rangetree import RangeNode, RangeTree
-from .state import ClassifiedState, DelegatedState, UnclassifiedState
+from .state import ClassifiedState, DelegatedState, UnclassifiedState, cell_key
 
 __all__ = [
     "CODEC_VERSION",
@@ -175,14 +175,10 @@ def _state_image(state: object, dirty: bool) -> NodeImage:
 
 def unclassified_image(state: UnclassifiedState, dirty: bool) -> NodeImage:
     """Image one unclassified payload (used directly by shard handoff)."""
-    last_seen = state.last_seen
     return NodeImage(
         kind="unclassified",
         dirty=dirty,
-        sources=[
-            (ip, last_seen[ip], list(by_ingress.items()))
-            for ip, by_ingress in state.per_ip.items()
-        ],
+        sources=state.sources(),
         total=state.total,
         oldest_seen=state.oldest_seen,
     )
@@ -255,17 +251,14 @@ def _state_from_image(
     image: NodeImage,
 ) -> "UnclassifiedState | ClassifiedState | DelegatedState":
     if image.kind == "unclassified":
-        state = UnclassifiedState()
-        entries = 0
+        # the stored total, not a recomputed sum: it must restore bit-exactly
+        state = UnclassifiedState(
+            total=image.total, oldest_seen=image.oldest_seen
+        )
         for masked_ip, seen, by_ingress in image.sources:
-            state.per_ip[masked_ip] = dict(by_ingress)
             state.last_seen[masked_ip] = seen
-            entries += len(by_ingress)
-        state.entries = entries
-        # the stored float, not a recomputed sum: incremental totals are
-        # insertion-order dependent and must restore bit-exactly
-        state.total = image.total
-        state.oldest_seen = image.oldest_seen
+            for ingress, weight in by_ingress:
+                state.cells[cell_key(masked_ip, ingress)] = weight
         return state
     if image.kind == "classified":
         return ClassifiedState(

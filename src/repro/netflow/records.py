@@ -17,7 +17,10 @@ import csv
 import functools
 import itertools
 import operator
+from itertools import repeat
 from typing import IO, Any, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from ..core.iputil import IPV4, format_ip, parse_ip
 from ..topology.elements import IngressPoint
@@ -57,161 +60,120 @@ class FlowRecord(NamedTuple):
 class FlowBatch:
     """A columnar (structure-of-arrays) run of same-family flows.
 
-    Parallel lists instead of a list of :class:`FlowRecord` tuples: the
-    engine's batched ingest iterates columns directly, masking and
-    grouping the whole run in one pass without touching per-record
-    objects.  All rows share one address ``version`` — producers with
-    mixed streams emit one batch per maximal same-family run (see
-    :func:`iter_flow_batches`), which keeps time order intact across
-    batches.
-
-    Sources are stored raw (unmasked): the ``cidr_max`` mask depends on
-    the consuming engine's parameters, so masking happens once inside
-    ``ingest_batch``.
+    Every column is an ndarray, converted once when the batch is built
+    from the lists callers pass: ``timestamps`` float64; ``src_ips``
+    uint64 for IPv4, or one (hi, lo) uint64 row per IPv6 flow, raw (the
+    engine masks); ``ingress_ids`` int32 indices into ``ingress_table``,
+    the interned :class:`IngressPoint` tuple its slices and selections
+    share; ``packet_counts`` / ``byte_counts`` int64; ``dst_ips`` ints or
+    None in an object array.  :meth:`iter_flows` hands back plain Python
+    scalars.  One address ``version`` per batch: mixed streams become
+    one batch per same-family run (:func:`iter_flow_batches`).
     """
 
-    __slots__ = (
-        "version",
-        "timestamps",
-        "src_ips",
-        "ingresses",
-        "packet_counts",
-        "byte_counts",
-        "dst_ips",
-    )
+    __slots__ = ("version", "timestamps", "src_ips", "ingress_ids", "ingress_table",
+                 "packet_counts", "byte_counts", "dst_ips")
 
     def __init__(
         self,
         version: int,
-        timestamps: Optional[list[float]] = None,
-        src_ips: Optional[list[int]] = None,
-        ingresses: Optional[list[IngressPoint]] = None,
-        packet_counts: Optional[list[int]] = None,
-        byte_counts: Optional[list[int]] = None,
-        dst_ips: Optional[list[Optional[int]]] = None,
+        timestamps: Sequence[float] = (),
+        src_ips: Sequence[int] = (),
+        ingresses: Sequence[Any] = (),
+        packet_counts: Sequence[int] = (),
+        byte_counts: Sequence[int] = (),
+        dst_ips: Sequence[Optional[int]] = (),
+        ingress_table: Optional[tuple[IngressPoint, ...]] = None,
     ) -> None:
+        """*ingresses* are :class:`IngressPoint` values, interned here, or
+        ids into *ingress_table* when one is given."""
+        if ingress_table is None:
+            index = {point: i for i, point in enumerate(dict.fromkeys(ingresses))}
+            ingresses = list(map(index.__getitem__, ingresses))
+            ingress_table = tuple(index)
         self.version = version
-        self.timestamps = timestamps if timestamps is not None else []
-        self.src_ips = src_ips if src_ips is not None else []
-        self.ingresses = ingresses if ingresses is not None else []
-        self.packet_counts = packet_counts if packet_counts is not None else []
-        self.byte_counts = byte_counts if byte_counts is not None else []
-        self.dst_ips = dst_ips if dst_ips is not None else []
-        lengths = {
-            len(self.timestamps),
-            len(self.src_ips),
-            len(self.ingresses),
-            len(self.packet_counts),
-            len(self.byte_counts),
-            len(self.dst_ips),
-        }
-        if len(lengths) != 1:
+        self.timestamps = np.asarray(timestamps, dtype=np.float64)
+        self.src_ips = _source_column(src_ips, version)
+        self.ingress_ids = np.asarray(ingresses, dtype=np.int32)
+        self.ingress_table = ingress_table
+        self.packet_counts = np.asarray(packet_counts, dtype=np.int64)
+        self.byte_counts = np.asarray(byte_counts, dtype=np.int64)
+        self.dst_ips = np.empty(len(dst_ips), dtype=object)
+        self.dst_ips[:] = dst_ips
+        if len(set(map(len, self._columns()))) != 1:
             raise ValueError("FlowBatch columns have mismatched lengths")
 
-    @classmethod
-    def empty(cls, version: int) -> "FlowBatch":
-        return cls(version)
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (self.timestamps, self.src_ips, self.ingress_ids,
+                self.packet_counts, self.byte_counts, self.dst_ips)
 
     @classmethod
     def from_flows(cls, flows: Iterable[FlowRecord]) -> "FlowBatch":
         """Build one batch from same-family flows (raises on a mix)."""
-        batch: Optional[FlowBatch] = None
-        for flow in flows:
-            if batch is None:
-                batch = cls(flow.version)
-            elif flow.version != batch.version:
-                raise ValueError(
-                    "mixed address families in one FlowBatch; "
-                    "use iter_flow_batches to split runs"
-                )
-            batch.append(flow)
-        return batch if batch is not None else cls(IPV4)
-
-    def append(self, flow: FlowRecord) -> None:
-        if flow.version != self.version:
+        rows = list(flows)
+        if not rows:
+            return cls(IPV4)
+        timestamps, sources, versions, *columns = zip(*rows)
+        if len(set(versions)) != 1:
             raise ValueError(
-                f"flow family {flow.version} != batch family {self.version}"
+                "mixed address families in one FlowBatch; "
+                "use iter_flow_batches to split runs"
             )
-        self.timestamps.append(flow.timestamp)
-        self.src_ips.append(flow.src_ip)
-        self.ingresses.append(flow.ingress)
-        self.packet_counts.append(flow.packets)
-        self.byte_counts.append(flow.bytes)
-        self.dst_ips.append(flow.dst_ip)
+        return cls(versions[0], timestamps, sources, *columns)
+
+    def _take(self, rows: np.ndarray) -> "FlowBatch":
+        taken = (column[rows] for column in self._columns())
+        return FlowBatch(self.version, *taken, ingress_table=self.ingress_table)
 
     def slice(self, start: int, end: int) -> "FlowBatch":
         """A copy of rows ``[start, end)`` (for sweep-boundary cuts)."""
-        return FlowBatch(
-            self.version,
-            self.timestamps[start:end],
-            self.src_ips[start:end],
-            self.ingresses[start:end],
-            self.packet_counts[start:end],
-            self.byte_counts[start:end],
-            self.dst_ips[start:end],
-        )
+        return self._take(np.arange(len(self))[start:end])
 
-    def select(self, rows: Sequence[int]) -> "FlowBatch":
-        """A batch view of *rows*, in order, without copying row payloads.
-
-        The selected batch re-references the same timestamp/ingress/…
-        objects (only fresh column lists are allocated); selecting every
-        row returns ``self`` unchanged.  Shard routing and the admission
-        gate's row selection are both built on this.
-        """
-        count = len(rows)
-        if count == len(self.timestamps):
+    def select(self, rows: "Sequence[int] | np.ndarray") -> "FlowBatch":
+        """The batch of *rows*, in order, by fancy indexing (every row:
+        ``self``); shard routing and the admission gate select rows."""
+        if len(rows) == len(self):
             return self
-        if count == 0:
-            return FlowBatch(self.version)
-        if count == 1:
-            row = rows[0]
-            return FlowBatch(
-                self.version,
-                [self.timestamps[row]],
-                [self.src_ips[row]],
-                [self.ingresses[row]],
-                [self.packet_counts[row]],
-                [self.byte_counts[row]],
-                [self.dst_ips[row]],
-            )
-        get = operator.itemgetter(*rows)
-        return FlowBatch(
-            self.version,
-            list(get(self.timestamps)),
-            list(get(self.src_ips)),
-            list(get(self.ingresses)),
-            list(get(self.packet_counts)),
-            list(get(self.byte_counts)),
-            list(get(self.dst_ips)),
-        )
+        return self._take(np.asarray(rows, dtype=np.intp))
+
+    @property
+    def ingresses(self) -> list[IngressPoint]:
+        """The ingress column as the interned :class:`IngressPoint` values."""
+        return list(map(self.ingress_table.__getitem__, self.ingress_ids.tolist()))
+
+    def addresses(self) -> list[int]:
+        """The source column as Python ints (full 128-bit values for IPv6)."""
+        if self.version == IPV4:
+            return self.src_ips.tolist()
+        high, low = self.src_ips.T.tolist()
+        return list(map(operator.or_, map(operator.lshift, high, repeat(64)), low))
 
     def iter_flows(self) -> Iterator[FlowRecord]:
-        """Reconstruct the row-wise records (exact round-trip)."""
-        version = self.version
-        for timestamp, src, ingress, packets, byte_count, dst in zip(
-            self.timestamps,
-            self.src_ips,
+        """Reconstruct the row-wise records (exact round-trip, Python scalars)."""
+        return map(
+            FlowRecord,
+            self.timestamps.tolist(),
+            self.addresses(),
+            repeat(self.version),
             self.ingresses,
-            self.packet_counts,
-            self.byte_counts,
-            self.dst_ips,
-        ):
-            yield FlowRecord(
-                timestamp=timestamp,
-                src_ip=src,
-                version=version,
-                ingress=ingress,
-                packets=packets,
-                bytes=byte_count,
-                dst_ip=dst,
-            )
+            self.packet_counts.tolist(),
+            self.byte_counts.tolist(),
+            self.dst_ips.tolist(),
+        )
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FlowBatch v{self.version} n={len(self.timestamps)}>"
+
+
+def _source_column(values: Sequence[int], version: int) -> np.ndarray:
+    """Addresses as uint64 (IPv4) or as (hi, lo) uint64 rows (IPv6)."""
+    if isinstance(values, np.ndarray) or version == IPV4:
+        return np.asarray(values, dtype=np.uint64)
+    pairs = [divmod(value, 1 << 64) for value in values]
+    return np.array(pairs, dtype=np.uint64).reshape(len(pairs), 2)
 
 
 def iter_flow_batches(
@@ -226,24 +188,22 @@ def iter_flow_batches(
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    batch: Optional[FlowBatch] = None
+    pending: list[FlowRecord] = []
     for flow in flows:
         if isinstance(flow, FlowBatch):
-            if batch is not None:
-                yield batch
-                batch = None
+            if pending:
+                yield FlowBatch.from_flows(pending)
+                pending = []
             yield flow
             continue
-        if batch is not None and (
-            flow.version != batch.version or len(batch.timestamps) >= batch_size
+        if pending and (
+            flow.version != pending[0].version or len(pending) >= batch_size
         ):
-            yield batch
-            batch = None
-        if batch is None:
-            batch = FlowBatch(flow.version)
-        batch.append(flow)
-    if batch is not None and batch.timestamps:
-        yield batch
+            yield FlowBatch.from_flows(pending)
+            pending = []
+        pending.append(flow)
+    if pending:
+        yield FlowBatch.from_flows(pending)
 
 
 _CSV_FIELDS = (
@@ -337,18 +297,23 @@ def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatc
         if list(map(family, dsts)) != versions:
             raise ValueError("mixed address families in row")
         dst_ips = list(map(value, dsts))
-    columns: list[list[Any]] = [
-        list(map(float, fields[0::_WIDTH])),
-        list(map(value, sources)),
-        list(map(ingress, fields[2::_WIDTH], fields[3::_WIDTH])),
-        list(map(int, fields[4::_WIDTH])),
-        list(map(int, fields[5::_WIDTH])),
-        dst_ips,
-    ]
+    addresses = list(map(value, sources))
+    points = list(map(ingress, fields[2::_WIDTH], fields[3::_WIDTH]))
+    timestamps = np.array(list(map(float, fields[0::_WIDTH])))
+    packets = np.array(list(map(int, fields[4::_WIDTH])), dtype=np.int64)
+    byte_counts = np.array(list(map(int, fields[5::_WIDTH])), dtype=np.int64)
     start = 0
     for version, run in itertools.groupby(versions):
         end = start + len(list(run))
-        yield FlowBatch(version, *(column[start:end] for column in columns))
+        yield FlowBatch(
+            version,
+            timestamps[start:end],
+            addresses[start:end],
+            points[start:end],
+            packets[start:end],
+            byte_counts[start:end],
+            dst_ips[start:end],
+        )
         start = end
 
 
@@ -372,13 +337,14 @@ def read_flows_csv_batched(
     for fields, numbers in chunks:
         try:
             batches = list(_columns(fields, address, ingress))
-        except ValueError:
+        except (ValueError, OverflowError):
             # redo the chunk a row at a time to name the first bad line
+            # (a count past int64 overflows its column)
             for index, line in enumerate(numbers):
                 row = fields[index * _WIDTH:(index + 1) * _WIDTH]
                 try:
                     list(_columns(row, address, ingress))
-                except ValueError as error:
+                except (ValueError, OverflowError) as error:
                     raise _row_error(line, error, row) from None
             raise
         yield from batches

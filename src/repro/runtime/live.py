@@ -31,6 +31,8 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..core.algorithm import SweepReport
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
@@ -183,12 +185,13 @@ class LivePipeline:
             now = self._clock()
             batch = FlowBatch(
                 batch.version,
-                [now] * len(batch.timestamps),
+                np.full(len(batch), now),
                 batch.src_ips,
-                batch.ingresses,
+                batch.ingress_ids,
                 batch.packet_counts,
                 batch.byte_counts,
                 batch.dst_ips,
+                batch.ingress_table,
             )
         self._queue.put(batch)
 

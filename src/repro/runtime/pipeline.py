@@ -31,10 +31,11 @@ checkpoint and replaying forward, instead of failing the run.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from ..core.admission import AdmissionConfig
 from ..core.algorithm import SweepReport
@@ -339,7 +340,7 @@ class Pipeline:
 
         for item in iter_flow_batches(flows):
             timestamps = item.timestamps
-            if not timestamps:
+            if not len(timestamps):
                 continue
             if skip:
                 rows = len(timestamps)
@@ -349,16 +350,19 @@ class Pipeline:
                 item = item.slice(skip, rows)
                 timestamps = item.timestamps
                 skip = 0
-            first_time = timestamps[0]
-            if last_time is None:
-                last_time = first_time
-            for timestamp in timestamps:
-                if timestamp < last_time - 1e-9:
-                    raise ValueError(
-                        "flow stream is not time-ordered: "
-                        f"{timestamp} after {last_time}"
-                    )
-                last_time = timestamp
+            first_time = float(timestamps[0])
+            # each row against the one before it, the first against the
+            # previous batch's last
+            previous = np.concatenate(
+                ([first_time if last_time is None else last_time], timestamps[:-1])
+            )
+            late = np.flatnonzero(timestamps < previous - 1e-9)
+            if late.size:
+                raise ValueError(
+                    "flow stream is not time-ordered: "
+                    f"{timestamps[late[0]]} after {previous[late[0]]}"
+                )
+            last_time = float(timestamps[-1])
             if next_sweep is None:
                 # Align sweep/snapshot grids to the trace start.
                 next_sweep = (int(first_time // t) + 1) * t
@@ -370,8 +374,10 @@ class Pipeline:
             start = 0
             total = len(timestamps)
             while start < total:
-                yield from _boundary(timestamps[start])
-                end = bisect_left(timestamps, next_sweep, start)
+                yield from _boundary(float(timestamps[start]))
+                end = start + int(
+                    np.searchsorted(timestamps[start:], next_sweep, side="left")
+                )
                 if start == 0 and end == total:
                     engine.ingest_batch(item)
                 else:

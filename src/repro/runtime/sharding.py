@@ -45,6 +45,8 @@ from __future__ import annotations
 import time
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from ..core.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -176,53 +178,44 @@ class ShardedIPD:
 
     def ingest_batch(self, batch: FlowBatch) -> int:
         """Route a columnar batch: aggregator rows inline, shard rows fed out."""
-        count = len(batch.timestamps)
+        count = len(batch)
         if count == 0:
             return 0
         self.flows_ingested += count
-        self.bytes_ingested += sum(batch.byte_counts)
+        self.bytes_ingested += int(batch.byte_counts.sum())
         version = batch.version
         delegated = self._delegated[version]
         if not delegated:
             self.aggregator.ingest_batch(batch)
             return count
+        # each row's shard index: the top bits of its source (IPv6 reads
+        # the high word; the split depth is far above bit 64)
         shift = self._shifts[version]
-        src_ips = batch.src_ips
-        buckets: dict[int, list[int]] = {}
-        if len(delegated) == self.shards:
-            aggregator_rows: list[int] = []
-            for row, src in enumerate(src_ips):
-                index = src >> shift
-                rows = buckets.get(index)
-                if rows is None:
-                    buckets[index] = [row]
-                else:
-                    rows.append(row)
+        if version == IPV4:
+            index = batch.src_ips >> np.uint64(shift)
         else:
-            aggregator_rows = []
-            for row, src in enumerate(src_ips):
-                index = src >> shift
-                if index in delegated:
-                    rows = buckets.get(index)
-                    if rows is None:
-                        buckets[index] = [row]
-                    else:
-                        rows.append(row)
-                else:
-                    aggregator_rows.append(row)
-        if aggregator_rows:
-            self.aggregator.ingest_batch(batch.select(aggregator_rows))
+            index = batch.src_ips[:, 0] >> np.uint64(shift - 64)
+        routed = np.isin(index, np.fromiter(delegated, np.uint64, len(delegated)))
+        if not routed.all():
+            self.aggregator.ingest_batch(batch.select(np.flatnonzero(~routed)))
+        # one row array per shard, shards in order of their first row
+        rows = np.flatnonzero(routed)
+        by_shard = rows[np.argsort(index[rows], kind="stable")]
+        keys = index[by_shard]
+        groups = np.split(by_shard, np.flatnonzero(keys[1:] != keys[:-1]) + 1)
+        groups.sort(key=lambda group: group[0] if len(group) else -1)
         send = self._executor.send
         hook = self.fault_hook
-        for index, rows in buckets.items():
-            cmd = ("feed", index, batch.select(rows))
+        for shard_rows in filter(len, groups):
+            shard = int(index[shard_rows[0]])
+            cmd = ("feed", shard, batch.select(shard_rows))
             if hook is not None:
-                action = hook.on_feed(index, cmd[2])
+                action = hook.on_feed(shard, cmd[2])
                 if action == "drop":
                     continue
                 if action == "duplicate":
-                    send(index, cmd)
-            send(index, cmd)
+                    send(shard, cmd)
+            send(shard, cmd)
         return count
 
     def ingest_many(self, flows: "Iterable[FlowRecord] | FlowBatch") -> int:

@@ -25,6 +25,17 @@ from repro.core.admission import (
 from repro.core.framing import Writer
 from repro.core.iputil import IPV4, IPV6
 from repro.core.statecodec import IncompatibleStateError, StateCodecError
+from repro.netflow.records import FlowBatch
+from repro.topology.elements import IngressPoint
+
+
+def column(version, sources):
+    """*sources* as a batch's source column (IPv6: (hi, lo) rows)."""
+    rows = len(sources)
+    return FlowBatch(
+        version, [0.0] * rows, sources, [IngressPoint("R", "e")] * rows,
+        [1] * rows, [1] * rows, [None] * rows,
+    ).src_ips
 
 
 class TestConfigValidation:
@@ -248,7 +259,7 @@ class TestFilterGroups:
     def test_lossy_drops_mice_but_keeps_counts(self):
         controller = AdmissionController(self.config(mode="lossy"))
         for _ in range(3):
-            assert controller.prefilter_rows(IPV4, 4, [1600]) == []
+            assert controller.prefilter_rows(IPV4, 4, [1600]).tolist() == []
         # dropped rows are gone, their sketch counts are not: the fourth
         # observation crosses promote_weight=4.0 and is kept
         assert controller.prefilter_rows(IPV4, 4, [1600]) is None
@@ -305,7 +316,7 @@ class TestPrefilterRows:
         exact = AdmissionController(self.config(mode="exact"))
         lossy = AdmissionController(self.config())
         assert exact.prefilter_rows(IPV4, 4, sources) is None
-        assert lossy.prefilter_rows(IPV4, 4, sources) == [0, 1, 2, 3, 4]
+        assert lossy.prefilter_rows(IPV4, 4, sources).tolist() == [0, 1, 2, 3, 4]
         assert exact.sketch(IPV4).estimate(3200) == 1.0
         assert list(exact.sketch(IPV4).cells) == list(lossy.sketch(IPV4).cells)
         assert exact.elephants(IPV4) == lossy.elephants(IPV4) == {1600}
@@ -330,7 +341,7 @@ class TestPrefilterRows:
         for version, shift, sources in ((IPV4, 4, v4), (IPV6, 80, v6)):
             config = self.config(promote_weight=3.0)  # 952 of 1024 reach it
             controller = AdmissionController(config)
-            kept = controller.prefilter_rows(version, shift, sources)
+            kept = controller.prefilter_rows(version, shift, column(version, sources))
             assert kept is not None
             sketch, promoted = reference_gate(config, shift, sources)
             assert 0 < len(promoted) < len({s >> shift for s in sources})
@@ -343,7 +354,7 @@ class TestPrefilterRows:
                 masked >> key_shift for masked in promoted
             }
             # exactly the rows of promoted sources are kept
-            assert kept == [
+            assert kept.tolist() == [
                 row
                 for row, src in enumerate(sources)
                 if (src >> shift) << shift in promoted
@@ -368,12 +379,12 @@ class TestPrefilterRows:
         lone = [(0x2001_0DB8_0000_0002 << 64) | 5]       # another /64: weight 1
         sources = heavy + split + lone
         controller = AdmissionController(self.config())
-        kept = controller.prefilter_rows(IPV6, shift, sources)
+        kept = controller.prefilter_rows(IPV6, shift, column(IPV6, sources))
         assert kept is not None
         # every source a per-/72 gate admits (true weight >= 4) is admitted
         assert set(range(len(heavy))) <= set(kept)
         # ...and the two weight-2 mice ride along: their /64 carries 10
-        assert kept == list(range(len(heavy) + len(split)))
+        assert kept.tolist() == list(range(len(heavy) + len(split)))
         assert controller.elephants(IPV6) == {net >> 64}
 
     def test_elephants_skip_the_sketch(self):
@@ -388,7 +399,7 @@ class TestPrefilterRows:
         controller = AdmissionController(self.config())
         kept = controller.prefilter_rows(IPV4, 4, [1600] * 5 + [3200])
         # 1600 accumulates weight 5 >= 4 and promotes; 3200 stays a mouse
-        assert kept == [0, 1, 2, 3, 4]
+        assert kept.tolist() == [0, 1, 2, 3, 4]
         assert 1600 in controller.elephants(IPV4)
         assert 3200 not in controller.elephants(IPV4)
 
@@ -397,7 +408,7 @@ class TestPrefilterRows:
         kept = controller.prefilter_rows(
             IPV4, 4, [1600, 3200], weights=[1500, 10]
         )
-        assert kept == [0]
+        assert kept.tolist() == [0]
         assert 1600 in controller.elephants(IPV4)
 
 
@@ -456,7 +467,7 @@ class TestCodec:
         )
         controller.prefilter_rows(IPV4, 4, [1600] * 10)  # elephant
         controller.prefilter_rows(IPV4, 4, [3200])  # mouse: sketch only
-        controller.prefilter_rows(IPV6, 80, [7 << 80] * 5 + [9 << 80])
+        controller.prefilter_rows(IPV6, 80, column(IPV6, [7 << 80] * 5 + [9 << 80]))
         controller.age_to(100.0)
         return controller
 

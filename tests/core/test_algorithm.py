@@ -47,8 +47,25 @@ class TestIngest:
         ipd.ingest(flow("10.0.0.14", A))  # same /28
         state = ipd.trees[IPV4].root.state
         assert isinstance(state, UnclassifiedState)
-        assert list(state.per_ip) == [ip("10.0.0.0")]
+        assert list(state.last_seen) == [ip("10.0.0.0")]
         assert state.sample_count == 2.0
+
+    def test_classified_range_adds_counters_and_keeps_its_newest(self):
+        """The batch fold adds to a classified range's counters in row
+        order and never rewinds its last_seen."""
+        ipd = IPD(params())
+        root = ipd.trees[IPV4].root
+        root.state = ClassifiedState(
+            ingress=A, counters={A: 90.0, B: 10.0}, last_seen=5.0, classified_at=0.0
+        )
+        ipd.ingest_many([flow("10.0.0.1", A, ts=2.0), flow("10.0.0.2", C, ts=1.0),
+                         flow("10.0.0.1", A, ts=3.0)])
+        assert root.state.counters == {A: 92.0, B: 10.0, C: 1.0}
+        assert list(root.state.counters) == [A, B, C]
+        assert root.state.last_seen == 5.0
+        ipd.ingest(flow("10.0.0.3", B, ts=9.0))
+        assert root.state.counters[B] == 11.0
+        assert root.state.last_seen == 9.0
 
     def test_families_are_separated(self):
         ipd = IPD(params())

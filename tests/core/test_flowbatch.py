@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.core.iputil import IPV4, IPV6, parse_ip
@@ -9,6 +10,7 @@ from repro.netflow.records import (
     FlowBatch,
     FlowRecord,
     iter_flow_batches,
+    read_flows_csv,
     read_flows_csv_batched,
     write_flows_csv,
 )
@@ -38,9 +40,6 @@ class TestFlowBatch:
         flows = [v4_flow(1.0, "10.0.0.1"), v4_flow(2.0, "2001:db8::1")]
         with pytest.raises(ValueError):
             FlowBatch.from_flows(flows)
-        batch = FlowBatch.empty(IPV4)
-        with pytest.raises(ValueError):
-            batch.append(v4_flow(0.0, "::1"))
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -57,6 +56,59 @@ class TestFlowBatch:
     def test_empty_from_flows(self):
         batch = FlowBatch.from_flows([])
         assert len(batch) == 0
+
+    def test_columns_are_typed_arrays(self):
+        batch = FlowBatch.from_flows([
+            v4_flow(1.0, "10.0.0.1", A), v4_flow(2.0, "10.0.0.2", B),
+            v4_flow(3.0, "10.0.0.3", A),
+        ])
+        assert batch.timestamps.dtype == np.float64
+        assert batch.src_ips.dtype == np.uint64
+        assert batch.ingress_ids.dtype == np.int32
+        assert batch.packet_counts.dtype == batch.byte_counts.dtype == np.int64
+        assert batch.ingress_table == (A, B)
+        assert batch.ingress_ids.tolist() == [0, 1, 0]
+        v6 = FlowBatch.from_flows([v4_flow(1.0, "2001:db8::1")])
+        assert v6.src_ips.shape == (1, 2)
+        assert v6.src_ips.tolist() == [[0x2001_0DB8 << 32, 1]]
+
+    def test_round_trip_is_exact_with_v6_and_absent_dst(self):
+        flows = [
+            v4_flow(0.1, "2001:db8::1", A, packets=7, bytes=(1 << 62) + 3),
+            v4_flow(0.2, "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff", B,
+                    dst_ip=(1 << 127) + 5),
+            v4_flow(0.3, "::1", A, dst_ip=None),
+        ]
+        assert flows[1].src_ip > 1 << 64
+        assert list(FlowBatch.from_flows(flows).iter_flows()) == flows
+
+    @pytest.mark.parametrize("text", ["10.0.0.1", "2001:db8::ff"])
+    def test_record_edge_yields_plain_scalars(self, text):
+        """``iter_flows`` and ``read_flows_csv`` hand back Python scalars,
+        never numpy ones (the oracle replay and the CSV writer read them)."""
+        flows = [v4_flow(1.5, text, A, dst_ip=parse_ip(text)[0]),
+                 v4_flow(2.5, text, B)]
+        buffer = io.StringIO()
+        write_flows_csv(flows, buffer)
+        buffer.seek(0)
+        for records in (FlowBatch.from_flows(flows).iter_flows(),
+                        read_flows_csv(buffer)):
+            for record in records:
+                assert type(record.timestamp) is float
+                assert type(record.src_ip) is int
+                assert type(record.ingress) is IngressPoint
+                assert type(record.packets) is int
+                assert type(record.bytes) is int
+                assert record.dst_ip is None or type(record.dst_ip) is int
+
+    def test_slice_and_select_keep_the_ingress_table(self):
+        flows = [v4_flow(float(i), f"10.0.0.{i}", (A, B)[i % 2]) for i in range(6)]
+        batch = FlowBatch.from_flows(flows)
+        for part, rows in ((batch.slice(1, 4), [1, 2, 3]),
+                           (batch.select([4, 0, 5]), [4, 0, 5])):
+            assert part.ingress_table is batch.ingress_table
+            assert list(part.iter_flows()) == [flows[row] for row in rows]
+        assert batch.select(range(6)) is batch
 
 
 class TestIterFlowBatches:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.iputil import IPV4
 from repro.core.rangetree import RangeTree
-from repro.core.state import ClassifiedState, UnclassifiedState
+from repro.core.state import ClassifiedState, UnclassifiedState, cell_key
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -23,15 +23,11 @@ def add(state: UnclassifiedState, ip, ingress, timestamp, weight=1.0) -> None:
 
 
 def check_invariants(state: UnclassifiedState) -> None:
-    """total/entries/oldest_seen must track per_ip exactly, always."""
-    weights = [
-        weight
-        for by_ingress in state.per_ip.values()
-        for weight in by_ingress.values()
-    ]
+    """total/entry count/oldest_seen must track the cells exactly, always."""
+    weights = [weight for *__, cells in state.sources() for __, weight in cells]
     assert state.total == sum(weights)  # exact, not approx: no drift
-    assert state.entries == len(weights)
-    assert set(state.per_ip) == set(state.last_seen)
+    assert state.entry_count() == len(weights)
+    assert all(cells for *__, cells in state.sources())
     if state.last_seen:
         assert state.oldest_seen <= min(state.last_seen.values())
     else:
@@ -72,8 +68,9 @@ class TestUnclassifiedState:
         add(state, 20, A, timestamp=100.0)
         removed = state.expire(cutoff=50.0)
         assert removed == 1
-        assert 10 not in state.per_ip
-        assert 20 in state.per_ip
+        assert 10 not in state.last_seen
+        assert 20 in state.last_seen
+        assert state.sources() == [(20, 100.0, [(A, 1.0)])]
         assert state.sample_count == 1.0
 
     def test_expire_everything_resets_total(self):
@@ -97,13 +94,12 @@ class TestUnclassifiedState:
 
 
 class TestUnclassifiedBatch:
-    def test_add_batch_new_source_takes_ownership(self):
+    def test_add_batch_new_source_adds_its_cells(self):
         state = UnclassifiedState()
-        group = {A: 2.0, B: 1.0}
-        state.add_batch(10, group, newest=5.0, oldest=3.0)
-        assert state.per_ip[10] is group
+        state.add_batch(10, {A: 2.0, B: 1.0}, newest=5.0, oldest=3.0)
+        assert state.sources() == [(10, 5.0, [(A, 2.0), (B, 1.0)])]
         assert state.total == 3.0
-        assert state.entries == 2
+        assert state.entry_count() == 2
         assert state.last_seen[10] == 5.0
         assert state.oldest_seen == 3.0
 
@@ -111,9 +107,9 @@ class TestUnclassifiedBatch:
         state = UnclassifiedState()
         add(state, 10, A, timestamp=4.0, weight=1.0)
         state.add_batch(10, {A: 2.0, B: 3.0}, newest=6.0, oldest=2.0)
-        assert state.per_ip[10] == {A: 3.0, B: 3.0}
+        assert state.sources() == [(10, 6.0, [(A, 3.0), (B, 3.0)])]
         assert state.total == 6.0
-        assert state.entries == 2
+        assert state.entry_count() == 2
         assert state.last_seen[10] == 6.0
         assert state.oldest_seen == 2.0
         check_invariants(state)
@@ -122,10 +118,9 @@ class TestUnclassifiedBatch:
         samples = [(10, A, 4.0), (10, B, 2.0), (10, A, 6.0)]
         # the literal per-sample sums the paper's Stage 1 would keep
         literal = UnclassifiedState(
-            per_ip={10: {A: 2.0, B: 1.0}},
+            cells={cell_key(10, A): 2.0, cell_key(10, B): 1.0},
             last_seen={10: 6.0},
             total=3.0,
-            entries=2,
             oldest_seen=2.0,
         )
         one_by_one = UnclassifiedState()
@@ -159,7 +154,7 @@ class TestUnclassifiedBatch:
 )
 def test_property_total_never_drifts(operations):
     """After any add/expire/split/add_batch sequence, ``total`` equals the
-    exact sum of per_ip weights — the incremental counters cannot drift."""
+    exact sum of the cell weights — the incremental counters cannot drift."""
     tree = RangeTree(IPV4)
     for opcode, address, timestamp, weight in operations:
         leaves = [
@@ -217,13 +212,9 @@ def test_property_expire_subtracts_exactly(operations):
             )
             continue
         removed = state.expire(cutoff=float(timestamp))
-        cells = [
-            weight
-            for by_ingress in state.per_ip.values()
-            for weight in by_ingress.values()
-        ]
+        cells = [weight for *__, cells in state.sources() for __, weight in cells]
         assert state.total == sum(cells)
-        assert state.entries == len(cells)
+        assert state.entry_count() == len(cells)
         if removed:
             assert state.oldest_seen == min(state.last_seen.values(), default=INF)
     total = state.total
@@ -238,18 +229,6 @@ class TestClassifiedState:
         return ClassifiedState(
             ingress=A, counters={A: 90.0, B: 10.0}, last_seen=0.0, classified_at=0.0
         )
-
-    def test_add_updates_counters_and_last_seen(self):
-        state = self.make()
-        state.add_batch({A: 10.0}, newest=5.0)
-        assert state.counters[A] == 100.0
-        assert state.last_seen == 5.0
-
-    def test_add_does_not_rewind_last_seen(self):
-        state = self.make()
-        state.add_batch({A: 1.0}, newest=5.0)
-        state.add_batch({B: 1.0}, newest=2.0)
-        assert state.last_seen == 5.0
 
     def test_total(self):
         assert self.make().total == 100.0

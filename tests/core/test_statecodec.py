@@ -194,7 +194,7 @@ class TestExactPreservation:
         image = decode_engine(engine.to_bytes())
         ips = [ip for ip, __, __ in image.trees[IPV4].root.sources]
         state = engine.trees[IPV4].root.state
-        assert ips == list(state.per_ip)
+        assert ips == list(state.last_seen)
 
     def test_next_sweep_visits_same_leaves(self):
         """Dirty membership and expiry scheduling must reconstruct so the

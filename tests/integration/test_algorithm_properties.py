@@ -12,12 +12,13 @@ number of sweeps — these are the structural guarantees everything else
 """
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithm import IPD
-from repro.core.iputil import IPV4
+from repro.core.iputil import IPV4, IPV6
 from repro.core.params import IPDParams
 from repro.core.state import ClassifiedState, UnclassifiedState
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.testkit.strategies import DEFAULT_INGRESSES as INGRESSES
 from repro.testkit.strategies import flow_events_list
 from repro.topology.elements import IngressPoint
@@ -106,3 +107,52 @@ def test_retained_weight_bounded_by_ingested(raw_flows):
         else:
             retained += state.total
     assert retained <= len(raw_flows) + 1e-6
+
+
+@st.composite
+def unordered_batches(draw):
+    """Rows in no time order, a few sources each on several ingresses,
+    several raw sources per masked one, either family and mask width."""
+    version = draw(st.sampled_from([IPV4, IPV6]))
+    bits = 32 if version == IPV4 else 128
+    cidr_max = draw(st.sampled_from([24, 28, 32] if version == IPV4 else [48, 64, 72, 128]))
+    host_bits = bits - cidr_max
+    prefixes = draw(st.lists(
+        st.integers(0, (1 << cidr_max) - 1), min_size=1, max_size=5, unique=True
+    ))
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(prefixes),
+            st.integers(0, (1 << host_bits) - 1),
+            st.sampled_from(INGRESSES),
+            st.integers(0, 8000).map(lambda tick: tick / 8),  # timestamp
+            st.integers(1, 1 << 20),                           # bytes
+        ),
+        min_size=1,
+        max_size=60,
+    ))
+    flows = [
+        FlowRecord(
+            timestamp=stamp, src_ip=prefix << host_bits | host, version=version,
+            ingress=ingress, bytes=size,
+        )
+        for prefix, host, ingress, stamp, size in rows
+    ]
+    field = "cidr_max_v4" if version == IPV4 else "cidr_max_v6"
+    params = IPDParams(count_bytes=draw(st.booleans()), **{field: cidr_max})
+    return params, flows
+
+
+@settings(max_examples=80, deadline=None)
+@given(unordered_batches())
+def test_unordered_batch_folds_like_rows_in_order(case):
+    """One ``ingest_batch`` of rows that are not time-ordered leaves the
+    bytes one-row ``ingest`` calls in row order leave: newest / oldest
+    are the max / min of a source's rows (not its last / first), and
+    sources and their cells fold in first-row order."""
+    params, flows = case
+    batched, one_by_one = IPD(params), IPD(params)
+    batched.ingest_batch(FlowBatch.from_flows(flows))
+    for flow in flows:
+        one_by_one.ingest(flow)
+    assert batched.to_bytes() == one_by_one.to_bytes()

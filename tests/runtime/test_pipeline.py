@@ -161,6 +161,27 @@ class TestRecordNormalisation:
         with pytest.raises(ValueError, match="not time-ordered"):
             Pipeline(params()).run(stream)
 
+    @pytest.mark.parametrize(
+        "stream, message",
+        [
+            (
+                [FlowBatch.from_flows([flow(5.0), flow(50.0), flow(20.0), flow(10.0)])],
+                "20.0 after 50.0",
+            ),
+            (
+                [
+                    FlowBatch.from_flows([flow(5.0), flow(50.0)]),
+                    FlowBatch.from_flows([flow(30.0), flow(10.0)]),
+                ],
+                "30.0 after 50.0",
+            ),
+        ],
+        ids=["inside-batch", "across-batches"],
+    )
+    def test_out_of_order_error_names_first_offender(self, stream, message):
+        with pytest.raises(ValueError, match=f"not time-ordered: {message}$"):
+            Pipeline(params()).run(stream)
+
     def test_sub_nanosecond_jitter_still_accepted(self):
         result = Pipeline(params()).run([flow(100.0), flow(100.0 - 5e-10)])
         assert result.flows_processed == 2

@@ -210,7 +210,7 @@ class TestLiveCoalescing:
                               clock=lambda: 10.0)
         expected = self.submit_mixed(runner)
         runner.stop()
-        assert [src for batch in engine.batches for src in batch.src_ips] == expected
+        assert [src for batch in engine.batches for src in batch.addresses()] == expected
         # one batch per same-family run, not one per record
         assert [(b.version, len(b)) for b in engine.batches] == [
             (IPV4, 40), (IPV6, 10), (IPV4, 20), (IPV4, 30)

@@ -83,8 +83,8 @@ def test_router_never_feeds_a_shard_a_foreign_source(shards, monkeypatch):
 
     def checked(engine, batch):
         root = engine.ipd.trees[batch.version].root.prefix
-        assert all(root.contains_ip(source) for source in batch.src_ips)
-        fed[batch.version] += len(batch.src_ips)
+        assert all(root.contains_ip(source) for source in batch.addresses())
+        fed[batch.version] += len(batch)
         return real(engine, batch)
 
     monkeypatch.setattr(ShardEngine, "ingest_batch", checked)
