@@ -32,7 +32,7 @@ def dump_trie(ipd: IPD) -> None:
                 label = "unclassified (empty)"
             else:
                 label = (f"unclassified, s_ipcount={state.sample_count:.0f}, "
-                         f"{len(state.last_seen)} sources")
+                         f"{len(ipd.trees[IPV4].sources(node))} sources")
         else:
             label = "·"
         print(f"    {'  ' * depth}{node.prefix}  {label}")

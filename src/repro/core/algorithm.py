@@ -4,8 +4,9 @@ Two stages, mirrored here as two methods:
 
 * :meth:`IPD.ingest_batch` — Stage 1.  Masks each flow's source address
   to ``cidr_max`` and adds (timestamp, masked source, ingress link) to
-  the covering range of the per-family binary trie, in array operations
-  with one dict operation per distinct (masked source, ingress) cell.
+  the covering range of the per-family binary trie, in array operations:
+  one ``searchsorted`` merge of the batch's distinct sources and cells
+  into the trie's address-ordered cell table.
   :meth:`IPD.ingest` and :meth:`IPD.ingest_many` are API-edge wrappers
   (a one-row batch, a chunked record stream).
 * :meth:`IPD.sweep` — Stage 2.  Every ``t`` seconds: expires stale
@@ -32,11 +33,10 @@ deterministically.  A thread-backed runner with the deployment layout is
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from operator import attrgetter, lshift, or_, setitem
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -45,12 +45,18 @@ from ..devtools.markers import hot_path
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from ..topology.elements import IngressPoint
 from .admission import AdmissionConfig, AdmissionController, decode_admission
-from .bundles import dominant_ingress, router_peak
+from .bundles import dominant_ingress
 from .iputil import IPV4, IPV6, Prefix
 from .output import IPDRecord
 from .params import DEFAULT_PARAMS, IPDParams
 from .rangetree import RangeNode, RangeTree
-from .state import ClassifiedState, DelegatedState, UnclassifiedState, cell_keys
+from .state import (
+    ClassifiedState,
+    DelegatedState,
+    UnclassifiedState,
+    ingress_codes,
+    reduce_spans,
+)
 from .statecodec import (
     EngineImage,
     StateCodecError,
@@ -260,19 +266,16 @@ class IPD:
 
     @hot_path
     def _fold(self, tree: RangeTree, shift: int, batch: FlowBatch) -> None:
-        """Group a batch by (masked source, ingress) and fold it into the trie.
-
-        One sort makes cells and sources runs: weights sum by ``reduceat``,
-        newest / oldest are max / min, a run's first row its smallest row
-        number.  Sources find their leaves in one ``searchsorted``, each
-        touched leaf updates its running figures once, and each distinct
-        source and cell costs one dict read and write — sources and their
-        cells in first-row order, as a flow-by-flow Stage 1 meets them.
-        """
-        order, columns = _sort_rows(batch, shift)
-        ids = batch.ingress_ids[order]
+        """Group a batch by (masked source, ingress) and fold it into the trie:
+        one sort makes cells and sources runs, one ``searchsorted`` finds
+        their leaves, each touched leaf updates its figures once, and the
+        cell table merges the rest, new rows numbered in first-row order
+        (the order a flow-by-flow Stage 1 meets them)."""
+        codes = ingress_codes(batch.ingress_table)[batch.ingress_ids]
+        order, columns = _sort_rows(batch, shift, codes)
+        codes = codes[order]
         new_source = _changes(*(column[order] for column in columns))
-        new_cell = new_source | _changes(ids)
+        new_cell = new_source | _changes(codes)
         starts, cell_starts = new_source.nonzero()[0], new_cell.nonzero()[0]
         cell_source = new_source.cumsum()[cell_starts] - 1
         counts = batch.byte_counts[order] if self.params.count_bytes else None
@@ -282,13 +285,12 @@ class IPD:
         oldest = np.minimum.reduceat(stamps, starts)
         keys = [column[order[starts]] for column in columns]
         if batch.version == IPV4:
-            masked = keys[0].tolist()
-            leaf_of = tree.locate(keys[0])
+            masked = keys[0]
         else:  # (lo, hi) or hi alone, as Python ints
-            masked = list(map(lshift, keys[-1].tolist(), repeat(64)))
+            masked = keys[-1].astype(object) << 64
             if len(keys) == 2:
-                masked = list(map(or_, masked, keys[0].tolist()))
-            leaf_of = tree.locate(np.array(masked, dtype=object))
+                masked |= keys[0].astype(object)
+        leaf_of = tree.locate(masked)
         # each touched leaf (a run of sources) updates its figures once
         new_leaf = _changes(leaf_of)
         leaf_starts = new_leaf.nonzero()[0]
@@ -313,37 +315,28 @@ class IPD:
                 state.last_seen = max(state.last_seen, last)
         owner_state = np.array(states, dtype=object)[new_leaf.cumsum() - 1]
         is_open = np.fromiter(map(isinstance, owner_state, repeat(UnclassifiedState)), bool)
-        # unclassified sources' last_seen, in first-row order
+        # sources rank by their first row, cells by (their source's, their own)
         appear = np.minimum.reduceat(order, starts)
-        fold = appear.argsort()
-        fold = fold[is_open[fold]]
-        maps = list(map(attrgetter("last_seen"), owner_state[fold].tolist()))
-        ips = list(map(masked.__getitem__, fold.tolist()))
-        held = np.fromiter(map(dict.get, maps, ips, repeat(-_INF)), np.float64)
-        _store(maps, ips, np.maximum(held, newest[fold]).tolist())
-        # cells by (their source's first row, their own first row)
-        cell_appear = np.minimum.reduceat(order, cell_starts)
-        fold = (appear[cell_source] * len(order) + cell_appear).argsort()
-        owner, cell_ids = cell_source[fold], ids[cell_starts[fold]]
-        cell_weights = np.add.reduceat(weights, cell_starts)[fold]
-        opened = is_open[owner]
-        # an unclassified range's cells are distinct keys: read them all,
-        # add, write them all back
-        sources = (
-            keys[0][owner[opened]]
-            if batch.version == IPV4
-            else list(map(masked.__getitem__, owner[opened].tolist()))
-        )
-        cells = cell_keys(sources, batch.ingress_table, cell_ids[opened])
-        maps = list(map(attrgetter("cells"), owner_state[owner[opened]].tolist()))
-        held = np.fromiter(map(dict.get, maps, cells, repeat(0.0)), np.float64)
-        _store(maps, cells, (held + cell_weights[opened]).tolist())
+        cell_rank = appear[cell_source] * len(order) + np.minimum.reduceat(order, cell_starts)
+        cell_weights = np.add.reduceat(weights, cell_starts)
+        opened = is_open[cell_source]
+        if is_open.any():
+            tree.table.add(masked[is_open], newest[is_open], appear[is_open],
+                           masked[cell_source[opened]], codes[cell_starts[opened]],
+                           cell_weights[opened], cell_rank[opened])
+        if is_open.all():
+            return
         # a classified range adds cell by cell, in order (after a decay its
         # counters are no longer integers, so the summation order shows)
+        fold = cell_rank.argsort()
+        fold = fold[~opened[fold]]
         for counters, ingress, weight in zip(
-            map(attrgetter("counters"), owner_state[owner[~opened]].tolist()),
-            map(batch.ingress_table.__getitem__, cell_ids[~opened].tolist()),
-            cell_weights[~opened].tolist(),
+            map(attrgetter("counters"), owner_state[cell_source[fold]].tolist()),
+            map(
+                batch.ingress_table.__getitem__,
+                batch.ingress_ids[order[cell_starts[fold]]].tolist(),
+            ),
+            cell_weights[fold].tolist(),
         ):
             counters[ingress] = counters.get(ingress, 0.0) + weight
 
@@ -388,15 +381,18 @@ class IPD:
     @hot_path
     def _sweep_tree(self, tree: RangeTree, now: float, report: SweepReport) -> None:
         params = self.params
-        version = tree.version
-        cidr_max = params.cidr_max(version)
+        n_cidr = self._n_cidr[tree.version]
         expiry_cutoff = now - params.e
         candidates = tree.drain_dirty()
         candidates.update(tree.pop_expiry_due(expiry_cutoff))
         candidates.update(tree._classified)
         to_visit = sorted(candidates, key=lambda node: node.prefix.value)
+        # one mask over the cell table: every stale source sits in a leaf the
+        # expiry heap just handed over, so this is expiring each in turn
+        report.expired_sources += tree.expire(expiry_cutoff)
 
         prune_candidates: list[RangeNode] = []
+        deciding: list[RangeNode] = []
         for leaf in to_visit:
             if leaf.dead or leaf.left is not None:
                 continue  # went away since it was marked (join/split)
@@ -405,78 +401,67 @@ class IPD:
                 continue  # owned by another engine; inert here
             report.visited += 1
             if isinstance(state, UnclassifiedState):
-                if state.oldest_seen < expiry_cutoff:
-                    report.expired_sources += state.expire(expiry_cutoff)
-                if state.last_seen:
-                    self._handle_unclassified(
-                        tree, leaf, state, now, cidr_max, report
-                    )
-                    # still the same unclassified leaf? re-arm its expiry
-                    if (
-                        leaf._state is state
-                        and leaf.left is None
-                        and state.heap_bound != state.oldest_seen
-                    ):
-                        tree.schedule_expiry(leaf)
-                else:
+                if state.is_empty():
                     prune_candidates.append(leaf)
+                elif state.sample_count >= n_cidr[leaf.prefix.masklen]:
+                    deciding.append(leaf)
+                else:
+                    tree.schedule_expiry(leaf)  # line 8: not enough samples yet
             else:
                 assert isinstance(state, ClassifiedState)
                 self._handle_classified(leaf, state, now, report)
                 if isinstance(leaf._state, UnclassifiedState):
                     prune_candidates.append(leaf)  # just dropped to empty
+        if deciding:
+            self._handle_unclassified(tree, deciding, now, report)
 
         report.joins += self._join_pass(tree, now)
         report.prunes += tree.prune_upward(prune_candidates)
 
     def _handle_unclassified(
-        self,
-        tree: RangeTree,
-        leaf: RangeNode,
-        state: UnclassifiedState,
-        now: float,
-        cidr_max: int,
-        report: SweepReport,
+        self, tree: RangeTree, leaves: list[RangeNode], now: float, report: SweepReport
     ) -> None:
-        params = self.params
-        masklen = leaf.prefix.masklen
-        if state.sample_count < self._n_cidr[tree.version][masklen]:
-            return  # line 8: not enough samples yet
-        totals = state.ingress_totals()
-        grand_total = sum(totals.values())  # == sample_count >= n_cidr > 0
-        # No candidate outweighs its router's subtotal, so when no router
+        """Lines 9-15 for the visited leaves past ``n_cidr``: grouped sums give
+        router peaks and per-ingress totals, and the loop only decides."""
+        params, cidr_max = self.params, self.params.cidr_max(tree.version)
+        spans = tree.table.spans([leaf.prefix for leaf in leaves])
+        # No candidate outweighs its router's subtotal, so where no router
         # reaches q no candidate can: skip building them (exact, since
         # integer-valued sums are exact and division is monotonic).
-        if router_peak(totals) / grand_total >= params.q:
-            found = dominant_ingress(
-                totals,
-                enable_bundles=params.enable_bundles,
-                min_share=params.bundle_min_share,
-            )
-            assert found is not None
-            ingress, share, __ = found
-            if share >= params.q:
-                # line 10: assign the prevalent ingress; per-IP detail is
-                # discarded ("all state is removed for efficiency reasons").
-                # the counters keep the order a per-source walk meets them
-                counters = {
-                    ingress: totals[ingress]
-                    for __, __, cells in state.sources()
-                    for ingress, __ in cells
-                }
-                leaf.state = ClassifiedState(
-                    ingress=ingress,
-                    counters=counters,
-                    last_seen=state.newest_timestamp,
-                    classified_at=now,
+        grand = np.array([leaf._state.total for leaf in leaves])  # >= n_cidr > 0
+        totals = tree.table.totals(*spans[2:], grand, params.q)
+        won: list[tuple[int, IngressPoint]] = []
+        to_split: list[RangeNode] = []
+        for index, leaf in enumerate(leaves):
+            if index in totals:
+                found = dominant_ingress(
+                    totals[index], params.enable_bundles, params.bundle_min_share
                 )
-                report.classifications += 1
-                return
-        # at cidr_max there is no split (line 15); the join pass below
-        # may still coarsen once siblings agree
-        if masklen < cidr_max:
-            tree.split(leaf)  # line 13
-            report.splits += 1
+                assert found is not None
+                if found[1] >= params.q:
+                    won.append((index, found[0]))
+                    continue
+            # at cidr_max there is no split (line 15); the join pass below
+            # may still coarsen once siblings agree
+            if leaf.prefix.masklen < cidr_max:
+                to_split.append(leaf)  # line 13
+            else:
+                tree.schedule_expiry(leaf)
+        if won:
+            picked = tuple(part[[index for index, __ in won]] for part in spans)
+            newest = reduce_spans(np.maximum, tree.table.seen, *picked[:2], -_INF)
+            # line 10: assign the prevalent ingress and discard the per-IP
+            # detail ("all state is removed for efficiency reasons"); the
+            # counters keep the order a per-source walk meets them
+            for (index, ingress), points, last in zip(
+                won, tree.table.first_seen(*picked[2:]), newest.tolist()
+            ):
+                counters = {point: totals[index][point] for point in points}
+                leaves[index].state = ClassifiedState(ingress, counters, last, now)
+            tree.table.drop(picked)
+            report.classifications += len(won)
+        tree.split_all(to_split)
+        report.splits += len(to_split)
 
     def _handle_classified(
         self,
@@ -571,13 +556,22 @@ class IPD:
         records: list[IPDRecord] = []
         for tree in self.trees.values():
             n_cidr_row = self._n_cidr[tree.version]
+            totals: dict[RangeNode, dict[IngressPoint, float]] = {}
+            if include_unclassified:
+                observed = [
+                    leaf for leaf in tree.leaves()
+                    if isinstance(leaf._state, UnclassifiedState) and not leaf._state.is_empty()
+                ]
+                spans = tree.table.spans([leaf.prefix for leaf in observed])
+                by_span = tree.table.totals(*spans[2:])
+                totals = {leaf: by_span[index] for index, leaf in enumerate(observed)}
             for leaf in tree.leaves():
                 state = leaf.state
                 if isinstance(state, ClassifiedState):
                     counts, ingress, total = state.counters, state.ingress, state.total
                     share = state.confidence_for(_members_of(ingress), total)
-                elif include_unclassified and not state.is_empty():
-                    counts, total = state.ingress_totals(), state.sample_count
+                elif leaf in totals:
+                    counts, total = totals[leaf], state.sample_count
                     found = dominant_ingress(
                         counts,
                         enable_bundles=params.enable_bundles,
@@ -607,16 +601,11 @@ class IPD:
     # ------------------------------------------------------------------ metrics
 
     def state_size(self) -> int:
-        """Total number of tracked (masked IP, ingress) entries + counters.
-
-        A proxy for the RAM footprint used by the parameter study's
-        resource-consumption metric.  O(leaves): each state keeps its
-        own entry count incrementally.
-        """
+        """Tracked (masked IP, ingress) cells plus classified counters: the
+        parameter study's RAM proxy, O(classified leaves)."""
         return sum(
-            leaf._state.entry_count()
+            len(tree.table.keys) + sum(len(leaf._state.counters) for leaf in tree._classified)
             for tree in self.trees.values()
-            for leaf in tree.leaves()
         )
 
     def leaf_count(self) -> int:
@@ -635,15 +624,16 @@ def _coerce_admission(
 _INF = float("inf")
 
 
-def _sort_rows(batch: FlowBatch, shift: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Rows ordered by (masked source, ingress id), and the masked source as
-    uint64 key columns: IPv4's one; IPv6's (lo, hi), or hi if lo is masked."""
-    ids = batch.ingress_ids
+def _sort_rows(
+    batch: FlowBatch, shift: int, codes: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rows ordered by (masked source, ingress code) — cell-table order —
+    and the masked source as uint64 key columns: IPv4's one; IPv6's (lo,
+    hi), or hi if lo is masked."""
     if batch.version == IPV4:
         bits = np.uint64(shift)
         prefix = batch.src_ips >> bits
-        width = np.uint64(len(batch.ingress_table))
-        return (prefix * width + ids.astype(np.uint64)).argsort(), [prefix << bits]
+        return (prefix << np.uint64(32) | codes).argsort(), [prefix << bits]
     high, low = batch.src_ips[:, 0], batch.src_ips[:, 1]
     if shift >= 64:
         bits = np.uint64(shift - 64)
@@ -651,7 +641,7 @@ def _sort_rows(batch: FlowBatch, shift: int) -> tuple[np.ndarray, list[np.ndarra
     else:
         bits = np.uint64(shift)
         columns = [low >> bits << bits, high]
-    return np.lexsort((ids, *columns)), columns
+    return np.lexsort((codes, *columns)), columns
 
 
 def _changes(*columns: np.ndarray) -> np.ndarray:
@@ -659,11 +649,6 @@ def _changes(*columns: np.ndarray) -> np.ndarray:
     changed = np.ones(len(columns[0]), dtype=bool)
     changed[1:] = np.logical_or.reduce([col[1:] != col[:-1] for col in columns])
     return changed
-
-
-def _store(maps: list[dict], keys: list, values: list) -> None:
-    """``maps[i][keys[i]] = values[i]`` for each *i*, in C-level iteration."""
-    deque(map(setitem, maps, keys, values), maxlen=0)
 
 
 @lru_cache(maxsize=4096)

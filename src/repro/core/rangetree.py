@@ -9,8 +9,11 @@ Leaves are pairwise disjoint and tile the root range, so the tree keeps
 them in a sorted leaf index — ``_leaf_starts`` (first address of each
 leaf) and ``_leaf_nodes`` (the leaves), both in address order — and a
 lookup is one ``bisect_right``.  The index is exact by construction: the
-only four methods that change the trie's shape (``split``, ``sprout``,
-``join``, ``_collapse``) replace one entry by two or two by one.
+only four methods that change the trie's shape (``split_all``,
+``sprout``, ``join``, ``_collapse``) replace one entry by two or two by
+one.  Unclassified leaves keep their per-source rows in one
+address-ordered :class:`~repro.core.state.CellTable` (``table``), where
+a leaf's rows are one span and a split moves none of them.
 
 The tree also keeps the incremental bookkeeping the sweep machinery
 needs to avoid full-trie walks:
@@ -41,7 +44,7 @@ import numpy as np
 
 from ..devtools.markers import hot_path
 from .iputil import Prefix
-from .state import ClassifiedState, DelegatedState, UnclassifiedState
+from .state import CellTable, ClassifiedState, DelegatedState, UnclassifiedState, reduce_spans
 
 __all__ = ["RangeNode", "RangeTree"]
 
@@ -129,6 +132,9 @@ class RangeTree:
         #: leaves themselves, in address order (delegated leaves included)
         self._leaf_starts: list[int] = [self.root.prefix.value]
         self._leaf_nodes: list[RangeNode] = [self.root]
+        self._starts_array: Optional[np.ndarray] = None
+        #: every unclassified leaf's sources and cells, in address order
+        self.table = CellTable(version)
         #: number of splits/joins performed (resource-metric bookkeeping)
         self.split_count = 0
         self.join_count = 0
@@ -146,12 +152,38 @@ class RangeTree:
         return self._leaf_nodes[bisect_right(self._leaf_starts, ip_value) - 1]
 
     def locate(self, addresses: np.ndarray) -> np.ndarray:
-        """Leaf-index positions of *addresses* (uint64; object for IPv6)."""
-        starts = np.array(self._leaf_starts, dtype=addresses.dtype)
-        return np.searchsorted(starts, addresses, side="right") - 1
+        """Leaf-index positions of *addresses* (the table's address dtype)."""
+        if self._starts_array is None:
+            self._starts_array = np.array(self._leaf_starts, dtype=self.table.ips.dtype)
+        return np.searchsorted(self._starts_array, addresses, side="right") - 1
+
+    def sources(self, leaf: RangeNode) -> list:
+        """An unclassified leaf's ``(masked_ip, last_seen, [(ingress,
+        weight), ...])`` per source, sources and cells in first-seen order."""
+        return self.table.sources(self.table.spans([leaf.prefix]))[0]
+
+    def expire(self, cutoff: float) -> int:
+        """Drop every source last seen strictly before *cutoff*; returns how
+        many.  A leaf that lost one subtracts the removed weights from
+        ``total`` (exact) and re-tightens ``oldest_seen``; no other changes."""
+        gone, owners, weights = self.table.expire(cutoff)
+        if not len(gone):
+            return 0
+        touched = np.unique(self.locate(gone))
+        removed = np.bincount(np.searchsorted(touched, self.locate(owners)), weights)
+        leaves = [self._leaf_nodes[index] for index in touched.tolist()]
+        a, b, __, __ = self.table.spans([leaf.prefix for leaf in leaves])
+        oldest = reduce_spans(np.minimum, self.table.seen, a, b, _INF)
+        for leaf, weight, bound in zip(leaves, removed.tolist(), oldest.tolist()):
+            state = leaf._state
+            assert isinstance(state, UnclassifiedState)
+            state.total = state.total - weight if bound != _INF else 0.0
+            state.oldest_seen = bound
+        return len(gone)
 
     def _index_halve(self, left: RangeNode, right: RangeNode) -> None:
         """Replace a leaf's index entry by its two new children."""
+        self._starts_array = None
         i = bisect_left(self._leaf_starts, left.prefix.value)
         self._leaf_nodes[i] = left
         self._leaf_starts.insert(i + 1, right.prefix.value)
@@ -159,6 +191,7 @@ class RangeTree:
 
     def _index_merge(self, parent: RangeNode) -> None:
         """Replace two sibling leaves' index entries by their parent."""
+        self._starts_array = None
         i = bisect_left(self._leaf_starts, parent.prefix.value)
         self._leaf_nodes[i] = parent
         del self._leaf_starts[i + 1]
@@ -243,7 +276,7 @@ class RangeTree:
                 or node.left is not None
                 or not isinstance(state, UnclassifiedState)
                 or state.heap_bound != bound
-                or not state.last_seen
+                or state.is_empty()
             ):
                 continue
             state.heap_bound = _INF
@@ -260,28 +293,35 @@ class RangeTree:
     # -- structure changes ----------------------------------------------------
 
     def split(self, node: RangeNode) -> tuple[RangeNode, RangeNode]:
-        """Split a leaf into its two halves, redistributing per-IP state.
+        """Split a leaf into its two halves (:meth:`split_all` of one)."""
+        return self.split_all([node])[0]
 
-        Only unclassified leaves are split (a classified range has no
-        per-IP detail left to redistribute, and the algorithm never needs
-        to split one: it drops the classification first).
-        """
-        if not node.is_leaf:
-            raise ValueError(f"cannot split internal node {node.prefix}")
-        state = node._state
-        if not isinstance(state, UnclassifiedState):
-            raise ValueError(f"cannot split classified range {node.prefix}")
-        left_prefix, right_prefix = node.prefix.children()
-        left_state, right_state = state.split_at(right_prefix.value)
-        # creating each node marks it dirty and schedules its expiry
-        left = RangeNode(left_prefix, left_state, tree=self, parent=node)
-        right = RangeNode(right_prefix, right_state, tree=self, parent=node)
-        node.left = left
-        node.right = right
-        node.state = None
-        self._index_halve(left, right)
-        self.split_count += 1
-        return left, right
+    def split_all(self, nodes: "list[RangeNode]") -> list[tuple[RangeNode, RangeNode]]:
+        """Split unclassified leaves in halves, moving no row: each half's
+        ``total`` and ``oldest_seen`` are read off its part of the span."""
+        for node in nodes:
+            if not node.is_leaf:
+                raise ValueError(f"cannot split internal node {node.prefix}")
+            if not isinstance(node._state, UnclassifiedState):
+                raise ValueError(f"cannot split classified range {node.prefix}")
+        halves = [half for node in nodes for half in node.prefix.children()]
+        a, b, c, d = self.table.spans(halves)
+        totals = reduce_spans(np.add, self.table.weights, c, d, 0.0).tolist()
+        oldest = reduce_spans(np.minimum, self.table.seen, a, b, _INF).tolist()
+        states = list(map(UnclassifiedState, totals, oldest))
+        made = []
+        for index, node in enumerate(nodes):
+            # creating each node marks it dirty and schedules its expiry
+            left, right = (
+                RangeNode(halves[side], states[side], tree=self, parent=node)
+                for side in (2 * index, 2 * index + 1)
+            )
+            node.left, node.right = left, right
+            node.state = None
+            self._index_halve(left, right)
+            self.split_count += 1
+            made.append((left, right))
+        return made
 
     def join(self, parent: RangeNode, state: RangeState) -> RangeNode:
         """Collapse an internal node's two leaf children into one leaf.
@@ -324,22 +364,18 @@ class RangeTree:
         self._index_halve(left, right)
         return left, right
 
-    def delegate(self, node: RangeNode) -> UnclassifiedState:
-        """Hand an unclassified leaf's state off to another engine.
-
-        Replaces the leaf's state with a :class:`DelegatedState` marker
-        and returns the detached observation state so the caller can
-        seed the owning engine with it.  Only unclassified leaves are
-        delegated (the sharded runtime hands ranges down the moment the
-        split cascade reaches the shard depth, before they can classify).
-        """
+    def delegate(self, node: RangeNode) -> None:
+        """Hand an unclassified leaf off to another engine: delete its rows
+        (the caller images it first, to seed that engine) and mark it
+        :class:`DelegatedState`.  Only unclassified leaves are delegated:
+        the sharded runtime hands a range down once the split cascade
+        reaches the shard depth, before it can classify."""
         if not node.is_leaf:
             raise ValueError(f"cannot delegate internal node {node.prefix}")
-        state = node._state
-        if not isinstance(state, UnclassifiedState):
+        if not isinstance(node._state, UnclassifiedState):
             raise ValueError(f"cannot delegate {node.prefix}: not unclassified")
+        self.table.drop(self.table.spans([node.prefix]))
         node.state = DelegatedState()
-        return state
 
     def collapse(self, parent: RangeNode) -> RangeNode:
         """Public form of the prune collapse for cross-engine callers.

@@ -1,42 +1,35 @@
 """Per-range state kept by the IPD algorithm.
 
-A range is either *unclassified* — still being observed — or
-*classified* — assigned a prevalent ingress point.  The paper (§3.2)
-prescribes asymmetric state for the two:
-
-* Unclassified ranges must remember, per masked source IP, which ingress
-  each sample arrived on and when: this is what lets a split redistribute
-  its samples to the two child ranges without data loss, and what lets
-  expiry remove exactly the stale sources.
-* Classified ranges keep only aggregate per-ingress counters, the total
-  sample count and the last-seen timestamp ("all state is removed for
-  efficiency reasons").
-
-Counters are floats because the decay function scales them down
-multiplicatively while a classified range is idle.
-
-Bookkeeping for the incremental sweeps: ``entry_count()`` is the length
-of a state's cell map; ``oldest_seen`` (unclassified) bounds the oldest
-``last_seen`` from below, so a range is visited for expiry only once it
-crosses the cutoff; ``total`` (unclassified) is kept by addition and
-subtraction, exact for integer-valued weights below 2^53.  A classified
-range re-sums its few counters (``total`` is a property): decay scales
-them by a non-integer factor, where a running sum would drift.
+A range is *unclassified* (still observed: per masked source, which
+ingress each sample came on and when, so a split loses nothing and
+expiry removes exactly the stale sources) or *classified* (per-ingress
+counters and a last-seen time: "all state is removed for efficiency
+reasons", §3.2).  Every unclassified range of a trie keeps its sources
+in one address-ordered :class:`CellTable`, so a leaf's rows are one span
+and a split moves none; :class:`UnclassifiedState` keeps its scalars.
+A classified range re-sums its few counters: decay scales them by a
+non-integer factor, where a running sum would drift.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import lshift, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ..topology.elements import IngressPoint
+from .iputil import IPV4, Prefix
 
-__all__ = ["UnclassifiedState", "ClassifiedState", "DelegatedState", "cell_key", "cell_keys"]
+__all__ = [
+    "CellTable",
+    "UnclassifiedState",
+    "ClassifiedState",
+    "DelegatedState",
+    "ingress_codes",
+    "reduce_spans",
+]
 
 _INF = float("inf")
 
@@ -47,151 +40,237 @@ CELL_SHIFT = 32
 _CODE_MASK = (1 << CELL_SHIFT) - 1
 _CODES: dict[IngressPoint, int] = {}
 _POINTS: list[IngressPoint] = []
+#: a number per router, and the router number of each code
+_ROUTERS: dict[str, int] = {}
+_ROUTER_OF: list[int] = []
 _INTERN = threading.Lock()
 
 
-def ingress_code(ingress: IngressPoint) -> int:
-    """The intern code a cell key packs for *ingress*."""
+def ingress_codes(points: Iterable[IngressPoint]) -> np.ndarray:
+    """The intern codes a cell key packs for *points* (``uint64``)."""
+    codes = []
     with _INTERN:
-        code = _CODES.setdefault(ingress, len(_POINTS))
-        if code == len(_POINTS):
-            _POINTS.append(ingress)
-    return code
+        for point in points:
+            code = _CODES.setdefault(point, len(_POINTS))
+            if code == len(_POINTS):
+                _POINTS.append(point)
+                _ROUTER_OF.append(_ROUTERS.setdefault(point.router, len(_ROUTERS)))
+            codes.append(code)
+    return np.array(codes, dtype=np.uint64)
 
 
-def cell_key(masked_ip: int, ingress: IngressPoint) -> int:
-    """The :attr:`UnclassifiedState.cells` key of one (source, ingress)."""
-    return masked_ip << CELL_SHIFT | ingress_code(ingress)
+class CellTable:
+    """The unclassified sources and cells of one trie, in address order.
+
+    Sources (``ips``, ``seen`` = newest timestamp, ``ip_seq``) sorted by
+    masked source, cells (``keys`` = ``source << CELL_SHIFT | code``,
+    ``weights``, ``key_seq``) by key: ``uint64`` for IPv4, Python ints in
+    object columns for IPv6.  A leaf's *span* ``(a, b, c, d)`` is its
+    sources ``a:b`` and cells ``c:d``.
+    """
+
+    def __init__(self, version: int) -> None:
+        dtype = np.dtype(np.uint64) if version == IPV4 else np.dtype(object)
+        self._bits, self._one = (32, np.uint64(1)) if version == IPV4 else (128, 1)
+        self.ips = np.empty(0, dtype)
+        self.seen = np.empty(0)
+        self.ip_seq = np.empty(0, np.int64)
+        self.keys = np.empty(0, dtype)
+        self.weights = np.empty(0)
+        self.key_seq = np.empty(0, np.int64)
+        self._next_seq = 0
+
+    def spans(self, prefixes: "list[Prefix]") -> tuple[np.ndarray, ...]:
+        """The spans of *prefixes*: ``(a, b, c, d)`` arrays of row bounds."""
+        lows = np.array([prefix.value for prefix in prefixes], dtype=self.ips.dtype)
+        lengths = np.array([prefix.masklen for prefix in prefixes], dtype=self.ips.dtype)
+        highs = lows | (self._one << (self._bits - lengths)) - self._one
+        return (
+            np.searchsorted(self.ips, lows),
+            np.searchsorted(self.ips, highs, side="right"),
+            np.searchsorted(self.keys, lows << CELL_SHIFT),
+            np.searchsorted(self.keys, highs << CELL_SHIFT | _CODE_MASK, side="right"),
+        )
+
+    def add(self, ips, newest, ip_rank, owners, codes, weights, key_rank) -> None:
+        """Merge sorted distinct sources and cells (source, ingress code): a
+        known source keeps the newer timestamp, a known cell adds its weight;
+        new rows are numbered in *rank* order and inserted by address."""
+        keys = owners << CELL_SHIFT | codes.astype(owners.dtype)
+        for names, values, figures, rank, merge in (
+            (("ips", "seen", "ip_seq"), ips, newest, ip_rank, np.maximum),
+            (("keys", "weights", "key_seq"), keys, weights, key_rank, np.add),
+        ):
+            column, figure = getattr(self, names[0]), getattr(self, names[1])
+            at = np.searchsorted(column, values)
+            known = np.zeros(len(values), dtype=bool)
+            if len(column):
+                known = column[np.minimum(at, len(column) - 1)] == values
+            figure[at[known]] = merge(figure[at[known]], figures[known])
+            fresh = ~known
+            if not fresh.any():
+                continue  # nothing to insert: leave the columns as they are
+            seq = np.empty(int(fresh.sum()), np.int64)
+            seq[rank[fresh].argsort(kind="stable")] = self._next_seq + np.arange(len(seq))
+            self._next_seq += len(seq)
+            # each new row lands after the old rows below it and the new ones before it
+            new = at[fresh] + np.arange(len(seq))
+            old = np.ones(len(column) + len(seq), dtype=bool)
+            old[new] = False
+            for name, part in zip(names, (values[fresh], figures[fresh], seq)):
+                merged = np.empty(len(old), getattr(self, name).dtype)
+                merged[new], merged[old] = part, getattr(self, name)
+                setattr(self, name, merged)
+
+    def plant(self, sources: list) -> None:
+        """Add rows in an image's layout, ``[(masked_ip, last_seen,
+        [(ingress, weight), ...]), ...]``, numbered in list order."""
+        ips = np.array([ip for ip, *__ in sources], dtype=self.ips.dtype)
+        owners = np.array([ip for ip, __, cells in sources for __ in cells], self.ips.dtype)
+        codes = ingress_codes(point for *__, cells in sources for point, __ in cells)
+        seen = np.array([seen for __, seen, __ in sources])
+        weights = np.array([weight for *__, cells in sources for __, weight in cells])
+        by_ip = ips.argsort(kind="stable")
+        by_key = (owners << CELL_SHIFT | codes.astype(owners.dtype)).argsort(kind="stable")
+        self.add(ips[by_ip], seen[by_ip], by_ip, owners[by_key], codes[by_key],
+                 weights[by_key], by_key)
+
+    def keep(self, sources: np.ndarray, cells: np.ndarray) -> None:
+        """Keep only the rows the two masks select."""
+        self.ips, self.seen, self.ip_seq = (
+            self.ips[sources], self.seen[sources], self.ip_seq[sources]
+        )
+        self.keys, self.weights, self.key_seq = (
+            self.keys[cells], self.weights[cells], self.key_seq[cells]
+        )
+
+    def drop(self, spans: tuple[np.ndarray, ...]) -> None:
+        """Delete the rows of *spans*."""
+        a, b, c, d = spans
+        keep = np.ones(len(self.ips), bool), np.ones(len(self.keys), bool)
+        keep[0][_gather(a, b)[0]] = False
+        keep[1][_gather(c, d)[0]] = False
+        self.keep(*keep)
+
+    def expire(self, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Delete every source last seen strictly before *cutoff*, with its
+        cells; returns the gone sources, the gone cells' sources and their
+        weights (each in address order)."""
+        stale = self.seen < cutoff
+        if not stale.any():
+            empty = self.ips[:0]
+            return empty, empty, self.weights[:0]
+        owners = self.keys >> CELL_SHIFT
+        gone = stale[np.searchsorted(self.ips, owners)]
+        swept = self.ips[stale], owners[gone], self.weights[gone]
+        self.keep(~stale, ~gone)
+        return swept
+
+    def totals(
+        self, c: np.ndarray, d: np.ndarray, grand: Optional[np.ndarray] = None, q: float = 0.0
+    ) -> dict[int, dict[IngressPoint, float]]:
+        """Per-ingress weight of each cell span, by span number, from one
+        grouped sum over (span, code): exact (integer-valued weights), keys
+        in code order.  Given the spans' *grand* totals, only the spans whose
+        largest per-router subtotal (:func:`~repro.core.bundles.router_peak`)
+        reaches *q* of it: no ingress candidate of the others can."""
+        rows, rank = _gather(c, d)
+        codes = (self.keys[rows] & _CODE_MASK).astype(np.int64)
+        pairs, inverse = np.unique(rank << CELL_SHIFT | codes, return_inverse=True)
+        sums = np.bincount(inverse, self.weights[rows])
+        spans, codes = pairs >> CELL_SHIFT, pairs & _CODE_MASK
+        if grand is not None:
+            routers = np.array(_ROUTER_OF, dtype=np.int64)[codes]
+            groups, inverse = np.unique(spans << CELL_SHIFT | routers, return_inverse=True)
+            peaks = np.zeros(len(c))
+            np.maximum.at(peaks, groups >> CELL_SHIFT, np.bincount(inverse, sums))
+            keep = (peaks / grand >= q)[spans]
+            sums, spans, codes = sums[keep], spans[keep], codes[keep]
+        cuts = np.flatnonzero(np.diff(spans, prepend=-1)).tolist() + [len(spans)]
+        points, sums = list(map(_POINTS.__getitem__, codes.tolist())), sums.tolist()
+        return {
+            span: dict(zip(points[i:j], sums[i:j]))
+            for span, i, j in zip(spans[cuts[:-1]].tolist(), cuts, cuts[1:])
+        }
+
+    def _walk(self, c: np.ndarray, d: np.ndarray) -> tuple:
+        """The spans' cell rows in walk order — by span, then by their
+        source's first-seen number, then their own — with source row and span."""
+        cells, rank = _gather(c, d)
+        owners = np.searchsorted(self.ips, self.keys[cells] >> CELL_SHIFT)
+        order = np.lexsort((self.key_seq[cells], self.ip_seq[owners], rank))
+        return cells[order], owners[order], rank[order]
+
+    def first_seen(self, c: np.ndarray, d: np.ndarray) -> list[list[IngressPoint]]:
+        """Each cell span's ingress points in the order its walk meets them:
+        the order of the ingresses over :meth:`sources`."""
+        cells, __, rank = self._walk(c, d)
+        codes = (self.keys[cells] & _CODE_MASK).astype(np.int64)
+        first = np.sort(np.unique(rank << CELL_SHIFT | codes, return_index=True)[1])
+        cuts = np.searchsorted(rank[first], np.arange(len(c) + 1)).tolist()
+        points = list(map(_POINTS.__getitem__, codes[first].tolist()))
+        return [points[i:j] for i, j in zip(cuts, cuts[1:])]
+
+    def sources(self, spans: tuple[np.ndarray, ...]) -> list[list]:
+        """``[(masked_ip, last_seen, [(ingress, weight), ...]), ...]`` per
+        span, sources and each one's cells in first-seen order: the nested
+        layout the ``IPDS`` node stream encodes."""
+        a, b, c, d = spans
+        rows, rank = _gather(a, b)
+        rows = rows[np.lexsort((self.ip_seq[rows], rank))]
+        cells, owners, __ = self._walk(c, d)
+        # each source's cells are one run, the runs in source order
+        cuts = np.flatnonzero(np.diff(owners, prepend=-1)).tolist() + [len(owners)]
+        points = list(map(_POINTS.__getitem__, (self.keys[cells] & _CODE_MASK).tolist()))
+        weights = self.weights[cells].tolist()
+        grouped = [list(zip(points[i:j], weights[i:j])) for i, j in zip(cuts, cuts[1:])]
+        flat = list(zip(self.ips[rows].tolist(), self.seen[rows].tolist(), grouped))
+        ends = np.cumsum(b - a).tolist()
+        return [flat[end - count : end] for end, count in zip(ends, (b - a).tolist())]
 
 
-def cell_keys(
-    sources: "np.ndarray | list[int]", table: Sequence[IngressPoint], ids: np.ndarray
-) -> list[int]:
-    """:func:`cell_key` down parallel columns: each row's source (uint64
-    below 2^32 packs in one array op; else Python ints) and ingress id."""
-    codes = np.array(list(map(ingress_code, table)), dtype=np.uint64)[ids]
-    if isinstance(sources, np.ndarray):
-        return (sources << np.uint64(CELL_SHIFT) | codes).tolist()
-    return list(map(or_, map(lshift, sources, repeat(CELL_SHIFT)), codes.tolist()))
+def _gather(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row numbers of the spans ``starts[i]:ends[i]``, concatenated, and
+    the span number of each."""
+    lengths = ends - starts
+    rank = np.repeat(np.arange(len(starts)), lengths)
+    return np.arange(int(lengths.sum())) + (starts - lengths.cumsum() + lengths)[rank], rank
+
+
+def reduce_spans(
+    ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray, ends: np.ndarray, empty: float
+) -> np.ndarray:
+    """``ufunc.reduce(values[starts[i]:ends[i]])`` per span; *empty* for an empty one."""
+    out = np.full(len(starts), empty)
+    full = starts < ends
+    if full.any():
+        bounds = np.empty(2 * int(full.sum()), np.intp)
+        bounds[::2], bounds[1::2] = starts[full], ends[full]
+        out[full] = ufunc.reduceat(np.concatenate((values, [empty])), bounds)[::2]
+    return out
 
 
 @dataclass
 class UnclassifiedState:
-    """Observation state for a range without a prevalent ingress yet:
-    one flat map of (source, ingress) cells and one of per-source newest
-    timestamps, both in first-seen order — no dict per source."""
+    """Observation state for a range without a prevalent ingress yet: its
+    scalars only — the per-source rows sit in the trie's :class:`CellTable`."""
 
-    #: :func:`cell_key` (masked source IP, ingress) -> sample weight
-    cells: dict[int, float] = field(default_factory=dict)
-    #: masked source IP -> timestamp of its newest sample
-    last_seen: dict[int, float] = field(default_factory=dict)
-    #: running total of all weights in :attr:`cells`, kept by addition
-    #: (ingest) and subtraction (:meth:`expire`).  Exact, never drifting:
-    #: every weight is an integer-valued float (a flow or byte count), so
-    #: while sums stay below 2^53 each step is exact in any order
+    #: the range's summed cell weights, by addition (ingest) and subtraction
+    #: (expiry): exact while integer-valued weights sum below 2^53
     total: float = 0.0
-    #: lower bound on ``min(last_seen.values())`` (``inf`` when empty);
-    #: used by the expiry scheduler, re-tightened exactly by ``expire``
+    #: lower bound on the range's smallest ``last_seen``, ``inf`` exactly
+    #: when it holds no source; re-tightened by an expiry that removes one
     oldest_seen: float = _INF
-    #: bound at which this range was last pushed onto the expiry heap
-    #: (scheduler-private; ``inf`` means "not currently scheduled")
+    #: bound this range was last pushed onto the expiry heap at (``inf``: not)
     heap_bound: float = field(default=_INF, repr=False, compare=False)
-
-    def add_batch(
-        self,
-        masked_ip: int,
-        by_ingress: Mapping[IngressPoint, float],
-        newest: float,
-        oldest: float,
-    ) -> None:
-        """Fold one masked source's samples: the summed weight per ingress
-        and the group's newest / oldest timestamps (the one-source form of
-        the engine's batch fold; exact for integer-valued weights)."""
-        for ingress, weight in by_ingress.items():
-            key = cell_key(masked_ip, ingress)
-            self.cells[key] = self.cells.get(key, 0.0) + weight
-            self.total += weight
-        self.last_seen[masked_ip] = max(self.last_seen.get(masked_ip, -_INF), newest)
-        self.oldest_seen = min(self.oldest_seen, oldest)
-
-    def expire(self, cutoff: float) -> int:
-        """Drop all sources last seen strictly before *cutoff*; returns how
-        many.  ``total`` loses exactly the removed cells' weights (integer
-        weights subtract exactly) and ``oldest_seen`` is re-tightened."""
-        last_seen = self.last_seen
-        stale = [ip for ip, seen in last_seen.items() if seen < cutoff]
-        if not stale:
-            return 0
-        if len(stale) == len(last_seen):
-            self.cells.clear()
-            last_seen.clear()
-            self.total, self.oldest_seen = 0.0, _INF
-            return len(stale)
-        gone = set(stale)
-        for key in [key for key in self.cells if key >> CELL_SHIFT in gone]:
-            self.total -= self.cells.pop(key)
-        for ip in stale:
-            del last_seen[ip]
-        self.oldest_seen = min(last_seen.values())
-        return len(stale)
-
-    def split_at(
-        self, boundary: int
-    ) -> "tuple[UnclassifiedState, UnclassifiedState]":
-        """The states of the sources below and from *boundary* on: one
-        pass over each map, order kept, each side summed once."""
-        bound = boundary << CELL_SHIFT
-        cells: tuple[dict[int, float], dict[int, float]] = ({}, {})
-        seen: tuple[dict[int, float], dict[int, float]] = ({}, {})
-        for key, weight in self.cells.items():
-            cells[key >= bound][key] = weight
-        for ip, stamp in self.last_seen.items():
-            seen[ip >= boundary][ip] = stamp
-        left, right = (
-            UnclassifiedState(side, stamps, sum(side.values()), min(stamps.values(), default=_INF))
-            for side, stamps in zip(cells, seen)
-        )
-        return left, right
-
-    def ingress_totals(self) -> dict[IngressPoint, float]:
-        """Aggregate weights per ingress across all sources, one flat pass.
-
-        Keys come in cell order: every sum is exact (integer-valued
-        weights), and classification keeps :meth:`sources` order instead.
-        """
-        by_code: dict[int, float] = {}
-        get = by_code.get
-        for key, weight in self.cells.items():
-            code = key & _CODE_MASK
-            by_code[code] = get(code, 0.0) + weight
-        return {_POINTS[code]: weight for code, weight in by_code.items()}
-
-    def sources(self) -> list[tuple[int, float, list[tuple[IngressPoint, float]]]]:
-        """``(masked_ip, last_seen, [(ingress, weight), ...])`` per source,
-        sources and each one's cells in first-seen order: the nested layout
-        the ``IPDS`` node stream encodes and classification keeps."""
-        grouped: dict[int, list[tuple[IngressPoint, float]]] = {
-            ip: [] for ip in self.last_seen
-        }
-        for key, weight in self.cells.items():
-            grouped[key >> CELL_SHIFT].append((_POINTS[key & _CODE_MASK], weight))
-        return [(ip, self.last_seen[ip], cells) for ip, cells in grouped.items()]
-
-    def entry_count(self) -> int:
-        """Number of (source, ingress) counter cells — O(1)."""
-        return len(self.cells)
 
     @property
     def sample_count(self) -> float:
         """The paper's ``s_ipcount`` for this range."""
         return self.total
 
-    @property
-    def newest_timestamp(self) -> float:
-        return max(self.last_seen.values(), default=float("-inf"))
-
     def is_empty(self) -> bool:
-        return not self.last_seen
+        return self.oldest_seen == _INF
 
 
 @dataclass
@@ -217,27 +296,15 @@ class ClassifiedState:
         }
         self.counters = decayed
 
-    def entry_count(self) -> int:
-        """Number of per-ingress counter cells — O(1)."""
-        return len(self.counters)
-
     @property
     def total(self) -> float:
         return sum(self.counters.values())
 
-    @property
-    def sample_count(self) -> float:
-        """The paper's ``s_ipcount`` for this range."""
-        return self.total
-
     def merged_with(self, other: "ClassifiedState") -> "ClassifiedState":
-        """Combine two same-ingress classified states (the join rule).
-
-        Counters add, ``last_seen`` is the newer of the two, and the
-        merged range counts as classified since the *earlier* of the two
-        classifications — joining refines an existing decision rather
-        than making a new one.
-        """
+        """Combine two same-ingress classified states (the join rule):
+        counters add, ``last_seen`` is the newer, and the range counts as
+        classified since the *earlier* classification — a join refines an
+        existing decision rather than making a new one."""
         counters = dict(self.counters)
         for ingress, weight in other.counters.items():
             counters[ingress] = counters.get(ingress, 0.0) + weight
@@ -253,13 +320,9 @@ class ClassifiedState:
         member_ingresses: Iterable[IngressPoint],
         total: float | None = None,
     ) -> float:
-        """Share of samples that entered via the given logical ingress.
-
-        For a bundle, *member_ingresses* enumerates the bundled raw
-        interfaces; for a plain ingress it is a single-element iterable.
-        This is the paper's ``s_ingress``.  *total* is :attr:`total`,
-        passed by a caller that has just summed it.
-        """
+        """The paper's ``s_ingress``: the share of samples that entered via
+        *member_ingresses* (a bundle's raw interfaces, or the one plain
+        ingress).  *total* is :attr:`total`, from a caller that summed it."""
         if total is None:
             total = self.total
         if total <= 0.0:
@@ -272,24 +335,12 @@ class ClassifiedState:
 class DelegatedState:
     """Marker for a range whose state lives in *another* engine.
 
-    The sharded runtime (:mod:`repro.runtime`) splits the trie at a
-    fixed depth ``k``: the aggregator trie owns every range coarser than
-    ``/k`` and plants a ``DelegatedState`` at each depth-``k`` leaf it
-    has handed to a shard engine; conversely each shard engine's
-    ``/k``-rooted trie carries a ``DelegatedState`` at its root while
-    the range is still owned by the aggregator.  A delegated leaf is
-    inert: it holds no samples, is never visited by sweeps, contributes
-    nothing to snapshots or ``state_size()``, and is excluded from
-    ``leaf_count()`` so the visible leaves of aggregator + shards
-    partition the address space exactly like a single engine's trie.
+    The sharded runtime (:mod:`repro.runtime`) plants one at each
+    depth-``k`` leaf the aggregator has handed to a shard engine, and at
+    a shard trie's root while the aggregator still owns the range.  A
+    delegated leaf is inert: no samples or rows, never visited by sweeps,
+    nothing in snapshots or ``state_size()``, and not counted by
+    ``leaf_count()``, so aggregator and shards partition the address
+    space exactly like a single engine's trie.
     """
 
-    def entry_count(self) -> int:
-        return 0
-
-    def is_empty(self) -> bool:
-        return True
-
-    @property
-    def sample_count(self) -> float:
-        return 0.0

@@ -45,7 +45,7 @@ from .framing import damage_reported, read_header, write_header
 from .iputil import Prefix
 from .params import IPDParams, default_decay
 from .rangetree import RangeNode, RangeTree
-from .state import ClassifiedState, DelegatedState, UnclassifiedState, cell_key
+from .state import ClassifiedState, DelegatedState, UnclassifiedState
 
 __all__ = [
     "CODEC_VERSION",
@@ -58,7 +58,6 @@ __all__ = [
     "subtree_to_image",
     "tree_to_image",
     "engine_to_image",
-    "unclassified_image",
     "plant_image",
     "restore_tree",
     "encode_engine",
@@ -156,9 +155,10 @@ class EngineImage:
 # ---------------------------------------------------------------------------
 
 
-def _state_image(state: object, dirty: bool) -> NodeImage:
+def _state_image(state: object, dirty: bool, sources: Optional[list]) -> NodeImage:
     if isinstance(state, UnclassifiedState):
-        return unclassified_image(state, dirty)
+        return NodeImage("unclassified", dirty, sources=sources, total=state.total,
+                         oldest_seen=state.oldest_seen)
     if isinstance(state, ClassifiedState):
         return NodeImage(
             kind="classified",
@@ -171,17 +171,6 @@ def _state_image(state: object, dirty: bool) -> NodeImage:
     if isinstance(state, DelegatedState):
         return NodeImage(kind="delegated")
     raise StateCodecError(f"cannot image state of type {type(state).__name__}")
-
-
-def unclassified_image(state: UnclassifiedState, dirty: bool) -> NodeImage:
-    """Image one unclassified payload (used directly by shard handoff)."""
-    return NodeImage(
-        kind="unclassified",
-        dirty=dirty,
-        sources=state.sources(),
-        total=state.total,
-        oldest_seen=state.oldest_seen,
-    )
 
 
 def subtree_to_image(
@@ -197,6 +186,10 @@ def subtree_to_image(
     to produce the merged single-engine-equivalent image.
     """
     dirty = tree.dirty
+    # every unclassified leaf's rows, read in one pass over the table
+    leaves = [leaf for leaf in tree.leaves() if node.prefix.contains(leaf.prefix)
+              and isinstance(leaf._state, UnclassifiedState)]
+    sources = dict(zip(leaves, tree.table.sources(tree.table.spans([x.prefix for x in leaves]))))
 
     def convert(current: RangeNode) -> NodeImage:
         if current.left is not None:
@@ -212,7 +205,7 @@ def subtree_to_image(
             and current.prefix in grafts
         ):
             return grafts[current.prefix]
-        return _state_image(state, current in dirty)
+        return _state_image(state, current in dirty, sources.get(current))
 
     return convert(node)
 
@@ -252,14 +245,7 @@ def _state_from_image(
 ) -> "UnclassifiedState | ClassifiedState | DelegatedState":
     if image.kind == "unclassified":
         # the stored total, not a recomputed sum: it must restore bit-exactly
-        state = UnclassifiedState(
-            total=image.total, oldest_seen=image.oldest_seen
-        )
-        for masked_ip, seen, by_ingress in image.sources:
-            state.last_seen[masked_ip] = seen
-            for ingress, weight in by_ingress:
-                state.cells[cell_key(masked_ip, ingress)] = weight
-        return state
+        return UnclassifiedState(total=image.total, oldest_seen=image.oldest_seen)
     if image.kind == "classified":
         return ClassifiedState(
             ingress=image.ingress,
@@ -278,12 +264,14 @@ def plant_image(tree: RangeTree, node: RangeNode, image: NodeImage) -> None:
     Structure grows through :meth:`RangeTree.sprout` (no split-count
     side effects) and every leaf state is assigned through the ``state``
     property setter, so leaf/classified counters and expiry scheduling
-    rebuild themselves.  The per-leaf dirty flags recorded in the image
-    are then applied exactly — a restored engine's next sweep visits
-    precisely the leaves the original engine's next sweep would have.
+    rebuild themselves; sources join the cell table in one merge, in
+    image order.  The per-leaf dirty flags recorded in the image are then
+    applied exactly — a restored engine's next sweep visits precisely the
+    leaves the original engine's next sweep would have.
     """
     if node.left is not None:
         raise StateCodecError(f"cannot plant onto internal node {node.prefix}")
+    sources: list = []
 
     def plant(target: RangeNode, img: NodeImage) -> None:
         if img.kind == "internal":
@@ -292,10 +280,14 @@ def plant_image(tree: RangeTree, node: RangeNode, image: NodeImage) -> None:
             plant(right, img.right)
             return
         target.state = _state_from_image(img)
+        if img.kind == "unclassified":
+            sources.extend(img.sources)
         if not img.dirty:
             tree.dirty.discard(target)
 
     plant(node, image)
+    if sources:
+        tree.table.plant(sources)
 
 
 def restore_tree(tree: RangeTree, image: TreeImage) -> None:

@@ -350,6 +350,14 @@ class Pipeline:
                 item = item.slice(skip, rows)
                 timestamps = item.timestamps
                 skip = 0
+            # NaN passes every ``<`` test below and never expires; +-inf
+            # breaks the grids: reject the batch before any row is ingested
+            broken = np.flatnonzero(~np.isfinite(timestamps))
+            if broken.size:
+                raise ValueError(
+                    f"flow stream row {result.flows_processed + int(broken[0])}: "
+                    f"timestamp {timestamps[broken[0]]} is not finite"
+                )
             first_time = float(timestamps[0])
             # each row against the one before it, the first against the
             # previous batch's last

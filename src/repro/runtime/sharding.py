@@ -69,8 +69,8 @@ from ..core.statecodec import (
     encode_engine,
     encode_subtree,
     plant_image,
+    subtree_to_image,
     tree_to_image,
-    unclassified_image,
 )
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .executors import EXECUTOR_KINDS, make_executor
@@ -347,18 +347,17 @@ class ShardedIPD:
         self, version: int, leaf: RangeNode, ops: list[tuple]
     ) -> None:
         tree = self.aggregator.trees[version]
-        was_dirty = leaf in tree.dirty
-        state = tree.delegate(leaf)
-        index = leaf.prefix.value >> self._shifts[version]
-        self._delegated[version].add(index)
-        self._portals[version][index] = leaf
         # Handoff is state *transfer*, not state sharing: the leaf's
         # observation state crosses the boundary as an encoded subtree
         # blob (exactly what checkpoint resume sends), so aggregator and
         # shard never alias one state object even in-process.
         payload = encode_subtree(
-            leaf.prefix, version, unclassified_image(state, was_dirty)
+            leaf.prefix, version, subtree_to_image(tree, leaf)
         )
+        tree.delegate(leaf)
+        index = leaf.prefix.value >> self._shifts[version]
+        self._delegated[version].add(index)
+        self._portals[version][index] = leaf
         ops.append(("seed", index, version, payload))
 
     def _undelegate(self, version: int, index: int, ops: list[tuple]) -> None:

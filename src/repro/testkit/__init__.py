@@ -14,7 +14,7 @@ code paths they check:
   seeded schedule of fault injections consulted by no-op hooks in the
   runtime (pipeline sweeps and sinks, sharded feeds, checkpoint store).
 * :mod:`repro.testkit.traces` — the canonical deterministic fixture
-  workloads (fig05, dualstack) with their test-scale parameters.
+  workloads (fig05, dualstack, stage2) with their test-scale parameters.
 
 The package ships inside ``repro`` (not under ``tests/``) so downstream
 users extending the engine can reuse the oracle and the fault harness
@@ -26,8 +26,10 @@ from .oracle import ReferenceIPD, assert_engines_equivalent, compare_reports
 from .traces import (
     DUALSTACK_PARAMS,
     FIG05_PARAMS,
+    STAGE2_PARAMS,
     dualstack_trace,
     fig05_trace,
+    stage2_trace,
 )
 
 __all__ = [
@@ -37,8 +39,10 @@ __all__ = [
     "FaultPlan",
     "InjectedSinkError",
     "ReferenceIPD",
+    "STAGE2_PARAMS",
     "assert_engines_equivalent",
     "compare_reports",
     "dualstack_trace",
     "fig05_trace",
+    "stage2_trace",
 ]

@@ -10,6 +10,10 @@ interesting at test scale:
 * :func:`dualstack_trace` — seeded pseudo-random interleaved IPv4+IPv6
   churn: ownership remaps mid-run, 5% ingress noise, byte-weighted
   flows.  Exercises joins, re-splits and the byte-counting mode.
+* :func:`stage2_trace` — the Stage-2 corners the other two miss: a leaf
+  that expires only in part, a source that comes back after expiring, a
+  router with two interfaces, splits with sources on both sides, and
+  IPv6 sources that differ below /64 (``cidr_max_v6`` 72).
 
 These were historically private helpers of the batch-equivalence suite;
 they live here so the differential-oracle and chaos suites (and any
@@ -29,8 +33,10 @@ __all__ = [
     "CORNERS",
     "DUALSTACK_PARAMS",
     "FIG05_PARAMS",
+    "STAGE2_PARAMS",
     "dualstack_trace",
     "fig05_trace",
+    "stage2_trace",
 ]
 
 NORTH = IngressPoint("R1", "et0")
@@ -45,6 +51,12 @@ FIG05_PARAMS = IPDParams(n_cidr_factor_v4=0.005, n_cidr_factor_v6=0.005)
 #: dual-stack run counts bytes, with factors sized for its flow volume
 DUALSTACK_PARAMS = IPDParams(
     n_cidr_factor_v4=0.002, n_cidr_factor_v6=0.002, count_bytes=True
+)
+
+
+#: stage2 run: IPv6 masked at /72, v6 thresholds sized for a few dozen flows
+STAGE2_PARAMS = IPDParams(
+    n_cidr_factor_v4=0.005, n_cidr_factor_v6=2e-8, cidr_max_v6=72
 )
 
 
@@ -106,5 +118,56 @@ def dualstack_trace(seed: int = 11) -> list[FlowRecord]:
                 FlowRecord(timestamp=ts, src_ip=src, version=version,
                            ingress=ingress, bytes=rng.choice((64, 576, 1500)))
             )
+    flows.sort(key=lambda flow: flow.timestamp)
+    return flows
+
+
+def stage2_trace() -> list[FlowRecord]:
+    """Twelve 60 s rounds over four regions (replay with STAGE2_PARAMS).
+
+    * 10/8 — router R5 splits every source evenly over et0 and et1: the
+      range classifies as the two-interface bundle.
+    * 100/8 — R1 owns 100.0/9 and R2 100.128/9: the split cascade runs
+      down to /9 with sources on both sides of the last split.
+    * 160/8 — too few samples to ever classify: three steady sources
+      (one on two ingresses, the second appearing later), three that
+      stop after round 1 and expire while the steady ones stay, and one
+      of those coming back in round 7 as a newly first-seen source.
+      Sources appear in descending address order.
+    * IPv6 — 2001:db8:1::/48 takes sources that differ only in bits
+      64-71 (kept at /72) alternating between R1 and R3, so the range
+      keeps splitting; a001:db8::/32 is R3's alone.
+    """
+    flows: list[FlowRecord] = []
+
+    def add(ts: float, text: str, ingress: IngressPoint) -> None:
+        value, version = parse_ip(text)
+        flows.append(
+            FlowRecord(timestamp=ts, src_ip=value, version=version, ingress=ingress)
+        )
+
+    for round_index in range(12):
+        start = round_index * 60.0
+        for slot in range(40):
+            ts = start + slot * 1.4
+            add(ts, f"10.0.{slot % 8}.{slot}", IngressPoint("R5", f"et{slot % 2}"))
+            side = slot % 2
+            add(ts + 0.1, f"100.{128 * side}.{slot % 4}.0", CORNERS[side])
+            if slot % 4 == 0:
+                lo = (slot // 4) % 5
+                add(ts + 0.2, f"2001:db8:1:0:{lo:x}{lo:x}00::",
+                    CORNERS[2 * (slot // 4 % 2)])
+            if slot % 8 == 4:
+                add(ts + 0.3, f"a001:db8:{slot // 8:x}::1", CORNERS[2])
+        steady = ["160.0.9.0", "160.0.5.0", "160.0.1.0"]
+        for index, text in enumerate(steady):
+            add(start + 10.0 + index, text, NORTH)
+        if round_index >= 3:
+            add(start + 20.0, steady[1], EAST)  # a second cell, later
+        transient = ["160.0.8.0", "160.0.6.0", "160.0.2.0"]
+        if round_index < 2 or round_index == 7:
+            for index, text in enumerate(transient):
+                if round_index < 2 or index == 1:
+                    add(start + 30.0 + index, text, SOUTH)
     flows.sort(key=lambda flow: flow.timestamp)
     return flows

@@ -45,9 +45,10 @@ class TestIngest:
         ipd = IPD(params(cidr_max_v4=28))
         ipd.ingest(flow("10.0.0.1", A))
         ipd.ingest(flow("10.0.0.14", A))  # same /28
-        state = ipd.trees[IPV4].root.state
+        tree = ipd.trees[IPV4]
+        state = tree.root.state
         assert isinstance(state, UnclassifiedState)
-        assert list(state.last_seen) == [ip("10.0.0.0")]
+        assert [source for source, *__ in tree.sources(tree.root)] == [ip("10.0.0.0")]
         assert state.sample_count == 2.0
 
     def test_classified_range_adds_counters_and_keeps_its_newest(self):

@@ -95,6 +95,21 @@ def joinable(tree: RangeTree) -> list[RangeNode]:
     ]
 
 
+#: folds samples into a bare tree: sources kept whole
+FOLD = IPD(IPDParams(cidr_max_v4=32, cidr_max_v6=128))
+
+
+def add(tree: RangeTree, address: int) -> None:
+    """One sample into the leaf covering *address*, by the engine's fold."""
+    FOLD.trees[tree.version] = tree
+    FOLD.ingest_batch(FlowBatch.from_flows([FlowRecord(1.0, address, tree.version, A)]))
+
+
+def clear(tree: RangeTree, node: RangeNode) -> None:
+    """Delete the cell-table rows under *node* (before its state is replaced)."""
+    tree.table.drop(tree.table.spans([node.prefix]))
+
+
 def apply_op(tree: RangeTree, op: str, pick: int) -> None:
     """Run one restructuring step; a step with no legal target is a no-op."""
     leaves = dfs_leaves(tree)
@@ -103,13 +118,14 @@ def apply_op(tree: RangeTree, op: str, pick: int) -> None:
     if op == "split" and growable and isinstance(leaf.state, UnclassifiedState):
         # one source in each half, so the split has state to redistribute
         for address in (leaf.prefix.value, leaf.prefix.last_value):
-            leaf.state.add_batch(address, {A: 1.0}, newest=1.0, oldest=1.0)
+            add(tree, address)
         tree.split(leaf)
     elif op == "sprout" and growable:
         tree.sprout(leaf)
     elif op == "delegate" and isinstance(leaf.state, UnclassifiedState):
         tree.delegate(leaf)
     elif op == "assign":
+        clear(tree, leaf)
         leaf.state = (
             ClassifiedState(A, {A: 1.0}, 0.0, 0.0) if pick % 2
             else UnclassifiedState()
@@ -120,10 +136,9 @@ def apply_op(tree: RangeTree, op: str, pick: int) -> None:
         for node in leaves:
             if isinstance(node.state, UnclassifiedState):
                 if node.prefix.masklen % 4 == pick % 4:
-                    node.state.add_batch(
-                        node.prefix.value, {A: 1.0}, newest=1.0, oldest=1.0
-                    )
+                    add(tree, node.prefix.value)
                 else:
+                    clear(tree, node)
                     node.state = UnclassifiedState()
         tree.prune_upward(leaves[pick % 3::3])
     elif op in ("join", "collapse"):
@@ -132,6 +147,7 @@ def apply_op(tree: RangeTree, op: str, pick: int) -> None:
             return
         parent = parents[pick % len(parents)]
         if op == "join":
+            clear(tree, parent)
             tree.join(parent, UnclassifiedState())
         else:
             tree.collapse(parent)

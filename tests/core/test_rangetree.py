@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.algorithm import IPD
 from repro.core.iputil import IPV4, IPV6, Prefix, parse_ip
+from repro.core.params import IPDParams
 from repro.core.rangetree import RangeTree
 from repro.core.state import ClassifiedState, UnclassifiedState
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -16,9 +19,18 @@ def ip(text: str) -> int:
     return parse_ip(text)[0]
 
 
-def add(state: UnclassifiedState, address, ingress, timestamp, weight=1.0) -> None:
-    """One sample, as a single-entry ``add_batch`` (what ingest folds)."""
-    state.add_batch(address, {ingress: weight}, newest=timestamp, oldest=timestamp)
+#: folds samples into a bare tree: sources kept whole, weighted by bytes
+FOLD = IPD(IPDParams(cidr_max_v4=32, cidr_max_v6=128, count_bytes=True))
+
+
+def add(tree: RangeTree, address, ingress, timestamp, weight=1) -> None:
+    """One sample into the leaf covering *address*, by the engine's fold."""
+    FOLD.trees[tree.version] = tree
+    FOLD.ingest_batch(
+        FlowBatch.from_flows(
+            [FlowRecord(timestamp, address, tree.version, ingress, bytes=int(weight))]
+        )
+    )
 
 
 class TestLookup:
@@ -29,9 +41,8 @@ class TestLookup:
 
     def test_lookup_after_split(self):
         tree = RangeTree(IPV4)
-        state = tree.root.state
-        add(state, ip("10.0.0.0"), A, 0.0)
-        add(state, ip("200.0.0.0"), A, 0.0)
+        add(tree, ip("10.0.0.0"), A, 0.0)
+        add(tree, ip("200.0.0.0"), A, 0.0)
         left, right = tree.split(tree.root)
         assert tree.lookup_leaf(ip("10.0.0.1")) is left
         assert tree.lookup_leaf(ip("200.0.0.1")) is right
@@ -41,7 +52,7 @@ class TestLookup:
         address = ip("10.0.0.0")
         first = tree.lookup_leaf(address)
         assert first is tree.root
-        add(tree.root.state, address, A, 0.0)
+        add(tree, address, A, 0.0)
         tree.split(tree.root)
         second = tree.lookup_leaf(address)
         assert second is not tree.root
@@ -51,21 +62,19 @@ class TestLookup:
 class TestSplit:
     def test_split_redistributes_per_ip_state(self):
         tree = RangeTree(IPV4)
-        state = tree.root.state
-        add(state, ip("10.0.0.0"), A, 1.0, weight=3.0)
-        add(state, ip("200.0.0.0"), A, 2.0, weight=5.0)
+        add(tree, ip("10.0.0.0"), A, 1.0, weight=3.0)
+        add(tree, ip("200.0.0.0"), A, 2.0, weight=5.0)
         left, right = tree.split(tree.root)
         assert left.state.sample_count == 3.0
         assert right.state.sample_count == 5.0
-        assert left.state.last_seen[ip("10.0.0.0")] == 1.0
-        assert right.state.last_seen[ip("200.0.0.0")] == 2.0
+        assert tree.sources(left) == [(ip("10.0.0.0"), 1.0, [(A, 3.0)])]
+        assert tree.sources(right) == [(ip("200.0.0.0"), 2.0, [(A, 5.0)])]
 
     def test_split_conserves_total(self):
         tree = RangeTree(IPV4)
-        state = tree.root.state
         for offset in range(50):
-            add(state, (offset * 77_000_000) % (1 << 32), A, 0.0)
-        total = state.sample_count
+            add(tree, (offset * 77_000_000) % (1 << 32), A, 0.0)
+        total = tree.root.state.sample_count
         left, right = tree.split(tree.root)
         assert left.state.sample_count + right.state.sample_count == total
 
@@ -198,8 +207,8 @@ class TestIncrementalCounters:
         left, right = tree.split(tree.root)
         assert tree.drain_dirty() == {left, right}
         assert tree.drain_dirty() == set()
-        add(left.state, ip("1.2.3.4"), A, 0.0)
-        # direct state mutation is invisible; assignment is tracked
+        add(tree, ip("1.2.3.4"), A, 0.0)
+        # a fold marks its leaf (above); assignment is tracked too
         right.state = ClassifiedState(A, {A: 1.0}, 0.0, 0.0)
         assert right in tree.drain_dirty()
 
@@ -208,9 +217,9 @@ class TestExpiryHeap:
     def test_pop_due_returns_old_leaves_once(self):
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
-        add(left.state, ip("1.0.0.0"), A, 10.0)
+        add(tree, ip("1.0.0.0"), A, 10.0)
         tree.schedule_expiry(left)
-        add(right.state, ip("200.0.0.0"), A, 500.0)
+        add(tree, ip("200.0.0.0"), A, 500.0)
         tree.schedule_expiry(right)
         assert tree.pop_expiry_due(100.0) == [left]
         assert tree.pop_expiry_due(100.0) == []  # popped = unscheduled
@@ -218,8 +227,7 @@ class TestExpiryHeap:
 
     def test_stale_entries_skipped_after_split(self):
         tree = RangeTree(IPV4)
-        root_state = tree.root.state
-        add(root_state, ip("10.0.0.0"), A, 1.0)
+        add(tree, ip("10.0.0.0"), A, 1.0)
         tree.schedule_expiry(tree.root)
         left, __ = tree.split(tree.root)  # root is internal now
         due = tree.pop_expiry_due(1e9)
@@ -228,10 +236,9 @@ class TestExpiryHeap:
 
     def test_rearming_at_lower_bound_supersedes(self):
         tree = RangeTree(IPV4)
-        state = tree.root.state
-        add(state, ip("1.0.0.0"), A, 100.0)
+        add(tree, ip("1.0.0.0"), A, 100.0)
         tree.schedule_expiry(tree.root)
-        add(state, ip("2.0.0.0"), A, 20.0)  # older sample lowers the bound
+        add(tree, ip("2.0.0.0"), A, 20.0)  # older sample lowers the bound
         tree.schedule_expiry(tree.root)
         assert tree.pop_expiry_due(50.0) == [tree.root]
         assert tree.pop_expiry_due(500.0) == []  # stale 100.0 entry skipped
@@ -257,7 +264,7 @@ class TestPrune:
     def test_prune_upward_stops_at_nonremovable_sibling(self):
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
-        add(right.state, ip("200.0.0.0"), A, 0.0)
+        add(tree, ip("200.0.0.0"), A, 0.0)
         removed = tree.prune_upward([left])
         assert removed == 0
         assert not tree.root.is_leaf
@@ -265,7 +272,7 @@ class TestPrune:
     def test_prune_keeps_nonempty(self):
         tree = RangeTree(IPV4)
         left, right = tree.split(tree.root)
-        add(left.state, ip("1.0.0.0"), A, 0.0)
+        add(tree, ip("1.0.0.0"), A, 0.0)
         removed = tree.prune_upward([left, right])
         assert removed == 0
         assert not tree.root.is_leaf
@@ -275,7 +282,7 @@ class TestIPv6:
     def test_v6_tree_lookup_and_split(self):
         tree = RangeTree(IPV6)
         value = parse_ip("2001:db8::1")[0]
-        add(tree.root.state, value, A, 0.0)
+        add(tree, value, A, 0.0)
         left, right = tree.split(tree.root)
         found = tree.lookup_leaf(value)
         assert found.prefix.masklen == 1
@@ -296,7 +303,7 @@ def test_property_lookup_always_contains(addresses, split_choices):
     the leaves always partition the full address space."""
     tree = RangeTree(IPV4)
     for address in addresses:
-        add(tree.root.state, address, A, 0.0) if tree.root.is_leaf else None
+        add(tree, address, A, 0.0) if tree.root.is_leaf else None
     for choice in split_choices:
         leaves = [
             leaf

@@ -1,12 +1,27 @@
-"""Tests for per-range state (unclassified and classified)."""
+"""Tests for per-range state (unclassified and classified).
 
+An unclassified range's sources live in its trie's :class:`CellTable`,
+so these drive them through the one way rows get there —
+``IPD.ingest_batch`` — and read them back through the tree.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.algorithm import IPD
+from repro.core.bundles import router_peak
 from repro.core.iputil import IPV4
+from repro.core.params import IPDParams
 from repro.core.rangetree import RangeTree
-from repro.core.state import ClassifiedState, UnclassifiedState, cell_key
+from repro.core.state import (
+    ClassifiedState,
+    DelegatedState,
+    UnclassifiedState,
+    reduce_spans,
+)
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -16,127 +31,190 @@ INGRESSES = (A, B, C)
 
 INF = float("inf")
 
-
-def add(state: UnclassifiedState, ip, ingress, timestamp, weight=1.0) -> None:
-    """One sample, as a single-entry ``add_batch`` (what ingest folds)."""
-    state.add_batch(ip, {ingress: weight}, newest=timestamp, oldest=timestamp)
+#: sources kept whole (/32) and weighted by their byte count
+PARAMS = IPDParams(cidr_max_v4=32, count_bytes=True)
 
 
-def check_invariants(state: UnclassifiedState) -> None:
-    """total/entry count/oldest_seen must track the cells exactly, always."""
-    weights = [weight for *__, cells in state.sources() for __, weight in cells]
-    assert state.total == sum(weights)  # exact, not approx: no drift
-    assert state.entry_count() == len(weights)
-    assert all(cells for *__, cells in state.sources())
-    if state.last_seen:
-        assert state.oldest_seen <= min(state.last_seen.values())
-    else:
-        assert state.oldest_seen == INF
+def flow(ip, ingress, timestamp, weight=1) -> FlowRecord:
+    return FlowRecord(
+        timestamp=float(timestamp), src_ip=ip, version=IPV4, ingress=ingress,
+        bytes=int(weight),
+    )
+
+
+def add(ipd: IPD, ip, ingress, timestamp, weight=1) -> None:
+    """One sample, as a one-row batch."""
+    ipd.ingest_batch(FlowBatch.from_flows([flow(ip, ingress, timestamp, weight)]))
+
+
+def root(ipd: IPD) -> UnclassifiedState:
+    return ipd.trees[IPV4].root.state
+
+
+def sources(ipd: IPD):
+    tree = ipd.trees[IPV4]
+    return tree.sources(tree.root)
+
+
+def check_table(tree: RangeTree) -> None:
+    """The cell table's invariants, exactly, for every leaf of *tree*."""
+    table = tree.table
+    ips, keys = table.ips.tolist(), table.keys.tolist()
+    # sorted, no duplicate rows, every cell's source present, every
+    # source with a cell
+    assert ips == sorted(set(ips)) and keys == sorted(set(keys))
+    assert sorted({key >> 32 for key in keys}) == ips
+    assert len(ips) == len(table.seen) == len(table.ip_seq)
+    assert len(keys) == len(table.weights) == len(table.key_seq)
+    # each row lies in an unclassified leaf (no other leaf owns rows)
+    for ip in ips:
+        assert isinstance(tree.lookup_leaf(ip).state, UnclassifiedState)
+    for leaf in tree.leaves():
+        state = leaf.state
+        a, b, c, d = (int(part[0]) for part in tree.table.spans([leaf.prefix]))
+        if not isinstance(state, UnclassifiedState):
+            assert isinstance(state, (ClassifiedState, DelegatedState))
+            assert a == b and c == d
+            continue
+        # the span is exactly the prefix's sources
+        assert all(leaf.prefix.contains_ip(ip) for ip in ips[a:b])
+        rows = tree.sources(leaf)
+        assert [ip for ip, *__ in rows] == sorted(
+            ips[a:b], key=lambda ip: table.ip_seq[ips.index(ip)]
+        )
+        assert sum(len(cells) for *__, cells in rows) == d - c
+        weights = [weight for *__, cells in rows for __, weight in cells]
+        assert state.total == sum(weights)  # exact, not approx: no drift
+        # the grouped reads agree with the nested view they stand for
+        span = (np.array([c]), np.array([d]))
+        totals = table.totals(*span).get(0, {})
+        assert totals == {
+            point: sum(w for *__, cells in rows for p, w in cells if p == point)
+            for point in totals
+        }
+        if state.total > 0:  # the router bound keeps exactly what router_peak would
+            for q in (0.55, 0.8, 0.95):
+                kept = table.totals(*span, np.array([state.total]), q)
+                assert (0 in kept) == (router_peak(totals) / state.total >= q)
+        walk = [point for *__, cells in rows for point, __ in cells]
+        assert table.first_seen(*span) == [list(dict.fromkeys(walk))]
+        assert all(cells for *__, cells in rows)
+        if rows:
+            assert state.oldest_seen <= min(seen for __, seen, __ in rows)
+        else:
+            assert state.oldest_seen == INF
 
 
 class TestUnclassifiedState:
     def test_add_accumulates_total(self):
-        state = UnclassifiedState()
-        add(state, 10, A, timestamp=1.0)
-        add(state, 10, A, timestamp=2.0)
-        add(state, 20, B, timestamp=3.0)
-        assert state.sample_count == 3.0
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, timestamp=1.0)
+        add(ipd, 10, A, timestamp=2.0)
+        add(ipd, 20, B, timestamp=3.0)
+        assert root(ipd).sample_count == 3.0
 
     def test_add_with_weight(self):
-        state = UnclassifiedState()
-        add(state, 10, A, timestamp=1.0, weight=5.0)
-        assert state.sample_count == 5.0
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, timestamp=1.0, weight=5.0)
+        assert root(ipd).sample_count == 5.0
 
     def test_last_seen_keeps_newest(self):
-        state = UnclassifiedState()
-        add(state, 10, A, timestamp=5.0)
-        add(state, 10, A, timestamp=3.0)  # late sample, earlier clock
-        assert state.last_seen[10] == 5.0
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, timestamp=5.0)
+        add(ipd, 10, A, timestamp=3.0)  # late sample, earlier clock
+        assert sources(ipd) == [(10, 5.0, [(A, 2.0)])]
 
     def test_ingress_totals(self):
-        state = UnclassifiedState()
-        add(state, 10, A, 1.0)
-        add(state, 11, A, 1.0)
-        add(state, 12, B, 1.0, weight=2.0)
-        totals = state.ingress_totals()
-        assert totals[A] == 2.0
-        assert totals[B] == 2.0
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, 1.0)
+        add(ipd, 11, A, 1.0)
+        add(ipd, 12, B, 1.0, weight=2.0)
+        tree = ipd.trees[IPV4]
+        __, __, c, d = tree.table.spans([tree.root.prefix])
+        assert tree.table.totals(c, d) == {0: {A: 2.0, B: 2.0}}
 
     def test_expire_removes_stale_sources(self):
-        state = UnclassifiedState()
-        add(state, 10, A, timestamp=0.0)
-        add(state, 20, A, timestamp=100.0)
-        removed = state.expire(cutoff=50.0)
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, timestamp=0.0)
+        add(ipd, 20, A, timestamp=100.0)
+        removed = ipd.trees[IPV4].expire(cutoff=50.0)
         assert removed == 1
-        assert 10 not in state.last_seen
-        assert 20 in state.last_seen
-        assert state.sources() == [(20, 100.0, [(A, 1.0)])]
-        assert state.sample_count == 1.0
+        assert sources(ipd) == [(20, 100.0, [(A, 1.0)])]
+        assert root(ipd).sample_count == 1.0
+        assert root(ipd).oldest_seen == 100.0
 
     def test_expire_everything_resets_total(self):
-        state = UnclassifiedState()
-        add(state, 10, A, 0.0)
-        state.expire(cutoff=1000.0)
-        assert state.is_empty()
-        assert state.sample_count == 0.0
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, 0.0)
+        ipd.trees[IPV4].expire(cutoff=1000.0)
+        assert root(ipd).is_empty()
+        assert root(ipd).sample_count == 0.0
+        assert len(ipd.trees[IPV4].table.keys) == 0
 
     def test_expire_keeps_boundary(self):
-        state = UnclassifiedState()
-        add(state, 10, A, timestamp=50.0)
-        assert state.expire(cutoff=50.0) == 0  # strictly-before semantics
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, timestamp=50.0)
+        assert ipd.trees[IPV4].expire(cutoff=50.0) == 0  # strictly-before
 
     def test_newest_timestamp(self):
-        state = UnclassifiedState()
-        assert state.newest_timestamp == float("-inf")
-        add(state, 10, A, 7.0)
-        add(state, 11, A, 9.0)
-        assert state.newest_timestamp == 9.0
+        ipd = IPD(PARAMS)
+        tree = ipd.trees[IPV4]
+        a, b, __, __ = tree.table.spans([tree.root.prefix])
+        assert reduce_spans(np.maximum, tree.table.seen, a, b, -INF).tolist() == [-INF]
+        add(ipd, 10, A, 7.0)
+        add(ipd, 11, A, 9.0)
+        a, b, __, __ = tree.table.spans([tree.root.prefix])
+        assert reduce_spans(np.maximum, tree.table.seen, a, b, -INF).tolist() == [9.0]
 
 
 class TestUnclassifiedBatch:
+    """A batch adds each source's summed weight per ingress and its newest
+    timestamp; the range's ``oldest_seen`` takes the batch's oldest."""
+
     def test_add_batch_new_source_adds_its_cells(self):
-        state = UnclassifiedState()
-        state.add_batch(10, {A: 2.0, B: 1.0}, newest=5.0, oldest=3.0)
-        assert state.sources() == [(10, 5.0, [(A, 2.0), (B, 1.0)])]
-        assert state.total == 3.0
-        assert state.entry_count() == 2
-        assert state.last_seen[10] == 5.0
-        assert state.oldest_seen == 3.0
+        ipd = IPD(PARAMS)
+        ipd.ingest_batch(
+            FlowBatch.from_flows(
+                [flow(10, A, 3.0), flow(10, B, 5.0), flow(10, A, 4.0)]
+            )
+        )
+        assert sources(ipd) == [(10, 5.0, [(A, 2.0), (B, 1.0)])]
+        assert root(ipd).total == 3.0
+        assert ipd.state_size() == 2
+        assert root(ipd).oldest_seen == 3.0
 
     def test_add_batch_merges_existing_source(self):
-        state = UnclassifiedState()
-        add(state, 10, A, timestamp=4.0, weight=1.0)
-        state.add_batch(10, {A: 2.0, B: 3.0}, newest=6.0, oldest=2.0)
-        assert state.sources() == [(10, 6.0, [(A, 3.0), (B, 3.0)])]
-        assert state.total == 6.0
-        assert state.entry_count() == 2
-        assert state.last_seen[10] == 6.0
-        assert state.oldest_seen == 2.0
-        check_invariants(state)
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, timestamp=4.0, weight=1.0)
+        ipd.ingest_batch(
+            FlowBatch.from_flows(
+                [flow(10, B, 2.0, 3), flow(10, A, 6.0, 2)]
+            )
+        )
+        assert sources(ipd) == [(10, 6.0, [(A, 3.0), (B, 3.0)])]
+        assert root(ipd).total == 6.0
+        assert ipd.state_size() == 2
+        assert root(ipd).oldest_seen == 2.0
+        check_table(ipd.trees[IPV4])
 
     def test_add_batch_equals_per_sample_adds(self):
-        samples = [(10, A, 4.0), (10, B, 2.0), (10, A, 6.0)]
+        samples = [flow(10, A, 4.0), flow(10, B, 2.0), flow(10, A, 6.0)]
+        one_by_one = IPD(PARAMS)
+        for sample in samples:
+            one_by_one.ingest_batch(FlowBatch.from_flows([sample]))
+        grouped = IPD(PARAMS)
+        grouped.ingest_batch(FlowBatch.from_flows(samples))
         # the literal per-sample sums the paper's Stage 1 would keep
-        literal = UnclassifiedState(
-            cells={cell_key(10, A): 2.0, cell_key(10, B): 1.0},
-            last_seen={10: 6.0},
-            total=3.0,
-            oldest_seen=2.0,
-        )
-        one_by_one = UnclassifiedState()
-        for ip, ingress, ts in samples:
-            add(one_by_one, ip, ingress, ts)
-        assert one_by_one == literal
-        grouped = UnclassifiedState()
-        by_ingress: dict = {}
-        for __, ingress, ___ in samples:
-            by_ingress[ingress] = by_ingress.get(ingress, 0.0) + 1.0
-        grouped.add_batch(
-            10, by_ingress,
-            newest=max(ts for *__, ts in samples),
-            oldest=min(ts for *__, ts in samples),
-        )
-        assert grouped == literal
+        for ipd in (one_by_one, grouped):
+            assert sources(ipd) == [(10, 6.0, [(A, 2.0), (B, 1.0)])]
+            assert (root(ipd).total, root(ipd).oldest_seen) == (3.0, 2.0)
+        assert one_by_one.to_bytes() == grouped.to_bytes()
+
+
+def _batch(rows) -> FlowBatch:
+    return FlowBatch.from_flows(
+        [flow(ip, INGRESSES[code % 3], ts, weight) for ip, code, ts, weight in rows]
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,40 +231,36 @@ class TestUnclassifiedBatch:
     )
 )
 def test_property_total_never_drifts(operations):
-    """After any add/expire/split/add_batch sequence, ``total`` equals the
-    exact sum of the cell weights — the incremental counters cannot drift."""
-    tree = RangeTree(IPV4)
+    """After any add/expire/split/batch sequence, every range's ``total``
+    equals the exact sum of its cell weights — the incremental counters
+    cannot drift — and the table keeps its invariants."""
+    ipd = IPD(PARAMS)
+    tree = ipd.trees[IPV4]
     for opcode, address, timestamp, weight in operations:
-        leaves = [
-            leaf for leaf in tree.leaves()
-            if isinstance(leaf.state, UnclassifiedState)
-        ]
+        leaves = list(tree.leaves())
         target = leaves[address % len(leaves)]
-        state = target.state
         if opcode <= 2:
-            add(state, address, INGRESSES[opcode], float(timestamp),
-                float(weight))
+            add(ipd, address, INGRESSES[opcode], timestamp, weight)
         elif opcode == 3:
-            state.expire(cutoff=float(timestamp))
+            tree.expire(cutoff=float(timestamp))
         elif opcode == 4 and target.prefix.masklen < 24:
             tree.split(target)
         else:
-            state.add_batch(
-                address,
-                {INGRESSES[weight % 3]: float(weight)},
-                newest=float(timestamp),
-                oldest=float(max(0, timestamp - weight)),
+            ipd.ingest_batch(
+                _batch(
+                    [(address, weight, timestamp, weight),
+                     (address ^ 1 << 31, weight + 1, max(0, timestamp - weight), 1),
+                     (address, weight + 2, timestamp, weight)]
+                )
             )
-        for leaf in tree.leaves():
-            if isinstance(leaf.state, UnclassifiedState):
-                check_invariants(leaf.state)
+        check_table(tree)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(
         st.tuples(
-            st.booleans(),                                   # add_batch / expire
+            st.booleans(),                                   # batch / expire
             st.integers(min_value=0, max_value=(1 << 32) - 1),
             st.integers(min_value=0, max_value=600),         # timestamp
             st.lists(st.integers(0, 1 << 40), min_size=1, max_size=3),
@@ -196,32 +270,95 @@ def test_property_total_never_drifts(operations):
     )
 )
 def test_property_expire_subtracts_exactly(operations):
-    """``expire`` subtracts the removed sources instead of re-summing the
+    """Expiry subtracts the removed sources instead of re-summing the
     survivors; with byte-sized integer weights (up to 2^40) the result is
-    exactly what a fresh re-sum gives, and a split taken afterwards hands
-    its children totals that add up to the parent's."""
-    tree = RangeTree(IPV4)
-    state = tree.root.state
+    exactly what a fresh re-sum of the leaf's rows gives, and a split
+    taken afterwards hands its children totals that add up to the
+    parent's."""
+    ipd = IPD(PARAMS)
+    tree = ipd.trees[IPV4]
     for is_add, source, timestamp, weights in operations:
         if is_add:
-            state.add_batch(
-                source,
-                {INGRESSES[i]: float(weight) for i, weight in enumerate(weights)},
-                newest=float(timestamp),
-                oldest=float(max(0, timestamp - 30)),
+            ipd.ingest_batch(
+                _batch(
+                    [(source, 0, max(0, timestamp - 30), 0)]
+                    + [(source, code, timestamp, weight) for code, weight in enumerate(weights)]
+                )
             )
             continue
-        removed = state.expire(cutoff=float(timestamp))
-        cells = [weight for *__, cells in state.sources() for __, weight in cells]
-        assert state.total == sum(cells)
-        assert state.entry_count() == len(cells)
+        removed = tree.expire(cutoff=float(timestamp))
+        rows = sources(ipd)
+        cells = [weight for *__, cells in rows for __, weight in cells]
+        assert root(ipd).total == sum(cells)
+        assert ipd.state_size() == len(cells)
         if removed:
-            assert state.oldest_seen == min(state.last_seen.values(), default=INF)
-    total = state.total
+            assert root(ipd).oldest_seen == min(
+                (seen for __, seen, __ in rows), default=INF
+            )
+    total = root(ipd).total
     left, right = tree.split(tree.root)
     assert left.state.total + right.state.total == total
-    check_invariants(left.state)
-    check_invariants(right.state)
+    check_table(tree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),                                    # batch / sweep
+            st.lists(
+                st.tuples(
+                    st.integers(0, 255),                      # /8 of the source
+                    st.integers(0, 2),                        # ingress
+                    st.integers(0, 59),                       # offset in the tick
+                    st.integers(1, 1500),                     # bytes
+                ),
+                min_size=1,
+                max_size=12,
+            ),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_property_table_invariants_hold_through_ingest_and_sweeps(steps):
+    """After any mix of batches and sweeps the table is sorted, every
+    unclassified leaf's span holds exactly its prefix's sources, ``total``
+    is a fresh re-sum of the span, ``oldest_seen`` bounds the span's
+    ``last_seen`` from below — and equals its minimum after an expiry
+    that removed a source — and classified leaves own no rows."""
+    params = IPDParams(
+        n_cidr_factor_v4=0.0005, cidr_max_v4=16, count_bytes=True, t=60.0, e=120.0
+    )
+    ipd = IPD(params)
+    tree = ipd.trees[IPV4]
+    now = 0.0
+    for is_batch, rows in steps:
+        if is_batch:
+            ipd.ingest_batch(
+                _batch(
+                    [(top << 24 | offset << 8, code, now + offset, size)
+                     for top, code, offset, size in rows]
+                )
+            )
+        else:
+            now += params.t
+            before = {
+                leaf: {ip for ip, *__ in tree.sources(leaf)}
+                for leaf in tree.leaves()
+                if isinstance(leaf.state, UnclassifiedState)
+            }
+            ipd.sweep(now)
+            for leaf, held in before.items():
+                state = leaf.state
+                if leaf.dead or not leaf.is_leaf or not isinstance(state, UnclassifiedState):
+                    continue
+                kept = tree.sources(leaf)
+                if len(kept) < len(held):  # an expiry removed something
+                    assert state.oldest_seen == min(
+                        (seen for __, seen, __ in kept), default=INF
+                    )
+        check_table(tree)
 
 
 class TestClassifiedState:

@@ -191,10 +191,11 @@ class TestExactPreservation:
                 timestamp=float(index), src_ip=base + index * 16,
                 version=IPV4, ingress=A,
             ))
+        arrival = [base + index * 16 for index in (5, 1, 9, 2)]
         image = decode_engine(engine.to_bytes())
-        ips = [ip for ip, __, __ in image.trees[IPV4].root.sources]
-        state = engine.trees[IPV4].root.state
-        assert ips == list(state.last_seen)
+        assert [ip for ip, __, __ in image.trees[IPV4].root.sources] == arrival
+        restored = IPD.from_bytes(engine.to_bytes()).trees[IPV4]
+        assert [ip for ip, *__ in restored.sources(restored.root)] == arrival
 
     def test_next_sweep_visits_same_leaves(self):
         """Dirty membership and expiry scheduling must reconstruct so the

@@ -1,7 +1,7 @@
 """The engine blob after every sweep, pinned by SHA-256.
 
 ``data/sweep_digests.json`` holds one digest of ``IPD.to_bytes()`` per
-sweep for the fig05 and dual-stack traces, each replayed in default
+sweep for the fig05, dual-stack and stage2 traces, each replayed in default
 (8 192-row) batches and in one-row batches, plus trailing idle sweeps
 for expiry, decay and drop.  The digests were written by the engine
 before Stage 2 learned to skip work it can prove useless (the router
@@ -10,7 +10,10 @@ one-loop split), so any change to a decision, a counter value or the
 order a dict is written in shows up here at the sweep that made it.
 They were re-written once since, at the ``IPDS`` v2 bump, after every
 blob was checked to equal its predecessor but for the version field and
-the dropped one-byte failure count.
+the dropped one-byte failure count.  The stage2 digests were written by
+the engine that kept unclassified cells in per-leaf dicts, before the
+cells moved into one address-ordered table per trie; the stage2 trace
+holds what the other two lack (see :func:`test_stage2_trace_reaches_every_corner`).
 
 Regenerate (only when a change to the bytes is intended)::
 
@@ -30,8 +33,10 @@ from repro.netflow.records import DEFAULT_BATCH_SIZE, iter_flow_batches
 from repro.testkit.traces import (
     DUALSTACK_PARAMS,
     FIG05_PARAMS,
+    STAGE2_PARAMS,
     dualstack_trace,
     fig05_trace,
+    stage2_trace,
 )
 
 DATA = Path(__file__).parent / "data" / "sweep_digests.json"
@@ -39,26 +44,25 @@ DATA = Path(__file__).parent / "data" / "sweep_digests.json"
 TRACES = {
     "fig05": (fig05_trace, FIG05_PARAMS),
     "dualstack": (dualstack_trace, DUALSTACK_PARAMS),
+    "stage2": (stage2_trace, STAGE2_PARAMS),
 }
 BATCH_SIZES = {"default": DEFAULT_BATCH_SIZE, "one_row": 1}
 TRAILING_SWEEPS = 6
 
 
-def sweep_digests(trace: str, batches: str) -> list[str]:
-    """Replay one trace and return the engine digest after each sweep."""
+def replay(trace: str, batches: str, observe) -> None:
+    """Replay one trace, calling ``observe(engine, report)`` after each sweep."""
     make_flows, params = TRACES[trace]
     batch_size = BATCH_SIZES[batches]
     engine = IPD(params)
     t = params.t
-    digests: list[str] = []
     next_sweep = t
     bucket: list = []
 
     def sweep() -> None:
         engine.ingest_many(iter_flow_batches(bucket, batch_size))
         bucket.clear()
-        engine.sweep(next_sweep)
-        digests.append(hashlib.sha256(engine.to_bytes()).hexdigest())
+        observe(engine, engine.sweep(next_sweep))
 
     for flow in make_flows():
         while flow.timestamp >= next_sweep:
@@ -68,6 +72,18 @@ def sweep_digests(trace: str, batches: str) -> list[str]:
     for __ in range(TRAILING_SWEEPS + 1):
         sweep()
         next_sweep += t
+
+
+def sweep_digests(trace: str, batches: str) -> list[str]:
+    """Replay one trace and return the engine digest after each sweep."""
+    digests: list[str] = []
+    replay(
+        trace,
+        batches,
+        lambda engine, __: digests.append(
+            hashlib.sha256(engine.to_bytes()).hexdigest()
+        ),
+    )
     return digests
 
 
@@ -88,6 +104,75 @@ def test_batch_sizes_agree_at_every_sweep():
     pinned = json.loads(DATA.read_text())
     for trace in TRACES:
         assert pinned[f"{trace}/default"] == pinned[f"{trace}/one_row"]
+
+
+def _leaves(node, prefix, out: dict) -> None:
+    if node.kind == "internal":
+        left, right = prefix.children()
+        _leaves(node.left, left, out)
+        _leaves(node.right, right, out)
+    else:
+        out[prefix] = node
+
+
+def test_stage2_trace_reaches_every_corner():
+    """The stage2 trace shows each case its digests are there to pin,
+    read from the engine image after every sweep."""
+    sweeps: list = []
+
+    def observe(engine, report) -> None:
+        leaves: dict = {}
+        for tree in engine.to_image().trees.values():
+            _leaves(tree.root, tree.root_prefix, leaves)
+        sources = {
+            prefix: [ip for ip, *__ in node.sources]
+            for prefix, node in leaves.items()
+            if node.kind == "unclassified" and node.sources
+        }
+        sweeps.append((report, leaves, sources))
+
+    replay("stage2", "default", observe)
+    pairs = list(zip(sweeps, sweeps[1:]))
+    # a leaf keeps some of its sources through a sweep that expires others
+    assert any(
+        report.expired_sources
+        and prefix in before
+        and 0 < len(set(after[prefix]) & set(before[prefix])) < len(before[prefix])
+        for (__, __, before), (report, __, after) in pairs
+        for prefix in after
+    )
+    # a source expires and later comes back, as a newly first-seen one
+    present = [
+        {ip for ips in sources.values() for ip in ips} for __, __, sources in sweeps
+    ]
+    assert any(
+        ip not in present[gone] and ip in present[back]
+        for gone in range(1, len(sweeps))
+        if sweeps[gone][0].expired_sources
+        for ip in present[gone - 1]
+        for back in range(gone + 1, len(sweeps))
+    )
+    # a router with two interfaces classifies as their bundle
+    assert any(
+        node.kind == "classified" and "+" in node.ingress.interface
+        for __, leaves, __ in sweeps
+        for node in leaves.values()
+    )
+    # a split leaves sources on both sides
+    assert any(
+        prefix in before
+        and all(child in after for child in prefix.children())
+        for (__, __, before), (__, __, after) in pairs
+        for prefix in before
+        if prefix.masklen < prefix.bits
+    )
+    # IPv6 sources are kept at /72: they differ below /64
+    assert STAGE2_PARAMS.cidr_max_v6 == 72
+    assert any(
+        prefix.version == 6 and len({ip & (1 << 64) - 1 for ip in ips}) > 1
+        for __, __, sources in sweeps
+        for prefix, ips in sources.items()
+    )
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The Pipeline / LivePipeline API surface and the output sinks."""
 
 import io
+from math import inf, nan
 
 import pytest
 
@@ -180,6 +181,40 @@ class TestRecordNormalisation:
     )
     def test_out_of_order_error_names_first_offender(self, stream, message):
         with pytest.raises(ValueError, match=f"not time-ordered: {message}$"):
+            Pipeline(params()).run(stream)
+
+    @pytest.mark.parametrize(
+        "stream, row, value",
+        [
+            ([FlowBatch.from_flows([flow(5.0), flow(nan), flow(9.0)])], 1, "nan"),
+            (
+                [
+                    FlowBatch.from_flows([flow(5.0), flow(9.0)]),
+                    FlowBatch.from_flows([flow(9.5), flow(nan)]),
+                ],
+                3,
+                "nan",
+            ),
+            ([flow(nan), flow(5.0)], 0, "nan"),
+            ([FlowBatch.from_flows([flow(inf), flow(5.0)])], 0, "inf"),
+            ([FlowBatch.from_flows([flow(-inf), flow(5.0)])], 0, "-inf"),
+        ],
+        ids=["nan-mid-batch", "nan-second-batch", "nan-first", "inf-first", "-inf-first"],
+    )
+    def test_non_finite_timestamp_rejected_before_ingest(self, stream, row, value):
+        pipeline = Pipeline(params())
+        with pytest.raises(
+            ValueError, match=f"^flow stream row {row}: timestamp {value} is not finite$"
+        ):
+            pipeline.run(stream)
+        # no row of the offending batch reached the engine (the first
+        # batch of the two-batch stream did, in full)
+        assert pipeline.engine.flows_ingested == (2 if row == 3 else 0)
+
+    def test_nan_does_not_let_a_late_row_through(self):
+        # before the check, 5.0 after 9.0 passed because NaN compares false
+        stream = [FlowBatch.from_flows([flow(9.0), flow(nan), flow(5.0)])]
+        with pytest.raises(ValueError, match="row 1: timestamp nan"):
             Pipeline(params()).run(stream)
 
     def test_sub_nanosecond_jitter_still_accepted(self):

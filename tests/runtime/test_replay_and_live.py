@@ -162,9 +162,10 @@ class TestLivePipeline:
         runner.start()
         runner.submit(flow)
         runner.stop()
-        state = runner.engine.trees[IPV4].root.state
+        tree = runner.engine.trees[IPV4]
         # the ingested sample carries the live clock, not the trace time
-        assert state.newest_timestamp == pytest.approx(1000.0)
+        [(__, seen, __)] = tree.sources(tree.root)
+        assert seen == pytest.approx(1000.0)
 
 
 class RecordingEngine:
