@@ -230,7 +230,8 @@ class CountMinSketch:
     so a decision gated on ``estimate >= threshold`` can admit a mouse
     early but can never starve an elephant — the safe direction for an
     admission filter.  ``halve`` implements aging: all cells decay by
-    half and the fill count is retightened.
+    half.  ``fill`` is the exact number of nonzero cells after every
+    mutation: updates count only the cells they move to or from zero.
     """
 
     __slots__ = ("width", "depth", "_mask", "_salts", "cells", "fill")
@@ -259,15 +260,38 @@ class CountMinSketch:
         estimate = float("inf")
         for salt in self._salts:
             index = base + (_splitmix64((key & _MASK64) ^ (key >> 64) ^ salt) & mask)
-            value = cells[index]
-            if value == 0.0:
-                fill += 1
-            value += weight
+            old = cells[index]
+            value = old + weight
+            fill += (value != 0.0) - (old != 0.0)
             cells[index] = value
             if value < estimate:
                 estimate = value
             base += width
         self.fill += fill
+        return estimate
+
+    def add_batch(
+        self, keys: "_np.ndarray", weights: "Optional[_np.ndarray]"
+    ) -> "_np.ndarray":
+        """Fold a batch of uint64 *keys* (weight 1 each when *weights* is
+        None) into every row; returns each key's estimate read once the
+        whole batch is in.  Touches only the cells the batch hashes to:
+        per row, the distinct cells get their summed weight (the same
+        sums, added in the same order, as a dense ``bincount`` row)."""
+        cells = _np.frombuffer(self.cells, dtype=_np.float64)
+        mask = _np.uint64(self._mask)
+        estimate = _np.full(len(keys), _np.inf)
+        for base, salt in zip(range(0, cells.size, self.width), self._salts):
+            touched, slot = _np.unique(
+                _splitmix64_array(keys ^ _np.uint64(salt)) & mask,
+                return_inverse=True,
+            )
+            touched = touched.astype(_np.intp) + base
+            before = cells[touched]
+            after = before + _np.bincount(slot, weights=weights)
+            cells[touched] = after
+            self.fill += int(_np.count_nonzero(after) - _np.count_nonzero(before))
+            _np.minimum(estimate, after[slot], out=estimate)
         return estimate
 
     def estimate(self, key: int) -> float:
@@ -310,20 +334,25 @@ class CountMinSketch:
         ]
 
     def load_sparse(self, pairs: "list[tuple[int, float]]") -> None:
-        """Replace the cell contents from codec ``(index, value)`` pairs."""
+        """Replace the cell contents from codec ``(index, value)`` pairs:
+        indices strictly increasing, values positive and finite — what
+        :meth:`sparse_cells` emits, so ``fill`` is the pair count."""
         self.clear()
         cells = self.cells
         size = len(cells)
-        fill = 0
+        previous = -1
         for index, value in pairs:
             if not 0 <= index < size:
                 raise StateCodecError(
                     f"sketch cell index {index} out of range (size {size})"
                 )
-            if value != 0.0 and cells[index] == 0.0:
-                fill += 1
+            if index <= previous:
+                raise StateCodecError(f"sketch cell index {index} out of order")
+            if not 0.0 < value < math.inf:
+                raise StateCodecError(f"sketch cell {index} holds {value!r}")
             cells[index] = value
-        self.fill = fill
+            previous = index
+        self.fill = len(pairs)
 
     def merge(self, other: "CountMinSketch") -> None:
         """Cellwise-add *other* (same geometry and salts required)."""
@@ -367,11 +396,9 @@ class AdmissionController:
         self.config = config
         self.exact = config.mode == "exact"
         self._sketches: dict[int, CountMinSketch] = {}
-        self._elephants: dict[int, set[int]] = {}
-        # lazily rebuilt sorted-ndarray mirror of each elephant set,
-        # keyed by version, cached as (herd size, array) — promotions
-        # only ever grow the herd, so a size match means it is current
-        self._herd_arrays: dict[int, "tuple[int, object]"] = {}
+        # version -> the promoted gate keys as one sorted, read-only
+        # uint64 array: membership is a searchsorted, promotion a merge
+        self._elephants: dict[int, "_np.ndarray"] = {}
         self._age_boundary: Optional[int] = None
         self._saturated = False
         # decision counters since the last take_counters() drain
@@ -391,17 +418,21 @@ class AdmissionController:
             self._sketches[version] = sketch
         return sketch
 
-    def elephants(self, version: int) -> set[int]:
-        """The per-family promoted set, as gate keys.
-
-        A gate key is the masked source for IPv4 and the masked *high
-        word* for IPv6 (see :meth:`prefilter_rows`).
-        """
+    def elephants(self, version: int) -> "_np.ndarray":
+        """The per-family gate keys promoted so far: one sorted, read-only
+        uint64 array of masked IPv4 sources or masked IPv6 *high words*."""
         herd = self._elephants.get(version)
         if herd is None:
-            herd = set()
-            self._elephants[version] = herd
+            herd = self._elephants[version] = _np.empty(0, dtype=_np.uint64)
+            herd.flags.writeable = False
         return herd
+
+    def _promote(self, version: int, keys: "_np.ndarray") -> None:
+        """Merge sorted, distinct gate *keys* not yet in the herd into it."""
+        herd = self.elephants(version)
+        herd = _np.insert(herd, _np.searchsorted(herd, keys), keys)
+        herd.flags.writeable = False
+        self._elephants[version] = herd
 
     @property
     def saturated(self) -> bool:
@@ -419,17 +450,6 @@ class AdmissionController:
         self._saturated = True
 
     # ------------------------------------------------------------------ decisions
-
-    def _herd_array(self, version: int) -> "object":
-        """The elephant set as a sorted uint64 ndarray (vectorized gate)."""
-        herd = self.elephants(version)
-        cached = self._herd_arrays.get(version)
-        if cached is not None and cached[0] == len(herd):
-            return cached[1]
-        mirror = _np.fromiter(herd, dtype=_np.uint64, count=len(herd))
-        mirror.sort()
-        self._herd_arrays[version] = (len(herd), mirror)
-        return mirror
 
     @hot_path
     def prefilter_rows(
@@ -454,7 +474,8 @@ class AdmissionController:
         estimate is read after the whole batch's weight is in — the
         decisions a per-source loop over :meth:`CountMinSketch.add`
         makes with one summed add per distinct source.  Elephants never
-        touch the sketch.
+        touch the sketch, and the sketch update touches only the cells
+        the mice hash to (:meth:`CountMinSketch.add_batch`).
 
         *sources* and *weights* are a :class:`FlowBatch`'s columns, read
         as they are (``np.asarray``: no copy): uint64 IPv4 addresses or
@@ -474,15 +495,12 @@ class AdmissionController:
             shift = max(shift - 64, 0)
         shift_bits = _np.uint64(shift)
         masked = (sources >> shift_bits) << shift_bits
-        folded = (
-            None
-            if weights is None
-            else _np.asarray(weights, dtype=_np.float64)
-        )
+        folded = None if weights is None else _np.asarray(weights, dtype=_np.float64)
 
-        herd_mirror = self._herd_array(version)
-        if herd_mirror.size:  # type: ignore[attr-defined]
-            elephant = _np.isin(masked, herd_mirror)
+        herd = self.elephants(version)
+        if herd.size:
+            slot = _np.minimum(_np.searchsorted(herd, masked), herd.size - 1)
+            elephant = herd[slot] == masked
             mice_rows = _np.nonzero(~elephant)[0]
             if mice_rows.size == 0:
                 self.admitted += total  # all promoted traffic
@@ -496,34 +514,15 @@ class AdmissionController:
             mice_weights = folded
 
         sketch = self.sketch(version)
-        width = sketch.width
-        cells = _np.frombuffer(sketch.cells, dtype=_np.float64)
-        index_mask = _np.uint64(width - 1)
-        estimate = None
-        for row, salt in enumerate(sketch._salts):
-            indices = (
-                (_splitmix64_array(mice_keys ^ _np.uint64(salt)) & index_mask)
-                .astype(_np.intp)
-            )
-            row_cells = cells[row * width:(row + 1) * width]
-            row_cells += _np.bincount(
-                indices, weights=mice_weights, minlength=width
-            )
-            gathered = row_cells[indices]
-            estimate = (
-                gathered
-                if estimate is None
-                else _np.minimum(estimate, gathered)
-            )
-        sketch.fill = int(_np.count_nonzero(cells))
+        estimate = sketch.add_batch(mice_keys, mice_weights)
         if sketch.fill_ratio > self.config.max_fill:
             self.admitted += total  # saturated: degrade to admit-everything
             return None
 
         promoted = estimate >= self.config.promote_weight
         if promoted.any():
-            new_keys = _np.unique(mice_keys[promoted]).tolist()
-            self.elephants(version).update(new_keys)
+            new_keys = _np.unique(mice_keys[promoted])
+            self._promote(version, new_keys)
             self.promoted += len(new_keys)
         if elephant is None:
             keep = promoted
@@ -592,9 +591,9 @@ class AdmissionController:
                 if sketch.fill
             },
             elephants={
-                version: sorted(herd)
+                version: herd.tolist()
                 for version, herd in self._elephants.items()
-                if herd
+                if herd.size
             },
         )
 
@@ -607,7 +606,8 @@ class AdmissionController:
         for version, pairs in image.sketches.items():
             controller.sketch(version).load_sparse(pairs)
         for version, herd in image.elephants.items():
-            controller.elephants(version).update(herd)
+            keys = _np.unique(_np.array(herd, dtype=_np.uint64))
+            controller._promote(version, keys)
         return controller
 
     def to_bytes(self) -> bytes:

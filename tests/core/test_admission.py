@@ -9,19 +9,25 @@ this suite pins the controller's own semantics.
 import random
 from array import array
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.admission import (
+    ADMISSION_MODES,
     CODEC_VERSION,
     MAX_SKETCH_CELLS,
     AdmissionConfig,
     AdmissionController,
+    AdmissionImage,
     CountMinSketch,
     auto_sketch_width,
     decode_admission,
     encode_admission,
     merge_admission_images,
 )
+from repro.core.admission import _splitmix64_array as splitmix64_array
 from repro.core.framing import Writer
 from repro.core.iputil import IPV4, IPV6
 from repro.core.statecodec import IncompatibleStateError, StateCodecError
@@ -211,6 +217,14 @@ class TestCountMinSketch:
         with pytest.raises(StateCodecError, match="out of range"):
             sketch.load_sparse([(10_000, 1.0)])
 
+    def test_zero_weight_add_fills_no_cell(self):
+        sketch = CountMinSketch(64, 4, seed=1)
+        assert sketch.add(5, 0.0) == 0.0
+        assert sketch.fill == 0 == np.count_nonzero(sketch.cells)
+        sketch.add(5, 2.0)
+        sketch.add(5, 0.0)
+        assert sketch.fill == 4 == np.count_nonzero(sketch.cells)
+
     def test_merge_is_cellwise(self):
         left = CountMinSketch(64, 2, seed=9)
         right = CountMinSketch(64, 2, seed=9)
@@ -319,7 +333,8 @@ class TestPrefilterRows:
         assert lossy.prefilter_rows(IPV4, 4, sources).tolist() == [0, 1, 2, 3, 4]
         assert exact.sketch(IPV4).estimate(3200) == 1.0
         assert list(exact.sketch(IPV4).cells) == list(lossy.sketch(IPV4).cells)
-        assert exact.elephants(IPV4) == lossy.elephants(IPV4) == {1600}
+        assert exact.elephants(IPV4).tolist() == [1600]
+        assert lossy.elephants(IPV4).tolist() == [1600]
         assert exact.take_counters() == (5, 1, 0, 1)
         assert lossy.take_counters() == (5, 0, 1, 1)
 
@@ -350,9 +365,9 @@ class TestPrefilterRows:
             assert controller.sketch(version).fill == sketch.fill
             # the herd holds gate keys: the masked source, or its high word
             key_shift = 64 if version == IPV6 else 0
-            assert controller.elephants(version) == {
-                masked >> key_shift for masked in promoted
-            }
+            assert controller.elephants(version).tolist() == sorted(
+                {masked >> key_shift for masked in promoted}
+            )
             # exactly the rows of promoted sources are kept
             assert kept.tolist() == [
                 row
@@ -385,11 +400,12 @@ class TestPrefilterRows:
         assert set(range(len(heavy))) <= set(kept)
         # ...and the two weight-2 mice ride along: their /64 carries 10
         assert kept.tolist() == list(range(len(heavy) + len(split)))
-        assert controller.elephants(IPV6) == {net >> 64}
+        assert controller.elephants(IPV6).tolist() == [net >> 64]
 
     def test_elephants_skip_the_sketch(self):
-        controller = AdmissionController(self.config())
-        controller.elephants(IPV4).add(1600)
+        controller = AdmissionController.from_image(
+            AdmissionImage(self.config(), elephants={IPV4: [1600]})
+        )
         cells_before = list(controller.sketch(IPV4).cells)
         result = controller.prefilter_rows(IPV4, 4, [1600, 1601, 1602])
         assert result is None  # all three rows mask to the elephant 1600
@@ -410,6 +426,248 @@ class TestPrefilterRows:
         )
         assert kept.tolist() == [0]
         assert 1600 in controller.elephants(IPV4)
+
+
+class DenseGate:
+    """The gate as it was before its sketch update went sparse, kept as
+    the reference: per hash row one dense ``bincount(minlength=width)``
+    added to the whole row, ``fill`` recounted with ``count_nonzero``
+    over every cell, the herd a set checked with ``np.isin``."""
+
+    def __init__(self, config):
+        self.config = config
+        self.sketches = {}
+        self.herds = {}
+        self.counters = [0, 0, 0, 0]  # admitted, held, dropped, promoted
+
+    def sketch(self, version):
+        config = self.config
+        if version not in self.sketches:
+            self.sketches[version] = CountMinSketch(
+                config.width, config.depth, config.seed
+            )
+        return self.sketches[version]
+
+    def saturated(self):
+        return any(
+            sketch.fill_ratio > self.config.max_fill
+            for sketch in self.sketches.values()
+        )
+
+    @staticmethod
+    def add(sketch, keys, weights):
+        """Dense rows over the whole sketch; the estimates after the batch."""
+        width = sketch.width
+        cells = np.frombuffer(sketch.cells, dtype=np.float64)
+        estimate = np.full(len(keys), np.inf)
+        for row, salt in enumerate(sketch._salts):
+            indices = (
+                splitmix64_array(keys ^ np.uint64(salt)) & np.uint64(width - 1)
+            ).astype(np.intp)
+            row_cells = cells[row * width:(row + 1) * width]
+            row_cells += np.bincount(indices, weights=weights, minlength=width)
+            estimate = np.minimum(estimate, row_cells[indices])
+        sketch.fill = int(np.count_nonzero(cells))
+        return estimate
+
+    def prefilter_rows(self, version, shift, sources, weights=None):
+        sources = np.asarray(sources, dtype=np.uint64)
+        total = len(sources)
+        if self.saturated():
+            self.counters[0] += total
+            return None
+        if version == IPV6:
+            sources = sources[:, 0]
+            shift = max(shift - 64, 0)
+        masked = (sources >> np.uint64(shift)) << np.uint64(shift)
+        herd = self.herds.setdefault(version, set())
+        elephant = np.isin(masked, np.array(sorted(herd), dtype=np.uint64))
+        mice_rows = np.flatnonzero(~elephant)
+        if herd and mice_rows.size == 0:
+            self.counters[0] += total
+            return None
+        folded = None if weights is None else np.asarray(weights, np.float64)
+        sketch = self.sketch(version)
+        estimate = self.add(
+            sketch,
+            masked[mice_rows],
+            None if folded is None else folded[mice_rows],
+        )
+        if sketch.fill_ratio > self.config.max_fill:
+            self.counters[0] += total
+            return None
+        promoted = estimate >= self.config.promote_weight
+        new_keys = set(masked[mice_rows][promoted].tolist())
+        herd |= new_keys
+        self.counters[3] += len(new_keys)
+        keep = elephant.copy()
+        keep[mice_rows[promoted]] = True
+        kept = int(np.count_nonzero(keep))
+        self.counters[0] += kept
+        if self.config.mode == "exact":
+            self.counters[1] += total - kept
+            return None
+        self.counters[2] += total - kept
+        return None if kept == total else np.flatnonzero(keep)
+
+
+def gate_batches():
+    """Batches of ``(rows, byte weights?, weights, halve first?)`` over a
+    pool of eight keys per family, so sources repeat, collide, promote
+    and come back as herd hits; rows differ below the gate mask."""
+    v4 = st.tuples(st.integers(0, 7), st.integers(0, 15)).map(
+        lambda pair: (IPV4, (pair[0] << 20 | 1 << 30) << 4 | pair[1])
+    )
+    v6 = st.tuples(st.integers(0, 7), st.integers(0, 1 << 70)).map(
+        lambda pair: (IPV6, (0x2001_0DB8 + pair[0]) << 96 | pair[1])
+    )
+    row = st.one_of(v4, v6)
+    batch = st.tuples(
+        st.lists(row, max_size=24),
+        st.booleans(),  # byte weights, zeros included, or flow counts
+        st.lists(st.integers(0, 3), min_size=24, max_size=24),
+        st.booleans(),  # halve both sketches before this batch
+    )
+    return st.lists(batch, min_size=1, max_size=12)
+
+
+def gate_config():
+    return st.builds(
+        AdmissionConfig,
+        mode=st.sampled_from(ADMISSION_MODES),
+        promote_weight=st.sampled_from([1.0, 3.0, 6.0]),
+        width=st.sampled_from([4, 16, 1 << 10]),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 1 << 16),
+        max_fill=st.sampled_from([0.5, 0.9, 1.0]),
+    )
+
+
+def assert_gates_agree(controller, reference):
+    for version in (IPV4, IPV6):
+        ours, theirs = controller.sketch(version), reference.sketch(version)
+        assert bytes(ours.cells) == bytes(theirs.cells)
+        assert ours.fill == theirs.fill == np.count_nonzero(ours.cells)
+        assert controller.elephants(version).tolist() == sorted(
+            reference.herds.get(version, ())
+        )
+    assert controller.saturated == reference.saturated()
+
+
+def replay_gates(config, batches):
+    """Feed both gates the same batches; returns (controller, reference,
+    what happened) after asserting they agreed at every step."""
+    controller = AdmissionController(config)
+    reference = DenseGate(config)
+    seen = set()
+    for rows, byte_weights, weight_pool, halve in batches:
+        if halve:
+            for version in (IPV4, IPV6):
+                controller.sketch(version).halve()
+                reference.sketch(version).halve()
+        for version, shift in ((IPV4, 4), (IPV6, 80)):
+            sources = [src for family, src in rows if family == version]
+            if version == IPV6:
+                sources = [[src >> 64, src & (1 << 64) - 1] for src in sources]
+            column = np.array(sources, dtype=np.uint64).reshape(
+                -1, 2 if version == IPV6 else 1
+            )
+            if version == IPV4:
+                column = column[:, 0]
+            weights = (
+                np.array(weight_pool[:len(sources)], dtype=np.int64)
+                if byte_weights
+                else None
+            )
+            herd_before = controller.elephants(version).size
+            was_saturated = controller.saturated
+            kept = controller.prefilter_rows(version, shift, column, weights)
+            expected = reference.prefilter_rows(version, shift, column, weights)
+            assert (kept is None) == (expected is None)
+            if kept is not None:
+                assert kept.tolist() == expected.tolist()
+            assert controller.take_counters() == tuple(reference.counters)
+            reference.counters = [0, 0, 0, 0]
+            assert_gates_agree(controller, reference)
+            if herd_before and len(sources):
+                seen.add("herd")
+            if controller.elephants(version).size > herd_before:
+                seen.add("promotion")
+            if controller.saturated and not was_saturated:
+                seen.add("saturation")
+            if weights is not None and 0 in weights.tolist():
+                seen.add("zero weight")
+    return seen
+
+
+class TestSparseUpdateMatchesDense:
+    """The sparse batch update decides exactly like the dense one."""
+
+    @settings(max_examples=150)
+    @given(config=gate_config(), batches=gate_batches())
+    def test_property_gate_matches_dense_reference(self, config, batches):
+        replay_gates(config, batches)
+
+    def test_every_corner_is_reached(self):
+        """One fixed sequence covers repeated sources, zero byte weights,
+        IPv6 keys, herd hits, a promotion inside a batch and a crossing
+        into saturation."""
+        config = AdmissionConfig(
+            mode="lossy", width=16, depth=2, max_fill=0.5, promote_weight=3.0
+        )
+        v6 = (0x2001_0DB8 << 96) | 5
+        counts = [0] * 24
+        first = [(IPV4, 1600)] * 4 + [(IPV6, v6)] * 3 + [(IPV4, 3200)]
+        again = [(IPV4, 1600), (IPV4, 3200), (IPV6, v6)]
+        batches = [
+            (first, False, counts, False),
+            (again, True, [0, 0, 2] + counts, True),
+        ] + [([(IPV4, (key + 10) << 4)], False, counts, False) for key in range(24)]
+        seen = replay_gates(config, batches)
+        assert seen == {"herd", "promotion", "saturation", "zero weight"}
+
+    @settings(max_examples=100)
+    @given(
+        width=st.sampled_from([1, 8, 64]),
+        depth=st.integers(1, 3),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "batch", "halve", "reload", "merge"]),
+                st.lists(st.integers(0, 40), max_size=12),
+                st.lists(st.integers(0, 3), min_size=12, max_size=12),
+            ),
+            max_size=20,
+        ),
+    )
+    def test_property_fill_is_the_nonzero_count(self, width, depth, ops):
+        """After every mutation ``fill`` equals the nonzero cells, and the
+        batch update's cells and estimates equal the dense rows'."""
+        sketch = CountMinSketch(width, depth, seed=7)
+        dense = CountMinSketch(width, depth, seed=7)
+        for op, keys, weights in ops:
+            weights = np.array(weights[:len(keys)], dtype=np.float64)
+            if op == "add":
+                for key, weight in zip(keys, weights.tolist()):
+                    sketch.add(key, weight)
+                    dense.add(key, weight)
+            elif op == "batch":
+                column = np.array(keys, dtype=np.uint64)
+                got = sketch.add_batch(column, weights)
+                expected = DenseGate.add(dense, column, weights)
+                assert got.tolist() == expected.tolist()
+            elif op == "halve":
+                sketch.halve()
+                dense.halve()
+            elif op == "reload":
+                sketch.load_sparse(sketch.sparse_cells())
+            else:
+                other = CountMinSketch(width, depth, seed=7)
+                for key, weight in zip(keys, weights.tolist()):
+                    other.add(key, weight)
+                sketch.merge(other)
+                dense.merge(other)
+            assert bytes(sketch.cells) == bytes(dense.cells)
+            assert sketch.fill == np.count_nonzero(sketch.cells) == dense.fill
 
 
 class TestAging:
@@ -479,19 +737,47 @@ class TestCodec:
         restored = AdmissionController.from_image(decoded)
         assert restored.config == controller.config
         for version in (IPV4, IPV6):
-            assert restored.elephants(version) == controller.elephants(version)
+            assert (
+                restored.elephants(version).tolist()
+                == controller.elephants(version).tolist()
+            )
             assert (
                 list(restored.sketch(version).cells)
                 == list(controller.sketch(version).cells)
             )
             assert restored.sketch(version).fill == controller.sketch(version).fill
-        assert restored.elephants(IPV6) == {7 << 16}
+        assert restored.elephants(IPV6).tolist() == [7 << 16]
         assert restored._age_boundary == controller._age_boundary
 
     def test_handwritten_section_decodes(self):
         image = decode_admission(raw_section())
         assert image.config == AdmissionConfig(mode="exact")
         assert (image.sketches, image.elephants) == ({}, {})
+
+    @pytest.mark.parametrize("pairs, named", [
+        ([(3, 1.0), (3, 0.0)], "index 3 out of order"),
+        ([(7, 1.0), (2, 1.0)], "index 2 out of order"),
+        ([(3, 0.0)], "cell 3 holds 0.0"),
+        ([(1, 2.0), (4, -1.0)], "cell 4 holds -1.0"),
+        ([(5, float("nan"))], "cell 5 holds nan"),
+        ([(6, float("inf"))], "cell 6 holds inf"),
+    ])
+    def test_restore_refuses_cells_the_encoder_never_writes(self, pairs, named):
+        """Sparse cells come in index order and hold positive finite
+        counts; anything else is damage, named by its cell index."""
+        writer = Writer()
+        writer.byte(IPV4)
+        writer.uvarint(len(pairs))
+        for index, value in pairs:
+            writer.uvarint(index)
+            writer.float(value)
+        blob = raw_section()[:-2] + b"\x01" + bytes(writer.buffer) + b"\x00"
+        image = decode_admission(blob)
+        assert [index for index, __ in image.sketches[IPV4]] == [
+            index for index, __ in pairs
+        ]
+        with pytest.raises(StateCodecError, match=named):
+            AdmissionController.from_image(image)
 
     def test_saturated_flag_survives(self):
         controller = self.build_controller()
@@ -551,7 +837,7 @@ class TestCodec:
         )
         assert merged is not None
         restored = AdmissionController.from_image(merged)
-        assert restored.elephants(IPV4) == {1600}
+        assert restored.elephants(IPV4).tolist() == [1600]
         assert restored.sketch(IPV4).estimate(1600) >= 10.0
         assert restored.sketch(IPV4).estimate(3200) >= 1.0
 
@@ -567,8 +853,9 @@ class TestCodec:
 
 class TestSectionBytesIgnoreSetHistory:
     """Section bytes are a function of the state, not of the order the
-    elephant sets were filled in (the runtime pin for ``sorted(herd)`` in
-    ``to_image`` and ``merge_admission_images``)."""
+    elephants were promoted in (the herd is one sorted array) or of set
+    order (the runtime pin for ``sorted(herd)`` in
+    ``merge_admission_images``)."""
 
     #: gate keys at shift 4 are multiples of 16, so they all collide in
     #: a small hash table and a set's iteration order follows insertion
@@ -578,14 +865,14 @@ class TestSectionBytesIgnoreSetHistory:
         controller = AdmissionController(AdmissionConfig(mode="exact", seed=3))
         for key in keys:
             controller.prefilter_rows(IPV4, 4, [key] * 10)
-        assert controller.elephants(IPV4) == set(keys)
+        # one promotion per batch, in the order of *keys*
+        assert controller.take_counters()[3] == len(keys)
+        assert controller.elephants(IPV4).tolist() == sorted(keys)
         return controller
 
     def test_promotion_order_does_not_reach_the_wire(self):
         forward = self.promoted(self.KEYS)
         backward = self.promoted(self.KEYS[::-1])
-        # the precondition that makes this test bite: same set, two orders
-        assert list(forward.elephants(IPV4)) != list(backward.elephants(IPV4))
         assert forward.to_bytes() == backward.to_bytes()
 
     def test_merge_argument_order_does_not_reach_the_wire(self):

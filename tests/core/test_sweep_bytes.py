@@ -15,6 +15,16 @@ the engine that kept unclassified cells in per-leaf dicts, before the
 cells moved into one address-ordered table per trie; the stage2 trace
 holds what the other two lack (see :func:`test_stage2_trace_reaches_every_corner`).
 
+The ``flood`` cases put the lossy admission gate in front of the engine
+on a downsized ``flood-uniform`` scenario, so their blobs carry the
+admission section: sketch cells, herd and aging cursor after every sweep.
+``flood`` runs an unsaturated sketch in default and one-row batches;
+``flood-narrow`` runs a sketch narrow enough to saturate (and recover
+through aging) mid-trace.  Gated bytes depend on where batches end (a
+batch's estimates are read once all of it is in), so these cases are
+not held to the batch-size agreement.  Their digests were written by the
+engine whose gate still added dense rows to the whole sketch per batch.
+
 Regenerate (only when a change to the bytes is intended)::
 
     PYTHONPATH=src python tests/core/test_sweep_bytes.py
@@ -28,8 +38,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.admission import AdmissionConfig
 from repro.core.algorithm import IPD
-from repro.netflow.records import DEFAULT_BATCH_SIZE, iter_flow_batches
+from repro.core.params import IPDParams
+from repro.netflow.records import DEFAULT_BATCH_SIZE, FlowRecord, iter_flow_batches
 from repro.testkit.traces import (
     DUALSTACK_PARAMS,
     FIG05_PARAMS,
@@ -38,23 +50,52 @@ from repro.testkit.traces import (
     fig05_trace,
     stage2_trace,
 )
+from repro.workloads import adversarial_scenario
 
 DATA = Path(__file__).parent / "data" / "sweep_digests.json"
 
+#: factor-0.01 pairing for downsized flow volumes (DESIGN.md §5)
+FLOOD_PARAMS = IPDParams(
+    n_cidr_factor_v4=0.01, n_cidr_factor_v6=0.01, drop_threshold=0.25
+)
+
+
+def flood_trace() -> list[FlowRecord]:
+    """A downsized ``flood-uniform`` scenario, shifted to start at time 0."""
+    scenario = adversarial_scenario(
+        "flood-uniform", duration_hours=0.5, flows_per_bucket_peak=200,
+        params=FLOOD_PARAMS,
+    )
+    start = scenario.traffic_config.start_time
+    return [
+        flow.with_timestamp(flow.timestamp - start)
+        for flow in scenario.generator().flows()
+    ]
+
+
+#: trace -> (flows, params, admission gate or None)
 TRACES = {
-    "fig05": (fig05_trace, FIG05_PARAMS),
-    "dualstack": (dualstack_trace, DUALSTACK_PARAMS),
-    "stage2": (stage2_trace, STAGE2_PARAMS),
+    "fig05": (fig05_trace, FIG05_PARAMS, None),
+    "dualstack": (dualstack_trace, DUALSTACK_PARAMS, None),
+    "stage2": (stage2_trace, STAGE2_PARAMS, None),
+    # 2^15 is what AdmissionConfig.for_cardinality sizes this flood to
+    "flood": (
+        flood_trace, FLOOD_PARAMS, AdmissionConfig(mode="lossy", width=1 << 15)
+    ),
+    "flood-narrow": (
+        flood_trace, FLOOD_PARAMS, AdmissionConfig(mode="lossy", width=1 << 9)
+    ),
 }
+UNGATED = ("fig05", "dualstack", "stage2")
 BATCH_SIZES = {"default": DEFAULT_BATCH_SIZE, "one_row": 1}
 TRAILING_SWEEPS = 6
 
 
 def replay(trace: str, batches: str, observe) -> None:
     """Replay one trace, calling ``observe(engine, report)`` after each sweep."""
-    make_flows, params = TRACES[trace]
+    make_flows, params, admission = TRACES[trace]
     batch_size = BATCH_SIZES[batches]
-    engine = IPD(params)
+    engine = IPD(params, admission=admission)
     t = params.t
     next_sweep = t
     bucket: list = []
@@ -88,7 +129,11 @@ def sweep_digests(trace: str, batches: str) -> list[str]:
 
 
 def _cases() -> list[str]:
-    return [f"{trace}/{batches}" for trace in TRACES for batches in BATCH_SIZES]
+    return [
+        f"{trace}/{batches}"
+        for trace in UNGATED + ("flood",)
+        for batches in BATCH_SIZES
+    ] + ["flood-narrow/default"]
 
 
 @pytest.mark.parametrize("case", _cases())
@@ -102,7 +147,7 @@ def test_every_sweep_writes_the_pinned_bytes(case):
 
 def test_batch_sizes_agree_at_every_sweep():
     pinned = json.loads(DATA.read_text())
-    for trace in TRACES:
+    for trace in UNGATED:
         assert pinned[f"{trace}/default"] == pinned[f"{trace}/one_row"]
 
 
@@ -173,6 +218,19 @@ def test_stage2_trace_reaches_every_corner():
         for __, __, sources in sweeps
         for prefix, ips in sources.items()
     )
+
+
+def test_flood_traces_reach_every_corner():
+    """The gate drops and promotes on the flood trace, and the narrow
+    sketch saturates after sweeps that ran unsaturated."""
+    for trace in ("flood", "flood-narrow"):
+        reports: list = []
+        replay(trace, "default", lambda __, report: reports.append(report))
+        assert sum(report.admission_dropped for report in reports) > 0
+        assert sum(report.admission_promoted for report in reports) > 0
+        saturated = [report.admission_saturated for report in reports]
+        assert not saturated[0]
+        assert any(saturated) == (trace == "flood-narrow")
 
 
 if __name__ == "__main__":
