@@ -16,12 +16,13 @@ Two stages, mirrored here as two methods:
   agree, decays idle classified ranges, and drops invalidated ones.
 
 Sweeps are *dirty-range* sweeps: instead of walking every leaf, the
-sweep visits (a) leaves touched by ingest since the last sweep, (b)
-leaves whose expiry bound fell due (from the trie's expiry heap), and
-(c) all classified leaves (their decay depends on ``now``).  Idle
-unclassified leaves are skipped — safe because the Stage-2 decision for
-a leaf is a pure function of its state, so an unchanged leaf repeats
-last sweep's no-op.
+sweep visits (a) leaves whose state changed since the last sweep, (b)
+leaves that just lost a source to expiry (the one mask over the trie's
+cell table names them), and (c) all classified leaves (their decay
+depends on ``now``).  Idle unclassified leaves are skipped — safe
+because the Stage-2 decision for a leaf is a pure function of its
+state, so an unchanged leaf repeats last sweep's no-op.  Every one of
+the three sets is in the engine blob.
 
 The deployment runs the stages in two threads; behaviourally the
 algorithm is defined by "all ingest before each sweep tick", which the
@@ -32,6 +33,7 @@ deterministically.  A thread-backed runner with the deployment layout is
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -84,8 +86,9 @@ class SweepReport:
     prunes: int = 0
     expired_sources: int = 0
     decayed_ranges: int = 0
-    #: leaves actually visited by this sweep (dirty + expiry-due +
-    #: classified); the gap to ``leaves`` is the idle set skipped
+    #: leaves visited by this sweep: changed since the last one, lost a
+    #: source to its expiry, or classified; the gap to ``leaves`` is the
+    #: idle set skipped
     visited: int = 0
     #: admission gate decisions since the previous sweep (all zero with
     #: no controller attached).  admitted / held / dropped count flows:
@@ -151,9 +154,9 @@ class IPD:
 
         The blob captures everything a future :meth:`from_bytes` needs
         to continue *exactly* where this engine stands: trie topology,
-        per-range payloads, params, counters, and the dirty/expiry
-        bookkeeping — the restored engine's next sweep visits the same
-        leaves and produces the same report this engine's would have.
+        per-range payloads, params, counters, and the dirty set — the
+        restored engine's next sweep visits the same leaves and produces
+        the same report this engine's would have.
 
         With an admission front-end attached, its state (config,
         sketch cells, elephant set) is appended as a self-delimiting
@@ -308,8 +311,6 @@ class IPD:
                 state.total += weight
                 state.oldest_seen = min(state.oldest_seen, first)
                 tree.dirty.add(leaf)
-                if state.heap_bound != state.oldest_seen:
-                    tree.schedule_expiry(leaf)
             else:
                 assert isinstance(state, ClassifiedState)
                 state.last_seen = max(state.last_seen, last)
@@ -355,6 +356,8 @@ class IPD:
     @hot_path
     def sweep(self, now: float) -> SweepReport:
         """Run one Stage-2 pass over the active ranges (Algorithm 1, lines 5-19)."""
+        if not math.isfinite(now):
+            raise ValueError(f"sweep time {now} is not finite")
         started = time.perf_counter()
         report = SweepReport(timestamp=now)
         admission = self.admission
@@ -382,20 +385,18 @@ class IPD:
     def _sweep_tree(self, tree: RangeTree, now: float, report: SweepReport) -> None:
         params = self.params
         n_cidr = self._n_cidr[tree.version]
-        expiry_cutoff = now - params.e
+        # one mask over the cell table expires every stale source and names
+        # the leaves that lost one
+        expired, lost = tree.expire(now - params.e)
+        report.expired_sources += expired
         candidates = tree.drain_dirty()
-        candidates.update(tree.pop_expiry_due(expiry_cutoff))
+        candidates.update(lost)
         candidates.update(tree._classified)
         to_visit = sorted(candidates, key=lambda node: node.prefix.value)
-        # one mask over the cell table: every stale source sits in a leaf the
-        # expiry heap just handed over, so this is expiring each in turn
-        report.expired_sources += tree.expire(expiry_cutoff)
 
         prune_candidates: list[RangeNode] = []
         deciding: list[RangeNode] = []
         for leaf in to_visit:
-            if leaf.dead or leaf.left is not None:
-                continue  # went away since it was marked (join/split)
             state = leaf._state
             if isinstance(state, DelegatedState):
                 continue  # owned by another engine; inert here
@@ -404,9 +405,7 @@ class IPD:
                 if state.is_empty():
                     prune_candidates.append(leaf)
                 elif state.sample_count >= n_cidr[leaf.prefix.masklen]:
-                    deciding.append(leaf)
-                else:
-                    tree.schedule_expiry(leaf)  # line 8: not enough samples yet
+                    deciding.append(leaf)  # else line 8: not enough samples yet
             else:
                 assert isinstance(state, ClassifiedState)
                 self._handle_classified(leaf, state, now, report)
@@ -445,8 +444,6 @@ class IPD:
             # may still coarsen once siblings agree
             if leaf.prefix.masklen < cidr_max:
                 to_split.append(leaf)  # line 13
-            else:
-                tree.schedule_expiry(leaf)
         if won:
             picked = tuple(part[[index for index, __ in won]] for part in spans)
             newest = reduce_spans(np.maximum, tree.table.seen, *picked[:2], -_INF)

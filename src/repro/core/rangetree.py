@@ -22,11 +22,9 @@ needs to avoid full-trie walks:
   and a set maintained by split/join/prune and by state assignment.
 * ``dirty`` is the set of leaves whose state changed since the last
   :meth:`drain_dirty` — the sweep visits those instead of every leaf.
-* an expiry min-heap orders unclassified leaves by ``oldest_seen`` so a
-  sweep can find the leaves that may hold expirable sources without
-  touching idle ones.  Heap entries are lazy: each records the bound it
-  was pushed at, and entries whose node died, split, or was re-pushed at
-  a different bound are skipped on pop.
+* :meth:`expire` is one mask over the cell table and names, in address
+  order, the leaves that lost a source — the sweep's other visits, so an
+  idle leaf with nothing stale is never touched.
 
 Every mutation of a node's state — including direct assignment like
 ``leaf.state = ClassifiedState(...)`` — funnels through the ``state``
@@ -36,7 +34,6 @@ dirty set can never go stale.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Optional, Union
 
@@ -122,8 +119,6 @@ class RangeTree:
         self._classified: set[RangeNode] = set()
         #: leaves whose state changed since the last :meth:`drain_dirty`
         self.dirty: set[RangeNode] = set()
-        self._expiry_heap: list[tuple[float, int, RangeNode]] = []
-        self._heap_seq = 0
         self.root = RangeNode(
             root_prefix if root_prefix is not None else Prefix.root(version),
             tree=self,
@@ -162,13 +157,14 @@ class RangeTree:
         weight), ...])`` per source, sources and cells in first-seen order."""
         return self.table.sources(self.table.spans([leaf.prefix]))[0]
 
-    def expire(self, cutoff: float) -> int:
+    def expire(self, cutoff: float) -> tuple[int, list[RangeNode]]:
         """Drop every source last seen strictly before *cutoff*; returns how
-        many.  A leaf that lost one subtracts the removed weights from
-        ``total`` (exact) and re-tightens ``oldest_seen``; no other changes."""
+        many, and the leaves that lost one in address order.  Such a leaf
+        subtracts the removed weights from ``total`` (exact) and re-tightens
+        ``oldest_seen``; no other leaf changes."""
         gone, owners, weights = self.table.expire(cutoff)
         if not len(gone):
-            return 0
+            return 0, []
         touched = np.unique(self.locate(gone))
         removed = np.bincount(np.searchsorted(touched, self.locate(owners)), weights)
         leaves = [self._leaf_nodes[index] for index in touched.tolist()]
@@ -179,7 +175,7 @@ class RangeTree:
             assert isinstance(state, UnclassifiedState)
             state.total = state.total - weight if bound != _INF else 0.0
             state.oldest_seen = bound
-        return len(gone)
+        return len(gone), leaves
 
     def _index_halve(self, left: RangeNode, right: RangeNode) -> None:
         """Replace a leaf's index entry by its two new children."""
@@ -205,7 +201,7 @@ class RangeTree:
         old: Optional[RangeState],
         new: Optional[RangeState],
     ) -> None:
-        """Keep counters, the dirty set and the expiry heap in sync.
+        """Keep the counters and the dirty set in sync.
 
         Called by the ``RangeNode.state`` setter on every assignment, so
         even tests that classify a leaf directly keep the tree honest.
@@ -227,11 +223,7 @@ class RangeTree:
             return
         if isinstance(new, ClassifiedState):
             self._classified.add(node)
-            self.dirty.add(node)
-        else:
-            self.dirty.add(node)
-            if new.oldest_seen != _INF:
-                self.schedule_expiry(node)
+        self.dirty.add(node)
 
     def _detach(self, node: RangeNode) -> None:
         """Mark a removed (joined/pruned) leaf dead and forget it."""
@@ -240,48 +232,6 @@ class RangeTree:
         self._classified.discard(node)
         if isinstance(node._state, DelegatedState):
             self._delegated_count -= 1
-
-    @hot_path
-    def schedule_expiry(self, node: RangeNode) -> None:
-        """(Re-)register a leaf on the expiry heap at its current bound.
-
-        No-op when the leaf is already scheduled at the same bound, so
-        repeated ingest into a warm leaf costs one comparison.
-        """
-        state = node._state
-        if not isinstance(state, UnclassifiedState):
-            return
-        bound = state.oldest_seen
-        if bound == _INF or state.heap_bound == bound:
-            return
-        state.heap_bound = bound
-        self._heap_seq += 1
-        heapq.heappush(self._expiry_heap, (bound, self._heap_seq, node))
-
-    @hot_path
-    def pop_expiry_due(self, cutoff: float) -> list[RangeNode]:
-        """Pop every leaf whose oldest sample may predate *cutoff*.
-
-        Stale heap entries (dead/split nodes, superseded bounds) are
-        discarded lazily.  Popped leaves are unscheduled; the sweep
-        re-schedules the survivors after expiry re-tightens their bound.
-        """
-        heap = self._expiry_heap
-        due: list[RangeNode] = []
-        while heap and heap[0][0] < cutoff:
-            bound, __, node = heapq.heappop(heap)
-            state = node._state
-            if (
-                node.dead
-                or node.left is not None
-                or not isinstance(state, UnclassifiedState)
-                or state.heap_bound != bound
-                or state.is_empty()
-            ):
-                continue
-            state.heap_bound = _INF
-            due.append(node)
-        return due
 
     @hot_path
     def drain_dirty(self) -> set[RangeNode]:
@@ -311,7 +261,7 @@ class RangeTree:
         states = list(map(UnclassifiedState, totals, oldest))
         made = []
         for index, node in enumerate(nodes):
-            # creating each node marks it dirty and schedules its expiry
+            # creating each node marks it dirty
             left, right = (
                 RangeNode(halves[side], states[side], tree=self, parent=node)
                 for side in (2 * index, 2 * index + 1)
@@ -327,8 +277,7 @@ class RangeTree:
         """Collapse an internal node's two leaf children into one leaf.
 
         The caller supplies the merged *state* (the classifier decides
-        how counters combine).  The detached children are marked dead so
-        stale dirty-set and heap entries cannot resurrect them.
+        how counters combine).  The detached children are marked dead.
         """
         if parent.is_leaf:
             raise ValueError(f"cannot join leaf {parent.prefix}")

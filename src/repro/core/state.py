@@ -14,7 +14,7 @@ non-integer factor, where a running sum would drift.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -261,8 +261,6 @@ class UnclassifiedState:
     #: lower bound on the range's smallest ``last_seen``, ``inf`` exactly
     #: when it holds no source; re-tightened by an expiry that removes one
     oldest_seen: float = _INF
-    #: bound this range was last pushed onto the expiry heap at (``inf``: not)
-    heap_bound: float = field(default=_INF, repr=False, compare=False)
 
     @property
     def sample_count(self) -> float:

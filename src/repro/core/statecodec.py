@@ -2,8 +2,11 @@
 
 Everything an :class:`~repro.core.algorithm.IPD` engine knows — trie
 topology, per-range observation state, parameters, counters, and the
-expiry/dirty bookkeeping the incremental sweep machinery depends on —
-round-trips through this module.  The same encoding serves three jobs:
+dirty flags the incremental sweep machinery depends on — round-trips
+through this module.  No sweep input lives outside the blob: a sweep
+visits the dirty leaves, the leaves its expiry mask takes a source from
+(read off the encoded ``last_seen`` of each source) and the classified
+leaves.  The same encoding serves three jobs:
 
 * **Checkpoints** — :mod:`repro.runtime.checkpoint` persists a whole
   engine as one blob and restores it after a restart or worker crash.
@@ -263,8 +266,8 @@ def plant_image(tree: RangeTree, node: RangeNode, image: NodeImage) -> None:
 
     Structure grows through :meth:`RangeTree.sprout` (no split-count
     side effects) and every leaf state is assigned through the ``state``
-    property setter, so leaf/classified counters and expiry scheduling
-    rebuild themselves; sources join the cell table in one merge, in
+    property setter, so the leaf/classified counters rebuild
+    themselves; sources join the cell table in one merge, in
     image order.  The per-leaf dirty flags recorded in the image are then
     applied exactly — a restored engine's next sweep visits precisely the
     leaves the original engine's next sweep would have.

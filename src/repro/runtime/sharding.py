@@ -42,6 +42,7 @@ each sweep; it does not observe a sharded engine.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Iterable, Optional, Union
 
@@ -231,6 +232,8 @@ class ShardedIPD:
 
     def sweep(self, now: float) -> SweepReport:
         """One coordinated Stage-2 tick across aggregator and shards."""
+        if not math.isfinite(now):  # before any shard sees the tick
+            raise ValueError(f"sweep time {now} is not finite")
         started = time.perf_counter()
         # Shards sweep concurrently with the aggregator (disjoint state).
         self._executor.broadcast(("tick", now))

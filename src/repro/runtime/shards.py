@@ -137,8 +137,9 @@ class ShardEngine:
         The blob is either a single handed-down aggregator leaf (the
         per-sweep handoff) or a whole subtree carved out of a merged
         checkpoint image on resume.  Planting through the state codec
-        rebuilds the tree's dirty/expiry bookkeeping, so the shard's
-        next sweep behaves exactly as the source engine's would have.
+        restores the tree's dirty flags, and the blob holds every other
+        sweep input, so the shard's next sweep behaves exactly as the
+        source engine's would have.
         """
         image = decode_subtree(payload)
         tree = self.ipd.trees[version]

@@ -2,7 +2,7 @@
 
 :class:`ReferenceIPD` re-implements Algorithm 1 exactly as §3.2 of the
 paper states it, with none of the production engine's machinery: no
-dirty sets, no expiry heap, no leaf index, no incrementally maintained
+dirty sets, no cell table, no leaf index, no incrementally maintained
 counters, no columnar batching.  Every sweep walks every leaf; every
 total is recomputed from the raw per-source dicts on demand.  It is
 deliberately slow and deliberately simple — the point is that a reader

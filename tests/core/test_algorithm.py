@@ -1,12 +1,14 @@
 """Tests for the two-stage IPD algorithm (Algorithm 1)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.algorithm import IPD
 from repro.core.iputil import IPV4, IPV6, Prefix, parse_ip
 from repro.core.params import IPDParams
 from repro.core.state import ClassifiedState, UnclassifiedState
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -318,6 +320,33 @@ class TestSweepVisiting:
         third = ipd.sweep(1000.0)
         assert third.visited >= 1
         assert ipd.state_size() == 0
+
+    def test_leaf_below_its_loose_bound_is_not_visited(self):
+        """``oldest_seen`` folds a source's oldest row while the table keeps
+        its newest, so a cutoff between the two expires nothing: the leaf
+        lost no source and is not visited, and the blob is the one the
+        sweep wrote when it still visited such a leaf."""
+        ipd = IPD(params(n_cidr_factor_v4=100.0))  # never classifies
+        ipd.ingest_batch(
+            FlowBatch.from_flows([flow("10.0.0.0", A, ts) for ts in (0.0, 100.0)])
+        )
+        ipd.sweep(100.0)
+        report = ipd.sweep(170.0)  # cutoff 50: below the newest row only
+        assert (report.visited, report.expired_sources) == (0, 0)
+        assert ipd.trees[IPV4].root.state.oldest_seen == 0.0
+        assert hashlib.sha256(ipd.to_bytes()).hexdigest() == (
+            "58fce5ba45e84d0bebb5fa46b82537abacea39389f39d1c314faf819024b8b7f"
+        )
+
+    def test_leaf_losing_one_of_two_sources_is_visited(self):
+        ipd = IPD(params(n_cidr_factor_v4=100.0))
+        ipd.ingest(flow("10.0.0.0", A, 0.0))
+        ipd.ingest(flow("10.0.0.16", A, 100.0))
+        ipd.sweep(100.0)
+        report = ipd.sweep(170.0)
+        assert (report.visited, report.expired_sources) == (1, 1)
+        state = ipd.trees[IPV4].root.state
+        assert (state.total, state.oldest_seen) == (1.0, 100.0)
 
 
 class TestMetrics:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.admission import AdmissionConfig
 from repro.core.algorithm import IPD
 from repro.core.iputil import IPV4, IPV6, parse_ip
 from repro.core.params import IPDParams
@@ -37,6 +38,24 @@ class TestSweepWithoutTraffic:
             ipd.sweep(60.0 * (index + 1))
         assert ipd.leaf_count() == 2
         assert ipd.state_size() == 0
+
+
+class TestSweepTime:
+    @pytest.mark.parametrize("now", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sweep_time_moves_no_state(self, now):
+        """``nan`` would be stored as ``last_sweep_at`` and carried by every
+        later blob; ``inf`` would expire every source at once."""
+        ipd = IPD(params(), admission=AdmissionConfig(mode="lossy", width=1 << 8))
+        start = ip("10.0.0.0")
+        for index in range(20):
+            ipd.ingest(FlowRecord(timestamp=float(index), src_ip=start + 16 * index,
+                                  version=IPV4, ingress=A))
+        ipd.sweep(60.0)
+        before = ipd.to_bytes()
+        with pytest.raises(ValueError, match=f"sweep time {now} is not finite"):
+            ipd.sweep(now)
+        assert ipd.last_sweep_at == 60.0
+        assert ipd.to_bytes() == before
 
 
 class TestExpiryBehaviour:

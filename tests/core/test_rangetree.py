@@ -213,37 +213,6 @@ class TestIncrementalCounters:
         assert right in tree.drain_dirty()
 
 
-class TestExpiryHeap:
-    def test_pop_due_returns_old_leaves_once(self):
-        tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
-        add(tree, ip("1.0.0.0"), A, 10.0)
-        tree.schedule_expiry(left)
-        add(tree, ip("200.0.0.0"), A, 500.0)
-        tree.schedule_expiry(right)
-        assert tree.pop_expiry_due(100.0) == [left]
-        assert tree.pop_expiry_due(100.0) == []  # popped = unscheduled
-        assert tree.pop_expiry_due(1000.0) == [right]
-
-    def test_stale_entries_skipped_after_split(self):
-        tree = RangeTree(IPV4)
-        add(tree, ip("10.0.0.0"), A, 1.0)
-        tree.schedule_expiry(tree.root)
-        left, __ = tree.split(tree.root)  # root is internal now
-        due = tree.pop_expiry_due(1e9)
-        assert tree.root not in due
-        assert due == [left]  # split re-scheduled the inheriting child
-
-    def test_rearming_at_lower_bound_supersedes(self):
-        tree = RangeTree(IPV4)
-        add(tree, ip("1.0.0.0"), A, 100.0)
-        tree.schedule_expiry(tree.root)
-        add(tree, ip("2.0.0.0"), A, 20.0)  # older sample lowers the bound
-        tree.schedule_expiry(tree.root)
-        assert tree.pop_expiry_due(50.0) == [tree.root]
-        assert tree.pop_expiry_due(500.0) == []  # stale 100.0 entry skipped
-
-
 class TestPrune:
     def test_prune_collapses_empty_siblings(self):
         tree = RangeTree(IPV4)

@@ -137,8 +137,8 @@ class TestUnclassifiedState:
         ipd = IPD(PARAMS)
         add(ipd, 10, A, timestamp=0.0)
         add(ipd, 20, A, timestamp=100.0)
-        removed = ipd.trees[IPV4].expire(cutoff=50.0)
-        assert removed == 1
+        tree = ipd.trees[IPV4]
+        assert tree.expire(cutoff=50.0) == (1, [tree.root])
         assert sources(ipd) == [(20, 100.0, [(A, 1.0)])]
         assert root(ipd).sample_count == 1.0
         assert root(ipd).oldest_seen == 100.0
@@ -154,7 +154,7 @@ class TestUnclassifiedState:
     def test_expire_keeps_boundary(self):
         ipd = IPD(PARAMS)
         add(ipd, 10, A, timestamp=50.0)
-        assert ipd.trees[IPV4].expire(cutoff=50.0) == 0  # strictly-before
+        assert ipd.trees[IPV4].expire(cutoff=50.0) == (0, [])  # strictly-before
 
     def test_newest_timestamp(self):
         ipd = IPD(PARAMS)
@@ -286,7 +286,7 @@ def test_property_expire_subtracts_exactly(operations):
                 )
             )
             continue
-        removed = tree.expire(cutoff=float(timestamp))
+        removed, __ = tree.expire(cutoff=float(timestamp))
         rows = sources(ipd)
         cells = [weight for *__, cells in rows for __, weight in cells]
         assert root(ipd).total == sum(cells)

@@ -3,8 +3,8 @@
 The contract under test is *behavioral equivalence*, not just field
 equality: an engine restored from its blob must produce byte-identical
 sweeps, snapshots and re-encoded blobs when the run continues — which
-means exact floats, preserved dict insertion order, preserved dirty
-membership and reconstructed expiry scheduling.
+means exact floats, preserved dict insertion order and preserved dirty
+membership: no sweep input lives outside the blob.
 """
 
 import struct
@@ -30,8 +30,10 @@ from repro.topology.elements import IngressPoint
 from repro.testkit.traces import (
     DUALSTACK_PARAMS,
     FIG05_PARAMS,
+    STAGE2_PARAMS,
     dualstack_trace,
     fig05_trace,
+    stage2_trace,
 )
 
 A = IngressPoint("R1", "et0")
@@ -69,23 +71,26 @@ def report_fields(report):
     )
 
 
+ROUND_TRIP_TRACES = pytest.mark.parametrize(
+    "trace,params",
+    [
+        (fig05_trace, FIG05_PARAMS),
+        (dualstack_trace, DUALSTACK_PARAMS),
+        (stage2_trace, STAGE2_PARAMS),
+    ],
+    ids=["fig05", "dualstack", "stage2"],
+)
+
+
 class TestEngineRoundTrip:
-    @pytest.mark.parametrize(
-        "trace,params",
-        [(fig05_trace, FIG05_PARAMS), (dualstack_trace, DUALSTACK_PARAMS)],
-        ids=["fig05", "dualstack"],
-    )
+    @ROUND_TRIP_TRACES
     def test_blob_is_byte_stable(self, trace, params):
         engine = IPD(params)
         drive(engine, trace())
         blob = engine.to_bytes()
         assert IPD.from_bytes(blob).to_bytes() == blob
 
-    @pytest.mark.parametrize(
-        "trace,params",
-        [(fig05_trace, FIG05_PARAMS), (dualstack_trace, DUALSTACK_PARAMS)],
-        ids=["fig05", "dualstack"],
-    )
+    @ROUND_TRIP_TRACES
     def test_continued_run_is_equivalent(self, trace, params):
         """Cut mid-trace; the restored engine must replay the remainder
         exactly — sweep counters, snapshots and final blob all match."""
@@ -110,6 +115,35 @@ class TestEngineRoundTrip:
             ref_next, include_unclassified=True
         ) == original.snapshot(ref_next, include_unclassified=True)
         assert restored.to_bytes() == original.to_bytes()
+
+    def test_restore_at_every_cut_continues_exactly(self):
+        """stage2 has partial expiry and a source that expires and comes
+        back.  Cut after every round's ingest and after every sweep: the
+        restored engine's later sweeps (``visited`` included) and blobs
+        equal the uninterrupted engine's."""
+        t = STAGE2_PARAMS.t
+        rounds: list[list] = [[] for __ in range(16)]  # the trace's 12 + 4 idle
+        for flow in stage2_trace():
+            rounds[int(flow.timestamp // t)].append(flow)
+
+        def play(engine, first, swept_first=False):
+            """Blobs after each ingest, (report, blob) after each sweep."""
+            out = []
+            for index in range(first, len(rounds)):
+                if not (swept_first and index == first):
+                    engine.ingest_many(rounds[index])
+                    out.append(engine.to_bytes())
+                report = engine.sweep((index + 1) * t)
+                out.append((report_fields(report), engine.to_bytes()))
+            return out
+
+        whole = play(IPD(STAGE2_PARAMS), 0)
+        for index in range(len(rounds)):
+            ingested, (__, swept) = whole[2 * index : 2 * index + 2]
+            assert play(IPD.from_bytes(ingested), index, swept_first=True) == (
+                whole[2 * index + 1 :]
+            )
+            assert play(IPD.from_bytes(swept), index + 1) == whole[2 * index + 2 :]
 
     def test_counters_and_structure_restored(self):
         engine = IPD(FIG05_PARAMS)
@@ -198,8 +232,8 @@ class TestExactPreservation:
         assert [ip for ip, *__ in restored.sources(restored.root)] == arrival
 
     def test_next_sweep_visits_same_leaves(self):
-        """Dirty membership and expiry scheduling must reconstruct so the
-        first post-restore sweep touches exactly the same work set."""
+        """Dirty membership must round-trip so the first post-restore sweep
+        touches exactly the same work set."""
         engine = IPD(FIG05_PARAMS)
         __, next_sweep = drive(engine, fig05_trace())
         restored = IPD.from_bytes(engine.to_bytes())

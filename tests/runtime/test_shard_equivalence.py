@@ -230,6 +230,21 @@ class TestShardedValidation:
         with pytest.raises(ValueError):
             ShardedIPD(FIG05_PARAMS, shards=4, executor="gpu")
 
+    @pytest.mark.parametrize("now", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_sweep_time_rejected_before_the_broadcast(self, now):
+        with ShardedIPD(FIG05_PARAMS, shards=4) as engine:
+            engine.ingest_many(fig05_trace()[:400])
+            engine.sweep(60.0)
+            before = engine.to_bytes()
+            sent = []
+            engine._executor.broadcast = sent.append
+            with pytest.raises(ValueError, match=f"sweep time {now} is not finite"):
+                engine.sweep(now)
+            assert sent == []
+            del engine._executor.broadcast
+            assert engine.last_sweep_at == 60.0
+            assert engine.to_bytes() == before
+
     def test_close_is_idempotent(self):
         engine = ShardedIPD(FIG05_PARAMS, shards=4, executor="mp", workers=2)
         engine.close()

@@ -2,7 +2,7 @@
 
 :class:`~repro.testkit.oracle.ReferenceIPD` recomputes every sweep from
 scratch with plain dicts — no dirty sets, no incremental counters, no
-expiry heap.  These tests drive the real :class:`~repro.core.algorithm
+cell table.  These tests drive the real :class:`~repro.core.algorithm
 .IPD` and the oracle in lockstep over the canonical fixture traces and
 hundreds of hypothesis-generated ones, comparing the *full* observable
 state after every sweep tick: sweep-report counters, snapshots
