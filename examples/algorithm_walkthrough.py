@@ -22,25 +22,29 @@ RED = IngressPoint("R2", "et0")
 
 def dump_trie(ipd: IPD) -> None:
     """Print every node of the IPv4 trie with its state."""
-    def walk(node, depth):
-        state = node.state
-        if node.is_leaf:
-            if isinstance(state, ClassifiedState):
-                label = (f"CLASSIFIED -> {state.ingress} "
-                         f"(n={state.total:.0f})")
-            elif state.is_empty():
-                label = "unclassified (empty)"
-            else:
-                label = (f"unclassified, s_ipcount={state.sample_count:.0f}, "
-                         f"{len(ipd.trees[IPV4].sources(node))} sources")
-        else:
-            label = "·"
-        print(f"    {'  ' * depth}{node.prefix}  {label}")
-        if not node.is_leaf:
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
+    tree = ipd.trees[IPV4]
 
-    walk(ipd.trees[IPV4].root, 0)
+    def walk(prefix, depth):
+        # the trie keeps only its leaves: a range is internal when the
+        # leaf at its first address is longer than it
+        node = tree.lookup_leaf(prefix.value)
+        if node.prefix != prefix:
+            print(f"    {'  ' * depth}{prefix}  ·")
+            for half in prefix.children():
+                walk(half, depth + 1)
+            return
+        state = node.state
+        if isinstance(state, ClassifiedState):
+            label = (f"CLASSIFIED -> {state.ingress} "
+                     f"(n={state.total:.0f})")
+        elif state.is_empty():
+            label = "unclassified (empty)"
+        else:
+            label = (f"unclassified, s_ipcount={state.sample_count:.0f}, "
+                     f"{len(tree.sources(node))} sources")
+        print(f"    {'  ' * depth}{prefix}  {label}")
+
+    walk(tree.root_prefix, 0)
 
 
 def feed(ipd: IPD, base_text: str, ingress: IngressPoint, count: int,

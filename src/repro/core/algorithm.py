@@ -135,7 +135,7 @@ class IPD:
         self._n_cidr: dict[int, tuple[float, ...]] = {
             version: tuple(
                 self.params.n_cidr(masklen, version)
-                for masklen in range(tree.root.prefix.bits + 1)
+                for masklen in range(tree.root_prefix.bits + 1)
             )
             for version, tree in self.trees.items()
         }
@@ -250,7 +250,7 @@ class IPD:
             return 0
         params = self.params
         tree = self.trees[batch.version]
-        shift = tree.root.prefix.bits - params.cidr_max(batch.version)
+        shift = tree.root_prefix.bits - params.cidr_max(batch.version)
         self.flows_ingested += count
         self.bytes_ingested += int(batch.byte_counts.sum())
         # the gate picks rows on the raw columns (None = all of them;
@@ -414,7 +414,7 @@ class IPD:
         if deciding:
             self._handle_unclassified(tree, deciding, now, report)
 
-        report.joins += self._join_pass(tree, now)
+        report.joins += self._join_pass(tree)
         report.prunes += tree.prune_upward(prune_candidates)
 
     def _handle_unclassified(
@@ -491,56 +491,44 @@ class IPD:
             leaf.state = UnclassifiedState()  # line 19: drop
             report.drops += 1
 
-    def _join_pass(self, tree: RangeTree, now: float) -> int:
+    def _join_pass(self, tree: RangeTree) -> int:
         """Merge sibling leaves classified to the same logical ingress.
 
         "Adjacent ranges may also be joined if they share the same
         ingress and meet sample count requirements" (§3.2).  The merged
         parent must itself satisfy its (larger) ``n_cidr`` threshold.
 
-        Every joinable pair has classified children, so starting from
-        the classified leaves and cascading upward visits exactly the
-        pairs the seed's full postorder walk would — without touching
-        the rest of the trie.
-        """
-        joins = 0
-        for leaf in tree.classified_leaves():
-            if leaf.dead:
-                continue  # merged away by an earlier candidate's cascade
-            joins += self._join_cascade(tree, leaf)
-        return joins
-
-    def _join_cascade(self, tree: RangeTree, leaf: RangeNode) -> int:
-        """Cascade joins upward from one classified leaf.
-
-        Shared by the per-tree join pass and by the sharded runtime's
-        cross-boundary reconciliation (which joins two shard roots into
-        an aggregator leaf and must then continue the cascade exactly as
-        a single engine would).
+        Two classified siblings are neighbours among the address-ordered
+        classified leaves, so one stack pass finds every join: each leaf,
+        and each range just merged, is checked against the range before
+        it at once, which is the upward cascade.  The sharded runtime
+        reruns this pass on its aggregator after a cross-boundary join.
         """
         n_cidr = self._n_cidr[tree.version]
+        bits = tree.root_prefix.bits
         joins = 0
-        parent = leaf.parent
-        while parent is not None:
-            left, right = parent.left, parent.right
-            if left is None or right is None:
-                break
-            if not (left.is_leaf and right.is_leaf):
-                break
-            left_state, right_state = left._state, right._state
-            if not (
-                isinstance(left_state, ClassifiedState)
-                and isinstance(right_state, ClassifiedState)
-            ):
-                break
-            if left_state.ingress != right_state.ingress:
-                break
-            combined_total = left_state.total + right_state.total
-            if combined_total < n_cidr[parent.prefix.masklen]:
-                break
-            tree.join(parent, left_state.merged_with(right_state))
-            joins += 1
-            parent = parent.parent
+        stack: list[RangeNode] = []
+        for node in tree.classified_leaves():
+            value, masklen, version = node.prefix
+            while stack:
+                size = 1 << (bits - masklen)
+                below = stack[-1]
+                if not value & size or below.prefix[:2] != (value ^ size, masklen):
+                    break  # not the upper half of a pair of classified leaves
+                left_state, right_state = below._state, node._state
+                assert isinstance(left_state, ClassifiedState)
+                assert isinstance(right_state, ClassifiedState)
+                if left_state.ingress != right_state.ingress:
+                    break
+                if left_state.total + right_state.total < n_cidr[masklen - 1]:
+                    break
+                stack.pop()
+                value, masklen = value ^ size, masklen - 1
+                node = tree.join(
+                    Prefix(value, masklen, version), left_state.merged_with(right_state)
+                )
+                joins += 1
+            stack.append(node)
         return joins
 
     # ------------------------------------------------------------------ output

@@ -3,17 +3,19 @@
 "This method treats the Internet's address space as a binary tree, with
 each node representing a CIDR range" (§3.1).  The trie starts as a single
 /0 leaf and is refined by splits and coarsened by joins as traffic
-dictates.  Leaves carry range state; internal nodes only route lookups.
+dictates.
 
-Leaves are pairwise disjoint and tile the root range, so the tree keeps
-them in a sorted leaf index — ``_leaf_starts`` (first address of each
-leaf) and ``_leaf_nodes`` (the leaves), both in address order — and a
-lookup is one ``bisect_right``.  The index is exact by construction: the
-only four methods that change the trie's shape (``split_all``,
-``sprout``, ``join``, ``_collapse``) replace one entry by two or two by
-one.  Unclassified leaves keep their per-source rows in one
-address-ordered :class:`~repro.core.state.CellTable` (``table``), where
-a leaf's rows are one span and a split moves none of them.
+Leaves are pairwise disjoint and tile the root range, so the tree is its
+sorted leaf index — ``_leaf_starts`` (first address of each leaf) and
+``_leaf_nodes`` (the leaves), both in address order — and a lookup is one
+``bisect_right``.  A :class:`RangeNode` is always a leaf; internal ranges
+are implicit.  The index changes in three ways: a split replaces one
+entry by two, a join or a prune collapse replaces two siblings (index
+neighbours) by one, and a restore (:meth:`RangeTree.plant`) replaces one
+entry by the leaves that tile it.  Unclassified leaves keep their
+per-source rows in one address-ordered
+:class:`~repro.core.state.CellTable` (``table``), where a leaf's rows are
+one span and a split moves none of them.
 
 The tree also keeps the incremental bookkeeping the sweep machinery
 needs to avoid full-trie walks:
@@ -51,47 +53,36 @@ _INF = float("inf")
 
 
 class RangeNode:
-    """One node of the trie: a CIDR range, either leaf or internal."""
+    """One leaf of the trie: a CIDR range and its state."""
 
-    __slots__ = ("prefix", "left", "right", "_state", "dead", "tree", "parent")
+    __slots__ = ("prefix", "_state", "dead", "tree")
 
     def __init__(
         self,
         prefix: Prefix,
         state: Optional[RangeState] = None,
         tree: "Optional[RangeTree]" = None,
-        parent: "Optional[RangeNode]" = None,
     ) -> None:
         self.prefix = prefix
-        self.left: Optional[RangeNode] = None
-        self.right: Optional[RangeNode] = None
         self.tree = tree
-        self.parent = parent
         self.dead = False
-        self._state: Optional[RangeState] = (
-            state if state is not None else UnclassifiedState()
-        )
+        self._state: RangeState = state if state is not None else UnclassifiedState()
         if tree is not None:
             tree._note_state_change(self, None, self._state)
 
     @property
-    def state(self) -> Optional[RangeState]:
+    def state(self) -> RangeState:
         return self._state
 
     @state.setter
-    def state(self, value: Optional[RangeState]) -> None:
+    def state(self, value: RangeState) -> None:
         old = self._state
         self._state = value
         if self.tree is not None:
             self.tree._note_state_change(self, old, value)
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "leaf" if self.is_leaf else "node"
-        return f"<RangeNode {self.prefix} {kind}>"
+        return f"<RangeNode {self.prefix}>"
 
 
 class RangeTree:
@@ -114,19 +105,16 @@ class RangeTree:
                 f"root prefix {root_prefix} does not match IPv{version}"
             )
         self.version = version
+        self.root_prefix = root_prefix if root_prefix is not None else Prefix.root(version)
         #: leaves currently owned by another engine (DelegatedState)
         self._delegated_count = 0
         self._classified: set[RangeNode] = set()
         #: leaves whose state changed since the last :meth:`drain_dirty`
         self.dirty: set[RangeNode] = set()
-        self.root = RangeNode(
-            root_prefix if root_prefix is not None else Prefix.root(version),
-            tree=self,
-        )
         #: the sorted leaf index: first address of every leaf, and the
         #: leaves themselves, in address order (delegated leaves included)
-        self._leaf_starts: list[int] = [self.root.prefix.value]
-        self._leaf_nodes: list[RangeNode] = [self.root]
+        self._leaf_starts: list[int] = [self.root_prefix.value]
+        self._leaf_nodes: list[RangeNode] = [RangeNode(self.root_prefix, tree=self)]
         self._starts_array: Optional[np.ndarray] = None
         #: every unclassified leaf's sources and cells, in address order
         self.table = CellTable(version)
@@ -177,21 +165,15 @@ class RangeTree:
             state.oldest_seen = bound
         return len(gone), leaves
 
-    def _index_halve(self, left: RangeNode, right: RangeNode) -> None:
-        """Replace a leaf's index entry by its two new children."""
+    def _splice(self, at: int, count: int, nodes: list[RangeNode]) -> list[RangeNode]:
+        """Replace index entries ``at:at + count`` by *nodes*, which tile the
+        same range; the replaced leaves die."""
         self._starts_array = None
-        i = bisect_left(self._leaf_starts, left.prefix.value)
-        self._leaf_nodes[i] = left
-        self._leaf_starts.insert(i + 1, right.prefix.value)
-        self._leaf_nodes.insert(i + 1, right)
-
-    def _index_merge(self, parent: RangeNode) -> None:
-        """Replace two sibling leaves' index entries by their parent."""
-        self._starts_array = None
-        i = bisect_left(self._leaf_starts, parent.prefix.value)
-        self._leaf_nodes[i] = parent
-        del self._leaf_starts[i + 1]
-        del self._leaf_nodes[i + 1]
+        for node in self._leaf_nodes[at:at + count]:
+            self._detach(node)
+        self._leaf_nodes[at:at + count] = nodes
+        self._leaf_starts[at:at + count] = [node.prefix.value for node in nodes]
+        return nodes
 
     # -- incremental bookkeeping ------------------------------------------------
 
@@ -199,7 +181,7 @@ class RangeTree:
         self,
         node: RangeNode,
         old: Optional[RangeState],
-        new: Optional[RangeState],
+        new: RangeState,
     ) -> None:
         """Keep the counters and the dirty set in sync.
 
@@ -210,10 +192,6 @@ class RangeTree:
             self._classified.discard(node)
         elif isinstance(old, DelegatedState):
             self._delegated_count -= 1
-        if new is None:
-            # the node became internal (split) — it is no longer a leaf
-            self.dirty.discard(node)
-            return
         if node.dead:
             return
         if isinstance(new, DelegatedState):
@@ -226,7 +204,8 @@ class RangeTree:
         self.dirty.add(node)
 
     def _detach(self, node: RangeNode) -> None:
-        """Mark a removed (joined/pruned) leaf dead and forget it."""
+        """Mark a removed (split, joined, pruned or replanted) leaf dead and
+        forget it."""
         node.dead = True
         self.dirty.discard(node)
         self._classified.discard(node)
@@ -250,8 +229,8 @@ class RangeTree:
         """Split unclassified leaves in halves, moving no row: each half's
         ``total`` and ``oldest_seen`` are read off its part of the span."""
         for node in nodes:
-            if not node.is_leaf:
-                raise ValueError(f"cannot split internal node {node.prefix}")
+            if node.dead:
+                raise ValueError(f"cannot split removed leaf {node.prefix}")
             if not isinstance(node._state, UnclassifiedState):
                 raise ValueError(f"cannot split classified range {node.prefix}")
         halves = [half for node in nodes for half in node.prefix.children()]
@@ -263,55 +242,50 @@ class RangeTree:
         for index, node in enumerate(nodes):
             # creating each node marks it dirty
             left, right = (
-                RangeNode(halves[side], states[side], tree=self, parent=node)
+                RangeNode(halves[side], states[side], tree=self)
                 for side in (2 * index, 2 * index + 1)
             )
-            node.left, node.right = left, right
-            node.state = None
-            self._index_halve(left, right)
+            self._splice(bisect_left(self._leaf_starts, node.prefix.value), 1, [left, right])
             self.split_count += 1
             made.append((left, right))
         return made
 
-    def join(self, parent: RangeNode, state: RangeState) -> RangeNode:
-        """Collapse an internal node's two leaf children into one leaf.
+    def join(self, prefix: Prefix, state: RangeState) -> RangeNode:
+        """Merge the two leaves that halve *prefix* into one leaf there.
 
         The caller supplies the merged *state* (the classifier decides
-        how counters combine).  The detached children are marked dead.
+        how counters combine).  The two halves are marked dead.
         """
-        if parent.is_leaf:
-            raise ValueError(f"cannot join leaf {parent.prefix}")
-        left, right = parent.left, parent.right
-        assert left is not None and right is not None
-        if not (left.is_leaf and right.is_leaf):
-            raise ValueError(f"children of {parent.prefix} are not both leaves")
-        self._detach(left)
-        self._detach(right)
-        parent.left = None
-        parent.right = None
-        parent.state = state
-        self._index_merge(parent)
+        node = self._merge(self._halves_at(prefix), prefix, state)
         self.join_count += 1
-        return parent
+        return node
 
-    def sprout(self, node: RangeNode) -> tuple[RangeNode, RangeNode]:
-        """Turn a leaf into an internal node with two fresh empty children.
+    def collapse(self, prefix: Prefix) -> RangeNode:
+        """The prune collapse for cross-engine callers: the two leaves that
+        halve *prefix* become one empty unclassified leaf, returned."""
+        return self._merge(self._halves_at(prefix), prefix, UnclassifiedState())
 
-        Pure structure growth for state restoration: unlike :meth:`split`
-        it does not redistribute any observation state and does not count
-        as an algorithmic split.  The caller (the state codec's planting
-        pass) assigns each child's state afterwards.
+    def _halves_at(self, prefix: Prefix) -> int:
+        """Index position of the two leaves that halve *prefix*."""
+        at = bisect_left(self._leaf_starts, prefix.value)
+        if [node.prefix for node in self._leaf_nodes[at:at + 2]] != list(prefix.children()):
+            raise ValueError(f"the halves of {prefix} are not both leaves")
+        return at
+
+    def _merge(self, at: int, prefix: Prefix, state: RangeState) -> RangeNode:
+        return self._splice(at, 2, [RangeNode(prefix, state, tree=self)])[0]
+
+    def plant(self, prefix: Prefix, leaves: "list[tuple[Prefix, RangeState]]") -> list[RangeNode]:
+        """Replace the leaf at *prefix* by *leaves*, ``(prefix, state)`` pairs
+        that tile it in address order, in one splice; returns the new leaves.
+
+        Structure for state restoration: unlike :meth:`split` it moves no
+        row and counts no split.
         """
-        if not node.is_leaf:
-            raise ValueError(f"cannot sprout internal node {node.prefix}")
-        left_prefix, right_prefix = node.prefix.children()
-        left = RangeNode(left_prefix, tree=self, parent=node)
-        right = RangeNode(right_prefix, tree=self, parent=node)
-        node.left = left
-        node.right = right
-        node.state = None
-        self._index_halve(left, right)
-        return left, right
+        at = bisect_left(self._leaf_starts, prefix.value)
+        if at == len(self._leaf_nodes) or self._leaf_nodes[at].prefix != prefix:
+            raise ValueError(f"{prefix} is not a leaf")
+        return self._splice(at, 1, [RangeNode(part, state, tree=self) for part, state in leaves])
 
     def delegate(self, node: RangeNode) -> None:
         """Hand an unclassified leaf off to another engine: delete its rows
@@ -319,27 +293,12 @@ class RangeTree:
         :class:`DelegatedState`.  Only unclassified leaves are delegated:
         the sharded runtime hands a range down once the split cascade
         reaches the shard depth, before it can classify."""
-        if not node.is_leaf:
-            raise ValueError(f"cannot delegate internal node {node.prefix}")
+        if node.dead:
+            raise ValueError(f"cannot delegate removed leaf {node.prefix}")
         if not isinstance(node._state, UnclassifiedState):
             raise ValueError(f"cannot delegate {node.prefix}: not unclassified")
         self.table.drop(self.table.spans([node.prefix]))
         node.state = DelegatedState()
-
-    def collapse(self, parent: RangeNode) -> RangeNode:
-        """Public form of the prune collapse for cross-engine callers.
-
-        Turns *parent* (whose children must both be leaves) back into a
-        single empty unclassified leaf and returns it.
-        """
-        if parent.is_leaf:
-            raise ValueError(f"cannot collapse leaf {parent.prefix}")
-        left, right = parent.left, parent.right
-        assert left is not None and right is not None
-        if not (left.is_leaf and right.is_leaf):
-            raise ValueError(f"children of {parent.prefix} are not both leaves")
-        self._collapse(parent)
-        return parent
 
     # -- iteration -------------------------------------------------------------
 
@@ -350,6 +309,12 @@ class RangeTree:
         restructure the tree while iterating.
         """
         return iter(tuple(self._leaf_nodes))
+
+    def leaves_under(self, prefix: Prefix) -> list[RangeNode]:
+        """The leaves inside *prefix*, in address order: a slice of the index."""
+        starts = self._leaf_starts
+        low = bisect_left(starts, prefix.value)
+        return self._leaf_nodes[low:bisect_right(starts, prefix.last_value, low)]
 
     def leaf_count(self) -> int:
         """Number of *visible* leaves — O(1), the index length less delegations.
@@ -378,40 +343,32 @@ class RangeTree:
         """Collapse empty unclassified sibling pairs reachable from *candidates*.
 
         Instead of walking the whole trie, start from the leaves known to
-        have just become empty and cascade upward through their
-        ancestors.  This finds every collapse a full postorder walk would,
-        because a pair can only become collapsible when one of its
-        members changes — and every change puts that member in the
-        candidate set.
+        have just become empty and cascade upward.  This finds every
+        collapse a full postorder walk would, because a pair can only
+        become collapsible when one of its members changes — and every
+        change puts that member in the candidate set.  A leaf's sibling,
+        when it is a leaf, is its index neighbour: the one after it for a
+        lower half, the one before it for an upper half.
         """
         collapsed = 0
+        starts, nodes = self._leaf_starts, self._leaf_nodes
+        top, bits = self.root_prefix.masklen, self.root_prefix.bits
         for leaf in candidates:
             if leaf.dead:
                 continue  # already collapsed via an earlier candidate
-            parent = leaf.parent
-            while parent is not None:
-                left, right = parent.left, parent.right
-                if left is None or right is None:
+            value, masklen, version = leaf.prefix
+            at = bisect_left(starts, value)
+            while masklen > top and _is_empty_unclassified(nodes[at]):
+                size = 1 << (bits - masklen)
+                other = at - 1 if value & size else at + 1
+                if nodes[other].prefix.masklen != masklen or starts[other] != value ^ size:
                     break
-                if not (left.is_leaf and right.is_leaf):
+                if not _is_empty_unclassified(nodes[other]):
                     break
-                if not (_is_empty_unclassified(left) and _is_empty_unclassified(right)):
-                    break
-                self._collapse(parent)
+                at, value, masklen = min(at, other), value & ~size, masklen - 1
+                self._merge(at, Prefix(value, masklen, version), UnclassifiedState())
                 collapsed += 1
-                parent = parent.parent
         return collapsed
-
-    def _collapse(self, parent: RangeNode) -> None:
-        """Turn *parent* back into a single empty unclassified leaf."""
-        left, right = parent.left, parent.right
-        assert left is not None and right is not None
-        self._detach(left)
-        self._detach(right)
-        parent.left = None
-        parent.right = None
-        parent.state = UnclassifiedState()
-        self._index_merge(parent)
 
 
 def _is_empty_unclassified(node: RangeNode) -> bool:

@@ -29,7 +29,12 @@ one version rule, the error taxonomy)::
 Floats travel as their 8 bytes and dicts in insertion order — the
 engine's float sums are insertion-order dependent, and the codec
 preserves both.  Trie nodes are encoded preorder with a tag byte
-carrying the node kind and the leaf's dirty flag.
+carrying the node kind and the leaf's dirty flag; the tree holds only
+its sorted leaves, so the internal nodes of that stream are derived from
+the leaf slice, and planting replaces one leaf by the image's leaves in
+one splice.  The decoder knows each node's prefix, and each of these is
+a :class:`StateCodecError`: an internal node at a host route, a source
+outside its leaf or repeated in it, an ingress repeated in one weight list.
 
 Layering: this module deliberately does not import the engine.  It
 converts between trees and neutral *images* (:class:`NodeImage` /
@@ -47,7 +52,7 @@ from .framing import IncompatibleStateError, Reader, StateCodecError, Writer
 from .framing import damage_reported, read_header, write_header
 from .iputil import Prefix
 from .params import IPDParams, default_decay
-from .rangetree import RangeNode, RangeTree
+from .rangetree import RangeTree
 from .state import ClassifiedState, DelegatedState, UnclassifiedState
 
 __all__ = [
@@ -178,49 +183,50 @@ def _state_image(state: object, dirty: bool, sources: Optional[list]) -> NodeIma
 
 def subtree_to_image(
     tree: RangeTree,
-    node: RangeNode,
+    prefix: Prefix,
     grafts: Optional[dict] = None,
 ) -> NodeImage:
-    """Convert the subtree rooted at *node* into a detached image.
+    """Convert the leaves under *prefix* into one detached node image.
 
-    *grafts* maps a :class:`Prefix` to a replacement :class:`NodeImage`:
-    a delegated leaf at such a prefix is replaced by the graft, which is
-    how the sharded coordinator splices shard exports into its portals
-    to produce the merged single-engine-equivalent image.
+    The nesting is derived from the address-ordered leaf slice: a range
+    whose first leaf is longer than it is internal, with its halves
+    imaged in turn.  *grafts* maps a :class:`Prefix` to a replacement
+    :class:`NodeImage`: a delegated leaf at such a prefix is replaced by
+    the graft, which is how the sharded coordinator splices shard exports
+    into its portals to produce the merged single-engine-equivalent image.
     """
-    dirty = tree.dirty
+    leaves = tree.leaves_under(prefix)
     # every unclassified leaf's rows, read in one pass over the table
-    leaves = [leaf for leaf in tree.leaves() if node.prefix.contains(leaf.prefix)
-              and isinstance(leaf._state, UnclassifiedState)]
-    sources = dict(zip(leaves, tree.table.sources(tree.table.spans([x.prefix for x in leaves]))))
+    open_leaves = [leaf for leaf in leaves if isinstance(leaf._state, UnclassifiedState)]
+    spans = tree.table.spans([leaf.prefix for leaf in open_leaves])
+    sources = dict(zip(open_leaves, tree.table.sources(spans)))
+    dirty = tree.dirty
+    walk = iter(leaves)
+    current = next(walk)
 
-    def convert(current: RangeNode) -> NodeImage:
-        if current.left is not None:
-            return NodeImage(
-                kind="internal",
-                left=convert(current.left),
-                right=convert(current.right),
-            )
+    def convert(masklen: int) -> NodeImage:
+        nonlocal current
+        if current.prefix.masklen > masklen:
+            return NodeImage(kind="internal", left=convert(masklen + 1), right=convert(masklen + 1))
         state = current._state
-        if (
-            grafts is not None
-            and isinstance(state, DelegatedState)
-            and current.prefix in grafts
-        ):
-            return grafts[current.prefix]
-        return _state_image(state, current in dirty, sources.get(current))
+        if grafts is not None and isinstance(state, DelegatedState) and current.prefix in grafts:
+            image = grafts[current.prefix]
+        else:
+            image = _state_image(state, current in dirty, sources.get(current))
+        current = next(walk, current)
+        return image
 
-    return convert(node)
+    return convert(prefix.masklen)
 
 
 def tree_to_image(tree: RangeTree, grafts: Optional[dict] = None) -> TreeImage:
     """Image a whole family tree including its split/join counters."""
     return TreeImage(
         version=tree.version,
-        root_prefix=tree.root.prefix,
+        root_prefix=tree.root_prefix,
         split_count=tree.split_count,
         join_count=tree.join_count,
-        root=subtree_to_image(tree, tree.root, grafts),
+        root=subtree_to_image(tree, tree.root_prefix, grafts),
     )
 
 
@@ -261,48 +267,49 @@ def _state_from_image(
     raise StateCodecError(f"cannot plant node kind {image.kind!r}")
 
 
-def plant_image(tree: RangeTree, node: RangeNode, image: NodeImage) -> None:
-    """Materialize *image* at the leaf *node* of *tree*.
+def plant_image(tree: RangeTree, prefix: Prefix, image: NodeImage) -> None:
+    """Materialize *image* at the leaf at *prefix* of *tree*.
 
-    Structure grows through :meth:`RangeTree.sprout` (no split-count
-    side effects) and every leaf state is assigned through the ``state``
-    property setter, so the leaf/classified counters rebuild
-    themselves; sources join the cell table in one merge, in
+    The leaf's index entry is replaced by the image's leaves in one
+    splice (:meth:`RangeTree.plant`: no split-count side effects), each
+    leaf state noted as it is created, so the leaf/classified counters
+    rebuild themselves; sources join the cell table in one merge, in
     image order.  The per-leaf dirty flags recorded in the image are then
     applied exactly — a restored engine's next sweep visits precisely the
     leaves the original engine's next sweep would have.
     """
-    if node.left is not None:
-        raise StateCodecError(f"cannot plant onto internal node {node.prefix}")
-    sources: list = []
+    leaves: list[tuple[Prefix, NodeImage]] = []
 
-    def plant(target: RangeNode, img: NodeImage) -> None:
+    def flatten(at: Prefix, img: NodeImage) -> None:
         if img.kind == "internal":
-            left, right = tree.sprout(target)
-            plant(left, img.left)
-            plant(right, img.right)
-            return
-        target.state = _state_from_image(img)
+            left, right = at.children()
+            flatten(left, img.left)
+            flatten(right, img.right)
+        else:
+            leaves.append((at, img))
+
+    flatten(prefix, image)
+    planted = tree.plant(prefix, [(at, _state_from_image(img)) for at, img in leaves])
+    sources: list = []
+    for node, (__, img) in zip(planted, leaves):
+        if not img.dirty:
+            tree.dirty.discard(node)
         if img.kind == "unclassified":
             sources.extend(img.sources)
-        if not img.dirty:
-            tree.dirty.discard(target)
-
-    plant(node, image)
     if sources:
         tree.table.plant(sources)
 
 
 def restore_tree(tree: RangeTree, image: TreeImage) -> None:
     """Rebuild a (fresh) family tree from its image, counters included."""
-    if tree.root.prefix != image.root_prefix:
+    if tree.root_prefix != image.root_prefix:
         raise StateCodecError(
-            f"tree rooted at {tree.root.prefix} cannot restore an image "
+            f"tree rooted at {tree.root_prefix} cannot restore an image "
             f"rooted at {image.root_prefix}"
         )
-    if tree.root.left is not None:
+    if len(tree.leaves_under(tree.root_prefix)) != 1:
         raise StateCodecError("can only restore into an unsplit tree")
-    plant_image(tree, tree.root, image.root)
+    plant_image(tree, tree.root_prefix, image.root)
     tree.split_count = image.split_count
     tree.join_count = image.join_count
 
@@ -350,16 +357,22 @@ def _write_node(writer: Writer, image: NodeImage) -> None:
     # delegated: tag only
 
 
-def _read_node(reader: Reader) -> NodeImage:
+def _read_node(reader: Reader, prefix: Prefix) -> NodeImage:
+    """Read the node at *prefix*: an internal node has two halves (so the
+    recursion is as deep as the address is wide), a source lies inside its
+    leaf and appears once, and no ingress repeats in one weight list."""
     tag = reader.byte()
     dirty = bool(tag & _TAG_DIRTY)
     kind = _TAG_TO_KIND.get(tag & 0x0F)
     if kind is None:
         raise StateCodecError(f"unknown node tag {tag:#x}")
     if kind == "internal":
-        left = _read_node(reader)
-        right = _read_node(reader)
-        return NodeImage(kind="internal", left=left, right=right)
+        if prefix.masklen == prefix.bits:
+            raise StateCodecError(f"internal node at host route {prefix}")
+        left, right = prefix.children()
+        return NodeImage(
+            kind="internal", left=_read_node(reader, left), right=_read_node(reader, right)
+        )
     if kind == "unclassified":
         total = reader.float()
         oldest_seen = reader.float()
@@ -367,11 +380,12 @@ def _read_node(reader: Reader) -> NodeImage:
         for __ in range(reader.uvarint()):
             masked_ip = reader.uvarint()
             seen = reader.float()
-            by_ingress = [
-                (reader.ingress(), reader.float())
-                for __ in range(reader.uvarint())
-            ]
-            sources.append((masked_ip, seen, by_ingress))
+            sources.append((masked_ip, seen, _read_weights(reader, prefix)))
+        ips = [masked_ip for masked_ip, __, __ in sources]
+        if ips and not prefix.value <= min(ips) <= max(ips) <= prefix.last_value:
+            raise StateCodecError(f"a source lies outside its leaf {prefix}")
+        if len(set(ips)) < len(ips):
+            raise StateCodecError(f"a source repeats in leaf {prefix}")
         return NodeImage(
             kind="unclassified",
             dirty=dirty,
@@ -383,19 +397,23 @@ def _read_node(reader: Reader) -> NodeImage:
         ingress = reader.ingress()
         last_seen = reader.float()
         classified_at = reader.float()
-        counters = [
-            (reader.ingress(), reader.float())
-            for __ in range(reader.uvarint())
-        ]
         return NodeImage(
             kind="classified",
             dirty=dirty,
             ingress=ingress,
-            counters=counters,
+            counters=_read_weights(reader, prefix),
             last_seen=last_seen,
             classified_at=classified_at,
         )
     return NodeImage(kind="delegated")
+
+
+def _read_weights(reader: Reader, prefix: Prefix) -> list:
+    """A list of ``(ingress, weight)``, each ingress once."""
+    weights = [(reader.ingress(), reader.float()) for __ in range(reader.uvarint())]
+    if len(weights) > 1 and len(dict(weights)) < len(weights):
+        raise StateCodecError(f"an ingress repeats in one weight list of {prefix}")
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +550,7 @@ def decode_engine_span(
                 root_prefix=root_prefix,
                 split_count=split_count,
                 join_count=join_count,
-                root=_read_node(reader),
+                root=_read_node(reader, root_prefix),
             )
         image = EngineImage(
             params=decoded_params,
@@ -583,5 +601,5 @@ def decode_subtree(data: "bytes | bytearray | memoryview") -> SubtreeImage:
             version=version,
             split_count=split_count,
             join_count=join_count,
-            root=_read_node(reader),
+            root=_read_node(reader, prefix),
         )

@@ -24,9 +24,9 @@ the same per-range state.  Three properties make that hold:
 * *Confluent closures.*  Joins and prunes are applied to pairwise-
   independent sibling pairs and cascaded; the sharded sweep performs the
   shard-local pairs, then the cross-boundary pairs at ``/k`` (both shard
-  roots reduced to a single agreeing leaf), then cascades upward through
-  the aggregator — reaching the same fixed point as the single engine's
-  one-pass closure.
+  roots reduced to a single agreeing leaf), then reruns the join pass
+  and the prune cascade on the aggregator — reaching the same fixed
+  point as the single engine's one-pass closure.
 
 Handoffs move ranges across the ``/k`` boundary: after each sweep the
 aggregator delegates any visible unclassified leaf that reached depth
@@ -155,10 +155,9 @@ class ShardedIPD:
         self._executor = make_executor(
             executor, params, depth, workers, admission=admission
         )
-        #: family version -> shard indices currently delegated down
+        #: family version -> shard indices currently delegated down (each
+        #: one's portal is the aggregator's delegated leaf at that /k)
         self._delegated: dict[int, set[int]] = {IPV4: set(), IPV6: set()}
-        #: family version -> shard index -> the aggregator's placeholder leaf
-        self._portals: dict[int, dict[int, RangeNode]] = {IPV4: {}, IPV6: {}}
         self._shifts = {
             version: Prefix.root(version).bits - depth
             for version in (IPV4, IPV6)
@@ -278,11 +277,13 @@ class ShardedIPD:
         A sibling pair of shard roots that a single engine would have
         merged (both single classified leaves, same ingress, combined
         samples above the parent's ``n_cidr``) is joined into the
-        aggregator's parent leaf, and the join cascade continues upward
-        exactly as in :meth:`IPD._join_pass`.  Likewise a pair of empty
-        roots collapses back into an (unclassified, empty) aggregator
-        leaf and cascades through ``prune_upward``.  Joins run before
-        prunes, matching the single engine's per-sweep order.
+        aggregator's parent leaf; then :meth:`IPD._join_pass` reruns on
+        the aggregator (at most ``2^(k+1)`` leaves), which cascades the
+        merged ranges upward exactly as the single engine's pass does.
+        Likewise a pair of empty roots collapses back into an
+        (unclassified, empty) aggregator leaf and cascades through
+        ``prune_upward``.  Joins run before prunes, matching the single
+        engine's per-sweep order.
         """
         joins = 0
         prunes = 0
@@ -290,8 +291,6 @@ class ShardedIPD:
         for version in (IPV4, IPV6):
             tree = self.aggregator.trees[version]
             delegated = self._delegated[version]
-            portals = self._portals[version]
-            new_classified: list[RangeNode] = []
             new_empty: list[RangeNode] = []
             for index in sorted(delegated):
                 if index & 1 or (index + 1) not in delegated:
@@ -299,12 +298,13 @@ class ShardedIPD:
                 sibling = index + 1
                 left = results[index].roots[version]
                 right = results[sibling].roots[version]
+                parent = Prefix(
+                    index << self._shifts[version], self.split_depth, version
+                ).parent()
                 if left.kind == "classified" and right.kind == "classified":
                     if left.ingress != right.ingress:
                         continue
-                    parent = portals[index].parent
-                    assert parent is not None
-                    threshold = params.n_cidr(parent.prefix.masklen, version)
+                    threshold = params.n_cidr(parent.masklen, version)
                     if left.total + right.total < threshold:
                         continue
                     merged = left.as_classified_state().merged_with(
@@ -312,20 +312,14 @@ class ShardedIPD:
                     )
                     tree.join(parent, merged)
                     joins += 1
-                    self._undelegate(version, index, ops)
-                    self._undelegate(version, sibling, ops)
-                    new_classified.append(parent)
                 elif left.kind == "empty" and right.kind == "empty":
-                    parent = portals[index].parent
-                    assert parent is not None
-                    tree.collapse(parent)
+                    new_empty.append(tree.collapse(parent))
                     prunes += 1
-                    self._undelegate(version, index, ops)
-                    self._undelegate(version, sibling, ops)
-                    new_empty.append(parent)
-            for leaf in new_classified:
-                if not leaf.dead:
-                    joins += self.aggregator._join_cascade(tree, leaf)
+                else:
+                    continue
+                self._undelegate(version, index, ops)
+                self._undelegate(version, sibling, ops)
+            joins += self.aggregator._join_pass(tree)
             prunes += tree.prune_upward(new_empty)
         return joins, prunes
 
@@ -355,17 +349,15 @@ class ShardedIPD:
         # blob (exactly what checkpoint resume sends), so aggregator and
         # shard never alias one state object even in-process.
         payload = encode_subtree(
-            leaf.prefix, version, subtree_to_image(tree, leaf)
+            leaf.prefix, version, subtree_to_image(tree, leaf.prefix)
         )
         tree.delegate(leaf)
         index = leaf.prefix.value >> self._shifts[version]
         self._delegated[version].add(index)
-        self._portals[version][index] = leaf
         ops.append(("seed", index, version, payload))
 
     def _undelegate(self, version: int, index: int, ops: list[tuple]) -> None:
         self._delegated[version].discard(index)
-        self._portals[version].pop(index, None)
         ops.append(("reset", index, version))
 
     def _merge_reports(
@@ -531,19 +523,16 @@ class ShardedIPD:
             tree = engine.aggregator.trees[version]
             seeds: list[tuple[Prefix, NodeImage]] = []
             aggregator_root = _carve(
-                tree_image.root, tree.root.prefix, engine.split_depth, seeds
+                tree_image.root, tree.root_prefix, engine.split_depth, seeds
             )
-            plant_image(tree, tree.root, aggregator_root)
+            plant_image(tree, tree.root_prefix, aggregator_root)
             # the aggregator's merged counters carry the whole family's
             # totals; seeds ship zero so the sum is preserved
             tree.split_count = tree_image.split_count
             tree.join_count = tree_image.join_count
             for prefix, node_image in seeds:
                 index = prefix.value >> engine._shifts[version]
-                leaf = tree.lookup_leaf(prefix.value)
-                assert leaf.prefix == prefix
                 engine._delegated[version].add(index)
-                engine._portals[version][index] = leaf
                 engine._executor.send(
                     index,
                     ("seed", index, version,

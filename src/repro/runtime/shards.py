@@ -35,7 +35,7 @@ from ..netflow.records import FlowBatch
 from ..topology.elements import IngressPoint
 
 if TYPE_CHECKING:
-    from ..core.rangetree import RangeTree
+    from ..core.rangetree import RangeNode, RangeTree
 
 __all__ = ["ShardEngine", "ShardTickResult", "RootSummary", "ShardMetrics"]
 
@@ -127,7 +127,7 @@ class ShardEngine:
         # Both family trees start inactive: the aggregator owns the whole
         # space until its split cascade reaches the shard depth.
         for tree in self.ipd.trees.values():
-            tree.root.state = DelegatedState()
+            tree.lookup_leaf(tree.root_prefix.value).state = DelegatedState()
 
     # -- ops ----------------------------------------------------------------
 
@@ -143,21 +143,21 @@ class ShardEngine:
         """
         image = decode_subtree(payload)
         tree = self.ipd.trees[version]
-        root = tree.root
-        assert root.left is None and isinstance(root._state, DelegatedState)
+        root = _root_leaf(tree)
+        assert root is not None and isinstance(root._state, DelegatedState)
         if image.version != version or image.prefix != root.prefix:
             raise StateCodecError(
                 f"seed for {image.prefix} (IPv{image.version}) does not "
                 f"match shard root {root.prefix} (IPv{version})"
             )
-        plant_image(tree, root, image.root)
+        plant_image(tree, root.prefix, image.root)
         tree.split_count += image.split_count
         tree.join_count += image.join_count
 
     def reset(self, version: int) -> None:
         """Deactivate one family tree (range pulled back into the aggregator)."""
-        root = self.ipd.trees[version].root
-        assert root.left is None
+        root = _root_leaf(self.ipd.trees[version])
+        assert root is not None
         root.state = DelegatedState()
 
     def export(self) -> dict[int, bytes]:
@@ -171,9 +171,9 @@ class ShardEngine:
         """
         return {
             version: encode_subtree(
-                tree.root.prefix,
+                tree.root_prefix,
                 version,
-                subtree_to_image(tree, tree.root),
+                subtree_to_image(tree, tree.root_prefix),
                 tree.split_count,
                 tree.join_count,
             )
@@ -199,12 +199,12 @@ class ShardEngine:
 
     @staticmethod
     def _summarize_root(tree: "RangeTree") -> RootSummary:
-        root = tree.root
+        root = _root_leaf(tree)
+        if root is None:
+            return RootSummary("busy")
         state = root._state
         if isinstance(state, DelegatedState):
             return RootSummary("inactive")
-        if root.left is not None:
-            return RootSummary("busy")
         if isinstance(state, ClassifiedState):
             return RootSummary(
                 "classified",
@@ -235,3 +235,9 @@ class ShardEngine:
                 for version, tree in self.ipd.trees.items()
             },
         )
+
+
+def _root_leaf(tree: "RangeTree") -> "Optional[RangeNode]":
+    """The tree's one leaf while it is unsplit, else ``None``."""
+    leaf = tree.lookup_leaf(tree.root_prefix.value)
+    return leaf if leaf.prefix == tree.root_prefix else None

@@ -9,6 +9,7 @@ from repro.core.params import IPDParams
 from repro.core.state import ClassifiedState, UnclassifiedState
 from repro.netflow.records import FlowRecord
 from repro.topology.elements import IngressPoint
+from tests.core.test_rangetree import root_leaf
 
 A = IngressPoint("R1", "et0")
 B = IngressPoint("R2", "et0")
@@ -77,7 +78,7 @@ class TestExpiryBehaviour:
                                   version=IPV4, ingress=A))
             now += 60.0
             ipd.sweep(now)
-        state = ipd.trees[IPV4].root.state
+        state = root_leaf(ipd.trees[IPV4]).state
         assert isinstance(state, UnclassifiedState)
         assert state.sample_count == 10.0
 
@@ -132,8 +133,8 @@ class TestMixedFamilies:
             ipd.ingest(FlowRecord(timestamp=0.0, version=IPV6,
                                   src_ip=ip("2001:db8::") + index, ingress=A))
         ipd.sweep(60.0)
-        assert isinstance(ipd.trees[IPV4].root.state, UnclassifiedState)
-        assert ipd.trees[IPV4].root.state.is_empty()
+        assert isinstance(root_leaf(ipd.trees[IPV4]).state, UnclassifiedState)
+        assert root_leaf(ipd.trees[IPV4]).state.is_empty()
 
 
 class TestReclassificationCycles:
@@ -152,7 +153,8 @@ class TestReclassificationCycles:
                                       version=IPV4, ingress=ingress))
             now += 60.0
             ipd.sweep(now)
-            state = ipd.trees[IPV4].root.state
+            root = root_leaf(ipd.trees[IPV4])  # None once the root splits
+            state = root.state if root is not None else None
             current = (
                 state.ingress if isinstance(state, ClassifiedState) else None
             )
@@ -181,6 +183,6 @@ class TestReclassificationCycles:
                                           version=IPV4, ingress=other))
             now += 60.0
             ipd.sweep(now)
-        state = ipd.trees[IPV4].root.state
+        state = root_leaf(ipd.trees[IPV4]).state
         assert isinstance(state, ClassifiedState)
         assert state.ingress == A

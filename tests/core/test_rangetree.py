@@ -19,6 +19,12 @@ def ip(text: str) -> int:
     return parse_ip(text)[0]
 
 
+def root_leaf(tree: RangeTree):
+    """The one leaf covering the whole root range, or None once it is split."""
+    leaves = tree.leaves_under(tree.root_prefix)
+    return leaves[0] if len(leaves) == 1 else None
+
+
 #: folds samples into a bare tree: sources kept whole, weighted by bytes
 FOLD = IPD(IPDParams(cidr_max_v4=32, cidr_max_v6=128, count_bytes=True))
 
@@ -37,25 +43,26 @@ class TestLookup:
     def test_root_covers_everything(self):
         tree = RangeTree(IPV4)
         leaf = tree.lookup_leaf(ip("1.2.3.4"))
-        assert leaf is tree.root
+        assert leaf is root_leaf(tree)
 
     def test_lookup_after_split(self):
         tree = RangeTree(IPV4)
         add(tree, ip("10.0.0.0"), A, 0.0)
         add(tree, ip("200.0.0.0"), A, 0.0)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         assert tree.lookup_leaf(ip("10.0.0.1")) is left
         assert tree.lookup_leaf(ip("200.0.0.1")) is right
 
     def test_cache_invalidated_by_split(self):
         tree = RangeTree(IPV4)
         address = ip("10.0.0.0")
+        root = root_leaf(tree)
         first = tree.lookup_leaf(address)
-        assert first is tree.root
+        assert first is root
         add(tree, address, A, 0.0)
-        tree.split(tree.root)
+        tree.split(root)
         second = tree.lookup_leaf(address)
-        assert second is not tree.root
+        assert second is not root
         assert second.prefix.contains_ip(address)
 
 
@@ -64,7 +71,7 @@ class TestSplit:
         tree = RangeTree(IPV4)
         add(tree, ip("10.0.0.0"), A, 1.0, weight=3.0)
         add(tree, ip("200.0.0.0"), A, 2.0, weight=5.0)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         assert left.state.sample_count == 3.0
         assert right.state.sample_count == 5.0
         assert tree.sources(left) == [(ip("10.0.0.0"), 1.0, [(A, 3.0)])]
@@ -74,63 +81,64 @@ class TestSplit:
         tree = RangeTree(IPV4)
         for offset in range(50):
             add(tree, (offset * 77_000_000) % (1 << 32), A, 0.0)
-        total = tree.root.state.sample_count
-        left, right = tree.split(tree.root)
+        total = root_leaf(tree).state.sample_count
+        left, right = tree.split(root_leaf(tree))
         assert left.state.sample_count + right.state.sample_count == total
 
     def test_split_internal_rejected(self):
         tree = RangeTree(IPV4)
-        tree.split(tree.root)
+        root = root_leaf(tree)
+        tree.split(root)
         with pytest.raises(ValueError):
-            tree.split(tree.root)
+            tree.split(root)  # a dead leaf
 
     def test_split_classified_rejected(self):
         tree = RangeTree(IPV4)
-        tree.root.state = ClassifiedState(A, {A: 5.0}, 0.0, 0.0)
+        root_leaf(tree).state = ClassifiedState(A, {A: 5.0}, 0.0, 0.0)
         with pytest.raises(ValueError):
-            tree.split(tree.root)
+            tree.split(root_leaf(tree))
 
     def test_split_counter(self):
         tree = RangeTree(IPV4)
-        tree.split(tree.root)
+        tree.split(root_leaf(tree))
         assert tree.split_count == 1
 
 
 class TestJoin:
     def test_join_collapses_children(self):
         tree = RangeTree(IPV4)
-        tree.split(tree.root)
+        tree.split(root_leaf(tree))
         merged = ClassifiedState(A, {A: 10.0}, 0.0, 0.0)
-        node = tree.join(tree.root, merged)
-        assert node.is_leaf
+        node = tree.join(tree.root_prefix, merged)
+        assert root_leaf(tree) is node
         assert node.state is merged
         assert tree.join_count == 1
 
     def test_join_marks_children_dead(self):
         tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         tree.lookup_leaf(ip("10.0.0.0"))  # populate cache pointing at left
-        tree.join(tree.root, UnclassifiedState())
+        tree.join(tree.root_prefix, UnclassifiedState())
         assert left.dead and right.dead
-        assert tree.lookup_leaf(ip("10.0.0.0")) is tree.root
+        assert tree.lookup_leaf(ip("10.0.0.0")) is root_leaf(tree)
 
     def test_join_leaf_rejected(self):
         tree = RangeTree(IPV4)
         with pytest.raises(ValueError):
-            tree.join(tree.root, UnclassifiedState())
+            tree.join(tree.root_prefix, UnclassifiedState())
 
     def test_join_with_grandchildren_rejected(self):
         tree = RangeTree(IPV4)
-        left, __ = tree.split(tree.root)
+        left, __ = tree.split(root_leaf(tree))
         tree.split(left)
         with pytest.raises(ValueError):
-            tree.join(tree.root, UnclassifiedState())
+            tree.join(tree.root_prefix, UnclassifiedState())
 
 
 class TestIteration:
     def test_leaves_in_address_order(self):
         tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         tree.split(right)
         prefixes = [leaf.prefix for leaf in tree.leaves()]
         values = [prefix.value for prefix in prefixes]
@@ -139,7 +147,7 @@ class TestIteration:
 
     def test_leaves_partition_space(self):
         tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         tree.split(left)
         total = sum(leaf.prefix.num_addresses for leaf in tree.leaves())
         assert total == 1 << 32
@@ -147,12 +155,12 @@ class TestIteration:
     def test_leaf_count(self):
         tree = RangeTree(IPV4)
         assert tree.leaf_count() == 1
-        tree.split(tree.root)
+        tree.split(root_leaf(tree))
         assert tree.leaf_count() == 2
 
     def test_classified_leaves_filter(self):
         tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         left.state = ClassifiedState(A, {A: 1.0}, 0.0, 0.0)
         classified = list(tree.classified_leaves())
         assert classified == [left]
@@ -161,7 +169,7 @@ class TestIteration:
         """``_classified`` is a set; the accessor, not set history,
         decides the order snapshots are emitted in."""
         tree = RangeTree(IPV4)
-        frontier = [tree.root]
+        frontier = [root_leaf(tree)]
         for __ in range(5):  # 32 leaves at /5
             frontier = [child for node in frontier for child in tree.split(node)]
         for index in sorted(range(32), key=lambda i: (i * 13) % 32):
@@ -178,18 +186,18 @@ class TestIncrementalCounters:
     def test_leaf_count_tracks_split_join_prune(self):
         tree = RangeTree(IPV4)
         assert tree.leaf_count() == self.walked_leaf_count(tree) == 1
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         tree.split(left)
         assert tree.leaf_count() == self.walked_leaf_count(tree) == 3
         tree.prune_upward(tree.leaves())
         assert tree.leaf_count() == self.walked_leaf_count(tree) == 1
-        tree.split(tree.root)
-        tree.join(tree.root, UnclassifiedState())
+        tree.split(root_leaf(tree))
+        tree.join(tree.root_prefix, UnclassifiedState())
         assert tree.leaf_count() == self.walked_leaf_count(tree) == 1
 
     def test_classified_count_tracks_state_assignment(self):
         tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         assert tree.classified_count() == 0
         left.state = ClassifiedState(A, {A: 1.0}, 0.0, 0.0)
         right.state = ClassifiedState(A, {A: 1.0}, 0.0, 0.0)
@@ -197,14 +205,14 @@ class TestIncrementalCounters:
         right.state = UnclassifiedState()  # drop
         assert tree.classified_count() == 1
         assert tree.classified_leaves() == [left]
-        tree.join(tree.root, ClassifiedState(A, {A: 2.0}, 0.0, 0.0))
+        tree.join(tree.root_prefix, ClassifiedState(A, {A: 2.0}, 0.0, 0.0))
         assert tree.classified_count() == 1
-        assert tree.classified_leaves() == [tree.root]
+        assert tree.classified_leaves() == [root_leaf(tree)]
 
     def test_dirty_tracks_touched_leaves(self):
         tree = RangeTree(IPV4)
         tree.drain_dirty()  # root registers at construction
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         assert tree.drain_dirty() == {left, right}
         assert tree.drain_dirty() == set()
         add(tree, ip("1.2.3.4"), A, 0.0)
@@ -216,35 +224,35 @@ class TestIncrementalCounters:
 class TestPrune:
     def test_prune_collapses_empty_siblings(self):
         tree = RangeTree(IPV4)
-        left, __ = tree.split(tree.root)
+        left, __ = tree.split(root_leaf(tree))
         removed = tree.prune_upward([left])
         assert removed == 1
-        assert tree.root.is_leaf
+        assert root_leaf(tree) is not None
 
     def test_prune_cascades(self):
         tree = RangeTree(IPV4)
-        left, __ = tree.split(tree.root)
+        left, __ = tree.split(root_leaf(tree))
         leftleft, __ = tree.split(left)
         removed = tree.prune_upward([leftleft])
         assert removed == 2  # cascades: /2 pair, then /1 pair
-        assert tree.root.is_leaf
+        assert root_leaf(tree) is not None
         assert tree.leaf_count() == 1
 
     def test_prune_upward_stops_at_nonremovable_sibling(self):
         tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         add(tree, ip("200.0.0.0"), A, 0.0)
         removed = tree.prune_upward([left])
         assert removed == 0
-        assert not tree.root.is_leaf
+        assert root_leaf(tree) is None
 
     def test_prune_keeps_nonempty(self):
         tree = RangeTree(IPV4)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         add(tree, ip("1.0.0.0"), A, 0.0)
         removed = tree.prune_upward([left, right])
         assert removed == 0
-        assert not tree.root.is_leaf
+        assert root_leaf(tree) is None
 
 
 class TestIPv6:
@@ -252,7 +260,7 @@ class TestIPv6:
         tree = RangeTree(IPV6)
         value = parse_ip("2001:db8::1")[0]
         add(tree, value, A, 0.0)
-        left, right = tree.split(tree.root)
+        left, right = tree.split(root_leaf(tree))
         found = tree.lookup_leaf(value)
         assert found.prefix.masklen == 1
         assert found.prefix.contains_ip(value)
@@ -272,7 +280,7 @@ def test_property_lookup_always_contains(addresses, split_choices):
     the leaves always partition the full address space."""
     tree = RangeTree(IPV4)
     for address in addresses:
-        add(tree, address, A, 0.0) if tree.root.is_leaf else None
+        add(tree, address, A, 0.0) if root_leaf(tree) is not None else None
     for choice in split_choices:
         leaves = [
             leaf

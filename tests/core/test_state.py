@@ -23,6 +23,7 @@ from repro.core.state import (
 )
 from repro.netflow.records import FlowBatch, FlowRecord
 from repro.topology.elements import IngressPoint
+from tests.core.test_rangetree import root_leaf
 
 A = IngressPoint("R1", "et0")
 B = IngressPoint("R2", "et0")
@@ -48,12 +49,12 @@ def add(ipd: IPD, ip, ingress, timestamp, weight=1) -> None:
 
 
 def root(ipd: IPD) -> UnclassifiedState:
-    return ipd.trees[IPV4].root.state
+    return root_leaf(ipd.trees[IPV4]).state
 
 
 def sources(ipd: IPD):
     tree = ipd.trees[IPV4]
-    return tree.sources(tree.root)
+    return tree.sources(root_leaf(tree))
 
 
 def check_table(tree: RangeTree) -> None:
@@ -130,7 +131,7 @@ class TestUnclassifiedState:
         add(ipd, 11, A, 1.0)
         add(ipd, 12, B, 1.0, weight=2.0)
         tree = ipd.trees[IPV4]
-        __, __, c, d = tree.table.spans([tree.root.prefix])
+        __, __, c, d = tree.table.spans([tree.root_prefix])
         assert tree.table.totals(c, d) == {0: {A: 2.0, B: 2.0}}
 
     def test_expire_removes_stale_sources(self):
@@ -138,7 +139,7 @@ class TestUnclassifiedState:
         add(ipd, 10, A, timestamp=0.0)
         add(ipd, 20, A, timestamp=100.0)
         tree = ipd.trees[IPV4]
-        assert tree.expire(cutoff=50.0) == (1, [tree.root])
+        assert tree.expire(cutoff=50.0) == (1, [root_leaf(tree)])
         assert sources(ipd) == [(20, 100.0, [(A, 1.0)])]
         assert root(ipd).sample_count == 1.0
         assert root(ipd).oldest_seen == 100.0
@@ -159,11 +160,11 @@ class TestUnclassifiedState:
     def test_newest_timestamp(self):
         ipd = IPD(PARAMS)
         tree = ipd.trees[IPV4]
-        a, b, __, __ = tree.table.spans([tree.root.prefix])
+        a, b, __, __ = tree.table.spans([tree.root_prefix])
         assert reduce_spans(np.maximum, tree.table.seen, a, b, -INF).tolist() == [-INF]
         add(ipd, 10, A, 7.0)
         add(ipd, 11, A, 9.0)
-        a, b, __, __ = tree.table.spans([tree.root.prefix])
+        a, b, __, __ = tree.table.spans([tree.root_prefix])
         assert reduce_spans(np.maximum, tree.table.seen, a, b, -INF).tolist() == [9.0]
 
 
@@ -296,7 +297,7 @@ def test_property_expire_subtracts_exactly(operations):
                 (seen for __, seen, __ in rows), default=INF
             )
     total = root(ipd).total
-    left, right = tree.split(tree.root)
+    left, right = tree.split(root_leaf(tree))
     assert left.state.total + right.state.total == total
     check_table(tree)
 
@@ -351,7 +352,7 @@ def test_property_table_invariants_hold_through_ingest_and_sweeps(steps):
             ipd.sweep(now)
             for leaf, held in before.items():
                 state = leaf.state
-                if leaf.dead or not leaf.is_leaf or not isinstance(state, UnclassifiedState):
+                if leaf.dead or not isinstance(state, UnclassifiedState):
                     continue
                 kept = tree.sources(leaf)
                 if len(kept) < len(held):  # an expiry removed something

@@ -16,16 +16,20 @@ from repro.core.iputil import IPV4, Prefix, parse_ip
 from repro.core.params import IPDParams
 from repro.core.statecodec import (
     CODEC_VERSION,
+    EngineImage,
     IncompatibleStateError,
     NodeImage,
     StateCodecError,
+    TreeImage,
     decode_engine,
     decode_subtree,
     encode_engine,
     encode_subtree,
 )
 from repro.netflow.records import FlowRecord
+from repro.runtime.checkpoint import Checkpoint, CheckpointCorruptError, CheckpointStore
 from repro.topology.elements import IngressPoint
+from tests.core.test_rangetree import root_leaf
 
 from repro.testkit.traces import (
     DUALSTACK_PARAMS,
@@ -229,7 +233,7 @@ class TestExactPreservation:
         image = decode_engine(engine.to_bytes())
         assert [ip for ip, __, __ in image.trees[IPV4].root.sources] == arrival
         restored = IPD.from_bytes(engine.to_bytes()).trees[IPV4]
-        assert [ip for ip, *__ in restored.sources(restored.root)] == arrival
+        assert [ip for ip, *__ in restored.sources(root_leaf(restored))] == arrival
 
     def test_next_sweep_visits_same_leaves(self):
         """Dirty membership must round-trip so the first post-restore sweep
@@ -308,3 +312,71 @@ class TestWireFormatErrors:
             decode_engine(b"")
         with pytest.raises(StateCodecError):
             decode_subtree(b"IP")
+
+
+# -- malformed trees at the blob boundary ------------------------------------------
+
+ROOT = Prefix.root(IPV4)
+EMPTY = NodeImage("unclassified", sources=[])
+ADDRESS = parse_ip("192.0.0.0")[0]
+
+
+def _stream(node: NodeImage) -> bytes:
+    """The node-stream bytes of *node* (preorder, as the codec writes them)."""
+    head = encode_subtree(ROOT, IPV4, NodeImage("delegated"))[:-1]
+    return encode_subtree(ROOT, IPV4, node)[len(head):]
+
+
+def _chain(depth: int) -> NodeImage:
+    """*depth* internal nodes down the lowest addresses, empty leaves aside."""
+    node = EMPTY
+    for __ in range(depth):
+        node = NodeImage("internal", left=node, right=EMPTY)
+    return node
+
+
+def _unclassified(sources, total) -> NodeImage:
+    return NodeImage("unclassified", sources=sources, total=total, oldest_seen=1.0)
+
+
+#: node streams under an IPv4 /0, each a tree no engine could have written
+MALFORMED = {
+    "internal-below-one-address": lambda: _stream(_chain(33)),
+    "5000-nested-internals": lambda: b"\x00" * 5000 + _stream(EMPTY) * 5001,
+    "source-outside-its-leaf": lambda: _stream(NodeImage(
+        "internal", left=_unclassified([(ADDRESS, 1.0, [(A, 5.0)])], 5.0), right=EMPTY,
+    )),
+    "source-repeated-in-a-leaf": lambda: _stream(_unclassified(
+        [(ADDRESS, 1.0, [(A, 1.0)]), (ADDRESS, 2.0, [(A, 1.0)])], 2.0
+    )),
+    "ingress-repeated-among-cells": lambda: _stream(_unclassified(
+        [(ADDRESS, 1.0, [(A, 1.0), (A, 2.0)])], 3.0
+    )),
+    "ingress-repeated-in-counters": lambda: _stream(NodeImage(
+        "classified", ingress=A, counters=[(A, 3.0), (A, 4.0)],
+        last_seen=1.0, classified_at=0.0,
+    )),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+def test_malformed_tree_is_a_typed_error(case, tmp_path):
+    """Each tree decodes to a :class:`StateCodecError` with its offset, in an
+    engine blob and a subtree blob alike, and a checkpoint holding it (whose
+    CRC the writer computed, so it checks out) is a
+    :class:`CheckpointCorruptError`."""
+    stream = MALFORMED[case]()
+    tree = TreeImage(IPV4, ROOT, 0, 0, NodeImage("delegated"))
+    engine_blob = encode_engine(EngineImage(IPDParams(), 0, 0, None, {IPV4: tree}))
+    subtree_blob = encode_subtree(ROOT, IPV4, NodeImage("delegated"))
+    for decode, blob in ((IPD.from_bytes, engine_blob), (decode_subtree, subtree_blob)):
+        with pytest.raises(StateCodecError) as caught:
+            decode(blob[:-1] + stream)
+        assert caught.value.offset is not None
+    store = CheckpointStore(tmp_path)
+    path = store.save(Checkpoint(60.0, 0, 120.0, None, 1, engine_blob[:-1] + stream))
+    with pytest.raises(CheckpointCorruptError) as caught:
+        store.restore_engine(store.load(path))
+    assert caught.value.path == path
+    assert caught.value.offset is not None
+

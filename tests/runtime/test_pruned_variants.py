@@ -357,8 +357,7 @@ def test_load_balance_plumbing_is_gone():
     assert list(inspect.signature(RangeTree.prune_upward).parameters) == [
         "self", "candidates",
     ]
-    for name in ("collapse", "_collapse"):
-        assert "on_remove" not in inspect.signature(getattr(RangeTree, name)).parameters
+    assert "on_remove" not in inspect.signature(RangeTree.collapse).parameters
     for name in ("prune", "internal_nodes_postorder"):
         assert not hasattr(RangeTree, name)
     blob = bytearray(IPD().to_bytes())

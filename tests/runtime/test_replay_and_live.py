@@ -164,7 +164,8 @@ class TestLivePipeline:
         runner.stop()
         tree = runner.engine.trees[IPV4]
         # the ingested sample carries the live clock, not the trace time
-        [(__, seen, __)] = tree.sources(tree.root)
+        [leaf] = tree.leaves()
+        [(__, seen, __)] = tree.sources(leaf)
         assert seen == pytest.approx(1000.0)
 
 

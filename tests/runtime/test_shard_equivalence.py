@@ -82,7 +82,7 @@ def test_router_never_feeds_a_shard_a_foreign_source(shards, monkeypatch):
     real = ShardEngine.ingest_batch
 
     def checked(engine, batch):
-        root = engine.ipd.trees[batch.version].root.prefix
+        root = engine.ipd.trees[batch.version].root_prefix
         assert all(root.contains_ip(source) for source in batch.addresses())
         fed[batch.version] += len(batch)
         return real(engine, batch)
