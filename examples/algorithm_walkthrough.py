@@ -27,13 +27,12 @@ def dump_trie(ipd: IPD) -> None:
     def walk(prefix, depth):
         # the trie keeps only its leaves: a range is internal when the
         # leaf at its first address is longer than it
-        node = tree.lookup_leaf(prefix.value)
-        if node.prefix != prefix:
+        if tree.lookup_leaf(prefix.value) != prefix:
             print(f"    {'  ' * depth}{prefix}  ·")
             for half in prefix.children():
                 walk(half, depth + 1)
             return
-        state = node.state
+        state = tree.state(prefix)
         if isinstance(state, ClassifiedState):
             label = (f"CLASSIFIED -> {state.ingress} "
                      f"(n={state.total:.0f})")
@@ -41,7 +40,7 @@ def dump_trie(ipd: IPD) -> None:
             label = "unclassified (empty)"
         else:
             label = (f"unclassified, s_ipcount={state.sample_count:.0f}, "
-                     f"{len(tree.sources(node))} sources")
+                     f"{len(tree.sources(prefix))} sources")
         print(f"    {'  ' * depth}{prefix}  {label}")
 
     walk(tree.root_prefix, 0)

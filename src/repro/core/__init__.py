@@ -22,7 +22,7 @@ from .lpm import (
 )
 from .output import IPDRecord, read_records_csv, write_records_csv
 from .params import DEFAULT_PARAMS, IPDParams, default_decay
-from .rangetree import RangeNode, RangeTree
+from .rangetree import RangeTree
 from .snapshot import Snapshot
 from .state import ClassifiedState, UnclassifiedState
 from .statecodec import (
@@ -57,7 +57,6 @@ __all__ = [
     "LoadBalanceDetector",
     "LPMTable",
     "Prefix",
-    "RangeNode",
     "RangeTree",
     "Snapshot",
     "StateCodecError",

@@ -16,12 +16,14 @@ Two stages, mirrored here as two methods:
   agree, decays idle classified ranges, and drops invalidated ones.
 
 Sweeps are *dirty-range* sweeps: instead of walking every leaf, the
-sweep visits (a) leaves whose state changed since the last sweep, (b)
-leaves that just lost a source to expiry (the one mask over the trie's
-cell table names them), and (c) all classified leaves (their decay
-depends on ``now``).  Idle unclassified leaves are skipped — safe
-because the Stage-2 decision for a leaf is a pure function of its
-state, so an unchanged leaf repeats last sweep's no-op.  Every one of
+sweep visits the rows of the trie's leaf table that are (a) dirty —
+their state changed since the last sweep — (b) just lost a source to
+expiry (the one mask over the trie's cell table names them), or (c)
+classified (their decay depends on ``now``): one mask, already in
+address order.  Idle unclassified leaves are skipped — safe because the
+Stage-2 decision for a leaf is a pure function of its state, so an
+unchanged leaf repeats last sweep's no-op.  The unclassified visits are
+decided with masks (empty: prune; at ``n_cidr``: decide); every one of
 the three sets is in the engine blob.
 
 The deployment runs the stages in two threads; behaviourally the
@@ -37,7 +39,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from operator import attrgetter
 from typing import Iterable
 
@@ -51,14 +52,8 @@ from .bundles import dominant_ingress
 from .iputil import IPV4, IPV6, Prefix
 from .output import IPDRecord
 from .params import DEFAULT_PARAMS, IPDParams
-from .rangetree import RangeNode, RangeTree
-from .state import (
-    ClassifiedState,
-    DelegatedState,
-    UnclassifiedState,
-    ingress_codes,
-    reduce_spans,
-)
+from .rangetree import CLASSIFIED, UNCLASSIFIED, RangeTree
+from .state import ClassifiedState, ingress_codes, reduce_spans
 from .statecodec import (
     EngineImage,
     StateCodecError,
@@ -132,11 +127,11 @@ class IPD:
         }
         #: ``params.n_cidr`` per prefix length, one row per family, read
         #: once here (a params subclass overriding ``n_cidr`` still rules)
-        self._n_cidr: dict[int, tuple[float, ...]] = {
-            version: tuple(
+        self._n_cidr: dict[int, np.ndarray] = {
+            version: np.array([
                 self.params.n_cidr(masklen, version)
                 for masklen in range(tree.root_prefix.bits + 1)
-            )
+            ])
             for version, tree in self.trees.items()
         }
         self.flows_ingested = 0
@@ -154,7 +149,7 @@ class IPD:
 
         The blob captures everything a future :meth:`from_bytes` needs
         to continue *exactly* where this engine stands: trie topology,
-        per-range payloads, params, counters, and the dirty set — the
+        per-range payloads, params, counters, and the dirty flags — the
         restored engine's next sweep visits the same leaves and produces
         the same report this engine's would have.
 
@@ -243,11 +238,14 @@ class IPD:
         The one way a flow reaches a trie: an attached admission gate picks
         the rows to keep and :meth:`_fold` adds them with no per-row Python
         work, equivalent to the paper's flow-by-flow Stage 1 (weights are
-        integer-valued, so the regrouped float sums are exact).
+        integer-valued, so the regrouped float sums are exact).  A batch
+        with a non-finite timestamp or an IPv4 source past 32 bits is a
+        ``ValueError`` naming its first such row, before anything moves.
         """
         count = len(batch)
         if count == 0:
             return 0
+        _check_rows(batch)
         params = self.params
         tree = self.trees[batch.version]
         shift = tree.root_prefix.bits - params.cidr_max(batch.version)
@@ -294,28 +292,24 @@ class IPD:
             if len(keys) == 2:
                 masked |= keys[0].astype(object)
         leaf_of = tree.locate(masked)
-        # each touched leaf (a run of sources) updates its figures once
+        # each touched leaf (a run of sources) updates its row once
         new_leaf = _changes(leaf_of)
         leaf_starts = new_leaf.nonzero()[0]
-        states = []
-        for index, weight, first, last in zip(
-            leaf_of[leaf_starts].tolist(),
-            np.add.reduceat(weights, starts[leaf_starts]).tolist(),
-            np.minimum.reduceat(oldest, leaf_starts).tolist(),
-            np.maximum.reduceat(newest, leaf_starts).tolist(),
-        ):
-            leaf = tree._leaf_nodes[index]
-            state = leaf._state
-            states.append(state)
-            if isinstance(state, UnclassifiedState):
-                state.total += weight
-                state.oldest_seen = min(state.oldest_seen, first)
-                tree.dirty.add(leaf)
-            else:
-                assert isinstance(state, ClassifiedState)
+        rows = leaf_of[leaf_starts]
+        open_leaf = tree.kinds[rows] == UNCLASSIFIED
+        touched = rows[open_leaf]
+        tree.totals[touched] += np.add.reduceat(weights, starts[leaf_starts])[open_leaf]
+        tree.oldest[touched] = np.minimum(
+            tree.oldest[touched], np.minimum.reduceat(oldest, leaf_starts)[open_leaf]
+        )
+        tree.dirty[touched] = True
+        if not open_leaf.all():  # a classified range only notes its newest sample
+            for state, last in zip(
+                tree.payloads[rows[~open_leaf]].tolist(),
+                np.maximum.reduceat(newest, leaf_starts)[~open_leaf].tolist(),
+            ):
                 state.last_seen = max(state.last_seen, last)
-        owner_state = np.array(states, dtype=object)[new_leaf.cumsum() - 1]
-        is_open = np.fromiter(map(isinstance, owner_state, repeat(UnclassifiedState)), bool)
+        is_open = open_leaf[new_leaf.cumsum() - 1]
         # sources rank by their first row, cells by (their source's, their own)
         appear = np.minimum.reduceat(order, starts)
         cell_rank = appear[cell_source] * len(order) + np.minimum.reduceat(order, cell_starts)
@@ -332,7 +326,7 @@ class IPD:
         fold = cell_rank.argsort()
         fold = fold[~opened[fold]]
         for counters, ingress, weight in zip(
-            map(attrgetter("counters"), owner_state[cell_source[fold]].tolist()),
+            map(attrgetter("counters"), tree.payloads[leaf_of[cell_source[fold]]].tolist()),
             map(
                 batch.ingress_table.__getitem__,
                 batch.ingress_ids[order[cell_starts[fold]]].tolist(),
@@ -384,89 +378,85 @@ class IPD:
     @hot_path
     def _sweep_tree(self, tree: RangeTree, now: float, report: SweepReport) -> None:
         params = self.params
-        n_cidr = self._n_cidr[tree.version]
         # one mask over the cell table expires every stale source and names
         # the leaves that lost one
         expired, lost = tree.expire(now - params.e)
         report.expired_sources += expired
-        candidates = tree.drain_dirty()
-        candidates.update(lost)
-        candidates.update(tree._classified)
-        to_visit = sorted(candidates, key=lambda node: node.prefix.value)
-
-        prune_candidates: list[RangeNode] = []
-        deciding: list[RangeNode] = []
-        for leaf in to_visit:
-            state = leaf._state
-            if isinstance(state, DelegatedState):
-                continue  # owned by another engine; inert here
-            report.visited += 1
-            if isinstance(state, UnclassifiedState):
-                if state.is_empty():
-                    prune_candidates.append(leaf)
-                elif state.sample_count >= n_cidr[leaf.prefix.masklen]:
-                    deciding.append(leaf)  # else line 8: not enough samples yet
-            else:
-                assert isinstance(state, ClassifiedState)
-                self._handle_classified(leaf, state, now, report)
-                if isinstance(leaf._state, UnclassifiedState):
-                    prune_candidates.append(leaf)  # just dropped to empty
-        if deciding:
+        visit = tree.dirty | (tree.kinds == CLASSIFIED)
+        visit[lost] = True
+        tree.dirty[:] = False
+        rows = visit.nonzero()[0]  # in address order
+        report.visited += len(rows)
+        if not len(rows):
+            return
+        kinds = tree.kinds[rows]
+        opened = rows[kinds == UNCLASSIFIED]
+        empty = tree.oldest[opened] == _INF
+        full = opened[~empty]
+        # else line 8: not enough samples yet
+        n_cidr = self._n_cidr[tree.version][tree.masklens[full]]
+        deciding = full[tree.totals[full] >= n_cidr]
+        classified = rows[kinds == CLASSIFIED]
+        dropped = []
+        for row, state in zip(classified.tolist(), tree.payloads[classified].tolist()):
+            if self._handle_classified(state, now, report):
+                dropped.append(row)
+        if dropped:
+            tree.write(dropped, UNCLASSIFIED)  # line 19: drop
+        # prune candidates go by address: the splits and joins move rows
+        empties = tree.starts[np.concatenate((opened[empty], np.array(dropped, np.intp)))]
+        if len(deciding):
             self._handle_unclassified(tree, deciding, now, report)
-
         report.joins += self._join_pass(tree)
-        report.prunes += tree.prune_upward(prune_candidates)
+        if len(empties):
+            report.prunes += tree.prune_upward(empties)
 
     def _handle_unclassified(
-        self, tree: RangeTree, leaves: list[RangeNode], now: float, report: SweepReport
+        self, tree: RangeTree, rows: np.ndarray, now: float, report: SweepReport
     ) -> None:
         """Lines 9-15 for the visited leaves past ``n_cidr``: grouped sums give
         router peaks and per-ingress totals, and the loop only decides."""
-        params, cidr_max = self.params, self.params.cidr_max(tree.version)
-        spans = tree.table.spans([leaf.prefix for leaf in leaves])
+        params = self.params
+        spans = tree.spans(rows)
         # No candidate outweighs its router's subtotal, so where no router
         # reaches q no candidate can: skip building them (exact, since
-        # integer-valued sums are exact and division is monotonic).
-        grand = np.array([leaf._state.total for leaf in leaves])  # >= n_cidr > 0
-        totals = tree.table.totals(*spans[2:], grand, params.q)
+        # integer-valued sums are exact and division is monotonic).  The
+        # grand totals are >= n_cidr > 0.
+        totals = tree.table.totals(*spans[2:], tree.totals[rows], params.q)
         won: list[tuple[int, IngressPoint]] = []
-        to_split: list[RangeNode] = []
-        for index, leaf in enumerate(leaves):
-            if index in totals:
-                found = dominant_ingress(
-                    totals[index], params.enable_bundles, params.bundle_min_share
-                )
-                assert found is not None
-                if found[1] >= params.q:
-                    won.append((index, found[0]))
-                    continue
-            # at cidr_max there is no split (line 15); the join pass below
-            # may still coarsen once siblings agree
-            if leaf.prefix.masklen < cidr_max:
-                to_split.append(leaf)  # line 13
+        for index, counts in totals.items():
+            found = dominant_ingress(counts, params.enable_bundles, params.bundle_min_share)
+            assert found is not None
+            if found[1] >= params.q:
+                won.append((index, found[0]))
+        undecided = np.ones(len(rows), bool)
         if won:
-            picked = tuple(part[[index for index, __ in won]] for part in spans)
+            winners = np.array([index for index, __ in won])
+            undecided[winners] = False
+            picked = tuple(part[winners] for part in spans)
             newest = reduce_spans(np.maximum, tree.table.seen, *picked[:2], -_INF)
             # line 10: assign the prevalent ingress and discard the per-IP
             # detail ("all state is removed for efficiency reasons"); the
             # counters keep the order a per-source walk meets them
+            states = []
             for (index, ingress), points, last in zip(
                 won, tree.table.first_seen(*picked[2:]), newest.tolist()
             ):
                 counters = {point: totals[index][point] for point in points}
-                leaves[index].state = ClassifiedState(ingress, counters, last, now)
+                states.append(ClassifiedState(ingress, counters, last, now))
+            tree.write(rows[winners], CLASSIFIED, states)
             tree.table.drop(picked)
             report.classifications += len(won)
+        # line 13; at cidr_max there is no split (line 15), and the join
+        # pass may still coarsen once siblings agree
+        to_split = rows[undecided & (tree.masklens[rows] < params.cidr_max(tree.version))]
         tree.split_all(to_split)
         report.splits += len(to_split)
 
     def _handle_classified(
-        self,
-        leaf: RangeNode,
-        state: ClassifiedState,
-        now: float,
-        report: SweepReport,
-    ) -> None:
+        self, state: ClassifiedState, now: float, report: SweepReport
+    ) -> bool:
+        """Decay an idle classified range; True when it drops (line 19)."""
         params = self.params
         age = now - state.last_seen
         decayed = age > params.t
@@ -482,14 +472,12 @@ class IPD:
             state.decay(keep)
             report.decayed_ranges += 1
         total = state.total  # the one sum of this visit
-        if decayed and total < params.drop_threshold:
-            leaf.state = UnclassifiedState()  # line 19: drop
+        if (decayed and total < params.drop_threshold) or state.confidence_for(
+            _members_of(state.ingress), total
+        ) < params.q:
             report.drops += 1
-            return
-        share = state.confidence_for(_members_of(state.ingress), total)
-        if share < params.q:
-            leaf.state = UnclassifiedState()  # line 19: drop
-            report.drops += 1
+            return True
+        return False
 
     def _join_pass(self, tree: RangeTree) -> int:
         """Merge sibling leaves classified to the same logical ingress.
@@ -498,37 +486,36 @@ class IPD:
         ingress and meet sample count requirements" (§3.2).  The merged
         parent must itself satisfy its (larger) ``n_cidr`` threshold.
 
-        Two classified siblings are neighbours among the address-ordered
-        classified leaves, so one stack pass finds every join: each leaf,
-        and each range just merged, is checked against the range before
-        it at once, which is the upward cascade.  The sharded runtime
-        reruns this pass on its aggregator after a cross-boundary join.
+        Two sibling leaves are neighbouring rows, so a round finds the
+        pairs of classified siblings with array tests and merges those that
+        agree; the next round looks at the merged rows only, which is the
+        upward cascade.  The sharded runtime reruns this pass on its
+        aggregator after a cross-boundary join.
         """
         n_cidr = self._n_cidr[tree.version]
-        bits = tree.root_prefix.bits
         joins = 0
-        stack: list[RangeNode] = []
-        for node in tree.classified_leaves():
-            value, masklen, version = node.prefix
-            while stack:
-                size = 1 << (bits - masklen)
-                below = stack[-1]
-                if not value & size or below.prefix[:2] != (value ^ size, masklen):
-                    break  # not the upper half of a pair of classified leaves
-                left_state, right_state = below._state, node._state
-                assert isinstance(left_state, ClassifiedState)
-                assert isinstance(right_state, ClassifiedState)
-                if left_state.ingress != right_state.ingress:
-                    break
-                if left_state.total + right_state.total < n_cidr[masklen - 1]:
-                    break
-                stack.pop()
-                value, masklen = value ^ size, masklen - 1
-                node = tree.join(
-                    Prefix(value, masklen, version), left_state.merged_with(right_state)
-                )
-                joins += 1
-            stack.append(node)
+        rows = (tree.kinds == CLASSIFIED).nonzero()[0]
+        while len(rows):
+            lowers = tree.sibling_pairs(rows)
+            kinds = tree.kinds
+            lowers = lowers[(kinds[lowers] == CLASSIFIED) & (kinds[lowers + 1] == CLASSIFIED)]
+            merged: list[int] = []
+            states: list[ClassifiedState] = []
+            for row, left, right, masklen in zip(
+                lowers.tolist(),
+                tree.payloads[lowers].tolist(),
+                tree.payloads[lowers + 1].tolist(),
+                tree.masklens[lowers].tolist(),
+            ):
+                if left.ingress == right.ingress and (
+                    left.total + right.total >= n_cidr[masklen - 1]
+                ):
+                    merged.append(row)
+                    states.append(left.merged_with(right))
+            if not merged:
+                break
+            rows = tree.join_all(np.array(merged), states)
+            joins += len(merged)
         return joins
 
     # ------------------------------------------------------------------ output
@@ -540,46 +527,33 @@ class IPD:
         params = self.params
         records: list[IPDRecord] = []
         for tree in self.trees.values():
-            n_cidr_row = self._n_cidr[tree.version]
-            totals: dict[RangeNode, dict[IngressPoint, float]] = {}
+            rows = (tree.kinds == CLASSIFIED).nonzero()[0]
+            found = []  # (row, counts, ingress, share, total, classified)
+            for row, state in zip(rows.tolist(), tree.payloads[rows].tolist()):
+                total = state.total
+                share = state.confidence_for(_members_of(state.ingress), total)
+                found.append((row, state.counters, state.ingress, share, total, True))
             if include_unclassified:
-                observed = [
-                    leaf for leaf in tree.leaves()
-                    if isinstance(leaf._state, UnclassifiedState) and not leaf._state.is_empty()
-                ]
-                spans = tree.table.spans([leaf.prefix for leaf in observed])
-                by_span = tree.table.totals(*spans[2:])
-                totals = {leaf: by_span[index] for index, leaf in enumerate(observed)}
-            for leaf in tree.leaves():
-                state = leaf.state
-                if isinstance(state, ClassifiedState):
-                    counts, ingress, total = state.counters, state.ingress, state.total
-                    share = state.confidence_for(_members_of(ingress), total)
-                elif leaf in totals:
-                    counts, total = totals[leaf], state.sample_count
-                    found = dominant_ingress(
-                        counts,
-                        enable_bundles=params.enable_bundles,
-                        min_share=params.bundle_min_share,
+                observed = ((tree.kinds == UNCLASSIFIED) & (tree.oldest != _INF)).nonzero()[0]
+                by_span = tree.table.totals(*tree.spans(observed)[2:])
+                for index, (row, total) in enumerate(
+                    zip(observed.tolist(), tree.totals[observed].tolist())
+                ):
+                    best = dominant_ingress(
+                        by_span[index], params.enable_bundles, params.bundle_min_share
                     )
-                    if found is None:
-                        continue
-                    ingress, share, __ = found
-                else:
-                    continue
+                    if best is not None:
+                        found.append((row, by_span[index], best[0], best[1], total, False))
+            n_cidr = self._n_cidr[tree.version].tolist()
+            for prefix, (__, counts, ingress, share, total, classified) in zip(
+                tree.prefixes([entry[0] for entry in found]), found
+            ):
                 ranked = sorted(counts.items(), key=lambda item: (-item[1], str(item[0])))
-                records.append(
-                    IPDRecord(
-                        timestamp=now,
-                        range=leaf.prefix,
-                        ingress=ingress,
-                        s_ingress=share,
-                        s_ipcount=total,
-                        n_cidr=n_cidr_row[leaf.prefix.masklen],
-                        candidates=tuple(ranked),
-                        classified=isinstance(state, ClassifiedState),
-                    )
-                )
+                records.append(IPDRecord(
+                    timestamp=now, range=prefix, ingress=ingress, s_ingress=share,
+                    s_ipcount=total, n_cidr=n_cidr[prefix.masklen],
+                    candidates=tuple(ranked), classified=classified,
+                ))
         records.sort(key=lambda record: (record.version, record.range.value))
         return records
 
@@ -589,7 +563,8 @@ class IPD:
         """Tracked (masked IP, ingress) cells plus classified counters: the
         parameter study's RAM proxy, O(classified leaves)."""
         return sum(
-            len(tree.table.keys) + sum(len(leaf._state.counters) for leaf in tree._classified)
+            len(tree.table.keys)
+            + sum(len(state.counters) for state in tree.payloads[tree.kinds == CLASSIFIED])
             for tree in self.trees.values()
         )
 
@@ -627,6 +602,19 @@ def _sort_rows(
         bits = np.uint64(shift)
         columns = [low >> bits << bits, high]
     return np.lexsort((codes, *columns)), columns
+
+
+def _check_rows(batch: FlowBatch) -> None:
+    """Reject a non-finite timestamp (NaN passes every ``<`` test and never
+    expires) and an IPv4 source past 32 bits (``source << 32`` would wrap
+    onto another source's cell key), naming the first such row."""
+    stamps, sources = batch.timestamps, batch.src_ips
+    if not np.isfinite(stamps).all():
+        row = int(np.argmin(np.isfinite(stamps)))
+        raise ValueError(f"flow batch row {row}: timestamp {stamps[row]} is not finite")
+    if batch.version == IPV4 and int(sources.max()) >> 32:
+        row = int(np.argmax(sources >> np.uint64(32)))
+        raise ValueError(f"flow batch row {row}: source {sources[row]} is outside IPv4")
 
 
 def _changes(*columns: np.ndarray) -> np.ndarray:

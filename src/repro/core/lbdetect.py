@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Optional
 from ..core.iputil import Prefix, mask_ip
 from ..netflow.records import FlowRecord
 from ..topology.elements import IngressPoint
-from .state import UnclassifiedState
+from .rangetree import UNCLASSIFIED
 
 if TYPE_CHECKING:
     from .algorithm import IPD, SweepReport
@@ -133,20 +133,16 @@ class LoadBalanceDetector:
         for version, tree in engine.trees.items():
             cidr_max = params.cidr_max(version)
             n_cidr = params.n_cidr(cidr_max, version)
-            for leaf in tree.leaves():
-                state = leaf.state
-                if leaf.prefix.masklen != cidr_max or not isinstance(
-                    state, UnclassifiedState
-                ):
-                    continue
-                count = previous.get(leaf.prefix)
+            rows = ((tree.masklens == cidr_max) & (tree.kinds == UNCLASSIFIED)).nonzero()[0]
+            for prefix, total in zip(tree.prefixes(rows), tree.totals[rows].tolist()):
+                count = previous.get(prefix)
                 if count is None:
                     count = 0
-                elif state.sample_count >= n_cidr:
+                elif total >= n_cidr:
                     count += 1
                     if count >= self.patience:
-                        self.watch(leaf.prefix)
-                failures[leaf.prefix] = count
+                        self.watch(prefix)
+                failures[prefix] = count
         self._failures = failures
 
     def watch(self, prefix: Prefix) -> None:

@@ -5,84 +5,83 @@ each node representing a CIDR range" (§3.1).  The trie starts as a single
 /0 leaf and is refined by splits and coarsened by joins as traffic
 dictates.
 
-Leaves are pairwise disjoint and tile the root range, so the tree is its
-sorted leaf index — ``_leaf_starts`` (first address of each leaf) and
-``_leaf_nodes`` (the leaves), both in address order — and a lookup is one
-``bisect_right``.  A :class:`RangeNode` is always a leaf; internal ranges
-are implicit.  The index changes in three ways: a split replaces one
-entry by two, a join or a prune collapse replaces two siblings (index
-neighbours) by one, and a restore (:meth:`RangeTree.plant`) replaces one
-entry by the leaves that tile it.  Unclassified leaves keep their
-per-source rows in one address-ordered
-:class:`~repro.core.state.CellTable` (``table``), where a leaf's rows are
-one span and a split moves none of them.
+Leaves are pairwise disjoint and tile the root range, so the tree is a
+*leaf table*: index-aligned columns over the leaves in address order,
+one row per leaf and no object for an unclassified one —
 
-The tree also keeps the incremental bookkeeping the sweep machinery
-needs to avoid full-trie walks:
+* ``starts`` (first address, the table's address dtype) and ``masklens``;
+* ``kinds``: :data:`UNCLASSIFIED`, :data:`CLASSIFIED` or :data:`DELEGATED`;
+* ``totals`` / ``oldest``: an unclassified leaf's summed weight and the
+  lower bound on its sources' ``last_seen`` (``inf`` exactly when empty);
+* ``dirty``: the leaf changed since the last sweep, which visits those
+  instead of every leaf;
+* ``payloads``: a classified leaf's :class:`ClassifiedState`, else ``None``.
 
-* ``leaf_count()`` / ``classified_count()`` are O(1): the index length
-  and a set maintained by split/join/prune and by state assignment.
-* ``dirty`` is the set of leaves whose state changed since the last
-  :meth:`drain_dirty` — the sweep visits those instead of every leaf.
-* :meth:`expire` is one mask over the cell table and names, in address
-  order, the leaves that lost a source — the sweep's other visits, so an
-  idle leaf with nothing stale is never touched.
+A lookup is one ``searchsorted``.  Internal ranges are implicit: a split
+turns a row into its lower half and the upper halves of a whole sweep
+go in with one rebuild of the columns, a join or a prune collapse
+deletes the upper row of a sibling pair (neighbouring rows), and a
+restore (:meth:`RangeTree.plant`) turns one row into the leaves that
+tile it.  Unclassified leaves keep their per-source rows in one
+address-ordered :class:`~repro.core.state.CellTable` (``table``), where
+a leaf's rows are one span and a split moves none of them.
 
-Every mutation of a node's state — including direct assignment like
-``leaf.state = ClassifiedState(...)`` — funnels through the ``state``
-property setter, which notifies the owning tree so the counters and
-dirty set can never go stale.
+Outside ``core/`` a leaf is named by its :class:`Prefix`
+(:meth:`~RangeTree.lookup_leaf`, :meth:`~RangeTree.leaves`,
+:meth:`~RangeTree.leaves_under`); inside it, by its row.  Every state
+change goes through :meth:`RangeTree.write` (:meth:`~RangeTree.assign`
+at the edge), which keeps ``kinds``, the payload, the figures and
+``dirty`` in step.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 import numpy as np
 
 from ..devtools.markers import hot_path
 from .iputil import Prefix
-from .state import CellTable, ClassifiedState, DelegatedState, UnclassifiedState, reduce_spans
+from .state import (
+    CellTable,
+    ClassifiedState,
+    DelegatedState,
+    UnclassifiedState,
+    reduce_spans,
+)
 
-__all__ = ["RangeNode", "RangeTree"]
+__all__ = ["CLASSIFIED", "DELEGATED", "UNCLASSIFIED", "RangeTree"]
 
 RangeState = Union[UnclassifiedState, ClassifiedState, DelegatedState]
+#: rows of the leaf table: an index array, a boolean mask, a slice or a list
+Rows = Union[np.ndarray, slice, "list[int]", int]
+
+#: the ``kinds`` codes
+UNCLASSIFIED, CLASSIFIED, DELEGATED = 0, 1, 2
 
 _INF = float("inf")
 
+#: every column and what a new row holds before it is written
+_COLUMNS = {
+    "starts": None,
+    "masklens": None,
+    "kinds": UNCLASSIFIED,
+    "totals": 0.0,
+    "oldest": _INF,
+    "dirty": False,
+    "payloads": None,
+}
 
-class RangeNode:
-    """One leaf of the trie: a CIDR range and its state."""
 
-    __slots__ = ("prefix", "_state", "dead", "tree")
-
-    def __init__(
-        self,
-        prefix: Prefix,
-        state: Optional[RangeState] = None,
-        tree: "Optional[RangeTree]" = None,
-    ) -> None:
-        self.prefix = prefix
-        self.tree = tree
-        self.dead = False
-        self._state: RangeState = state if state is not None else UnclassifiedState()
-        if tree is not None:
-            tree._note_state_change(self, None, self._state)
-
-    @property
-    def state(self) -> RangeState:
-        return self._state
-
-    @state.setter
-    def state(self, value: RangeState) -> None:
-        old = self._state
-        self._state = value
-        if self.tree is not None:
-            self.tree._note_state_change(self, old, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RangeNode {self.prefix}>"
+def _fields(state: RangeState) -> "tuple[int, Optional[ClassifiedState], float, float]":
+    """``(kind, payload, total, oldest)`` of a state value."""
+    if isinstance(state, UnclassifiedState):
+        return UNCLASSIFIED, None, state.total, state.oldest_seen
+    if isinstance(state, ClassifiedState):
+        return CLASSIFIED, state, 0.0, _INF
+    if isinstance(state, DelegatedState):
+        return DELEGATED, None, 0.0, _INF
+    raise TypeError(f"not a range state: {type(state).__name__}")
 
 
 class RangeTree:
@@ -95,282 +94,302 @@ class RangeTree:
     /0 tree.
     """
 
-    def __init__(
-        self,
-        version: int,
-        root_prefix: Optional[Prefix] = None,
-    ) -> None:
+    def __init__(self, version: int, root_prefix: Optional[Prefix] = None) -> None:
         if root_prefix is not None and root_prefix.version != version:
-            raise ValueError(
-                f"root prefix {root_prefix} does not match IPv{version}"
-            )
+            raise ValueError(f"root prefix {root_prefix} does not match IPv{version}")
         self.version = version
         self.root_prefix = root_prefix if root_prefix is not None else Prefix.root(version)
-        #: leaves currently owned by another engine (DelegatedState)
-        self._delegated_count = 0
-        self._classified: set[RangeNode] = set()
-        #: leaves whose state changed since the last :meth:`drain_dirty`
-        self.dirty: set[RangeNode] = set()
-        #: the sorted leaf index: first address of every leaf, and the
-        #: leaves themselves, in address order (delegated leaves included)
-        self._leaf_starts: list[int] = [self.root_prefix.value]
-        self._leaf_nodes: list[RangeNode] = [RangeNode(self.root_prefix, tree=self)]
-        self._starts_array: Optional[np.ndarray] = None
         #: every unclassified leaf's sources and cells, in address order
         self.table = CellTable(version)
+        dtype = self.table.ips.dtype
+        self._bits, self._one = self.root_prefix.bits, dtype.type(1)
+        # the leaf table, with the root as its one (dirty) row
+        self.starts = np.array([self.root_prefix.value], dtype)
+        self.masklens = np.array([self.root_prefix.masklen], np.uint8)
+        self.kinds = np.full(1, UNCLASSIFIED, np.int8)
+        self.totals = np.zeros(1)
+        self.oldest = np.full(1, _INF)
+        self.dirty = np.ones(1, bool)
+        self.payloads = np.full(1, None, object)
         #: number of splits/joins performed (resource-metric bookkeeping)
         self.split_count = 0
         self.join_count = 0
 
+    # -- rows and prefixes ------------------------------------------------------
+
+    def prefixes(self, rows: Rows) -> list[Prefix]:
+        """The prefixes of *rows* (an index array or a slice)."""
+        version = self.version
+        return [
+            Prefix(value, masklen, version)
+            for value, masklen in zip(self.starts[rows].tolist(), self.masklens[rows].tolist())
+        ]
+
+    def _row(self, prefix: Prefix) -> int:
+        """The row of the leaf at *prefix*."""
+        row = int(np.searchsorted(self.starts, prefix.value))
+        if self.prefixes(slice(row, row + 1)) != [prefix]:
+            raise ValueError(f"{prefix} is not a leaf")
+        return row
+
+    def _sizes(self, masklens: np.ndarray) -> np.ndarray:
+        """The number of addresses of ranges of *masklens*, in the address dtype."""
+        return self._one << (self._bits - masklens).astype(self.starts.dtype)
+
+    def spans(self, rows: Rows) -> tuple[np.ndarray, ...]:
+        """The cell-table spans ``(a, b, c, d)`` of *rows*."""
+        return self.table.spans(self.starts[rows], self.masklens[rows])
+
     # -- lookup -------------------------------------------------------------
 
     @hot_path
-    def lookup_leaf(self, ip_value: int) -> RangeNode:
-        """Return the unique leaf whose range contains *ip_value*.
+    def lookup_leaf(self, ip_value: int) -> Prefix:
+        """Return the leaf whose range contains *ip_value*.
 
         *ip_value* must lie inside the root prefix.  A rooted (shard)
         tree asked for a foreign address answers with an arbitrary leaf;
         the sharded router guarantees that never happens.
         """
-        return self._leaf_nodes[bisect_right(self._leaf_starts, ip_value) - 1]
+        row = int(np.searchsorted(self.starts, ip_value, side="right")) - 1
+        return Prefix(int(self.starts[row]), int(self.masklens[row]), self.version)
 
     def locate(self, addresses: np.ndarray) -> np.ndarray:
-        """Leaf-index positions of *addresses* (the table's address dtype)."""
-        if self._starts_array is None:
-            self._starts_array = np.array(self._leaf_starts, dtype=self.table.ips.dtype)
-        return np.searchsorted(self._starts_array, addresses, side="right") - 1
+        """The rows of the leaves holding *addresses* (the table's address dtype)."""
+        return np.searchsorted(self.starts, addresses, side="right") - 1
 
-    def sources(self, leaf: RangeNode) -> list:
+    def sources(self, prefix: Prefix) -> list:
         """An unclassified leaf's ``(masked_ip, last_seen, [(ingress,
         weight), ...])`` per source, sources and cells in first-seen order."""
-        return self.table.sources(self.table.spans([leaf.prefix]))[0]
+        return self.table.sources(self.table.spans([prefix.value], [prefix.masklen]))[0]
 
-    def expire(self, cutoff: float) -> tuple[int, list[RangeNode]]:
+    # -- state --------------------------------------------------------------
+
+    def state(self, prefix: Prefix) -> RangeState:
+        """The state of the leaf at *prefix*: the classified payload itself,
+        or a fresh value for an unclassified or delegated leaf."""
+        row = self._row(prefix)
+        kind = self.kinds[row]
+        if kind == CLASSIFIED:
+            return self.payloads[row]
+        if kind == DELEGATED:
+            return DelegatedState()
+        return UnclassifiedState(float(self.totals[row]), float(self.oldest[row]))
+
+    def assign(self, prefix: Prefix, state: RangeState) -> None:
+        """Replace the state of the leaf at *prefix* (its rows stay: a caller
+        replacing an unclassified leaf that holds some drops them first)."""
+        self.write(self._row(prefix), *_fields(state))
+
+    def write(
+        self, rows: Rows, kind: Any, payloads: Any = None, totals: Any = 0.0, oldest: Any = _INF
+    ) -> None:
+        """The one state writer: kind, payload and figures of *rows*, each
+        scalar or per row; every row but a delegated one turns dirty."""
+        self.kinds[rows] = kind
+        self.payloads[rows] = payloads
+        self.totals[rows] = totals
+        self.oldest[rows] = oldest
+        self.dirty[rows] = np.not_equal(kind, DELEGATED)
+
+    def expire(self, cutoff: float) -> tuple[int, np.ndarray]:
         """Drop every source last seen strictly before *cutoff*; returns how
-        many, and the leaves that lost one in address order.  Such a leaf
-        subtracts the removed weights from ``total`` (exact) and re-tightens
-        ``oldest_seen``; no other leaf changes."""
+        many, and the rows of the leaves that lost one (ascending).  Such a
+        leaf subtracts the removed weights from its total (exact) and
+        re-tightens ``oldest``; no other leaf changes."""
         gone, owners, weights = self.table.expire(cutoff)
         if not len(gone):
-            return 0, []
+            return 0, np.empty(0, np.intp)
         touched = np.unique(self.locate(gone))
         removed = np.bincount(np.searchsorted(touched, self.locate(owners)), weights)
-        leaves = [self._leaf_nodes[index] for index in touched.tolist()]
-        a, b, __, __ = self.table.spans([leaf.prefix for leaf in leaves])
+        a, b, __, __ = self.spans(touched)
         oldest = reduce_spans(np.minimum, self.table.seen, a, b, _INF)
-        for leaf, weight, bound in zip(leaves, removed.tolist(), oldest.tolist()):
-            state = leaf._state
-            assert isinstance(state, UnclassifiedState)
-            state.total = state.total - weight if bound != _INF else 0.0
-            state.oldest_seen = bound
-        return len(gone), leaves
-
-    def _splice(self, at: int, count: int, nodes: list[RangeNode]) -> list[RangeNode]:
-        """Replace index entries ``at:at + count`` by *nodes*, which tile the
-        same range; the replaced leaves die."""
-        self._starts_array = None
-        for node in self._leaf_nodes[at:at + count]:
-            self._detach(node)
-        self._leaf_nodes[at:at + count] = nodes
-        self._leaf_starts[at:at + count] = [node.prefix.value for node in nodes]
-        return nodes
-
-    # -- incremental bookkeeping ------------------------------------------------
-
-    def _note_state_change(
-        self,
-        node: RangeNode,
-        old: Optional[RangeState],
-        new: RangeState,
-    ) -> None:
-        """Keep the counters and the dirty set in sync.
-
-        Called by the ``RangeNode.state`` setter on every assignment, so
-        even tests that classify a leaf directly keep the tree honest.
-        """
-        if isinstance(old, ClassifiedState):
-            self._classified.discard(node)
-        elif isinstance(old, DelegatedState):
-            self._delegated_count -= 1
-        if node.dead:
-            return
-        if isinstance(new, DelegatedState):
-            # the leaf's state now lives in another engine: inert here
-            self._delegated_count += 1
-            self.dirty.discard(node)
-            return
-        if isinstance(new, ClassifiedState):
-            self._classified.add(node)
-        self.dirty.add(node)
-
-    def _detach(self, node: RangeNode) -> None:
-        """Mark a removed (split, joined, pruned or replanted) leaf dead and
-        forget it."""
-        node.dead = True
-        self.dirty.discard(node)
-        self._classified.discard(node)
-        if isinstance(node._state, DelegatedState):
-            self._delegated_count -= 1
-
-    @hot_path
-    def drain_dirty(self) -> set[RangeNode]:
-        """Return the leaves touched since the last drain and reset the set."""
-        dirty = self.dirty
-        self.dirty = set()
-        return dirty
+        self.totals[touched] = np.where(oldest != _INF, self.totals[touched] - removed, 0.0)
+        self.oldest[touched] = oldest
+        return len(gone), touched
 
     # -- structure changes ----------------------------------------------------
 
-    def split(self, node: RangeNode) -> tuple[RangeNode, RangeNode]:
+    def _insert(self, new: np.ndarray, starts: Any, masklens: Any) -> None:
+        """Open rows at the final positions *new* (ascending), not yet
+        written: unclassified, empty and clean; the old rows keep their order."""
+        old = np.ones(len(self.starts) + len(new), bool)
+        old[new] = False
+        for name, fill in _COLUMNS.items():
+            column = np.empty(len(old), getattr(self, name).dtype)
+            column[old] = getattr(self, name)
+            column[new] = {"starts": starts, "masklens": masklens}.get(name, fill)
+            setattr(self, name, column)
+
+    def _merge(self, lowers: np.ndarray, *fields: Any) -> np.ndarray:
+        """Merge each row of *lowers* with the row after it, its sibling, into
+        one leaf written with *fields* (:meth:`write`'s); returns its rows."""
+        keep = np.ones(len(self.starts), bool)
+        keep[lowers + 1] = False
+        for name in _COLUMNS:
+            setattr(self, name, getattr(self, name)[keep])
+        rows = lowers - np.arange(len(lowers))
+        self.masklens[rows] -= 1
+        self.write(rows, *fields)
+        return rows
+
+    def split(self, prefix: Prefix) -> tuple[Prefix, Prefix]:
         """Split a leaf into its two halves (:meth:`split_all` of one)."""
-        return self.split_all([node])[0]
+        halves = prefix.children()
+        self.split_all(np.array([self._row(prefix)]))
+        return halves
 
-    def split_all(self, nodes: "list[RangeNode]") -> list[tuple[RangeNode, RangeNode]]:
-        """Split unclassified leaves in halves, moving no row: each half's
-        ``total`` and ``oldest_seen`` are read off its part of the span."""
-        for node in nodes:
-            if node.dead:
-                raise ValueError(f"cannot split removed leaf {node.prefix}")
-            if not isinstance(node._state, UnclassifiedState):
-                raise ValueError(f"cannot split classified range {node.prefix}")
-        halves = [half for node in nodes for half in node.prefix.children()]
-        a, b, c, d = self.table.spans(halves)
-        totals = reduce_spans(np.add, self.table.weights, c, d, 0.0).tolist()
-        oldest = reduce_spans(np.minimum, self.table.seen, a, b, _INF).tolist()
-        states = list(map(UnclassifiedState, totals, oldest))
-        made = []
-        for index, node in enumerate(nodes):
-            # creating each node marks it dirty
-            left, right = (
-                RangeNode(halves[side], states[side], tree=self)
-                for side in (2 * index, 2 * index + 1)
-            )
-            self._splice(bisect_left(self._leaf_starts, node.prefix.value), 1, [left, right])
-            self.split_count += 1
-            made.append((left, right))
-        return made
+    def split_all(self, rows: np.ndarray) -> None:
+        """Split the unclassified leaves at *rows* (ascending) in halves,
+        moving no cell: each half's total and ``oldest`` are read off its
+        part of the span.  Each row becomes its lower half and the upper
+        halves go in at once."""
+        if not len(rows):
+            return
+        if (self.kinds[rows] != UNCLASSIFIED).any():
+            raise ValueError("cannot split a classified or delegated range")
+        lengths = self.masklens[rows] + 1
+        lows = self.starts[rows]
+        highs = lows | self._sizes(lengths)
+        halves = np.empty(2 * len(rows), self.starts.dtype)
+        halves[::2], halves[1::2] = lows, highs
+        a, b, c, d = self.table.spans(halves, np.repeat(lengths, 2))
+        self.masklens[rows] = lengths
+        uppers = rows + np.arange(1, len(rows) + 1)
+        self._insert(uppers, highs, lengths)
+        halves = np.repeat(uppers, 2)
+        halves[::2] -= 1
+        self.write(
+            halves,
+            UNCLASSIFIED,
+            None,
+            reduce_spans(np.add, self.table.weights, c, d, 0.0),
+            reduce_spans(np.minimum, self.table.seen, a, b, _INF),
+        )
+        self.split_count += len(rows)
 
-    def join(self, prefix: Prefix, state: RangeState) -> RangeNode:
-        """Merge the two leaves that halve *prefix* into one leaf there.
+    def sibling_pairs(self, rows: np.ndarray) -> np.ndarray:
+        """The lower rows of the sibling pairs of leaves that *rows* are in:
+        a leaf's sibling, when it is a leaf, is its index neighbour — the one
+        after it for a lower half, the one before it for an upper half."""
+        masklens = self.masklens[rows]
+        inner = masklens > self.root_prefix.masklen
+        rows, masklens = rows[inner], masklens[inner]
+        sizes = self._sizes(masklens)
+        lowers = rows - ((self.starts[rows] & sizes) != 0)
+        starts, lengths = self.starts, self.masklens
+        paired = (
+            (lengths[lowers] == masklens)
+            & (lengths[lowers + 1] == masklens)
+            & (starts[lowers] ^ starts[lowers + 1] == sizes)
+        )
+        return np.unique(lowers[paired])
 
-        The caller supplies the merged *state* (the classifier decides
-        how counters combine).  The two halves are marked dead.
-        """
-        node = self._merge(self._halves_at(prefix), prefix, state)
+    def join_all(self, lowers: np.ndarray, states: list) -> np.ndarray:
+        """Merge each sibling pair at *lowers* into one leaf holding the
+        classified state the caller merged; returns the merged rows."""
+        self.join_count += len(lowers)
+        return self._merge(lowers, CLASSIFIED, states)
+
+    def join(self, prefix: Prefix, state: RangeState) -> None:
+        """Merge the two leaves that halve *prefix* into one leaf there, with
+        the *state* the caller merged (the classifier decides how)."""
+        self._merge(self._halves_at(prefix), *_fields(state))
         self.join_count += 1
-        return node
 
-    def collapse(self, prefix: Prefix) -> RangeNode:
+    def collapse(self, prefix: Prefix) -> None:
         """The prune collapse for cross-engine callers: the two leaves that
-        halve *prefix* become one empty unclassified leaf, returned."""
-        return self._merge(self._halves_at(prefix), prefix, UnclassifiedState())
+        halve *prefix* become one empty unclassified leaf."""
+        self._merge(self._halves_at(prefix), UNCLASSIFIED)
 
-    def _halves_at(self, prefix: Prefix) -> int:
-        """Index position of the two leaves that halve *prefix*."""
-        at = bisect_left(self._leaf_starts, prefix.value)
-        if [node.prefix for node in self._leaf_nodes[at:at + 2]] != list(prefix.children()):
+    def _halves_at(self, prefix: Prefix) -> np.ndarray:
+        """The row of the lower of the two leaves that halve *prefix*."""
+        low, high = prefix.children()
+        at = int(np.searchsorted(self.starts, low.value))
+        if self.prefixes(slice(at, at + 2)) != [low, high]:
             raise ValueError(f"the halves of {prefix} are not both leaves")
+        return np.array([at])
+
+    def plant(self, prefix: Prefix, leaves: "list[tuple[Prefix, RangeState]]") -> int:
+        """Replace the leaf at *prefix* by *leaves*, ``(prefix, state)`` pairs
+        that tile it in address order; returns the row of the first.  For
+        state restoration: unlike :meth:`split` it counts no split."""
+        at = self._row(prefix)
+        parts = [part for part, __ in leaves]
+        # the row turns into the first leaf, the rest open after it
+        self.masklens[at] = parts[0].masklen
+        self._insert(
+            at + np.arange(1, len(parts)),
+            np.array([part.value for part in parts[1:]], self.starts.dtype),
+            [part.masklen for part in parts[1:]],
+        )
+        kinds, payloads, totals, oldest = zip(*map(_fields, (state for __, state in leaves)))
+        self.write(slice(at, at + len(parts)), kinds, payloads, totals, oldest)
         return at
 
-    def _merge(self, at: int, prefix: Prefix, state: RangeState) -> RangeNode:
-        return self._splice(at, 2, [RangeNode(prefix, state, tree=self)])[0]
-
-    def plant(self, prefix: Prefix, leaves: "list[tuple[Prefix, RangeState]]") -> list[RangeNode]:
-        """Replace the leaf at *prefix* by *leaves*, ``(prefix, state)`` pairs
-        that tile it in address order, in one splice; returns the new leaves.
-
-        Structure for state restoration: unlike :meth:`split` it moves no
-        row and counts no split.
-        """
-        at = bisect_left(self._leaf_starts, prefix.value)
-        if at == len(self._leaf_nodes) or self._leaf_nodes[at].prefix != prefix:
-            raise ValueError(f"{prefix} is not a leaf")
-        return self._splice(at, 1, [RangeNode(part, state, tree=self) for part, state in leaves])
-
-    def delegate(self, node: RangeNode) -> None:
-        """Hand an unclassified leaf off to another engine: delete its rows
-        (the caller images it first, to seed that engine) and mark it
-        :class:`DelegatedState`.  Only unclassified leaves are delegated:
-        the sharded runtime hands a range down once the split cascade
-        reaches the shard depth, before it can classify."""
-        if node.dead:
-            raise ValueError(f"cannot delegate removed leaf {node.prefix}")
-        if not isinstance(node._state, UnclassifiedState):
-            raise ValueError(f"cannot delegate {node.prefix}: not unclassified")
-        self.table.drop(self.table.spans([node.prefix]))
-        node.state = DelegatedState()
+    def delegate(self, prefix: Prefix) -> None:
+        """Hand an unclassified leaf (the sharded runtime's range at the shard
+        depth, before it can classify) off to another engine: delete its
+        cells (the caller images it first) and mark it :data:`DELEGATED`."""
+        row = self._row(prefix)
+        if self.kinds[row] != UNCLASSIFIED:
+            raise ValueError(f"cannot delegate {prefix}: not unclassified")
+        self.table.drop(self.spans([row]))
+        self.write(row, DELEGATED)
 
     # -- iteration -------------------------------------------------------------
 
-    def leaves(self) -> Iterator[RangeNode]:
-        """Yield all leaves in address order.
+    def leaves(self) -> list[Prefix]:
+        """All leaves in address order (a snapshot: a caller may restructure
+        the tree while iterating)."""
+        return self.prefixes(slice(None))
 
-        Iterates a snapshot of the leaf index, so a caller may
-        restructure the tree while iterating.
-        """
-        return iter(tuple(self._leaf_nodes))
+    def leaves_under(self, prefix: Prefix) -> list[Prefix]:
+        """The leaves inside *prefix*, in address order."""
+        return self.prefixes(self.rows_under(prefix))
 
-    def leaves_under(self, prefix: Prefix) -> list[RangeNode]:
-        """The leaves inside *prefix*, in address order: a slice of the index."""
-        starts = self._leaf_starts
-        low = bisect_left(starts, prefix.value)
-        return self._leaf_nodes[low:bisect_right(starts, prefix.last_value, low)]
+    def rows_under(self, prefix: Prefix) -> slice:
+        """The rows of the leaves inside *prefix*."""
+        low = int(np.searchsorted(self.starts, prefix.value))
+        return slice(low, int(np.searchsorted(self.starts, prefix.last_value, side="right")))
 
     def leaf_count(self) -> int:
-        """Number of *visible* leaves — O(1), the index length less delegations.
-
-        Delegated leaves (ranges owned by another engine) are excluded,
-        so the visible leaves of a sharded deployment's aggregator plus
-        its shard trees sum to exactly the single-engine count.
-        """
-        return len(self._leaf_nodes) - self._delegated_count
+        """Number of *visible* leaves: the rows less the delegated ones
+        (owned by another engine), so a sharded deployment's aggregator
+        plus its shard trees sum to exactly the single-engine count."""
+        return len(self.starts) - self.delegated_count()
 
     def delegated_count(self) -> int:
-        """Number of leaves currently delegated to another engine — O(1)."""
-        return self._delegated_count
+        """Number of leaves currently delegated to another engine."""
+        return int(np.count_nonzero(self.kinds == DELEGATED))
 
     def classified_count(self) -> int:
-        """Number of classified leaves — O(1)."""
-        return len(self._classified)
-
-    def classified_leaves(self) -> list[RangeNode]:
-        """The classified leaves in address order."""
-        return sorted(self._classified, key=lambda node: node.prefix.value)
+        """Number of classified leaves."""
+        return int(np.count_nonzero(self.kinds == CLASSIFIED))
 
     # -- maintenance -------------------------------------------------------------
 
-    def prune_upward(self, candidates: Iterable[RangeNode]) -> int:
-        """Collapse empty unclassified sibling pairs reachable from *candidates*.
+    def prune_upward(self, candidates: Iterable[int]) -> int:
+        """Collapse empty unclassified sibling pairs reachable from the leaves
+        that start at the addresses *candidates*.
 
         Instead of walking the whole trie, start from the leaves known to
-        have just become empty and cascade upward.  This finds every
-        collapse a full postorder walk would, because a pair can only
-        become collapsible when one of its members changes — and every
-        change puts that member in the candidate set.  A leaf's sibling,
-        when it is a leaf, is its index neighbour: the one after it for a
-        lower half, the one before it for an upper half.
+        have just become empty and cascade upward, one level of pairs at a
+        time.  This finds every collapse a full postorder walk would,
+        because a pair can only become collapsible when one of its members
+        changes — and every change puts that member in the candidate set.
         """
+        values = np.asarray(candidates, self.starts.dtype)
+        rows = np.minimum(np.searchsorted(self.starts, values), len(self.starts) - 1)
+        rows = rows[self.starts[rows] == values]
         collapsed = 0
-        starts, nodes = self._leaf_starts, self._leaf_nodes
-        top, bits = self.root_prefix.masklen, self.root_prefix.bits
-        for leaf in candidates:
-            if leaf.dead:
-                continue  # already collapsed via an earlier candidate
-            value, masklen, version = leaf.prefix
-            at = bisect_left(starts, value)
-            while masklen > top and _is_empty_unclassified(nodes[at]):
-                size = 1 << (bits - masklen)
-                other = at - 1 if value & size else at + 1
-                if nodes[other].prefix.masklen != masklen or starts[other] != value ^ size:
-                    break
-                if not _is_empty_unclassified(nodes[other]):
-                    break
-                at, value, masklen = min(at, other), value & ~size, masklen - 1
-                self._merge(at, Prefix(value, masklen, version), UnclassifiedState())
-                collapsed += 1
+        while len(rows):
+            lowers = self.sibling_pairs(rows[self._empty(rows)])
+            lowers = lowers[self._empty(lowers) & self._empty(lowers + 1)]
+            if not len(lowers):
+                break
+            rows = self._merge(lowers, UNCLASSIFIED)
+            collapsed += len(rows)
         return collapsed
 
-
-def _is_empty_unclassified(node: RangeNode) -> bool:
-    state = node._state
-    return isinstance(state, UnclassifiedState) and state.is_empty()
+    def _empty(self, rows: np.ndarray) -> np.ndarray:
+        return (self.kinds[rows] == UNCLASSIFIED) & (self.oldest[rows] == _INF)

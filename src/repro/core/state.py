@@ -6,7 +6,8 @@ expiry removes exactly the stale sources) or *classified* (per-ingress
 counters and a last-seen time: "all state is removed for efficiency
 reasons", §3.2).  Every unclassified range of a trie keeps its sources
 in one address-ordered :class:`CellTable`, so a leaf's rows are one span
-and a split moves none; :class:`UnclassifiedState` keeps its scalars.
+and a split moves none; its scalars are columns of the trie's leaf table,
+and :class:`UnclassifiedState` is the value a caller reads or writes.
 A classified range re-sums its few counters: decay scales them by a
 non-integer factor, where a running sum would drift.
 """
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
 from ..topology.elements import IngressPoint
-from .iputil import IPV4, Prefix
+from .iputil import IPV4
 
 __all__ = [
     "CellTable",
@@ -80,10 +81,11 @@ class CellTable:
         self.key_seq = np.empty(0, np.int64)
         self._next_seq = 0
 
-    def spans(self, prefixes: "list[Prefix]") -> tuple[np.ndarray, ...]:
-        """The spans of *prefixes*: ``(a, b, c, d)`` arrays of row bounds."""
-        lows = np.array([prefix.value for prefix in prefixes], dtype=self.ips.dtype)
-        lengths = np.array([prefix.masklen for prefix in prefixes], dtype=self.ips.dtype)
+    def spans(self, starts: Any, masklens: Any) -> tuple[np.ndarray, ...]:
+        """The spans of the ranges *starts* / *masklens*: ``(a, b, c, d)``
+        arrays of row bounds."""
+        lows = np.asarray(starts, dtype=self.ips.dtype)
+        lengths = np.asarray(masklens).astype(self.ips.dtype)
         highs = lows | (self._one << (self._bits - lengths)) - self._one
         return (
             np.searchsorted(self.ips, lows),
@@ -253,7 +255,8 @@ def reduce_spans(
 @dataclass
 class UnclassifiedState:
     """Observation state for a range without a prevalent ingress yet: its
-    scalars only — the per-source rows sit in the trie's :class:`CellTable`."""
+    scalars only, as a value — the tree holds them as leaf-table columns
+    and the per-source rows sit in the trie's :class:`CellTable`."""
 
     #: the range's summed cell weights, by addition (ingest) and subtraction
     #: (expiry): exact while integer-valued weights sum below 2^53

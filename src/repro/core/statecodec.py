@@ -29,11 +29,12 @@ one version rule, the error taxonomy)::
 Floats travel as their 8 bytes and dicts in insertion order — the
 engine's float sums are insertion-order dependent, and the codec
 preserves both.  Trie nodes are encoded preorder with a tag byte
-carrying the node kind and the leaf's dirty flag; the tree holds only
-its sorted leaves, so the internal nodes of that stream are derived from
-the leaf slice, and planting replaces one leaf by the image's leaves in
-one splice.  The decoder knows each node's prefix, and each of these is
-a :class:`StateCodecError`: an internal node at a host route, a source
+carrying the node kind and the leaf's dirty flag, read from and written
+to the leaf table's ``dirty`` column; the tree is a table of its leaves,
+so the internal nodes of that stream are derived from its rows, and
+planting turns one row into the image's leaves at once.  The decoder
+knows each node's prefix, and each of these is a
+:class:`StateCodecError`: an internal node at a host route, a source
 outside its leaf or repeated in it, an ingress repeated in one weight list.
 
 Layering: this module deliberately does not import the engine.  It
@@ -52,7 +53,7 @@ from .framing import IncompatibleStateError, Reader, StateCodecError, Writer
 from .framing import damage_reported, read_header, write_header
 from .iputil import Prefix
 from .params import IPDParams, default_decay
-from .rangetree import RangeTree
+from .rangetree import CLASSIFIED, UNCLASSIFIED, RangeTree
 from .state import ClassifiedState, DelegatedState, UnclassifiedState
 
 __all__ = [
@@ -163,24 +164,6 @@ class EngineImage:
 # ---------------------------------------------------------------------------
 
 
-def _state_image(state: object, dirty: bool, sources: Optional[list]) -> NodeImage:
-    if isinstance(state, UnclassifiedState):
-        return NodeImage("unclassified", dirty, sources=sources, total=state.total,
-                         oldest_seen=state.oldest_seen)
-    if isinstance(state, ClassifiedState):
-        return NodeImage(
-            kind="classified",
-            dirty=dirty,
-            ingress=state.ingress,
-            counters=list(state.counters.items()),
-            last_seen=state.last_seen,
-            classified_at=state.classified_at,
-        )
-    if isinstance(state, DelegatedState):
-        return NodeImage(kind="delegated")
-    raise StateCodecError(f"cannot image state of type {type(state).__name__}")
-
-
 def subtree_to_image(
     tree: RangeTree,
     prefix: Prefix,
@@ -188,33 +171,45 @@ def subtree_to_image(
 ) -> NodeImage:
     """Convert the leaves under *prefix* into one detached node image.
 
-    The nesting is derived from the address-ordered leaf slice: a range
-    whose first leaf is longer than it is internal, with its halves
-    imaged in turn.  *grafts* maps a :class:`Prefix` to a replacement
+    The nesting is derived from the address-ordered rows of the leaf
+    table: a range whose first leaf is longer than it is internal, with
+    its halves imaged in turn; each leaf's dirty tag is its ``dirty``
+    flag.  *grafts* maps a :class:`Prefix` to a replacement
     :class:`NodeImage`: a delegated leaf at such a prefix is replaced by
     the graft, which is how the sharded coordinator splices shard exports
     into its portals to produce the merged single-engine-equivalent image.
     """
-    leaves = tree.leaves_under(prefix)
+    rows = tree.rows_under(prefix)
+    masklens, kinds = tree.masklens[rows].tolist(), tree.kinds[rows].tolist()
+    dirty, payloads = tree.dirty[rows].tolist(), tree.payloads[rows].tolist()
+    totals, oldest = tree.totals[rows].tolist(), tree.oldest[rows].tolist()
     # every unclassified leaf's rows, read in one pass over the table
-    open_leaves = [leaf for leaf in leaves if isinstance(leaf._state, UnclassifiedState)]
-    spans = tree.table.spans([leaf.prefix for leaf in open_leaves])
-    sources = dict(zip(open_leaves, tree.table.sources(spans)))
-    dirty = tree.dirty
-    walk = iter(leaves)
-    current = next(walk)
+    opened = (tree.kinds[rows] == UNCLASSIFIED).nonzero()[0]
+    sources = dict(zip(opened.tolist(), tree.table.sources(tree.spans(opened + rows.start))))
+    at = 0
 
     def convert(masklen: int) -> NodeImage:
-        nonlocal current
-        if current.prefix.masklen > masklen:
+        nonlocal at
+        if masklens[at] > masklen:
             return NodeImage(kind="internal", left=convert(masklen + 1), right=convert(masklen + 1))
-        state = current._state
-        if grafts is not None and isinstance(state, DelegatedState) and current.prefix in grafts:
-            image = grafts[current.prefix]
-        else:
-            image = _state_image(state, current in dirty, sources.get(current))
-        current = next(walk, current)
-        return image
+        row, at = at, at + 1
+        if kinds[row] == UNCLASSIFIED:
+            return NodeImage("unclassified", dirty[row], sources=sources[row],
+                             total=totals[row], oldest_seen=oldest[row])
+        if kinds[row] == CLASSIFIED:
+            state = payloads[row]
+            return NodeImage(
+                kind="classified",
+                dirty=dirty[row],
+                ingress=state.ingress,
+                counters=list(state.counters.items()),
+                last_seen=state.last_seen,
+                classified_at=state.classified_at,
+            )
+        leaf = tree.prefixes([rows.start + row])[0]
+        if grafts is not None and leaf in grafts:
+            return grafts[leaf]
+        return NodeImage(kind="delegated")
 
     return convert(prefix.masklen)
 
@@ -270,13 +265,12 @@ def _state_from_image(
 def plant_image(tree: RangeTree, prefix: Prefix, image: NodeImage) -> None:
     """Materialize *image* at the leaf at *prefix* of *tree*.
 
-    The leaf's index entry is replaced by the image's leaves in one
-    splice (:meth:`RangeTree.plant`: no split-count side effects), each
-    leaf state noted as it is created, so the leaf/classified counters
-    rebuild themselves; sources join the cell table in one merge, in
-    image order.  The per-leaf dirty flags recorded in the image are then
-    applied exactly — a restored engine's next sweep visits precisely the
-    leaves the original engine's next sweep would have.
+    The leaf's row is replaced by the image's leaves at once
+    (:meth:`RangeTree.plant`: no split-count side effects); sources join
+    the cell table in one merge, in image order.  The per-leaf dirty flags
+    recorded in the image are then written to the ``dirty`` column — a
+    restored engine's next sweep visits precisely the leaves the original
+    engine's next sweep would have.
     """
     leaves: list[tuple[Prefix, NodeImage]] = []
 
@@ -289,13 +283,9 @@ def plant_image(tree: RangeTree, prefix: Prefix, image: NodeImage) -> None:
             leaves.append((at, img))
 
     flatten(prefix, image)
-    planted = tree.plant(prefix, [(at, _state_from_image(img)) for at, img in leaves])
-    sources: list = []
-    for node, (__, img) in zip(planted, leaves):
-        if not img.dirty:
-            tree.dirty.discard(node)
-        if img.kind == "unclassified":
-            sources.extend(img.sources)
+    first = tree.plant(prefix, [(at, _state_from_image(img)) for at, img in leaves])
+    tree.dirty[first:first + len(leaves)] = [img.dirty for __, img in leaves]
+    sources = [source for __, img in leaves if img.kind == "unclassified" for source in img.sources]
     if sources:
         tree.table.plant(sources)
 
@@ -307,7 +297,7 @@ def restore_tree(tree: RangeTree, image: TreeImage) -> None:
             f"tree rooted at {tree.root_prefix} cannot restore an image "
             f"rooted at {image.root_prefix}"
         )
-    if len(tree.leaves_under(tree.root_prefix)) != 1:
+    if len(tree.starts) != 1:
         raise StateCodecError("can only restore into an unsplit tree")
     plant_image(tree, tree.root_prefix, image.root)
     tree.split_count = image.split_count

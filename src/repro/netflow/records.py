@@ -169,11 +169,20 @@ class FlowBatch:
 
 
 def _source_column(values: Sequence[int], version: int) -> np.ndarray:
-    """Addresses as uint64 (IPv4) or as (hi, lo) uint64 rows (IPv6)."""
-    if isinstance(values, np.ndarray) or version == IPV4:
-        return np.asarray(values, dtype=np.uint64)
-    pairs = [divmod(value, 1 << 64) for value in values]
-    return np.array(pairs, dtype=np.uint64).reshape(len(pairs), 2)
+    """Addresses as uint64 (IPv4) or as (hi, lo) uint64 rows (IPv6).  An
+    address that fits no such row is a ``ValueError`` naming its row (an
+    IPv4 one past 32 bits that fits is rejected at ingest)."""
+    try:
+        if isinstance(values, np.ndarray) or version == IPV4:
+            return np.asarray(values, dtype=np.uint64)
+        pairs = [divmod(value, 1 << 64) for value in values]
+        return np.array(pairs, dtype=np.uint64).reshape(len(pairs), 2)
+    except OverflowError:
+        bits = 32 if version == IPV4 else 128
+        row = next(row for row, value in enumerate(values) if value < 0 or value >> bits)
+        raise ValueError(
+            f"flow batch row {row}: source {values[row]} is outside IPv{version}"
+        ) from None
 
 
 def iter_flow_batches(

@@ -60,8 +60,7 @@ from ..core.algorithm import IPD, SweepReport
 from ..core.iputil import IPV4, IPV6, Prefix
 from ..core.output import IPDRecord
 from ..core.params import DEFAULT_PARAMS, IPDParams
-from ..core.rangetree import RangeNode
-from ..core.state import UnclassifiedState
+from ..core.rangetree import UNCLASSIFIED
 from ..core.statecodec import (
     EngineImage,
     NodeImage,
@@ -291,7 +290,7 @@ class ShardedIPD:
         for version in (IPV4, IPV6):
             tree = self.aggregator.trees[version]
             delegated = self._delegated[version]
-            new_empty: list[RangeNode] = []
+            new_empty: list[int] = []
             for index in sorted(delegated):
                 if index & 1 or (index + 1) not in delegated:
                     continue
@@ -313,7 +312,8 @@ class ShardedIPD:
                     tree.join(parent, merged)
                     joins += 1
                 elif left.kind == "empty" and right.kind == "empty":
-                    new_empty.append(tree.collapse(parent))
+                    tree.collapse(parent)
+                    new_empty.append(parent.value)
                     prunes += 1
                 else:
                     continue
@@ -334,25 +334,21 @@ class ShardedIPD:
         """
         depth = self.split_depth
         for version, tree in self.aggregator.trees.items():
-            for leaf in list(tree.leaves()):
-                if leaf.prefix.masklen == depth and isinstance(
-                    leaf._state, UnclassifiedState
-                ):
-                    self._delegate(version, leaf, ops)
+            rows = ((tree.masklens == depth) & (tree.kinds == UNCLASSIFIED)).nonzero()[0]
+            for leaf in tree.prefixes(rows):
+                self._delegate(version, leaf, ops)
 
     def _delegate(
-        self, version: int, leaf: RangeNode, ops: list[tuple]
+        self, version: int, leaf: Prefix, ops: list[tuple]
     ) -> None:
         tree = self.aggregator.trees[version]
         # Handoff is state *transfer*, not state sharing: the leaf's
         # observation state crosses the boundary as an encoded subtree
         # blob (exactly what checkpoint resume sends), so aggregator and
         # shard never alias one state object even in-process.
-        payload = encode_subtree(
-            leaf.prefix, version, subtree_to_image(tree, leaf.prefix)
-        )
+        payload = encode_subtree(leaf, version, subtree_to_image(tree, leaf))
         tree.delegate(leaf)
-        index = leaf.prefix.value >> self._shifts[version]
+        index = leaf.value >> self._shifts[version]
         self._delegated[version].add(index)
         ops.append(("seed", index, version, payload))
 

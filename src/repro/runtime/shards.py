@@ -35,7 +35,7 @@ from ..netflow.records import FlowBatch
 from ..topology.elements import IngressPoint
 
 if TYPE_CHECKING:
-    from ..core.rangetree import RangeNode, RangeTree
+    from ..core.rangetree import RangeTree
 
 __all__ = ["ShardEngine", "ShardTickResult", "RootSummary", "ShardMetrics"]
 
@@ -127,7 +127,7 @@ class ShardEngine:
         # Both family trees start inactive: the aggregator owns the whole
         # space until its split cascade reaches the shard depth.
         for tree in self.ipd.trees.values():
-            tree.lookup_leaf(tree.root_prefix.value).state = DelegatedState()
+            tree.assign(tree.root_prefix, DelegatedState())
 
     # -- ops ----------------------------------------------------------------
 
@@ -144,21 +144,22 @@ class ShardEngine:
         image = decode_subtree(payload)
         tree = self.ipd.trees[version]
         root = _root_leaf(tree)
-        assert root is not None and isinstance(root._state, DelegatedState)
-        if image.version != version or image.prefix != root.prefix:
+        assert root is not None and isinstance(tree.state(root), DelegatedState)
+        if image.version != version or image.prefix != root:
             raise StateCodecError(
                 f"seed for {image.prefix} (IPv{image.version}) does not "
-                f"match shard root {root.prefix} (IPv{version})"
+                f"match shard root {root} (IPv{version})"
             )
-        plant_image(tree, root.prefix, image.root)
+        plant_image(tree, root, image.root)
         tree.split_count += image.split_count
         tree.join_count += image.join_count
 
     def reset(self, version: int) -> None:
         """Deactivate one family tree (range pulled back into the aggregator)."""
-        root = _root_leaf(self.ipd.trees[version])
+        tree = self.ipd.trees[version]
+        root = _root_leaf(tree)
         assert root is not None
-        root.state = DelegatedState()
+        tree.assign(root, DelegatedState())
 
     def export(self) -> dict[int, bytes]:
         """Serialize every family tree as a subtree blob.
@@ -202,7 +203,7 @@ class ShardEngine:
         root = _root_leaf(tree)
         if root is None:
             return RootSummary("busy")
-        state = root._state
+        state = tree.state(root)
         if isinstance(state, DelegatedState):
             return RootSummary("inactive")
         if isinstance(state, ClassifiedState):
@@ -237,7 +238,6 @@ class ShardEngine:
         )
 
 
-def _root_leaf(tree: "RangeTree") -> "Optional[RangeNode]":
-    """The tree's one leaf while it is unsplit, else ``None``."""
-    leaf = tree.lookup_leaf(tree.root_prefix.value)
-    return leaf if leaf.prefix == tree.root_prefix else None
+def _root_leaf(tree: "RangeTree") -> "Optional[Prefix]":
+    """The tree's root prefix while it is one unsplit leaf, else ``None``."""
+    return tree.root_prefix if len(tree.starts) == 1 else None

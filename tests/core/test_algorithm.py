@@ -10,7 +10,7 @@ from repro.core.params import IPDParams
 from repro.core.state import ClassifiedState, UnclassifiedState
 from repro.netflow.records import FlowBatch, FlowRecord
 from repro.topology.elements import IngressPoint
-from tests.core.test_rangetree import root_leaf
+from tests.core.test_rangetree import root_leaf, root_state
 
 A = IngressPoint("R1", "et0")
 A2 = IngressPoint("R1", "et1")
@@ -49,7 +49,7 @@ class TestIngest:
         ipd.ingest(flow("10.0.0.1", A))
         ipd.ingest(flow("10.0.0.14", A))  # same /28
         tree = ipd.trees[IPV4]
-        state = root_leaf(tree).state
+        state = root_state(tree)
         assert isinstance(state, UnclassifiedState)
         assert [source for source, *__ in tree.sources(root_leaf(tree))] == [ip("10.0.0.0")]
         assert state.sample_count == 2.0
@@ -58,35 +58,35 @@ class TestIngest:
         """The batch fold adds to a classified range's counters in row
         order and never rewinds its last_seen."""
         ipd = IPD(params())
-        root = root_leaf(ipd.trees[IPV4])
-        root.state = ClassifiedState(
+        tree = ipd.trees[IPV4]
+        tree.assign(root_leaf(tree), ClassifiedState(
             ingress=A, counters={A: 90.0, B: 10.0}, last_seen=5.0, classified_at=0.0
-        )
+        ))
         ipd.ingest_many([flow("10.0.0.1", A, ts=2.0), flow("10.0.0.2", C, ts=1.0),
                          flow("10.0.0.1", A, ts=3.0)])
-        assert root.state.counters == {A: 92.0, B: 10.0, C: 1.0}
-        assert list(root.state.counters) == [A, B, C]
-        assert root.state.last_seen == 5.0
+        assert root_state(tree).counters == {A: 92.0, B: 10.0, C: 1.0}
+        assert list(root_state(tree).counters) == [A, B, C]
+        assert root_state(tree).last_seen == 5.0
         ipd.ingest(flow("10.0.0.3", B, ts=9.0))
-        assert root.state.counters[B] == 11.0
-        assert root.state.last_seen == 9.0
+        assert root_state(tree).counters[B] == 11.0
+        assert root_state(tree).last_seen == 9.0
 
     def test_families_are_separated(self):
         ipd = IPD(params())
         ipd.ingest(flow("10.0.0.1", A))
         ipd.ingest(flow("2001:db8::1", A))
-        assert root_leaf(ipd.trees[IPV4]).state.sample_count == 1.0
-        assert root_leaf(ipd.trees[IPV6]).state.sample_count == 1.0
+        assert root_state(ipd.trees[IPV4]).sample_count == 1.0
+        assert root_state(ipd.trees[IPV6]).sample_count == 1.0
 
     def test_counts_flows_not_bytes_by_default(self):
         ipd = IPD(params())
         ipd.ingest(flow("10.0.0.1", A, bytes=9000))
-        assert root_leaf(ipd.trees[IPV4]).state.sample_count == 1.0
+        assert root_state(ipd.trees[IPV4]).sample_count == 1.0
 
     def test_byte_mode(self):
         ipd = IPD(params(count_bytes=True))
         ipd.ingest(flow("10.0.0.1", A, bytes=9000))
-        assert root_leaf(ipd.trees[IPV4]).state.sample_count == 9000.0
+        assert root_state(ipd.trees[IPV4]).sample_count == 9000.0
 
     def test_statistics(self):
         ipd = IPD(params())
@@ -102,7 +102,7 @@ class TestClassification:
         feed(ipd, "10.0.0.0", A, 100, ts=0.0)
         report = ipd.sweep(60.0)
         assert report.classifications == 1
-        state = root_leaf(ipd.trees[IPV4]).state
+        state = root_state(ipd.trees[IPV4])
         assert isinstance(state, ClassifiedState)
         assert state.ingress == A
 
@@ -130,7 +130,7 @@ class TestClassification:
             now += 60.0
             ipd.sweep(now)
         masklens = sorted(
-            leaf.prefix.masklen for leaf in ipd.trees[IPV4].leaves()
+            leaf.masklen for leaf in ipd.trees[IPV4].leaves()
         )
         assert max(masklens) == 3  # three sweeps -> three levels deep
 
@@ -140,7 +140,7 @@ class TestClassification:
         feed(ipd, "10.0.1.0", B, 3, ts=0.0)  # 3% noise
         report = ipd.sweep(60.0)
         assert report.classifications == 1
-        assert root_leaf(ipd.trees[IPV4]).state.ingress == A
+        assert root_state(ipd.trees[IPV4]).ingress == A
 
     def test_noise_above_q_splits(self):
         ipd = IPD(params(q=0.95))
@@ -156,7 +156,7 @@ class TestClassification:
         feed(ipd, "10.0.4.0", A2, 50, ts=0.0)
         report = ipd.sweep(60.0)
         assert report.classifications == 1
-        state = root_leaf(ipd.trees[IPV4]).state
+        state = root_state(ipd.trees[IPV4])
         assert state.ingress.is_bundle
         assert state.ingress.router == "R1"
 
@@ -176,7 +176,7 @@ class TestClassification:
         second = ipd.sweep(120.0)
         assert second.splits == 0
         assert all(
-            leaf.prefix.masklen <= 1 for leaf in ipd.trees[IPV4].leaves()
+            leaf.masklen <= 1 for leaf in ipd.trees[IPV4].leaves()
         )
 
 
@@ -185,7 +185,7 @@ class TestClassifiedMaintenance:
         ipd = IPD(params())
         feed(ipd, "10.0.0.0", A, 100, ts=0.0)
         ipd.sweep(60.0)
-        assert isinstance(root_leaf(ipd.trees[IPV4]).state, ClassifiedState)
+        assert isinstance(root_state(ipd.trees[IPV4]), ClassifiedState)
         return ipd
 
     def test_continued_traffic_keeps_classification(self):
@@ -193,7 +193,7 @@ class TestClassifiedMaintenance:
         feed(ipd, "10.0.0.0", A, 100, ts=70.0)
         report = ipd.sweep(120.0)
         assert report.drops == 0
-        assert isinstance(root_leaf(ipd.trees[IPV4]).state, ClassifiedState)
+        assert isinstance(root_state(ipd.trees[IPV4]), ClassifiedState)
 
     def test_idle_range_decays_and_drops(self):
         ipd = self.build_classified()
@@ -204,7 +204,7 @@ class TestClassifiedMaintenance:
             drops += report.drops
             now += 60.0
         assert drops == 1
-        assert isinstance(root_leaf(ipd.trees[IPV4]).state, UnclassifiedState)
+        assert isinstance(root_state(ipd.trees[IPV4]), UnclassifiedState)
 
     def test_ingress_change_invalidates(self):
         """Traffic moves from A to B: confidence falls below q -> drop."""
@@ -227,7 +227,7 @@ class TestClassifiedMaintenance:
             feed(ipd, "10.0.0.0", B, 200, ts=now + 1.0)
             now += 60.0
             ipd.sweep(now)
-        state = root_leaf(ipd.trees[IPV4]).state
+        state = root_state(ipd.trees[IPV4])
         assert isinstance(state, ClassifiedState)
         assert state.ingress == B
 
@@ -248,7 +248,7 @@ class TestJoin:
             feed(ipd, "200.0.0.0", A, 60, ts=now)
             now += 60.0
             ipd.sweep(now)
-        state = root_leaf(ipd.trees[IPV4]).state
+        state = root_state(ipd.trees[IPV4])
         assert isinstance(state, ClassifiedState)
         assert state.ingress == A
         assert ipd.trees[IPV4].join_count >= 1
@@ -259,18 +259,18 @@ class TestJoin:
         tree = ipd.trees[IPV4]
         left, right = tree.split(root_leaf(tree))
         small = 10.0  # n_cidr(/0) = 0.001*65536 ≈ 65.5 > 2*10
-        left.state = ClassifiedState(A, {A: small}, last_seen=0.0, classified_at=0.0)
-        right.state = ClassifiedState(A, {A: small}, last_seen=0.0, classified_at=0.0)
+        tree.assign(left, ClassifiedState(A, {A: small}, last_seen=0.0, classified_at=0.0))
+        tree.assign(right, ClassifiedState(A, {A: small}, last_seen=0.0, classified_at=0.0))
         ipd.sweep(30.0)
         assert root_leaf(tree) is None  # combined 20 < 65.5: no join
 
         big = 100.0  # combined 200 > 65.5: join fires
-        left.state = ClassifiedState(A, {A: big}, last_seen=25.0, classified_at=0.0)
-        right.state = ClassifiedState(A, {A: big}, last_seen=25.0, classified_at=0.0)
+        tree.assign(left, ClassifiedState(A, {A: big}, last_seen=25.0, classified_at=0.0))
+        tree.assign(right, ClassifiedState(A, {A: big}, last_seen=25.0, classified_at=0.0))
         ipd.sweep(60.0)
         assert root_leaf(tree) is not None
-        assert isinstance(root_leaf(tree).state, ClassifiedState)
-        assert root_leaf(tree).state.ingress == A
+        assert isinstance(root_state(tree), ClassifiedState)
+        assert root_state(tree).ingress == A
 
 
 class TestSnapshot:
@@ -334,7 +334,7 @@ class TestSweepVisiting:
         ipd.sweep(100.0)
         report = ipd.sweep(170.0)  # cutoff 50: below the newest row only
         assert (report.visited, report.expired_sources) == (0, 0)
-        assert root_leaf(ipd.trees[IPV4]).state.oldest_seen == 0.0
+        assert root_state(ipd.trees[IPV4]).oldest_seen == 0.0
         assert hashlib.sha256(ipd.to_bytes()).hexdigest() == (
             "58fce5ba45e84d0bebb5fa46b82537abacea39389f39d1c314faf819024b8b7f"
         )
@@ -346,7 +346,7 @@ class TestSweepVisiting:
         ipd.sweep(100.0)
         report = ipd.sweep(170.0)
         assert (report.visited, report.expired_sources) == (1, 1)
-        state = root_leaf(ipd.trees[IPV4]).state
+        state = root_state(ipd.trees[IPV4])
         assert (state.total, state.oldest_seen) == (1.0, 100.0)
 
 

@@ -1,5 +1,6 @@
 """Edge-case tests for the IPD engine beyond the main algorithm suite."""
 
+import numpy as np
 import pytest
 
 from repro.core.admission import AdmissionConfig
@@ -7,9 +8,9 @@ from repro.core.algorithm import IPD
 from repro.core.iputil import IPV4, IPV6, parse_ip
 from repro.core.params import IPDParams
 from repro.core.state import ClassifiedState, UnclassifiedState
-from repro.netflow.records import FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord
 from repro.topology.elements import IngressPoint
-from tests.core.test_rangetree import root_leaf
+from tests.core.test_rangetree import root_leaf, root_state
 
 A = IngressPoint("R1", "et0")
 B = IngressPoint("R2", "et0")
@@ -39,6 +40,57 @@ class TestSweepWithoutTraffic:
             ipd.sweep(60.0 * (index + 1))
         assert ipd.leaf_count() == 2
         assert ipd.state_size() == 0
+
+
+class TestRowBounds:
+    """A row the engine cannot represent is a ``ValueError`` naming it, and
+    nothing moves: no counter, sketch cell, leaf or cell-table row."""
+
+    def engine(self) -> IPD:
+        """The root split by ten flows from each of two routers."""
+        ipd = IPD(IPDParams(n_cidr_factor_v4=1e-9),
+                  admission=AdmissionConfig(mode="lossy", width=1 << 8))
+        for index in range(10):
+            for base, ingress in ((ip("10.0.0.0"), A), (ip("200.0.0.0"), B)):
+                ipd.ingest(FlowRecord(float(index), base + 16 * index, IPV4, ingress))
+        ipd.sweep(60.0)
+        return ipd
+
+    def test_non_finite_timestamp_is_rejected_before_anything_moves(self):
+        """NaN used to land in a leaf's ``oldest_seen`` (or vanish into
+        ``min(inf, nan)``) and classify the range for good: its NaN
+        ``last_seen`` never ages past ``t``."""
+        ipd = self.engine()
+        before = ipd.to_bytes()
+        with pytest.raises(ValueError, match="row 0: timestamp nan is not finite"):
+            ipd.ingest(FlowRecord(float("nan"), 0x7F000001, IPV4, A))
+        batch = FlowBatch.from_flows(
+            [FlowRecord(70.0, 0x7F000001, IPV4, A), FlowRecord(float("inf"), 1, IPV4, A)]
+        )
+        with pytest.raises(ValueError, match="row 1: timestamp inf is not finite"):
+            ipd.ingest_batch(batch)
+        assert ipd.to_bytes() == before
+
+    def test_ipv4_source_past_32_bits_is_rejected(self):
+        """``source << 32`` wrapped in uint64: a source at 2^33 | 16 shared
+        source 16's cell key, and a restore kept only one of the two."""
+        ipd = self.engine()
+        before = ipd.to_bytes()
+        with pytest.raises(ValueError, match="outside IPv4"):
+            ipd.ingest(FlowRecord(1.0, (1 << 33) | 16, IPV4, A))
+        wide = FlowBatch.from_flows([FlowRecord(1.0, 16, IPV4, A)] * 2)
+        wide.src_ips = np.array([16, (1 << 33) | 16], np.uint64)
+        with pytest.raises(ValueError, match="row 1: source 8589934608 is outside IPv4"):
+            ipd.ingest_batch(wide)
+        assert ipd.to_bytes() == before
+
+    @pytest.mark.parametrize("source", [-1, 1 << 128], ids=["negative", "past-128-bits"])
+    def test_ipv6_source_outside_128_bits_is_a_value_error(self, source):
+        """It used to fail inside the batch constructor with a bare numpy
+        ``OverflowError``."""
+        ipd = self.engine()
+        with pytest.raises(ValueError, match=f"row 0: source {source} is outside IPv6"):
+            ipd.ingest(FlowRecord(1.0, source, IPV6, A))
 
 
 class TestSweepTime:
@@ -78,7 +130,7 @@ class TestExpiryBehaviour:
                                   version=IPV4, ingress=A))
             now += 60.0
             ipd.sweep(now)
-        state = root_leaf(ipd.trees[IPV4]).state
+        state = root_state(ipd.trees[IPV4])
         assert isinstance(state, UnclassifiedState)
         assert state.sample_count == 10.0
 
@@ -133,8 +185,8 @@ class TestMixedFamilies:
             ipd.ingest(FlowRecord(timestamp=0.0, version=IPV6,
                                   src_ip=ip("2001:db8::") + index, ingress=A))
         ipd.sweep(60.0)
-        assert isinstance(root_leaf(ipd.trees[IPV4]).state, UnclassifiedState)
-        assert root_leaf(ipd.trees[IPV4]).state.is_empty()
+        assert isinstance(root_state(ipd.trees[IPV4]), UnclassifiedState)
+        assert root_state(ipd.trees[IPV4]).is_empty()
 
 
 class TestReclassificationCycles:
@@ -153,8 +205,9 @@ class TestReclassificationCycles:
                                       version=IPV4, ingress=ingress))
             now += 60.0
             ipd.sweep(now)
-            root = root_leaf(ipd.trees[IPV4])  # None once the root splits
-            state = root.state if root is not None else None
+            tree = ipd.trees[IPV4]
+            root = root_leaf(tree)  # None once the root splits
+            state = tree.state(root) if root is not None else None
             current = (
                 state.ingress if isinstance(state, ClassifiedState) else None
             )
@@ -183,6 +236,6 @@ class TestReclassificationCycles:
                                           version=IPV4, ingress=other))
             now += 60.0
             ipd.sweep(now)
-        state = root_leaf(ipd.trees[IPV4]).state
+        state = root_state(ipd.trees[IPV4])
         assert isinstance(state, ClassifiedState)
         assert state.ingress == A

@@ -1,12 +1,14 @@
-"""The sorted leaf index of ``RangeTree`` against an independent pointer trie.
+"""The leaf table of ``RangeTree`` against an independent pointer trie.
 
-The index is the tree: ``lookup_leaf`` is one ``bisect_right`` over
-``_leaf_starts``, a split replaces one entry by two, a join or a prune
-collapse two by one, and a plant one by the leaves that tile it.  The
-reference here is the pointer trie the tree kept before — every range a
-node, an internal one with two children — kept in the test and stepped
-alongside by the same split / join / collapse / plant / prune steps; it
-never reads the index.  Lookups are also checked against a linear scan.
+The table is the tree: ``lookup_leaf`` is one ``searchsorted`` over
+``starts``, a split turns one row into two, a join or a prune collapse
+two into one, and a plant one into the leaves that tile it.  The
+reference here is a pointer trie — every range a node, an internal one
+with two children, each leaf with its kind and dirty flag — kept in the
+test and stepped alongside by the same fold / split / join / collapse /
+plant / prune / delegate / assign steps; it never reads the table, and
+the table's ``kinds`` and ``dirty`` columns must equal its leaves'.
+Lookups are also checked against a linear scan.
 """
 
 import importlib.util
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.algorithm import IPD
 from repro.core.iputil import IPV4, IPV6, Prefix
 from repro.core.params import IPDParams
-from repro.core.rangetree import RangeNode, RangeTree
+from repro.core.rangetree import CLASSIFIED, DELEGATED, UNCLASSIFIED, RangeTree
 from repro.core.state import ClassifiedState, DelegatedState, UnclassifiedState
 from repro.core.statecodec import (
     NodeImage,
@@ -50,12 +52,19 @@ ROOTS = {
 
 
 class Node:
-    __slots__ = ("prefix", "parent", "children")
+    __slots__ = ("prefix", "parent", "children", "kind", "dirty")
 
     def __init__(self, prefix: Prefix, parent: "Optional[Node]" = None) -> None:
         self.prefix = prefix
         self.parent = parent
         self.children: "Optional[list[Node]]" = None
+        #: a leaf's kind code and dirty flag: a new leaf is unclassified
+        #: and dirty, as every leaf a split or a merge makes
+        self.kind, self.dirty = UNCLASSIFIED, True
+
+
+#: the ``kinds`` code of an image leaf
+IMAGE_KINDS = {"unclassified": UNCLASSIFIED, "classified": CLASSIFIED, "delegated": DELEGATED}
 
 
 class PointerTrie:
@@ -90,8 +99,23 @@ class PointerTrie:
             stack.extend(reversed(node.children or ()))
         return found
 
+    def leaf_nodes(self, top: "Optional[Node]" = None) -> list[Node]:
+        return [node for node in self.nodes(top) if node.children is None]
+
     def leaves(self, top: "Optional[Node]" = None) -> list[Prefix]:
-        return [node.prefix for node in self.nodes(top) if node.children is None]
+        return [node.prefix for node in self.leaf_nodes(top)]
+
+    def fold(self, ip_value: int) -> None:
+        """A sample folded into the leaf holding *ip_value* dirties it
+        when it is unclassified."""
+        node = self.find(Prefix.from_ip(ip_value, self.root.prefix.bits, self.root.prefix.version))
+        if node.kind == UNCLASSIFIED:
+            node.dirty = True
+
+    def assign(self, prefix: Prefix, kind: int) -> None:
+        node = self.find(prefix)
+        assert node.prefix == prefix and node.children is None
+        node.kind, node.dirty = kind, kind != DELEGATED
 
     def joinable(self) -> list[Node]:
         """Internal nodes whose children are both leaves."""
@@ -106,11 +130,12 @@ class PointerTrie:
         assert node.prefix == prefix and node.children is None
         node.children = [Node(half, node) for half in prefix.children()]
 
-    def merge(self, prefix: Prefix) -> None:
+    def merge(self, prefix: Prefix, kind: int = UNCLASSIFIED) -> None:
         node = self.find(prefix)
         assert node.prefix == prefix and node.children is not None
         assert all(child.children is None for child in node.children)
         node.children = None
+        node.kind, node.dirty = kind, True
 
     def plant(self, prefix: Prefix, image: NodeImage) -> None:
         node = self.find(prefix)
@@ -121,6 +146,8 @@ class PointerTrie:
                 self.split(target.prefix)
                 grow(target.children[0], img.left)
                 grow(target.children[1], img.right)
+            else:
+                target.kind, target.dirty = IMAGE_KINDS[img.kind], img.dirty
 
         grow(node, image)
 
@@ -139,42 +166,51 @@ class PointerTrie:
                 if not (left.prefix in empty and right.prefix in empty):
                     break
                 parent.children = None
+                parent.kind, parent.dirty = UNCLASSIFIED, True
                 empty.add(parent.prefix)
                 collapsed += 1
                 parent = parent.parent
         return collapsed
 
 
-def scan_leaf(tree: RangeTree, ip_value: int) -> RangeNode:
+def scan_leaf(tree: RangeTree, ip_value: int) -> Prefix:
     """The leaf covering *ip_value*, by a linear scan of every leaf."""
-    return next(leaf for leaf in tree._leaf_nodes if leaf.prefix.contains_ip(ip_value))
+    return next(leaf for leaf in tree.leaves() if leaf.contains_ip(ip_value))
+
+
+COLUMNS = ("starts", "masklens", "kinds", "totals", "oldest", "dirty", "payloads")
 
 
 def assert_index_exact(tree: RangeTree, model: "Optional[PointerTrie]" = None) -> None:
-    starts, nodes = tree._leaf_starts, tree._leaf_nodes
+    starts, leaves = tree.starts.tolist(), tree.leaves()
     root = tree.root_prefix
-    assert starts == [node.prefix.value for node in nodes]
+    assert len({len(getattr(tree, name)) for name in COLUMNS}) == 1
+    assert starts == [leaf.value for leaf in leaves]
     # the leaves tile the root range, in address order
     assert starts[0] == root.value
-    assert nodes[-1].prefix.last_value == root.last_value
-    assert all(a.prefix.last_value + 1 == b.prefix.value for a, b in zip(nodes, nodes[1:]))
-    assert all(root.contains(node.prefix) for node in nodes)
-    assert not any(node.dead for node in nodes)
-    assert len(nodes) == tree.leaf_count() + tree.delegated_count()
-    assert list(tree.leaves()) == nodes
+    assert leaves[-1].last_value == root.last_value
+    assert all(a.last_value + 1 == b.value for a, b in zip(leaves, leaves[1:]))
+    assert all(root.contains(leaf) for leaf in leaves)
+    assert len(leaves) == tree.leaf_count() + tree.delegated_count()
+    # a payload exactly on the classified rows; a delegated row is never dirty
+    kinds = tree.kinds.tolist()
+    assert [payload is not None for payload in tree.payloads] == [k == CLASSIFIED for k in kinds]
+    assert not any(tree.dirty[tree.kinds == DELEGATED])
     if model is not None:
-        assert [node.prefix for node in nodes] == model.leaves()
+        assert leaves == model.leaves()
+        assert kinds == [node.kind for node in model.leaf_nodes()]
+        assert tree.dirty.tolist() == [node.dirty for node in model.leaf_nodes()]
         for node in model.nodes():
-            assert [leaf.prefix for leaf in tree.leaves_under(node.prefix)] == model.leaves(node)
-    for leaf in nodes:
-        first, last = leaf.prefix.value, leaf.prefix.last_value
-        assert tree.lookup_leaf(first) is leaf
-        assert tree.lookup_leaf(last) is leaf
+            assert tree.leaves_under(node.prefix) == model.leaves(node)
+    for leaf in leaves:
+        first, last = leaf.value, leaf.last_value
+        assert tree.lookup_leaf(first) == leaf
+        assert tree.lookup_leaf(last) == leaf
         for probe in (first - 1, last + 1):
             if root.contains_ip(probe):  # outside the root: no contract
-                assert tree.lookup_leaf(probe) is scan_leaf(tree, probe)
+                assert tree.lookup_leaf(probe) == scan_leaf(tree, probe)
                 if model is not None:
-                    assert tree.lookup_leaf(probe).prefix == model.walk(probe)
+                    assert tree.lookup_leaf(probe) == model.walk(probe)
 
 
 # -- random restructuring ----------------------------------------------------------
@@ -192,7 +228,7 @@ def add(tree: RangeTree, address: int) -> None:
 
 def clear(tree: RangeTree, prefix: Prefix) -> None:
     """Delete the cell-table rows under *prefix* (before its state is replaced)."""
-    tree.table.drop(tree.table.spans([prefix]))
+    tree.table.drop(tree.table.spans([prefix.value], [prefix.masklen]))
 
 
 def random_image(prefix: Prefix, pick: int, depth: int = 3) -> NodeImage:
@@ -219,45 +255,50 @@ def random_image(prefix: Prefix, pick: int, depth: int = 3) -> NodeImage:
 
 def apply_op(tree: RangeTree, model: PointerTrie, op: str, pick: int) -> None:
     """Run one restructuring step on both; a step with no legal target is a no-op."""
-    leaves = list(tree.leaves())
+    leaves = tree.leaves()
     leaf = leaves[pick % len(leaves)]
-    growable = leaf.prefix.masklen < leaf.prefix.bits
-    if op == "split" and growable and isinstance(leaf.state, UnclassifiedState):
+    growable = leaf.masklen < leaf.bits
+    if op == "split" and growable and isinstance(tree.state(leaf), UnclassifiedState):
         # one source in each half, so the split has state to redistribute
-        for address in (leaf.prefix.value, leaf.prefix.last_value):
+        for address in (leaf.value, leaf.last_value):
             add(tree, address)
+            model.fold(address)
         tree.split(leaf)
-        model.split(leaf.prefix)
+        model.split(leaf)
     elif op == "plant":
-        image = random_image(leaf.prefix, pick)
-        clear(tree, leaf.prefix)
-        plant_image(tree, leaf.prefix, image)
-        model.plant(leaf.prefix, image)
-    elif op == "delegate" and isinstance(leaf.state, UnclassifiedState):
+        image = random_image(leaf, pick)
+        clear(tree, leaf)
+        plant_image(tree, leaf, image)
+        model.plant(leaf, image)
+    elif op == "delegate" and isinstance(tree.state(leaf), UnclassifiedState):
         tree.delegate(leaf)
+        model.assign(leaf, DELEGATED)
     elif op == "assign":
-        clear(tree, leaf.prefix)
-        leaf.state = (
+        clear(tree, leaf)
+        tree.assign(leaf, (
             ClassifiedState(A, {A: 1.0 + pick % 5}, 0.0, 0.0) if pick % 2
             else UnclassifiedState()
-        )
+        ))
+        model.assign(leaf, CLASSIFIED if pick % 2 else UNCLASSIFIED)
     elif op == "prune_upward":
         # empty the unclassified leaves but one depth class in four, so
         # cascades from every third leaf stop part-way
         for node in leaves:
-            if isinstance(node.state, UnclassifiedState):
-                if node.prefix.masklen % 4 == pick % 4:
-                    add(tree, node.prefix.value)
+            if isinstance(tree.state(node), UnclassifiedState):
+                if node.masklen % 4 == pick % 4:
+                    add(tree, node.value)
+                    model.fold(node.value)
                 else:
-                    clear(tree, node.prefix)
-                    node.state = UnclassifiedState()
+                    clear(tree, node)
+                    tree.assign(node, UnclassifiedState())
+                    model.assign(node, UNCLASSIFIED)
         empty = {
-            node.prefix for node in leaves
-            if isinstance(node.state, UnclassifiedState) and node.state.is_empty()
+            node for node in leaves
+            if isinstance(tree.state(node), UnclassifiedState) and tree.state(node).is_empty()
         }
         candidates = leaves[pick % 3::3]
-        expected = model.prune([node.prefix for node in candidates], empty)
-        assert tree.prune_upward(candidates) == expected
+        expected = model.prune(candidates, empty)
+        assert tree.prune_upward([node.value for node in candidates]) == expected
     elif op in ("join", "collapse"):
         parents = model.joinable()
         if not parents:
@@ -268,7 +309,7 @@ def apply_op(tree: RangeTree, model: PointerTrie, op: str, pick: int) -> None:
             tree.join(prefix, UnclassifiedState())
         else:
             tree.collapse(prefix)
-        model.merge(prefix)
+        model.merge(prefix, UNCLASSIFIED)
 
 
 OPS = ("split", "split", "plant", "plant", "join", "collapse",
@@ -305,20 +346,18 @@ def test_subtree_blob_replants_the_same_leaves(root, steps, dirty):
     ``plant_image`` into a fresh tree gives the same leaves, states, dirty
     set and rows, and re-imaging it gives the same bytes."""
     tree, model = grown(root, steps)
-    tree.drain_dirty()
-    tree.dirty.update(
-        leaf for index, leaf in enumerate(tree.leaves())
-        if dirty >> index % 64 & 1 and not isinstance(leaf.state, DelegatedState)
-    )
+    for index, node in enumerate(model.leaf_nodes()):
+        node.dirty = bool(dirty >> index % 64 & 1) and node.kind != DELEGATED
+    tree.dirty[:] = [node.dirty for node in model.leaf_nodes()]
     prefix = tree.root_prefix
     blob = encode_subtree(prefix, tree.version, subtree_to_image(tree, prefix))
     twin = RangeTree(tree.version, root_prefix=prefix)
     plant_image(twin, prefix, decode_subtree(blob).root)
     assert_index_exact(twin, model)
-    assert [(leaf.prefix, leaf.state) for leaf in twin.leaves()] == [
-        (leaf.prefix, leaf.state) for leaf in tree.leaves()
+    assert [(leaf, twin.state(leaf)) for leaf in twin.leaves()] == [
+        (leaf, tree.state(leaf)) for leaf in tree.leaves()
     ]
-    assert {leaf.prefix for leaf in twin.dirty} == {leaf.prefix for leaf in tree.dirty}
+    assert twin.dirty.tolist() == tree.dirty.tolist()
     assert twin.delegated_count() == tree.delegated_count()
     assert twin.classified_count() == tree.classified_count()
     assert encode_subtree(prefix, tree.version, subtree_to_image(twin, prefix)) == blob
@@ -331,8 +370,8 @@ def test_ipv6_starts_past_64_bits_and_delegated_leaves_stay_indexed():
         apply_op(tree, model, "split", -1)  # always the last (highest) leaf
     apply_op(tree, model, "delegate", 0)
     assert_index_exact(tree, model)
-    assert tree._leaf_starts[-1] >= 1 << 64
-    assert isinstance(tree._leaf_nodes[0].state, DelegatedState)
+    assert tree.starts[-1] >= 1 << 64
+    assert isinstance(tree.state(tree.leaves()[0]), DelegatedState)
     assert tree.delegated_count() == 1
 
 
@@ -348,13 +387,13 @@ def test_leaves_is_a_snapshot_safe_to_restructure_under():
     model = PointerTrie(tree.root_prefix)
     for pick in range(8):
         apply_op(tree, model, "plant", pick)
-    before = list(tree._leaf_nodes)
+    before = tree.leaves()
     seen = []
     for leaf in tree.leaves():
         seen.append(leaf)
-        if leaf.prefix.masklen < 6:
-            plant_image(tree, leaf.prefix, HALVES)
-            model.plant(leaf.prefix, HALVES)
+        if leaf.masklen < 6:
+            plant_image(tree, leaf, HALVES)
+            model.plant(leaf, HALVES)
     assert seen == before
     assert_index_exact(tree, model)
 
@@ -366,7 +405,7 @@ def test_repeated_lookup_returns_the_same_leaf():
     tree = RangeTree(IPV4)
     plant_image(tree, tree.root_prefix, HALVES)
     for address in (0, 7, (1 << 31) - 1, 1 << 31, (1 << 32) - 1):
-        assert tree.lookup_leaf(address) is tree.lookup_leaf(address)
+        assert tree.lookup_leaf(address) == tree.lookup_leaf(address)
 
 
 def test_lookups_stay_correct_across_sweeps_splits_and_joins():
@@ -388,12 +427,12 @@ def test_lookups_stay_correct_across_sweeps_splits_and_joins():
                     for slot in range(60)
                 ]))
         for address in probes:
-            assert tree.lookup_leaf(address) is scan_leaf(tree, address)
+            assert tree.lookup_leaf(address) == scan_leaf(tree, address)
         reports.append(engine.sweep(now + 60.0))
         assert_index_exact(tree)
     assert tree.split_count and tree.join_count
     assert sum(report.prunes for report in reports)
-    assert tree._leaf_starts == [0]
+    assert tree.starts.tolist() == [0]
 
 
 # -- restore -----------------------------------------------------------------------
@@ -427,11 +466,8 @@ def test_restored_engine_has_the_source_engines_index(load):
     for version, tree in engine.trees.items():
         twin = restored.trees[version]
         assert_index_exact(twin)
-        assert twin._leaf_starts == tree._leaf_starts
-        assert [n.prefix for n in twin._leaf_nodes] == [
-            n.prefix for n in tree._leaf_nodes
-        ]
-        assert [type(n.state) for n in twin._leaf_nodes] == [
-            type(n.state) for n in tree._leaf_nodes
-        ]
-    assert len(engine.trees[IPV4]._leaf_starts) > 3
+        assert twin.starts.tolist() == tree.starts.tolist()
+        assert twin.leaves() == tree.leaves()
+        assert twin.kinds.tolist() == tree.kinds.tolist()
+        assert twin.dirty.tolist() == tree.dirty.tolist()
+    assert len(engine.trees[IPV4].starts) > 3

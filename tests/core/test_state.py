@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core.algorithm import IPD
 from repro.core.bundles import router_peak
-from repro.core.iputil import IPV4
+from repro.core.iputil import IPV4, IPV6
 from repro.core.params import IPDParams
-from repro.core.rangetree import RangeTree
+from repro.core.rangetree import DELEGATED, UNCLASSIFIED, RangeTree
 from repro.core.state import (
     ClassifiedState,
     DelegatedState,
@@ -23,7 +23,7 @@ from repro.core.state import (
 )
 from repro.netflow.records import FlowBatch, FlowRecord
 from repro.topology.elements import IngressPoint
-from tests.core.test_rangetree import root_leaf
+from tests.core.test_rangetree import root_leaf, root_state
 
 A = IngressPoint("R1", "et0")
 B = IngressPoint("R2", "et0")
@@ -49,7 +49,7 @@ def add(ipd: IPD, ip, ingress, timestamp, weight=1) -> None:
 
 
 def root(ipd: IPD) -> UnclassifiedState:
-    return root_leaf(ipd.trees[IPV4]).state
+    return root_state(ipd.trees[IPV4])
 
 
 def sources(ipd: IPD):
@@ -69,16 +69,16 @@ def check_table(tree: RangeTree) -> None:
     assert len(keys) == len(table.weights) == len(table.key_seq)
     # each row lies in an unclassified leaf (no other leaf owns rows)
     for ip in ips:
-        assert isinstance(tree.lookup_leaf(ip).state, UnclassifiedState)
+        assert isinstance(tree.state(tree.lookup_leaf(ip)), UnclassifiedState)
     for leaf in tree.leaves():
-        state = leaf.state
-        a, b, c, d = (int(part[0]) for part in tree.table.spans([leaf.prefix]))
+        state = tree.state(leaf)
+        a, b, c, d = (int(part[0]) for part in tree.table.spans([leaf.value], [leaf.masklen]))
         if not isinstance(state, UnclassifiedState):
             assert isinstance(state, (ClassifiedState, DelegatedState))
             assert a == b and c == d
             continue
         # the span is exactly the prefix's sources
-        assert all(leaf.prefix.contains_ip(ip) for ip in ips[a:b])
+        assert all(leaf.contains_ip(ip) for ip in ips[a:b])
         rows = tree.sources(leaf)
         assert [ip for ip, *__ in rows] == sorted(
             ips[a:b], key=lambda ip: table.ip_seq[ips.index(ip)]
@@ -131,7 +131,7 @@ class TestUnclassifiedState:
         add(ipd, 11, A, 1.0)
         add(ipd, 12, B, 1.0, weight=2.0)
         tree = ipd.trees[IPV4]
-        __, __, c, d = tree.table.spans([tree.root_prefix])
+        __, __, c, d = tree.spans([0])
         assert tree.table.totals(c, d) == {0: {A: 2.0, B: 2.0}}
 
     def test_expire_removes_stale_sources(self):
@@ -139,7 +139,8 @@ class TestUnclassifiedState:
         add(ipd, 10, A, timestamp=0.0)
         add(ipd, 20, A, timestamp=100.0)
         tree = ipd.trees[IPV4]
-        assert tree.expire(cutoff=50.0) == (1, [root_leaf(tree)])
+        removed, rows = tree.expire(cutoff=50.0)
+        assert (removed, tree.prefixes(rows)) == (1, [root_leaf(tree)])
         assert sources(ipd) == [(20, 100.0, [(A, 1.0)])]
         assert root(ipd).sample_count == 1.0
         assert root(ipd).oldest_seen == 100.0
@@ -155,16 +156,17 @@ class TestUnclassifiedState:
     def test_expire_keeps_boundary(self):
         ipd = IPD(PARAMS)
         add(ipd, 10, A, timestamp=50.0)
-        assert ipd.trees[IPV4].expire(cutoff=50.0) == (0, [])  # strictly-before
+        removed, rows = ipd.trees[IPV4].expire(cutoff=50.0)
+        assert (removed, len(rows)) == (0, 0)  # strictly-before
 
     def test_newest_timestamp(self):
         ipd = IPD(PARAMS)
         tree = ipd.trees[IPV4]
-        a, b, __, __ = tree.table.spans([tree.root_prefix])
+        a, b, __, __ = tree.spans([0])
         assert reduce_spans(np.maximum, tree.table.seen, a, b, -INF).tolist() == [-INF]
         add(ipd, 10, A, 7.0)
         add(ipd, 11, A, 9.0)
-        a, b, __, __ = tree.table.spans([tree.root_prefix])
+        a, b, __, __ = tree.spans([0])
         assert reduce_spans(np.maximum, tree.table.seen, a, b, -INF).tolist() == [9.0]
 
 
@@ -244,7 +246,7 @@ def test_property_total_never_drifts(operations):
             add(ipd, address, INGRESSES[opcode], timestamp, weight)
         elif opcode == 3:
             tree.expire(cutoff=float(timestamp))
-        elif opcode == 4 and target.prefix.masklen < 24:
+        elif opcode == 4 and target.masklen < 24:
             tree.split(target)
         else:
             ipd.ingest_batch(
@@ -298,7 +300,7 @@ def test_property_expire_subtracts_exactly(operations):
             )
     total = root(ipd).total
     left, right = tree.split(root_leaf(tree))
-    assert left.state.total + right.state.total == total
+    assert tree.state(left).total + tree.state(right).total == total
     check_table(tree)
 
 
@@ -347,12 +349,15 @@ def test_property_table_invariants_hold_through_ingest_and_sweeps(steps):
             before = {
                 leaf: {ip for ip, *__ in tree.sources(leaf)}
                 for leaf in tree.leaves()
-                if isinstance(leaf.state, UnclassifiedState)
+                if isinstance(tree.state(leaf), UnclassifiedState)
             }
             ipd.sweep(now)
+            after = set(tree.leaves())
             for leaf, held in before.items():
-                state = leaf.state
-                if leaf.dead or not isinstance(state, UnclassifiedState):
+                if leaf not in after:
+                    continue  # split, joined or pruned away
+                state = tree.state(leaf)
+                if not isinstance(state, UnclassifiedState):
                     continue
                 kept = tree.sources(leaf)
                 if len(kept) < len(held):  # an expiry removed something
@@ -360,6 +365,179 @@ def test_property_table_invariants_hold_through_ingest_and_sweeps(steps):
                         (seen for __, seen, __ in kept), default=INF
                     )
         check_table(tree)
+
+
+class LeafTableModel:
+    """What the leaf table's ``dirty`` and ``oldest`` columns must read,
+    kept from the outside: a leaf turns dirty when a fold reaches it
+    unclassified, when a split, join, prune or sweep makes it, and when a
+    sweep changes its kind; ``oldest`` takes a fold's oldest row and is
+    re-read off the span (its exact minimum ``seen``) when a leaf is made
+    or loses a source."""
+
+    def __init__(self, tree: RangeTree) -> None:
+        self.dirty = set(tree.leaves())
+        self.oldest = {tree.root_prefix: INF}
+
+    @staticmethod
+    def exact(tree: RangeTree, leaf) -> float:
+        a, b, __, __ = (int(part[0]) for part in tree.table.spans([leaf.value], [leaf.masklen]))
+        return float(tree.table.seen[a:b].min()) if b > a else INF
+
+    def fold(self, tree: RangeTree, rows) -> None:
+        for source, timestamp in rows:
+            leaf = tree.lookup_leaf(source)
+            if tree.kinds[tree.leaves().index(leaf)] == UNCLASSIFIED:
+                self.dirty.add(leaf)
+                self.oldest[leaf] = min(self.oldest[leaf], timestamp)
+
+    def restructured(self, tree: RangeTree, before: dict, sweep: bool = False) -> None:
+        """After an op that may add, remove or re-kind leaves; *before* maps
+        each leaf to its kind and, if unclassified, its sources."""
+        if sweep:
+            self.dirty = set()
+        for row, leaf in enumerate(tree.leaves()):
+            kind = int(tree.kinds[row])
+            old = before.get(leaf)
+            made = old is None or (sweep and old[0] != kind)
+            if made and kind != DELEGATED:
+                self.dirty.add(leaf)
+            if kind != UNCLASSIFIED:
+                self.oldest.pop(leaf, None)
+            elif made or len({ip for ip, *__ in tree.sources(leaf)}) < len(old[1]):
+                self.oldest[leaf] = self.exact(tree, leaf)
+        alive = set(tree.leaves())
+        self.dirty &= alive
+        self.oldest = {leaf: bound for leaf, bound in self.oldest.items() if leaf in alive}
+
+
+def snapshot_leaves(tree: RangeTree) -> dict:
+    return {
+        leaf: (int(kind), {ip for ip, *__ in tree.sources(leaf)} if kind == UNCLASSIFIED else None)
+        for leaf, kind in zip(tree.leaves(), tree.kinds.tolist())
+    }
+
+
+def check_leaf_table(tree: RangeTree, model: LeafTableModel) -> None:
+    """The leaf table's invariants, exactly, against *model*."""
+    leaves, root = tree.leaves(), tree.root_prefix
+    starts = tree.starts.tolist()
+    assert all(low < high for low, high in zip(starts, starts[1:]))
+    assert starts[0] == root.value and leaves[-1].last_value == root.last_value
+    assert all(a.last_value + 1 == b.value for a, b in zip(leaves, leaves[1:]))
+    assert set(tree.prefixes(tree.dirty.nonzero()[0])) == model.dirty
+    for row, leaf in enumerate(leaves):
+        a, b, c, d = (int(part[0]) for part in tree.spans([row]))
+        if tree.kinds[row] != UNCLASSIFIED:
+            assert a == b and c == d  # no cell-table row under it
+            assert tree.payloads[row] is not None or tree.kinds[row] == DELEGATED
+            continue
+        assert tree.payloads[row] is None
+        assert tree.totals[row] == sum(tree.table.weights[c:d].tolist())  # exact
+        oldest = float(tree.oldest[row])
+        assert (oldest == INF) == (a == b)
+        assert oldest == model.oldest[leaf]
+        if b > a:
+            assert oldest <= tree.table.seen[a:b].min()  # a lower bound
+
+
+#: per family: params classifying within a few sweeps, and where a row's
+#: (top, offset) pair puts its source (inside the family's cidr_max)
+LEAF_TABLE_FAMILIES = {
+    IPV4: (
+        IPDParams(n_cidr_factor_v4=0.0005, cidr_max_v4=16, count_bytes=True, t=60.0, e=120.0),
+        lambda top, offset: top << 24 | offset << 16,
+    ),
+    IPV6: (
+        IPDParams(n_cidr_factor_v6=1e-8, cidr_max_v6=16, count_bytes=True, t=60.0, e=120.0),
+        lambda top, offset: top << 120 | offset << 112,
+    ),
+}
+
+LEAF_TABLE_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("batch", "batch", "sweep", "sweep", "split", "join",
+                         "prune", "delegate", "restore")),
+        st.integers(0, 1 << 16),
+        st.lists(
+            st.tuples(
+                st.integers(0, 255),                      # top byte of the source
+                st.integers(0, 2),                        # ingress
+                st.integers(0, 59),                       # offset in the tick
+                st.integers(1, 1500),                     # bytes
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@pytest.mark.parametrize("version", [IPV4, IPV6], ids=["v4", "v6"])
+@settings(max_examples=60, deadline=None)
+@given(steps=LEAF_TABLE_STEPS)
+def test_property_leaf_table_invariants(version, steps):
+    """Through any mix of ingest, sweeps, splits, joins, prunes, delegation
+    and restore: the leaves tile the root in strictly increasing ``starts``,
+    every unclassified row's total is its span's exact weight sum and its
+    ``oldest`` the model's (``inf`` exactly when the span is empty, else a
+    lower bound on its ``seen``), no cell-table row sits under a classified
+    or delegated leaf, and ``dirty`` is the model's."""
+    params, place = LEAF_TABLE_FAMILIES[version]
+    ipd = IPD(params)
+    tree = ipd.trees[version]
+    model = LeafTableModel(tree)
+    now = 0.0
+    for op, pick, rows in steps:
+        leaves = tree.leaves()
+        kinds = tree.kinds.tolist()
+        leaf = leaves[pick % len(leaves)]
+        kind = kinds[pick % len(leaves)]
+        before = snapshot_leaves(tree)
+        if op == "batch":
+            flows = [
+                FlowRecord(now + offset, place(top, offset), version, INGRESSES[code], bytes=size)
+                for top, code, offset, size in rows
+            ]
+            # a delegated range is another engine's: the router never sends it flows
+            flows = [
+                flow for flow in flows
+                if kinds[leaves.index(tree.lookup_leaf(flow.src_ip))] != DELEGATED
+            ]
+            if flows:
+                model.fold(tree, [(flow.src_ip, flow.timestamp) for flow in flows])
+                ipd.ingest_batch(FlowBatch.from_flows(flows))
+        elif op == "sweep":
+            now += params.t
+            ipd.sweep(now)
+            model.restructured(tree, before, sweep=True)
+        elif op == "split" and kind == UNCLASSIFIED and leaf.masklen < 16:
+            tree.split(leaf)
+            model.restructured(tree, before)
+        elif op == "join" and leaf.masklen > 0:
+            parent = leaf.parent()
+            halves = parent.children()
+            if all(half in before for half in halves):
+                states = [tree.state(half) for half in halves]
+                if all(isinstance(state, ClassifiedState) for state in states):
+                    tree.join(parent, states[0].merged_with(states[1]))
+                elif all(isinstance(state, UnclassifiedState) for state in states):
+                    tree.table.drop(tree.table.spans([parent.value], [parent.masklen]))
+                    tree.collapse(parent)
+                model.restructured(tree, before)
+        elif op == "prune":
+            tree.prune_upward([candidate.value for candidate in leaves[pick % 3::3]])
+            model.restructured(tree, before)
+        elif op == "delegate" and kind == UNCLASSIFIED:
+            tree.delegate(leaf)
+            model.dirty.discard(leaf)
+            model.oldest.pop(leaf)
+        elif op == "restore":
+            ipd = IPD.from_bytes(ipd.to_bytes())
+            tree = ipd.trees[version]
+        check_leaf_table(tree, model)
 
 
 class TestClassifiedState:

@@ -160,9 +160,8 @@ class TestEngineRoundTrip:
             assert other.split_count == tree.split_count
             assert other.join_count == tree.join_count
             assert other.leaf_count() == tree.leaf_count()
-            assert {leaf.prefix for leaf in other.dirty} == {
-                leaf.prefix for leaf in tree.dirty
-            }
+            assert other.leaves() == tree.leaves()
+            assert other.dirty.tolist() == tree.dirty.tolist()
 
     def test_params_round_trip(self):
         params = IPDParams(

@@ -51,10 +51,10 @@ def run_engine(raw_flows, q=0.95, cidr_max=12):
 def test_leaves_partition_space(raw_flows):
     ipd, __ = run_engine(raw_flows)
     tree = ipd.trees[IPV4]
-    leaves = list(tree.leaves())
-    total = sum(leaf.prefix.num_addresses for leaf in leaves)
+    leaves = tree.leaves()
+    total = sum(leaf.num_addresses for leaf in leaves)
     assert total == 1 << 32
-    values = [leaf.prefix.value for leaf in leaves]
+    values = [leaf.value for leaf in leaves]
     assert values == sorted(values)
 
 
@@ -63,8 +63,9 @@ def test_leaves_partition_space(raw_flows):
 def test_classified_ranges_respect_q(raw_flows):
     ipd, __ = run_engine(raw_flows)
     params = ipd.params
-    for leaf in ipd.trees[IPV4].leaves():
-        state = leaf.state
+    tree = ipd.trees[IPV4]
+    for leaf in tree.leaves():
+        state = tree.state(leaf)
         if not isinstance(state, ClassifiedState):
             continue
         members = [
@@ -79,7 +80,7 @@ def test_classified_ranges_respect_q(raw_flows):
 def test_depth_bounded_by_cidr_max(raw_flows):
     ipd, __ = run_engine(raw_flows, cidr_max=10)
     for leaf in ipd.trees[IPV4].leaves():
-        assert leaf.prefix.masklen <= 10
+        assert leaf.masklen <= 10
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,8 +101,9 @@ def test_snapshot_disjoint_and_sorted(raw_flows):
 def test_retained_weight_bounded_by_ingested(raw_flows):
     ipd, __ = run_engine(raw_flows)
     retained = 0.0
-    for leaf in ipd.trees[IPV4].leaves():
-        state = leaf.state
+    tree = ipd.trees[IPV4]
+    for leaf in tree.leaves():
+        state = tree.state(leaf)
         if isinstance(state, UnclassifiedState):
             retained += state.sample_count
         else:

@@ -178,9 +178,9 @@ class TestCidrMaxEdges:
         # leaves back to the root before we can look at them
         engine, oracle = run_lockstep(flows, self.params(), trailing=0)
         depths = [
-            leaf.prefix.masklen
+            leaf.masklen
             for leaf in engine.trees[IPV6].leaves()
-            if leaf.prefix.masklen > 0
+            if leaf.masklen > 0
         ]
         assert depths and max(depths) == 48  # cascade hit the ceiling
         # drain: expiry/prune back to the root must also stay in lockstep
