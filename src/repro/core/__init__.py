@@ -8,7 +8,6 @@ from .admission import (
     CountMinSketch,
     decode_admission,
     encode_admission,
-    merge_admission_images,
 )
 from .algorithm import IPD, SweepReport
 from .bundles import bundle_candidates, dominant_ingress, make_bundle
@@ -73,7 +72,6 @@ __all__ = [
     "encode_admission",
     "encode_engine",
     "encode_subtree",
-    "merge_admission_images",
     "format_ip",
     "make_bundle",
     "mask_ip",

@@ -2,8 +2,9 @@
 
 At deployment scale most source prefixes are one-shot "mice" that never
 accumulate to ``n_cidr``, yet every flow pays a full trie insert.  This
-module is the one gate in front of the trie — a row mask computed inside
-:meth:`IPD.ingest_batch`, so the ingest pipeline reads
+module is the one gate in front of the trie — a row mask computed once
+per batch by :func:`~repro.core.algorithm.admit` (for a plain engine or,
+before routing, a shard coordinator), so the ingest pipeline reads
 ``decode → gate rows → mask+group → fold``:
 
 * a seeded **count-min sketch** (Azzana et al.'s Bloom-filter large-flow
@@ -24,7 +25,7 @@ Aging is wired to trace time (IPD001): the sketch halves on fixed
 must re-earn its promotion.  All hashing is seeded (IPD002) via a
 splitmix64 mix of an explicit seed — two controllers built from the
 same :class:`AdmissionConfig` make identical decisions on the same
-stream, which is what lets per-shard controllers merge.
+stream.
 
 Saturation safety: a sketch can only ever *over*-estimate, so admission
 errors always fall toward admitting more.  When the sketch saturates —
@@ -64,7 +65,6 @@ __all__ = [
     "auto_sketch_width",
     "decode_admission",
     "encode_admission",
-    "merge_admission_images",
 ]
 
 #: bump when the admission wire section changes; pinned as ``admission:2``
@@ -354,20 +354,6 @@ class CountMinSketch:
             previous = index
         self.fill = len(pairs)
 
-    def merge(self, other: "CountMinSketch") -> None:
-        """Cellwise-add *other* (same geometry and salts required)."""
-        if (
-            self.width != other.width
-            or self.depth != other.depth
-            or self._salts != other._salts
-        ):
-            raise StateCodecError(
-                "cannot merge sketches with different geometry or seed"
-            )
-        cells = _np.frombuffer(self.cells, dtype=_np.float64)
-        cells += _np.frombuffer(other.cells, dtype=_np.float64)
-        self.fill = int(_np.count_nonzero(cells))
-
 
 @dataclass
 class AdmissionImage:
@@ -384,11 +370,11 @@ class AdmissionImage:
 
 
 class AdmissionController:
-    """Per-engine admission state: sketch, elephant set, counters.
+    """Per-deployment admission state: sketch, elephant set, counters.
 
-    One controller fronts one engine's ingest path: the engine calls
-    :meth:`prefilter_rows` once per batch and feeds the trie the rows it
-    returns.  ``admitted`` / ``held_back`` / ``dropped`` count flows
+    One controller fronts one deployment's ingest path: it sees every
+    batch once, through :meth:`prefilter_rows`, and the trie is fed the
+    rows it returns.  ``admitted`` / ``held_back`` / ``dropped`` count flows
     (rows), ``promoted`` counts sources.
     """
 
@@ -546,12 +532,15 @@ class AdmissionController:
 
         The sketch halves once per elapsed ``age_seconds`` boundary of
         the replayed clock.  Skipping many intervals clears the sketch
-        outright (2^-53 of anything is zero weight).
+        outright (2^-53 of anything is zero weight).  The cursor never
+        moves back: an earlier *now* is a no-op.
         """
         boundary = int(now // self.config.age_seconds)
         previous = self._age_boundary
+        if previous is not None and boundary <= previous:
+            return 0
         self._age_boundary = boundary
-        if previous is None or boundary <= previous:
+        if previous is None:
             return 0
         steps = boundary - previous
         if steps >= 53:
@@ -712,57 +701,3 @@ def decode_admission(data: "bytes | bytearray | memoryview") -> AdmissionImage:
             elephants=elephants,
         )
 
-
-def merge_admission_images(
-    images: "list[Optional[AdmissionImage]]",
-) -> Optional[AdmissionImage]:
-    """Merge per-shard admission images into one engine-wide image.
-
-    Sketches add cellwise (one config required — shards are always
-    built from one), elephant sets union, and saturation is sticky
-    across the fleet.  Over-counting from the merge only ever admits
-    *more*, which is the safe direction.
-    """
-    images = [image for image in images if image is not None]
-    if not images:
-        return None
-    config = images[0].config
-    merged_sketches: dict[int, CountMinSketch] = {}
-    merged_elephants: dict[int, set[int]] = {}
-    saturated = False
-    age_boundary: Optional[int] = None
-    for image in images:
-        if image.config != config:
-            raise StateCodecError(
-                "cannot merge admission images with different configs"
-            )
-        saturated = saturated or image.saturated
-        if image.age_boundary is not None:
-            age_boundary = (
-                image.age_boundary
-                if age_boundary is None
-                else max(age_boundary, image.age_boundary)
-            )
-        for version, pairs in image.sketches.items():
-            sketch = merged_sketches.get(version)
-            if sketch is None:
-                sketch = CountMinSketch(config.width, config.depth, config.seed)
-                merged_sketches[version] = sketch
-            incoming = CountMinSketch(config.width, config.depth, config.seed)
-            incoming.load_sparse(pairs)
-            sketch.merge(incoming)
-        for version, herd in image.elephants.items():
-            merged_elephants.setdefault(version, set()).update(herd)
-    return AdmissionImage(
-        config=config,
-        age_boundary=age_boundary,
-        saturated=saturated,
-        sketches={
-            version: sketch.sparse_cells()
-            for version, sketch in merged_sketches.items()
-        },
-        elephants={
-            version: sorted(herd)
-            for version, herd in merged_elephants.items()
-        },
-    )

@@ -63,7 +63,7 @@ from .statecodec import (
     restore_tree,
 )
 
-__all__ = ["IPD", "SweepReport"]
+__all__ = ["IPD", "SweepReport", "admit", "open_sweep"]
 
 
 @dataclass
@@ -246,22 +246,13 @@ class IPD:
         if count == 0:
             return 0
         _check_rows(batch)
-        params = self.params
-        tree = self.trees[batch.version]
-        shift = tree.root_prefix.bits - params.cidr_max(batch.version)
         self.flows_ingested += count
         self.bytes_ingested += int(batch.byte_counts.sum())
-        # the gate picks rows on the raw columns (None = all of them;
-        # always so in exact mode); the counters above cover the full batch
-        admission = self.admission
-        if admission is not None:
-            weights = batch.byte_counts if params.count_bytes else None
-            kept_rows = admission.prefilter_rows(
-                batch.version, shift, batch.src_ips, weights
-            )
-            if kept_rows is not None:
-                batch = batch.select(kept_rows)
+        # the counters above cover the full batch, the trie the kept rows
+        batch = admit(self.admission, self.params, batch)
         if len(batch):
+            tree = self.trees[batch.version]
+            shift = tree.root_prefix.bits - self.params.cidr_max(tree.version)
             self._fold(tree, shift, batch)
         return count
 
@@ -353,17 +344,7 @@ class IPD:
         if not math.isfinite(now):
             raise ValueError(f"sweep time {now} is not finite")
         started = time.perf_counter()
-        report = SweepReport(timestamp=now)
-        admission = self.admission
-        if admission is not None:
-            admission.age_to(now)
-            (
-                report.admission_admitted,
-                report.admission_held,
-                report.admission_dropped,
-                report.admission_promoted,
-            ) = admission.take_counters()
-            report.admission_saturated = admission.saturated
+        report = open_sweep(self.admission, now)
         for tree in self.trees.values():
             self._sweep_tree(tree, now, report)
             report.leaves_by_version[tree.version] = tree.leaf_count()
@@ -570,6 +551,35 @@ class IPD:
 
     def leaf_count(self) -> int:
         return sum(tree.leaf_count() for tree in self.trees.values())
+
+
+def admit(
+    admission: "AdmissionController | None", params: IPDParams, batch: FlowBatch
+) -> FlowBatch:
+    """The rows of a checked *batch* the admission gate keeps (all of them
+    with no controller, in exact mode and under saturation): a deployment's
+    one gate call per batch, made by :meth:`IPD.ingest_batch` or, before it
+    routes, by the shard coordinator, whose aggregator and shards run ungated."""
+    if admission is None:
+        return batch
+    version = batch.version
+    shift = Prefix.root(version).bits - params.cidr_max(version)
+    weights = batch.byte_counts if params.count_bytes else None
+    kept = admission.prefilter_rows(version, shift, batch.src_ips, weights)
+    return batch if kept is None else batch.select(kept)
+
+
+def open_sweep(admission: "AdmissionController | None", now: float) -> SweepReport:
+    """A new sweep's report, after the admission work a plain engine's and a
+    shard coordinator's sweep open with: the sketch ages to *now* and the
+    gate's counters since the last sweep drain into the report."""
+    report = SweepReport(timestamp=now)
+    if admission is not None:
+        admission.age_to(now)
+        (report.admission_admitted, report.admission_held, report.admission_dropped,
+         report.admission_promoted) = admission.take_counters()
+        report.admission_saturated = admission.saturated
+    return report
 
 
 def _coerce_admission(

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Optional, Union
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-from ..core.admission import AdmissionConfig, AdmissionController, decode_admission
 from ..core.params import IPDParams
 from .shards import ShardEngine, ShardMetrics
 
@@ -69,23 +68,15 @@ class ShardWorker:
     multiprocessing executor runs one inside each worker process.
     """
 
-    def __init__(
-        self,
-        params: IPDParams,
-        depth: int,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> None:
+    def __init__(self, params: IPDParams, depth: int) -> None:
         self.params = params
         self.depth = depth
-        self.admission = admission
         self.engines: dict[int, ShardEngine] = {}
 
     def engine(self, index: int) -> ShardEngine:
         engine = self.engines.get(index)
         if engine is None:
-            engine = self.engines[index] = ShardEngine(
-                self.params, self.depth, index, admission=self.admission
-            )
+            engine = self.engines[index] = ShardEngine(self.params, self.depth, index)
         return engine
 
     def handle(self, cmd: tuple) -> object:
@@ -95,12 +86,9 @@ class ShardWorker:
         ``("feed", index, batch)``; ``("seed", index, version, payload)``
         activates a family tree by planting an encoded subtree blob;
         ``("reset", index, version)`` deactivates it after a
-        cross-boundary join or prune; ``("admission", index, payload)``
-        restores the shard's admission controller from an encoded
-        section; ``("saturate", index)`` forces its sketch to the
-        saturation ceiling.  Broadcasts (``tick``, ``snapshot``,
-        ``metrics``, ``export``, ``admission_export``) answer for every
-        engine of the slot in shard-index order.
+        cross-boundary join or prune.  Broadcasts (``tick``,
+        ``snapshot``, ``metrics``, ``export``) answer for every engine
+        of the slot in shard-index order.
         """
         kind = cmd[0]
         if kind == "feed":
@@ -109,12 +97,6 @@ class ShardWorker:
             self.engine(cmd[1]).seed(cmd[2], cmd[3])
         elif kind == "reset":
             self.engine(cmd[1]).reset(cmd[2])
-        elif kind == "admission":
-            self.engine(cmd[1]).ipd.admission = AdmissionController.from_image(
-                decode_admission(cmd[2])
-            )
-        elif kind == "saturate":
-            self.engine(cmd[1]).ipd.saturate_admission()
         else:
             engines = sorted(self.engines.items())
             if kind == "tick":
@@ -134,10 +116,6 @@ class ShardWorker:
                 return metrics
             if kind == "export":
                 return {index: engine.export() for index, engine in engines}
-            if kind == "admission_export":
-                return {
-                    index: engine.admission_image() for index, engine in engines
-                }
             raise ValueError(f"unknown executor command: {kind!r}")
         return None
 
@@ -162,14 +140,9 @@ class SerialExecutor(ShardWorker):
         pass
 
 
-def _mp_worker_main(
-    conn: "Connection",
-    params: IPDParams,
-    depth: int,
-    admission: Optional[AdmissionConfig] = None,
-) -> None:
+def _mp_worker_main(conn: "Connection", params: IPDParams, depth: int) -> None:
     """Worker process entry (module-level: must be picklable)."""
-    worker = ShardWorker(params, depth, admission=admission)
+    worker = ShardWorker(params, depth)
     while True:
         try:
             cmd = conn.recv()
@@ -188,13 +161,7 @@ class MultiprocessExecutor:
 
     kind = "mp"
 
-    def __init__(
-        self,
-        params: IPDParams,
-        depth: int,
-        workers: int = 2,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> None:
+    def __init__(self, params: IPDParams, depth: int, workers: int = 2) -> None:
         import multiprocessing
 
         try:
@@ -208,7 +175,7 @@ class MultiprocessExecutor:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
                 target=_mp_worker_main,
-                args=(child_conn, params, depth, admission),
+                args=(child_conn, params, depth),
                 name=f"ipd-shard-{slot}",
                 daemon=True,
             )
@@ -266,15 +233,14 @@ def make_executor(
     params: IPDParams,
     depth: int,
     workers: Optional[int] = None,
-    admission: Optional[AdmissionConfig] = None,
 ) -> "Union[SerialExecutor, MultiprocessExecutor]":
     """Build an executor by name (``serial`` / ``mp``)."""
     if kind == "serial":
-        return SerialExecutor(params, depth, admission=admission)
+        return SerialExecutor(params, depth)
     if kind == "mp":
         if workers is None:
             workers = min(4, os.cpu_count() or 1)
-        return MultiprocessExecutor(params, depth, workers, admission=admission)
+        return MultiprocessExecutor(params, depth, workers)
     raise ValueError(
         f"unknown executor {kind!r}; expected one of {EXECUTOR_KINDS}"
     )

@@ -8,8 +8,9 @@ flow stream, across engine shapes:
 * ``shards >= 2`` — a :class:`~repro.runtime.sharding.ShardedIPD`
   coordinator routing flows over ``shards`` address-space shards driven
   by the chosen executor (``serial`` / ``mp``).  Merged
-  snapshots are byte-identical to the single-engine ones by design (the
-  equivalence suite in ``tests/runtime`` pins this).
+  snapshots are byte-identical to the single-engine ones by design,
+  under any admission mode: the coordinator holds the deployment's one
+  gate (the equivalence suites in ``tests/runtime`` pin this).
 
 :func:`~repro.runtime.sharding.build_engine` makes that choice, for a
 fresh run, a resume and a crash recovery alike.
@@ -413,8 +414,8 @@ class Pipeline:
     def _tick(self, when: float, result: RunResult) -> None:
         if self.fault_hook is not None:
             # both sites are consulted here for every topology: the
-            # sketch-saturate site is engine-level (a sharded engine fans
-            # it out to its shards; a no-op without admission), and the
+            # sketch-saturate site is engine-level (the deployment's one
+            # gate; a no-op without admission), and the
             # worker-crash site gets the executor whose worker it may
             # kill (None for a plain engine: the crash is raised here)
             self.fault_hook.before_sweep(self.engine, when)

@@ -28,6 +28,11 @@ the same per-range state.  Three properties make that hold:
   and the prune cascade on the aggregator — reaching the same fixed
   point as the single engine's one-pass closure.
 
+The deployment has one admission gate, :attr:`ShardedIPD.admission`: the
+coordinator gates each batch on its raw columns before routing the kept
+rows, and the aggregator and every shard engine run ungated, so lossy
+admission too leaves the output of one engine unchanged.
+
 Handoffs move ranges across the ``/k`` boundary: after each sweep the
 aggregator delegates any visible unclassified leaf that reached depth
 ``k`` down to its shard (a ``seed`` op carrying the observation state),
@@ -48,15 +53,15 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ..core.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionImage,
-    decode_admission,
-    encode_admission,
-    merge_admission_images,
+from ..core.admission import AdmissionConfig, AdmissionController, decode_admission
+from ..core.algorithm import (
+    IPD,
+    SweepReport,
+    _check_rows,
+    _coerce_admission,
+    admit,
+    open_sweep,
 )
-from ..core.algorithm import IPD, SweepReport
 from ..core.iputil import IPV4, IPV6, Prefix
 from ..core.output import IPDRecord
 from ..core.params import DEFAULT_PARAMS, IPDParams
@@ -127,7 +132,7 @@ class ShardedIPD:
         shards: int = 4,
         executor: str = "serial",
         workers: Optional[int] = None,
-        admission: Optional[AdmissionConfig] = None,
+        admission: "AdmissionController | AdmissionConfig | None" = None,
     ) -> None:
         params = params or DEFAULT_PARAMS
         if shards < 2 or shards & (shards - 1):
@@ -145,15 +150,12 @@ class ShardedIPD:
         self.params = params
         self.shards = shards
         self.split_depth = depth
-        # the *config* (not a controller) is what crosses process
-        # boundaries: each engine builds its own controller from it, and
-        # identical seeds/geometry keep the shard sketches mergeable
-        self.admission_config = admission
+        #: the deployment's one admission gate, as :attr:`IPD.admission`
+        #: (``None``: off); aggregator and shards run ungated
+        self.admission: AdmissionController | None = _coerce_admission(admission)
         #: ranges coarser than /k live here, in a plain single engine
-        self.aggregator = IPD(params, admission=admission)
-        self._executor = make_executor(
-            executor, params, depth, workers, admission=admission
-        )
+        self.aggregator = IPD(params)
+        self._executor = make_executor(executor, params, depth, workers)
         #: family version -> shard indices currently delegated down (each
         #: one's portal is the aggregator's delegated leaf at that /k)
         self._delegated: dict[int, set[int]] = {IPV4: set(), IPV6: set()}
@@ -176,12 +178,17 @@ class ShardedIPD:
         self.ingest_batch(FlowBatch.from_flows((flow,)))
 
     def ingest_batch(self, batch: FlowBatch) -> int:
-        """Route a columnar batch: aggregator rows inline, shard rows fed out."""
+        """Check every row, gate the batch once, and route the kept rows:
+        aggregator rows inline, shard rows fed out.  A bad row is a
+        ``ValueError`` naming it (as :meth:`IPD.ingest_batch`) before
+        anything moves."""
         count = len(batch)
         if count == 0:
             return 0
+        _check_rows(batch)
         self.flows_ingested += count
         self.bytes_ingested += int(batch.byte_counts.sum())
+        batch = admit(self.admission, self.params, batch)
         version = batch.version
         delegated = self._delegated[version]
         if not delegated:
@@ -233,6 +240,7 @@ class ShardedIPD:
         if not math.isfinite(now):  # before any shard sees the tick
             raise ValueError(f"sweep time {now} is not finite")
         started = time.perf_counter()
+        report = open_sweep(self.admission, now)
         # Shards sweep concurrently with the aggregator (disjoint state).
         self._executor.broadcast(("tick", now))
         aggregator_report = self.aggregator.sweep(now)
@@ -245,8 +253,8 @@ class ShardedIPD:
         self._handoff(ops)
         self._send_all(ops)
 
-        report = self._merge_reports(
-            now, aggregator_report, results, boundary_joins, boundary_prunes
+        self._merge_reports(
+            report, aggregator_report, results, boundary_joins, boundary_prunes
         )
         report.duration_seconds = time.perf_counter() - started
         self.last_sweep_at = now
@@ -358,13 +366,12 @@ class ShardedIPD:
 
     def _merge_reports(
         self,
-        now: float,
+        report: SweepReport,
         aggregator_report: SweepReport,
         results: dict[int, ShardTickResult],
         boundary_joins: int,
         boundary_prunes: int,
-    ) -> SweepReport:
-        report = SweepReport(timestamp=now)
+    ) -> None:
         for part in [aggregator_report] + [r.report for r in results.values()]:
             report.classifications += part.classifications
             report.splits += part.splits
@@ -374,13 +381,6 @@ class ShardedIPD:
             report.expired_sources += part.expired_sources
             report.decayed_ranges += part.decayed_ranges
             report.visited += part.visited
-            report.admission_admitted += part.admission_admitted
-            report.admission_held += part.admission_held
-            report.admission_dropped += part.admission_dropped
-            report.admission_promoted += part.admission_promoted
-            report.admission_saturated = (
-                report.admission_saturated or part.admission_saturated
-            )
         report.joins += boundary_joins
         report.prunes += boundary_prunes
         # Leaf/classified totals reflect the post-reconcile state (the
@@ -394,46 +394,14 @@ class ShardedIPD:
         report.classified = sum(
             tree.classified_count() for tree in self.aggregator.trees.values()
         ) + sum(metrics.classified_by_version.values())
-        return report
 
     # ------------------------------------------------------------------ admission
 
     def saturate_admission(self) -> None:
-        """Force every engine's sketch to the saturation ceiling.
-
-        The ``sketch_saturate`` chaos site: from the next batch on,
-        aggregator and shards alike degrade to admit-everything.
-        No-op when admission is off.
-        """
-        if self.admission_config is None:
-            return
-        self.aggregator.saturate_admission()
-        self._send_all(("saturate", index) for index in range(self.shards))
-
-    def _admission_image(self) -> Optional[AdmissionImage]:
-        """The deployment-wide merged admission image (``None`` when off)."""
-        if self.aggregator.admission is None:
-            return None
-        images: list[Optional[AdmissionImage]] = [
-            self.aggregator.admission.to_image()
-        ]
-        for part in self._ask("admission_export"):
-            images.extend(part.values())
-        return merge_admission_images(images)
-
-    def _restore_admission(self, image: AdmissionImage) -> None:
-        """Broadcast a checkpointed admission image to every engine.
-
-        Sketch counts, the elephant herd, the age boundary and the
-        saturation flag go to aggregator and shards whole — an engine
-        seeing the full deployment's counts can only over-admit, which
-        is always safe.
-        """
-        self.aggregator.admission = AdmissionController.from_image(image)
-        payload = encode_admission(image)
-        self._send_all(
-            ("admission", index, payload) for index in range(self.shards)
-        )
+        """The ``sketch_saturate`` chaos site: the deployment's one gate
+        degrades to admit-everything.  No-op when admission is off."""
+        if self.admission is not None:
+            self.admission.saturate()
 
     # ------------------------------------------------------------------ state io
 
@@ -477,15 +445,13 @@ class ShardedIPD:
     def to_bytes(self) -> bytes:
         """Serialize the merged deployment state to one engine blob.
 
-        With admission on, the merged admission section (cellwise-summed
-        sketches, elephant union) is appended after the
-        engine section, exactly as :meth:`IPD.to_bytes` appends its own
-        controller's — so the blob restores on any topology.
+        With admission on, the controller's section is appended after the
+        engine section, exactly as :meth:`IPD.to_bytes` appends its own —
+        so the blob restores on any topology.
         """
         blob = encode_engine(self.to_image())
-        merged = self._admission_image()
-        if merged is not None:
-            blob += encode_admission(merged)
+        if self.admission is not None:
+            blob += self.admission.to_bytes()
         return blob
 
     @classmethod
@@ -495,7 +461,7 @@ class ShardedIPD:
         shards: int = 4,
         executor: str = "serial",
         workers: Optional[int] = None,
-        admission: Optional[AdmissionConfig] = None,
+        admission: "AdmissionController | AdmissionConfig | None" = None,
     ) -> "ShardedIPD":
         """Rebuild a sharded deployment from a merged engine image.
 
@@ -558,20 +524,11 @@ class ShardedIPD:
         resume from an admission-off checkpoint.
         """
         image, consumed = decode_engine_span(data, params=params)
-        admission_image: Optional[AdmissionImage] = None
         if consumed < len(data):
-            admission_image = decode_admission(memoryview(data)[consumed:])
-            admission = admission_image.config
-        engine = cls.from_image(
-            image,
-            shards=shards,
-            executor=executor,
-            workers=workers,
-            admission=admission,
-        )
-        if admission_image is not None:
-            engine._restore_admission(admission_image)
-        return engine
+            admission = AdmissionController.from_image(
+                decode_admission(memoryview(data)[consumed:])
+            )
+        return cls.from_image(image, shards, executor, workers, admission)
 
     # ------------------------------------------------------------------ output
 

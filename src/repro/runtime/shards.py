@@ -8,6 +8,8 @@ whose root carries a :class:`~repro.core.state.DelegatedState` is
 The coordinator activates a shard by shipping the aggregator leaf's
 observation state down (a ``seed`` op) and deactivates it when a
 cross-boundary join or prune pulls the range back up (a ``reset`` op).
+A shard engine runs ungated: the coordinator's one admission gate has
+already picked the rows it is fed.
 
 Everything in this module is executor-agnostic: the executors'
 :class:`~repro.runtime.executors.ShardWorker` calls it in-process or
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..core.admission import AdmissionConfig, AdmissionImage
 from ..core.algorithm import IPD, SweepReport
 from ..core.iputil import IPV4, IPV6, Prefix
 from ..core.params import IPDParams
@@ -106,13 +107,7 @@ class ShardMetrics:
 class ShardEngine:
     """One depth-``k`` subtree of the address space, run as a full IPD."""
 
-    def __init__(
-        self,
-        params: IPDParams,
-        depth: int,
-        index: int,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> None:
+    def __init__(self, params: IPDParams, depth: int, index: int) -> None:
         self.index = index
         self.depth = depth
         roots = {
@@ -120,10 +115,7 @@ class ShardEngine:
                             depth, version)
             for version in (IPV4, IPV6)
         }
-        # each shard builds its own controller from the shared config:
-        # same seed and geometry, so shard sketches stay cellwise-
-        # mergeable into the engine-wide admission image
-        self.ipd = IPD(params, roots=roots, admission=admission)
+        self.ipd = IPD(params, roots=roots)
         # Both family trees start inactive: the aggregator owns the whole
         # space until its split cascade reaches the shard depth.
         for tree in self.ipd.trees.values():
@@ -217,12 +209,6 @@ class ShardEngine:
             )
         assert isinstance(state, UnclassifiedState)
         return RootSummary("empty" if state.is_empty() else "busy")
-
-    def admission_image(self) -> Optional[AdmissionImage]:
-        """The shard controller's state image (``None`` when admission is off)."""
-        if self.ipd.admission is None:
-            return None
-        return self.ipd.admission.to_image()
 
     def metrics(self) -> ShardMetrics:
         return ShardMetrics(

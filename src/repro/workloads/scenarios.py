@@ -148,9 +148,10 @@ class Scenario:
         long runs where only snapshots matter) and the first element is
         an empty list.  ``shards`` / ``executor`` / ``workers`` select
         the runtime topology — results are identical for every choice,
-        only throughput changes.  ``admission`` attaches the sketch-gated
-        front-end; ``exact`` mode keeps results identical too, ``lossy``
-        trades never-promoted mice for ingest throughput.
+        admission on or off, only throughput changes.  ``admission``
+        attaches the sketch-gated front-end (one gate per deployment);
+        ``exact`` mode keeps results identical to admission off,
+        ``lossy`` trades never-promoted mice for ingest throughput.
         """
         with Pipeline(
             self.params,

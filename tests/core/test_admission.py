@@ -25,7 +25,6 @@ from repro.core.admission import (
     auto_sketch_width,
     decode_admission,
     encode_admission,
-    merge_admission_images,
 )
 from repro.core.admission import _splitmix64_array as splitmix64_array
 from repro.core.framing import Writer
@@ -162,8 +161,9 @@ class TestCountMinSketch:
         assert sketch.fill < fill_before
 
     def test_vectorized_halve_and_merge_match_the_cell_loops(self):
-        """The numpy forms are bit-identical to the per-cell loops they
-        replaced (kept here as the reference), fill count included."""
+        """The numpy ``halve`` is bit-identical to the per-cell loop it
+        replaced (kept here as the reference), fill count included (the
+        test keeps its name for test-id stability)."""
 
         def loop_halve(cells):
             fill = 0
@@ -178,25 +178,12 @@ class TestCountMinSketch:
                 cells[index] = value
             return fill
 
-        def loop_merge(cells, fill, other):
-            for index, value in enumerate(other):
-                if value == 0.0:
-                    continue
-                if cells[index] == 0.0:
-                    fill += 1
-                cells[index] += value
-            return fill
-
         rng = random.Random(1905)
         sketch = CountMinSketch(256, 4, seed=11)
-        other = CountMinSketch(256, 4, seed=11)
         for __ in range(600):
             sketch.add(rng.getrandbits(32), float(rng.randrange(1, 4000)))
-            other.add(rng.getrandbits(32), float(rng.randrange(1, 9)))
-        cells, fill = array("d", sketch.cells), sketch.fill
-        fill = loop_merge(cells, fill, other.cells)
-        sketch.merge(other)
-        assert (bytes(sketch.cells), sketch.fill) == (bytes(cells), fill)
+            sketch.add(rng.getrandbits(32), float(rng.randrange(1, 9)))
+        cells = array("d", sketch.cells)
         for __ in range(24):  # until every cell has decayed to zero
             fill = loop_halve(cells)
             sketch.halve()
@@ -224,23 +211,6 @@ class TestCountMinSketch:
         sketch.add(5, 2.0)
         sketch.add(5, 0.0)
         assert sketch.fill == 4 == np.count_nonzero(sketch.cells)
-
-    def test_merge_is_cellwise(self):
-        left = CountMinSketch(64, 2, seed=9)
-        right = CountMinSketch(64, 2, seed=9)
-        left.add(1, 2.0)
-        right.add(1, 3.0)
-        right.add(2, 1.0)
-        left.merge(right)
-        assert left.estimate(1) >= 5.0
-        assert left.estimate(2) >= 1.0
-
-    def test_merge_rejects_mismatched_geometry(self):
-        left = CountMinSketch(64, 2, seed=9)
-        with pytest.raises(StateCodecError, match="geometry or seed"):
-            left.merge(CountMinSketch(128, 2, seed=9))
-        with pytest.raises(StateCodecError, match="geometry or seed"):
-            left.merge(CountMinSketch(64, 2, seed=10))
 
 
 def reference_gate(config, shift, sources):
@@ -632,7 +602,7 @@ class TestSparseUpdateMatchesDense:
         depth=st.integers(1, 3),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["add", "batch", "halve", "reload", "merge"]),
+                st.sampled_from(["add", "batch", "halve", "reload"]),
                 st.lists(st.integers(0, 40), max_size=12),
                 st.lists(st.integers(0, 3), min_size=12, max_size=12),
             ),
@@ -658,14 +628,8 @@ class TestSparseUpdateMatchesDense:
             elif op == "halve":
                 sketch.halve()
                 dense.halve()
-            elif op == "reload":
-                sketch.load_sparse(sketch.sparse_cells())
             else:
-                other = CountMinSketch(width, depth, seed=7)
-                for key, weight in zip(keys, weights.tolist()):
-                    other.add(key, weight)
-                sketch.merge(other)
-                dense.merge(other)
+                sketch.load_sparse(sketch.sparse_cells())
             assert bytes(sketch.cells) == bytes(dense.cells)
             assert sketch.fill == np.count_nonzero(sketch.cells) == dense.fill
 
@@ -687,6 +651,9 @@ class TestAging:
         controller.sketch(IPV4).add(16, 8.0)
         controller.age_to(150.0)
         assert controller.age_to(30.0) == 0
+        assert controller.sketch(IPV4).estimate(16) == 8.0
+        # back at the boundary it already passed: no boundary is new
+        assert controller.age_to(150.0) == 0
         assert controller.sketch(IPV4).estimate(16) == 8.0
 
     def test_long_idle_clears_outright(self):
@@ -827,35 +794,10 @@ class TestCodec:
         with pytest.raises(StateCodecError):
             decode_admission(b"NOPE" + bytes(32))
 
-    def test_merge_images_cellwise(self):
-        shard_a = AdmissionController(AdmissionConfig(mode="exact"))
-        shard_b = AdmissionController(AdmissionConfig(mode="exact"))
-        shard_a.prefilter_rows(IPV4, 4, [1600] * 10)
-        shard_b.prefilter_rows(IPV4, 4, [3200])
-        merged = merge_admission_images(
-            [shard_a.to_image(), None, shard_b.to_image()]
-        )
-        assert merged is not None
-        restored = AdmissionController.from_image(merged)
-        assert restored.elephants(IPV4).tolist() == [1600]
-        assert restored.sketch(IPV4).estimate(1600) >= 10.0
-        assert restored.sketch(IPV4).estimate(3200) >= 1.0
-
-    def test_merge_rejects_mixed_configs(self):
-        exact = AdmissionController(AdmissionConfig(mode="exact")).to_image()
-        lossy = AdmissionController(AdmissionConfig(mode="lossy")).to_image()
-        with pytest.raises(StateCodecError, match="different configs"):
-            merge_admission_images([exact, lossy])
-
-    def test_merge_of_nothing_is_none(self):
-        assert merge_admission_images([None, None]) is None
-
 
 class TestSectionBytesIgnoreSetHistory:
     """Section bytes are a function of the state, not of the order the
-    elephants were promoted in (the herd is one sorted array) or of set
-    order (the runtime pin for ``sorted(herd)`` in
-    ``merge_admission_images``)."""
+    elephants were promoted in (the herd is one sorted array)."""
 
     #: gate keys at shift 4 are multiples of 16, so they all collide in
     #: a small hash table and a set's iteration order follows insertion
@@ -874,13 +816,3 @@ class TestSectionBytesIgnoreSetHistory:
         forward = self.promoted(self.KEYS)
         backward = self.promoted(self.KEYS[::-1])
         assert forward.to_bytes() == backward.to_bytes()
-
-    def test_merge_argument_order_does_not_reach_the_wire(self):
-        low = self.promoted(self.KEYS[:20]).to_image()
-        high = self.promoted(self.KEYS[20:]).to_image()
-        assert list(set(low.elephants[IPV4]) | set(high.elephants[IPV4])) != list(
-            set(high.elephants[IPV4]) | set(low.elephants[IPV4])
-        )
-        one = merge_admission_images([low, high])
-        other = merge_admission_images([high, low])
-        assert encode_admission(one) == encode_admission(other)

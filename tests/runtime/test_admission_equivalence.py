@@ -1,4 +1,5 @@
-"""Exact-mode admission must be invisible in the output.
+"""Exact-mode admission must be invisible in the output, and the
+topology must be invisible under either mode.
 
 The acceptance bar for the sketch-gated admission front-end: with
 ``mode="exact"`` the gate observes (sketch, herd and counters move) but
@@ -6,8 +7,10 @@ keeps every row, so snapshots are *byte-identical* (serialized CSV)
 to running with no admission at all, at every shard count, on every
 executor, at every sweep tick and between them, and across
 checkpoint/resume including a resume that changes the shard count.
-Lossy mode is exercised for liveness and its bounded-loss accuracy
-contract lives in the Fig. 6 experiment (EXPERIMENTS.md).
+A deployment has one gate — a sharded coordinator gates each batch
+before routing it — so a sharded lossy run equals one lossy engine in
+records, sweep reports and engine blobs.  Lossy mode's bounded-loss
+accuracy contract lives in the Fig. 6 experiment (EXPERIMENTS.md).
 """
 
 import pytest
@@ -23,11 +26,14 @@ from repro.testkit.strategies import (
     SMALL_SPACE_PARAMS as PARAMS,
     flow_events_list,
 )
+from repro.testkit.oracle import ORACLE_REPORT_FIELDS
 from repro.testkit.traces import (
     DUALSTACK_PARAMS,
     FIG05_PARAMS,
+    STAGE2_PARAMS,
     dualstack_trace,
     fig05_trace,
+    stage2_trace,
 )
 from tests.runtime.test_shard_equivalence import (
     assert_equivalent,
@@ -104,6 +110,8 @@ class TestExactEqualsOff:
     def test_admission_counters_surface_in_reports(self):
         flows = fig05_trace()
         result = admission_run(flows, FIG05_PARAMS, EXACT, shards=4)
+        single = admission_run(flows, FIG05_PARAMS, EXACT)
+        assert report_rows(result) == report_rows(single)
         assert sum(s.admission_admitted for s in result.sweeps) > 0
         assert sum(s.admission_dropped for s in result.sweeps) == 0
         assert not any(s.admission_saturated for s in result.sweeps)
@@ -114,6 +122,96 @@ class TestExactEqualsOff:
         result = admission_run(flows, FIG05_PARAMS, LOSSY)
         assert result.flows_processed == len(flows)
         assert sum(s.admission_held for s in result.sweeps) == 0
+
+
+#: the SweepReport fields a topology must not change: the oracle's, plus
+#: the admission counters of the deployment's one gate
+REPORT_FIELDS = ORACLE_REPORT_FIELDS + (
+    "admission_admitted", "admission_held", "admission_dropped",
+    "admission_promoted", "admission_saturated",
+)
+
+LOSSY_TRACES = {
+    "fig05": (fig05_trace, FIG05_PARAMS),
+    "stage2": (stage2_trace, STAGE2_PARAMS),
+    "dualstack": (dualstack_trace, DUALSTACK_PARAMS),
+}
+
+
+def report_rows(result):
+    return [
+        tuple(getattr(report, name) for name in REPORT_FIELDS)
+        for report in result.sweeps
+    ]
+
+
+def blob_run(flows, params, admission, **kwargs):
+    """A run and the engine blob after each of its sweeps."""
+    blobs = []
+    result = admission_run(
+        flows, params, admission,
+        on_sweep=lambda report, engine: blobs.append(engine.to_bytes()),
+        **kwargs,
+    )
+    return result, blobs
+
+
+class TestShardedLossyEqualsSingle:
+    """One gate per deployment: the coordinator gates each batch once and
+    routes the kept rows, so a sharded lossy run is one lossy engine in
+    records, every sweep report and the engine blob after every sweep."""
+
+    @pytest.mark.parametrize(
+        "shards, executor", [(4, "serial"), (16, "serial"), (4, "mp")]
+    )
+    @pytest.mark.parametrize("trace", sorted(LOSSY_TRACES))
+    def test_matches_one_engine(self, trace, shards, executor):
+        make_flows, params = LOSSY_TRACES[trace]
+        flows = make_flows()
+        single, single_blobs = blob_run(flows, params, LOSSY)
+        sharded, sharded_blobs = blob_run(
+            flows, params, LOSSY, shards=shards, executor=executor, workers=2
+        )
+        # byte-weighted flows (dualstack) all clear the threshold at once
+        dropped = sum(report.admission_dropped for report in single.sweeps)
+        assert (dropped > 0) != params.count_bytes
+        assert sharded.final_snapshot() == single.final_snapshot()
+        assert run_csv(sharded) == run_csv(single)
+        assert report_rows(sharded) == report_rows(single)
+        assert len(sharded_blobs) == len(single_blobs)
+        for index, (ours, theirs) in enumerate(zip(sharded_blobs, single_blobs)):
+            assert ours == theirs, f"engine blob after sweep {index}"
+
+    @pytest.mark.parametrize("resume_shards", [1, 16])
+    def test_resume_and_reshard(self, tmp_path, resume_shards):
+        flows = fig05_trace()
+        single, single_blobs = blob_run(flows, FIG05_PARAMS, LOSSY)
+        store = CheckpointStore(tmp_path / "ckpt", retain=RETAIN)
+        admission_run(
+            flows, FIG05_PARAMS, LOSSY, shards=4,
+            checkpoint_store=store, checkpoint_every=FIG05_PARAMS.t,
+        )
+        checkpoints = [store.load(path) for path in store.list()]
+        checkpoint = checkpoints[len(checkpoints) // 2]
+        done = checkpoint.sweep_count
+        assert checkpoint.engine_blob == single_blobs[done - 1]
+
+        blobs = []
+        with Pipeline.resume(
+            store,
+            checkpoint=checkpoint,
+            shards=resume_shards,
+            snapshot_seconds=120.0,
+            include_unclassified=True,
+            on_sweep=lambda report, engine: blobs.append(engine.to_bytes()),
+        ) as pipeline:
+            resumed = pipeline.run(flows)
+        assert pipeline.engine.admission.config == LOSSY
+        assert blobs == single_blobs[done:]
+        assert report_rows(resumed)[-len(blobs):] == report_rows(single)[done:]
+        for when, records in resumed.snapshots.items():
+            assert records == single.snapshots[when], f"snapshot @ {when}"
+        assert resumed.final_snapshot() == single.final_snapshot()
 
 
 class TestOneGate:
@@ -256,12 +354,7 @@ class TestCheckpointResumeWithAdmission:
             resumed = pipeline.run(flows)
 
         # admission config survives through the blob's trailing section
-        config = (
-            pipeline.engine.admission_config
-            if resume_shards > 1
-            else pipeline.engine.admission.config
-        )
-        assert config.mode == "exact"
+        assert pipeline.engine.admission.config.mode == "exact"
 
         for when, records in resumed.snapshots.items():
             assert records == reference.snapshots[when], f"snapshot @ {when}"

@@ -245,6 +245,30 @@ class TestShardedValidation:
             assert engine.last_sweep_at == 60.0
             assert engine.to_bytes() == before
 
+    @pytest.mark.parametrize("executor", ["serial", "mp"])
+    def test_bad_row_rejected_before_any_state_moves(self, executor):
+        """A batch whose bad row routes to another shard than its good
+        one is refused whole, naming the caller's row, before the
+        counters, the aggregator or any shard moves."""
+        t = FIG05_PARAMS.t
+        flows = fig05_trace()
+        with ShardedIPD(FIG05_PARAMS, shards=4, executor=executor, workers=2) as engine:
+            now = t
+            while engine._delegated[IPV4] != {0, 1, 2, 3}:  # the trie is at /2
+                engine.ingest_many([f for f in flows if now - t <= f.timestamp < now])
+                engine.sweep(now)
+                now += t
+            before = (engine.flows_ingested, engine.to_bytes())
+            batch = FlowBatch.from_flows([
+                FlowRecord(timestamp=now, src_ip=5, version=IPV4, ingress=CORNERS[0]),
+                FlowRecord(timestamp=float("nan"), src_ip=(3 << 30) + 5,
+                           version=IPV4, ingress=CORNERS[3]),
+            ])
+            with pytest.raises(ValueError, match="flow batch row 1: timestamp nan"):
+                engine.ingest_batch(batch)
+            assert (engine.flows_ingested, engine.to_bytes()) == before
+            engine.sweep(now)  # every worker is alive
+
     def test_close_is_idempotent(self):
         engine = ShardedIPD(FIG05_PARAMS, shards=4, executor="mp", workers=2)
         engine.close()
