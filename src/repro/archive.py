@@ -36,6 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 from .core.iputil import Prefix
 from .core.output import IPDRecord, read_records_csv, write_records_csv
+from .runtime.checkpoint import write_atomic
 
 __all__ = ["SnapshotArchive", "ArchiveStats"]
 
@@ -224,7 +225,11 @@ class SnapshotArchive:
         )
 
     def _save_index(self) -> None:
-        self._index_path.write_text(json.dumps(self._index, sort_keys=True))
+        # atomic: an append cut off here leaves the previous index whole
+        write_atomic(
+            self._index_path,
+            json.dumps(self._index, sort_keys=True).encode("utf-8"),
+        )
 
 
 def _restamp(record: IPDRecord, timestamp: float) -> IPDRecord:

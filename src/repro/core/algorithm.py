@@ -328,16 +328,6 @@ class IPD:
 
     # ------------------------------------------------------------------ stage 2
 
-    def saturate_admission(self) -> None:
-        """Force the admission sketch to its ceiling (fault injection).
-
-        A saturated controller degrades to admit-everything; without a
-        controller this is a no-op, so fault plans can target any
-        engine.
-        """
-        if self.admission is not None:
-            self.admission.saturate()
-
     @hot_path
     def sweep(self, now: float) -> SweepReport:
         """Run one Stage-2 pass over the active ranges (Algorithm 1, lines 5-19)."""

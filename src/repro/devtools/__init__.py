@@ -11,12 +11,11 @@ IPD002   seeded-rng          all randomness is explicitly seeded
 IPD003   exception-taxonomy  runtime failure paths stay typed, never swallow
 IPD004   codec-guard         codec layout changes require a CODEC_VERSION bump
 IPD005   hot-path-hygiene    ``@hot_path`` loops stay allocation-clean
-IPD006   fault-seam          every ``fault_hook`` parameter defaults to None
 IPD007   no-pickle-hot-path  no object serialization inside ``@hot_path`` functions
 IPD008   lookup-alloc-free   ``@hot_path`` ``lookup*`` never allocates containers
 =======  ==================  ====================================================
 
-All eight are single-file AST visitors over things a runtime test
+All seven are single-file AST visitors over things a runtime test
 cannot see.  Invariants a test *can* see — encode/decode symmetry,
 serialization order, close-once lifecycles, the executor boundary —
 are pinned at runtime instead (DESIGN.md §10, "invariant → what pins

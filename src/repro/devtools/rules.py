@@ -1,4 +1,4 @@
-"""The repo-specific lint rules (IPD001–IPD008).
+"""The repo-specific lint rules (IPD001–IPD005, IPD007, IPD008).
 
 Each rule encodes one load-bearing invariant of the reproduction; the
 ``invariant`` attribute is the sentence DESIGN.md §10 documents.  Rules
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .codecguard import (
     DEFAULT_PIN_PATH,
@@ -34,7 +34,6 @@ __all__ = [
     "ExceptionTaxonomyRule",
     "CodecGuardRule",
     "HotPathHygieneRule",
-    "FaultSeamRule",
     "NoPickleHotPathRule",
     "LookupAllocRule",
 ]
@@ -430,55 +429,6 @@ class HotPathHygieneRule(VisitorRule):
         "builds, no re-resolved self.x.y attribute chains inside loops."
     )
     visitor_class = _HotPathVisitor
-
-
-# ---------------------------------------------------------------------------
-# IPD006 — fault seams default to off
-# ---------------------------------------------------------------------------
-
-
-class _FaultSeamVisitor(ContextVisitor):
-    def enter_function(
-        self, node: "ast.FunctionDef | ast.AsyncFunctionDef", hot: bool
-    ) -> None:
-        args = node.args
-        positional = args.posonlyargs + args.args
-        # defaults align right: the last len(defaults) positionals have one
-        offset = len(positional) - len(args.defaults)
-        for index, arg in enumerate(positional):
-            if arg.arg != "fault_hook":
-                continue
-            default: Optional[ast.expr] = None
-            if index >= offset:
-                default = args.defaults[index - offset]
-            self._check_default(node, default)
-        for arg, kw_default in zip(args.kwonlyargs, args.kw_defaults):
-            if arg.arg == "fault_hook":
-                self._check_default(node, kw_default)
-
-    def _check_default(
-        self, node: ast.AST, default: Optional[ast.expr]
-    ) -> None:
-        if default is None or not (
-            isinstance(default, ast.Constant) and default.value is None
-        ):
-            self.report(
-                node,
-                "fault_hook parameters must default to None: the chaos seam "
-                "is strictly opt-in, production call sites pay one identity "
-                "check and nothing else",
-            )
-
-
-@register
-class FaultSeamRule(VisitorRule):
-    code = "IPD006"
-    name = "fault-seam"
-    invariant = (
-        "Every fault_hook parameter defaults to None, keeping fault "
-        "injection strictly opt-in on production paths."
-    )
-    visitor_class = _FaultSeamVisitor
 
 
 # ---------------------------------------------------------------------------

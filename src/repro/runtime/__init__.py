@@ -30,7 +30,6 @@ from .executors import (
     WorkerCrashError,
     make_executor,
 )
-from .faulthook import FaultHookLike
 from .live import LivePipeline, PipelineStateError
 from ..core.snapshot import Snapshot
 from .pipeline import Pipeline
@@ -43,7 +42,6 @@ __all__ = [
     "Pipeline",
     "LivePipeline",
     "PipelineStateError",
-    "FaultHookLike",
     "ShardedIPD",
     "ShardEngine",
     "build_engine",

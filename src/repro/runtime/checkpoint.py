@@ -45,7 +45,6 @@ from ..core.admission import AdmissionConfig
 from ..core.framing import IncompatibleStateError, Reader, StateCodecError
 from ..core.framing import Writer, read_header, write_header
 from ..core.params import IPDParams
-from .faulthook import FaultHookLike
 from .sharding import Engine, build_engine
 
 __all__ = [
@@ -54,6 +53,7 @@ __all__ = [
     "CheckpointCorruptError",
     "CheckpointStore",
     "restore_engine",
+    "write_atomic",
 ]
 
 #: bump when the checkpoint container layout changes (2 added the CRC)
@@ -169,27 +169,26 @@ class Checkpoint:
         )
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace *path* with *data* so that a crash at any point leaves
+    either the old file or the new one: write a sibling ``.tmp``, fsync
+    it, then ``os.replace`` it over *path*."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
 class CheckpointStore:
-    """A directory of checkpoint files with atomic writes and retention.
+    """A directory of checkpoint files with atomic writes and retention."""
 
-    ``fault_hook`` is the testkit's chaos seam
-    (:class:`~repro.testkit.faults.FaultPlan`): when set, the serialized
-    bytes pass through ``hook.on_checkpoint_save(when, data)`` before
-    touching disk, letting the chaos suite persist deliberately damaged
-    files.  Unset (the default), the save path is unchanged.
-    """
-
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        retain: int = 3,
-        fault_hook: Optional[FaultHookLike] = None,
-    ) -> None:
+    def __init__(self, directory: Union[str, Path], retain: int = 3) -> None:
         if retain < 1:
             raise ValueError("retain must be at least 1")
         self.directory = Path(directory)
         self.retain = retain
-        self.fault_hook: Optional[FaultHookLike] = fault_hook
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path_for(self, when: float) -> Path:
@@ -203,15 +202,7 @@ class CheckpointStore:
     def save(self, checkpoint: Checkpoint) -> Path:
         """Atomically persist one checkpoint and prune old ones."""
         path = self._path_for(checkpoint.when)
-        tmp = path.with_suffix(".ckpt.tmp")
-        data = checkpoint.to_bytes()
-        if self.fault_hook is not None:
-            data = self.fault_hook.on_checkpoint_save(checkpoint.when, data)
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        write_atomic(path, checkpoint.to_bytes())
         for stale in self.list()[:-self.retain]:
             stale.unlink(missing_ok=True)
         return path

@@ -46,9 +46,8 @@ from ..core.snapshot import Snapshot
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .checkpoint import Checkpoint, CheckpointStore
 from .executors import WorkerCrashError
-from .faulthook import FaultHookLike
 from .result import RunResult
-from .sharding import Engine, ShardedIPD, build_engine
+from .sharding import Engine, build_engine
 from .sinks import Sink
 
 __all__ = ["Pipeline"]
@@ -87,7 +86,6 @@ class Pipeline:
         engine: Optional[Engine] = None,
         checkpoint_store: "CheckpointStore | str | Path | None" = None,
         checkpoint_every: Optional[float] = None,
-        fault_hook: Optional[FaultHookLike] = None,
         admission: Optional[AdmissionConfig] = None,
     ) -> None:
         if snapshot_seconds <= 0:
@@ -109,6 +107,10 @@ class Pipeline:
         #: emission counter: each emitted Snapshot gets the next epoch
         #: number, strictly increasing for the life of this pipeline
         self._epoch = 0
+        #: newest snapshot time the sinks hold when a crash recovery
+        #: replays: the replay re-takes those snapshots for the result
+        #: only, so each snapshot time reaches the sinks once
+        self._delivered: Optional[float] = None
         #: exactly-once guard for sink teardown (close() is re-entrant)
         self._sinks_closed = False
         if checkpoint_store is not None and not isinstance(
@@ -121,22 +123,11 @@ class Pipeline:
         self.checkpoint_every = (
             checkpoint_every if checkpoint_every is not None else snapshot_seconds
         )
-        #: testkit chaos seam (:class:`~repro.testkit.faults.FaultPlan`):
-        #: consulted before sweeps (sketch-saturate and worker-crash
-        #: sites) and before sink writes (sink-error site), and handed to
-        #: a sharded engine for its feed sites — including across crash
-        #: recoveries, which rebuild the engine.  ``None`` is a no-op.
-        self.fault_hook: Optional[FaultHookLike] = fault_hook
-        self._attach_fault_hook()
         self._resume: Optional[_ResumeState] = None
         #: teardown failures swallowed during crash recovery — the dead
         #: engine's state is unrecoverable either way, but the failures
         #: stay inspectable here (and each one raises a RuntimeWarning)
         self.teardown_errors: list[Exception] = []
-
-    def _attach_fault_hook(self) -> None:
-        if self.fault_hook is not None and isinstance(self.engine, ShardedIPD):
-            self.engine.fault_hook = self.fault_hook
 
     @property
     def params(self) -> IPDParams:
@@ -222,16 +213,19 @@ class Pipeline:
     ) -> RunResult:
         result = RunResult()
         recoveries = 0
-        while True:
-            try:
-                for __ in self.run_incremental(flow_source(), result):
-                    pass
-                return result
-            except WorkerCrashError:
-                recoveries += 1
-                if recoveries > max_recoveries:
-                    raise
-                self._recover(result)
+        try:
+            while True:
+                try:
+                    for __ in self.run_incremental(flow_source(), result):
+                        pass
+                    return result
+                except WorkerCrashError:
+                    recoveries += 1
+                    if recoveries > max_recoveries:
+                        raise
+                    self._recover(result)
+        finally:
+            self._delivered = None
 
     def _recover(self, result: RunResult) -> None:
         """Rebuild the engine from the last checkpoint after a crash."""
@@ -250,6 +244,10 @@ class Pipeline:
                     RuntimeWarning,
                     stacklevel=2,
                 )
+        delivered = list(result.snapshots)
+        if self._delivered is not None:
+            delivered.append(self._delivered)
+        self._delivered = max(delivered, default=None)
         # latest_valid: a corrupt newest checkpoint only costs extra
         # replay (recovery falls back to an older intact image, or to a
         # from-scratch replay), never a failed or wrong run
@@ -272,7 +270,6 @@ class Pipeline:
                 del result.snapshots[when]
             result.flows_processed = checkpoint.flows_processed
             self._resume = _ResumeState.at(checkpoint)
-        self._attach_fault_hook()
 
     def run_incremental(
         self,
@@ -325,8 +322,7 @@ class Pipeline:
             while when >= sweep_at:
                 self._tick(sweep_at, result)
                 if next_snapshot is not None and sweep_at >= next_snapshot:
-                    emitted = self._emit(sweep_at, result)
-                    yield emitted.when, emitted.records
+                    yield sweep_at, self._emit(sweep_at, result)
                     next_snapshot += self.snapshot_seconds
                 if next_checkpoint is not None and sweep_at >= next_checkpoint:
                     # post-sweep barrier: the image is consistent (all
@@ -397,8 +393,7 @@ class Pipeline:
         if last_time is not None and next_sweep is not None:
             # Close the final bucket.
             self._tick(next_sweep, result)
-            final = self._emit(next_sweep, result)
-            yield final.when, final.records
+            yield next_sweep, self._emit(next_sweep, result)
             if store is not None:
                 self._save_checkpoint(
                     next_sweep, result, next_sweep + t, next_snapshot
@@ -408,20 +403,10 @@ class Pipeline:
             # saved at the closing tick): nothing to replay, but the
             # resumed run still yields the final mapping.  No sweep —
             # the checkpointed image is already post-final-sweep.
-            replayed = self._emit(resume.next_sweep - t, result)
-            yield replayed.when, replayed.records
+            when = resume.next_sweep - t
+            yield when, self._emit(when, result)
 
     def _tick(self, when: float, result: RunResult) -> None:
-        if self.fault_hook is not None:
-            # both sites are consulted here for every topology: the
-            # sketch-saturate site is engine-level (the deployment's one
-            # gate; a no-op without admission), and the
-            # worker-crash site gets the executor whose worker it may
-            # kill (None for a plain engine: the crash is raised here)
-            self.fault_hook.before_sweep(self.engine, when)
-            self.fault_hook.before_tick(
-                getattr(self.engine, "_executor", None), when
-            )
         report = self.engine.sweep(when)
         result.sweeps.append(report)
         if self.on_sweep is not None:
@@ -446,18 +431,19 @@ class Pipeline:
             )
         )
 
-    def _emit(self, when: float, result: RunResult) -> Snapshot:
+    def _emit(self, when: float, result: RunResult) -> list[IPDRecord]:
         records = self.engine.snapshot(
             when, include_unclassified=self.include_unclassified
         )
         result.snapshots[when] = records
-        self._epoch += 1
-        snapshot = Snapshot(when, records, epoch=self._epoch, source="pipeline")
-        if self.fault_hook is not None:
-            self.fault_hook.on_sink_emit(when)
-        for sink in self.sinks:
-            sink.emit(snapshot)
-        return snapshot
+        if self._delivered is None or when > self._delivered:
+            self._epoch += 1
+            snapshot = Snapshot(
+                when, records, epoch=self._epoch, source="pipeline"
+            )
+            for sink in self.sinks:
+                sink.emit(snapshot)
+        return records
 
     # ------------------------------------------------------------------ lifecycle
 

@@ -79,7 +79,6 @@ from ..core.statecodec import (
 )
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .executors import EXECUTOR_KINDS, make_executor
-from .faulthook import FaultHookLike
 from .shards import ShardMetrics, ShardTickResult
 
 __all__ = ["ShardedIPD", "build_engine"]
@@ -167,9 +166,6 @@ class ShardedIPD:
         self.bytes_ingested = 0
         self.last_sweep_at: float | None = None
         self._closed = False
-        #: testkit chaos seam (set by the pipeline): the ``feed_drop`` /
-        #: ``feed_duplicate`` sites, consulted once per fed shard batch
-        self.fault_hook: Optional[FaultHookLike] = None
 
     # ------------------------------------------------------------------ stage 1
 
@@ -211,17 +207,9 @@ class ShardedIPD:
         groups = np.split(by_shard, np.flatnonzero(keys[1:] != keys[:-1]) + 1)
         groups.sort(key=lambda group: group[0] if len(group) else -1)
         send = self._executor.send
-        hook = self.fault_hook
         for shard_rows in filter(len, groups):
             shard = int(index[shard_rows[0]])
-            cmd = ("feed", shard, batch.select(shard_rows))
-            if hook is not None:
-                action = hook.on_feed(shard, cmd[2])
-                if action == "drop":
-                    continue
-                if action == "duplicate":
-                    send(shard, cmd)
-            send(shard, cmd)
+            send(shard, ("feed", shard, batch.select(shard_rows)))
         return count
 
     def ingest_many(self, flows: "Iterable[FlowRecord] | FlowBatch") -> int:
@@ -394,14 +382,6 @@ class ShardedIPD:
         report.classified = sum(
             tree.classified_count() for tree in self.aggregator.trees.values()
         ) + sum(metrics.classified_by_version.values())
-
-    # ------------------------------------------------------------------ admission
-
-    def saturate_admission(self) -> None:
-        """The ``sketch_saturate`` chaos site: the deployment's one gate
-        degrades to admit-everything.  No-op when admission is off."""
-        if self.admission is not None:
-            self.admission.saturate()
 
     # ------------------------------------------------------------------ state io
 

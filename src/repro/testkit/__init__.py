@@ -11,8 +11,8 @@ code paths they check:
   flows, traces, parameters and shard counts, so every property suite
   draws from the same distributions.
 * :mod:`repro.testkit.faults` — :class:`FaultPlan`, a deterministic
-  seeded schedule of fault injections consulted by no-op hooks in the
-  runtime (pipeline sweeps and sinks, sharded feeds, checkpoint store).
+  seeded schedule of fault injections that enter a pipeline through its
+  own doors: its ``on_sweep`` observer, a sink and a checkpoint store.
 * :mod:`repro.testkit.traces` — the canonical deterministic fixture
   workloads (fig05, dualstack, stage2) with their test-scale parameters.
 
@@ -21,7 +21,13 @@ users extending the engine can reuse the oracle and the fault harness
 against their own changes.
 """
 
-from .faults import Fault, FaultPlan, InjectedSinkError
+from .faults import (
+    Fault,
+    FaultPlan,
+    FaultyCheckpointStore,
+    FaultySink,
+    InjectedSinkError,
+)
 from .oracle import ReferenceIPD, assert_engines_equivalent, compare_reports
 from .traces import (
     DUALSTACK_PARAMS,
@@ -37,6 +43,8 @@ __all__ = [
     "FIG05_PARAMS",
     "Fault",
     "FaultPlan",
+    "FaultyCheckpointStore",
+    "FaultySink",
     "InjectedSinkError",
     "ReferenceIPD",
     "STAGE2_PARAMS",

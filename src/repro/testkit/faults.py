@@ -1,68 +1,69 @@
 """Deterministic fault injection for the runtime — the chaos harness.
 
-A :class:`FaultPlan` is a seeded, reproducible schedule of failures the
-runtime consults at its named injection sites, each wired behind a
-no-op hook (an attribute that defaults to ``None`` and costs one
-identity check when unset):
+A :class:`FaultPlan` is a seeded, reproducible schedule of failures.  It
+enters a :class:`~repro.runtime.pipeline.Pipeline` through the doors the
+pipeline already has; the runtime carries no fault code of its own:
 
 ====================  ===================================================
-site                  hook location
+site                  where it enters
 ====================  ===================================================
-``worker_crash``      ``Pipeline._tick``, before every sweep, for every
-                      topology
-``feed_drop`` /       ``ShardedIPD.ingest_batch``, once per fed shard
-``feed_duplicate``    batch — the batch is swallowed or sent twice
-``checkpoint_...``    ``CheckpointStore.save`` — the serialized bytes
-                      are truncated (``checkpoint_truncate``) or
-                      bit-flipped (``checkpoint_bitflip``) before disk
-``sink_error``        ``Pipeline._emit`` — raises
-                      :class:`InjectedSinkError` before the sinks write
-``sketch_saturate``   ``Pipeline._tick`` — the engine's admission
-                      sketch is forced to the saturation ceiling, so
-                      the front-end must degrade to admit-everything
-                      (a no-op when admission is off)
+``sketch_saturate``   ``on_sweep=plan.on_sweep``, after every sweep: the
+                      engine's admission gate is forced to saturation,
+                      so it must degrade to admit-everything (a no-op
+                      when admission is off)
+``worker_crash``      ``on_sweep=plan.on_sweep``, after every sweep (and
+                      after ``sketch_saturate``): kills the mp worker
+                      ``arg % workers``, whose crash surfaces as the
+                      executor's :class:`WorkerCrashError` on its next
+                      command, or raises that error for an in-process
+                      engine
+``sink_error``        ``sinks=[FaultySink(plan)]``: raises
+                      :class:`InjectedSinkError` at its Nth emit
+``checkpoint_...``    ``checkpoint_store=FaultyCheckpointStore(plan,
+                      directory)``: the file a save has just written is
+                      truncated to half (``checkpoint_truncate``) or has
+                      bit ``arg`` flipped (``checkpoint_bitflip``)
 ====================  ===================================================
 
 Faults are **one-shot**: each fires at the Nth occurrence of its site
 (0-based) and is then spent, so a recovery replay that passes the same
-site again does not re-crash forever.
-
-Feed faults are **crash-coupled**: dropping or duplicating a batch
-silently corrupts shard state, which nothing downstream can detect — so
-whenever a feed fault fires, the plan arms a worker crash at the next
-tick.  Recovery then rebuilds from the last checkpoint (taken strictly
-before the corruption, since checkpoints are post-sweep barriers) and
-replays the clean stream, turning would-be silent divergence into an
-exercised recovery path.  This is the invariant the chaos suite banks
-on: every run either converges to the oracle-equivalent state or dies
-with a typed, documented exception.
+site again does not re-crash forever.  The invariant the chaos suite
+banks on: every run either equals the undisturbed run or dies with a
+typed, documented exception.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Optional, Union
+
+from ..core.snapshot import Snapshot
+from ..runtime.checkpoint import Checkpoint, CheckpointStore
+from ..runtime.executors import WorkerCrashError
+from ..runtime.sinks import Sink
 
 if TYPE_CHECKING:
-    from ..netflow.records import FlowBatch
+    from ..core.algorithm import SweepReport
+    from ..runtime.sharding import Engine
 
-__all__ = ["FAULT_SITES", "Fault", "FaultPlan", "InjectedSinkError"]
+__all__ = [
+    "FAULT_SITES",
+    "Fault",
+    "FaultPlan",
+    "FaultyCheckpointStore",
+    "FaultySink",
+    "InjectedSinkError",
+]
 
 FAULT_SITES = (
     "worker_crash",
-    "feed_drop",
-    "feed_duplicate",
     "checkpoint_truncate",
     "checkpoint_bitflip",
     "sink_error",
     "sketch_saturate",
 )
-
-#: upper bound on the feed occurrence index generate() schedules faults
-#: at; small traces make fewer feeds, in which case the fault simply
-#: never fires (a legal, if boring, plan)
-_MAX_FEED_INDEX = 24
 
 
 class InjectedSinkError(RuntimeError):
@@ -92,13 +93,11 @@ class Fault:
 
 
 class FaultPlan:
-    """A deterministic schedule of faults, consulted by the runtime hooks.
+    """A deterministic schedule of faults, consulted at the sites above.
 
     Build one explicitly from :class:`Fault` entries, or draw a random
-    (but fully seed-determined) plan with :meth:`generate`.  Attach it
-    via ``Pipeline(..., fault_hook=plan)`` and/or
-    ``CheckpointStore(..., fault_hook=plan)``; unattached sites simply
-    never fire.
+    (but fully seed-determined) plan with :meth:`generate`.  Sites whose
+    door the run does not use simply never fire.
 
     The plan records every fault that actually fired in :attr:`fired`
     (as ``(site, occurrence)`` pairs, in firing order) so a test can
@@ -116,9 +115,6 @@ class FaultPlan:
                 )
             slot[fault.at] = fault
         self._counters: dict[str, int] = {}
-        #: set after a feed fault fires: the next tick must crash so the
-        #: corrupted shard state is thrown away and replayed
-        self._crash_armed = False
         self.fired: list[tuple[str, int]] = []
 
     @classmethod
@@ -137,8 +133,6 @@ class FaultPlan:
             site = rng.choice(FAULT_SITES)
             if site == "worker_crash":
                 at = rng.randint(1, max(1, ticks - 1))
-            elif site.startswith("feed_"):
-                at = rng.randrange(_MAX_FEED_INDEX)
             else:
                 at = rng.randrange(max(1, ticks))
             if (site, at) in used:
@@ -152,8 +146,6 @@ class FaultPlan:
             f"{fault.site}@{fault.at}" for fault in self.faults
         ) or "(no faults)"
 
-    # ------------------------------------------------------------------ sites
-
     def _take(self, site: str) -> Optional[Fault]:
         """Advance *site*'s occurrence counter; pop a due one-shot fault."""
         occurrence = self._counters.get(site, 0)
@@ -163,89 +155,63 @@ class FaultPlan:
             self.fired.append((site, occurrence))
         return fault
 
-    def before_tick(self, executor: object, now: float) -> None:
-        """``worker_crash`` site: called by ``Pipeline._tick`` before
-        every sweep, with the engine's executor (``None`` for a plain
-        engine).
-
-        Under an mp executor the selected worker process is killed — the
-        crash then surfaces naturally as the executor's own
-        :class:`~repro.runtime.executors.WorkerCrashError` when the tick
-        reply is collected.  Everywhere else the error is raised
-        directly; either way the pipeline's recovery path sees the one
-        documented exception type.
-        """
+    def on_sweep(self, report: "SweepReport", engine: "Engine") -> None:
+        """The ``sketch_saturate`` and ``worker_crash`` sites, as a
+        pipeline's ``on_sweep`` observer (plain or sharded engine)."""
+        saturate = self._take("sketch_saturate")
+        if saturate is not None and engine.admission is not None:
+            engine.admission.saturate()
         fault = self._take("worker_crash")
-        crash = fault is not None or self._crash_armed
-        if not crash:
+        if fault is None:
             return
-        self._crash_armed = False
-        processes = getattr(executor, "_processes", None)
+        processes = getattr(getattr(engine, "_executor", None), "_processes", ())
         if processes:
-            slot = (fault.arg if fault is not None else 0) % len(processes)
-            process = processes[slot]
+            process = processes[fault.arg % len(processes)]
             process.kill()
             process.join()
             return
-        from ..runtime.executors import WorkerCrashError
-
         raise WorkerCrashError(
-            f"injected worker crash at tick {now} ({self.describe()})"
+            f"injected worker crash after the sweep at {report.timestamp} "
+            f"({self.describe()})"
         )
 
-    def before_sweep(self, engine: object, now: float) -> None:
-        """``sketch_saturate`` site: called by ``Pipeline._tick`` with
-        the engine (plain or sharded) just before its sweep.
 
-        Saturation is a *degradation*, not a failure: the admission
-        front-end must fall back to admit-everything, so the run still
-        converges bit-exactly to the oracle — which is exactly what the
-        chaos suite asserts.  Engines without admission ignore it.
-        """
-        fault = self._take("sketch_saturate")
-        if fault is None:
-            return
-        saturate = getattr(engine, "saturate_admission", None)
-        if saturate is not None:
-            saturate()
+class FaultySink(Sink):
+    """The ``sink_error`` site: raises :class:`InjectedSinkError` at the
+    plan's due emit, and otherwise drops what it is sent."""
 
-    def on_feed(self, index: int, batch: "FlowBatch") -> Optional[str]:
-        """``feed_drop`` / ``feed_duplicate`` site: called by the sharded
-        engine per fed shard batch; returns ``"drop"``, ``"duplicate"``
-        or ``None``.
+    def __init__(self, plan: FaultPlan) -> None:
+        super().__init__()
+        self.plan = plan
 
-        Firing either arms a worker crash at the next tick (see module
-        docstring) so the corruption cannot survive to the output.
-        """
-        drop = self._take("feed_drop")
-        duplicate = self._take("feed_duplicate")
-        if drop is not None:
-            self._crash_armed = True
-            return "drop"
-        if duplicate is not None:
-            self._crash_armed = True
-            return "duplicate"
-        return None
+    def emit(self, snapshot: Snapshot) -> None:
+        if self.plan._take("sink_error") is not None:
+            raise InjectedSinkError(
+                f"injected sink write error at snapshot {snapshot.when}"
+            )
 
-    def on_checkpoint_save(self, when: float, data: bytes) -> bytes:
-        """``checkpoint_truncate`` / ``checkpoint_bitflip`` site: called
-        by :meth:`CheckpointStore.save` with the serialized bytes."""
-        truncate = self._take("checkpoint_truncate")
-        bitflip = self._take("checkpoint_bitflip")
+
+class FaultyCheckpointStore(CheckpointStore):
+    """The ``checkpoint_truncate`` / ``checkpoint_bitflip`` sites: a
+    store whose due saves damage the file they have just written."""
+
+    def __init__(
+        self, plan: FaultPlan, directory: Union[str, Path], retain: int = 3
+    ) -> None:
+        super().__init__(directory, retain)
+        self.plan = plan
+
+    def save(self, checkpoint: Checkpoint) -> Path:
+        path = super().save(checkpoint)
+        truncate = self.plan._take("checkpoint_truncate")
+        bitflip = self.plan._take("checkpoint_bitflip")
+        if truncate is None and bitflip is None:
+            return path
+        data = bytearray(path.read_bytes())
         if truncate is not None and len(data) > 1:
-            data = data[: max(1, len(data) // 2)]
+            del data[max(1, len(data) // 2):]
         if bitflip is not None and data:
             position = bitflip.arg % (len(data) * 8)
-            corrupted = bytearray(data)
-            corrupted[position // 8] ^= 1 << (position % 8)
-            data = bytes(corrupted)
-        return data
-
-    def on_sink_emit(self, when: float) -> None:
-        """``sink_error`` site: called by ``Pipeline._emit`` before the
-        sinks write; raises :class:`InjectedSinkError` when due."""
-        fault = self._take("sink_error")
-        if fault is not None:
-            raise InjectedSinkError(
-                f"injected sink write error at snapshot {when}"
-            )
+            data[position // 8] ^= 1 << (position % 8)
+        path.write_bytes(data)
+        return path

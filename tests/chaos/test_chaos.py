@@ -1,8 +1,9 @@
 """Chaos testing: the runtime under randomized, seeded fault injection.
 
-Every test here replays a fixture trace through a :class:`Pipeline` with
-a :class:`~repro.testkit.faults.FaultPlan` attached, then demands one of
-exactly two outcomes:
+Every test here replays a fixture trace through a :class:`Pipeline`
+whose ``on_sweep`` observer, sinks and checkpoint store carry a
+:class:`~repro.testkit.faults.FaultPlan`, then demands one of exactly
+two outcomes:
 
 * the run **completes** — in which case its snapshots, sweep decisions,
   flow counts and final engine state must equal the undisturbed
@@ -24,11 +25,19 @@ import pytest
 from repro.core.algorithm import IPD
 from repro.runtime import (
     CheckpointStore,
+    CSVSink,
+    CallbackSink,
     Pipeline,
     WorkerCrashError,
 )
 from repro.runtime.checkpoint import CheckpointCorruptError
-from repro.testkit.faults import Fault, FaultPlan, InjectedSinkError
+from repro.testkit.faults import (
+    Fault,
+    FaultPlan,
+    FaultyCheckpointStore,
+    FaultySink,
+    InjectedSinkError,
+)
 from repro.testkit.oracle import ORACLE_REPORT_FIELDS, replay_reference
 from repro.testkit.traces import (
     DUALSTACK_PARAMS,
@@ -60,8 +69,12 @@ def sweep_decisions(result):
 
 def run_disturbed(trace_fn, params, shards, executor, plan, tmp_path,
                   workers=None):
-    """One chaos run: checkpointing pipeline + plan over a callable source."""
-    store = CheckpointStore(tmp_path / "ckpt", fault_hook=plan)
+    """One chaos run: checkpointing pipeline + plan over a callable source.
+
+    The plan enters through the pipeline's own doors: its sweep sites
+    as the ``on_sweep`` observer, its sink site as the first sink, its
+    checkpoint sites as the store.
+    """
     pipeline = Pipeline(
         params,
         shards=shards,
@@ -69,8 +82,9 @@ def run_disturbed(trace_fn, params, shards, executor, plan, tmp_path,
         workers=workers,
         snapshot_seconds=SNAPSHOT_SECONDS,
         include_unclassified=True,
-        checkpoint_store=store,
-        fault_hook=plan,
+        checkpoint_store=FaultyCheckpointStore(plan, tmp_path / "ckpt"),
+        on_sweep=plan.on_sweep,
+        sinks=[FaultySink(plan)],
     )
     try:
         result = pipeline.run(trace_fn)  # callable source: recovery enabled
@@ -170,73 +184,90 @@ class TestRandomizedPlans:
 
 
 class TestTargetedFaults:
-    """Each injection site exercised deterministically, one at a time."""
+    """Each injection site exercised deterministically, one at a time.
 
-    def test_worker_crash_recovers_from_checkpoint(self, tmp_path):
-        plan = FaultPlan([Fault("worker_crash", at=5)])
+    Sweep N runs at ``60 (N + 1)`` s and a checkpoint is saved after the
+    sweeps at 120, 240, 360 ... s.  A crash fires after its sweep, so
+    the checkpoint of that same tick is never written.
+    """
+
+    @pytest.fixture
+    def restored(self, monkeypatch):
+        """The checkpoint time each recovery restored (``None``: none)."""
+        times = []
+        latest_valid = CheckpointStore.latest_valid
+
+        def spy(store):
+            checkpoint = latest_valid(store)
+            times.append(None if checkpoint is None else checkpoint.when)
+            return checkpoint
+
+        monkeypatch.setattr(CheckpointStore, "latest_valid", spy)
+        return times
+
+    def test_worker_crash_recovers_from_checkpoint(self, tmp_path, restored):
+        # after the sweep at 300 s: the newest checkpoint is 240 s
+        plan = FaultPlan([Fault("worker_crash", at=4)])
         result, final = run_disturbed(
             fig05_trace, FIG05_PARAMS, 1, "serial", plan, tmp_path
         )
-        assert plan.fired == [("worker_crash", 5)]
+        assert plan.fired == [("worker_crash", 4)]
+        assert restored == [240.0]
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
-    def test_worker_crash_before_first_checkpoint_restarts(self, tmp_path):
-        plan = FaultPlan([Fault("worker_crash", at=1)])
+    def test_worker_crash_before_first_checkpoint_restarts(
+        self, tmp_path, restored
+    ):
+        # after the sweep at 60 s: no checkpoint yet, replay from scratch
+        plan = FaultPlan([Fault("worker_crash", at=0)])
         result, final = run_disturbed(
             fig05_trace, FIG05_PARAMS, 1, "serial", plan, tmp_path
         )
-        assert plan.fired == [("worker_crash", 1)]
+        assert plan.fired == [("worker_crash", 0)]
+        assert restored == [None]
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
-    def test_repeated_crashes_exhaust_recovery_budget(self, tmp_path):
+    def test_repeated_crashes_exhaust_recovery_budget(self, tmp_path, restored):
         """More crashes than max_recoveries: the typed error escapes."""
         plan = FaultPlan([
-            Fault("worker_crash", at=at) for at in (2, 4, 6, 8, 10)
+            Fault("worker_crash", at=at) for at in (1, 3, 5, 7, 9)
         ])
         with pytest.raises(WorkerCrashError):
             run_disturbed(
                 fig05_trace, FIG05_PARAMS, 1, "serial", plan, tmp_path
             )
+        # three recoveries, then the fourth crash is the run's end
+        assert len(restored) == 3
+        assert [at for __, at in plan.fired] == [1, 3, 5, 7]
 
-    def test_feed_drop_is_crash_coupled(self, tmp_path):
-        plan = FaultPlan([Fault("feed_drop", at=3)])
-        result, final = run_disturbed(
-            fig05_trace, FIG05_PARAMS, 4, "serial", plan, tmp_path
-        )
-        fired_sites = [site for site, __ in plan.fired]
-        assert "feed_drop" in fired_sites
-        # the armed crash actually happened (recovery path exercised)
-        assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
-
-    def test_feed_duplicate_is_crash_coupled(self, tmp_path):
-        plan = FaultPlan([Fault("feed_duplicate", at=7)])
-        result, final = run_disturbed(
-            fig05_trace, FIG05_PARAMS, 4, "serial", plan, tmp_path
-        )
-        assert ("feed_duplicate", 7) in plan.fired
-        assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
-
-    def test_truncated_checkpoint_skipped_by_recovery(self, tmp_path):
+    def test_truncated_checkpoint_skipped_by_recovery(self, tmp_path, restored):
         """Corrupt newest checkpoint: recovery rewinds to an older one."""
+        # save 2 is the 360 s checkpoint; the crash after the sweep at
+        # 420 s finds it newest and damaged
         plan = FaultPlan([
             Fault("checkpoint_truncate", at=2),
-            Fault("worker_crash", at=7),
+            Fault("worker_crash", at=6),
         ])
         result, final = run_disturbed(
             fig05_trace, FIG05_PARAMS, 1, "serial", plan, tmp_path
         )
         assert ("checkpoint_truncate", 2) in plan.fired
-        assert ("worker_crash", 7) in plan.fired
+        assert ("worker_crash", 6) in plan.fired
+        assert restored == [240.0]
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
-    def test_bitflipped_checkpoint_skipped_by_recovery(self, tmp_path):
+    def test_bitflipped_checkpoint_skipped_by_recovery(
+        self, tmp_path, restored
+    ):
         plan = FaultPlan([
             Fault("checkpoint_bitflip", at=2, arg=5000),
-            Fault("worker_crash", at=7),
+            Fault("worker_crash", at=6),
         ])
         result, final = run_disturbed(
             fig05_trace, FIG05_PARAMS, 1, "serial", plan, tmp_path
         )
+        assert ("checkpoint_bitflip", 2) in plan.fired
+        assert restored == [240.0]
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
     def test_corrupt_checkpoint_fails_explicit_resume_loudly(self, tmp_path):
@@ -262,16 +293,75 @@ class TestTargetedFaults:
             run_disturbed(
                 fig05_trace, FIG05_PARAMS, 1, "serial", plan, tmp_path
             )
+        assert plan.fired == [("sink_error", 1)]
 
-    def test_mp_worker_really_killed_and_recovered(self, tmp_path):
+    def test_mp_worker_really_killed_and_recovered(self, tmp_path, restored):
         """The mp site kills an actual worker process; the crash surfaces
         as the executor's own WorkerCrashError and recovery heals it."""
-        plan = FaultPlan([Fault("worker_crash", at=4, arg=1)])
+        # killed after the sweep at 240 s, before that tick's snapshot
+        # and checkpoint reach the dead worker
+        plan = FaultPlan([Fault("worker_crash", at=3, arg=1)])
         result, final = run_disturbed(
             fig05_trace, FIG05_PARAMS, 4, "mp", plan, tmp_path, workers=2
         )
-        assert ("worker_crash", 4) in plan.fired
+        assert ("worker_crash", 3) in plan.fired
+        assert restored == [120.0]
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
+
+
+class TestRecoveryDelivery:
+    """A crash recovery replays snapshots the sinks already hold: each
+    snapshot time still reaches every sink once, under one epoch."""
+
+    def delivered(self, tmp_path, plan, shards=1, executor="serial"):
+        path = tmp_path / "records.csv"
+        epochs = []
+        with Pipeline(
+            FIG05_PARAMS,
+            shards=shards,
+            executor=executor,
+            workers=2 if executor == "mp" else None,
+            snapshot_seconds=SNAPSHOT_SECONDS,
+            include_unclassified=True,
+            checkpoint_store=CheckpointStore(tmp_path / "ckpt"),
+            checkpoint_every=360.0,
+            on_sweep=plan.on_sweep,
+            sinks=[
+                CSVSink(str(path), final_only=False),
+                CallbackSink(
+                    lambda snapshot: epochs.append(
+                        (snapshot.when, snapshot.epoch)
+                    ),
+                    with_snapshot=True,
+                ),
+            ],
+        ) as pipeline:
+            pipeline.run(fig05_trace)
+        return path.read_bytes(), epochs
+
+    # crashes after the sweeps at 180 s and 300 s (before the first
+    # checkpoint at 360 s: replay from scratch) and at 540 s (restored
+    # from 360 s, the 480 s snapshot replayed)
+    @pytest.mark.parametrize(
+        "at,shards,executor",
+        [(2, 1, "serial"), (4, 1, "serial"), (8, 1, "serial"), (4, 4, "mp")],
+    )
+    def test_replayed_snapshots_reach_the_sinks_once(
+        self, tmp_path, at, shards, executor
+    ):
+        reference, reference_epochs = self.delivered(
+            tmp_path / "reference", FaultPlan()
+        )
+        plan = FaultPlan([Fault("worker_crash", at=at)])
+        csv_bytes, epochs = self.delivered(
+            tmp_path / "crashed", plan, shards, executor
+        )
+        assert plan.fired == [("worker_crash", at)]
+        assert csv_bytes == reference
+        assert epochs == reference_epochs
+        assert [epoch for __, epoch in epochs] == list(
+            range(1, len(epochs) + 1)
+        )
 
 
 class TestNoOpHooks:
@@ -287,7 +377,7 @@ class TestNoOpHooks:
         """Faults scheduled past the end of the run never fire."""
         plan = FaultPlan([
             Fault("worker_crash", at=500),
-            Fault("feed_drop", at=23),
+            Fault("checkpoint_truncate", at=23),
             Fault("sink_error", at=400),
         ])
         result, final = run_disturbed(
@@ -314,12 +404,12 @@ class TestSketchSaturate:
             shards=shards,
             snapshot_seconds=SNAPSHOT_SECONDS,
             include_unclassified=True,
-            fault_hook=plan,
+            on_sweep=plan.on_sweep,
             admission=admission,
         )
         try:
             if presaturate:
-                pipeline.engine.saturate_admission()
+                pipeline.engine.admission.saturate()
             result = pipeline.run(fig05_trace())
             final = pipeline.engine.snapshot(
                 max(result.snapshots), include_unclassified=True
@@ -332,11 +422,11 @@ class TestSketchSaturate:
     def test_exact_saturation_is_invisible(self, shards):
         from repro.core.admission import AdmissionConfig
 
-        plan = FaultPlan([Fault("sketch_saturate", at=5)])
+        plan = FaultPlan([Fault("sketch_saturate", at=4)])
         result, final = self.gated_run(
             AdmissionConfig(mode="exact"), plan, shards=shards
         )
-        assert ("sketch_saturate", 5) in plan.fired
+        assert ("sketch_saturate", 4) in plan.fired
         assert any(s.admission_saturated for s in result.sweeps)
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
@@ -358,13 +448,13 @@ class TestSketchSaturate:
         the gate degrades to admit-everything, never drop-an-elephant."""
         from repro.core.admission import AdmissionConfig
 
-        fire_at = 4
+        fire_at = 3  # after this sweep
         plan = FaultPlan([Fault("sketch_saturate", at=fire_at)])
         result, __ = self.gated_run(AdmissionConfig(mode="lossy"), plan)
         assert ("sketch_saturate", fire_at) in plan.fired
         saturated = [s.admission_saturated for s in result.sweeps]
-        assert not saturated[fire_at - 1] and all(saturated[fire_at:])
-        for report in result.sweeps[fire_at:]:
+        assert not saturated[fire_at] and all(saturated[fire_at + 1:])
+        for report in result.sweeps[fire_at + 1:]:
             assert report.admission_dropped == 0
             assert report.admission_held == 0
 
@@ -402,9 +492,10 @@ class TestFloodSaturation:
         )
         truth = scenario.ground_truth
         # fire inside the attack window: sweeps run every params.t from
-        # the trace start, the flood occupies the middle half of the run
+        # the trace start, the flood occupies the middle half of the run;
+        # the fault fires after sweep fire_at
         start = scenario.traffic_config.start_time
-        fire_at = int((truth.attack_window[0] - start) // params.t) + 2
+        fire_at = int((truth.attack_window[0] - start) // params.t) + 1
         plan = FaultPlan([Fault("sketch_saturate", at=fire_at)])
         admission = AdmissionConfig.for_cardinality(
             truth.expected_sources, mode="lossy"
@@ -412,15 +503,14 @@ class TestFloodSaturation:
         with Pipeline(
             params,
             snapshot_seconds=300.0,
-            fault_hook=plan,
+            on_sweep=plan.on_sweep,
             admission=admission,
         ) as pipeline:
             result = pipeline.run(scenario.generator().flows())
         assert ("sketch_saturate", fire_at) in plan.fired
         saturated = [s.admission_saturated for s in result.sweeps]
-        assert not saturated[fire_at - 1] and all(saturated[fire_at:])
-        # before the fault the gate was really fighting the flood (the
-        # sweep at fire_at still reports the pre-fault interval)...
+        assert not saturated[fire_at] and all(saturated[fire_at + 1:])
+        # before the fault the gate was really fighting the flood...
         assert any(
             s.admission_dropped > 0 for s in result.sweeps[: fire_at + 1]
         )

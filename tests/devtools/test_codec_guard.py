@@ -63,7 +63,7 @@ def test_missing_codec_version_fires(tmp_path):
 def test_rule_only_applies_to_codec_modules(tmp_path):
     # a layout-ish file under any other name is out of scope
     report = run_lint(
-        [str(FIXTURES / "ipd006_clean.py")],
+        [str(FIXTURES / "ipd002_clean.py")],
         select=["IPD004"],
         codec_pins=tmp_path / "absent.json",
     )

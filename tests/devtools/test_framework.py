@@ -19,7 +19,7 @@ from repro.devtools.markers import hot_path
 FIXTURES = Path(__file__).parent / "fixtures"
 
 ALL_CODES = [
-    "IPD001", "IPD002", "IPD003", "IPD004", "IPD005", "IPD006", "IPD007",
+    "IPD001", "IPD002", "IPD003", "IPD004", "IPD005", "IPD007",
     "IPD008",
 ]
 

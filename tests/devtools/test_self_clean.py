@@ -56,7 +56,7 @@ def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for code in (
-        "IPD001", "IPD002", "IPD003", "IPD004", "IPD005", "IPD006", "IPD007",
+        "IPD001", "IPD002", "IPD003", "IPD004", "IPD005", "IPD007",
         "IPD008",
     ):
         assert code in out

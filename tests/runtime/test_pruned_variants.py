@@ -1,7 +1,8 @@
 """Deleted variants are gone, not hidden: executors, transport, per-flow
-forks, the one-shard coordinator, per-verb executor methods, the serving
-shard grid, the compiled-LPM blob, the stream handler of the lookup
-socket and the engine's §5.8 load-balance plumbing."""
+forks, the one-shard coordinator, per-verb executor methods, the fault
+hook seam, the serving shard grid, the compiled-LPM blob, the stream
+handler of the lookup socket and the engine's §5.8 load-balance
+plumbing."""
 
 import pytest
 
@@ -76,18 +77,42 @@ def test_one_engine_factory(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "build_engine", spy)
 
     store = CheckpointStore(tmp_path / "ckpt")
-    # crash 1 precedes the first checkpoint (a fresh rebuild), crash 2
-    # follows one (a restore)
-    plan = FaultPlan([Fault("worker_crash", at=1), Fault("worker_crash", at=5)])
+    # crash 1 (after the 60 s sweep) precedes the first checkpoint (a
+    # fresh rebuild), crash 2 (after the 300 s sweep) follows one (a
+    # restore)
+    plan = FaultPlan([Fault("worker_crash", at=0), Fault("worker_crash", at=4)])
     with Pipeline(FIG05_PARAMS, snapshot_seconds=120.0,
-                  checkpoint_store=store, fault_hook=plan) as replay:
+                  checkpoint_store=store, on_sweep=plan.on_sweep) as replay:
         replay.run(fig05_trace)
-    assert plan.fired == [("worker_crash", 1), ("worker_crash", 5)]
+    assert plan.fired == [("worker_crash", 0), ("worker_crash", 4)]
     assert restored == [False, False, True]
     Pipeline.resume(store).close()
     LivePipeline(FIG05_PARAMS).close()
     LivePipeline.resume(store).close()
     assert restored == [False, False, True, True, False, True]
+
+
+def test_fault_hook_seam_is_gone(tmp_path):
+    """Faults enter through on_sweep, sinks and the checkpoint store: no
+    component takes a fault hook, and the seam's protocol is gone."""
+    import repro.runtime
+    from repro.core.algorithm import IPD
+    from repro.devtools import build_rules
+    from repro.runtime import CheckpointStore, ShardedIPD
+
+    with pytest.raises(TypeError, match="fault_hook"):
+        Pipeline(fault_hook=object())
+    with pytest.raises(TypeError, match="fault_hook"):
+        CheckpointStore(tmp_path, fault_hook=object())
+    assert "FaultHookLike" not in repro.runtime.__all__
+    assert not hasattr(repro.runtime, "FaultHookLike")
+    with ShardedIPD(shards=2) as engine:
+        assert not hasattr(engine, "fault_hook")
+    for cls in (IPD, ShardedIPD):
+        assert not hasattr(cls, "saturate_admission")
+    # the lint rule that policed the seam went with it
+    with pytest.raises(ValueError, match="unknown rule code"):
+        build_rules(["IPD006"])
 
 
 def test_per_flow_forks_are_gone(capsys):
@@ -243,7 +268,7 @@ def test_stream_handler_is_gone():
 
 
 def test_cross_module_lint_and_private_framing_are_gone(capsys):
-    """Eight per-file rules, no symbol-graph engine, no findings cache;
+    """Seven per-file rules, no symbol-graph engine, no findings cache;
     one public framing, no private copy of it in statecodec."""
     import importlib
 
@@ -258,7 +283,7 @@ def test_cross_module_lint_and_private_framing_are_gone(capsys):
     assert lint_main(["--list-rules"]) == 0
     listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
               if line.startswith("IPD")]
-    assert listed == [f"IPD00{n}" for n in range(1, 9)]
+    assert listed == [f"IPD00{n}" for n in (1, 2, 3, 4, 5, 7, 8)]
     assert not hasattr(LintReport(), "cache_hit")
     with pytest.raises(TypeError, match="cache_dir"):
         run_lint([], cache_dir="d")

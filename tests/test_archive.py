@@ -1,6 +1,9 @@
 """Tests for the longitudinal snapshot archive."""
 
+import builtins
+import errno
 import gzip
+import io
 
 import pytest
 
@@ -123,6 +126,51 @@ class TestPersistence:
         assert second.snapshot_times() == [300.0]
         second.append(600.0, [record("10.0.1.0/24")])
         assert len(second.load()) == 2
+
+    def test_interrupted_index_write_keeps_the_previous_index(
+        self, tmp_path, monkeypatch
+    ):
+        """An append cut off while it writes ``index.json`` (disk full,
+        process killed) leaves the index of the appends before it."""
+        root = tmp_path / "arch"
+        archive = SnapshotArchive(root)
+        archive.append(300.0, [record("10.0.0.0/24")])
+        real_open = io.open
+
+        class CutOff:
+            """A file that takes half of its first write, then fails."""
+
+            def __init__(self, stream):
+                self.stream = stream
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.stream.close()
+
+            def write(self, data):
+                self.stream.write(data[: len(data) // 2])
+                self.stream.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_cutting_index_writes(file, mode="r", *args, **kwargs):
+            stream = real_open(file, mode, *args, **kwargs)
+            if "index.json" in str(file) and "w" in mode:
+                return CutOff(stream)
+            return stream
+
+        # both doors: builtins.open and io.open (what pathlib calls)
+        monkeypatch.setattr(builtins, "open", open_cutting_index_writes)
+        monkeypatch.setattr(io, "open", open_cutting_index_writes)
+        with pytest.raises(OSError):
+            archive.append(600.0, [record("10.0.1.0/24")])
+        monkeypatch.undo()
+        reopened = SnapshotArchive(root)
+        assert reopened.snapshot_times() == [300.0]
+        assert [str(r.range) for r in reopened.load()[300.0]] == [
+            "10.0.0.0/24"
+        ]
 
     def test_partition_is_valid_gzip_csv(self, tmp_path):
         root = tmp_path / "arch"

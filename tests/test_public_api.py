@@ -113,25 +113,6 @@ class TestTestkitSurface:
         for name in strategies.__all__:
             assert hasattr(strategies, name)
 
-    def test_fault_hooks_default_off(self):
-        """The chaos seams ship as no-ops on every runtime component."""
-        from repro.runtime import CheckpointStore, Pipeline
-        from repro.runtime.executors import SerialExecutor
-
-        pipeline = Pipeline(shards=2, executor="serial")
-        try:
-            assert pipeline.fault_hook is None
-            executor = pipeline.engine._executor
-            assert isinstance(executor, SerialExecutor)
-            # the sharded feed sites live on the engine, not the executor
-            assert pipeline.engine.fault_hook is None
-        finally:
-            pipeline.close()
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as directory:
-            assert CheckpointStore(directory).fault_hook is None
-
 
 class TestDevtoolsSurface:
     """The static-analysis package shipped with the repo."""
@@ -148,19 +129,13 @@ class TestDevtoolsSurface:
         assert hasattr(repro.devtools, name)
 
     @pytest.mark.parametrize("name", [
-        "PipelineStateError", "FaultHookLike",
+        "PipelineStateError",
     ])
     def test_runtime_taxonomy_exports(self, name):
         import repro.runtime
 
         assert name in repro.runtime.__all__
         assert hasattr(repro.runtime, name)
-
-    def test_fault_plan_satisfies_the_seam_protocol(self):
-        from repro.runtime import FaultHookLike
-        from repro.testkit import FaultPlan
-
-        assert isinstance(FaultPlan(), FaultHookLike)
 
 
 class TestServingSurface:

@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.admission import AdmissionConfig
+from repro.core.algorithm import IPD, SweepReport
+from repro.core.snapshot import Snapshot
+from repro.runtime.checkpoint import Checkpoint
 from repro.runtime.executors import WorkerCrashError
-from repro.testkit.faults import FAULT_SITES, Fault, FaultPlan, InjectedSinkError
+from repro.testkit.faults import (
+    FAULT_SITES,
+    Fault,
+    FaultPlan,
+    FaultyCheckpointStore,
+    FaultySink,
+    InjectedSinkError,
+)
+from repro.testkit.traces import FIG05_PARAMS
 
 
 class TestFaultValidation:
@@ -43,61 +55,71 @@ class TestGenerate:
                 assert fault.site in FAULT_SITES
                 if fault.site == "worker_crash":
                     # never at tick 0: there is nothing to recover *to*
-                    # and nothing lost either — a vacuous plan
                     assert 1 <= fault.at <= 9
-                elif not fault.site.startswith("feed_"):
-                    # feed sites schedule on the per-feed occurrence
-                    # scale, which outruns the tick count
+                else:
                     assert 0 <= fault.at < 10
 
 
 class TestOneShot:
     def test_fault_fires_exactly_once(self):
         plan = FaultPlan([Fault("sink_error", at=1)])
-        plan.on_sink_emit(100.0)  # occurrence 0: nothing
+        sink = FaultySink(plan)
+        sink.emit(Snapshot(100.0, []))  # occurrence 0: nothing
         with pytest.raises(InjectedSinkError):
-            plan.on_sink_emit(200.0)  # occurrence 1: fires
+            sink.emit(Snapshot(200.0, []))  # occurrence 1: fires
         for when in (300.0, 400.0, 500.0):
-            plan.on_sink_emit(when)  # spent: never again
+            sink.emit(Snapshot(when, []))  # spent: never again
         assert plan.fired == [("sink_error", 1)]
 
     def test_worker_crash_raises_without_processes(self):
         plan = FaultPlan([Fault("worker_crash", at=0)])
+        engine = IPD(FIG05_PARAMS)
         with pytest.raises(WorkerCrashError, match="injected worker crash"):
-            plan.before_tick(None, 60.0)
-        plan.before_tick(None, 120.0)  # spent
+            plan.on_sweep(SweepReport(timestamp=60.0), engine)
+        plan.on_sweep(SweepReport(timestamp=120.0), engine)  # spent
 
-    def test_feed_fault_arms_crash_at_next_tick(self):
-        plan = FaultPlan([Fault("feed_drop", at=0)])
-        assert plan.on_feed(0, None) == "drop"
-        with pytest.raises(WorkerCrashError):
-            plan.before_tick(None, 60.0)
-        # the armed crash is itself one-shot
-        plan.before_tick(None, 120.0)
-        assert plan.fired == [("feed_drop", 0)]
+    def test_sketch_saturate_forces_the_gate(self):
+        plan = FaultPlan([Fault("sketch_saturate", at=1)])
+        engine = IPD(FIG05_PARAMS, admission=AdmissionConfig(mode="lossy"))
+        plan.on_sweep(SweepReport(timestamp=60.0), engine)
+        assert not engine.admission.saturated
+        plan.on_sweep(SweepReport(timestamp=120.0), engine)
+        assert engine.admission.saturated
+        # without a gate the site fires and changes nothing
+        plan = FaultPlan([Fault("sketch_saturate", at=0)])
+        plan.on_sweep(SweepReport(timestamp=60.0), IPD(FIG05_PARAMS))
+        assert plan.fired == [("sketch_saturate", 0)]
 
-    def test_feed_without_fault_is_none(self):
-        plan = FaultPlan([Fault("feed_duplicate", at=2)])
-        assert plan.on_feed(0, None) is None
-        assert plan.on_feed(1, None) is None
-        assert plan.on_feed(2, None) == "duplicate"
+
+def saved(plan, tmp_path):
+    """Save two checkpoints through the plan's store; return each one's
+    file bytes with its undamaged image."""
+    store = FaultyCheckpointStore(plan, tmp_path)
+    files = []
+    for when in (60.0, 120.0):
+        checkpoint = Checkpoint(
+            when=when, flows_processed=0, next_sweep=when + 60.0,
+            next_snapshot=None, sweep_count=0, engine_blob=bytes(range(100)),
+        )
+        path = store.save(checkpoint)
+        files.append((path.read_bytes(), checkpoint.to_bytes()))
+    return files
 
 
 class TestCheckpointSiteTransforms:
-    def test_truncate_halves_the_bytes(self):
+    def test_truncate_halves_the_bytes(self, tmp_path):
         plan = FaultPlan([Fault("checkpoint_truncate", at=0)])
-        data = bytes(range(100))
-        assert plan.on_checkpoint_save(60.0, data) == data[:50]
-        # spent: subsequent saves untouched
-        assert plan.on_checkpoint_save(120.0, data) == data
+        (first, image), (second, second_image) = saved(plan, tmp_path)
+        assert first == image[: len(image) // 2]
+        # spent: the next save is untouched
+        assert second == second_image
 
-    def test_bitflip_flips_exactly_one_bit(self):
+    def test_bitflip_flips_exactly_one_bit(self, tmp_path):
         plan = FaultPlan([Fault("checkpoint_bitflip", at=0, arg=13)])
-        data = bytes(100)
-        corrupted = plan.on_checkpoint_save(60.0, data)
+        (corrupted, data), __ = saved(plan, tmp_path)
         assert len(corrupted) == len(data)
         diff = [i for i in range(len(data)) if corrupted[i] != data[i]]
-        assert len(diff) == 1
+        assert diff == [1]  # bit 13 lives in byte 1
         assert bin(corrupted[diff[0]] ^ data[diff[0]]).count("1") == 1
 
     def test_describe_lists_schedule(self):
