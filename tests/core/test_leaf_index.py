@@ -178,7 +178,8 @@ def scan_leaf(tree: RangeTree, ip_value: int) -> Prefix:
     return next(leaf for leaf in tree.leaves() if leaf.contains_ip(ip_value))
 
 
-COLUMNS = ("starts", "masklens", "kinds", "totals", "oldest", "dirty", "payloads")
+COLUMNS = ("starts", "masklens", "kinds", "totals", "oldest", "dirty", "winners", "last_seen",
+           "classified_at")
 
 
 def assert_index_exact(tree: RangeTree, model: "Optional[PointerTrie]" = None) -> None:
@@ -192,9 +193,11 @@ def assert_index_exact(tree: RangeTree, model: "Optional[PointerTrie]" = None) -
     assert all(a.last_value + 1 == b.value for a, b in zip(leaves, leaves[1:]))
     assert all(root.contains(leaf) for leaf in leaves)
     assert len(leaves) == tree.leaf_count() + tree.delegated_count()
-    # a payload exactly on the classified rows; a delegated row is never dirty
+    # a winner exactly on the classified rows, counter rows under them
+    # alone; a delegated row is never dirty
     kinds = tree.kinds.tolist()
-    assert [payload is not None for payload in tree.payloads] == [k == CLASSIFIED for k in kinds]
+    assert [winner >= 0 for winner in tree.winners] == [k == CLASSIFIED for k in kinds]
+    assert set(tree.counters.starts.tolist()) <= set(tree.starts[tree.kinds == CLASSIFIED].tolist())
     assert not any(tree.dirty[tree.kinds == DELEGATED])
     if model is not None:
         assert leaves == model.leaves()

@@ -128,7 +128,7 @@ class TestJoin:
         merged = ClassifiedState(A, {A: 10.0}, 0.0, 0.0)
         tree.join(tree.root_prefix, merged)
         assert root_leaf(tree) == tree.root_prefix
-        assert tree.state(tree.root_prefix) is merged
+        assert tree.state(tree.root_prefix) == merged
         assert tree.join_count == 1
 
     def test_join_marks_children_dead(self):

@@ -41,6 +41,9 @@ from repro.testkit.traces import (
 )
 
 A = IngressPoint("R1", "et0")
+B = IngressPoint("R1", "et1")
+INF = float("inf")
+NAN = float("nan")
 
 
 def drive(engine, flows, next_sweep=None):
@@ -338,6 +341,11 @@ def _unclassified(sources, total) -> NodeImage:
     return NodeImage("unclassified", sources=sources, total=total, oldest_seen=1.0)
 
 
+def _classified(counters=((A, 3.0),), last_seen=1.0, classified_at=0.0) -> NodeImage:
+    return NodeImage("classified", ingress=A, counters=list(counters), last_seen=last_seen,
+                     classified_at=classified_at)
+
+
 #: node streams under an IPv4 /0, each a tree no engine could have written
 MALFORMED = {
     "internal-below-one-address": lambda: _stream(_chain(33)),
@@ -355,6 +363,25 @@ MALFORMED = {
         "classified", ingress=A, counters=[(A, 3.0), (A, 4.0)],
         last_seen=1.0, classified_at=0.0,
     )),
+    # figures no engine writes: a NaN or infinite time never expires or
+    # decays, and a non-finite or negative weight poisons every sum
+    "nan-counter": lambda: _stream(_classified(counters=[(A, NAN)])),
+    "infinite-counter": lambda: _stream(_classified(counters=[(B, 1.0), (A, INF)])),
+    "minus-infinite-cell-weight": lambda: _stream(_unclassified(
+        [(ADDRESS, 1.0, [(A, -INF)])], 1.0
+    )),
+    "negative-cell-weight": lambda: _stream(_unclassified(
+        [(ADDRESS, 1.0, [(A, 2.0), (B, -1.0)])], 1.0
+    )),
+    "nan-last-seen": lambda: _stream(_classified(last_seen=NAN)),
+    "infinite-classified-at": lambda: _stream(_classified(classified_at=INF)),
+    "infinite-source-seen": lambda: _stream(_unclassified([(ADDRESS, -INF, [(A, 1.0)])], 1.0)),
+    "infinite-total": lambda: _stream(_unclassified([(ADDRESS, 1.0, [(A, 1.0)])], INF)),
+    "negative-total": lambda: _stream(_unclassified([(ADDRESS, 1.0, [(A, 1.0)])], -1.0)),
+    "nan-oldest-seen": lambda: _stream(NodeImage("unclassified", sources=[], oldest_seen=NAN)),
+    "minus-infinite-oldest-seen": lambda: _stream(
+        NodeImage("unclassified", sources=[], oldest_seen=-INF)
+    ),
 }
 
 
