@@ -16,7 +16,7 @@ Two structures, two jobs:
   the number of prefix lengths.  Cheap to share between threads and
   allocation-free to query; it is never persisted, since compiling a
   snapshot's records is all a reader needs.
-* :class:`LPMTable` — a mutable pointer trie for payloads that are not
+* :class:`LPMTable` — a mutable pointer trie for values that are not
   ingress points over prefixes that genuinely overlap (BGP routes,
   origin ASNs), and the independent reference the compiled form is
   property-tested against.
@@ -97,7 +97,7 @@ class LPMTable(Generic[V]):
         best: Optional[tuple[int, V]] = None
         if node.has_value:
             # has_value guards the slot: `value` holds a real V (which may
-            # itself be None for Optional payloads, so no None-narrowing)
+            # itself be None for Optional values, so no None-narrowing)
             best = (0, cast(V, node.value))
         for depth in range(self._bits):
             bit = (ip_value >> (self._bits - depth - 1)) & 1
