@@ -302,10 +302,9 @@ class ShardedIPD:
                     threshold = params.n_cidr(parent.masklen, version)
                     if left.total + right.total < threshold:
                         continue
-                    merged = left.as_classified_state().merged_with(
-                        right.as_classified_state()
-                    )
-                    tree.join(parent, merged)
+                    for half, root in zip(parent.children(), (left, right)):
+                        tree.assign(half, root.as_classified_state())
+                    tree.join_all(np.array([tree.rows_under(parent).start]))
                     joins += 1
                 elif left.kind == "empty" and right.kind == "empty":
                     tree.collapse(parent)
