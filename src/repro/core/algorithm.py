@@ -247,8 +247,9 @@ class IPD:
         the rows to keep and :meth:`_fold` adds them with no per-row Python
         work, equivalent to the paper's flow-by-flow Stage 1 (weights are
         integer-valued, so the regrouped float sums are exact).  A batch
-        with a non-finite timestamp or an IPv4 source past 32 bits is a
-        ``ValueError`` naming its first such row, before anything moves.
+        with a non-finite timestamp, an IPv4 source past 32 bits or a
+        negative count is a ``ValueError`` naming its first such row,
+        before anything moves.
         """
         count = len(batch)
         if count == 0:
@@ -624,8 +625,9 @@ def _sort_rows(
 
 def _check_rows(batch: FlowBatch) -> None:
     """Reject a non-finite timestamp (NaN passes every ``<`` test and never
-    expires) and an IPv4 source past 32 bits (``source << 32`` would wrap
-    onto another source's cell key), naming the first such row."""
+    expires), an IPv4 source past 32 bits (``source << 32`` would wrap
+    onto another source's cell key) and a negative packet or byte count
+    (a count-min cell must only err upward), naming the first such row."""
     stamps, sources = batch.timestamps, batch.src_ips
     if not np.isfinite(stamps).all():
         row = int(np.argmin(np.isfinite(stamps)))
@@ -633,6 +635,10 @@ def _check_rows(batch: FlowBatch) -> None:
     if batch.version == IPV4 and int(sources.max()) >> 32:
         row = int(np.argmax(sources >> np.uint64(32)))
         raise ValueError(f"flow batch row {row}: source {sources[row]} is outside IPv4")
+    for what, counts in (("packet", batch.packet_counts), ("byte", batch.byte_counts)):
+        if counts.min() < 0:
+            row = int(np.argmax(counts < 0))
+            raise ValueError(f"flow batch row {row}: {what} count {counts[row]} is negative")
 
 
 def _changes(*columns: np.ndarray) -> np.ndarray:

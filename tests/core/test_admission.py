@@ -6,6 +6,7 @@ runtime topology, saturation chaos) live in
 this suite pins the controller's own semantics.
 """
 
+import math
 import random
 from array import array
 
@@ -26,6 +27,9 @@ from repro.core.admission import (
     decode_admission,
     encode_admission,
 )
+from repro.core.admission import _MASK64 as MASK64
+from repro.core.admission import _RESCALE_EVERY as RESCALE_EVERY
+from repro.core.admission import _splitmix64 as splitmix64
 from repro.core.admission import _splitmix64_array as splitmix64_array
 from repro.core.framing import Writer
 from repro.core.iputil import IPV4, IPV6
@@ -203,6 +207,79 @@ class TestCountMinSketch:
         sketch = CountMinSketch(64, 1, seed=1)
         with pytest.raises(StateCodecError, match="out of range"):
             sketch.load_sparse([(10_000, 1.0)])
+
+    def test_load_sparse_refuses_a_cell_below_half(self):
+        """The lazy cells read a true value below 0.5 as one a halving
+        zeroed, and ``halve`` never leaves one for the encoder to write."""
+        sketch = CountMinSketch(64, 1, seed=1)
+        with pytest.raises(StateCodecError, match="sketch cell 3 holds 0.25"):
+            sketch.load_sparse([(2, 1.0), (3, 0.25)])
+
+    @pytest.mark.parametrize(
+        "weight", [-1.0, float("nan"), float("inf"), 0.25],
+        ids=["negative", "nan", "inf", "below-half"],
+    )
+    def test_add_refuses_a_weight_outside_the_cell_invariant(self, weight):
+        """Every nonzero cell stays >= 0.5: a negative, non-finite or
+        (0, 0.5) weight is a ``ValueError`` before any cell moves."""
+        sketch = CountMinSketch(64, 2, seed=3)
+        sketch.add(1, 4.0)
+        before = (bytes(sketch.cells), sketch.fill)
+        with pytest.raises(ValueError, match="not 0 or a finite value >= 0.5"):
+            sketch.add(1, weight)
+        assert (bytes(sketch.cells), sketch.fill) == before
+
+    @pytest.mark.parametrize(
+        "weight", [-1.0, float("nan"), float("inf"), 0.25],
+        ids=["negative", "nan", "inf", "below-half"],
+    )
+    def test_add_batch_refuses_a_weight_outside_the_cell_invariant(self, weight):
+        sketch = CountMinSketch(64, 2, seed=3)
+        sketch.add(1, 4.0)
+        before = (bytes(sketch.cells), sketch.fill)
+        keys = np.array([1, 2, 3], dtype=np.uint64)
+        with pytest.raises(ValueError, match="row 1: sketch weight"):
+            sketch.add_batch(keys, np.array([1.0, weight, 2.0]))
+        assert (bytes(sketch.cells), sketch.fill) == before
+
+    @pytest.mark.parametrize("pairs", [
+        [],
+        [(0, 1.0), (5, 2.5), (255, 1e12)],
+        [(256, 1.0)],
+        [(1 << 100, 1.0)],
+        [(-1, 1.0)],
+        [(3, 1.0), (3, 2.0)],
+        [(7, 1.0), (2, 1.0)],
+        [(3, 0.0)],
+        [(4, -1.0)],
+        [(5, float("nan"))],
+        [(6, float("inf"))],
+        [(2, 0.25)],
+        [(1, 1.0), (0, 0.25), (999, 1.0)],
+        [(1, 0.25), (0, 1.0)],
+        [(1, 1.0), (300, 0.0), (2, 1.0)],
+    ])
+    def test_codec_edge_matches_the_cell_loops(self, pairs):
+        """``sparse_cells`` / ``load_sparse`` are numpy passes; the per-cell
+        loops they replaced (:class:`EagerSketch`) are the reference: the
+        same pairs, and the same typed error naming the first bad pair,
+        raised before any cell moves."""
+        ours = CountMinSketch(64, 4, seed=1)
+        ours.add(9, 3.0)
+        loops = EagerSketch(64, 4, seed=1)
+        try:
+            loops.load_sparse(pairs)
+        except StateCodecError as refusal:
+            before = (bytes(ours.cells), ours.fill)
+            with pytest.raises(StateCodecError) as ours_refusal:
+                ours.load_sparse(pairs)
+            assert str(ours_refusal.value) == str(refusal)
+            assert (bytes(ours.cells), ours.fill) == before
+        else:
+            ours.load_sparse(pairs)
+            assert bytes(ours.cells) == bytes(loops.cells)
+            assert ours.fill == loops.fill == len(pairs)
+            assert ours.sparse_cells() == loops.sparse_cells() == pairs
 
     def test_zero_weight_add_fills_no_cell(self):
         sketch = CountMinSketch(64, 4, seed=1)
@@ -398,11 +475,97 @@ class TestPrefilterRows:
         assert 1600 in controller.elephants(IPV4)
 
 
+class EagerSketch:
+    """The sketch as it was before its aging went lazy, kept as the
+    reference: true-valued dense cells, ``halve`` over every cell,
+    ``fill`` recounted with ``count_nonzero`` after every mutation, and
+    the per-cell loops of the codec edge (``sparse_cells`` /
+    ``load_sparse``).  Hashing is the sketch's own seeded rows."""
+
+    def __init__(self, width, depth, seed):
+        shape = CountMinSketch(width, depth, seed)
+        self.width, self.depth, self._salts = shape.width, depth, shape._salts
+        self.clear()
+
+    def clear(self):
+        self.cells = array("d", bytes(8 * self.width * self.depth))
+        self.fill = 0
+
+    @property
+    def fill_ratio(self):
+        return self.fill / (self.width * self.depth)
+
+    def recount(self):
+        self.fill = int(np.count_nonzero(self.cells))
+
+    def indices(self, key):
+        return [
+            row * self.width + (splitmix64((key & MASK64) ^ (key >> 64) ^ salt) & (self.width - 1))
+            for row, salt in enumerate(self._salts)
+        ]
+
+    def add(self, key, weight):
+        for index in self.indices(key):
+            self.cells[index] += weight
+        self.recount()
+        return self.estimate(key)
+
+    def estimate(self, key):
+        return min(self.cells[index] for index in self.indices(key))
+
+    def add_batch(self, keys, weights):
+        """Dense rows over the whole sketch; the estimates after the batch."""
+        width = self.width
+        cells = np.frombuffer(self.cells, dtype=np.float64)
+        estimate = np.full(len(keys), np.inf)
+        for row, salt in enumerate(self._salts):
+            indices = (
+                splitmix64_array(keys ^ np.uint64(salt)) & np.uint64(width - 1)
+            ).astype(np.intp)
+            row_cells = cells[row * width:(row + 1) * width]
+            row_cells += np.bincount(indices, weights=weights, minlength=width)
+            estimate = np.minimum(estimate, row_cells[indices])
+        self.recount()
+        return estimate
+
+    def halve(self):
+        cells = np.frombuffer(self.cells, dtype=np.float64)
+        cells *= 0.5
+        cells[cells < 0.5] = 0.0
+        self.recount()
+
+    def sparse_cells(self):
+        return [
+            (index, value)
+            for index, value in enumerate(self.cells)
+            if value != 0.0
+        ]
+
+    def load_sparse(self, pairs):
+        self.clear()
+        cells = self.cells
+        size = len(cells)
+        previous = -1
+        for index, value in pairs:
+            if not 0 <= index < size:
+                raise StateCodecError(
+                    f"sketch cell index {index} out of range (size {size})"
+                )
+            if index <= previous:
+                raise StateCodecError(f"sketch cell index {index} out of order")
+            if not 0.5 <= value < math.inf:
+                raise StateCodecError(f"sketch cell {index} holds {value!r}")
+            cells[index] = value
+            previous = index
+        self.fill = len(pairs)
+
+
 class DenseGate:
     """The gate as it was before its sketch update went sparse, kept as
     the reference: per hash row one dense ``bincount(minlength=width)``
     added to the whole row, ``fill`` recounted with ``count_nonzero``
-    over every cell, the herd a set checked with ``np.isin``."""
+    over every cell (:class:`EagerSketch`), the herd a set checked with
+    ``np.isin``."""
 
     def __init__(self, config):
         self.config = config
@@ -413,7 +576,7 @@ class DenseGate:
     def sketch(self, version):
         config = self.config
         if version not in self.sketches:
-            self.sketches[version] = CountMinSketch(
+            self.sketches[version] = EagerSketch(
                 config.width, config.depth, config.seed
             )
         return self.sketches[version]
@@ -423,22 +586,6 @@ class DenseGate:
             sketch.fill_ratio > self.config.max_fill
             for sketch in self.sketches.values()
         )
-
-    @staticmethod
-    def add(sketch, keys, weights):
-        """Dense rows over the whole sketch; the estimates after the batch."""
-        width = sketch.width
-        cells = np.frombuffer(sketch.cells, dtype=np.float64)
-        estimate = np.full(len(keys), np.inf)
-        for row, salt in enumerate(sketch._salts):
-            indices = (
-                splitmix64_array(keys ^ np.uint64(salt)) & np.uint64(width - 1)
-            ).astype(np.intp)
-            row_cells = cells[row * width:(row + 1) * width]
-            row_cells += np.bincount(indices, weights=weights, minlength=width)
-            estimate = np.minimum(estimate, row_cells[indices])
-        sketch.fill = int(np.count_nonzero(cells))
-        return estimate
 
     def prefilter_rows(self, version, shift, sources, weights=None):
         sources = np.asarray(sources, dtype=np.uint64)
@@ -458,8 +605,7 @@ class DenseGate:
             return None
         folded = None if weights is None else np.asarray(weights, np.float64)
         sketch = self.sketch(version)
-        estimate = self.add(
-            sketch,
+        estimate = sketch.add_batch(
             masked[mice_rows],
             None if folded is None else folded[mice_rows],
         )
@@ -613,7 +759,7 @@ class TestSparseUpdateMatchesDense:
         """After every mutation ``fill`` equals the nonzero cells, and the
         batch update's cells and estimates equal the dense rows'."""
         sketch = CountMinSketch(width, depth, seed=7)
-        dense = CountMinSketch(width, depth, seed=7)
+        dense = EagerSketch(width, depth, seed=7)
         for op, keys, weights in ops:
             weights = np.array(weights[:len(keys)], dtype=np.float64)
             if op == "add":
@@ -623,7 +769,7 @@ class TestSparseUpdateMatchesDense:
             elif op == "batch":
                 column = np.array(keys, dtype=np.uint64)
                 got = sketch.add_batch(column, weights)
-                expected = DenseGate.add(dense, column, weights)
+                expected = dense.add_batch(column, weights)
                 assert got.tolist() == expected.tolist()
             elif op == "halve":
                 sketch.halve()
@@ -632,6 +778,121 @@ class TestSparseUpdateMatchesDense:
                 sketch.load_sparse(sketch.sparse_cells())
             assert bytes(sketch.cells) == bytes(dense.cells)
             assert sketch.fill == np.count_nonzero(sketch.cells) == dense.fill
+
+
+def sketch_ops():
+    """Sketch operations: scalar and batch adds (flow counts, fractional
+    counts >= 0.5 and byte counts up to 2^40), runs of 1-70 halvings (so
+    the stored cells are rescaled with live cells in them), trace-time
+    jumps of one to 70 boundaries (>= 53 clears), clear, and a reload
+    through the wire section."""
+    weight = st.one_of(
+        st.integers(0, 3),
+        st.sampled_from([0.5, 0.75, 1.5, 2.25]),
+        st.integers(1, 1 << 40),
+    ).map(float)
+    keys = st.lists(st.integers(0, 40), max_size=12)
+    weights = st.lists(weight, min_size=12, max_size=12)
+    add = st.tuples(st.sampled_from(["add", "batch"]), keys, weights)
+    return st.lists(
+        st.one_of(
+            add,
+            add,  # twice as likely: adds land on live and on dead cells
+            st.tuples(st.just("halve"), st.one_of(st.integers(1, 3), st.integers(1, 70))),
+            st.tuples(st.just("age"), st.sampled_from([1, 2, 5, 52, 53, 70])),
+            st.tuples(st.sampled_from(["clear", "reload"])),
+        ),
+        max_size=30,
+    )
+
+
+def replay_sketch_ops(width, depth, ops):
+    """Run *ops* on a controller's sketch and on :class:`EagerSketch`,
+    asserting after every one: bit-identical cells, exact ``fill``, equal
+    estimates and equal sparse pairs.  Returns the lazy sketch."""
+    controller = AdmissionController(AdmissionConfig(
+        mode="lossy", width=width, depth=depth, seed=7, age_seconds=1.0
+    ))
+    controller.age_to(0.0)
+    now = 0
+    eager = EagerSketch(width, depth, seed=7)
+    for op, *args in ops:
+        lazy = controller.sketch(IPV4)
+        if op in ("add", "batch"):
+            keys, weights = args[0], args[1][:len(args[0])]
+            if op == "add":
+                for key, weight in zip(keys, weights):
+                    assert lazy.add(key, weight) == eager.add(key, weight)
+            else:
+                column, weights = np.array(keys, np.uint64), np.array(weights)
+                got = lazy.add_batch(column, weights)
+                assert got.tolist() == eager.add_batch(column, weights).tolist()
+        elif op == "halve":
+            for __ in range(args[0]):
+                lazy.halve()
+                eager.halve()
+        elif op == "age":
+            now += args[0]
+            assert controller.age_to(float(now)) == args[0]
+            if args[0] >= 53:
+                eager.clear()
+            for __ in range(args[0] if args[0] < 53 else 0):
+                eager.halve()
+        elif op == "clear":
+            lazy.clear()
+            eager.clear()
+        else:
+            controller = AdmissionController.from_image(
+                decode_admission(controller.to_bytes())
+            )
+            eager.load_sparse(eager.sparse_cells())
+        lazy = controller.sketch(IPV4)
+        assert bytes(lazy.cells) == bytes(eager.cells)
+        assert lazy.fill == eager.fill
+        assert [lazy.estimate(key) for key in range(41)] == [
+            eager.estimate(key) for key in range(41)
+        ]
+        assert lazy.sparse_cells() == eager.sparse_cells()
+    return controller.sketch(IPV4)
+
+
+class TestLazyAgingMatchesEager:
+    """``halve`` steps a power-of-two scale (and rescales the stored cells
+    every ``_RESCALE_EVERY`` halvings); :class:`EagerSketch` halves every
+    cell.  They must agree bit for bit after every operation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        width=st.sampled_from([1, 8, 64]),
+        depth=st.integers(1, 3),
+        ops=sketch_ops(),
+    )
+    def test_property_lazy_aging_equals_eager(self, width, depth, ops):
+        replay_sketch_ops(width, depth, ops)
+
+    def test_live_cells_cross_the_rescale(self):
+        """A 2^40 count added after 30 halvings is still live at the
+        ``_RESCALE_EVERY``-th, where the stored cells are rescaled, and
+        halves exactly until the 42nd halving after it came in zeroes it."""
+        after_add = RESCALE_EVERY - 30
+        ops = [("halve", 30), ("add", [1], [float(1 << 40)] * 12),
+               ("halve", after_add)]
+        sketch = replay_sketch_ops(8, 2, ops)
+        assert sketch._scale == 0
+        assert (sketch.estimate(1), sketch.fill) == (2.0 ** (40 - after_add), 2)
+        ops.append(("halve", 41 - after_add))
+        assert replay_sketch_ops(8, 2, ops).estimate(1) == 0.5
+        ops.append(("halve", 1))
+        sketch = replay_sketch_ops(8, 2, ops)
+        assert (sketch.estimate(1), sketch.fill) == (0.0, 0)
+
+    def test_a_write_over_a_dead_cell_starts_from_zero(self):
+        """A halving leaves a dead cell's stored value in place; the next
+        scalar or batch add reads it as zero."""
+        ops = [("add", [1], [1.0] * 12), ("halve", 2), ("add", [1], [1.0] * 12),
+               ("halve", 2), ("batch", [1], [1.0] * 12)]
+        sketch = replay_sketch_ops(8, 2, ops)
+        assert (sketch.estimate(1), sketch.fill) == (1.0, 2)
 
 
 class TestAging:
@@ -728,10 +989,11 @@ class TestCodec:
         ([(1, 2.0), (4, -1.0)], "cell 4 holds -1.0"),
         ([(5, float("nan"))], "cell 5 holds nan"),
         ([(6, float("inf"))], "cell 6 holds inf"),
+        ([(1, 2.0), (2, 0.25)], "cell 2 holds 0.25"),
     ])
     def test_restore_refuses_cells_the_encoder_never_writes(self, pairs, named):
-        """Sparse cells come in index order and hold positive finite
-        counts; anything else is damage, named by its cell index."""
+        """Sparse cells come in index order and hold finite counts of at
+        least 0.5; anything else is damage, named by its cell index."""
         writer = Writer()
         writer.byte(IPV4)
         writer.uvarint(len(pairs))

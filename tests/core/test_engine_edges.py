@@ -1,5 +1,7 @@
 """Edge-case tests for the IPD engine beyond the main algorithm suite."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from repro.core.algorithm import IPD
 from repro.core.iputil import IPV4, IPV6, parse_ip
 from repro.core.params import IPDParams
 from repro.core.state import ClassifiedState, UnclassifiedState
-from repro.netflow.records import FlowBatch, FlowRecord
+from repro.netflow.records import FlowBatch, FlowRecord, read_flows_csv_batched
+from repro.runtime import Pipeline
 from repro.topology.elements import IngressPoint
 from tests.core.test_rangetree import root_leaf, root_state
 
@@ -46,9 +49,9 @@ class TestRowBounds:
     """A row the engine cannot represent is a ``ValueError`` naming it, and
     nothing moves: no counter, sketch cell, leaf or cell-table row."""
 
-    def engine(self) -> IPD:
+    def engine(self, **kwargs) -> IPD:
         """The root split by ten flows from each of two routers."""
-        ipd = IPD(IPDParams(n_cidr_factor_v4=1e-9),
+        ipd = IPD(IPDParams(n_cidr_factor_v4=1e-9, **kwargs),
                   admission=AdmissionConfig(mode="lossy", width=1 << 8))
         for index in range(10):
             for base, ingress in ((ip("10.0.0.0"), A), (ip("200.0.0.0"), B)):
@@ -91,6 +94,38 @@ class TestRowBounds:
         ipd = self.engine()
         with pytest.raises(ValueError, match=f"row 0: source {source} is outside IPv6"):
             ipd.ingest(FlowRecord(1.0, source, IPV6, A))
+
+
+    def test_negative_count_is_rejected_before_anything_moves(self):
+        """``byte_counts=[-5000]`` used to be ingested: with ``count_bytes``
+        it put -5000 into count-min cells, whose estimates must only err
+        upward.  A negative packet count is refused the same way."""
+        ipd = self.engine(count_bytes=True)
+        before = ipd.to_bytes()
+        negative_bytes = FlowBatch(IPV4, [70.0, 71.0], [16, 32], [A, A], [1, 1],
+                                   byte_counts=[1500, -5000], dst_ips=[None, None])
+        with pytest.raises(ValueError, match="row 1: byte count -5000 is negative"):
+            ipd.ingest_batch(negative_bytes)
+        negative_packets = FlowBatch(IPV4, [70.0], [16], [A], [-1], [1500], [None])
+        with pytest.raises(ValueError, match="row 0: packet count -1 is negative"):
+            ipd.ingest_batch(negative_packets)
+        assert ipd.to_bytes() == before
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_negative_csv_bytes_stop_the_pipeline(self, shards):
+        """A CSV row whose bytes field is -500 reached the trie through
+        ``Pipeline``; the plain engine and the shard coordinator share the
+        row check."""
+        text = (
+            "timestamp,src_ip,router,interface,packets,bytes,dst_ip\n"
+            "1.0,10.0.0.1,R1,et0,1,1500,\n"
+            "2.0,10.0.0.2,R1,et0,1,-500,\n"
+        )
+        with Pipeline(IPDParams(count_bytes=True), shards=shards,
+                      admission=AdmissionConfig(mode="lossy")) as pipeline:
+            with pytest.raises(ValueError, match="row 1: byte count -500 is negative"):
+                pipeline.run(read_flows_csv_batched(io.StringIO(text)))
+            assert pipeline.engine.flows_ingested == 0
 
 
 class TestSweepTime:
