@@ -237,19 +237,19 @@ class RangeTree:
 
     def expire(self, cutoff: float) -> tuple[int, np.ndarray]:
         """Drop every source last seen strictly before *cutoff*; returns how
-        many, and the rows of the leaves that lost one (ascending).  Such a
-        leaf subtracts the removed weights from its total (exact) and
-        re-tightens ``oldest``; no other leaf changes."""
-        gone, owners, weights = self.table.expire(cutoff)
-        if not len(gone):
-            return 0, np.empty(0, np.intp)
-        touched = np.unique(self.locate(gone))
-        removed = np.bincount(np.searchsorted(touched, self.locate(owners)), weights)
-        a, b, __, __ = self.spans(touched)
-        oldest = reduce_spans(np.minimum, self.table.seen, a, b, _INF)
+        many, and the rows of the leaves that lost one (ascending).  Only
+        the spans of leaves whose ``oldest`` (a lower bound) is before the
+        cutoff are read.  A leaf that lost a source subtracts the removed
+        weights from its total (exact) and re-tightens ``oldest``; no other
+        leaf changes."""
+        rows = np.flatnonzero(self.oldest < cutoff)
+        if not len(rows):
+            return 0, rows
+        gone, lost, removed, oldest = self.table.expire(self.spans(rows), cutoff)
+        touched = rows[lost]
         self.totals[touched] = np.where(oldest != _INF, self.totals[touched] - removed, 0.0)
         self.oldest[touched] = oldest
-        return len(gone), touched
+        return gone, touched
 
     # -- structure changes ----------------------------------------------------
 

@@ -125,7 +125,10 @@ class CellTable:
     masked source, cells (``keys`` = ``source << CELL_SHIFT | code``,
     ``weights``, ``key_seq``) by key: ``uint64`` for IPv4, Python ints in
     object columns for IPv6.  A leaf's *span* ``(a, b, c, d)`` is its
-    sources ``a:b`` and cells ``c:d``.
+    sources ``a:b`` and cells ``c:d``.  A batch's rows wait as a sorted run
+    until :meth:`merged` merges the runs: :meth:`spans` calls it first, and
+    :meth:`add` once the runs outgrow the table.  Read a column only
+    through one of them.
     """
 
     def __init__(self, version: int) -> None:
@@ -137,11 +140,20 @@ class CellTable:
         self.keys = np.empty(0, dtype)
         self.weights = np.empty(0)
         self.key_seq = np.empty(0, np.int64)
-        self._next_seq = 0
+        #: a run numbers its rows ``_base + rank``, then advances it by its
+        #: rank bound (a batch's length: int64 lasts about 10^15 batches of
+        #: 8 192 rows)
+        self._base = 0
+        #: the runs not merged yet, ``(ips, seen, ip_seq, keys, weights,
+        #: key_seq)`` each, and their cell count: :meth:`add` merges once
+        #: they outgrow the table, so they never hold more rows than it
+        self._runs: list[tuple[np.ndarray, ...]] = []
+        self._pending = 0
 
     def spans(self, starts: Any, masklens: Any) -> tuple[np.ndarray, ...]:
         """The spans of the ranges *starts* / *masklens*: ``(a, b, c, d)``
         arrays of row bounds."""
+        self.merged()
         lows = np.asarray(starts, dtype=self.ips.dtype)
         lengths = np.asarray(masklens).astype(self.ips.dtype)
         highs = lows | (self._one << (self._bits - lengths)) - self._one
@@ -152,15 +164,37 @@ class CellTable:
             np.searchsorted(self.keys, highs << CELL_SHIFT | _CODE_MASK, side="right"),
         )
 
-    def add(self, ips, newest, ip_rank, owners, codes, weights, key_rank) -> None:
-        """Merge sorted distinct sources and cells (source, ingress code): a
-        known source keeps the newer timestamp, a known cell adds its weight;
-        new rows are numbered in *rank* order and inserted by address."""
+    def add(self, ips, newest, ip_rank, owners, codes, weights, key_rank, bound) -> None:
+        """Queue sorted distinct sources and cells (source, ingress code) as
+        one run, numbered ``base + rank`` with ranks distinct below *bound*.
+        A cell's number is only ever compared with those of its own
+        source's cells, so both take their own rank."""
         keys = owners << CELL_SHIFT | codes.astype(owners.dtype)
-        for names, values, figures, rank, merge in (
-            (("ips", "seen", "ip_seq"), ips, newest, ip_rank, np.maximum),
-            (("keys", "weights", "key_seq"), keys, weights, key_rank, np.add),
+        base = self._base
+        self._runs.append((ips, newest, base + ip_rank, keys, weights, base + key_rank))
+        self._base += bound
+        self._pending += len(keys)
+        if self._pending > len(self.keys):
+            self.merged()
+
+    def merged(self) -> "CellTable":
+        """Merge the pending runs (returns the table): a source keeps its
+        newest ``seen`` and its smallest number, a cell adds its weights run
+        by run (integer-valued, so exactly), new rows go in by address."""
+        if not self._runs:
+            return self
+        runs, self._runs, self._pending = self._runs, [], 0
+        for names, merge, part in (
+            (("ips", "seen", "ip_seq"), np.maximum, slice(0, 3)),
+            (("keys", "weights", "key_seq"), np.add, slice(3, 6)),
         ):
+            values, figures, seq = map(np.concatenate, zip(*[run[part] for run in runs]))
+            if len(runs) > 1:  # one row per value: the first run's number
+                order = values.argsort(kind="stable")
+                values, figures, seq = values[order], figures[order], seq[order]
+                firsts = np.flatnonzero(values[1:] != values[:-1]) + 1
+                firsts = np.concatenate(([0], firsts))
+                values, figures, seq = values[firsts], merge.reduceat(figures, firsts), seq[firsts]
             column, figure = getattr(self, names[0]), getattr(self, names[1])
             at = np.searchsorted(column, values)
             known = np.zeros(len(values), dtype=bool)
@@ -168,12 +202,9 @@ class CellTable:
                 known = column[np.minimum(at, len(column) - 1)] == values
             figure[at[known]] = merge(figure[at[known]], figures[known])
             fresh = ~known
-            if not fresh.any():
-                continue  # nothing to insert: leave the columns as they are
-            seq = np.empty(int(fresh.sum()), np.int64)
-            seq[rank[fresh].argsort(kind="stable")] = self._next_seq + np.arange(len(seq))
-            self._next_seq += len(seq)
-            _open_rows(self, names, at[fresh], (values[fresh], figures[fresh], seq))
+            if fresh.any():
+                _open_rows(self, names, at[fresh], (values[fresh], figures[fresh], seq[fresh]))
+        return self
 
     def plant(self, sources: list) -> None:
         """Add rows in an image's layout, ``[(masked_ip, last_seen,
@@ -186,10 +217,12 @@ class CellTable:
         by_ip = ips.argsort(kind="stable")
         by_key = (owners << CELL_SHIFT | codes.astype(owners.dtype)).argsort(kind="stable")
         self.add(ips[by_ip], seen[by_ip], by_ip, owners[by_key], codes[by_key],
-                 weights[by_key], by_key)
+                 weights[by_key], by_key, max(len(ips), len(owners)))
 
     def keep(self, sources: np.ndarray, cells: np.ndarray) -> None:
-        """Keep only the rows the two masks select."""
+        """Keep only the rows the two masks select (gathered by index: one
+        mask scan, not one per column)."""
+        sources, cells = np.flatnonzero(sources), np.flatnonzero(cells)
         self.ips, self.seen, self.ip_seq = (
             self.ips[sources], self.seen[sources], self.ip_seq[sources]
         )
@@ -205,19 +238,32 @@ class CellTable:
         keep[1][_gather(c, d)[0]] = False
         self.keep(*keep)
 
-    def expire(self, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Delete every source last seen strictly before *cutoff*, with its
-        cells; returns the gone sources, the gone cells' sources and their
-        weights (each in address order)."""
-        stale = self.seen < cutoff
-        if not stale.any():
-            empty = self.ips[:0]
-            return empty, empty, self.weights[:0]
-        owners = self.keys >> CELL_SHIFT
-        gone = stale[np.searchsorted(self.ips, owners)]
-        swept = self.ips[stale], owners[gone], self.weights[gone]
-        self.keep(~stale, ~gone)
-        return swept
+    def expire(self, spans: tuple[np.ndarray, ...], cutoff: float) -> tuple[Any, ...]:
+        """Delete the sources of *spans* (each holding one at least) last
+        seen strictly before *cutoff*, with their cells; returns how many
+        went, which spans lost one, and for those the weight that went and
+        the oldest ``seen`` left (``inf`` if none)."""
+        a, b, c, d = spans
+        rows = _gather(a, b)[0]
+        seen = self.seen[rows]
+        stale = seen < cutoff
+        firsts = (b - a).cumsum() - (b - a)
+        lost = np.logical_or.reduceat(stale, firsts)
+        if not lost.any():
+            return 0, lost, self.weights[:0], self.seen[:0]
+        oldest = np.minimum.reduceat(np.where(stale, _INF, seen), firsts)[lost]
+        # the spans' cells are their sources' runs, in source order: a
+        # cell's source (an index into rows) counts the changes before it
+        cells, cell_rank = _gather(c, d)
+        addresses = self.keys[cells] >> CELL_SHIFT
+        source = np.zeros(len(cells), np.intp)
+        np.cumsum(addresses[1:] != addresses[:-1], out=source[1:])
+        dead = stale[source]
+        removed = np.bincount(cell_rank, np.where(dead, self.weights[cells], 0.0), minlength=len(a))
+        sources, keep = np.ones(len(self.ips), bool), np.ones(len(self.keys), bool)
+        sources[rows], keep[cells] = ~stale, ~dead
+        self.keep(sources, keep)
+        return int(np.count_nonzero(stale)), lost, removed[lost], oldest
 
     def totals(
         self, c: np.ndarray, d: np.ndarray, grand: Optional[np.ndarray] = None, q: float = 0.0
@@ -357,7 +403,7 @@ class CounterTable:
             old = _open_rows(self, self._NAMES, slots[order], (
                 leaves[fresh >> CELL_SHIFT], fresh & _CODE_MASK, np.zeros(len(fresh))
             ))
-            rows = np.flatnonzero(old)[rows]
+            rows = old[rows]
             target[~known] = placed[pair]
         target[known] = rows[at[known]]
         np.add.at(self.weights, target, weights)
@@ -395,12 +441,13 @@ def _lookup(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _open_rows(table: Any, names: tuple[str, ...], at: np.ndarray, parts: tuple[Any, ...]) -> Any:
     """Insert *parts* into the columns *names* of *table*, each row before
     the old row *at* (ascending) and after the new ones before it; returns
-    the mask of the old rows."""
+    the old rows' new places (an index scatters faster than a mask)."""
     new = at + np.arange(len(at))
-    old = np.ones(len(getattr(table, names[0])) + len(new), dtype=bool)
-    old[new] = False
+    kept = np.ones(len(getattr(table, names[0])) + len(new), dtype=bool)
+    kept[new] = False
+    old = np.flatnonzero(kept)
     for name, part in zip(names, parts):
-        merged = np.empty(len(old), getattr(table, name).dtype)
+        merged = np.empty(len(old) + len(new), getattr(table, name).dtype)
         merged[new], merged[old] = part, getattr(table, name)
         setattr(table, name, merged)
     return old

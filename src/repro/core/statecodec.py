@@ -4,9 +4,9 @@ Everything an :class:`~repro.core.algorithm.IPD` engine knows — trie
 topology, per-range observation state, parameters, counters, and the
 dirty flags the incremental sweep machinery depends on — round-trips
 through this module.  No sweep input lives outside the blob: a sweep
-visits the dirty leaves, the leaves its expiry mask takes a source from
-(read off the encoded ``last_seen`` of each source) and the classified
-leaves.  The same encoding serves three jobs:
+visits the dirty leaves, the leaves its expiry takes a source from
+(read off the encoded ``oldest_seen`` and ``last_seen``) and the
+classified leaves.  The same encoding serves three jobs:
 
 * **Checkpoints** — :mod:`repro.runtime.checkpoint` persists a whole
   engine as one blob and restores it after a restart or worker crash.
@@ -37,7 +37,9 @@ knows each node's prefix, and each of these is a
 :class:`StateCodecError`: an internal node at a host route, a source
 outside its leaf or repeated in it, an ingress repeated in one weight
 list, and a figure no engine writes — a NaN or infinite time, a NaN,
-infinite or negative weight or total, a NaN or ``-inf`` ``oldest_seen``.
+infinite or negative weight or total, a NaN or ``-inf`` ``oldest_seen``,
+and an ``oldest_seen`` above a source's ``seen`` or finite on a leaf with
+none (it is ``inf`` exactly when the leaf is empty, else a lower bound).
 
 Layering: this module deliberately does not import the engine.  It
 converts between trees and neutral *images* (:class:`NodeImage` /
@@ -388,12 +390,15 @@ def _read_node(reader: Reader, prefix: Prefix) -> NodeImage:
         if len(set(ips)) < len(ips):
             raise StateCodecError(f"a source repeats in leaf {prefix}")
         _check(reader, prefix, "total", [total], negative=False)
-        # inf marks an empty leaf; nothing is older than every time
-        if not -_INF < oldest_seen <= _INF:
+        seens = [seen for __, seen, __ in sources]
+        _check(reader, prefix, "seen", seens)
+        # inf marks an empty leaf, else a lower bound on its sources' seen:
+        # expiry reads only the leaves whose bound is before its cutoff
+        floor = min(seens, default=_INF)
+        if not (oldest_seen == floor or -_INF < oldest_seen < floor < _INF):
             raise StateCodecError(
                 f"oldest_seen {oldest_seen!r} of leaf {prefix}", offset=reader.offset
             )
-        _check(reader, prefix, "seen", [seen for __, seen, __ in sources])
         _check(reader, prefix, "weight",
                [weight for *__, cells in sources for __, weight in cells], negative=False)
         return NodeImage(

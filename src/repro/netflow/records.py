@@ -311,6 +311,9 @@ def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatc
     timestamps = np.array(list(map(float, fields[0::_WIDTH])))
     packets = np.array(list(map(int, fields[4::_WIDTH])), dtype=np.int64)
     byte_counts = np.array(list(map(int, fields[5::_WIDTH])), dtype=np.int64)
+    for what, counts in (("packet", packets), ("byte", byte_counts)):
+        if (counts < 0).any():
+            raise ValueError(f"{what} count {counts.min()} is negative")
     start = 0
     for version, run in itertools.groupby(versions):
         end = start + len(list(run))

@@ -113,9 +113,10 @@ class TestRowBounds:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_negative_csv_bytes_stop_the_pipeline(self, shards):
-        """A CSV row whose bytes field is -500 reached the trie through
-        ``Pipeline``; the plain engine and the shard coordinator share the
-        row check."""
+        """A CSV row whose bytes field is -500 reached the engine through
+        ``Pipeline``, which named it by batch row; the decoder refuses it
+        now, naming its file line, before the plain engine or the shard
+        coordinator sees a flow."""
         text = (
             "timestamp,src_ip,router,interface,packets,bytes,dst_ip\n"
             "1.0,10.0.0.1,R1,et0,1,1500,\n"
@@ -123,7 +124,7 @@ class TestRowBounds:
         )
         with Pipeline(IPDParams(count_bytes=True), shards=shards,
                       admission=AdmissionConfig(mode="lossy")) as pipeline:
-            with pytest.raises(ValueError, match="row 1: byte count -500 is negative"):
+            with pytest.raises(ValueError, match="^flow CSV line 3: byte count -500 is negative"):
                 pipeline.run(read_flows_csv_batched(io.StringIO(text)))
             assert pipeline.engine.flows_ingested == 0
 

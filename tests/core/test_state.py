@@ -5,6 +5,9 @@ so these drive them through the one way rows get there —
 ``IPD.ingest_batch`` — and read them back through the tree.
 """
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +26,7 @@ from repro.core.state import (
     per_span,
     reduce_spans,
 )
+from repro.core.statecodec import encode_engine, engine_to_image
 from repro.netflow.records import FlowBatch, FlowRecord
 from repro.testkit.oracle import ReferenceIPD, _Classified
 from repro.topology.elements import IngressPoint
@@ -62,7 +66,7 @@ def sources(ipd: IPD):
 
 def check_table(tree: RangeTree) -> None:
     """The cell table's invariants, exactly, for every leaf of *tree*."""
-    table = tree.table
+    table = tree.table.merged()
     ips, keys = table.ips.tolist(), table.keys.tolist()
     # sorted, no duplicate rows, every cell's source present, every
     # source with a cell
@@ -70,6 +74,10 @@ def check_table(tree: RangeTree) -> None:
     assert sorted({key >> 32 for key in keys}) == ips
     assert len(ips) == len(table.seen) == len(table.ip_seq)
     assert len(keys) == len(table.weights) == len(table.key_seq)
+    # a source's number is unique, and a cell's among its source's cells:
+    # the only numbers the walk compares
+    assert len(set(table.ip_seq.tolist())) == len(ips)
+    assert len({(key >> 32, seq) for key, seq in zip(keys, table.key_seq.tolist())}) == len(keys)
     # each row lies in an unclassified leaf (no other leaf owns rows)
     for ip in ips:
         assert isinstance(tree.state(tree.lookup_leaf(ip)), UnclassifiedState)
@@ -157,6 +165,12 @@ class TestUnclassifiedState:
         assert root(ipd).sample_count == 0.0
         assert len(ipd.trees[IPV4].table.keys) == 0
 
+    def test_expire_reads_a_leaf_whose_bound_is_just_before_the_cutoff(self):
+        ipd = IPD(PARAMS)
+        add(ipd, 10, A, timestamp=70.0)
+        removed, rows = ipd.trees[IPV4].expire(cutoff=70.5)
+        assert (removed, len(rows), sources(ipd)) == (1, 1, [])
+
     def test_expire_keeps_boundary(self):
         ipd = IPD(PARAMS)
         add(ipd, 10, A, timestamp=50.0)
@@ -216,6 +230,66 @@ class TestUnclassifiedBatch:
             assert sources(ipd) == [(10, 6.0, [(A, 2.0), (B, 1.0)])]
             assert (root(ipd).total, root(ipd).oldest_seen) == (3.0, 2.0)
         assert one_by_one.to_bytes() == grouped.to_bytes()
+
+
+class TestRowNumbers:
+    """A new row is numbered ``base + its first row in the batch`` and the
+    base then moves by the batch's length; a batch's rows wait as one run
+    until a reader merges the runs."""
+
+    @pytest.mark.parametrize("merge_each", [False, True], ids=["pending", "merged"])
+    def test_known_source_seen_again_keeps_its_place(self, merge_each):
+        """Ten sources first, so the three small batches after them wait as
+        three runs (runs merge early only once they outgrow the table)."""
+        ipd = IPD(PARAMS)
+        ipd.ingest_batch(FlowBatch.from_flows([flow(ip, C, 1.0) for ip in range(100, 110)]))
+        batches = [[(20, A)], [(10, A), (30, B)], [(30, A), (20, B), (10, A)]]
+        for pending, rows in enumerate(batches, 1):
+            ipd.ingest_batch(FlowBatch.from_flows([flow(ip, point, 1.0) for ip, point in rows]))
+            if merge_each:
+                ipd.trees[IPV4].table.merged()
+            assert len(ipd.trees[IPV4].table._runs) == (0 if merge_each else pending)
+        assert [(ip, [point for point, __ in cells]) for ip, __, cells in sources(ipd)][10:] == [
+            (20, [A, B]), (10, [A]), (30, [B, A])
+        ]
+        check_table(ipd.trees[IPV4])
+
+    @pytest.mark.parametrize("merge_each", [False, True], ids=["pending", "merged"])
+    def test_new_cell_of_a_known_source_sorts_after_its_older_cells(self, merge_each):
+        """The old cell came last in its batch (rank 6), the new one first
+        in the next (rank 0): the base puts the new number above the old."""
+        ipd = IPD(PARAMS)
+        batches = [[(ip, A) for ip in range(100, 106)] + [(10, B)], [(10, A)]]
+        for rows in batches:
+            ipd.ingest_batch(FlowBatch.from_flows([flow(ip, point, 1.0) for ip, point in rows]))
+            if merge_each:
+                ipd.trees[IPV4].table.merged()
+        assert sources(ipd)[-1] == (10, 1.0, [(B, 1.0), (A, 1.0)])
+        check_table(ipd.trees[IPV4])
+
+    def test_loose_bound_leaf_is_a_candidate_that_loses_nothing(self):
+        """The leaf's oldest source got fresh traffic, so its ``oldest_seen``
+        (a lower bound) is before the cutoff while every source is after
+        it: expiry reads its span and changes nothing — not the figures, not
+        the visit set, not a byte of the blob but the sweep time."""
+        ipd = IPD(PARAMS)
+        tree = ipd.trees[IPV4]
+
+        def blob() -> bytes:
+            return encode_engine(replace(engine_to_image(ipd), last_sweep_at=None))
+
+        ipd.ingest_batch(FlowBatch.from_flows([flow(10, A, 0.0), flow(20, A, 50.0)]))
+        ipd.sweep(60.0)
+        ipd.ingest_batch(FlowBatch.from_flows([flow(10, A, 100.0)]))
+        ipd.sweep(110.0)
+        before, bytes_before = root(ipd), blob()
+        cutoff = 150.0 - PARAMS.e
+        assert before.oldest_seen < cutoff <= min(seen for __, seen, __ in sources(ipd))
+        report = ipd.sweep(150.0)
+        assert (report.visited, report.expired_sources) == (0, 0)
+        assert root(ipd) == before == UnclassifiedState(3.0, 0.0)
+        assert not tree.dirty.any()
+        assert blob() == bytes_before
 
 
 def _batch(rows) -> FlowBatch:
@@ -295,6 +369,7 @@ def test_property_expire_subtracts_exactly(operations):
             continue
         removed, __ = tree.expire(cutoff=float(timestamp))
         rows = sources(ipd)
+        assert all(seen >= timestamp for __, seen, __ in rows)  # no stale source kept
         cells = [weight for *__, cells in rows for __, weight in cells]
         assert root(ipd).total == sum(cells)
         assert ipd.state_size() == len(cells)
@@ -333,15 +408,20 @@ def test_property_table_invariants_hold_through_ingest_and_sweeps(steps):
     unclassified leaf's span holds exactly its prefix's sources, ``total``
     is a fresh re-sum of the span, ``oldest_seen`` bounds the span's
     ``last_seen`` from below — and equals its minimum after an expiry
-    that removed a source — and classified leaves own no rows."""
+    that removed a source — and classified leaves own no rows.  The
+    sources' numbers rise in first-seen order: by batch, then by first
+    row in it (a source that left the table and came back is new)."""
     params = IPDParams(
         n_cidr_factor_v4=0.0005, cidr_max_v4=16, count_bytes=True, t=60.0, e=120.0
     )
     ipd = IPD(params)
     tree = ipd.trees[IPV4]
     now = 0.0
-    for is_batch, rows in steps:
+    first: dict[int, tuple[int, int]] = {}  # masked source -> (step, row)
+    for step, (is_batch, rows) in enumerate(steps):
         if is_batch:
+            for row, (top, *__) in enumerate(rows):
+                first.setdefault(top << 24, (step, row))
             ipd.ingest_batch(
                 _batch(
                     [(top << 24 | offset << 8, code, now + offset, size)
@@ -356,6 +436,7 @@ def test_property_table_invariants_hold_through_ingest_and_sweeps(steps):
                 if isinstance(tree.state(leaf), UnclassifiedState)
             }
             ipd.sweep(now)
+            assert (tree.table.seen >= now - params.e).all()  # no stale source kept
             after = set(tree.leaves())
             for leaf, held in before.items():
                 if leaf not in after:
@@ -369,6 +450,10 @@ def test_property_table_invariants_hold_through_ingest_and_sweeps(steps):
                         (seen for __, seen, __ in kept), default=INF
                     )
         check_table(tree)
+        ips = tree.table.ips.tolist()
+        first = {ip: first[ip] for ip in ips}  # the rest left the table
+        numbers = dict(zip(ips, tree.table.ip_seq.tolist()))
+        assert sorted(ips, key=numbers.get) == sorted(ips, key=first.get)
 
 
 class LeafTableModel:
@@ -468,21 +553,24 @@ LEAF_TABLE_FAMILIES = {
     ),
 }
 
+#: one batch's rows
+LEAF_TABLE_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 255),                      # top byte of the source
+        st.integers(0, 2),                        # ingress
+        st.integers(0, 59),                       # offset in the tick
+        st.integers(1, 1500),                     # bytes
+    ),
+    min_size=1,
+    max_size=12,
+)
+
 LEAF_TABLE_STEPS = st.lists(
     st.tuples(
         st.sampled_from(("batch", "batch", "sweep", "sweep", "split", "join",
                          "prune", "delegate", "restore")),
         st.integers(0, 1 << 16),
-        st.lists(
-            st.tuples(
-                st.integers(0, 255),                      # top byte of the source
-                st.integers(0, 2),                        # ingress
-                st.integers(0, 59),                       # offset in the tick
-                st.integers(1, 1500),                     # bytes
-            ),
-            min_size=1,
-            max_size=12,
-        ),
+        LEAF_TABLE_ROWS,
     ),
     min_size=1,
     max_size=30,
@@ -552,6 +640,44 @@ def test_property_leaf_table_invariants(version, steps):
             ipd = IPD.from_bytes(ipd.to_bytes())
             tree = ipd.trees[version]
         check_leaf_table(tree, model)
+
+
+@pytest.mark.parametrize("version", [IPV4, IPV6], ids=["v4", "v6"])
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from(("batch", "batch", "batch", "sweep")), LEAF_TABLE_ROWS),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_property_pending_runs_merge_to_the_eager_table(version, steps):
+    """Batches queue runs that a reader (here a sweep) merges: at every cut,
+    a copy of the table with its runs pending, merged, equals column for
+    column the table merged after every batch; the sweeps report alike and
+    the blobs are the same bytes."""
+    params, place = LEAF_TABLE_FAMILIES[version]
+    lazy, eager = IPD(params), IPD(params)
+    now = 0.0
+    for op, rows in steps:
+        if op == "sweep":
+            now += params.t
+            reports = [replace(ipd.sweep(now), duration_seconds=0.0) for ipd in (lazy, eager)]
+            assert reports[0] == reports[1]
+        else:
+            batch = FlowBatch.from_flows([
+                FlowRecord(now + offset, place(top, offset), version, INGRESSES[code], bytes=size)
+                for top, code, offset, size in rows
+            ])
+            lazy.ingest_batch(batch)
+            eager.ingest_batch(batch)
+            eager.trees[version].table.merged()
+        cut = copy.deepcopy(lazy.trees[version].table).merged()
+        table = eager.trees[version].table
+        for name in ("ips", "seen", "ip_seq", "keys", "weights", "key_seq"):
+            assert getattr(cut, name).dtype == getattr(table, name).dtype
+            assert getattr(cut, name).tolist() == getattr(table, name).tolist()
+    assert lazy.to_bytes() == eager.to_bytes()
 
 
 class TestClassifiedState:

@@ -382,6 +382,17 @@ MALFORMED = {
     "minus-infinite-oldest-seen": lambda: _stream(
         NodeImage("unclassified", sources=[], oldest_seen=-INF)
     ),
+    # expiry reads only the leaves whose oldest_seen is before its cutoff:
+    # one above a source's seen would keep that source past its time
+    "oldest-seen-above-a-source": lambda: _stream(NodeImage(
+        "unclassified", sources=[(ADDRESS, 1.0, [(A, 1.0)])], total=1.0, oldest_seen=2.0
+    )),
+    "infinite-oldest-seen-with-a-source": lambda: _stream(NodeImage(
+        "unclassified", sources=[(ADDRESS, 1.0, [(A, 1.0)])], total=1.0, oldest_seen=INF
+    )),
+    "finite-oldest-seen-on-an-empty-leaf": lambda: _stream(
+        NodeImage("unclassified", sources=[], oldest_seen=1.0)
+    ),
 }
 
 

@@ -170,6 +170,26 @@ def test_malformed_row_raises_value_error_naming_its_line(kind, batch_size, quot
             list(read_flows_csv_batched(stream, batch_size))
 
 
+#: rows the replaced reader passed on, and the engine then refused by batch
+#: row number: the decoder refuses them itself, naming the file line
+NEGATIVE = {
+    "negative packets": ([*GOOD[:4], "-1", *GOOD[5:]], "packet count -1 is negative"),
+    "negative bytes": ([*GOOD[:5], "-500", GOOD[6]], "byte count -500 is negative"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NEGATIVE))
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("quote_all", [False, True])
+def test_negative_count_raises_value_error_naming_its_line(kind, batch_size, quote_all):
+    row, reason = NEGATIVE[kind]
+    text = render([GOOD, GOOD, GOOD, row, GOOD], quote_all=quote_all, blanks={2})
+    assert len(list(reference_read(io.StringIO(text)))) == 5
+    for stream in streams(text):
+        with pytest.raises(ValueError, match=rf"^flow CSV line 6: {reason}: \["):
+            list(read_flows_csv_batched(stream, batch_size))
+
+
 @pytest.mark.parametrize(
     "text", ["x,y\n1,2\n", "\n" + render([GOOD]), render([GOOD]).replace("bytes", "octets")]
 )
