@@ -7,8 +7,8 @@ ingress point the exporter observed it on, and size counters.  We keep an
 optional destination address because the router-level load-balancing
 extension discussed in §5.8 needs (src, dst) pairs.
 
-Records are plain ``NamedTuple`` values: millions of them flow through
-the engine per simulated run, so they must be cheap to allocate and hash.
+The engine sees flows only as :class:`FlowBatch` columns; a :class:`FlowRecord`
+is one row at the edges (codecs, the §5.8 detector, ``iter_flows``).
 """
 
 from __future__ import annotations
@@ -66,9 +66,11 @@ class FlowBatch:
     engine masks); ``ingress_ids`` int32 indices into ``ingress_table``,
     the interned :class:`IngressPoint` tuple its slices and selections
     share; ``packet_counts`` / ``byte_counts`` int64; ``dst_ips`` ints or
-    None in an object array.  :meth:`iter_flows` hands back plain Python
-    scalars.  One address ``version`` per batch: mixed streams become
-    one batch per same-family run (:func:`iter_flow_batches`).
+    None in an object array, or ``None`` when no row has one.  Columns of
+    unequal length or wrong shape, a negative source and an ingress id
+    outside the table are a ``ValueError``.  :meth:`iter_flows` hands back
+    plain Python scalars.  One address ``version`` per batch: mixed streams
+    become one batch per same-family run (:func:`iter_flow_batches`).
     """
 
     __slots__ = ("version", "timestamps", "src_ips", "ingress_ids", "ingress_table",
@@ -82,7 +84,7 @@ class FlowBatch:
         ingresses: Sequence[Any] = (),
         packet_counts: Sequence[int] = (),
         byte_counts: Sequence[int] = (),
-        dst_ips: Sequence[Optional[int]] = (),
+        dst_ips: Optional[Sequence[Optional[int]]] = None,
         ingress_table: Optional[tuple[IngressPoint, ...]] = None,
     ) -> None:
         """*ingresses* are :class:`IngressPoint` values, interned here, or
@@ -94,18 +96,26 @@ class FlowBatch:
         self.version = version
         self.timestamps = np.asarray(timestamps, dtype=np.float64)
         self.src_ips = _source_column(src_ips, version)
-        self.ingress_ids = np.asarray(ingresses, dtype=np.int32)
+        ids = np.asarray(ingresses)  # checked before the int32 cast can wrap
+        self.ingress_ids = ids.astype(np.int32, copy=False)
         self.ingress_table = ingress_table
         self.packet_counts = np.asarray(packet_counts, dtype=np.int64)
         self.byte_counts = np.asarray(byte_counts, dtype=np.int64)
-        self.dst_ips = np.empty(len(dst_ips), dtype=object)
-        self.dst_ips[:] = dst_ips
+        if isinstance(dst_ips, np.ndarray):
+            dst_ips = dst_ips.tolist()
+        absent = dst_ips is None or dst_ips.count(None) == len(dst_ips) == len(ids)
+        self.dst_ips = None if absent else np.array(dst_ips, dtype=object)
         if len(set(map(len, self._columns()))) != 1:
             raise ValueError("FlowBatch columns have mismatched lengths")
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(ingress_table):
+            row = int(np.flatnonzero((ids < 0) | (ids >= len(ingress_table)))[0])
+            raise ValueError(
+                f"flow batch row {row}: ingress_ids {ids[row]} is outside ingress_table")
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return (self.timestamps, self.src_ips, self.ingress_ids,
-                self.packet_counts, self.byte_counts, self.dst_ips)
+        columns = (self.timestamps, self.src_ips, self.ingress_ids,
+                   self.packet_counts, self.byte_counts)
+        return columns if self.dst_ips is None else (*columns, self.dst_ips)
 
     @classmethod
     def from_flows(cls, flows: Iterable[FlowRecord]) -> "FlowBatch":
@@ -150,6 +160,7 @@ class FlowBatch:
 
     def iter_flows(self) -> Iterator[FlowRecord]:
         """Reconstruct the row-wise records (exact round-trip, Python scalars)."""
+        dsts = () if self.dst_ips is None else (self.dst_ips.tolist(),)
         return map(
             FlowRecord,
             self.timestamps.tolist(),
@@ -158,7 +169,7 @@ class FlowBatch:
             self.ingresses,
             self.packet_counts.tolist(),
             self.byte_counts.tolist(),
-            self.dst_ips.tolist(),
+            *dsts,
         )
 
     def __len__(self) -> int:
@@ -170,10 +181,19 @@ class FlowBatch:
 
 def _source_column(values: Sequence[int], version: int) -> np.ndarray:
     """Addresses as uint64 (IPv4) or as (hi, lo) uint64 rows (IPv6).  An
-    address that fits no such row is a ``ValueError`` naming its row (an
-    IPv4 one past 32 bits that fits is rejected at ingest)."""
+    address that fits no such row, or an ndarray of another shape, is a
+    ``ValueError`` (an IPv4 one past 32 bits is rejected at ingest)."""
+    if isinstance(values, np.ndarray):
+        shape = (len(values),) if version == IPV4 else (len(values), 2)
+        if values.shape != shape:
+            raise ValueError(f"flow batch src_ips: shape {values.shape}, not {shape}")
+        if values.dtype.kind != "u" and (values < 0).any():
+            row = int((values < 0).reshape(len(values), -1).any(axis=1).argmax())
+            raise ValueError(
+                f"flow batch row {row}: src_ips {values[row].tolist()} is negative")
+        return values.astype(np.uint64, copy=False)
     try:
-        if isinstance(values, np.ndarray) or version == IPV4:
+        if version == IPV4:
             return np.asarray(values, dtype=np.uint64)
         pairs = [divmod(value, 1 << 64) for value in values]
         return np.array(pairs, dtype=np.uint64).reshape(len(pairs), 2)
@@ -215,15 +235,7 @@ def iter_flow_batches(
         yield FlowBatch.from_flows(pending)
 
 
-_CSV_FIELDS = (
-    "timestamp",
-    "src_ip",
-    "router",
-    "interface",
-    "packets",
-    "bytes",
-    "dst_ip",
-)
+_CSV_FIELDS = ("timestamp", "src_ip", "router", "interface", "packets", "bytes", "dst_ip")
 
 
 def write_flows_csv(flows: Iterable[FlowRecord], stream: IO[str]) -> int:
@@ -232,9 +244,7 @@ def write_flows_csv(flows: Iterable[FlowRecord], stream: IO[str]) -> int:
     writer.writerow(_CSV_FIELDS)
     count = 0
     for flow in flows:
-        dst_text = (
-            format_ip(flow.dst_ip, flow.version) if flow.dst_ip is not None else ""
-        )
+        dst_text = "" if flow.dst_ip is None else format_ip(flow.dst_ip, flow.version)
         writer.writerow(
             (
                 f"{flow.timestamp:.3f}",
@@ -296,7 +306,7 @@ def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatc
     sources = list(map(address, fields[1::_WIDTH]))
     versions = list(map(family, sources))
     dst_texts = fields[6::_WIDTH]
-    dst_ips: list[Optional[int]] = [None] * len(dst_texts)
+    dst_ips: Optional[list[Optional[int]]] = None
     if any(dst_texts):
         # an absent dst takes its row's family, so one comparison finds a mix
         dsts = [
@@ -324,7 +334,7 @@ def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatc
             points[start:end],
             packets[start:end],
             byte_counts[start:end],
-            dst_ips[start:end],
+            None if dst_ips is None else dst_ips[start:end],
         )
         start = end
 

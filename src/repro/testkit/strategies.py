@@ -148,16 +148,17 @@ def flow_batches(
     max_rows: int = 64,
     ingresses: tuple[IngressPoint, ...] = DEFAULT_INGRESSES,
 ) -> FlowBatch:
-    """Columnar :class:`FlowBatch` values for the wire-codec suites.
+    """Columnar :class:`FlowBatch` values of one family for the batch
+    round-trip property.
 
-    Rows span the full address and counter ranges of the family,
-    timestamps are arbitrary finite f64 values (the codec must carry
-    them bit-exactly), and ``dst_ips`` mixes ``None`` with real
-    addresses so the presence-bitmap path is exercised.  ``max_rows=0``
-    yields only empty batches.
+    Addresses span the family, counts the int64 columns, timestamps are
+    arbitrary finite f64 values (a round trip must keep them bit-exact),
+    and destinations are on no row, some rows or every row.
+    ``max_rows=0`` yields only empty batches.
     """
-    max_src = (1 << 32) - 1 if version == IPV4 else (1 << 128) - 1
-    max_count = (1 << 64) - 1
+    bits = 32 if version == IPV4 else 128
+    address = st.integers(min_value=0, max_value=(1 << bits) - 1)
+    count = st.integers(min_value=0, max_value=(1 << 63) - 1)
     rows = draw(st.integers(min_value=0, max_value=max_rows))
 
     def column(values: st.SearchStrategy) -> list:
@@ -166,11 +167,11 @@ def flow_batches(
     return FlowBatch(
         version,
         column(st.floats(allow_nan=False, allow_infinity=False, width=64)),
-        column(st.integers(min_value=0, max_value=max_src)),
+        column(address),
         column(st.sampled_from(ingresses)),
-        column(st.integers(min_value=0, max_value=max_count)),
-        column(st.integers(min_value=0, max_value=max_count)),
-        column(st.none() | st.integers(min_value=0, max_value=max_src)),
+        column(count),
+        column(count),
+        column(draw(st.sampled_from((st.none(), st.none() | address, address)))),
     )
 
 

@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.iputil import IPV4, IPV6, parse_ip
 from repro.netflow.records import (
@@ -14,6 +16,7 @@ from repro.netflow.records import (
     read_flows_csv_batched,
     write_flows_csv,
 )
+from repro.testkit.strategies import flow_batches
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -44,6 +47,8 @@ class TestFlowBatch:
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FlowBatch(IPV4, timestamps=[1.0], src_ips=[])
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            FlowBatch(IPV4, [1.0], [16], [A], [1], [1500], [None, None])
 
     def test_slice_copies_rows(self):
         flows = [v4_flow(float(i), f"10.0.0.{i}") for i in range(5)]
@@ -109,6 +114,96 @@ class TestFlowBatch:
             assert part.ingress_table is batch.ingress_table
             assert list(part.iter_flows()) == [flows[row] for row in rows]
         assert batch.select(range(6)) is batch
+
+
+@pytest.mark.parametrize("version", [IPV4, IPV6])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_property_row_round_trip(version, data):
+    """``iter_flows`` -> ``from_flows`` gives back the same columns, bit for
+    bit; ``dst_ips`` is ``None`` exactly when no row has a destination; and
+    ``slice`` / ``select`` are row-wise list slicing."""
+    batch = data.draw(flow_batches(version, max_rows=12))
+    flows = list(batch.iter_flows())
+    assert (batch.dst_ips is None) == all(flow.dst_ip is None for flow in flows)
+    rebuilt = FlowBatch.from_flows(flows)
+    assert list(rebuilt.iter_flows()) == flows
+    if flows:
+        assert rebuilt.version == batch.version
+        assert rebuilt.ingress_table == batch.ingress_table
+        assert rebuilt.timestamps.tobytes() == batch.timestamps.tobytes()
+        for mine, theirs in zip(rebuilt._columns(), batch._columns(), strict=True):
+            assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+    start, end = sorted(data.draw(st.lists(st.integers(0, len(flows)), min_size=2,
+                                           max_size=2)))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(flows), max_size=len(flows)))
+    rows = [row for row, kept in enumerate(keep) if kept]
+    for part, expected in ((batch.slice(start, end), flows[start:end]),
+                           (batch.select(rows), [flows[row] for row in rows])):
+        assert list(part.iter_flows()) == expected
+        assert (part.dst_ips is None) == all(flow.dst_ip is None for flow in expected)
+
+
+class TestMalformedColumns:
+    """A column the engine would misread is a ``ValueError`` naming it when
+    the batch is built: each of these used to be ingested, or to fail in
+    ``IPD._fold`` after the engine's counters had moved."""
+
+    @pytest.mark.parametrize("ids, row", [
+        ([-1, 0], 0), ([0, 2], 1), ([1, 0, 7], 2), (np.array([1, 1 << 32]), 1),
+    ], ids=["negative", "past-the-table", "last-row", "wraps-in-int32"])
+    def test_ingress_id_outside_the_table(self, ids, row):
+        """``-1`` used to index the table's last ingress: ``[-1, 0]`` over
+        ``(A, B)`` ingested as ``B, A``; an id past it raised ``IndexError``,
+        and an int64 ``2**32`` wrapped to ``0`` in the int32 column."""
+        with pytest.raises(ValueError, match=f"row {row}: ingress_ids {ids[row]} is outside"):
+            FlowBatch(IPV4, [1.0] * len(ids), [16] * len(ids), ids, [1] * len(ids),
+                      [1500] * len(ids), ingress_table=(A, B))
+
+    def test_ipv6_source_column_must_be_pairs(self):
+        with pytest.raises(ValueError, match=r"src_ips: shape \(2,\), not \(2, 2\)"):
+            FlowBatch(IPV6, [1.0, 2.0], np.array([1, 2], np.uint64), [A, A], [1, 1],
+                      [1500, 1500])
+        with pytest.raises(ValueError, match=r"src_ips: shape \(1, 2\), not \(1,\)"):
+            FlowBatch(IPV4, [1.0], np.array([[0, 1]], np.uint64), [A], [1], [1500])
+
+    @pytest.mark.parametrize("version, sources, text", [
+        (IPV6, [[-1, 0]], r"row 0: src_ips \[-1, 0\] is negative"),
+        (IPV6, [[0, 1], [2, -3]], r"row 1: src_ips \[2, -3\] is negative"),
+        (IPV4, [16, -16], r"row 1: src_ips -16 is negative"),
+    ], ids=["v6-first-row", "v6-second-row", "v4"])
+    def test_signed_source_column_does_not_wrap(self, version, sources, text):
+        """IPv6 ``[[-1, 0]]`` as int64 used to be adopted as a valid address."""
+        column = np.array(sources, np.int64)
+        with pytest.raises(ValueError, match=text):
+            FlowBatch(version, [1.0] * len(column), column, [A] * len(column),
+                      [1] * len(column), [1500] * len(column))
+
+    def test_signed_source_column_without_negatives_is_adopted(self):
+        batch = FlowBatch(IPV6, [1.0], np.array([[1, 2]], np.int64), [A], [1], [1500])
+        assert batch.src_ips.dtype == np.uint64
+        assert batch.addresses() == [(1 << 64) | 2]
+
+
+class TestAbsentDestinations:
+    def test_rows_without_destinations_build_no_column(self):
+        """The ledger passes ``[None] * rows``; ``from_flows``, ``select`` and
+        the CSV decoder meet all-``None`` runs: none keeps a column."""
+        flows = [v4_flow(float(i), f"10.0.0.{i}") for i in range(4)]
+        flows[3] = flows[3]._replace(dst_ip=parse_ip("8.8.8.8")[0])
+        assert FlowBatch(IPV4, [1.0], [16], [A], [1], [1500], [None]).dst_ips is None
+        assert FlowBatch.from_flows(flows[:3]).dst_ips is None
+        batch = FlowBatch.from_flows(flows)
+        assert batch.dst_ips.tolist() == [None, None, None, flows[3].dst_ip]
+        assert batch.select([0, 2]).dst_ips is None
+        assert batch.slice(1, 3).dst_ips is None
+        assert batch.select([0, 3]).dst_ips.tolist() == [None, flows[3].dst_ip]
+        buffer = io.StringIO()
+        write_flows_csv(flows, buffer)
+        buffer.seek(0)
+        batches = list(read_flows_csv_batched(buffer, batch_size=2))
+        assert [b.dst_ips is None for b in batches] == [True, False]
+        assert [f for b in batches for f in b.iter_flows()] == flows
 
 
 class TestIterFlowBatches:
