@@ -8,8 +8,9 @@ sweeps, at interactive speed:
 
   per-router streams -> PacketSampler -> StatisticalTime -> LivePipeline
 
-(The live runtime can also shard the address space with
-``shards=N, executor="mp"``.)
+The live runtime drives one plain engine, as the deployment does; a
+checkpoint any run wrote, a sharded replay's included, resumes into it
+with ``LivePipeline.resume``.
 
 Run:  python examples/live_pipeline.py
 """

@@ -34,11 +34,7 @@ from .core.output import read_records_csv, write_records_csv
 from .core.params import IPDParams
 from .core.statecodec import IncompatibleStateError, StateCodecError
 from .netflow.records import read_flows_csv_batched, write_flows_csv
-from .runtime import (
-    EXECUTOR_KINDS,
-    CheckpointStore,
-    Pipeline,
-)
+from .runtime import CheckpointStore, Pipeline
 
 __all__ = ["main"]
 
@@ -116,8 +112,8 @@ def _print_admission_counters(args: argparse.Namespace, result) -> None:
 def _cmd_run_scenario(args: argparse.Namespace) -> int:
     """``run --scenario NAME``: an adversarial scenario end to end.
 
-    Generates the named scenario's flow stream, replays it through the
-    requested runtime topology, prints the family's ground-truth
+    Generates the named scenario's flow stream, replays it through one
+    engine, prints the family's ground-truth
     evaluation (pollution/blow-up, clip survival, or the flap-survival
     curve) and optionally writes the final Table-3 snapshot.
     """
@@ -149,9 +145,6 @@ def _cmd_run_scenario(args: argparse.Namespace) -> int:
     __, result = scenario.run(
         snapshot_seconds=args.snapshot_seconds,
         keep_flows=False,
-        shards=args.shards,
-        executor=args.executor,
-        workers=args.workers,
         admission=admission,
     )
     window = truth.attack_window
@@ -254,9 +247,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     store,
                     checkpoint=checkpoint,
                     params=params,
-                    shards=args.shards,
-                    executor=args.executor,
-                    workers=args.workers,
                     admission=admission,
                     snapshot_seconds=args.snapshot_seconds,
                     checkpoint_every=args.checkpoint_every,
@@ -271,10 +261,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             except StateCodecError as exc:
                 print(f"cannot resume: {exc}", file=sys.stderr)
                 return 2
-            except ValueError as exc:
-                # e.g. an illegal shard topology for the restored image
-                print(f"cannot resume with this topology: {exc}", file=sys.stderr)
-                return 2
             resumed = True
         else:
             print(f"no checkpoint in {args.checkpoint_dir}; starting fresh")
@@ -284,35 +270,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.checkpoint_dir is not None
             else None
         )
-        try:
-            pipeline = Pipeline(
-                params,
-                shards=args.shards,
-                executor=args.executor,
-                workers=args.workers,
-                snapshot_seconds=args.snapshot_seconds,
-                checkpoint_store=store,
-                checkpoint_every=args.checkpoint_every,
-                admission=admission,
-            )
-        except ValueError as exc:
-            # e.g. --executor mp without --shards, or a shard count that
-            # is not a power of two
-            print(f"cannot run with this topology: {exc}", file=sys.stderr)
-            return 2
+        pipeline = Pipeline(
+            params,
+            snapshot_seconds=args.snapshot_seconds,
+            checkpoint_store=store,
+            checkpoint_every=args.checkpoint_every,
+            admission=admission,
+        )
     with pipeline:
         result = pipeline.run(flow_source)
     records = result.final_snapshot()
     with open(args.output, "w") as stream:
         count = write_records_csv(records, stream)
-    engine = (
-        f"{args.shards} shard(s), {args.executor} executor"
-        if args.shards > 1
-        else "single engine"
-    )
     note = " (resumed from checkpoint)" if resumed else ""
     print(f"processed {result.flows_processed:,} flows, "
-          f"{len(result.sweeps)} sweeps ({engine}){note}; wrote {count} "
+          f"{len(result.sweeps)} sweeps{note}; wrote {count} "
           f"ranges to {args.output}")
     _print_admission_counters(args, result)
     return 0
@@ -509,14 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--snapshot-seconds", type=float, default=300.0)
     run.add_argument("--batch-size", type=_positive_int, default=8192,
                      help="flows per columnar ingest batch (>= 1)")
-    run.add_argument("--executor", choices=EXECUTOR_KINDS, default="serial",
-                     help="runtime executor driving the engine shards "
-                          "('mp' needs --shards >= 2)")
-    run.add_argument("--shards", type=int, default=1,
-                     help="address-space shards (power of two); output is "
-                          "identical to --shards 1, only throughput changes")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the mp executor")
     run.add_argument("--checkpoint-dir", default=None,
                      help="directory for periodic engine checkpoints "
                           "(enables crash recovery and --resume)")

@@ -36,8 +36,8 @@ once promoted, is never dropped again.
 The controller's state (config, sketch cells, elephant set, aging
 cursor) round-trips through a versioned wire section (``CODEC_VERSION``
 below, IPD004-pinned as ``admission:2``) appended to engine blobs by
-:meth:`IPD.to_bytes`, so checkpoint/resume and reshard-on-restore carry
-admission state with the trie.
+:meth:`IPD.to_bytes` (and a sharded run's merged blob), so
+checkpoint/resume carries admission state with the trie.
 """
 
 from __future__ import annotations

@@ -6,16 +6,19 @@ dirty flags the incremental sweep machinery depends on — round-trips
 through this module.  No sweep input lives outside the blob: a sweep
 visits the dirty leaves, the leaves its expiry takes a source from
 (read off the encoded ``oldest_seen`` and ``last_seen``) and the
-classified leaves.  The same encoding serves three jobs:
+classified leaves.  The same encoding serves two jobs:
 
 * **Checkpoints** — :mod:`repro.runtime.checkpoint` persists a whole
   engine as one blob and restores it after a restart or worker crash.
 * **Shard handoff** — the sharded runtime moves depth-``k`` subtrees
   between the aggregator and shard engines as encoded subtree blobs
   (the generalization of the old in-memory ``seed`` op).
-* **Resharding** — a checkpoint taken at one shard count can be carved
-  at a different split depth on resume, because the blob is always the
-  *merged* single-engine-equivalent image.
+
+An engine blob is always the *merged* single-engine image, so it holds
+no delegated node: that tag belongs to subtree blobs alone (a shard's
+inactive root), and an engine blob carrying it is a
+:class:`StateCodecError` with its offset.  A sharded run's checkpoint
+therefore restores as one plain engine.
 
 Format
 ------
@@ -359,11 +362,12 @@ def _write_node(writer: Writer, image: NodeImage) -> None:
     # delegated: tag only
 
 
-def _read_node(reader: Reader, prefix: Prefix) -> NodeImage:
+def _read_node(reader: Reader, prefix: Prefix, delegated: bool) -> NodeImage:
     """Read the node at *prefix*: an internal node has two halves (so the
     recursion is as deep as the address is wide), a source lies inside its
-    leaf and appears once, no ingress repeats in one weight list, and every
-    figure is one an engine can write (:func:`_check`)."""
+    leaf and appears once, no ingress repeats in one weight list, every
+    figure is one an engine can write (:func:`_check`), and a delegated
+    node appears only where *delegated* allows it (a subtree blob)."""
     tag = reader.byte()
     dirty = bool(tag & _TAG_DIRTY)
     kind = _TAG_TO_KIND.get(tag & 0x0F)
@@ -373,9 +377,8 @@ def _read_node(reader: Reader, prefix: Prefix) -> NodeImage:
         if prefix.masklen == prefix.bits:
             raise StateCodecError(f"internal node at host route {prefix}")
         left, right = prefix.children()
-        return NodeImage(
-            kind="internal", left=_read_node(reader, left), right=_read_node(reader, right)
-        )
+        return NodeImage(kind="internal", left=_read_node(reader, left, delegated),
+                         right=_read_node(reader, right, delegated))
     if kind == "unclassified":
         total = reader.float()
         oldest_seen = reader.float()
@@ -423,6 +426,8 @@ def _read_node(reader: Reader, prefix: Prefix) -> NodeImage:
             last_seen=last_seen,
             classified_at=classified_at,
         )
+    if not delegated:
+        raise StateCodecError(f"delegated node at {prefix} in an engine blob")
     return NodeImage(kind="delegated")
 
 
@@ -585,7 +590,7 @@ def decode_engine_span(
                 root_prefix=root_prefix,
                 split_count=split_count,
                 join_count=join_count,
-                root=_read_node(reader, root_prefix),
+                root=_read_node(reader, root_prefix, delegated=False),
             )
         image = EngineImage(
             params=decoded_params,
@@ -636,5 +641,5 @@ def decode_subtree(data: "bytes | bytearray | memoryview") -> SubtreeImage:
             version=version,
             split_count=split_count,
             join_count=join_count,
-            root=_read_node(reader, prefix),
+            root=_read_node(reader, prefix, delegated=True),
         )

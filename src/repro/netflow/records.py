@@ -13,6 +13,7 @@ is one row at the edges (codecs, the §5.8 detector, ``iter_flows``).
 
 from __future__ import annotations
 
+import array
 import csv
 import functools
 import itertools
@@ -67,8 +68,9 @@ class FlowBatch:
     the interned :class:`IngressPoint` tuple its slices and selections
     share; ``packet_counts`` / ``byte_counts`` int64; ``dst_ips`` ints or
     None in an object array, or ``None`` when no row has one.  Columns of
-    unequal length or wrong shape, a negative source and an ingress id
-    outside the table are a ``ValueError``.  :meth:`iter_flows` hands back
+    unequal length or wrong shape, a negative source, an ingress id
+    outside the table and a float that is no whole number in a source, id
+    or count column are a ``ValueError``.  :meth:`iter_flows` hands back
     plain Python scalars.  One address ``version`` per batch: mixed streams
     become one batch per same-family run (:func:`iter_flow_batches`).
     """
@@ -96,11 +98,11 @@ class FlowBatch:
         self.version = version
         self.timestamps = np.asarray(timestamps, dtype=np.float64)
         self.src_ips = _source_column(src_ips, version)
-        ids = np.asarray(ingresses)  # checked before the int32 cast can wrap
+        ids = _integers(ingresses, "ingress_ids", "q")  # checked before the int32 cast can wrap
         self.ingress_ids = ids.astype(np.int32, copy=False)
         self.ingress_table = ingress_table
-        self.packet_counts = np.asarray(packet_counts, dtype=np.int64)
-        self.byte_counts = np.asarray(byte_counts, dtype=np.int64)
+        self.packet_counts = _integers(packet_counts, "packet_counts", "q").astype(np.int64, copy=False)
+        self.byte_counts = _integers(byte_counts, "byte_counts", "q").astype(np.int64, copy=False)
         if isinstance(dst_ips, np.ndarray):
             dst_ips = dst_ips.tolist()
         absent = dst_ips is None or dst_ips.count(None) == len(dst_ips) == len(ids)
@@ -140,11 +142,12 @@ class FlowBatch:
         return self._take(np.arange(len(self))[start:end])
 
     def select(self, rows: "Sequence[int] | np.ndarray") -> "FlowBatch":
-        """The batch of *rows*, in order, by fancy indexing (every row:
-        ``self``); shard routing and the admission gate select rows."""
-        if len(rows) == len(self):
+        """The batch of *rows*, in order, by fancy indexing (every row in
+        order: ``self``); shard routing and the admission gate select rows."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if len(rows) == len(self) and (rows == np.arange(len(rows))).all():
             return self
-        return self._take(np.asarray(rows, dtype=np.intp))
+        return self._take(rows)
 
     @property
     def ingresses(self) -> list[IngressPoint]:
@@ -179,27 +182,55 @@ class FlowBatch:
         return f"<FlowBatch v{self.version} n={len(self.timestamps)}>"
 
 
-def _source_column(values: Sequence[int], version: int) -> np.ndarray:
-    """Addresses as uint64 (IPv4) or as (hi, lo) uint64 rows (IPv6).  An
-    address that fits no such row, or an ndarray of another shape, is a
-    ``ValueError`` (an IPv4 one past 32 bits is rejected at ingest)."""
-    if isinstance(values, np.ndarray):
-        shape = (len(values),) if version == IPV4 else (len(values), 2)
-        if values.shape != shape:
-            raise ValueError(f"flow batch src_ips: shape {values.shape}, not {shape}")
-        if values.dtype.kind != "u" and (values < 0).any():
-            row = int((values < 0).reshape(len(values), -1).any(axis=1).argmax())
+def _integers(values: Any, column: str, typecode: str) -> np.ndarray:
+    """*values* as an integer ndarray, a list converted once by :mod:`array`
+    (numpy would truncate a float; a list that fits no *typecode* comes back
+    as numpy reads it).  A float that is no whole number below 2**63 is a
+    ``ValueError`` naming *column* and its row."""
+    if not isinstance(values, np.ndarray):
+        try:
+            return np.frombuffer(array.array(typecode, values), typecode)
+        except (TypeError, OverflowError):
+            values = np.asarray(values)
+    if values.dtype.kind == "f":
+        broken = (values != np.floor(values)) | (np.abs(values) >= 2.0**63)
+        if broken.any():
+            row = int(broken.reshape(len(values), -1).any(axis=1).argmax())
             raise ValueError(
-                f"flow batch row {row}: src_ips {values[row].tolist()} is negative")
-        return values.astype(np.uint64, copy=False)
+                f"flow batch row {row}: {column} {values[row].tolist()} is not an integer")
+    return values
+
+
+def _source_column(values: Sequence[int], version: int) -> np.ndarray:
+    """Addresses as uint64 (IPv4) or as (hi, lo) uint64 rows (IPv6), a list
+    converted once.  An address that fits no such row, a float, or an
+    ndarray of another shape, is a ``ValueError`` (an IPv4 one past 32 bits
+    is rejected at ingest)."""
+    if version != IPV4 and not isinstance(values, np.ndarray):
+        words = itertools.chain.from_iterable(map(divmod, values, repeat(1 << 64)))
+        try:
+            return np.frombuffer(array.array("Q", words), "Q").reshape(-1, 2)
+        except TypeError:
+            row = next(row for row, value in enumerate(values) if not hasattr(value, "__index__"))
+            raise ValueError(
+                f"flow batch row {row}: src_ips {values[row]!r} is not an integer") from None
+        except OverflowError:
+            row = next(row for row, value in enumerate(values) if not 0 <= value < 1 << 128)
+            raise ValueError(
+                f"flow batch row {row}: source {values[row]} is outside IPv{version}"
+            ) from None
+    column = _integers(values, "src_ips", "Q")
+    shape = (len(column),) if version == IPV4 else (len(column), 2)
+    if column.shape != shape:
+        raise ValueError(f"flow batch src_ips: shape {column.shape}, not {shape}")
+    if column.dtype.kind != "u" and (column < 0).any():
+        row = int((column < 0).reshape(len(column), -1).any(axis=1).argmax())
+        raise ValueError(
+            f"flow batch row {row}: src_ips {column[row:row + 1].tolist()[0]} is negative")
     try:
-        if version == IPV4:
-            return np.asarray(values, dtype=np.uint64)
-        pairs = [divmod(value, 1 << 64) for value in values]
-        return np.array(pairs, dtype=np.uint64).reshape(len(pairs), 2)
-    except OverflowError:
-        bits = 32 if version == IPV4 else 128
-        row = next(row for row, value in enumerate(values) if value < 0 or value >> bits)
+        return column.astype(np.uint64, copy=False)
+    except OverflowError:  # numpy read an int list past 64 bits as objects
+        row = next(row for row, value in enumerate(values) if value >> 64)
         raise ValueError(
             f"flow batch row {row}: source {values[row]} is outside IPv{version}"
         ) from None

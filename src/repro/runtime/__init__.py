@@ -3,15 +3,16 @@
 One execution surface for every way of running IPD:
 
 * :class:`~repro.runtime.pipeline.Pipeline` — deterministic offline
-  replay (simulated time), single-engine or address-space-sharded.
+  replay (simulated time), single-engine or, for a fresh run,
+  address-space-sharded.
 * :class:`~repro.runtime.live.LivePipeline` — the deployment's
-  wall-clock two-thread layout over the same engines.
+  wall-clock two-thread layout over one plain engine.
 * :class:`~repro.runtime.sharding.ShardedIPD` — the shard coordinator
   itself, usable directly wherever an :class:`~repro.core.algorithm.IPD`
-  is expected.
+  is expected; it is only ever built empty.
 * :func:`~repro.runtime.sharding.build_engine` — the one factory that
-  maps a topology (``shards``, ``executor``, optionally a checkpoint
-  blob) to a plain or sharded engine.
+  maps a topology (``shards``, ``executor``) to a fresh plain or sharded
+  engine.  Every restore (:func:`restore_engine`) is one plain engine.
 * executors (``serial`` / ``mp``) — interchangeable backends driving
   the shard engines.
 """

@@ -4,16 +4,17 @@ The paper's deployment runs IPD continuously for years (§4 builds a
 2.5-trillion-record longitudinal archive); state that lives only in
 process memory means any restart pays a full cold re-convergence.  This
 module persists the *merged* engine state — produced by the
-:mod:`repro.core.statecodec` wire codec — so a run can stop, crash, or
-reshard and continue exactly where it left off.
+:mod:`repro.core.statecodec` wire codec — so a run can stop or crash and
+continue exactly where it left off.
 
 Checkpoints are only taken at sweep ticks (the pipeline's barrier), so
 every saved image is a consistent post-sweep state: all ingest up to the
 tick applied, the sweep's joins/prunes/handoffs settled.  Restoring one
 and replaying the remaining flows reproduces the uninterrupted run
-byte-for-byte — including, for a sharded engine, restoring at a
-*different* shard count (the blob is the merged single-engine view; see
-:meth:`repro.runtime.sharding.ShardedIPD.from_image`).
+byte-for-byte.  Every restore is one plain
+:class:`~repro.core.algorithm.IPD`: a sharded run's blob is the merged
+single-engine view (:meth:`repro.runtime.sharding.ShardedIPD.to_image`),
+and its output equals one engine's.
 
 A checkpoint file is::
 
@@ -42,10 +43,10 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.admission import AdmissionConfig
+from ..core.algorithm import IPD
 from ..core.framing import IncompatibleStateError, Reader, StateCodecError
 from ..core.framing import Writer, read_header, write_header
 from ..core.params import IPDParams
-from .sharding import Engine, build_engine
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -255,12 +256,9 @@ class CheckpointStore:
         self,
         checkpoint: Checkpoint,
         params: Optional[IPDParams] = None,
-        shards: int = 1,
-        executor: str = "serial",
-        workers: Optional[int] = None,
         admission: Optional[AdmissionConfig] = None,
-    ) -> Engine:
-        """Rebuild an engine from *checkpoint* (see :func:`build_engine`).
+    ) -> IPD:
+        """Rebuild the plain engine *checkpoint* holds (see :func:`restore_engine`).
 
         A truncated or corrupt engine blob raises
         :class:`CheckpointCorruptError` carrying the checkpoint's path
@@ -268,10 +266,7 @@ class CheckpointStore:
         low-level struct/LEB128 error the codec hit.
         """
         try:
-            return build_engine(
-                params, shards, executor, workers, admission,
-                blob=checkpoint.engine_blob,
-            )
+            return restore_engine(checkpoint.engine_blob, params, admission)
         except IncompatibleStateError:
             raise
         except StateCodecError as exc:
@@ -283,15 +278,13 @@ class CheckpointStore:
 def restore_engine(
     blob: bytes,
     params: Optional[IPDParams] = None,
-    shards: int = 1,
-    executor: str = "serial",
-    workers: Optional[int] = None,
     admission: Optional[AdmissionConfig] = None,
-) -> Engine:
-    """Rebuild an engine of the requested topology from an engine blob.
+) -> IPD:
+    """Rebuild one plain :class:`~repro.core.algorithm.IPD` from an engine
+    blob, whichever engine wrote it (:meth:`IPD.from_bytes`).
 
-    :func:`~repro.runtime.sharding.build_engine` with the blob first:
-    any legal topology works, including one that differs from the
-    checkpointing run's.
+    ``params`` is only needed when the run used a custom
+    (non-serializable) decay function; a trailing admission section in
+    the blob wins over *admission*.
     """
-    return build_engine(params, shards, executor, workers, admission, blob)
+    return IPD.from_bytes(blob, params=params, admission=admission)

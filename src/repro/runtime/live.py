@@ -1,13 +1,12 @@
-"""Wall-clock runtime: the deployment's two-thread layout, any engine.
+"""Wall-clock runtime: the deployment's two-thread layout over one engine.
 
 :class:`LivePipeline` runs Stage 1 in a consumer thread fed through
 :meth:`submit` / :meth:`submit_batch` and Stage 2 in a timer thread
 every ``sweep_interval`` wall-clock seconds (§3.2, §5.7).  A single lock
 serializes engine access — the deployment similarly runs Stage 2
-single-threaded.  The engine may be a plain
-:class:`~repro.core.algorithm.IPD` or a sharded coordinator, chosen by
-the same ``shards`` / ``executor`` knobs as the offline
-:class:`~repro.runtime.pipeline.Pipeline`.
+single-threaded.  The engine is one plain
+:class:`~repro.core.algorithm.IPD`, as in the paper's deployment: one
+central process fed by per-router readers.
 
 ``stop()`` guarantees *no submitted flow is lost*: after the worker
 threads exit, anything still sitting in the ingest queue — items that
@@ -33,12 +32,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..core.algorithm import SweepReport
+from ..core.algorithm import IPD, SweepReport
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .checkpoint import Checkpoint, CheckpointStore
-from .sharding import Engine, build_engine
 
 __all__ = ["LivePipeline", "PipelineStateError"]
 
@@ -55,17 +53,11 @@ class LivePipeline:
         params: IPDParams | None = None,
         sweep_interval: float = 1.0,
         clock: Callable[[], float] | None = None,
-        shards: int = 1,
-        executor: str = "serial",
-        workers: Optional[int] = None,
-        engine: Optional[Engine] = None,
+        engine: Optional[IPD] = None,
         checkpoint_store: "CheckpointStore | str | Path | None" = None,
         checkpoint_every: Optional[float] = None,
     ) -> None:
-        self.engine = (
-            engine if engine is not None
-            else build_engine(params, shards, executor, workers)
-        )
+        self.engine = engine if engine is not None else IPD(params)
         self.sweep_interval = sweep_interval
         if checkpoint_store is not None and not isinstance(
             checkpoint_store, CheckpointStore
@@ -94,16 +86,13 @@ class LivePipeline:
         cls,
         checkpoint_store: "CheckpointStore | str | Path",
         params: IPDParams | None = None,
-        shards: int = 1,
-        executor: str = "serial",
-        workers: Optional[int] = None,
         **kwargs: object,
     ) -> "LivePipeline":
         """Restore the latest checkpoint into a fresh live runtime.
 
         The engine continues with the saved trie warm instead of paying
-        a cold re-convergence; ``shards``/``executor`` may differ from
-        the run that saved the image.
+        a cold re-convergence, as one plain engine whichever engine
+        saved the image.
         """
         if not isinstance(checkpoint_store, CheckpointStore):
             checkpoint_store = CheckpointStore(checkpoint_store)
@@ -112,9 +101,7 @@ class LivePipeline:
             raise FileNotFoundError(
                 f"no checkpoint found in {checkpoint_store.directory}"
             )
-        engine = checkpoint_store.restore_engine(
-            checkpoint, params, shards, executor, workers
-        )
+        engine = checkpoint_store.restore_engine(checkpoint, params)
         return cls(engine=engine, checkpoint_store=checkpoint_store, **kwargs)
 
     # ------------------------------------------------------------------ lifecycle
@@ -154,12 +141,6 @@ class LivePipeline:
             self.sweep_reports.append(self.engine.sweep(now))
             if self.checkpoint_store is not None:
                 self._save_checkpoint(now)
-
-    def close(self) -> None:
-        """Shut down executor workers of a sharded engine (idempotent)."""
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
 
     # ------------------------------------------------------------------ stage 1
 

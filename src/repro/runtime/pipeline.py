@@ -12,8 +12,10 @@ flow stream, across engine shapes:
   under any admission mode: the coordinator holds the deployment's one
   gate (the equivalence suites in ``tests/runtime`` pin this).
 
-:func:`~repro.runtime.sharding.build_engine` makes that choice, for a
-fresh run, a resume and a crash recovery alike.
+:func:`~repro.runtime.sharding.build_engine` makes that choice for a
+fresh run only.  A resume and a crash recovery continue on one plain
+engine: a checkpoint holds the merged single-engine image, so no run
+loses output.
 
 Event-driven replay semantics are unchanged: sweeps fire exactly at
 ``t``-second boundaries of the trace clock, snapshots every
@@ -25,8 +27,8 @@ state at sweep ticks (every ``checkpoint_every`` trace seconds): each
 checkpoint is a consistent post-sweep image plus the replay cursor, so
 :meth:`Pipeline.resume` continues an interrupted run — and when the flow
 source is re-openable (a zero-argument callable), a crashed mp worker is
-recovered *inside* :meth:`run` by rebuilding the engine from the last
-checkpoint and replaying forward, instead of failing the run.
+recovered *inside* :meth:`run` by restoring one plain engine from the
+last checkpoint and replaying forward, instead of failing the run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from ..core.admission import AdmissionConfig
-from ..core.algorithm import SweepReport
+from ..core.algorithm import IPD, SweepReport
 from ..core.output import IPDRecord
 from ..core.params import IPDParams
 from ..core.snapshot import Snapshot
@@ -90,15 +92,12 @@ class Pipeline:
     ) -> None:
         if snapshot_seconds <= 0:
             raise ValueError("snapshot_seconds must be positive")
-        #: build_engine arguments to rebuild after a worker crash; None
+        #: the one-engine arguments a crash recovery restores with; None
         #: means the engine is caller-owned and recovery must re-raise
         self._rebuild: Optional[dict] = None
         if engine is None:
-            self._rebuild = dict(
-                params=params, shards=shards, executor=executor,
-                workers=workers, admission=admission,
-            )
-            engine = build_engine(**self._rebuild)
+            engine = build_engine(params, shards, executor, workers, admission)
+            self._rebuild = dict(params=params, admission=admission)
         self.engine: Engine = engine
         self.snapshot_seconds = snapshot_seconds
         self.include_unclassified = include_unclassified
@@ -141,9 +140,6 @@ class Pipeline:
         checkpoint_store: "CheckpointStore | str | Path",
         checkpoint: Optional[Checkpoint] = None,
         params: IPDParams | None = None,
-        shards: int = 1,
-        executor: str = "serial",
-        workers: Optional[int] = None,
         admission: Optional[AdmissionConfig] = None,
         **kwargs: object,
     ) -> "Pipeline":
@@ -152,9 +148,9 @@ class Pipeline:
         The restored pipeline expects :meth:`run` to be fed the *same*
         flow stream the checkpointing run consumed, from the beginning —
         the replay cursor skips everything the checkpoint already
-        covers.  ``shards``/``executor`` may differ from the original
-        run's topology: the checkpoint holds the merged single-engine
-        image, re-carved at this deployment's split depth.
+        covers.  The engine is one plain :class:`~repro.core.algorithm.IPD`
+        whichever engine wrote the checkpoint: it holds the merged
+        single-engine image.
 
         ``params`` is only required when the original run used a custom
         (non-serializable) decay function.  ``admission`` only matters
@@ -169,10 +165,7 @@ class Pipeline:
             raise FileNotFoundError(
                 f"no checkpoint found in {checkpoint_store.directory}"
             )
-        rebuild = dict(
-            params=params, shards=shards, executor=executor,
-            workers=workers, admission=admission,
-        )
+        rebuild = dict(params=params, admission=admission)
         pipeline = cls(
             engine=checkpoint_store.restore_engine(checkpoint, **rebuild),
             checkpoint_store=checkpoint_store,
@@ -194,8 +187,8 @@ class Pipeline:
         stream (e.g. a function re-opening a CSV).  With a checkpoint
         store attached and a pipeline-owned engine, a re-openable source
         enables crash recovery: if a shard worker process dies mid-run,
-        the engine is rebuilt from the last checkpoint and the stream is
-        replayed forward instead of the run failing.
+        one plain engine is restored from the last checkpoint and the
+        stream is replayed forward instead of the run failing.
         """
         if callable(flows) and not isinstance(flows, Iterable):
             if self.checkpoint_store is not None and self._rebuild is not None:
@@ -228,7 +221,8 @@ class Pipeline:
             self._delivered = None
 
     def _recover(self, result: RunResult) -> None:
-        """Rebuild the engine from the last checkpoint after a crash."""
+        """Continue a crashed run on one plain engine: restored from the
+        last intact checkpoint, or fresh when there is none."""
         assert self._rebuild is not None and self.checkpoint_store is not None
         close = getattr(self.engine, "close", None)
         if close is not None:
@@ -254,7 +248,7 @@ class Pipeline:
         checkpoint = self.checkpoint_store.latest_valid()
         if checkpoint is None:
             # crashed before the first (intact) checkpoint: restart fresh
-            self.engine = build_engine(**self._rebuild)
+            self.engine = IPD(**self._rebuild)
             result.sweeps.clear()
             result.snapshots.clear()
             result.flows_processed = 0

@@ -6,7 +6,9 @@ work is split across ``2^k`` shard engines (``k >= 1``; one per
 depth-``k`` subtree, routed on the masked source's top ``k`` bits) plus
 a small *aggregator* engine that owns every range coarser than ``/k``.
 :func:`build_engine` is the one place that picks between a plain
-:class:`IPD` (one shard) and this coordinator.
+:class:`IPD` (one shard) and this coordinator, which is only ever built
+empty: a checkpoint holds the merged single-engine image, and every
+restore is one plain :class:`IPD`.
 
 The design invariant is **byte-identical output**: the visible leaves of
 aggregator + shards partition the address space exactly like one
@@ -53,7 +55,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from ..core.admission import AdmissionConfig, AdmissionController, decode_admission
+from ..core.admission import AdmissionConfig, AdmissionController
 from ..core.algorithm import (
     IPD,
     SweepReport,
@@ -69,11 +71,9 @@ from ..core.rangetree import UNCLASSIFIED
 from ..core.statecodec import (
     EngineImage,
     NodeImage,
-    decode_engine_span,
     decode_subtree,
     encode_engine,
     encode_subtree,
-    plant_image,
     subtree_to_image,
     tree_to_image,
 )
@@ -93,33 +93,24 @@ def build_engine(
     executor: str = "serial",
     workers: Optional[int] = None,
     admission: Optional[AdmissionConfig] = None,
-    blob: Optional[bytes] = None,
 ) -> Engine:
-    """The engine for a runtime topology, fresh or restored from *blob*.
+    """A fresh engine for a runtime topology.
 
     One shard is a plain :class:`~repro.core.algorithm.IPD` in the
-    calling process; anything else is a :class:`ShardedIPD` over the
-    named executor.  *blob* is a topology-free engine blob
-    (:meth:`IPD.to_bytes` / :meth:`ShardedIPD.to_bytes`), so it restores
-    at any legal topology; its trailing admission section, when
-    present, wins over *admission*.  ``params`` is only needed with a
-    blob when the run used a custom (non-serializable) decay function.
+    calling process; anything else is an empty :class:`ShardedIPD` over
+    the named executor.  Nothing restores into a coordinator: every
+    engine restored from bytes is one :class:`IPD`
+    (:func:`~repro.runtime.checkpoint.restore_engine`).
     """
     if shards != 1:
-        if blob is None:
-            return ShardedIPD(params, shards, executor, workers, admission)
-        return ShardedIPD.from_bytes(
-            blob, params, shards, executor, workers, admission
-        )
+        return ShardedIPD(params, shards, executor, workers, admission)
     if executor != "serial":
         raise ValueError(
             f"shards=1 is one plain IPD engine in this process and takes "
             f"executor 'serial', not {executor!r} (executors "
             f"{EXECUTOR_KINDS}; 'mp' needs shards >= 2)"
         )
-    if blob is None:
-        return IPD(params, admission=admission)
-    return IPD.from_bytes(blob, params=params, admission=admission)
+    return IPD(params, admission=admission)
 
 
 class ShardedIPD:
@@ -339,8 +330,8 @@ class ShardedIPD:
         tree = self.aggregator.trees[version]
         # Handoff is state *transfer*, not state sharing: the leaf's
         # observation state crosses the boundary as an encoded subtree
-        # blob (exactly what checkpoint resume sends), so aggregator and
-        # shard never alias one state object even in-process.
+        # blob, so aggregator and shard never alias one state object
+        # even in-process.
         payload = encode_subtree(leaf, version, subtree_to_image(tree, leaf))
         tree.delegate(leaf)
         index = leaf.value >> self._shifts[version]
@@ -393,7 +384,7 @@ class ShardedIPD:
         shard tree, active or not, fold into the per-family totals.  The
         result contains no delegated nodes: it is exactly the image a
         plain :class:`IPD` holding the same state would produce, which is
-        what makes a checkpoint restorable at *any* legal shard count.
+        what makes a sharded run's checkpoint restore as one plain engine.
         """
         exports: dict[int, dict[int, bytes]] = {}
         for part in self._ask("export"):
@@ -426,88 +417,12 @@ class ShardedIPD:
 
         With admission on, the controller's section is appended after the
         engine section, exactly as :meth:`IPD.to_bytes` appends its own —
-        so the blob restores on any topology.
+        so the blob restores as one :class:`IPD`, gate included.
         """
         blob = encode_engine(self.to_image())
         if self.admission is not None:
             blob += self.admission.to_bytes()
         return blob
-
-    @classmethod
-    def from_image(
-        cls,
-        image: EngineImage,
-        shards: int = 4,
-        executor: str = "serial",
-        workers: Optional[int] = None,
-        admission: "AdmissionController | AdmissionConfig | None" = None,
-    ) -> "ShardedIPD":
-        """Rebuild a sharded deployment from a merged engine image.
-
-        The image need not come from the same shard count — it is the
-        merged single-engine view, so it is re-carved at this
-        deployment's split depth: every node at exactly depth ``k``
-        becomes a shard seed (subtree blob), everything coarser stays in
-        the aggregator, and the carved positions become delegated
-        portals.  Resuming a 4-shard checkpoint on 16 shards (or on a
-        plain engine via :meth:`IPD.from_image`) is therefore legal and
-        produces identical future behavior.
-        """
-        engine = cls(
-            params=image.params,
-            shards=shards,
-            executor=executor,
-            workers=workers,
-            admission=admission,
-        )
-        for version, tree_image in image.trees.items():
-            tree = engine.aggregator.trees[version]
-            seeds: list[tuple[Prefix, NodeImage]] = []
-            aggregator_root = _carve(
-                tree_image.root, tree.root_prefix, engine.split_depth, seeds
-            )
-            plant_image(tree, tree.root_prefix, aggregator_root)
-            # the aggregator's merged counters carry the whole family's
-            # totals; seeds ship zero so the sum is preserved
-            tree.split_count = tree_image.split_count
-            tree.join_count = tree_image.join_count
-            for prefix, node_image in seeds:
-                index = prefix.value >> engine._shifts[version]
-                engine._delegated[version].add(index)
-                engine._executor.send(
-                    index,
-                    ("seed", index, version,
-                     encode_subtree(prefix, version, node_image)),
-                )
-        engine.flows_ingested = image.flows_ingested
-        engine.bytes_ingested = image.bytes_ingested
-        engine.last_sweep_at = image.last_sweep_at
-        return engine
-
-    @classmethod
-    def from_bytes(
-        cls,
-        data: bytes,
-        params: IPDParams | None = None,
-        shards: int = 4,
-        executor: str = "serial",
-        workers: Optional[int] = None,
-        admission: Optional[AdmissionConfig] = None,
-    ) -> "ShardedIPD":
-        """Rebuild a sharded deployment from a :meth:`to_bytes` blob.
-
-        A trailing admission section restores the front-end exactly
-        (its embedded config wins over the *admission* argument); a
-        bare engine blob plus an *admission* config starts a fresh
-        front-end, which is how ``--admission`` is enabled across a
-        resume from an admission-off checkpoint.
-        """
-        image, consumed = decode_engine_span(data, params=params)
-        if consumed < len(data):
-            admission = AdmissionController.from_image(
-                decode_admission(memoryview(data)[consumed:])
-            )
-        return cls.from_image(image, shards, executor, workers, admission)
 
     # ------------------------------------------------------------------ output
 
@@ -543,33 +458,3 @@ class ShardedIPD:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-
-def _carve(
-    image: NodeImage,
-    prefix: Prefix,
-    depth: int,
-    seeds: list[tuple[Prefix, NodeImage]],
-) -> NodeImage:
-    """Split a merged tree image at the shard depth.
-
-    Every node sitting at exactly ``/depth`` — an entire subtree, a
-    classified leaf, or an (even empty) unclassified leaf — is recorded
-    as a shard seed and replaced by a delegated placeholder; everything
-    coarser stays with the aggregator.  This reproduces exactly the
-    ownership split a live sharded run maintains: post-sweep the
-    aggregator never retains a visible leaf at depth ``>= k`` (the
-    handoff delegates them the moment the split cascade arrives), and
-    cross-boundary joins/prunes only ever create leaves coarser than
-    ``/k``.
-    """
-    if prefix.masklen == depth:
-        seeds.append((prefix, image))
-        return NodeImage(kind="delegated")
-    if image.kind != "internal":
-        return image
-    left_prefix, right_prefix = prefix.children()
-    return NodeImage(
-        kind="internal",
-        left=_carve(image.left, left_prefix, depth, seeds),
-        right=_carve(image.right, right_prefix, depth, seeds),
-    )

@@ -137,27 +137,20 @@ class Scenario:
         snapshot_seconds: float = 300.0,
         include_unclassified: bool = False,
         keep_flows: bool = True,
-        shards: int = 1,
-        executor: str = "serial",
-        workers: Optional[int] = None,
         admission: "Optional[AdmissionConfig]" = None,
     ) -> tuple[list[FlowRecord], RunResult]:
         """Replay the scenario through IPD; returns (flows, results).
 
         With ``keep_flows=False`` the stream is not materialized (for
         long runs where only snapshots matter) and the first element is
-        an empty list.  ``shards`` / ``executor`` / ``workers`` select
-        the runtime topology — results are identical for every choice,
-        admission on or off, only throughput changes.  ``admission``
+        an empty list.  The run is one plain engine (a sharded replay is
+        ``Pipeline(shards=...)``, with identical results).  ``admission``
         attaches the sketch-gated front-end (one gate per deployment);
         ``exact`` mode keeps results identical to admission off,
         ``lossy`` trades never-promoted mice for ingest throughput.
         """
         with Pipeline(
             self.params,
-            shards=shards,
-            executor=executor,
-            workers=workers,
             snapshot_seconds=snapshot_seconds,
             include_unclassified=include_unclassified,
             admission=admission,

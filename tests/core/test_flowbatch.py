@@ -115,6 +115,19 @@ class TestFlowBatch:
             assert list(part.iter_flows()) == [flows[row] for row in rows]
         assert batch.select(range(6)) is batch
 
+    @pytest.mark.parametrize("rows", [[1, 0], [0, 0], [1, 1]], ids=["permutation", "repeat-first", "repeat-last"])
+    def test_select_of_every_row_count_is_not_self(self, rows):
+        """Any two rows of a two-row batch used to come back as the batch
+        itself: ``select([1, 0]) is batch`` and ``select([0, 0]) is batch``
+        both held.  Only the rows ``0..n-1`` in order are the batch."""
+        flows = [v4_flow(1.0, "10.0.0.1", A), v4_flow(2.0, "10.0.0.2", B)]
+        batch = FlowBatch.from_flows(flows)
+        part = batch.select(rows)
+        assert part is not batch
+        assert list(part.iter_flows()) == [flows[row] for row in rows]
+        assert batch.select([0, 1]) is batch
+        assert batch.select(np.arange(2)) is batch
+
 
 @pytest.mark.parametrize("version", [IPV4, IPV6])
 @settings(max_examples=80, deadline=None)
@@ -122,7 +135,8 @@ class TestFlowBatch:
 def test_property_row_round_trip(version, data):
     """``iter_flows`` -> ``from_flows`` gives back the same columns, bit for
     bit; ``dst_ips`` is ``None`` exactly when no row has a destination; and
-    ``slice`` / ``select`` are row-wise list slicing."""
+    ``slice`` / ``select`` are row-wise list slicing, ``select`` for any
+    rows: a subset, a permutation or rows repeated."""
     batch = data.draw(flow_batches(version, max_rows=12))
     flows = list(batch.iter_flows())
     assert (batch.dst_ips is None) == all(flow.dst_ip is None for flow in flows)
@@ -136,8 +150,10 @@ def test_property_row_round_trip(version, data):
             assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
     start, end = sorted(data.draw(st.lists(st.integers(0, len(flows)), min_size=2,
                                            max_size=2)))
-    keep = data.draw(st.lists(st.booleans(), min_size=len(flows), max_size=len(flows)))
-    rows = [row for row, kept in enumerate(keep) if kept]
+    keep = st.lists(st.booleans(), min_size=len(flows), max_size=len(flows)).map(
+        lambda keep: [row for row, kept in enumerate(keep) if kept])
+    repeats = st.lists(st.integers(0, max(len(flows) - 1, 0)), max_size=2 * len(flows))
+    rows = data.draw(keep | st.permutations(range(len(flows))) | repeats)
     for part, expected in ((batch.slice(start, end), flows[start:end]),
                            (batch.select(rows), [flows[row] for row in rows])):
         assert list(part.iter_flows()) == expected
@@ -183,6 +199,39 @@ class TestMalformedColumns:
         batch = FlowBatch(IPV6, [1.0], np.array([[1, 2]], np.int64), [A], [1], [1500])
         assert batch.src_ips.dtype == np.uint64
         assert batch.addresses() == [(1 << 64) | 2]
+
+
+class TestFloatColumns:
+    """An integer column given floats used to be truncated silently:
+    ``src_ips=np.array([16.7])`` became ``[16]`` and ``packet_counts=[1.9,
+    2.0]`` became ``[1, 2]``.  A float that is no whole number is refused,
+    naming the column and the row, in a list or an ndarray."""
+
+    @pytest.mark.parametrize("version, column, values, text", [
+        (IPV4, "src_ips", np.array([16.0, 16.7]), "row 1: src_ips 16.7"),
+        (IPV4, "src_ips", [16, 16.7], "row 1: src_ips 16.7"),
+        (IPV6, "src_ips", [16, 16.7], "row 1: src_ips 16.7"),
+        (IPV6, "src_ips", np.array([[0.0, 1.0], [0.5, 0.0]]), r"row 1: src_ips \[0.5, 0.0\]"),
+        (IPV4, "packet_counts", [1.9, 2.0], "row 0: packet_counts 1.9"),
+        (IPV4, "byte_counts", np.array([1500.0, np.nan]), "row 1: byte_counts nan"),
+        (IPV4, "byte_counts", [1500, float("inf")], "row 1: byte_counts inf"),
+        (IPV4, "ingresses", [0, 0.5], "row 1: ingress_ids 0.5"),
+    ], ids=["v4-array", "v4-list", "v6-list", "v6-array", "packets-list", "bytes-nan",
+            "bytes-inf", "ingress-ids"])
+    def test_non_integral_float_is_refused(self, version, column, values, text):
+        columns = dict(timestamps=[1.0, 2.0], src_ips=[16, 32], ingresses=[0, 1],
+                       packet_counts=[1, 1], byte_counts=[1500, 1500], ingress_table=(A, B))
+        columns[column] = values
+        with pytest.raises(ValueError, match=f"{text} is not an integer"):
+            FlowBatch(version, **columns)
+
+    def test_whole_floats_and_float_timestamps_are_kept(self):
+        batch = FlowBatch(IPV4, [0.25, 0.5], np.array([16.0, 32.0]), [A, B],
+                          np.array([1.0, 2.0]), [1500.0, 3000.0])
+        assert batch.timestamps.tolist() == [0.25, 0.5]
+        assert batch.src_ips.tolist() == [16, 32] and batch.src_ips.dtype == np.uint64
+        assert batch.packet_counts.tolist() == [1, 2]
+        assert batch.byte_counts.tolist() == [1500, 3000]
 
 
 class TestAbsentDestinations:

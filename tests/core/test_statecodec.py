@@ -417,3 +417,27 @@ def test_malformed_tree_is_a_typed_error(case, tmp_path):
     assert caught.value.path == path
     assert caught.value.offset is not None
 
+
+
+def test_malformed_engine_blob_with_a_delegated_node(tmp_path):
+    """A delegated leaf is a range another engine owns, so only a subtree
+    blob carries one (a shard's inactive root).  An engine blob whose left
+    /1 was delegated used to restore into a plain engine with
+    ``delegated_count() == 1``: a flow into that half moved
+    ``flows_ingested`` and showed in no snapshot.  It is a
+    :class:`StateCodecError` with its offset now, and a checkpoint holding
+    it a :class:`CheckpointCorruptError`."""
+    root = NodeImage("internal", left=NodeImage("delegated"), right=EMPTY)
+    tree = TreeImage(IPV4, ROOT, 0, 0, root)
+    blob = encode_engine(EngineImage(IPDParams(), 0, 0, None, {IPV4: tree}))
+    for decode in (decode_engine, IPD.from_bytes):
+        with pytest.raises(StateCodecError, match="delegated node at 0.0.0.0/1") as caught:
+            decode(blob)
+        assert caught.value.offset is not None
+    store = CheckpointStore(tmp_path)
+    path = store.save(Checkpoint(60.0, 0, 120.0, None, 1, blob))
+    with pytest.raises(CheckpointCorruptError) as caught:
+        store.restore_engine(store.load(path))
+    assert caught.value.path == path
+    # the subtree blob keeps the tag
+    assert decode_subtree(encode_subtree(ROOT, IPV4, root)).root.left.kind == "delegated"

@@ -363,26 +363,6 @@ class TestSinkLifecycle:
 
 
 class TestLivePipeline:
-    def test_classifies_with_sharded_engine(self):
-        runner = LivePipeline(
-            params(), sweep_interval=0.05, shards=4, executor="mp", workers=2
-        )
-        runner.start()
-        base = parse_ip("10.0.0.0")[0]
-        for index in range(200):
-            runner.submit(
-                FlowRecord(timestamp=0.0, src_ip=base + index * 16,
-                           version=IPV4, ingress=A)
-            )
-        import time
-
-        time.sleep(0.3)
-        runner.stop()
-        snapshot = runner.snapshot()
-        runner.close()
-        assert snapshot
-        assert snapshot[0].ingress == A
-
     def test_stop_without_start_ingests_everything(self):
         """No submitted flow may be lost, even without a running thread."""
         runner = LivePipeline(params(), sweep_interval=100.0,

@@ -1,8 +1,9 @@
 """Deleted variants are gone, not hidden: executors, transport, per-flow
-forks, the one-shard coordinator, per-verb executor methods, the fault
-hook seam, the serving shard grid, the compiled-LPM blob, the stream
-handler of the lookup socket and the engine's §5.8 load-balance
-plumbing."""
+forks, the one-shard coordinator, restores into a coordinator and the
+topology options of every path but a fresh ``Pipeline``, per-verb
+executor methods, the fault hook seam, the serving shard grid, the
+compiled-LPM blob, the stream handler of the lookup socket and the
+engine's §5.8 load-balance plumbing."""
 
 import pytest
 
@@ -23,7 +24,7 @@ def test_removed_executor_and_transport_are_rejected(capsys):
     capsys.readouterr()  # argparse's usage text
 
 
-def test_one_shard_is_a_plain_engine(capsys):
+def test_one_shard_is_a_plain_engine():
     """No one-shard coordinator: shards=1 is a plain IPD, and a sharded
     engine or the mp executor at one shard is refused by its rule."""
     from repro.runtime import ShardedIPD
@@ -32,8 +33,16 @@ def test_one_shard_is_a_plain_engine(capsys):
         ShardedIPD(shards=1)
     with pytest.raises(ValueError, match=r"shards=1 is one plain IPD.*'mp' needs shards >= 2"):
         Pipeline(shards=1, executor="mp")
-    assert main(["run", "flows.csv", "records.csv", "--executor", "mp"]) == 2
-    assert "'mp' needs shards >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--shards", "4"], ["--executor", "mp"], ["--workers", "2"]],
+                         ids=["shards", "executor", "workers"])
+def test_cli_run_takes_no_topology_flags(capsys, flag):
+    """``cli run`` is one engine: a sharded replay is ``Pipeline(shards=...)``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "flows.csv", "records.csv", *flag])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_executors_are_pipes():
@@ -57,39 +66,60 @@ def test_executors_are_pipes():
 
 
 def test_one_engine_factory(monkeypatch, tmp_path):
-    """Fresh runs, resumes and both crash-recovery branches all get their
-    engine from build_engine."""
-    import repro.runtime.checkpoint as checkpoint
-    import repro.runtime.live as live
+    """A coordinator is only ever built empty, by build_engine for a fresh
+    Pipeline: both crash-recovery branches of a 4-shard run, resumes, the
+    live runtime and every restore are one plain IPD, and no restore path
+    takes a topology."""
+    import inspect
+
     import repro.runtime.pipeline as pipeline
-    from repro.runtime import CheckpointStore, LivePipeline, build_engine
+    from repro.core.algorithm import IPD
+    from repro.runtime import (
+        CheckpointStore, LivePipeline, ShardedIPD, build_engine, restore_engine, sharding,
+    )
     from repro.testkit.faults import Fault, FaultPlan
     from repro.testkit.traces import FIG05_PARAMS, fig05_trace
+    from repro.workloads.scenarios import Scenario
 
-    restored = []
+    built = []
 
-    def spy(params=None, shards=1, executor="serial", workers=None,
-            admission=None, blob=None):
-        restored.append(blob is not None)
-        return build_engine(params, shards, executor, workers, admission, blob)
+    def spy(*args, **kwargs):
+        built.append(build_engine(*args, **kwargs))
+        return built[-1]
 
-    for module in (checkpoint, live, pipeline):
-        monkeypatch.setattr(module, "build_engine", spy)
-
+    monkeypatch.setattr(pipeline, "build_engine", spy)
     store = CheckpointStore(tmp_path / "ckpt")
     # crash 1 (after the 60 s sweep) precedes the first checkpoint (a
-    # fresh rebuild), crash 2 (after the 300 s sweep) follows one (a
-    # restore)
+    # fresh restart), crash 2 (after the 240 s sweep of the replay)
+    # follows one (a restore)
     plan = FaultPlan([Fault("worker_crash", at=0), Fault("worker_crash", at=4)])
-    with Pipeline(FIG05_PARAMS, snapshot_seconds=120.0,
-                  checkpoint_store=store, on_sweep=plan.on_sweep) as replay:
+    engines = []
+
+    def observe(report, engine):
+        engines.append(type(engine))
+        plan.on_sweep(report, engine)
+
+    with Pipeline(FIG05_PARAMS, shards=4, snapshot_seconds=120.0,
+                  checkpoint_store=store, on_sweep=observe) as replay:
         replay.run(fig05_trace)
     assert plan.fired == [("worker_crash", 0), ("worker_crash", 4)]
-    assert restored == [False, False, True]
-    Pipeline.resume(store).close()
-    LivePipeline(FIG05_PARAMS).close()
-    LivePipeline.resume(store).close()
-    assert restored == [False, False, True, True, False, True]
+    assert [type(engine) for engine in built] == [ShardedIPD]
+    assert engines[0] is ShardedIPD and set(engines[1:]) == {IPD}
+    with ShardedIPD(FIG05_PARAMS, shards=4) as fresh:
+        fresh.ingest_many(fig05_trace())
+        fresh.sweep(600.0)
+        sharded_blob = fresh.to_bytes()
+    for engine in (Pipeline.resume(store).engine, LivePipeline(FIG05_PARAMS).engine,
+                   LivePipeline.resume(store).engine, restore_engine(sharded_blob)):
+        assert type(engine) is IPD
+
+    for function in (Pipeline.resume, LivePipeline.__init__, LivePipeline.resume,
+                     Scenario.run, CheckpointStore.restore_engine, restore_engine):
+        assert not {"shards", "executor", "workers"} & set(inspect.signature(function).parameters)
+    assert "blob" not in inspect.signature(build_engine).parameters
+    assert not hasattr(ShardedIPD, "from_image") and not hasattr(ShardedIPD, "from_bytes")
+    assert not hasattr(sharding, "_carve")
+    assert not hasattr(LivePipeline, "close")
 
 
 def test_fault_hook_seam_is_gone(tmp_path):

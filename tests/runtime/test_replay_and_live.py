@@ -7,7 +7,7 @@ import pytest
 from repro.core.iputil import IPV4, IPV6, parse_ip
 from repro.core.params import IPDParams
 from repro.netflow.records import FlowBatch, FlowRecord
-from repro.runtime import LivePipeline, Pipeline, ShardedIPD
+from repro.runtime import LivePipeline, Pipeline
 from repro.topology.elements import IngressPoint
 
 A = IngressPoint("R1", "et0")
@@ -227,15 +227,3 @@ class TestLiveCoalescing:
         runner.submit_batch(FlowBatch.from_flows([numbered(3), numbered(4)]))
         runner.stop()
         assert runner.engine.flows_ingested == 4
-
-    def test_sharded_live_engine_receives_batches(self):
-        with ShardedIPD(params(), shards=4) as sharded:
-            engine = RecordingEngine(sharded)
-            runner = LivePipeline(engine=engine, sweep_interval=50.0)
-            runner.start()
-            for index in range(300):
-                runner.submit(numbered((index % 256) << 24))
-            runner.stop()
-            assert sum(len(batch) for batch in engine.batches) == 300
-            assert sharded.flows_ingested == 300
-            assert sharded.leaf_count() >= 1
