@@ -147,10 +147,9 @@ def dominant_share_cdf(
 def mask_histogram(
     records: Iterable[IPDRecord],
     version: int = IPV4,
-    classified_only: bool = True,
     weight_by: str = "count",
 ) -> Counter:
-    """IPD range sizes: mask length -> count (or covered addresses).
+    """Classified IPD range sizes: mask length -> count (or covered addresses).
 
     ``weight_by`` is ``"count"`` (Fig. 9 and the lower plots of
     Figs. 11/12) or ``"addresses"`` (the upper, space-weighted plots).
@@ -159,9 +158,7 @@ def mask_histogram(
         raise ValueError(f"unknown weight_by: {weight_by!r}")
     histogram: Counter = Counter()
     for record in records:
-        if record.version != version:
-            continue
-        if classified_only and not record.classified:
+        if record.version != version or not record.classified:
             continue
         weight = 1 if weight_by == "count" else record.range.num_addresses
         histogram[record.range.masklen] += weight

@@ -36,15 +36,14 @@ __all__ = [
 
 def stability_durations(
     snapshots: Mapping[float, Sequence[IPDRecord]],
-    classified_only: bool = True,
     gap_tolerance: int = 0,
 ) -> list[float]:
     """Per-(range, ingress) stable-phase durations across snapshots.
 
     A stable phase of a range is a maximal run of snapshots in which the
-    exact range exists and keeps the same assigned ingress.  A range may
-    be absent for up to *gap_tolerance* consecutive snapshots without
-    ending its phase (classification flaps around the ``n_cidr``/decay
+    exact range exists classified and keeps the same assigned ingress
+    (unclassified records are ignored).  A range may be absent for up to
+    *gap_tolerance* consecutive snapshots without ending its phase (classification flaps around the ``n_cidr``/decay
     thresholds would otherwise fragment genuinely stable mappings).
     Returns one duration (seconds) per completed or trailing phase —
     the sample set behind the Fig. 2 / Fig. 15 CDFs.
@@ -59,9 +58,8 @@ def stability_durations(
     for timestamp in times:
         current: dict[Prefix, IngressPoint] = {}
         for record in snapshots[timestamp]:
-            if classified_only and not record.classified:
-                continue
-            current[record.range] = record.ingress
+            if record.classified:
+                current[record.range] = record.ingress
 
         for range_prefix, (ingress, started, last, missed) in list(
             open_phases.items()

@@ -212,71 +212,41 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with open(args.flows) as stream:
             yield from read_flows_csv_batched(stream, args.batch_size)
 
-    resumed = False
-    if args.resume:
-        if args.checkpoint_dir is None:
-            print("--resume requires --checkpoint-dir", file=sys.stderr)
-            return 2
-        if not Path(args.checkpoint_dir).is_dir():
-            # an explicit resume against nothing is an operator mistake,
-            # not a fresh start: fail instead of silently recomputing
-            print(
-                f"--resume: checkpoint directory {args.checkpoint_dir} "
-                "does not exist",
-                file=sys.stderr,
-            )
-            return 2
+    if args.resume and args.checkpoint_dir is None:
+        print("--resume requires --checkpoint-dir", file=sys.stderr)
+        return 2
+    if args.resume and not Path(args.checkpoint_dir).is_dir():
+        # an explicit resume against nothing is an operator mistake,
+        # not a fresh start: fail instead of silently recomputing
+        print(f"--resume: checkpoint directory {args.checkpoint_dir} "
+              "does not exist", file=sys.stderr)
+        return 2
+    store = None
+    if args.checkpoint_dir is not None:
         store = CheckpointStore(args.checkpoint_dir, retain=args.checkpoint_retain)
+    pipeline = None
+    if args.resume and store is not None:
         try:
-            checkpoint = store.latest()
+            pipeline = Pipeline.resume(
+                store, params=params, admission=admission,
+                snapshot_seconds=args.snapshot_seconds,
+                checkpoint_every=args.checkpoint_every)
+        except FileNotFoundError:
+            print(f"no checkpoint in {args.checkpoint_dir}; starting fresh")
         except IncompatibleStateError as exc:
-            print(
-                f"cannot resume: checkpoint in {args.checkpoint_dir} was "
-                f"written by an older or newer build ({exc})",
-                file=sys.stderr,
-            )
+            print(f"cannot resume: checkpoint in {args.checkpoint_dir} was "
+                  f"written by an older or newer build ({exc})", file=sys.stderr)
             return 2
         except StateCodecError as exc:
             # CheckpointCorruptError: damaged file — refuse loudly rather
             # than silently rewinding to an older image
             print(f"cannot resume: {exc}", file=sys.stderr)
             return 2
-        if checkpoint is not None:
-            try:
-                pipeline = Pipeline.resume(
-                    store,
-                    checkpoint=checkpoint,
-                    params=params,
-                    admission=admission,
-                    snapshot_seconds=args.snapshot_seconds,
-                    checkpoint_every=args.checkpoint_every,
-                )
-            except IncompatibleStateError as exc:
-                print(
-                    f"cannot resume: engine state in {args.checkpoint_dir} "
-                    f"was written by an incompatible build ({exc})",
-                    file=sys.stderr,
-                )
-                return 2
-            except StateCodecError as exc:
-                print(f"cannot resume: {exc}", file=sys.stderr)
-                return 2
-            resumed = True
-        else:
-            print(f"no checkpoint in {args.checkpoint_dir}; starting fresh")
+    resumed = pipeline is not None
     if not resumed:
-        store = (
-            CheckpointStore(args.checkpoint_dir, retain=args.checkpoint_retain)
-            if args.checkpoint_dir is not None
-            else None
-        )
         pipeline = Pipeline(
-            params,
-            snapshot_seconds=args.snapshot_seconds,
-            checkpoint_store=store,
-            checkpoint_every=args.checkpoint_every,
-            admission=admission,
-        )
+            params, admission=admission, snapshot_seconds=args.snapshot_seconds,
+            checkpoint_store=store, checkpoint_every=args.checkpoint_every)
     with pipeline:
         result = pipeline.run(flow_source)
     records = result.final_snapshot()

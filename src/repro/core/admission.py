@@ -197,7 +197,6 @@ def auto_sketch_width(
     distinct_sources: int,
     *,
     max_fill: float = 0.9,
-    min_width: int = _MIN_AUTO_WIDTH,
 ) -> int:
     """Smallest power-of-two row width that survives *distinct_sources*.
 
@@ -216,7 +215,7 @@ def auto_sketch_width(
         raise ValueError("max_fill must be in (0, 1]")
     target_fill = max_fill * _AUTO_FILL_HEADROOM
     needed = distinct_sources / -math.log(1.0 - target_fill)
-    width = min_width
+    width = _MIN_AUTO_WIDTH
     while width < needed:
         width <<= 1
     return width

@@ -278,11 +278,9 @@ class CompiledLPM:
         cls,
         records: Iterable[IPDRecord],
         version: int = IPV4,
-        classified_only: bool = True,
     ) -> "CompiledLPM":
         """Compile the §5.1 validation LPM table from one output snapshot:
-        the *version* family's records, classified ones unless told
-        otherwise."""
+        the *version* family's classified records."""
         return cls(
             version,
             (
@@ -294,8 +292,7 @@ class CompiledLPM:
                     record.timestamp,
                 )
                 for record in records
-                if record.version == version
-                and (not classified_only or record.classified)
+                if record.version == version and record.classified
             ),
         )
 
@@ -357,5 +354,5 @@ class CompiledLPM:
 
 
 #: the §5.1 validation table of one output snapshot (``records``,
-#: ``version=IPV4``, ``classified_only=True``)
+#: ``version=IPV4``)
 build_lpm_from_records = CompiledLPM.from_records

@@ -98,7 +98,12 @@ class FlowBatch:
         self.version = version
         self.timestamps = np.asarray(timestamps, dtype=np.float64)
         self.src_ips = _source_column(src_ips, version)
-        ids = _integers(ingresses, "ingress_ids", "q")  # checked before the int32 cast can wrap
+        ids = _integers(ingresses, "ingress_ids", "q")
+        if len(ids) and not 0 <= ids.min() <= ids.max() < len(ingress_table):
+            # checked before the int32 cast can wrap or overflow
+            row = int(np.flatnonzero((ids < 0) | (ids >= len(ingress_table)))[0])
+            raise ValueError(
+                f"flow batch row {row}: ingress_ids {ids[row]} is outside ingress_table")
         self.ingress_ids = ids.astype(np.int32, copy=False)
         self.ingress_table = ingress_table
         self.packet_counts = _integers(packet_counts, "packet_counts", "q").astype(np.int64, copy=False)
@@ -109,10 +114,6 @@ class FlowBatch:
         self.dst_ips = None if absent else np.array(dst_ips, dtype=object)
         if len(set(map(len, self._columns()))) != 1:
             raise ValueError("FlowBatch columns have mismatched lengths")
-        if len(ids) and not 0 <= ids.min() <= ids.max() < len(ingress_table):
-            row = int(np.flatnonzero((ids < 0) | (ids >= len(ingress_table)))[0])
-            raise ValueError(
-                f"flow batch row {row}: ingress_ids {ids[row]} is outside ingress_table")
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         columns = (self.timestamps, self.src_ips, self.ingress_ids,
@@ -207,7 +208,8 @@ def _source_column(values: Sequence[int], version: int) -> np.ndarray:
     ndarray of another shape, is a ``ValueError`` (an IPv4 one past 32 bits
     is rejected at ingest)."""
     if version != IPV4 and not isinstance(values, np.ndarray):
-        words = itertools.chain.from_iterable(map(divmod, values, repeat(1 << 64)))
+        words = itertools.chain.from_iterable(
+            map(divmod, map(operator.index, values), repeat(1 << 64)))
         try:
             return np.frombuffer(array.array("Q", words), "Q").reshape(-1, 2)
         except TypeError:

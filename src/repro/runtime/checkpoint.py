@@ -103,8 +103,10 @@ class Checkpoint:
     ``flows_processed`` is how many flow rows the run had consumed, which
     doubles as the skip count when the same stream is replayed on
     resume.  ``next_sweep`` / ``next_snapshot`` restore the pipeline's
-    time grids and ``sweep_count`` lets a recovery stitch sweep reports
-    without duplicates.  ``path`` is set by :meth:`CheckpointStore.load`
+    time grids.  ``sweep_count`` is the number of sweeps since the run
+    began, across resumes, so a recovery rolls a run's sweep reports
+    back to the checkpoint without duplicates.  ``path`` is set by
+    :meth:`CheckpointStore.load`
     (purely informational; not serialized, not part of equality).
     """
 

@@ -19,7 +19,9 @@ image after a sweep every ``checkpoint_every`` wall-clock seconds, and
 analogue of the offline pipeline's sweep-tick barrier (state is only
 ever saved under the lock, right after a sweep, so the image is a
 consistent post-sweep one).  :meth:`LivePipeline.resume` restores the
-latest image into a fresh runtime.
+latest image into a fresh runtime through the offline pipeline's one
+restore step, and the ``sweep_count`` it saves counts from the run's
+start, across resumes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from ..core.output import IPDRecord
 from ..core.params import IPDParams
 from ..netflow.records import FlowBatch, FlowRecord, iter_flow_batches
 from .checkpoint import Checkpoint, CheckpointStore
+from .pipeline import Pipeline
 
 __all__ = ["LivePipeline", "PipelineStateError"]
 
@@ -80,6 +83,9 @@ class LivePipeline:
         self._ingest_thread: threading.Thread | None = None
         self._sweep_thread: threading.Thread | None = None
         self.sweep_reports: list[SweepReport] = []
+        #: sweeps the run made before this runtime's first: a saved
+        #: ``sweep_count`` counts from the run's start, across resumes
+        self._base = 0
 
     @classmethod
     def resume(
@@ -88,21 +94,18 @@ class LivePipeline:
         params: IPDParams | None = None,
         **kwargs: object,
     ) -> "LivePipeline":
-        """Restore the latest checkpoint into a fresh live runtime.
-
-        The engine continues with the saved trie warm instead of paying
-        a cold re-convergence, as one plain engine whichever engine
-        saved the image.
+        """Restore the latest checkpoint into a fresh live runtime, warm
+        instead of paying a cold re-convergence: :meth:`Pipeline.resume`
+        restores it, and the sweep count continues from the checkpoint's.
         """
-        if not isinstance(checkpoint_store, CheckpointStore):
-            checkpoint_store = CheckpointStore(checkpoint_store)
-        checkpoint = checkpoint_store.latest()
-        if checkpoint is None:
-            raise FileNotFoundError(
-                f"no checkpoint found in {checkpoint_store.directory}"
-            )
-        engine = checkpoint_store.restore_engine(checkpoint, params)
-        return cls(engine=engine, checkpoint_store=checkpoint_store, **kwargs)
+        offline = Pipeline.resume(checkpoint_store, params=params)
+        live = cls(
+            engine=offline.engine,
+            checkpoint_store=offline.checkpoint_store,
+            **kwargs,
+        )
+        live._base = offline._base
+        return live
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -144,29 +147,27 @@ class LivePipeline:
 
     # ------------------------------------------------------------------ stage 1
 
-    def submit(self, flow: FlowRecord, restamp: bool = True) -> None:
+    def submit(self, flow: FlowRecord) -> None:
         """Enqueue one flow for Stage-1 ingestion.
 
-        By default the flow is re-stamped with the live clock so that
-        expiry and decay operate on a single time base (the trace clock
-        of a replayed file would otherwise disagree with the sweep
-        thread's wall clock).
+        The flow is re-stamped with the live clock so that expiry and
+        decay operate on a single time base (the trace clock of a
+        replayed file would otherwise disagree with the sweep thread's
+        wall clock).
         """
-        if restamp:
-            flow = flow.with_timestamp(self._clock())
-        self._queue.put(flow)
+        self._queue.put(flow.with_timestamp(self._clock()))
 
-    def submit_batch(self, batch: FlowBatch, restamp: bool = True) -> None:
-        """Enqueue a columnar batch for Stage-1 ingestion.
+    def submit_batch(self, batch: FlowBatch) -> None:
+        """Enqueue a columnar batch for Stage-1 ingestion, re-stamped
+        with the live clock like :meth:`submit`.
 
         One queue item per batch: the consumer hands it to
         ``ingest_batch`` as is, in submit order with any records around it.
         """
-        if restamp:
-            now = self._clock()
-            batch = FlowBatch(
+        self._queue.put(
+            FlowBatch(
                 batch.version,
-                np.full(len(batch), now),
+                np.full(len(batch), self._clock()),
                 batch.src_ips,
                 batch.ingress_ids,
                 batch.packet_counts,
@@ -174,7 +175,7 @@ class LivePipeline:
                 batch.dst_ips,
                 batch.ingress_table,
             )
-        self._queue.put(batch)
+        )
 
     def _drain(self, block: bool) -> bool:
         """Ingest everything queued right now; False at the stop sentinel.
@@ -237,7 +238,7 @@ class LivePipeline:
                 flows_processed=self.engine.flows_ingested,
                 next_sweep=now + self.sweep_interval,
                 next_snapshot=None,
-                sweep_count=len(self.sweep_reports),
+                sweep_count=self._base + len(self.sweep_reports),
                 engine_blob=self.engine.to_bytes(),
             )
         )

@@ -13,28 +13,29 @@ flow stream, across engine shapes:
   gate (the equivalence suites in ``tests/runtime`` pin this).
 
 :func:`~repro.runtime.sharding.build_engine` makes that choice for a
-fresh run only.  A resume and a crash recovery continue on one plain
-engine: a checkpoint holds the merged single-engine image, so no run
-loses output.
+fresh run only.
 
-Event-driven replay semantics are unchanged: sweeps fire exactly at
-``t``-second boundaries of the trace clock, snapshots every
-``snapshot_seconds``, and a batch spanning a boundary is cut at the
-boundary so "all ingest before each sweep tick" holds exactly.
+Sweeps fire exactly at ``t``-second boundaries of the trace clock,
+snapshots every ``snapshot_seconds``, and a batch spanning a boundary is
+cut at the boundary so "all ingest before each sweep tick" holds exactly.
 
-With a checkpoint store attached, the pipeline also saves the engine
-state at sweep ticks (every ``checkpoint_every`` trace seconds): each
-checkpoint is a consistent post-sweep image plus the replay cursor, so
-:meth:`Pipeline.resume` continues an interrupted run — and when the flow
-source is re-openable (a zero-argument callable), a crashed mp worker is
-recovered *inside* :meth:`run` by restoring one plain engine from the
-last checkpoint and replaying forward, instead of failing the run.
+With a checkpoint store attached, the pipeline saves a consistent
+post-sweep image plus the replay cursor at sweep ticks (every
+``checkpoint_every`` trace seconds).  A run continues in one way: one
+restore step builds a plain engine from a checkpoint (the merged
+single-engine image, so no run loses output), or a fresh one when there
+is none, and the replay skips what the checkpoint covers.
+:meth:`Pipeline.resume`, :class:`~repro.runtime.live.LivePipeline` and
+the crash recovery inside :meth:`Pipeline.run` (a re-openable source, a
+store and a pipeline-owned engine; at most :data:`MAX_RECOVERIES`) all
+take it, and a checkpoint's ``sweep_count`` counts from the run's
+start, across resumes.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -55,21 +56,22 @@ from .sinks import Sink
 __all__ = ["Pipeline"]
 
 
-@dataclass
-class _ResumeState:
-    """Replay cursor restored from a checkpoint (consumed by one run)."""
+#: crash recoveries one run makes before the crash escapes
+MAX_RECOVERIES = 3
 
-    flows_processed: int
-    next_sweep: float
-    next_snapshot: Optional[float]
 
-    @classmethod
-    def at(cls, checkpoint: Checkpoint) -> "_ResumeState":
-        return cls(
-            checkpoint.flows_processed,
-            checkpoint.next_sweep,
-            checkpoint.next_snapshot,
-        )
+def _restore(
+    store: CheckpointStore,
+    checkpoint: Optional[Checkpoint],
+    params: Optional[IPDParams] = None,
+    admission: Optional[AdmissionConfig] = None,
+) -> IPD:
+    """The one engine a run continues on: one plain
+    :class:`~repro.core.algorithm.IPD` restored from *checkpoint*, or
+    fresh when there is none (a crash before the first save)."""
+    if checkpoint is None:
+        return IPD(params, admission=admission)
+    return store.restore_engine(checkpoint, params, admission)
 
 
 class Pipeline:
@@ -122,7 +124,11 @@ class Pipeline:
         self.checkpoint_every = (
             checkpoint_every if checkpoint_every is not None else snapshot_seconds
         )
-        self._resume: Optional[_ResumeState] = None
+        #: the checkpoint the next run continues from (None: the stream's start)
+        self._resume: Optional[Checkpoint] = None
+        #: sweeps the run made before this pipeline's first: a saved
+        #: ``sweep_count`` counts from the run's start, across resumes
+        self._base = 0
         #: teardown failures swallowed during crash recovery — the dead
         #: engine's state is unrecoverable either way, but the failures
         #: stay inspectable here (and each one raises a RuntimeWarning)
@@ -148,9 +154,7 @@ class Pipeline:
         The restored pipeline expects :meth:`run` to be fed the *same*
         flow stream the checkpointing run consumed, from the beginning —
         the replay cursor skips everything the checkpoint already
-        covers.  The engine is one plain :class:`~repro.core.algorithm.IPD`
-        whichever engine wrote the checkpoint: it holds the merged
-        single-engine image.
+        covers, on one plain engine (the restore step above).
 
         ``params`` is only required when the original run used a custom
         (non-serializable) decay function.  ``admission`` only matters
@@ -167,12 +171,13 @@ class Pipeline:
             )
         rebuild = dict(params=params, admission=admission)
         pipeline = cls(
-            engine=checkpoint_store.restore_engine(checkpoint, **rebuild),
+            engine=_restore(checkpoint_store, checkpoint, **rebuild),
             checkpoint_store=checkpoint_store,
             **kwargs,
         )
         pipeline._rebuild = rebuild
-        pipeline._resume = _ResumeState.at(checkpoint)
+        pipeline._resume = checkpoint
+        pipeline._base = checkpoint.sweep_count
         return pipeline
 
     # ------------------------------------------------------------------ replay
@@ -186,52 +191,44 @@ class Pipeline:
         *flows* may also be a zero-argument callable returning the
         stream (e.g. a function re-opening a CSV).  With a checkpoint
         store attached and a pipeline-owned engine, a re-openable source
-        enables crash recovery: if a shard worker process dies mid-run,
-        one plain engine is restored from the last checkpoint and the
-        stream is replayed forward instead of the run failing.
+        enables crash recovery: on a :class:`WorkerCrashError` (a shard
+        worker died), one plain engine is restored from the last intact
+        checkpoint and the stream is replayed forward instead of the run
+        failing, at most :data:`MAX_RECOVERIES` times.
         """
+        reopen = None
         if callable(flows) and not isinstance(flows, Iterable):
             if self.checkpoint_store is not None and self._rebuild is not None:
-                return self._run_with_recovery(flows)
+                reopen = flows
             flows = flows()
-        result = RunResult()
-        for __ in self.run_incremental(flows, result):
-            pass
-        return result
-
-    def _run_with_recovery(
-        self,
-        flow_source: Callable[[], "Iterable[Union[FlowRecord, FlowBatch]]"],
-        max_recoveries: int = 3,
-    ) -> RunResult:
         result = RunResult()
         recoveries = 0
         try:
             while True:
                 try:
-                    for __ in self.run_incremental(flow_source(), result):
+                    for __ in self.run_incremental(flows, result):
                         pass
                     return result
                 except WorkerCrashError:
                     recoveries += 1
-                    if recoveries > max_recoveries:
+                    if reopen is None or recoveries > MAX_RECOVERIES:
                         raise
                     self._recover(result)
+                    flows = reopen()
         finally:
             self._delivered = None
 
     def _recover(self, result: RunResult) -> None:
-        """Continue a crashed run on one plain engine: restored from the
-        last intact checkpoint, or fresh when there is none."""
+        """Continue a crashed run from the newest intact checkpoint, or
+        from the stream's start when there is none."""
         assert self._rebuild is not None and self.checkpoint_store is not None
         close = getattr(self.engine, "close", None)
         if close is not None:
             try:
                 close()
             except (OSError, RuntimeError, ValueError) as exc:
-                # The dead executor may fail teardown; the engine state is
-                # gone either way, so recovery proceeds — but the failure
-                # stays visible instead of vanishing.
+                # a dead executor may fail teardown: recovery proceeds
+                # (the state is gone either way), the failure stays visible
                 self.teardown_errors.append(exc)
                 warnings.warn(
                     f"engine teardown failed during crash recovery: {exc!r}",
@@ -246,24 +243,18 @@ class Pipeline:
         # replay (recovery falls back to an older intact image, or to a
         # from-scratch replay), never a failed or wrong run
         checkpoint = self.checkpoint_store.latest_valid()
-        if checkpoint is None:
-            # crashed before the first (intact) checkpoint: restart fresh
-            self.engine = IPD(**self._rebuild)
-            result.sweeps.clear()
-            result.snapshots.clear()
-            result.flows_processed = 0
-            self._resume = None
-        else:
-            self.engine = self.checkpoint_store.restore_engine(
-                checkpoint, **self._rebuild
-            )
-            # roll the result back to the checkpoint: later sweeps and
-            # snapshots will be reproduced exactly by the replay
-            del result.sweeps[checkpoint.sweep_count:]
-            for when in [ts for ts in result.snapshots if ts > checkpoint.when]:
-                del result.snapshots[when]
-            result.flows_processed = checkpoint.flows_processed
-            self._resume = _ResumeState.at(checkpoint)
+        self.engine = _restore(self.checkpoint_store, checkpoint, **self._rebuild)
+        self._resume = checkpoint
+        # roll the result back to the checkpoint, which may be older than
+        # the one this pipeline resumed from: the replay reproduces every
+        # later sweep and snapshot exactly
+        count = 0 if checkpoint is None else checkpoint.sweep_count
+        del result.sweeps[max(count - self._base, 0):]
+        self._base = count - len(result.sweeps)
+        when = -math.inf if checkpoint is None else checkpoint.when
+        for stale in [ts for ts in result.snapshots if ts > when]:
+            del result.snapshots[stale]
+        result.flows_processed = 0 if checkpoint is None else checkpoint.flows_processed
 
     def run_incremental(
         self,
@@ -321,9 +312,7 @@ class Pipeline:
                 if next_checkpoint is not None and sweep_at >= next_checkpoint:
                     # post-sweep barrier: the image is consistent (all
                     # ingest before the tick applied, the sweep settled)
-                    self._save_checkpoint(
-                        sweep_at, result, sweep_at + t, next_snapshot
-                    )
+                    self._save_checkpoint(sweep_at, result, next_snapshot)
                     while next_checkpoint <= sweep_at:
                         next_checkpoint += every
                 sweep_at += t
@@ -389,9 +378,7 @@ class Pipeline:
             self._tick(next_sweep, result)
             yield next_sweep, self._emit(next_sweep, result)
             if store is not None:
-                self._save_checkpoint(
-                    next_sweep, result, next_sweep + t, next_snapshot
-                )
+                self._save_checkpoint(next_sweep, result, next_snapshot)
         elif resume is not None:
             # The checkpoint already covers the entire stream (it was
             # saved at the closing tick): nothing to replay, but the
@@ -407,20 +394,17 @@ class Pipeline:
             self.on_sweep(report, self.engine)
 
     def _save_checkpoint(
-        self,
-        when: float,
-        result: RunResult,
-        next_sweep: float,
-        next_snapshot: Optional[float],
+        self, when: float, result: RunResult, next_snapshot: Optional[float]
     ) -> None:
+        """Save the post-sweep image of the tick at *when*."""
         assert self.checkpoint_store is not None
         self.checkpoint_store.save(
             Checkpoint(
                 when=when,
                 flows_processed=result.flows_processed,
-                next_sweep=next_sweep,
+                next_sweep=when + self.engine.params.t,
                 next_snapshot=next_snapshot,
-                sweep_count=len(result.sweeps),
+                sweep_count=self._base + len(result.sweeps),
                 engine_blob=self.engine.to_bytes(),
             )
         )

@@ -228,7 +228,7 @@ class TestTargetedFaults:
         assert_oracle_equivalent(result, final, fig05_trace, FIG05_PARAMS)
 
     def test_repeated_crashes_exhaust_recovery_budget(self, tmp_path, restored):
-        """More crashes than max_recoveries: the typed error escapes."""
+        """More crashes than MAX_RECOVERIES: the typed error escapes."""
         plan = FaultPlan([
             Fault("worker_crash", at=at) for at in (1, 3, 5, 7, 9)
         ])

@@ -117,14 +117,16 @@ class TestRowBounds:
         dict(version=IPV6, src_ips=np.array([16, 32], np.uint64), ingresses=[A, B]),
         dict(version=IPV6, src_ips=np.array([[-1, 0], [0, 1]]), ingresses=[A, B]),
         dict(version=IPV4, src_ips=[16, 32.5], ingresses=[A, B]),
-    ], ids=["id-minus-one", "id-past-table", "v6-one-dimensional", "v6-signed", "v4-float"])
+        dict(version=IPV4, src_ips=[16, 32], ingresses=[0, 1 << 64], ingress_table=(A, B)),
+    ], ids=["id-minus-one", "id-past-table", "v6-one-dimensional", "v6-signed", "v4-float",
+            "id-past-64-bits"])
     def test_malformed_columns_move_no_counter(self, columns):
         """Each used to reach ``IPD._fold``: ``-1`` ingested as the table's
         last ingress and a signed IPv6 row as a wrapped address, while an id
         past the table or a flat IPv6 column raised ``IndexError`` after
-        ``flows_ingested`` and ``bytes_ingested`` had moved, and a float
-        source was truncated to a whole address.  The batch is refused when
-        built now."""
+        ``flows_ingested`` and ``bytes_ingested`` had moved, a float source
+        was truncated to a whole address, and an id past 64 bits escaped as
+        a bare ``OverflowError``.  The batch is refused when built now."""
         ipd = self.engine(count_bytes=True)
         before = ipd.to_bytes(), ipd.flows_ingested, ipd.bytes_ingested
         with pytest.raises(ValueError, match="ingress_ids|src_ips"):

@@ -167,11 +167,14 @@ class TestMalformedColumns:
 
     @pytest.mark.parametrize("ids, row", [
         ([-1, 0], 0), ([0, 2], 1), ([1, 0, 7], 2), (np.array([1, 1 << 32]), 1),
-    ], ids=["negative", "past-the-table", "last-row", "wraps-in-int32"])
+        ([0, 1 << 64], 1), ([-(1 << 64), 0], 0),
+    ], ids=["negative", "past-the-table", "last-row", "wraps-in-int32", "past-64-bits",
+            "below-64-bits"])
     def test_ingress_id_outside_the_table(self, ids, row):
         """``-1`` used to index the table's last ingress: ``[-1, 0]`` over
         ``(A, B)`` ingested as ``B, A``; an id past it raised ``IndexError``,
-        and an int64 ``2**32`` wrapped to ``0`` in the int32 column."""
+        an int64 ``2**32`` wrapped to ``0`` in the int32 column, and a list
+        value past 64 bits let a bare ``OverflowError`` out of the cast."""
         with pytest.raises(ValueError, match=f"row {row}: ingress_ids {ids[row]} is outside"):
             FlowBatch(IPV4, [1.0] * len(ids), [16] * len(ids), ids, [1] * len(ids),
                       [1500] * len(ids), ingress_table=(A, B))
@@ -194,6 +197,19 @@ class TestMalformedColumns:
         with pytest.raises(ValueError, match=text):
             FlowBatch(version, [1.0] * len(column), column, [A] * len(column),
                       [1] * len(column), [1500] * len(column))
+
+    @pytest.mark.parametrize("version", [IPV4, IPV6])
+    @pytest.mark.parametrize("kind", [np.uint64, np.int64, np.uint32])
+    def test_numpy_integer_source_list_builds_the_python_int_batch(self, version, kind):
+        """An IPv6 list of numpy integers used to raise ``StopIteration``:
+        ``divmod`` overflowed in numpy and no row looked outside IPv6."""
+        sources = [5, (1 << 32) - 1]
+        batch = FlowBatch(version, [1.0, 2.0], [kind(value) for value in sources], [A, B],
+                          [1, 1], [1500, 1500])
+        expected = FlowBatch(version, [1.0, 2.0], sources, [A, B], [1, 1], [1500, 1500])
+        assert batch.src_ips.dtype == expected.src_ips.dtype == np.uint64
+        assert batch.src_ips.tolist() == expected.src_ips.tolist()
+        assert batch.addresses() == sources
 
     def test_signed_source_column_without_negatives_is_adopted(self):
         batch = FlowBatch(IPV6, [1.0], np.array([[1, 2]], np.int64), [A], [1], [1500])

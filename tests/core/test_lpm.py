@@ -117,7 +117,6 @@ class TestBuildFromRecords:
     def test_skips_unclassified_by_default(self):
         records = [self.record("10.0.0.0/16", A, classified=False)]
         assert len(build_lpm_from_records(records)) == 0
-        assert len(build_lpm_from_records(records, classified_only=False)) == 1
 
     def test_skips_other_family(self):
         record = IPDRecord(

@@ -11,13 +11,21 @@ checkpoint inside ``Pipeline.run`` without failing the pipeline, and the
 run continues on one engine.
 """
 
+from itertools import count
 from pathlib import Path
 
 import pytest
 
 from repro.core.algorithm import IPD
-from repro.runtime import Checkpoint, CheckpointStore, Pipeline, ShardedIPD, WorkerCrashError
-
+from repro.runtime import (
+    Checkpoint,
+    CheckpointStore,
+    LivePipeline,
+    Pipeline,
+    ShardedIPD,
+    WorkerCrashError,
+)
+from repro.testkit.faults import Fault, FaultPlan
 from repro.testkit.traces import dualstack_trace, fig05_trace
 from tests.runtime.test_shard_equivalence import (
     DUALSTACK_PARAMS,
@@ -293,6 +301,99 @@ class TestCrashRecovery:
         ) as pipeline:
             with pytest.raises(WorkerCrashError):
                 pipeline.run(lambda: iter(list(flows)))
+
+
+TRACES = {
+    "fig05": (fig05_trace, FIG05_PARAMS),
+    "dualstack": (dualstack_trace, DUALSTACK_PARAMS),
+}
+
+
+def keep_until(store, when):
+    """Delete the store's checkpoints after *when*: the newest left is the
+    one a restarted run finds."""
+    for path in store.list():
+        if store.load(path).when > when:
+            path.unlink()
+
+
+class TestSweepCountAcrossResumes:
+    """A checkpoint's ``sweep_count`` counts the sweeps since the run began,
+    across resumes, so a resumed run's checkpoints are the uninterrupted
+    run's and a recovery inside a resumed run rolls back to the right
+    sweep."""
+
+    @pytest.mark.parametrize("trace", sorted(TRACES))
+    def test_resumed_checkpoints_are_the_uninterrupted_files(self, tmp_path, trace):
+        build, params = TRACES[trace]
+        flows = build()
+        store = CheckpointStore(tmp_path / "ckpt", retain=RETAIN)
+        checkpointing_run(flows, params, store)
+        for index, checkpoint in enumerate(all_checkpoints(store)):
+            resume_dir = tmp_path / f"resume-{index}"
+            resume_run(flows, checkpoint, resume_dir, checkpoint_every=params.t)
+            later = CheckpointStore(resume_dir).list()
+            assert len(later) == len(store.list()) - index - 1
+            for path in later:
+                assert path.read_bytes() == (store.directory / path.name).read_bytes(), path.name
+
+    def test_crash_before_the_first_resumed_save_repeats_no_sweep(self, tmp_path):
+        """fig05 resumed at 360 s crashes after its second sweep, with no
+        checkpoint saved since: the recovery restores the 360 s checkpoint
+        and the run reports each sweep once (it used to report the sweeps
+        at 420 and 480 s twice)."""
+        flows = fig05_trace()
+        store = CheckpointStore(tmp_path / "ckpt", retain=RETAIN)
+        reference = checkpointing_run(flows, FIG05_PARAMS, store)
+        keep_until(store, 360.0)
+        assert store.latest().sweep_count == 6
+        plan = FaultPlan([Fault("worker_crash", at=1)])
+        with Pipeline.resume(
+            store, snapshot_seconds=120.0, include_unclassified=True,
+            checkpoint_every=10_000.0, on_sweep=plan.on_sweep,
+        ) as pipeline:
+            result = pipeline.run(lambda: iter(flows))
+        assert plan.fired == [("worker_crash", 1)]
+        assert counter_rows(result.sweeps) == counter_rows(reference.sweeps[6:])
+        assert result.flows_processed == reference.flows_processed
+        for when, records in result.snapshots.items():
+            assert when > 360.0 and records == reference.snapshots[when]
+        assert store.latest().sweep_count == len(reference.sweeps)
+
+    def test_recovery_behind_the_resumed_checkpoint(self, tmp_path):
+        """The checkpoint a run resumed from is gone when it crashes: the
+        recovery falls back to an older one, the result restarts there and
+        the closing checkpoint still counts from the run's start."""
+        flows = fig05_trace()
+        store = CheckpointStore(tmp_path / "ckpt", retain=RETAIN)
+        reference = checkpointing_run(flows, FIG05_PARAMS, store)
+        keep_until(store, 360.0)
+        resumed_from = store.latest()
+        resumed_from.path.unlink()  # newest left: the 300 s checkpoint
+        plan = FaultPlan([Fault("worker_crash", at=1)])
+        with Pipeline.resume(
+            store, checkpoint=resumed_from, snapshot_seconds=120.0,
+            include_unclassified=True, checkpoint_every=10_000.0,
+            on_sweep=plan.on_sweep,
+        ) as pipeline:
+            result = pipeline.run(lambda: iter(flows))
+        assert plan.fired == [("worker_crash", 1)]
+        assert counter_rows(result.sweeps) == counter_rows(reference.sweeps[5:])
+        assert store.latest().sweep_count == len(reference.sweeps)
+
+    def test_live_resume_continues_the_count(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt", retain=RETAIN)
+        checkpointing_run(fig05_trace(), FIG05_PARAMS, store)
+        keep_until(store, 360.0)
+        base = store.latest().sweep_count
+        clock = count(1000.0, 60.0)
+        live = LivePipeline.resume(
+            store, sweep_interval=60.0, clock=lambda: next(clock)
+        )
+        for sweeps in (1, 2, 3):
+            live.stop()  # one closing sweep and its checkpoint
+            assert len(live.sweep_reports) == sweeps
+            assert store.latest().sweep_count == base + sweeps
 
 
 class TestStoreBehavior:
