@@ -29,9 +29,9 @@ from typing import Optional, Sequence
 
 from .core.admission import AdmissionConfig
 from .core.iputil import parse_ip
-from .core.lpm import CompiledLPM, build_lpm_from_records
-from .core.output import read_records_csv, write_records_csv
+from .core.output import IPDRecord, read_records_csv, write_records_csv
 from .core.params import IPDParams
+from .core.snapshot import Snapshot
 from .core.statecodec import IncompatibleStateError, StateCodecError
 from .netflow.records import read_flows_csv_batched, write_flows_csv
 from .runtime import CheckpointStore, Pipeline
@@ -260,24 +260,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_lpm(
-    cache: dict[int, CompiledLPM], records: list, version: int
-) -> CompiledLPM:
-    """The records' table for *version*, compiled on first use."""
-    lpm = cache.get(version)
-    if lpm is None:
-        lpm = cache[version] = build_lpm_from_records(records, version)
-    return lpm
+def _one_snapshot(
+    source: str, records: list[IPDRecord], when: float = 0.0
+) -> Optional[Snapshot]:
+    """*records* as one compiled snapshot (at *when* if empty), or ``None``
+    once the reason they are none is printed: several timestamps, or
+    overlapping ranges."""
+    times = {record.timestamp for record in records}
+    if len(times) > 1:
+        print(f"{source} holds {len(times)} snapshots, not one: store them "
+              "with 'archive ingest' and serve them with 'serve --archive'",
+              file=sys.stderr)
+        return None
+    snapshot = Snapshot(max(times, default=when), records, epoch=1, source="cli")
+    try:
+        for version in snapshot.families():
+            snapshot.compiled(version)
+    except ValueError as exc:
+        print(f"{source}: {exc}", file=sys.stderr)
+        return None
+    return snapshot
+
+
+def _read_snapshot(path: str) -> Optional[Snapshot]:
+    """The records file of ``lookup``, ``evaluate`` and ``serve --records``."""
+    with open(path) as stream:
+        return _one_snapshot(path, list(read_records_csv(stream)))
 
 
 def _cmd_lookup(args: argparse.Namespace) -> int:
-    with open(args.records) as stream:
-        records = list(read_records_csv(stream))
-    lpm_by_version: dict[int, CompiledLPM] = {}
+    snapshot = _read_snapshot(args.records)
+    if snapshot is None:
+        return 2
     status = 0
     for address in args.address:
         value, version = parse_ip(address)
-        found = _family_lpm(lpm_by_version, records, version).lookup_entry(value)
+        found = snapshot.compiled(version).lookup_entry(value)
         if found is None:
             print(f"{address}: not mapped")
             status = 1
@@ -354,13 +372,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    with open(args.records) as stream:
-        records = list(read_records_csv(stream))
-    lpm_by_version: dict[int, CompiledLPM] = {}
+    snapshot = _read_snapshot(args.records)
+    if snapshot is None:
+        return 2
     total = correct = unmapped = 0
     with open(args.flows) as stream:
         for batch in read_flows_csv_batched(stream):
-            lpm = _family_lpm(lpm_by_version, records, batch.version)
+            lpm = snapshot.compiled(batch.version)
             total += len(batch)
             for predicted, ingress in zip(
                 map(lpm.lookup, batch.addresses()), batch.ingresses
@@ -384,28 +402,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .archive import SnapshotArchive
-    from .core.snapshot import Snapshot
     from .serving import IngressLookupService, LookupServer
 
     archive = SnapshotArchive(args.archive) if args.archive else None
     if args.records:
-        with open(args.records) as stream:
-            records = list(read_records_csv(stream))
-        if not records:
+        snapshot = _read_snapshot(args.records)
+        if snapshot is not None and not snapshot.records:
             print(f"no records in {args.records}", file=sys.stderr)
             return 2
-        when = max(record.timestamp for record in records)
     elif archive is not None:
         newest = archive.latest()
         if newest is None:
             print(f"archive {args.archive} holds no snapshots", file=sys.stderr)
             return 2
-        when, records = newest
+        snapshot = _one_snapshot(args.archive, newest[1], newest[0])
     else:
         print("serve requires --records and/or --archive", file=sys.stderr)
         return 2
+    if snapshot is None:
+        return 2
 
-    snapshot = Snapshot(when, records, epoch=1, source="cli")
     service = IngressLookupService(archive=archive)
     epoch = service.install_snapshot(snapshot)
     server = LookupServer(service, host=args.host, port=args.port)

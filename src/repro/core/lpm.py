@@ -9,13 +9,13 @@ now?") and the longitudinal matching/stability analyses of §5.3.
 Two structures, two jobs:
 
 * :class:`CompiledLPM` — the only table ever built from IPD output
-  (:func:`build_lpm_from_records` is its ``from_records``): an
-  immutable compilation of one snapshot's classified ranges into flat
-  row columns (prefix, interned ingress id, confidence, timestamp) plus
-  a flattened interval index, so a lookup is one ``bisect`` whatever
-  the number of prefix lengths.  Cheap to share between threads and
-  allocation-free to query; it is never persisted, since compiling a
-  snapshot's records is all a reader needs.
+  (:func:`build_lpm_from_records` is its ``from_records``): one
+  snapshot's classified records of one family, in address order, plus
+  a segment index over them, so a lookup is one ``bisect``.  IPD output
+  is the leaves of a trie, so its ranges are disjoint; a range that
+  overlaps or repeats another is refused.  Cheap to share between
+  threads and allocation-free to query; it is never persisted, since
+  compiling a snapshot's records is all a reader needs.
 * :class:`LPMTable` — a mutable pointer trie for values that are not
   ingress points over prefixes that genuinely overlap (BGP routes,
   origin ASNs), and the independent reference the compiled form is
@@ -24,8 +24,8 @@ Two structures, two jobs:
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Generic, Iterable, Iterator, NamedTuple, Optional, TypeVar, cast
 
 from ..devtools.markers import hot_path
@@ -149,7 +149,7 @@ class LPMTable(Generic[V]):
 
 
 # ---------------------------------------------------------------------------
-# compiled (array-packed, immutable) LPM
+# compiled (immutable, one snapshot) LPM
 # ---------------------------------------------------------------------------
 
 
@@ -168,14 +168,14 @@ class CompiledEntry(NamedTuple):
 class CompiledLPM:
     """An immutable longest-prefix-match table over one snapshot.
 
-    Rows are stored sorted by ``(masklen, prefix value)`` in flat
-    columns: prefix values, masklens, interned ingress ids, confidence
-    and the source snapshot timestamp.  Beside them sits the lookup
-    index: the prefixes, nested or not, flattened into disjoint address
-    segments, where ``_starts[i]`` opens a segment answered by row
-    ``_seg_rows[i]`` (-1: no prefix covers it).  :meth:`lookup_row` is
-    therefore one ``bisect`` and one index for any prefix set and either
-    family (Python ints compare natively at 128 bits), with zero
+    ``records`` holds the snapshot's classified records of one family in
+    address order; row ``i`` is ``records[i]``.  Beside them sits the
+    lookup index: ``_starts[i]`` opens a segment answered by row
+    ``_seg_rows[i]`` (-1: no range covers it).  The ranges are disjoint,
+    so each opens a segment at its first address and a miss one past its
+    last, which the next range takes over if it starts there.
+    :meth:`lookup_row` is therefore one ``bisect`` and one index for
+    either family (Python ints compare natively at 128 bits), with zero
     allocation — the shape the serving hot path needs (rules
     IPD005/IPD008 pin it).
 
@@ -184,175 +184,86 @@ class CompiledLPM:
     :mod:`repro.serving` a single reference assignment.
     """
 
-    __slots__ = (
-        "version",
-        "_starts",
-        "_seg_rows",
-        "_values",
-        "_masklens",
-        "_ingress_ids",
-        "_confidence",
-        "_timestamps",
-        "_ingresses",
-    )
+    __slots__ = ("version", "records", "_starts", "_seg_rows")
 
-    def __init__(
-        self,
-        version: int,
-        rows: "Iterable[tuple[int, int, IngressPoint, float, float]]" = (),
-    ) -> None:
-        """Build from ``(masklen, value, ingress, confidence, timestamp)``
-        rows.  Rows may arrive in any order; a later duplicate prefix
-        replaces an earlier one (matching :meth:`LPMTable.insert`)."""
+    def __init__(self, records: Iterable[IPDRecord] = (), version: int = IPV4) -> None:
+        """Compile *version*'s classified *records*; an overlap is a ``ValueError``."""
         if version not in (IPV4, IPV6):
             raise ValueError(f"unknown IP version: {version!r}")
         self.version = version
         bits = 32 if version == IPV4 else 128
-        dedup: dict[tuple[int, int], tuple[IngressPoint, float, float]] = {}
-        for masklen, value, ingress, confidence, timestamp in rows:
-            if not 0 <= masklen <= bits:
-                raise ValueError(f"masklen {masklen} out of range for v{version}")
-            shift = bits - masklen
-            canonical = (value >> shift) << shift if shift else value
-            if canonical >> bits:
-                raise ValueError(f"prefix value {value:#x} out of range")
-            dedup[(masklen, canonical)] = (ingress, confidence, timestamp)
-
-        intern: dict[IngressPoint, int] = {}
-        ingresses: list[IngressPoint] = []
-        masklens = array("B")
-        values: list[int] = []
-        ingress_ids = array("L")
-        confidences = array("d")
-        timestamps = array("d")
-        for masklen, value in sorted(dedup):
-            masklens.append(masklen)
-            values.append(value)
-            ingress, confidence, timestamp = dedup[(masklen, value)]
-            ingress_id = intern.get(ingress)
-            if ingress_id is None:
-                ingress_id = len(ingresses)
-                intern[ingress] = ingress_id
-                ingresses.append(ingress)
-            ingress_ids.append(ingress_id)
-            confidences.append(confidence)
-            timestamps.append(timestamp)
-
-        # Flatten into segments: sweep the prefixes in (value, masklen)
-        # order — a parent sorts before its children — with the open ones
-        # on a stack.  A segment opens where a prefix starts and, answered
-        # by whatever encloses it, where one ends; ends come off the stack
-        # in ascending order, so the dict fills in address order and a
-        # later writer of the same start (a child on its parent's first
-        # address, a sibling on its neighbour's end) replaces the earlier.
-        limit = 1 << bits
-        segments = {0: -1}
-        # the bottom entry is the unmatched whole space and never closes
-        enclosing: list[tuple[int, int]] = [(limit + 1, -1)]
-
-        def close_until(address: int) -> None:
-            while enclosing[-1][0] <= address:
-                end = enclosing.pop()[0]
-                segments[end] = enclosing[-1][1]
-
-        for value, masklen, row in sorted(
-            zip(values, masklens, range(len(values)))
-        ):
-            close_until(value)
-            segments[value] = row
-            enclosing.append((value + (1 << (bits - masklen)), row))
-        # the last close leaves a final -1 segment (at or past the top of
-        # the space), so an out-of-range probe of either sign is a miss
-        close_until(limit)
-        self._starts: tuple[int, ...] = tuple(segments)
-        self._seg_rows: tuple[int, ...] = tuple(segments.values())
-        self._values: tuple[int, ...] = tuple(values)
-        self._masklens = masklens
-        self._ingress_ids = ingress_ids
-        self._confidence = confidences
-        self._timestamps = timestamps
-        self._ingresses: tuple[IngressPoint, ...] = tuple(ingresses)
+        # IPD.snapshot emits address order, so the sort is one linear pass
+        self.records: tuple[IPDRecord, ...] = tuple(sorted(
+            (r for r in records if r.version == version and r.classified),
+            key=attrgetter("range.value"),
+        ))
+        starts, seg_rows = [0], [-1]
+        end = 0  # one past the previous range's last address
+        for row, record in enumerate(self.records):
+            prefix = record.range
+            if prefix.value < end:  # sorted, disjoint so far: only the previous one can hold it
+                raise ValueError(
+                    f"overlapping ranges {self.records[row - 1].range} and {prefix}: "
+                    "a compiled table holds one snapshot's disjoint ranges")
+            if prefix.value != starts[-1]:  # else take over the miss there
+                starts.append(prefix.value)
+                seg_rows.append(-1)
+            seg_rows[-1] = row
+            end = prefix.value + (1 << (bits - prefix.masklen))
+            starts.append(end)
+            seg_rows.append(-1)
+        # the last segment is a miss, so a probe off either end of the space misses
+        self._starts: tuple[int, ...] = tuple(starts)
+        self._seg_rows: tuple[int, ...] = tuple(seg_rows)
 
     @classmethod
-    def from_records(
-        cls,
-        records: Iterable[IPDRecord],
-        version: int = IPV4,
-    ) -> "CompiledLPM":
-        """Compile the §5.1 validation LPM table from one output snapshot:
-        the *version* family's classified records."""
-        return cls(
-            version,
-            (
-                (
-                    record.range.masklen,
-                    record.range.value,
-                    record.ingress,
-                    record.s_ingress,
-                    record.timestamp,
-                )
-                for record in records
-                if record.version == version and record.classified
-            ),
-        )
+    def from_records(cls, records: Iterable[IPDRecord], version: int = IPV4) -> "CompiledLPM":
+        """The §5.1 validation table of one output snapshot."""
+        return cls(records, version)
 
     # ------------------------------------------------------------------ query
 
     @hot_path
     def lookup_row(self, ip_value: int) -> int:
-        """Row index of the most specific entry covering *ip_value*, or -1."""
+        """Row index of the range covering *ip_value*, or -1."""
         return self._seg_rows[bisect_right(self._starts, ip_value) - 1]
 
     @hot_path
     def lookup(self, ip_value: int) -> Optional[IngressPoint]:
-        """Most specific ingress covering *ip_value*, or ``None``.
+        """The ingress of the range covering *ip_value*, or ``None``.
 
         Matches :meth:`LPMTable.lookup` on every address (property-pinned
         in ``tests/core/test_compiled_lpm.py``)."""
         row = self.lookup_row(ip_value)
-        if row < 0:
-            return None
-        return self._ingresses[self._ingress_ids[row]]
+        return self.records[row].ingress if row >= 0 else None
 
     def lookup_entry(self, ip_value: int) -> Optional[CompiledEntry]:
         """Like :meth:`lookup` but returns the full compiled row."""
         row = self.lookup_row(ip_value)
         return self.entry(row) if row >= 0 else None
 
-    def lookup_many(
-        self, ip_values: Iterable[int]
-    ) -> list[Optional[IngressPoint]]:
+    def lookup_many(self, ip_values: Iterable[int]) -> list[Optional[IngressPoint]]:
         """Bulk :meth:`lookup` over *ip_values*, one result per input."""
-        lookup_row = self.lookup_row
-        ingress_ids = self._ingress_ids
-        ingresses = self._ingresses
-        results: list[Optional[IngressPoint]] = []
-        append = results.append
-        for value in ip_values:
-            row = lookup_row(value)
-            append(ingresses[ingress_ids[row]] if row >= 0 else None)
-        return results
+        records = self.records
+        return [
+            records[row].ingress if row >= 0 else None
+            for row in map(self.lookup_row, ip_values)
+        ]
 
     def entry(self, row: int) -> CompiledEntry:
         """Materialize compiled row *row* (0 ≤ row < ``len(self)``)."""
-        if not 0 <= row < len(self._masklens):
+        if not 0 <= row < len(self.records):
             raise IndexError(f"row {row} out of range")
-        return CompiledEntry(
-            prefix=Prefix(self._values[row], self._masklens[row], self.version),
-            ingress=self._ingresses[self._ingress_ids[row]],
-            confidence=self._confidence[row],
-            timestamp=self._timestamps[row],
-        )
+        record = self.records[row]
+        return CompiledEntry(record.range, record.ingress, record.s_ingress, record.timestamp)
 
     def entries(self) -> Iterator[CompiledEntry]:
-        """All rows, most-general first (``(masklen, value)`` order)."""
-        for row in range(len(self._masklens)):
-            yield self.entry(row)
+        """All rows, in address order."""
+        return map(self.entry, range(len(self.records)))
 
     def __len__(self) -> int:
-        return len(self._masklens)
+        return len(self.records)
 
 
-#: the §5.1 validation table of one output snapshot (``records``,
-#: ``version=IPV4``)
+#: the §5.1 validation table of one output snapshot
 build_lpm_from_records = CompiledLPM.from_records

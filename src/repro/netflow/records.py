@@ -204,18 +204,16 @@ def _integers(values: Any, column: str, typecode: str) -> np.ndarray:
 
 def _source_column(values: Sequence[int], version: int) -> np.ndarray:
     """Addresses as uint64 (IPv4) or as (hi, lo) uint64 rows (IPv6), a list
-    converted once.  An address that fits no such row, a float, or an
-    ndarray of another shape, is a ``ValueError`` (an IPv4 one past 32 bits
-    is rejected at ingest)."""
+    converted once.  An address that fits no such row, a float that is no
+    whole number, or an ndarray of another shape, is a ``ValueError`` (an
+    IPv4 one past 32 bits is rejected at ingest)."""
     if version != IPV4 and not isinstance(values, np.ndarray):
         words = itertools.chain.from_iterable(
             map(divmod, map(operator.index, values), repeat(1 << 64)))
         try:
             return np.frombuffer(array.array("Q", words), "Q").reshape(-1, 2)
-        except TypeError:
-            row = next(row for row, value in enumerate(values) if not hasattr(value, "__index__"))
-            raise ValueError(
-                f"flow batch row {row}: src_ips {values[row]!r} is not an integer") from None
+        except TypeError:  # a float or a non-number: whole floats convert
+            return _source_column(list(map(_whole, values, itertools.count())), version)
         except OverflowError:
             row = next(row for row, value in enumerate(values) if not 0 <= value < 1 << 128)
             raise ValueError(
@@ -236,6 +234,15 @@ def _source_column(values: Sequence[int], version: int) -> np.ndarray:
         raise ValueError(
             f"flow batch row {row}: source {values[row]} is outside IPv{version}"
         ) from None
+
+
+def _whole(value: Any, row: int) -> int:
+    """An IPv6 source as an int; a float only if whole, as in IPv4."""
+    if hasattr(value, "__index__"):
+        return operator.index(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"flow batch row {row}: src_ips {value!r} is not an integer")
 
 
 def iter_flow_batches(

@@ -49,7 +49,7 @@ class LookupResult(NamedTuple):
     ingress: "IngressPoint"
     #: the snapshot's dominance share for the answering range
     confidence: float
-    #: the most specific classified range covering the queried address
+    #: the classified range covering the queried address
     prefix: Prefix
     #: seconds between the answering epoch's watermark and the snapshot
     #: the row was compiled from (0.0 for a freshly compiled snapshot)
@@ -66,12 +66,12 @@ def _result(
     """Row *row* of *table* (-1: no match) as an answer of *epoch*."""
     if row < 0:
         return None
-    entry = table.entry(row)
+    record = table.records[row]
     return LookupResult(
-        ingress=entry.ingress,
-        confidence=entry.confidence,
-        prefix=entry.prefix,
-        age=watermark - entry.timestamp,
+        ingress=record.ingress,
+        confidence=record.s_ingress,
+        prefix=record.range,
+        age=watermark - record.timestamp,
         epoch=epoch,
         watermark=watermark,
     )

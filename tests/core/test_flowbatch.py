@@ -250,6 +250,25 @@ class TestFloatColumns:
         assert batch.byte_counts.tolist() == [1500, 3000]
 
 
+    @pytest.mark.parametrize("version", [IPV4, IPV6])
+    def test_whole_float_sources_build_the_integer_batch(self, version):
+        """IPv6 source lists used to refuse ``3.0`` ("is not an integer")
+        while IPv4 built address 3: both families now take a whole float."""
+        floats = FlowBatch(version, [1.0, 2.0], [3.0, 7], [A, B], [1, 1], [1500, 1500])
+        ints = FlowBatch(version, [1.0, 2.0], [3, 7], [A, B], [1, 1], [1500, 1500])
+        assert floats.src_ips.dtype == ints.src_ips.dtype == np.uint64
+        assert floats.src_ips.tolist() == ints.src_ips.tolist()
+        assert floats.addresses() == [3, 7]
+
+    @pytest.mark.parametrize("version", [IPV4, IPV6])
+    @pytest.mark.parametrize("value, text", [
+        (3.5, "3.5"), (float("nan"), "nan"), (float("inf"), "inf"),
+    ], ids=["fraction", "nan", "inf"])
+    def test_non_whole_float_source_is_refused_in_both_families(self, version, value, text):
+        with pytest.raises(ValueError, match=f"flow batch row 1: src_ips {text} is not an integer"):
+            FlowBatch(version, [1.0, 2.0], [3.0, value], [A, B], [1, 1], [1500, 1500])
+
+
 class TestAbsentDestinations:
     def test_rows_without_destinations_build_no_column(self):
         """The ledger passes ``[None] * rows``; ``from_flows``, ``select`` and

@@ -5,18 +5,22 @@ lines were memoised per epoch, kept only here as the reference (the way
 ``tests/netflow/test_csv_differential.py`` keeps the row-wise CSV
 reader).  Every ``GET``, ``MGET`` and ``AT`` reply must equal, byte for
 byte, that renderer applied to the in-process API's answer
-(``lookup`` / ``lookup_at``) for the same epoch — over nested prefixes
-of both families, the confidence shapes ``.6g`` renders differently,
-zero and non-zero ages, and every row's edges.  Two epochs that share
+(``lookup`` / ``lookup_at``) for the same epoch — over disjoint prefixes
+of both families, adjacent ones included, the confidence shapes ``.6g``
+renders differently, zero and non-zero ages, and every row's edges.  Two epochs that share
 their compiled tables are transcribed one after the other, so a line
 memoised for one epoch and served in another fails here too.  The
 request language is pinned as well: a non-finite ``AT`` timestamp is an
 ``ERR``, and an archive index left with ``compiled`` blob entries by an
-older build answers ``AT`` exactly like a plain one.
+older build answers ``AT`` exactly like a plain one.  Overlapping records
+are refused: an install of them raises and keeps the previous epoch, and
+an ``AT`` over an archived snapshot of them is an ``ERR`` naming both.
 """
 
 import asyncio
 import json
+
+import pytest
 
 from repro.archive import SnapshotArchive
 from repro.core.iputil import IPV4, Prefix, format_ip, parse_ip
@@ -27,21 +31,24 @@ from repro.topology.elements import IngressPoint
 
 WHEN = 1000.0
 
-#: (prefix, ingress, confidence, row timestamp): nested prefixes in both
-#: families, confidence 1.0 / 0.95 / tiny / seven digits, and rows as
-#: old as the watermark (age 0) or older
+#: (prefix, ingress, confidence, row timestamp): disjoint prefixes in
+#: both families — the first and last addresses of the space, adjacent
+#: siblings, a host route — confidence 1.0 / 0.95 / tiny / seven digits,
+#: and rows as old as the watermark (age 0) or older
 ROWS = [
     ("0.0.0.0/30", IngressPoint("R4", "et9"), 0.5, WHEN),
-    ("10.0.0.0/8", IngressPoint("R1", "et0"), 1.0, WHEN),
+    ("10.0.0.0/16", IngressPoint("R1", "et0"), 1.0, WHEN),
     ("10.1.0.0/16", IngressPoint("R2", "xe-0/0/1"), 0.95, 876.544),
-    ("10.1.2.0/24", IngressPoint("R3", "et1+et2"), 1e-7, WHEN),
-    ("10.1.2.128/25", IngressPoint("R1", "et0"), 0.123456789, 0.5),
+    ("10.2.2.0/25", IngressPoint("R1", "et0"), 0.123456789, 0.5),
+    ("10.2.2.128/25", IngressPoint("R3", "et1+et2"), 1e-7, WHEN),
     ("192.0.2.7/32", IngressPoint("ber-ř1", "et0"), 0.95, 999.9999),
     ("255.255.255.252/30", IngressPoint("R4", "et9"), 1.0, 12.0),
-    ("2001:db8::/32", IngressPoint("R1", "et0"), 1.0, WHEN),
+    ("2001:db8::/48", IngressPoint("R1", "et0"), 1.0, WHEN),
     ("2001:db8:1::/48", IngressPoint("R2", "et0"), 0.95, 123.0),
-    ("2001:db8:1:2::/64", IngressPoint("R3", "et0"), 3.3e-9, WHEN),
+    ("2001:db8:2:2::/64", IngressPoint("R3", "et0"), 3.3e-9, WHEN),
 ]
+#: a range nested in ROWS' 10.1.0.0/16
+NESTED = ("10.1.2.0/24", IngressPoint("R3", "et1+et2"), 1e-7, WHEN)
 MISSES = ["99.0.0.1", "128.0.0.0", "3fff::1", "::1"]
 
 
@@ -56,7 +63,7 @@ def _format_hit(result, epoch):
     )
 
 
-def records():
+def records(rows=ROWS):
     return [
         IPDRecord(
             timestamp=timestamp,
@@ -68,7 +75,7 @@ def records():
             candidates=(),
             classified=True,
         )
-        for cidr, ingress, confidence, timestamp in ROWS
+        for cidr, ingress, confidence, timestamp in rows
     ]
 
 
@@ -234,16 +241,16 @@ def test_non_finite_at_timestamp_is_an_error(tmp_path):
 
     async def talk(ask):
         return [await ask(request, 1) for request in (
-            "AT 150 10.1.2.3", "AT nan 10.1.2.3", "AT inf 10.1.2.3",
-            "AT -inf 10.1.2.3", "AT NaN 2001:db8::1", "AT 250 10.1.2.3",
-            "GET 10.1.2.3",
+            "AT 150 10.2.2.131", "AT nan 10.2.2.131", "AT inf 10.2.2.131",
+            "AT -inf 10.2.2.131", "AT NaN 2001:db8::1", "AT 250 10.2.2.131",
+            "GET 10.2.2.131",
         )]
 
     assert converse(service, talk) == [
-        b"HIT R3 et1+et2 10.1.2.0/24 0 0 -1\n",  # the CSV rounds 1e-07
+        b"HIT R3 et1+et2 10.2.2.128/25 0 0 -1\n",  # the CSV rounds 1e-07
         err, err, err, err,
         b"MISS -1\n",
-        b"HIT R3 et1+et2 10.1.2.0/24 1e-07 0 1\n",
+        b"HIT R3 et1+et2 10.2.2.128/25 1e-07 0 1\n",
     ]
     assert service.queries == 1
 
@@ -290,3 +297,44 @@ def test_archive_with_legacy_compiled_blobs_answers_like_a_plain_one(tmp_path):
     want = transcript(plain)
     assert sum(line.startswith(b"HIT") for line in want) > len(requests) // 3
     assert transcript(reopened) == want
+
+
+def test_installing_overlapping_records_keeps_the_previous_epoch():
+    """A snapshot whose ranges overlap is refused while its epoch is
+    built, so nothing is published: the previous epoch keeps serving."""
+    service = IngressLookupService()
+    first = service.install_snapshot(Snapshot(WHEN, records(), epoch=1))
+    with pytest.raises(ValueError, match=r"10\.1\.0\.0/16 and 10\.1\.2\.0/24"):
+        service.install_snapshot(
+            Snapshot(WHEN + 300.0, records([NESTED, *ROWS]), epoch=2)
+        )
+    assert service.current is first and service.installs == 1
+    assert service.lookup(parse_ip("10.1.2.3")[0]).prefix == Prefix.from_string(
+        "10.1.0.0/16"
+    )
+
+
+def test_at_over_overlapping_archived_records_is_an_error(tmp_path):
+    """An archived snapshot whose ranges overlap answers ``AT`` with an
+    ``ERR`` naming both prefixes; the connection stays open and the
+    clean snapshot beside it still answers."""
+    archive = SnapshotArchive(tmp_path / "arch")
+    archive.append(WHEN, records())
+    archive.append(WHEN + 300.0, records([*ROWS, NESTED]))
+    service = IngressLookupService(archive=archive)
+    service.install_snapshot(Snapshot(WHEN, records(), epoch=1))
+
+    async def talk(ask):
+        return [await ask(request, 1) for request in (
+            f"AT {WHEN} 10.1.0.1", f"AT {WHEN + 300.0} 10.1.0.1",
+            f"AT {WHEN + 300.0} 2001:db8::1", "GET 10.1.0.1",
+        )]
+
+    hit = b"HIT R2 xe-0/0/1 10.1.0.0/16 0.95 %s %d\n"
+    at, refused, other_family, get = converse(service, talk)
+    # archived records carry their snapshot's time: an AT answer's age is 0
+    assert at == hit % (b"0", -1) and get == hit % (b"123.456", 1)
+    assert refused.startswith(
+        b"ERR overlapping ranges 10.1.0.0/16 and 10.1.2.0/24: "
+    )
+    assert other_family == b"HIT R1 et0 2001:db8::/48 1 0 -1\n"

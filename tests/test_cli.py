@@ -6,7 +6,8 @@ import contextlib
 import pytest
 
 from repro.cli import _params_from, build_parser, main
-from repro.core.iputil import IPV4, parse_ip
+from repro.core.iputil import IPV4, Prefix, parse_ip
+from repro.core.output import IPDRecord, write_records_csv
 from repro.netflow.records import FlowRecord, read_flows_csv, write_flows_csv
 from repro.runtime import CheckpointStore, Pipeline
 from repro.topology.elements import IngressPoint
@@ -125,6 +126,77 @@ class TestRunCommand:
         empty.write_text("")
         status, __ = run_cli("evaluate", records, empty)
         assert status == 1
+
+
+def _records_file(path, rows):
+    """Write ``(timestamp, cidr, ingress)`` rows as an IPD record CSV."""
+    records = [
+        IPDRecord(timestamp=timestamp, range=Prefix.from_string(cidr),
+                  ingress=ingress, s_ingress=1.0, s_ipcount=64, n_cidr=8,
+                  candidates=((ingress, 64.0),))
+        for timestamp, cidr, ingress in rows
+    ]
+    with open(path, "w") as stream:
+        write_records_csv(records, stream)
+    return path
+
+
+class TestRecordsFileIsOneSnapshot:
+    """``lookup``, ``evaluate`` and ``serve --records`` read a records
+    file as one snapshot.  A file of two snapshots (the /8 at t=300, the
+    /9 at t=600) used to be compiled as one table and answered 10.1.2.3
+    from the stale /8; now it exits 2, as does an overlap inside one
+    snapshot, here or in an archive's latest snapshot."""
+
+    def commands(self, records, flow_csv):
+        return {
+            "lookup": ["lookup", records, "10.1.2.3"],
+            "evaluate": ["evaluate", records, flow_csv],
+            "serve": ["serve", "--records", records, "--port", "0"],
+        }
+
+    @pytest.mark.parametrize("command", ["lookup", "evaluate", "serve"])
+    def test_two_snapshots_exit_two(self, command, flow_csv, tmp_path):
+        records = _records_file(tmp_path / "two.csv", [
+            (300.0, "10.0.0.0/8", A), (600.0, "10.128.0.0/9", B),
+        ])
+        status, out, err = run_cli_with_stderr(
+            *self.commands(records, flow_csv)[command]
+        )
+        assert status == 2 and out == ""
+        assert f"{records} holds 2 snapshots" in err
+        assert "archive ingest" in err and "serve --archive" in err
+
+    @pytest.mark.parametrize("command", ["lookup", "evaluate", "serve"])
+    def test_overlap_in_one_snapshot_exits_two(self, command, flow_csv, tmp_path):
+        records = _records_file(tmp_path / "nested.csv", [
+            (300.0, "10.0.0.0/8", A), (300.0, "10.128.0.0/9", B),
+        ])
+        status, out, err = run_cli_with_stderr(
+            *self.commands(records, flow_csv)[command]
+        )
+        assert status == 2 and out == ""
+        assert "overlapping ranges 10.0.0.0/8 and 10.128.0.0/9" in err
+        assert str(records) in err
+
+    def test_overlap_in_the_archives_latest_snapshot_exits_two(self, tmp_path):
+        records = _records_file(tmp_path / "nested.csv", [
+            (300.0, "10.0.0.0/8", A), (300.0, "10.128.0.0/9", B),
+        ])
+        root = tmp_path / "arch"
+        assert run_cli("archive", root, "ingest", "--records", records)[0] == 0
+        status, out, err = run_cli_with_stderr("serve", "--archive", root)
+        assert status == 2 and out == ""
+        assert "overlapping ranges 10.0.0.0/8 and 10.128.0.0/9" in err
+
+    def test_one_snapshot_still_answers(self, tmp_path):
+        records = _records_file(tmp_path / "one.csv", [
+            (600.0, "10.0.0.0/9", A), (600.0, "10.128.0.0/9", B),
+        ])
+        status, text = run_cli("lookup", records, "10.1.2.3", "10.200.0.1")
+        assert status == 0
+        assert text == ("10.1.2.3: R1.et0 (via 10.0.0.0/9)\n"
+                        "10.200.0.1: R2.et0 (via 10.128.0.0/9)\n")
 
 
 class TestSimulateCommand:
