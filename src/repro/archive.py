@@ -34,7 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .core.iputil import Prefix
+from .core.iputil import IPV4, IPV6, Prefix
+from .core.lpm import CompiledLPM
 from .core.output import IPDRecord, read_records_csv, write_records_csv
 from .runtime.checkpoint import write_atomic
 
@@ -71,13 +72,27 @@ class SnapshotArchive:
     # ------------------------------------------------------------------ write
 
     def append(self, timestamp: float, records: Sequence[IPDRecord]) -> None:
-        """Append one snapshot; snapshots must arrive in time order."""
-        key = _day_key(timestamp)
+        """Append one snapshot; snapshots arrive in time order, ranges disjoint."""
+        self.append_run({timestamp: records})
+
+    def append_run(self, snapshots: dict[float, Sequence[IPDRecord]]) -> int:
+        """Append a whole run's snapshots (sorted); returns count.  A
+        snapshot not newer than the archive's newest, or whose ranges
+        overlap (``CompiledLPM``'s ``ValueError``), is refused before any
+        byte is written."""
+        times = sorted(snapshots)
         newest = self.newest_timestamp()
-        if newest is not None and timestamp <= newest:
-            raise ValueError(
-                f"snapshot {timestamp} not newer than archived {newest}"
-            )
+        if times and newest is not None and times[0] <= newest:
+            raise ValueError(f"snapshot {times[0]} not newer than archived {newest}")
+        for timestamp in times:
+            for version in (IPV4, IPV6):  # compiling refuses an overlap
+                CompiledLPM(snapshots[timestamp], version)
+        for timestamp in times:
+            self._write(timestamp, snapshots[timestamp])
+        return len(times)
+
+    def _write(self, timestamp: float, records: Sequence[IPDRecord]) -> None:
+        key = _day_key(timestamp)
         stamped = [
             record if record.timestamp == timestamp
             else _restamp(record, timestamp)
@@ -102,14 +117,6 @@ class SnapshotArchive:
         entry["snapshots"].append(timestamp)
         entry["records"] += len(stamped)
         self._save_index()
-
-    def append_run(self, snapshots: dict[float, Sequence[IPDRecord]]) -> int:
-        """Append a whole run's snapshots (sorted); returns count."""
-        count = 0
-        for timestamp in sorted(snapshots):
-            self.append(timestamp, snapshots[timestamp])
-            count += 1
-        return count
 
     # ------------------------------------------------------------------ read
 

@@ -334,7 +334,11 @@ def _cmd_archive(args: argparse.Namespace) -> int:
         by_time: dict[float, list] = {}
         for record in records:
             by_time.setdefault(record.timestamp, []).append(record)
-        count = archive.append_run(by_time)
+        try:
+            count = archive.append_run(by_time)
+        except ValueError as exc:
+            print(f"{args.records}: {exc}", file=sys.stderr)
+            return 2
         print(f"archived {count} snapshot(s), {len(records)} records")
         return 0
     stats = archive.stats()

@@ -340,11 +340,53 @@ def _tokenise(
         line += reader.line_num
 
 
+def _ipv4_column(texts: list[str]) -> Optional[np.ndarray]:
+    """Canonical dotted quads as a uint64 column in one pass over their bytes,
+    or ``None`` if any text is not one: every non-digit byte ends an octet,
+    the ends run ``...\\n`` per text, an octet is 1-3 digits, no leading
+    zero, at most 255."""
+    try:
+        data = np.frombuffer("\n".join([*texts, ""]).encode("ascii"), np.uint8)
+    except UnicodeEncodeError:
+        return None
+    digits = data - np.uint8(ord("0"))
+    ends = np.flatnonzero(digits > 9)
+    if data[ends].tobytes() != b"...\n" * len(texts):
+        return None
+    width = ends.copy()
+    width[1:] -= ends[:-1] + 1
+    tens, hundreds = width > 1, width > 2
+    # the digits before an end, each weighted only if the octet has it
+    octets = digits[ends - 1] + digits[ends - 2] * tens * np.uint16(10)
+    octets += digits[ends - 3] * hundreds * np.uint16(100)
+    if ((width < 1) | (width > 3) | (tens & (digits[ends - width] == 0)) | (octets > 255)).any():
+        return None
+    return octets.astype(np.uint8).view(">u4").astype(np.uint64)
+
+
+def _intern(
+    routers: list[str], interfaces: list[str], ingress: Any
+) -> tuple[np.ndarray, tuple[IngressPoint, ...]]:
+    """Ingress ids per row and the table of *ingress* points, first seen first."""
+    index: dict[tuple[str, str], int] = {}
+    first = np.fromiter(
+        map(index.setdefault, zip(routers, interfaces), itertools.count()), np.intp, len(routers))
+    # a point's id counts the points first seen before its first row
+    rank = np.cumsum(first == np.arange(len(first))) - 1
+    return rank[first], tuple(itertools.starmap(ingress, index))
+
+
 def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatch]:
-    """One chunk's flat field list to batches, a column at a time."""
+    """One chunk's flat field list to batches, each column in one bulk pass;
+    the *address* memo takes each ``dst_ip`` and the sources the byte pass refuses."""
     value, family = operator.itemgetter(0), operator.itemgetter(1)
-    sources = list(map(address, fields[1::_WIDTH]))
-    versions = list(map(family, sources))
+    src_texts = fields[1::_WIDTH]
+    sources: Any = _ipv4_column(src_texts)
+    versions = [IPV4] * len(src_texts)
+    if sources is None:
+        parsed = list(map(address, src_texts))
+        versions = list(map(family, parsed))
+        sources = list(map(value, parsed))
     dst_texts = fields[6::_WIDTH]
     dst_ips: Optional[list[Optional[int]]] = None
     if any(dst_texts):
@@ -356,25 +398,26 @@ def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatc
         if list(map(family, dsts)) != versions:
             raise ValueError("mixed address families in row")
         dst_ips = list(map(value, dsts))
-    addresses = list(map(value, sources))
-    points = list(map(ingress, fields[2::_WIDTH], fields[3::_WIDTH]))
-    timestamps = np.array(list(map(float, fields[0::_WIDTH])))
-    packets = np.array(list(map(int, fields[4::_WIDTH])), dtype=np.int64)
-    byte_counts = np.array(list(map(int, fields[5::_WIDTH])), dtype=np.int64)
+    timestamps = np.array(fields[0::_WIDTH], dtype=np.float64)
+    packets = np.array(fields[4::_WIDTH], dtype=np.int64)
+    byte_counts = np.array(fields[5::_WIDTH], dtype=np.int64)
     for what, counts in (("packet", packets), ("byte", byte_counts)):
         if (counts < 0).any():
             raise ValueError(f"{what} count {counts.min()} is negative")
+    routers, interfaces = fields[2::_WIDTH], fields[3::_WIDTH]
     start = 0
     for version, run in itertools.groupby(versions):
         end = start + len(list(run))
+        ids, table = _intern(routers[start:end], interfaces[start:end], ingress)
         yield FlowBatch(
             version,
             timestamps[start:end],
-            addresses[start:end],
-            points[start:end],
+            sources[start:end],
+            ids,
             packets[start:end],
             byte_counts[start:end],
             None if dst_ips is None else dst_ips[start:end],
+            ingress_table=table,
         )
         start = end
 

@@ -112,26 +112,20 @@ def subdivide_by_flows(
         r for r in records if r.classified and r.version == version
     ]
     lpm = build_lpm_from_records(classified, version)
-    index = {r.range: r for r in classified}
 
-    counts: dict[tuple[_Prefix, int], int] = defaultdict(int)
+    counts: dict[tuple[int, int], int] = defaultdict(int)
     for flow in flows:
         if flow.version != version:
             continue
-        found = lpm.lookup_entry(flow.src_ip)
-        if found is None:
-            continue
-        covering = found.prefix
-        if covering.masklen >= masklen:
+        row = lpm.lookup_row(flow.src_ip)
+        if row < 0 or lpm.records[row].range.masklen >= masklen:
             continue
         sub = mask_ip(flow.src_ip, masklen, version)
-        counts[(covering, sub)] += 1
+        counts[(row, sub)] += 1
 
     refined: list[IPDRecord] = []
-    seen_coarse: set[_Prefix] = set()
-    for (covering, sub), count in counts.items():
-        seen_coarse.add(covering)
-        record = index[covering]
+    for (row, sub), count in counts.items():
+        record = lpm.records[row]
         refined.append(_replace(
             record,
             range=_Prefix.from_ip(sub, masklen, version),

@@ -12,9 +12,11 @@ the file length; every malformed row must raise ``ValueError`` on both.
 
 import csv
 import io
+import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.iputil import format_ip, parse_ip
@@ -211,9 +213,11 @@ def test_nonpositive_batch_size_rejected():
 
 
 def test_address_memo_is_used_and_bounded(monkeypatch):
-    """Each distinct text is parsed once while it fits the memo, and a file
-    with more distinct sources than the bound evicts instead of growing."""
-    distinct = [format_ip(0x0A000000 + index, 4) for index in range(20)]
+    """The memo serves what the dotted-quad byte pass does not: each
+    distinct IPv6 text is parsed once while it fits the memo, a file with
+    more distinct sources than the bound evicts instead of growing, and an
+    all-IPv4 file never calls ``parse_ip``."""
+    distinct = [format_ip((0x20010DB8 << 96) + index, 6) for index in range(20)]
     rows = [[GOOD[0], src, *GOOD[2:6], ""] for src in distinct * 3]
     text = render(rows)
     expected = list(reference_read(io.StringIO(text)))
@@ -231,9 +235,106 @@ def test_address_memo_is_used_and_bounded(monkeypatch):
     monkeypatch.setattr(records, "_MEMO_LIMIT", 8)
     assert list(read_flows_csv(io.StringIO(text))) == expected
     assert len(calls) == len(rows)
+    del calls[:]
+    v4 = render([[GOOD[0], format_ip(0x0A000000 + index, 4), *GOOD[2:6], ""]
+                 for index in range(20)] * 3)
+    assert list(read_flows_csv(io.StringIO(v4))) == list(reference_read(io.StringIO(v4)))
+    assert calls == []
 
 
 def test_ingresses_are_interned_per_file():
     rows = [GOOD] * 4 + [[*GOOD[:2], "R2", *GOOD[3:]]] * 2
     (batch,) = read_flows_csv_batched(io.StringIO(render(rows)))
     assert len({id(ingress) for ingress in batch.ingresses}) == 2
+
+
+canonical_quad = st.integers(0, (1 << 32) - 1).map(lambda value: format_ip(value, 4))
+canonical_octet = st.integers(0, 255).map(str)
+#: one octet as written where it is not canonical: zero-padded, past 255,
+#: or no number at all (signs, spaces, non-ASCII digits, nothing)
+odd_octet = st.one_of(
+    st.tuples(canonical_octet, st.integers(1, 2)).map(lambda pair: "0" * pair[1] + pair[0]),
+    st.integers(256, 1999).map(str),
+    st.sampled_from(["", "+1", "-0", " 1", "1 ", "\t7", "４", "١", "1e2", "0x1"]),
+)
+address_text = st.one_of(
+    # a quad with one octet spelt oddly
+    st.tuples(st.lists(canonical_octet, min_size=4, max_size=4), st.integers(0, 3), odd_octet)
+    .map(lambda drawn: ".".join([*drawn[0][:drawn[1]], drawn[2], *drawn[0][drawn[1] + 1:]])),
+    st.lists(canonical_octet, min_size=3, max_size=5).map(".".join),
+    st.integers(0, (1 << 128) - 1).map(lambda value: format_ip(value, 6)),
+    st.sampled_from(["", "1.2.3.４", "::ffff:1.2.3.4", "1.2.3.4\n5.6.7.8", "1.2.3.4,"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(canonical_quad, max_size=40),
+    # canonical quads around one other text
+    st.tuples(st.lists(canonical_quad, max_size=20), address_text, st.integers(0, 20))
+    .map(lambda drawn: [*drawn[0][:drawn[2]], drawn[1], *drawn[0][drawn[2]:]]),
+    st.lists(address_text, max_size=10),
+))
+@example(["1.2.3.4", "1000.2.3.4"])  # a fourth digit weighs nothing
+@example(["10.0.0.1", "1.2.3.0255"])
+def test_ipv4_column_agrees_with_parse_ip(texts):
+    """The byte pass answers exactly when every text ``parse_ip``s as
+    IPv4, and then with ``parse_ip``'s values."""
+    try:
+        parsed = list(map(parse_ip, texts))
+    except ValueError:
+        parsed = None
+    column = records._ipv4_column(texts)
+    if parsed is None or any(version != 4 for __, version in parsed):
+        assert column is None
+    else:
+        assert column.dtype == np.uint64
+        assert column.tolist() == [value for value, __ in parsed]
+
+
+#: spellings of the number columns, and what the bulk conversion makes of
+#: each as a timestamp and as a count: ``float()`` / ``int()``'s value, or
+#: the error they raise (a count past int64 is the one ``int()`` takes)
+NUMBER_SPELLINGS = {
+    " 12.5": (12.5, ValueError),
+    "1e3": (1000.0, ValueError),
+    "1_0": (10.0, 10),
+    "+3": (3.0, 3),
+    "١": (1.0, 1),
+    "nan": (math.nan, ValueError),
+    "inf": (math.inf, ValueError),
+    "1e400": (math.inf, ValueError),
+    "0x10": (ValueError, ValueError),
+    "": (ValueError, ValueError),
+    "1.5": (1.5, ValueError),
+    str(2**63): (2.0**63, OverflowError),
+}
+
+
+def outcome(convert, text):
+    try:
+        value = convert(text)
+    except (ValueError, OverflowError) as error:
+        return type(error)
+    return math.nan if value != value else value
+
+
+@pytest.mark.parametrize("text", sorted(NUMBER_SPELLINGS))
+def test_number_columns_take_each_spelling_as_float_and_int_do(text):
+    stamp, count = NUMBER_SPELLINGS[text]
+    bulk = {dtype: outcome(lambda t: np.array([t], dtype=dtype)[0].item(), text)
+            for dtype in (np.float64, np.int64)}
+    assert repr(bulk[np.float64]) == repr(outcome(float, text)) == repr(stamp)
+    assert bulk[np.int64] == count
+    assert outcome(int, text) == (2**63 if count is OverflowError else count)
+    # the decoder's columns: the same value, or the row's line named
+    for column, want in ((0, stamp), (4, count)):
+        row = [*GOOD[:column], text, *GOOD[column + 1:]]
+        stream = io.StringIO(render([GOOD, row]))
+        if isinstance(want, type):
+            with pytest.raises(ValueError, match=r"^flow CSV line 3: "):
+                list(read_flows_csv(stream))
+        else:
+            flow = list(read_flows_csv(stream))[1]
+            got = flow.timestamp if column == 0 else flow.packets
+            assert type(got) is type(want) and repr(got) == repr(want)

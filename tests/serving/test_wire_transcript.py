@@ -14,17 +14,20 @@ request language is pinned as well: a non-finite ``AT`` timestamp is an
 ``ERR``, and an archive index left with ``compiled`` blob entries by an
 older build answers ``AT`` exactly like a plain one.  Overlapping records
 are refused: an install of them raises and keeps the previous epoch, and
-an ``AT`` over an archived snapshot of them is an ``ERR`` naming both.
+an ``AT`` over an archived snapshot of them (one an older build stored)
+is an ``ERR`` naming both.
 """
 
 import asyncio
+import gzip
+import io
 import json
 
 import pytest
 
 from repro.archive import SnapshotArchive
 from repro.core.iputil import IPV4, Prefix, format_ip, parse_ip
-from repro.core.output import IPDRecord
+from repro.core.output import IPDRecord, write_records_csv
 from repro.core.snapshot import Snapshot
 from repro.serving import IngressLookupService, LookupServer, ServingEpoch
 from repro.topology.elements import IngressPoint
@@ -314,13 +317,30 @@ def test_installing_overlapping_records_keeps_the_previous_epoch():
     )
 
 
+def append_unchecked(root, timestamp, rows):
+    """Append a snapshot to the archive at *root* the way an older build
+    did, with no overlap check: its records, restamped, to the day's
+    partition and its time to the index."""
+    buffer = io.StringIO()
+    write_records_csv(records([(*row[:3], timestamp) for row in rows]), buffer)
+    index_path = root / "index.json"
+    index = json.loads(index_path.read_text())
+    (entry,) = index.values()
+    with gzip.open(root / entry["file"], "at") as stream:
+        stream.write(buffer.getvalue().split("\n", 1)[1])
+    entry["snapshots"].append(timestamp)
+    entry["records"] += len(rows)
+    index_path.write_text(json.dumps(index, sort_keys=True))
+
+
 def test_at_over_overlapping_archived_records_is_an_error(tmp_path):
-    """An archived snapshot whose ranges overlap answers ``AT`` with an
-    ``ERR`` naming both prefixes; the connection stays open and the
-    clean snapshot beside it still answers."""
+    """An archived snapshot whose ranges overlap (``append`` refuses one,
+    an older build stored it) answers ``AT`` with an ``ERR`` naming both
+    prefixes; the connection stays open and the clean snapshot beside it
+    still answers."""
+    SnapshotArchive(tmp_path / "arch").append(WHEN, records())
+    append_unchecked(tmp_path / "arch", WHEN + 300.0, [*ROWS, NESTED])
     archive = SnapshotArchive(tmp_path / "arch")
-    archive.append(WHEN, records())
-    archive.append(WHEN + 300.0, records([*ROWS, NESTED]))
     service = IngressLookupService(archive=archive)
     service.install_snapshot(Snapshot(WHEN, records(), epoch=1))
 

@@ -67,6 +67,21 @@ class TestAppendAndLoad:
         with pytest.raises(ValueError):
             archive.append(300.0, [record("10.0.0.0/24")])
 
+    def test_overlapping_snapshot_is_refused_before_any_write(self, tmp_path):
+        root = tmp_path / "arch"
+        archive = SnapshotArchive(root)
+        archive.append(300.0, [record("10.0.0.0/24")])
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+        nested = [record("10.1.0.0/16"), record("10.1.2.0/24", B)]
+        message = r"^overlapping ranges 10\.1\.0\.0/16 and 10\.1\.2\.0/24: "
+        with pytest.raises(ValueError, match=message):
+            archive.append(600.0, nested)
+        # a run is checked whole: its clean first snapshot is not written either
+        with pytest.raises(ValueError, match=message):
+            archive.append_run({600.0: [record("10.2.0.0/24")], 900.0: nested})
+        assert {path.name: path.read_bytes() for path in root.iterdir()} == before
+        assert archive.snapshot_times() == SnapshotArchive(root).snapshot_times() == [300.0]
+
     def test_append_run(self, tmp_path):
         archive = SnapshotArchive(tmp_path / "arch")
         run = {

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
-import io
 import contextlib
+import gzip
+import io
+import json
 
 import pytest
 
@@ -183,8 +185,13 @@ class TestRecordsFileIsOneSnapshot:
         records = _records_file(tmp_path / "nested.csv", [
             (300.0, "10.0.0.0/8", A), (300.0, "10.128.0.0/9", B),
         ])
+        # 'archive ingest' refuses the overlap, so store it as an older build did
         root = tmp_path / "arch"
-        assert run_cli("archive", root, "ingest", "--records", records)[0] == 0
+        root.mkdir()
+        with open(records, "rb") as source, gzip.open(root / "1970-01-01.csv.gz", "wb") as target:
+            target.write(source.read())
+        (root / "index.json").write_text(json.dumps({"1970-01-01": {
+            "file": "1970-01-01.csv.gz", "snapshots": [300.0], "records": 2}}))
         status, out, err = run_cli_with_stderr("serve", "--archive", root)
         assert status == 2 and out == ""
         assert "overlapping ranges 10.0.0.0/8 and 10.128.0.0/9" in err
@@ -221,6 +228,16 @@ class TestArchiveCommand:
         status, text = run_cli("archive", root, "stats")
         assert status == 0
         assert "snapshots: 1" in text
+
+    def test_ingest_of_overlapping_records_exits_two_and_writes_nothing(self, tmp_path):
+        records = _records_file(tmp_path / "nested.csv", [
+            (300.0, "10.0.0.0/8", A), (300.0, "10.128.0.0/9", B),
+        ])
+        root = tmp_path / "arch"
+        status, out, err = run_cli_with_stderr("archive", root, "ingest", "--records", records)
+        assert status == 2 and out == ""
+        assert f"{records}: overlapping ranges 10.0.0.0/8 and 10.128.0.0/9: " in err
+        assert list(root.iterdir()) == []
 
     def test_ingest_requires_records(self, tmp_path):
         status, __ = run_cli("archive", tmp_path / "arch", "ingest")
