@@ -207,8 +207,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     admission = _admission_from(args)
 
     def flow_source():
-        # A fresh file handle per (re)start: checkpoint resume and
-        # worker-crash recovery both re-open the CSV and replay forward.
+        # Pipeline.run calls this once: a one-engine run raises no
+        # WorkerCrashError, so nothing re-opens the CSV, and a resumed
+        # pipeline reads it from the start, skipping what its checkpoint
+        # covers.
         with open(args.flows) as stream:
             yield from read_flows_csv_batched(stream, args.batch_size)
 

@@ -304,28 +304,75 @@ def write_flows_csv(flows: Iterable[FlowRecord], stream: IO[str]) -> int:
 #: holds before its least recently used goes: a scan re-parses, never grows
 _MEMO_LIMIT = 1 << 16
 _WIDTH = len(_CSV_FIELDS)
+#: NULs before a plain chunk's text, so a load of up to 24 bytes that ends
+#: at a field's end starts inside the buffer
+_PAD = "\0" * 32
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_ONES, _ZEROS = ~np.uint64(0), np.uint64(0x3030303030303030)
 
 
 def _row_error(line: int, reason: object, row: Sequence[str]) -> ValueError:
     return ValueError(f"flow CSV line {line}: {reason}: {row!r}")
 
 
-def _tokenise(
-    stream: Iterable[str], batch_size: int
-) -> Iterator[tuple[list[str], Sequence[int]]]:
-    """Yield ``(fields, numbers)`` per chunk of lines, the header line
-    first: the rows' fields in one flat list, and each row's file line.
-    A chunk of six-comma lines with no quote or carriage return splits as
-    plain text; any other goes through :mod:`csv` (which may pull the rest
-    of a quoted field off *stream*), so both accept the same language."""
+class _Chunk(NamedTuple):
+    """One chunk's rows: its text, each field's ``[start, end)`` in it
+    (int32, rows x 7) and, for a plain chunk (padded ASCII, the fields
+    between their delimiters), the text as ``uint8``; a ``csv`` chunk's text
+    is its fields end to end, with no ``data``."""
+
+    text: str
+    starts: np.ndarray
+    ends: np.ndarray
+    data: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, fields: list[str]) -> "_Chunk":
+        """The ``csv`` chunk of *fields*, seven a row."""
+        lengths = np.fromiter(map(len, fields), np.int32, len(fields))
+        ends = np.cumsum(lengths, dtype=np.int32)
+        return cls("".join(fields), (ends - lengths).reshape(-1, _WIDTH), ends.reshape(-1, _WIDTH))
+
+    def texts(self, rows: Any, columns: Any) -> list[str]:
+        """The texts of the fields at ``[rows, columns]``, in row order."""
+        starts, ends = self.starts[rows, columns].ravel(), self.ends[rows, columns].ravel()
+        return list(map(self.text.__getitem__, map(slice, starts.tolist(), ends.tolist())))
+
+    def convert(self, converter: Any, first: int, last: int, rows: slice = slice(None)) -> Any:
+        """*converter* over the bytes from field *first* to field *last* of
+        each row in *rows*, or ``None`` for a ``csv`` chunk."""
+        if self.data is None:
+            return None
+        return converter(self.data, self.starts[rows, first], self.ends[rows, last])
+
+
+def _plain(text: str, rows: int) -> Optional[_Chunk]:
+    """*text* as a plain chunk of *rows* lines, or ``None`` unless it is
+    ASCII with no quote or carriage return and its delimiters run six
+    commas and a newline a line: then it is its own ``csv.reader`` output,
+    split at the delimiters one ``flatnonzero`` finds."""
+    if not text.isascii() or '"' in text or "\r" in text:
+        return None
+    text = _PAD + text + ("" if text.endswith("\n") else "\n")
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n"))).astype(np.int32)
+    if len(ends) != rows * _WIDTH or data[ends].tobytes() != b",,,,,,\n" * rows:
+        return None
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = len(_PAD), ends[:-1] + 1
+    return _Chunk(text, starts.reshape(rows, _WIDTH), ends.reshape(rows, _WIDTH), data)
+
+
+def _tokenise(stream: Iterable[str], batch_size: int) -> Iterator[tuple[_Chunk, Sequence[int]]]:
+    """Yield ``(chunk, numbers)`` per chunk of lines, the header line first:
+    the chunk's rows and each row's file line.  A plain chunk is read as
+    bytes; any other goes through :mod:`csv` (which may pull the rest of a
+    quoted field off *stream*), so both accept the same language."""
     rest, line, size = iter(stream), 1, 1
     while lines := list(itertools.islice(rest, size)):
-        size, text = batch_size, "".join(lines)
-        if '"' not in text and "\r" not in text and set(
-            map(str.count, lines, itertools.repeat(","))
-        ) == {_WIDTH - 1}:
-            flat = (text if text.endswith("\n") else text + "\n").replace("\n", ",")
-            yield flat.split(",")[:-1], range(line, line + len(lines))
+        size, plain = batch_size, _plain("".join(lines), len(lines))
+        if plain is not None:
+            yield plain, range(line, line + len(lines))
             line += len(lines)
             continue
         fields: list[str] = []
@@ -336,25 +383,84 @@ def _tokenise(
             numbers.append(line + reader.line_num - 1)
             if len(row) != _WIDTH:
                 raise _row_error(numbers[-1], f"expected {_WIDTH} fields", row)
-        yield fields, numbers
+        yield _Chunk.of(fields), numbers
         line += reader.line_num
 
 
-def _ipv4_column(texts: list[str]) -> Optional[np.ndarray]:
-    """Canonical dotted quads as a uint64 column in one pass over their bytes,
-    or ``None`` if any text is not one: every non-digit byte ends an octet,
-    the ends run ``...\\n`` per text, an octet is 1-3 digits, no leading
-    zero, at most 255."""
-    try:
-        data = np.frombuffer("\n".join([*texts, ""]).encode("ascii"), np.uint8)
-    except UnicodeEncodeError:
+def _digit_words(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, limit: int
+                 ) -> Optional[np.ndarray]:
+    """Fields of 1 to *limit* bytes right-aligned in as few little-endian
+    uint64 words a row as the widest needs (unaligned loads), each byte XOR
+    ``"0"`` (a digit reads as its value, any other byte above 9) and 0 left
+    of the field; ``None`` for an empty or a longer field."""
+    widths = ends - starts
+    if widths.min() < 1 or widths.max() > limit:
         return None
-    digits = data - np.uint8(ord("0"))
-    ends = np.flatnonzero(digits > 9)
-    if data[ends].tobytes() != b"...\n" * len(texts):
+    count = (int(widths.max()) + 7) // 8
+    loads = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+    words = np.empty((len(ends), count), "<u8")  # so its bytes read in text order
+    for word in range(count):
+        skip = np.maximum(8 * (count - word) - widths, 0).astype(np.uint64)  # bytes before the field
+        words[:, word] = (loads[ends - 8 * (count - word)] ^ _ZEROS) & _ONES << 8 * skip
+    return words
+
+
+def _decimal(words: np.ndarray) -> np.ndarray:
+    """Rows of words of eight digit values (the first in the low byte) as
+    int64, by one multiply-shift pass a word."""
+    x = words * np.uint64(10) + (words >> np.uint64(8))
+    pairs = np.uint64(0x000000FF000000FF)
+    x = ((x & pairs) * np.uint64(100 + (1000000 << 32))
+         + ((x >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))) >> np.uint64(32)
+    return x.astype(np.int64) @ _POW10[8 * (words.shape[1] - 1)::-8]
+
+
+def _count_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """Fields of 1-18 plain digits as int64 (``int()``'s values), or ``None``."""
+    words = _digit_words(data, starts, ends, 18)
+    return None if words is None or (words.view(np.uint8) > 9).any() else _decimal(words)
+
+
+def _float_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """Fields spelt ``digits[.digits]`` as float64, or ``None``.  Clinger's
+    fast path: the digits as one integer mantissa below 2**53 divided by
+    10**k, k the fraction digits, both exact doubles, is the correctly
+    rounded value ``float()`` returns."""
+    words = _digit_words(data, starts, ends, 17)  # 16 digits and a dot pass 2**53
+    if words is None:
+        return None
+    digits = words.view(np.uint8)
+    dots = np.flatnonzero(digits == ord(".") ^ ord("0"))
+    rows, width = dots // digits.shape[1], digits.shape[1]
+    scale = np.zeros(len(words), np.intp)  # the digits right of each dot
+    scale[rows] = width - 1 - dots % width
+    # every byte but one dot a row a digit, and a digit on each side of a dot
+    if np.count_nonzero(digits > 9) != len(dots) or (np.diff(rows) < 1).any() or (
+            (scale[rows] < 1) | (scale[rows] > (ends - starts)[rows] - 2)).any():
+        return None
+    digits.reshape(-1)[dots] = 0
+    whole = _decimal(words)  # the dot read as a 0 digit, then taken out
+    low = whole % _POW10[scale]
+    mantissa = np.where(scale > 0, (whole - low) // 10 + low, whole)
+    return None if (mantissa >= 1 << 53).any() else mantissa / _POW10[scale]
+
+
+def _ipv4_column(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """Canonical dotted quads as a uint64 column in one pass over the fields'
+    bytes, or ``None`` if any field is not one: each field and the delimiter
+    after it as digit words (:func:`_digit_words`), every non-digit ends an
+    octet, the ends run ``...,`` a field, an octet is 1-3 digits, no leading
+    zero, at most 255."""
+    words = _digit_words(data, starts, ends + 1, 16)
+    if words is None:
+        return None
+    digits = words.reshape(-1).view(np.uint8)
+    ends, fill = np.flatnonzero(digits > 9), 8 * words.shape[1] - 1 - (ends - starts)
+    if (digits[ends] ^ np.uint8(ord("0"))).tobytes() != b"...," * len(starts):
         return None
     width = ends.copy()
     width[1:] -= ends[:-1] + 1
+    width[0::4] -= fill  # a first octet starts past its row's fill
     tens, hundreds = width > 1, width > 2
     # the digits before an end, each weighted only if the octet has it
     octets = digits[ends - 1] + digits[ends - 2] * tens * np.uint16(10)
@@ -364,62 +470,88 @@ def _ipv4_column(texts: list[str]) -> Optional[np.ndarray]:
     return octets.astype(np.uint8).view(">u4").astype(np.uint64)
 
 
-def _intern(
-    routers: list[str], interfaces: list[str], ingress: Any
-) -> tuple[np.ndarray, tuple[IngressPoint, ...]]:
-    """Ingress ids per row and the table of *ingress* points, first seen first."""
+def _key_hash(words: np.ndarray) -> np.ndarray:
+    """One uint64 per row of key words.  Rows that share a hash are then
+    compared byte for byte, so any mix will do."""
+    return words[:, 0] * np.uint64(0x9E3779B97F4A7C15) ^ words[:, -1]
+
+
+def _ingress_column(
+    data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Ingress ids per row, first seen first, and each id's first row, from
+    the ``router,interface`` spans as 16-byte keys (:func:`_digit_words`);
+    ``None`` for a longer span or two distinct spans with one hash."""
+    keys = _digit_words(data, starts, ends, 16)
+    if keys is None:
+        return None
+    widths, hashes = ends - starts, _key_hash(keys)
+    order = np.argsort(hashes)
+    heads = np.empty(len(order), bool)
+    heads[0], heads[1:] = True, np.diff(hashes[order]) != 0
+    firsts = np.minimum.reduceat(order, np.flatnonzero(heads))  # each hash's first row
+    groups = np.empty(len(order), np.intp)
+    groups[order] = np.cumsum(heads) - 1
+    leaders = firsts[groups]
+    # equal bytes and widths: equal spans (a key is zero-filled to the left)
+    if (keys != keys[leaders]).any() or (widths != widths[leaders]).any():
+        return None
+    seen = np.argsort(firsts)
+    rank = np.empty(len(seen), np.int32)
+    rank[seen] = np.arange(len(seen), dtype=np.int32)
+    return rank[groups], firsts[seen]
+
+
+def _intern(routers: list[str], interfaces: list[str]) -> tuple[np.ndarray, list[int]]:
+    """Ingress ids per row, first seen first, and each id's first row."""
     index: dict[tuple[str, str], int] = {}
     first = np.fromiter(
         map(index.setdefault, zip(routers, interfaces), itertools.count()), np.intp, len(routers))
     # a point's id counts the points first seen before its first row
-    rank = np.cumsum(first == np.arange(len(first))) - 1
-    return rank[first], tuple(itertools.starmap(ingress, index))
+    return np.cumsum(first == np.arange(len(first)))[first] - 1, list(index.values())
 
 
-def _columns(fields: list[str], address: Any, ingress: Any) -> Iterator[FlowBatch]:
-    """One chunk's flat field list to batches, each column in one bulk pass;
-    the *address* memo takes each ``dst_ip`` and the sources the byte pass refuses."""
+def _columns(chunk: _Chunk, address: Any, ingress: Any) -> Iterator[FlowBatch]:
+    """One chunk's rows to batches, each column in one bulk pass: by a byte
+    converter, which answers exactly or returns ``None``, else from the
+    field texts, where the *address* memo takes each ``dst_ip`` and the
+    sources the byte pass refuses."""
     value, family = operator.itemgetter(0), operator.itemgetter(1)
-    src_texts = fields[1::_WIDTH]
-    sources: Any = _ipv4_column(src_texts)
-    versions = [IPV4] * len(src_texts)
+    timestamps, packets, byte_counts = (
+        np.array(chunk.texts(slice(None), column), dtype) if converted is None else converted
+        for column, dtype, converted in (
+            (0, np.float64, chunk.convert(_float_column, 0, 0)),
+            (4, np.int64, chunk.convert(_count_column, 4, 4)),
+            (5, np.int64, chunk.convert(_count_column, 5, 5))))
+    sources: Any = chunk.convert(_ipv4_column, 1, 1)
+    versions = [IPV4] * len(timestamps)
     if sources is None:
-        parsed = list(map(address, src_texts))
+        parsed = list(map(address, chunk.texts(slice(None), 1)))
         versions = list(map(family, parsed))
         sources = list(map(value, parsed))
-    dst_texts = fields[6::_WIDTH]
     dst_ips: Optional[list[Optional[int]]] = None
-    if any(dst_texts):
+    if (chunk.ends[:, 6] > chunk.starts[:, 6]).any():
         # an absent dst takes its row's family, so one comparison finds a mix
         dsts = [
             address(text) if text else (None, version)
-            for text, version in zip(dst_texts, versions)
+            for text, version in zip(chunk.texts(slice(None), 6), versions)
         ]
         if list(map(family, dsts)) != versions:
             raise ValueError("mixed address families in row")
         dst_ips = list(map(value, dsts))
-    timestamps = np.array(fields[0::_WIDTH], dtype=np.float64)
-    packets = np.array(fields[4::_WIDTH], dtype=np.int64)
-    byte_counts = np.array(fields[5::_WIDTH], dtype=np.int64)
     for what, counts in (("packet", packets), ("byte", byte_counts)):
         if (counts < 0).any():
             raise ValueError(f"{what} count {counts.min()} is negative")
-    routers, interfaces = fields[2::_WIDTH], fields[3::_WIDTH]
     start = 0
     for version, run in itertools.groupby(versions):
-        end = start + len(list(run))
-        ids, table = _intern(routers[start:end], interfaces[start:end], ingress)
-        yield FlowBatch(
-            version,
-            timestamps[start:end],
-            sources[start:end],
-            ids,
-            packets[start:end],
-            byte_counts[start:end],
-            None if dst_ips is None else dst_ips[start:end],
-            ingress_table=table,
-        )
-        start = end
+        rows = slice(start, start + len(list(run)))
+        ids, firsts = chunk.convert(_ingress_column, 2, 3, rows) or _intern(
+            chunk.texts(rows, 2), chunk.texts(rows, 3))
+        firsts = np.add(firsts, start)
+        table = tuple(map(ingress, chunk.texts(firsts, 2), chunk.texts(firsts, 3)))
+        yield FlowBatch(version, timestamps[rows], sources[rows], ids, packets[rows], byte_counts[rows],
+                        None if dst_ips is None else dst_ips[rows], ingress_table=table)
+        start = rows.stop
 
 
 def read_flows_csv_batched(
@@ -437,18 +569,18 @@ def read_flows_csv_batched(
     ingress = functools.lru_cache(_MEMO_LIMIT)(IngressPoint)
     chunks = _tokenise(stream, batch_size)
     for header, __ in itertools.islice(chunks, 1):
-        if tuple(header) != _CSV_FIELDS:
-            raise _row_error(1, "unexpected header", header)
-    for fields, numbers in chunks:
+        if tuple(fields := header.texts(slice(1), slice(None))) != _CSV_FIELDS:
+            raise _row_error(1, "unexpected header", fields)
+    for chunk, numbers in chunks:
         try:
-            batches = list(_columns(fields, address, ingress))
+            batches = list(_columns(chunk, address, ingress))
         except (ValueError, OverflowError):
             # redo the chunk a row at a time to name the first bad line
             # (a count past int64 overflows its column)
             for index, line in enumerate(numbers):
-                row = fields[index * _WIDTH:(index + 1) * _WIDTH]
+                row = chunk.texts(index, slice(None))
                 try:
-                    list(_columns(row, address, ingress))
+                    list(_columns(_Chunk.of(row), address, ingress))
                 except (ValueError, OverflowError) as error:
                     raise _row_error(line, error, row) from None
             raise
